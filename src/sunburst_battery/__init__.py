@@ -73,7 +73,6 @@ from .model import (
     build_total,
 )
 from .observables import (
-    MeritRecord,
     MeritSeries,
     charging_power,
     check_density_matrix,

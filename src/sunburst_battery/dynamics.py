@@ -122,14 +122,11 @@ class InitialStateSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "InitialStateSpec":
-        allowed = {"charger_kind", "index", "seed", "battery_kind"}
+        allowed = {"charger_kind", "index", "seed"}
         unknown = set(data) - allowed
         if unknown:
             raise ValueError(f"unknown initial-state keys: {sorted(unknown)}")
-        battery_kind = data.get("battery_kind", "ground")
-        if battery_kind != "ground":
-            raise ValueError(f"battery_kind must be 'ground', got {battery_kind!r}")
-        kwargs = {k: data[k] for k in ("charger_kind", "index", "seed") if k in data}
+        kwargs = dict(data)
         for key in ("index", "seed"):
             if kwargs.get(key) is not None:
                 kwargs[key] = int(kwargs[key])

@@ -49,7 +49,7 @@ from .model import (
     build_coupling,
     build_total,
 )
-from .observables import MeritSeries, merit_series, reduce_to_battery
+from .observables import MeritSeries, charging_power, merit_series, reduce_to_battery
 
 CSV_COLUMNS = ("t", "dE_num", "xi_num", "SL_num", "P_num",
                "dE_ana", "xi_ana", "SL_ana", "P_ana", "n", "L", "kappa", "seed")
@@ -217,8 +217,7 @@ def analytic_reference(spec: ModelSpec, times):
         )
     if spec.n == 2:
         pair = two_battery(p, times)
-        power = np.where(times > 0, pair.stored_energy / np.where(times > 0, times, 1.0), 0.0)
-        return pair.stored_energy, pair.ergotropy, None, power
+        return pair.stored_energy, pair.ergotropy, None, charging_power(pair.stored_energy, times)
     return None, None, None, None
 
 
@@ -228,19 +227,15 @@ def run_series(spec: ModelSpec, init: InitialStateSpec, times,
     return merit_series(trajectory(spec, init, times, decomposition))
 
 
-def _series_rows(series: MeritSeries, spec: ModelSpec, seed: int, times) -> list[tuple]:
-    de_ana, xi_ana, sl_ana, p_ana = analytic_reference(spec, times)
-    rows = []
-    for k, rec in enumerate(series.records):
-        rows.append((
-            rec.t, rec.stored_energy, rec.ergotropy, rec.linear_entropy, rec.power,
-            None if de_ana is None else float(de_ana[k]),
-            None if xi_ana is None else float(xi_ana[k]),
-            None if sl_ana is None else float(sl_ana[k]),
-            None if p_ana is None else float(p_ana[k]),
-            spec.n, spec.L, spec.kappa, seed,
-        ))
-    return rows
+def _series_rows(series: MeritSeries, spec: ModelSpec, seed: int) -> list[tuple]:
+    blank = [None] * series.t.size
+    analytic = [blank if col is None else col for col in analytic_reference(spec, series.t)]
+    labels = (spec.n, spec.L, spec.kappa, seed)
+    return [
+        row + labels
+        for row in zip(series.t, series.stored_energy, series.ergotropy,
+                       series.linear_entropy, series.power, *analytic)
+    ]
 
 
 def _parallel_map(fn, items, jobs: int) -> list:
@@ -252,9 +247,9 @@ def _parallel_map(fn, items, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _collapse_deviation(series: MeritSeries, spec: ModelSpec, reference) -> float:
-    """Max deviation of the per-battery ergotropy curve from a reference curve."""
-    return float(np.max(np.abs(series.column("ergotropy") / max(spec.n, 1) - reference)))
+def _collapse_deviation(column, spec: ModelSpec, reference) -> float:
+    """Max deviation of a per-battery merit column from a reference curve."""
+    return float(np.max(np.abs(column / max(spec.n, 1) - reference)))
 
 
 def cmd_fig1(config: ExperimentConfig,
@@ -276,13 +271,13 @@ def cmd_fig1(config: ExperimentConfig,
     reference = ergotropy_analytic(single, times)
     rows, summary = [], {"systems": [], "max_xi_collapse": 0.0}
     for spec, series in zip(systems, results):
-        rows.extend(_series_rows(series, spec, config.seed, times))
-        dev = _collapse_deviation(series, spec, reference)
+        rows.extend(_series_rows(series, spec, config.seed))
+        dev = _collapse_deviation(series.ergotropy, spec, reference)
         summary["systems"].append((spec.L, spec.n, dev))
         summary["max_xi_collapse"] = max(summary["max_xi_collapse"], dev)
         print(f"fig1 (L={spec.L}, n={spec.n}): max |xi/n - xi_ana| = {dev:.3e}")
     entropy_dev = float(np.max(np.abs(
-        results[0].column("linear_entropy") - linear_entropy_analytic(single, times)
+        results[0].linear_entropy - linear_entropy_analytic(single, times)
     )))
     summary["max_entropy_deviation"] = entropy_dev
     print(f"fig1 (L={config.model.L}, n={config.model.n}): max |SL - SL_ana| = {entropy_dev:.3e}")
@@ -302,8 +297,8 @@ def cmd_fig2(config: ExperimentConfig, systems=FIG2_SYSTEMS, jobs: int = 1) -> d
     reference = power_analytic(single, times)
     rows, summary = [], {"systems": [], "max_power_collapse": 0.0}
     for spec, series in zip(specs, results):
-        rows.extend(_series_rows(series, spec, config.seed, times))
-        dev = float(np.max(np.abs(series.column("power") / spec.n - reference)))
+        rows.extend(_series_rows(series, spec, config.seed))
+        dev = _collapse_deviation(series.power, spec, reference)
         summary["systems"].append((spec.L, spec.n, dev))
         summary["max_power_collapse"] = max(summary["max_power_collapse"], dev)
         print(f"fig2 (L={spec.L}, n={spec.n}): max |P/n - P_ana| = {dev:.3e}")
@@ -346,9 +341,7 @@ def cmd_fig3(config: ExperimentConfig, kappas=None, n_values=(1, 2, 3, 4),
         p = AnalyticParams.from_model(spec)
         scale = spec.n if spec.n in (1, 2) else None
         peak_p_ana = POWER_PEAK_COEFF * p.delta * p.kappa ** 2 / p.omega
-        sl_at_peak = series.column("linear_entropy")[
-            int(np.argmax(series.column("ergotropy")))
-        ]
+        sl_at_peak = series.linear_entropy[int(np.argmax(series.ergotropy))]
         rows.append((
             series.peak_ergotropy_time,
             series.peak_stored,
@@ -399,20 +392,19 @@ def cmd_fig4(config: ExperimentConfig, n_seeds: int = 3, jobs: int = 1) -> dict:
     )
     rows = []
     for seed, series in zip(seeds, results):
-        rows.extend(_series_rows(series, config.model, seed, times))
+        rows.extend(_series_rows(series, config.model, seed))
     pair_pop, pair_spec = 0.0, 0.0
     for i in range(len(results)):
         for j in range(i + 1, len(results)):
             pair_pop = max(pair_pop, float(np.max(np.abs(
-                results[i].column("ergotropy") - results[j].column("ergotropy")
+                results[i].ergotropy - results[j].ergotropy
             ))))
             pair_spec = max(pair_spec, float(np.max(np.abs(
-                results[i].column("ergotropy_spectral")
-                - results[j].column("ergotropy_spectral")
+                results[i].ergotropy_spectral - results[j].ergotropy_spectral
             ))))
     reference = ergotropy_analytic(AnalyticParams.from_model(config.model), times)
     vs_analytic = max(
-        float(np.max(np.abs(series.column("ergotropy") - reference)))
+        float(np.max(np.abs(series.ergotropy - reference)))
         for series in results
     )
     summary = {
@@ -446,7 +438,7 @@ def cmd_sweep(config: ExperimentConfig, jobs: int = 1) -> dict:
     results = _parallel_map(lambda spec: run_series(spec, init, times), specs, jobs)
     rows = []
     for spec, series in zip(specs, results):
-        rows.extend(_series_rows(series, spec, config.seed, times))
+        rows.extend(_series_rows(series, spec, config.seed))
     write_csv(config.output_path, rows)
     print(f"sweep ({config.sweep.parameter}): wrote {len(rows)} rows to {config.output_path}")
     return {"values": config.sweep.values}
@@ -635,8 +627,8 @@ def cmd_validate(quick: bool = False) -> int:
     series = run_series(spec_ed, InitialStateSpec(), times)
     p_ed = AnalyticParams.from_model(spec_ed)
     dev = max(
-        float(np.max(np.abs(series.column("ergotropy") - 2 * ergotropy_analytic(p_ed, times)))),
-        float(np.max(np.abs(series.column("stored_energy") - 2 * stored_energy_analytic(p_ed, times)))),
+        float(np.max(np.abs(series.ergotropy - 2 * ergotropy_analytic(p_ed, times)))),
+        float(np.max(np.abs(series.stored_energy - 2 * stored_energy_analytic(p_ed, times)))),
     )
     check("two_battery_twice_ed", dev <= 0.05,
           f"L={L_ed} max |ED - 2x single| {dev:.3e}")

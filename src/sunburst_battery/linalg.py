@@ -14,6 +14,7 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-10
+GRID_BLOCK = 256  # grid points per matrix-matrix product in evolve_on_grid
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,7 @@ def evolve_spectral(decomp: SpectralDecomposition, psi0, t: float) -> np.ndarray
     return _apply(decomp.eigenvectors, w)
 
 
-def evolve_on_grid(decomp: SpectralDecomposition, psi0, times,
-                   block: int = 256) -> np.ndarray:
+def evolve_on_grid(decomp: SpectralDecomposition, psi0, times) -> np.ndarray:
     """Propagate psi0 to every grid time; returns shape (len(times), dim).
 
     Grid points are batched into matrix-matrix products, which is far
@@ -107,8 +107,8 @@ def evolve_on_grid(decomp: SpectralDecomposition, psi0, times,
     times = np.asarray(times, dtype=float)
     w = _apply(decomp.eigenvectors.conj().T, psi0)
     out = np.empty((times.size, decomp.dim), dtype=np.complex128)
-    for lo in range(0, times.size, block):
-        chunk = times[lo:lo + block]
+    for lo in range(0, times.size, GRID_BLOCK):
+        chunk = times[lo:lo + GRID_BLOCK]
         phases = np.exp(-1j * np.outer(decomp.eigenvalues, chunk))
         out[lo:lo + chunk.size] = _apply(decomp.eigenvectors, phases * w[:, None]).T
     return out

@@ -10,8 +10,11 @@ basis.  For a single battery charged from a cat state the reduced state is
 diagonal and the two agree; for n >= 2 it carries 00<->11 and 01<->10
 coherences even in the strong-charger limit, and only the population
 convention follows the per-battery closed forms and their linear-in-n
-scaling.  Merit records therefore report the population value as the
+scaling.  Merit series therefore report the population value as the
 headline ergotropy and carry the spectral value alongside.
+
+Every function here takes one matrix or a stack of them (leading axes), so
+a whole trajectory is reduced and evaluated in one pass.
 """
 
 from __future__ import annotations
@@ -29,21 +32,25 @@ WORK_FLOOR = 1e-12  # below this the clamped ergotropy counts as zero
 
 
 def reduce_to_battery(psi, L: int, n: int) -> np.ndarray:
-    """Trace the charger out of a composite pure state.
+    """Trace the charger out of a composite pure state or a stack of them.
 
-    rho[a, b] = sum_c psi[c, a] conj(psi[c, b]) over charger configurations c,
-    a contiguous-stride sum under the model bit convention.
+    psi has shape (..., 2**(L+n)) and rho[..., a, b] = sum_c psi[..., c, a]
+    conj(psi[..., c, b]) over charger configurations c, a contiguous-stride
+    sum under the model bit convention.
     """
     psi = np.asarray(psi)
-    if psi.ndim != 1 or psi.size != 1 << (L + n):
+    if psi.ndim == 0 or psi.shape[-1] != 1 << (L + n):
         raise ValueError(
-            f"state of size {psi.size} does not match 2**({L}+{n}) = {1 << (L + n)}"
+            f"state of shape {psi.shape} does not match 2**({L}+{n}) = {1 << (L + n)}"
         )
-    m = psi.reshape(1 << L, 1 << n)
-    rho = m.T @ m.conj()
-    trace = float(np.real(np.trace(rho)))
-    if abs(trace - 1.0) > 1e-10:
-        raise ValueError(f"reduced state has trace {trace!r}; input state not normalized")
+    m = psi.reshape(psi.shape[:-1] + (1 << L, 1 << n))
+    rho = np.swapaxes(m, -1, -2) @ m.conj()
+    trace = np.real(np.trace(rho, axis1=-2, axis2=-1))
+    off = np.abs(trace - 1.0) > 1e-10
+    if np.any(off):
+        raise ValueError(
+            f"reduced state has trace {float(trace[off][0])!r}; input state not normalized"
+        )
     return rho
 
 
@@ -61,46 +68,50 @@ def check_density_matrix(rho, tol: float = 1e-10) -> None:
         raise ValueError(f"density matrix has negative eigenvalue {lowest:.3e}")
 
 
-def stored_energy(rho, level_energies) -> float:
+def _populations(rho) -> np.ndarray:
+    """Real diagonal of rho, or of each matrix in a stack."""
+    return np.real(np.diagonal(rho, axis1=-2, axis2=-1))
+
+
+def stored_energy(rho, level_energies):
     """Battery energy above the all-ground initial level: tr(rho H_b) - E_ground."""
     levels = np.asarray(level_energies, dtype=float)
-    energy = float(np.real(np.diagonal(rho)) @ levels)
-    return energy - float(levels.min())
+    return _populations(rho) @ levels - levels.min()
 
 
 def _descending_weights(values, what: str) -> np.ndarray:
-    """Clamp numerical negativity in [-NEGATIVITY_TOL, 0), renormalize, sort."""
+    """Clamp numerical negativity in [-NEGATIVITY_TOL, 0), renormalize, sort
+    along the last axis."""
     values = np.real(np.asarray(values))
     if values.min() < -NEGATIVITY_TOL:
         raise ValueError(f"{what} has negative weight {values.min():.3e}")
     clipped = np.clip(values, 0.0, None)
-    return np.sort(clipped / clipped.sum())[::-1]
+    return np.sort(clipped / clipped.sum(axis=-1, keepdims=True), axis=-1)[..., ::-1]
 
 
-def ergotropy(rho, level_energies) -> tuple[float, float]:
+def ergotropy(rho, level_energies):
     """Extractable work and passive energy from the spectral passive state.
 
     Eigenvalues of rho sorted descending are paired with the battery levels
     sorted ascending; returns (work, passive_energy) with work clamped at 0.
     """
     levels = np.asarray(level_energies, dtype=float)
-    energy = float(np.real(np.diagonal(rho)) @ levels)
     weights = _descending_weights(np.linalg.eigvalsh(rho), "density matrix spectrum")
-    passive = float(weights @ np.sort(levels))
-    return max(0.0, energy - passive), passive
+    passive = weights @ np.sort(levels)
+    return np.maximum(0.0, _populations(rho) @ levels - passive), passive
 
 
-def ergotropy_populations(rho, level_energies) -> tuple[float, float]:
+def ergotropy_populations(rho, level_energies):
     """Extractable work using level occupations as the passive weights.
 
     This is the convention behind all the closed-form results here: the
     battery coherences are not exploited, only populations are reordered.
     """
     levels = np.asarray(level_energies, dtype=float)
-    energy = float(np.real(np.diagonal(rho)) @ levels)
-    weights = _descending_weights(np.diagonal(rho), "density matrix diagonal")
-    passive = float(weights @ np.sort(levels))
-    return max(0.0, energy - passive), passive
+    populations = _populations(rho)
+    weights = _descending_weights(populations, "density matrix diagonal")
+    passive = weights @ np.sort(levels)
+    return np.maximum(0.0, populations @ levels - passive), passive
 
 
 def passive_state(rho, level_energies) -> np.ndarray:
@@ -113,54 +124,45 @@ def passive_state(rho, level_energies) -> np.ndarray:
     return out
 
 
-def linear_entropy(rho) -> float:
+def linear_entropy(rho):
     """Mixedness 1 - tr(rho^2), in [0, 1 - 1/dim]."""
-    purity = float(np.vdot(rho, rho).real)
+    rho = np.asarray(rho)
+    purity = np.real(np.sum(rho.conj() * rho, axis=(-2, -1)))
     value = 1.0 - purity
-    if value < -1e-12:
-        raise ValueError(f"purity {purity!r} exceeds 1; not a density matrix")
-    return max(0.0, value)
+    if np.min(value) < -1e-12:
+        raise ValueError(f"purity {float(np.max(purity))!r} exceeds 1; not a density matrix")
+    return np.maximum(0.0, value)
 
 
-def charging_power(delta_e: float, t: float) -> float:
+def charging_power(delta_e, t):
     """Stored energy per elapsed time, with the t -> 0 limit pinned to 0."""
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t!r}")
-    if t == 0:
-        return 0.0
-    return delta_e / t
-
-
-@dataclass(frozen=True)
-class MeritRecord:
-    """Figures of merit at one time point.
-
-    ``ergotropy`` is the population convention used by every closed-form
-    comparison; ``ergotropy_spectral`` is the eigenvalue-based value.
-    ``unavailable`` is stored_energy - ergotropy.
-    """
-
-    t: float
-    stored_energy: float
-    ergotropy: float
-    passive_energy: float
-    linear_entropy: float
-    power: float
-    unavailable: float
-    ergotropy_spectral: float
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError(f"time must be non-negative, got {float(t.min())!r}")
+    return np.where(t > 0, delta_e / np.where(t > 0, t, 1.0), 0.0)[()]
 
 
 @dataclass
 class MeritSeries:
-    """Merit records over a grid plus peak locations and window brackets.
+    """Figures of merit as columns over a time grid, plus peaks and window
+    brackets.
 
-    Window brackets are the grid intervals where the ergotropy switches
-    between zero and nonzero (onsets and offsets); the grid cannot resolve
-    the switch times any finer.  ``max_variant_gap`` is the largest spread
-    between the two ergotropy conventions along the run.
+    ``ergotropy`` is the population convention used by every closed-form
+    comparison; ``ergotropy_spectral`` is the eigenvalue-based value.
+    ``unavailable`` is stored_energy - ergotropy.  Window brackets are the
+    grid intervals where the ergotropy switches between zero and nonzero
+    (onsets and offsets); the grid cannot resolve the switch times any
+    finer.  ``max_variant_gap`` is the largest spread between the two
+    ergotropy conventions along the run.
     """
 
-    records: list[MeritRecord]
+    t: np.ndarray
+    stored_energy: np.ndarray
+    ergotropy: np.ndarray
+    ergotropy_spectral: np.ndarray
+    linear_entropy: np.ndarray
+    power: np.ndarray
+    unavailable: np.ndarray
     peak_stored_time: float
     peak_stored: float
     peak_ergotropy_time: float
@@ -171,59 +173,44 @@ class MeritSeries:
     ergotropy_offsets: list[tuple[float, float]]
     max_variant_gap: float
 
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records])
-
 
 def merit_series(traj: Trajectory) -> MeritSeries:
-    """Evaluate all figures of merit along a trajectory."""
+    """Evaluate all figures of merit along a trajectory, one column each."""
     spec = traj.spec
-    levels = battery_energies(spec.n, spec.delta)
-    records = []
-    for t, psi in zip(traj.times, traj.states):
-        rho = reduce_to_battery(psi, spec.L, spec.n)
-        stored = stored_energy(rho, levels)
-        work_pop, passive_pop = ergotropy_populations(rho, levels)
-        work_spec, _ = ergotropy(rho, levels)
-        unavailable = stored - work_pop
-        if unavailable < -UNAVAILABLE_TOL:
-            raise ArithmeticError(
-                f"unavailable energy {unavailable:.3e} < -{UNAVAILABLE_TOL} at t={t}"
-            )
-        records.append(MeritRecord(
-            t=float(t),
-            stored_energy=stored,
-            ergotropy=work_pop,
-            passive_energy=passive_pop,
-            linear_entropy=linear_entropy(rho),
-            power=charging_power(stored, float(t)),
-            unavailable=unavailable,
-            ergotropy_spectral=work_spec,
-        ))
-
     times = traj.times
-    stored_col = np.array([r.stored_energy for r in records])
-    work_col = np.array([r.ergotropy for r in records])
-    power_col = np.array([r.power for r in records])
-    onsets, offsets = [], []
-    for k in range(1, len(records)):
-        before = work_col[k - 1] > WORK_FLOOR
-        after = work_col[k] > WORK_FLOOR
-        if after and not before:
-            onsets.append((float(times[k - 1]), float(times[k])))
-        elif before and not after:
-            offsets.append((float(times[k - 1]), float(times[k])))
+    levels = battery_energies(spec.n, spec.delta)
+    rho = reduce_to_battery(traj.states, spec.L, spec.n)
+    stored = stored_energy(rho, levels)
+    work, _ = ergotropy_populations(rho, levels)
+    work_spectral, _ = ergotropy(rho, levels)
+    unavailable = stored - work
+    negative = np.flatnonzero(unavailable < -UNAVAILABLE_TOL)
+    if negative.size:
+        k = negative[0]
+        raise ArithmeticError(
+            f"unavailable energy {unavailable[k]:.3e} < -{UNAVAILABLE_TOL} at t={times[k]}"
+        )
+    power = charging_power(stored, times)
+
+    working = work > WORK_FLOOR
+    switches = np.flatnonzero(working[1:] != working[:-1])
     return MeritSeries(
-        records=records,
-        peak_stored_time=float(times[np.argmax(stored_col)]),
-        peak_stored=float(stored_col.max()),
-        peak_ergotropy_time=float(times[np.argmax(work_col)]),
-        peak_ergotropy=float(work_col.max()),
-        peak_power_time=float(times[np.argmax(power_col)]),
-        peak_power=float(power_col.max()),
-        ergotropy_onsets=onsets,
-        ergotropy_offsets=offsets,
-        max_variant_gap=float(np.max(np.abs(
-            np.array([r.ergotropy_spectral for r in records]) - work_col
-        ))),
+        t=times,
+        stored_energy=stored,
+        ergotropy=work,
+        ergotropy_spectral=work_spectral,
+        linear_entropy=linear_entropy(rho),
+        power=power,
+        unavailable=unavailable,
+        peak_stored_time=float(times[np.argmax(stored)]),
+        peak_stored=float(stored.max()),
+        peak_ergotropy_time=float(times[np.argmax(work)]),
+        peak_ergotropy=float(work.max()),
+        peak_power_time=float(times[np.argmax(power)]),
+        peak_power=float(power.max()),
+        ergotropy_onsets=[(float(times[k]), float(times[k + 1]))
+                          for k in switches if working[k + 1]],
+        ergotropy_offsets=[(float(times[k]), float(times[k + 1]))
+                           for k in switches if not working[k + 1]],
+        max_variant_gap=float(np.max(np.abs(work_spectral - work))),
     )

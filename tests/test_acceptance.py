@@ -62,8 +62,8 @@ def test_criterion_1_single_battery_curves_vs_closed_forms(heavy):
     details, work_devs = [], []
     for h, tol in ((0.1, 0.05), (1e-3, 1e-3)):
         series = heavy.series(reference_model(h=h))
-        work_dev = float(np.max(np.abs(series.column("ergotropy") - work_ref)))
-        entropy_dev = float(np.max(np.abs(series.column("linear_entropy") - entropy_ref)))
+        work_dev = float(np.max(np.abs(series.ergotropy - work_ref)))
+        entropy_dev = float(np.max(np.abs(series.linear_entropy - entropy_ref)))
         work_devs.append(work_dev)
         details.append(f"h={h}: |xi| {work_dev:.2e}, |SL| {entropy_dev:.2e} <= {tol}")
         if work_dev > tol or entropy_dev > tol:
@@ -80,7 +80,7 @@ def test_criterion_2_per_battery_ergotropy_collapse(heavy):
     for L, n in ((10, 2), (9, 3), (8, 4)):
         series = heavy.series(reference_model(L=L, n=n))
         worst = max(worst, float(np.max(np.abs(
-            series.column("ergotropy") / n - reference
+            series.ergotropy / n - reference
         ))))
     report(2, "ergotropy collapse", worst <= 0.05,
            f"max |xi/n - xi_1| = {worst:.2e} over n=2..4")
@@ -92,7 +92,7 @@ def test_criterion_3_power_collapse_and_peak_location(heavy):
     for L, n in ((11, 1), (10, 2), (9, 3), (8, 4)):
         series = heavy.series(reference_model(L=L, n=n))
         worst = max(worst, float(np.max(np.abs(
-            series.column("power") / n - reference
+            series.power / n - reference
         ))))
     single = heavy.series(reference_model())
     offset = grid_index_distance(REFERENCE_GRID, single.peak_power_time, POWER_PEAK_TIME)
@@ -141,7 +141,7 @@ def test_criterion_5_initial_state_independence(heavy, tmp_path):
         for seed in (11, 12, 13)
     ]
     pair_fine = max(
-        float(np.max(np.abs(a.column("ergotropy") - b.column("ergotropy"))))
+        float(np.max(np.abs(a.ergotropy - b.ergotropy)))
         for i, a in enumerate(fine) for b in fine[i + 1:]
     )
     ok = pair_01 <= 0.05 and vs_ana_01 <= 0.05 and pair_fine <= 1e-3
@@ -172,9 +172,9 @@ def test_criterion_7_two_battery_doubling(heavy):
     )
     series = heavy.series(reference_model(L=10, n=2))
     ed = max(
-        float(np.max(np.abs(series.column("ergotropy")
+        float(np.max(np.abs(series.ergotropy
                             - 2 * ergotropy_analytic(p, REFERENCE_GRID)))),
-        float(np.max(np.abs(series.column("stored_energy")
+        float(np.max(np.abs(series.stored_energy
                             - 2 * stored_energy_analytic(p, REFERENCE_GRID)))),
     )
     ok = exact <= 1e-12 and ed <= 0.05
@@ -236,7 +236,7 @@ def test_criterion_8_property_suites(heavy):
     merit_ok = True
     for L, n in ((11, 1), (10, 2)):
         series = heavy.series(reference_model(L=L, n=n))
-        merit_ok = merit_ok and float(np.min(series.column("unavailable"))) >= -1e-9
+        merit_ok = merit_ok and float(np.min(series.unavailable)) >= -1e-9
     for _ in range(50):
         delta = float(rng.uniform(0.1, 2))
         kappa = float(rng.uniform(0, delta / 2 * 0.999))

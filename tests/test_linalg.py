@@ -151,8 +151,8 @@ def test_evolve_on_grid_matches_single_calls():
     ham = random_hermitian(rng, 20)
     decomp = eigh(ham)
     psi = random_state(rng, 20)
-    times = np.linspace(0.0, 3.0, 11)
-    batch = evolve_on_grid(decomp, psi, times, block=4)
+    times = np.linspace(0.0, 3.0, 600)  # more points than one grid block
+    batch = evolve_on_grid(decomp, psi, times)
     for k, t in enumerate(times):
         assert np.max(np.abs(batch[k] - evolve_spectral(decomp, psi, t))) <= 1e-12
 

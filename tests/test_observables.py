@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -178,9 +180,9 @@ def test_charging_power_contract():
 def test_merit_series_decoupled_is_identically_zero():
     spec = ModelSpec(4, 2, h=0.3, kappa=0.0)
     series = run_series(spec, InitialStateSpec(), np.linspace(0, 2, 40))
-    for name in ("stored_energy", "ergotropy", "power", "linear_entropy",
-                 "ergotropy_spectral"):
-        assert np.max(np.abs(series.column(name))) <= 1e-12
+    for column in (series.stored_energy, series.ergotropy, series.power,
+                   series.linear_entropy, series.ergotropy_spectral):
+        assert np.max(np.abs(column)) <= 1e-12
 
 
 def test_merit_series_zero_ergotropy_below_threshold():
@@ -215,8 +217,8 @@ def test_merit_unavailable_identity_on_window():
     times = np.linspace(0.45, 1.1, 50)  # strictly inside the window
     series = run_series(spec, InitialStateSpec(), times)
     expected = unavailable_analytic(p, times)
-    assert np.max(np.abs(series.column("unavailable") - expected)) <= 1e-3
-    assert np.min(series.column("unavailable")) >= -1e-9
+    assert np.max(np.abs(series.unavailable - expected)) <= 1e-3
+    assert np.min(series.unavailable) >= -1e-9
 
 
 def test_variants_coincide_for_single_battery_at_small_field():
@@ -233,7 +235,7 @@ def test_variant_gap_reported_for_multiple_batteries():
     spec = ModelSpec(4, 2, h=1e-3, delta=0.5, kappa=2.0)
     series = run_series(spec, InitialStateSpec(), np.linspace(0, 2, 300))
     assert series.max_variant_gap > 0.1
-    gaps = series.column("ergotropy_spectral") - series.column("ergotropy")
+    gaps = series.ergotropy_spectral - series.ergotropy
     assert np.min(gaps) >= -1e-10
 
 
@@ -241,3 +243,95 @@ def test_merit_full_scale_peak_near_charging_time(heavy):
     series = heavy.series(ModelSpec(11, 1, h=0.1))
     step = 2.0 / 1999
     assert abs(series.peak_stored_time - T_CHARGE) <= 1.5 * step
+
+
+def random_density_matrices(rng, count, dim):
+    raw = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    rho = raw @ np.swapaxes(raw, -1, -2).conj()
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_merit_functions_match_per_matrix_calls(n):
+    rng = np.random.default_rng(30 + n)
+    levels = battery_energies(n, 0.5)
+    stack = random_density_matrices(rng, 6, 1 << n)
+    singles = {
+        "stored": [stored_energy(rho, levels) for rho in stack],
+        "spectral": [ergotropy(rho, levels) for rho in stack],
+        "populations": [ergotropy_populations(rho, levels) for rho in stack],
+        "entropy": [linear_entropy(rho) for rho in stack],
+    }
+    assert np.max(np.abs(stored_energy(stack, levels) - singles["stored"])) <= 1e-14
+    assert np.max(np.abs(linear_entropy(stack) - singles["entropy"])) <= 1e-14
+    for name, variant in (("spectral", ergotropy), ("populations", ergotropy_populations)):
+        work, passive = variant(stack, levels)
+        assert np.max(np.abs(work - [w for w, _ in singles[name]])) <= 1e-14
+        assert np.max(np.abs(passive - [p for _, p in singles[name]])) <= 1e-14
+
+    L = 5 - n
+    states = np.array([random_state(rng, 1 << (L + n)) for _ in range(6)])
+    stacked = reduce_to_battery(states, L, n)
+    for psi, rho in zip(states, stacked):
+        assert np.max(np.abs(rho - reduce_to_battery(psi, L, n))) <= 1e-14
+
+
+def test_stacked_input_rejects_one_bad_member():
+    rng = np.random.default_rng(40)
+    L, n = 3, 2
+    states = np.array([random_state(rng, 1 << (L + n)) for _ in range(4)])
+    states[2] *= 1.1
+    with pytest.raises(ValueError, match="not normalized") as single:
+        reduce_to_battery(states[2], L, n)
+    with pytest.raises(ValueError, match="not normalized") as stacked:
+        reduce_to_battery(states, L, n)
+    assert str(stacked.value) == str(single.value)
+
+    levels = battery_energies(1, 0.5)
+    stack = np.array([np.diag([0.7, 0.3]), np.diag([1.001, -0.001]), np.eye(2) / 2])
+    for variant in (ergotropy, ergotropy_populations):
+        with pytest.raises(ValueError, match="negative weight") as single:
+            variant(stack[1], levels)
+        with pytest.raises(ValueError, match="negative weight") as stacked:
+            variant(stack, levels)
+        assert str(stacked.value) == str(single.value)
+
+
+def test_merit_series_matches_per_point_evaluation():
+    spec = ModelSpec(4, 2, h=0.3, delta=0.5, kappa=1.5)
+    times = np.linspace(0.0, 2.0, 60)
+    traj = trajectory(spec, InitialStateSpec("random", seed=5), times)
+    series = merit_series(traj)
+    levels = battery_energies(spec.n, spec.delta)
+    rhos = [reduce_to_battery(psi, spec.L, spec.n) for psi in traj.states]
+    stored = np.array([stored_energy(rho, levels) for rho in rhos])
+    work = np.array([ergotropy_populations(rho, levels)[0] for rho in rhos])
+    expected = {
+        "t": times,
+        "stored_energy": stored,
+        "ergotropy": work,
+        "ergotropy_spectral": [ergotropy(rho, levels)[0] for rho in rhos],
+        "linear_entropy": [linear_entropy(rho) for rho in rhos],
+        "power": [charging_power(e, t) for e, t in zip(stored, times)],
+        "unavailable": stored - work,
+    }
+    for name, column in expected.items():
+        assert np.max(np.abs(getattr(series, name) - np.asarray(column))) <= 1e-14, name
+    assert series.peak_ergotropy == work.max()
+    assert series.peak_ergotropy_time == times[np.argmax(work)]
+
+
+def test_merit_series_names_first_negative_unavailable_time(monkeypatch):
+    from sunburst_battery import observables
+
+    def inflated(rho, levels):
+        work = stored_energy(rho, levels)
+        work[[3, 5]] += 1e-6
+        return work, None
+
+    monkeypatch.setattr(observables, "ergotropy_populations", inflated)
+    spec = ModelSpec(3, 1, h=0.3, delta=0.5, kappa=1.5)
+    times = np.linspace(0.0, 1.0, 8)
+    traj = trajectory(spec, InitialStateSpec(), times)
+    with pytest.raises(ArithmeticError, match=re.escape(f"at t={times[3]}") + "$"):
+        merit_series(traj)
