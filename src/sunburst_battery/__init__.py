@@ -59,7 +59,6 @@ from .linalg import (
     SpectralDecomposition,
     eigh,
     evolve_on_grid,
-    evolve_spectral,
     expm_series_oracle,
 )
 from .model import (

@@ -235,22 +235,13 @@ def two_battery(p: AnalyticParams, t) -> TwoBatteryResult:
         return TwoBatteryResult(one, zero, zero.copy(), zero.copy())
     half_sq = np.sin(p.omega * t / 2.0) ** 2
     coupling_frac = 4.0 * p.kappa ** 2 / p.omega ** 2
-    a_even = np.cos(p.omega * t) + coupling_frac * half_sq
-    a_odd_im = (p.delta / p.omega) * np.sin(p.omega * t)
-    b_even = -coupling_frac * half_sq
     lambda1 = (
         np.cos(p.omega * t) ** 2
         + coupling_frac ** 2 * half_sq ** 2
         + 2.0 * coupling_frac * np.cos(p.omega * t) * half_sq
         + (p.delta / p.omega) ** 2 * np.sin(p.omega * t) ** 2
     )
-    resummed = a_even ** 2 + a_odd_im ** 2
-    mismatch = float(np.max(np.abs(lambda1 - resummed)))
-    if mismatch > 1e-12:
-        raise ArithmeticError(
-            f"two-battery population expansions disagree by {mismatch:.3e}"
-        )
-    lambda4 = b_even ** 2
+    lambda4 = (coupling_frac * half_sq) ** 2
     stored = p.delta * (1.0 + lambda4 - lambda1)
     work = np.maximum(0.0, 2.0 * p.delta * (2.0 * coupling_frac * half_sq - 1.0))
     return TwoBatteryResult(lambda1, lambda4, stored, work)

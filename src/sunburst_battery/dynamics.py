@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SpectralDecomposition, evolve_on_grid
-from .model import ModelSpec, bit_counts, build_total
+from .model import ModelSpec, bit_counts, build_total, config_fields
 
 CHARGER_KINDS = ("ghz_plus", "ghz_minus", "eigenstate", "random")
 
@@ -122,15 +122,7 @@ class InitialStateSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "InitialStateSpec":
-        allowed = {"charger_kind", "index", "seed"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValueError(f"unknown initial-state keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        for key in ("index", "seed"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = int(kwargs[key])
-        return cls(**kwargs)
+        return cls(**config_fields(cls, "initial-state", data, ints=("index", "seed")))
 
 
 def initial_state(spec: ModelSpec, init: InitialStateSpec) -> np.ndarray:

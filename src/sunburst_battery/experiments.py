@@ -37,7 +37,7 @@ from .analytic import (
     window_times,
 )
 from .dynamics import InitialStateSpec, ghz_plus, trajectory
-from .linalg import eigh, evolve_spectral, expm_series_oracle
+from .linalg import eigh, evolve_on_grid, expm_series_oracle
 from .model import (
     ModelSpec,
     _battery_xmask,
@@ -48,6 +48,8 @@ from .model import (
     build_charger,
     build_coupling,
     build_total,
+    config_fields,
+    integral,
 )
 from .observables import MeritSeries, charging_power, merit_series, reduce_to_battery
 
@@ -83,17 +85,8 @@ class TimeGrid:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TimeGrid":
-        allowed = {"t_start", "t_end", "steps"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValueError(f"unknown grid keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "steps" in kwargs:
-            kwargs["steps"] = int(kwargs["steps"])
-        for key in ("t_start", "t_end"):
-            if key in kwargs:
-                kwargs[key] = float(kwargs[key])
-        return cls(**kwargs)
+        return cls(**config_fields(cls, "grid", data, ints=("steps",),
+                                   floats=("t_start", "t_end")))
 
 
 @dataclass(frozen=True)
@@ -114,20 +107,14 @@ class SweepSpec:
             if any(v < 0 for v in values):
                 raise ValueError("kappa values must be non-negative")
         else:
-            values = tuple(int(v) for v in values)
+            values = tuple(integral("sweep.values", v) for v in values)
             if any(v < 0 for v in values):
                 raise ValueError("n values must be non-negative")
         object.__setattr__(self, "values", values)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
-        allowed = {"parameter", "values"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValueError(f"unknown sweep keys: {sorted(unknown)}")
-        if allowed - set(data):
-            raise ValueError("sweep requires both 'parameter' and 'values'")
-        return cls(parameter=data["parameter"], values=tuple(data["values"]))
+        return cls(**config_fields(cls, "sweep", data, required=("parameter", "values")))
 
 
 @dataclass(frozen=True)
@@ -147,23 +134,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        allowed = {"model", "initial", "grid", "sweep", "seed", "output_path"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        if "model" in data:
-            kwargs["model"] = ModelSpec.from_dict(data["model"])
-        if "initial" in data:
-            kwargs["initial"] = InitialStateSpec.from_dict(data["initial"])
-        if "grid" in data:
-            kwargs["grid"] = TimeGrid.from_dict(data["grid"])
-        if data.get("sweep") is not None:
-            kwargs["sweep"] = SweepSpec.from_dict(data["sweep"])
-        if "seed" in data:
-            kwargs["seed"] = int(data["seed"])
-        if "output_path" in data:
-            kwargs["output_path"] = str(data["output_path"])
+        kwargs = config_fields(cls, "config", data, ints=("seed",))
+        for key, section in (("model", ModelSpec), ("initial", InitialStateSpec),
+                             ("grid", TimeGrid), ("sweep", SweepSpec)):
+            if kwargs.get(key) is None:
+                kwargs.pop(key, None)  # null keeps the default section
+            else:
+                kwargs[key] = section.from_dict(kwargs[key])
+        if "output_path" in kwargs:
+            kwargs["output_path"] = str(kwargs["output_path"])
         return cls(**kwargs)
 
 
@@ -247,9 +226,32 @@ def _parallel_map(fn, items, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _collapse_deviation(column, spec: ModelSpec, reference) -> float:
-    """Max deviation of a per-battery merit column from a reference curve."""
-    return float(np.max(np.abs(column / max(spec.n, 1) - reference)))
+def _map_series(runs, times, jobs: int, decomposition=None) -> list[MeritSeries]:
+    """run_series for each (spec, init, seed) run on one grid, in run order."""
+    return _parallel_map(
+        lambda run: run_series(run[0], run[1], times, decomposition), runs, jobs
+    )
+
+
+def _write_series(label: str, path, runs, results) -> None:
+    """One CSV of every run's series, rows in run order."""
+    rows = [row for (spec, _, seed), series in zip(runs, results)
+            for row in _series_rows(series, spec, seed)]
+    write_csv(path, rows)
+    print(f"{label}: wrote {len(rows)} rows to {path}")
+
+
+def _collapse(command: str, symbol: str, column: str, runs, results, reference):
+    """(L, n, max deviation) of each run's per-battery ``column`` from a
+    single-battery reference curve, printed one line per run, and the
+    largest of these deviations."""
+    systems, worst = [], 0.0
+    for (spec, _, _), series in zip(runs, results):
+        dev = float(np.max(np.abs(getattr(series, column) / max(spec.n, 1) - reference)))
+        systems.append((spec.L, spec.n, dev))
+        worst = max(worst, dev)
+        print(f"{command} (L={spec.L}, n={spec.n}): max |{symbol}/n - {symbol}_ana| = {dev:.3e}")
+    return systems, worst
 
 
 def cmd_fig1(config: ExperimentConfig,
@@ -261,51 +263,35 @@ def cmd_fig1(config: ExperimentConfig,
     collapse onto the single-battery curve.
     """
     times = config.grid.times()
-    systems = [config.model] + [
+    specs = [config.model] + [
         replace(config.model, L=ls, n=ns, d=None) for ls, ns in collapse_systems
     ]
-    results = _parallel_map(
-        lambda spec: run_series(spec, config.initial, times), systems, jobs
-    )
+    runs = [(spec, config.initial, config.seed) for spec in specs]
+    results = _map_series(runs, times, jobs)
     single = AnalyticParams.from_model(config.model)
-    reference = ergotropy_analytic(single, times)
-    rows, summary = [], {"systems": [], "max_xi_collapse": 0.0}
-    for spec, series in zip(systems, results):
-        rows.extend(_series_rows(series, spec, config.seed))
-        dev = _collapse_deviation(series.ergotropy, spec, reference)
-        summary["systems"].append((spec.L, spec.n, dev))
-        summary["max_xi_collapse"] = max(summary["max_xi_collapse"], dev)
-        print(f"fig1 (L={spec.L}, n={spec.n}): max |xi/n - xi_ana| = {dev:.3e}")
+    systems, worst = _collapse("fig1", "xi", "ergotropy", runs, results,
+                               ergotropy_analytic(single, times))
+    summary = {"systems": systems, "max_xi_collapse": worst}
     entropy_dev = float(np.max(np.abs(
         results[0].linear_entropy - linear_entropy_analytic(single, times)
     )))
     summary["max_entropy_deviation"] = entropy_dev
     print(f"fig1 (L={config.model.L}, n={config.model.n}): max |SL - SL_ana| = {entropy_dev:.3e}")
-    write_csv(config.output_path, rows)
-    print(f"fig1: wrote {len(rows)} rows to {config.output_path}")
+    _write_series("fig1", config.output_path, runs, results)
     return summary
 
 
 def cmd_fig2(config: ExperimentConfig, systems=FIG2_SYSTEMS, jobs: int = 1) -> dict:
     """Charging power vs time for growing battery count (per-battery collapse)."""
     times = config.grid.times()
-    specs = [replace(config.model, L=ls, n=ns, d=None) for ls, ns in systems]
-    results = _parallel_map(
-        lambda spec: run_series(spec, config.initial, times), specs, jobs
-    )
-    single = AnalyticParams.from_model(config.model)
-    reference = power_analytic(single, times)
-    rows, summary = [], {"systems": [], "max_power_collapse": 0.0}
-    for spec, series in zip(specs, results):
-        rows.extend(_series_rows(series, spec, config.seed))
-        dev = _collapse_deviation(series.power, spec, reference)
-        summary["systems"].append((spec.L, spec.n, dev))
-        summary["max_power_collapse"] = max(summary["max_power_collapse"], dev)
-        print(f"fig2 (L={spec.L}, n={spec.n}): max |P/n - P_ana| = {dev:.3e}")
-    summary["peak_power_times"] = [series.peak_power_time for series in results]
-    write_csv(config.output_path, rows)
-    print(f"fig2: wrote {len(rows)} rows to {config.output_path}")
-    return summary
+    runs = [(replace(config.model, L=ls, n=ns, d=None), config.initial, config.seed)
+            for ls, ns in systems]
+    results = _map_series(runs, times, jobs)
+    reference = power_analytic(AnalyticParams.from_model(config.model), times)
+    collapse, worst = _collapse("fig2", "P", "power", runs, results, reference)
+    _write_series("fig2", config.output_path, runs, results)
+    return {"systems": collapse, "max_power_collapse": worst,
+            "peak_power_times": [series.peak_power_time for series in results]}
 
 
 def cmd_fig3(config: ExperimentConfig, kappas=None, n_values=(1, 2, 3, 4),
@@ -383,16 +369,8 @@ def cmd_fig4(config: ExperimentConfig, n_seeds: int = 3, jobs: int = 1) -> dict:
     """
     times = config.grid.times()
     seeds = [config.seed + k for k in range(n_seeds)]
-    decomposition = build_total(config.model).decomposition()
-    results = _parallel_map(
-        lambda seed: run_series(
-            config.model, InitialStateSpec("random", seed=seed), times, decomposition
-        ),
-        seeds, jobs,
-    )
-    rows = []
-    for seed, series in zip(seeds, results):
-        rows.extend(_series_rows(series, config.model, seed))
+    runs = [(config.model, InitialStateSpec("random", seed=seed), seed) for seed in seeds]
+    results = _map_series(runs, times, jobs, build_total(config.model).decomposition())
     pair_pop, pair_spec = 0.0, 0.0
     for i in range(len(results)):
         for j in range(i + 1, len(results)):
@@ -416,8 +394,7 @@ def cmd_fig4(config: ExperimentConfig, n_seeds: int = 3, jobs: int = 1) -> dict:
     print(f"fig4: pairwise max |xi_i - xi_j| = {pair_pop:.3e} "
           f"(spectral convention {pair_spec:.3e}), "
           f"max |xi - xi_ana| = {vs_analytic:.3e}")
-    write_csv(config.output_path, rows)
-    print(f"fig4: wrote {len(rows)} rows to {config.output_path}")
+    _write_series("fig4", config.output_path, runs, results)
     return summary
 
 
@@ -429,18 +406,11 @@ def cmd_sweep(config: ExperimentConfig, jobs: int = 1) -> dict:
     init = config.initial
     if init.charger_kind == "random" and init.seed is None:
         init = replace(init, seed=config.seed)
-    specs = []
-    for value in config.sweep.values:
-        if config.sweep.parameter == "kappa":
-            specs.append(replace(config.model, kappa=value))
-        else:
-            specs.append(replace(config.model, n=value, d=None))
-    results = _parallel_map(lambda spec: run_series(spec, init, times), specs, jobs)
-    rows = []
-    for spec, series in zip(specs, results):
-        rows.extend(_series_rows(series, spec, config.seed))
-    write_csv(config.output_path, rows)
-    print(f"sweep ({config.sweep.parameter}): wrote {len(rows)} rows to {config.output_path}")
+    runs = [(replace(config.model, kappa=value) if config.sweep.parameter == "kappa"
+             else replace(config.model, n=value, d=None), init, config.seed)
+            for value in config.sweep.values]
+    results = _map_series(runs, times, jobs)
+    _write_series(f"sweep ({config.sweep.parameter})", config.output_path, runs, results)
     return {"values": config.sweep.values}
 
 
@@ -498,11 +468,9 @@ def cmd_validate(quick: bool = False) -> int:
         ham = (raw + raw.conj().T) / 2
         psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         psi /= np.linalg.norm(psi)
-        decomp = eigh(ham)
-        for t in (0.1, 1.0):
-            diff = np.max(np.abs(
-                evolve_spectral(decomp, psi, t) - expm_series_oracle(ham, psi, t)
-            ))
+        evolved = evolve_on_grid(eigh(ham), psi, [0.1, 1.0])
+        for state, t in zip(evolved, (0.1, 1.0)):
+            diff = np.max(np.abs(state - expm_series_oracle(ham, psi, t)))
             worst = max(worst, float(diff))
     for L, n in ((2, 1), (3, 2)):
         spec = ModelSpec(L, n, d=1, J=1.0, h=0.3, delta=0.4, kappa=0.8)
@@ -510,7 +478,7 @@ def cmd_validate(quick: bool = False) -> int:
         psi = rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim)
         psi /= np.linalg.norm(psi)
         diff = np.max(np.abs(
-            evolve_spectral(total.decomposition(), psi, 0.7)
+            evolve_on_grid(total.decomposition(), psi, [0.7])[0]
             - expm_series_oracle(total.matrix, psi, 0.7)
         ))
         worst = max(worst, float(diff))

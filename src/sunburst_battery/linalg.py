@@ -89,14 +89,6 @@ def eigh(operator) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues, eigenvectors)
 
 
-def evolve_spectral(decomp: SpectralDecomposition, psi0, t: float) -> np.ndarray:
-    """Propagate a normalized state to time t: V exp(-i Lambda t) V^dag psi0."""
-    psi0 = _check_state(decomp.dim, psi0)
-    w = _apply(decomp.eigenvectors.conj().T, psi0)
-    w = w * np.exp(-1j * decomp.eigenvalues * t)
-    return _apply(decomp.eigenvectors, w)
-
-
 def evolve_on_grid(decomp: SpectralDecomposition, psi0, times) -> np.ndarray:
     """Propagate psi0 to every grid time; returns shape (len(times), dim).
 

@@ -19,7 +19,7 @@ real symmetric in this basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -106,20 +106,43 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelSpec":
-        allowed = {"L", "n", "d", "J", "h", "delta", "kappa"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValueError(f"unknown model keys: {sorted(unknown)}")
-        if "L" not in data or "n" not in data:
-            raise ValueError("model requires at least the keys 'L' and 'n'")
-        kwargs = dict(data)
-        for key in ("L", "n", "d"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = int(kwargs[key])
-        for key in ("J", "h", "delta", "kappa"):
-            if key in kwargs:
-                kwargs[key] = float(kwargs[key])
-        return cls(**kwargs)
+        return cls(**config_fields(cls, "model", data, ints=("L", "n", "d"),
+                                   floats=("J", "h", "delta", "kappa"),
+                                   required=("L", "n")))
+
+
+def integral(name: str, value) -> int:
+    """An integer config value; a float must be integral (11.0 is 11, 11.7 is
+    an error).  Integers are never converted through float, so values beyond
+    2**53 (such as 64-bit seeds) stay exact."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def config_fields(cls, section: str, data: dict, ints=(), floats=(),
+                  required=()) -> dict:
+    """Keyword arguments for the dataclass ``cls`` from one JSON config section.
+
+    Every key must name a field of ``cls`` and every ``required`` key must be
+    present.  Values of ``ints`` keys go through integral() and values of
+    ``floats`` keys through float(); None and any other value pass unchanged.
+    """
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ValueError(f"{section} requires the keys {missing}")
+    kwargs = dict(data)
+    for key, value in data.items():
+        if value is None:
+            continue
+        if key in ints:
+            kwargs[key] = integral(f"{section}.{key}", value)
+        elif key in floats:
+            kwargs[key] = float(value)
+    return kwargs
 
 
 def battery_positions(spec: ModelSpec) -> list[int]:

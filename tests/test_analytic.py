@@ -227,9 +227,12 @@ def test_two_battery_values_at_charging_time():
 
 
 def test_two_battery_corner_population_is_fourth_power():
-    # lambda1 resums to |A|^4: the two derivations must agree
-    t = np.linspace(0, 5, 200)
-    a, _ = amplitudes(REF, t)
-    pair = two_battery(REF, t)
-    assert np.max(np.abs(pair.lambda1 - np.abs(a) ** 4)) <= 1e-12
-    assert np.max(np.abs(pair.lambda4 - np.abs(amplitudes(REF, t)[1]) ** 4)) <= 1e-12
+    # the expanded lambda1 resums to |A|^4: the two derivations must agree,
+    # on the grid and at the random times of the twice-identity test
+    t = np.concatenate([np.linspace(0, 5, 200),
+                        np.random.default_rng(13).uniform(0, 20, 100)])
+    for p in (REF, AnalyticParams(0.7, 0.9), AnalyticParams(0.2, 3.0)):
+        a, b = amplitudes(p, t)
+        pair = two_battery(p, t)
+        assert np.max(np.abs(pair.lambda1 - np.abs(a) ** 4)) <= 1e-12
+        assert np.max(np.abs(pair.lambda4 - np.abs(b) ** 4)) <= 1e-12

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,25 @@ def test_config_roundtrip_and_unknown_keys(tmp_path):
         broken = {**payload, **corruption}
         with pytest.raises(ValueError, match="unknown"):
             ExperimentConfig.from_dict(broken)
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"model": {**SMALL_MODEL, "L": 11.7}}, "model.L"),
+    ({"grid": {"steps": 2000.9}}, "grid.steps"),
+    ({"seed": 1.5}, "config.seed"),
+    ({"initial": {"charger_kind": "eigenstate", "index": 2.5}}, "initial-state.index"),
+    ({"initial": {"charger_kind": "random", "seed": 2.5}}, "initial-state.seed"),
+    ({"sweep": {"parameter": "n", "values": [1.5]}}, "sweep.values"),
+    ({"model": {**SMALL_MODEL, "L": 11.0}, "seed": 2 ** 64 - 1}, None),
+])
+def test_integer_keys_must_hold_integral_numbers(data, key):
+    if key is not None:
+        with pytest.raises(ValueError, match=re.escape(key)):
+            ExperimentConfig.from_dict(data)
+        return
+    config = ExperimentConfig.from_dict(data)
+    assert config.model.L == 11 and isinstance(config.model.L, int)
+    assert config.seed == 2 ** 64 - 1
 
 
 def test_grid_and_sweep_validation():
@@ -255,10 +275,17 @@ def test_cli_end_to_end_small_run(tmp_path):
 
 
 def test_parallel_jobs_give_identical_output(tmp_path):
-    serial = small_config(tmp_path, "serial.csv",
-                          sweep={"parameter": "kappa", "values": [0.5, 1.0, 2.0]})
-    cmd_sweep(serial, jobs=1)
-    threaded = small_config(tmp_path, "threaded.csv",
-                            sweep={"parameter": "kappa", "values": [0.5, 1.0, 2.0]})
-    cmd_sweep(threaded, jobs=3)
-    assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "threaded.csv").read_bytes()
+    commands = {
+        "fig1": lambda config, jobs: cmd_fig1(config, collapse_systems=((4, 2),), jobs=jobs),
+        "fig2": lambda config, jobs: cmd_fig2(config, systems=((4, 1), (4, 2)), jobs=jobs),
+        "fig4": cmd_fig4,
+        "sweep": cmd_sweep,
+    }
+    sweep = {"parameter": "kappa", "values": [0.5, 1.0, 2.0]}
+    for name, command in commands.items():
+        serial = small_config(tmp_path, f"{name}_serial.csv", sweep=sweep)
+        command(serial, jobs=1)
+        threaded = small_config(tmp_path, f"{name}_threaded.csv", sweep=sweep)
+        command(threaded, jobs=3)
+        assert (tmp_path / f"{name}_serial.csv").read_bytes() \
+            == (tmp_path / f"{name}_threaded.csv").read_bytes(), name

@@ -6,7 +6,6 @@ from sunburst_battery import (
     build_total,
     eigh,
     evolve_on_grid,
-    evolve_spectral,
     expm_series_oracle,
 )
 
@@ -73,24 +72,24 @@ def test_evolve_at_zero_is_identity():
     rng = np.random.default_rng(0)
     ham = random_hermitian(rng, 12)
     psi = random_state(rng, 12)
-    assert np.max(np.abs(evolve_spectral(eigh(ham), psi, 0.0) - psi)) <= 1e-12
+    assert np.max(np.abs(evolve_on_grid(eigh(ham), psi, [0.0])[0] - psi)) <= 1e-12
 
 
 def test_eigenstate_picks_up_pure_phase():
     delta = 0.5
     ham = np.diag([-delta / 2, delta / 2])
     psi = np.array([1.0, 0.0], dtype=complex)
-    for t in (0.3, 2.7):
-        evolved = evolve_spectral(eigh(ham), psi, t)
+    times = (0.3, 2.7)
+    for t, evolved in zip(times, evolve_on_grid(eigh(ham), psi, times)):
         assert np.allclose(evolved, np.exp(1j * delta * t / 2) * psi, atol=1e-12)
 
 
 def test_evolve_rejects_dimension_mismatch_and_bad_norm():
     decomp = eigh(np.eye(4))
     with pytest.raises(ValueError, match="dimension"):
-        evolve_spectral(decomp, np.ones(3) / np.sqrt(3), 0.1)
+        evolve_on_grid(decomp, np.ones(3) / np.sqrt(3), [0.1])
     with pytest.raises(ValueError, match="normalized"):
-        evolve_spectral(decomp, np.ones(4), 0.1)
+        evolve_on_grid(decomp, np.ones(4), [0.1])
 
 
 def test_series_oracle_zero_generator():
@@ -113,7 +112,7 @@ def test_propagators_agree_on_random_hermitian(t):
     rng = np.random.default_rng(42)
     ham = random_hermitian(rng, 16)
     psi = random_state(rng, 16)
-    spectral = evolve_spectral(eigh(ham), psi, t)
+    spectral = evolve_on_grid(eigh(ham), psi, [t])[0]
     series = expm_series_oracle(ham, psi, t)
     assert np.max(np.abs(spectral - series)) <= 1e-8
 
@@ -127,9 +126,9 @@ def test_propagators_agree_on_small_models():
                          kappa=float(rng.uniform(0, 2)))
         total = build_total(spec)
         psi = random_state(rng, spec.dim)
-        for t in (0.1, 1.0):
-            diff = np.abs(evolve_spectral(total.decomposition(), psi, t)
-                          - expm_series_oracle(total.matrix, psi, t))
+        times = (0.1, 1.0)
+        for t, evolved in zip(times, evolve_on_grid(total.decomposition(), psi, times)):
+            diff = np.abs(evolved - expm_series_oracle(total.matrix, psi, t))
             assert np.max(diff) <= 1e-8
 
 
@@ -139,8 +138,7 @@ def test_unitarity_and_energy_conservation():
     decomp = eigh(ham)
     psi = random_state(rng, 24)
     reference = np.real(np.vdot(psi, ham @ psi))
-    for t in np.linspace(0.0, 8.0, 17):
-        evolved = evolve_spectral(decomp, psi, t)
+    for evolved in evolve_on_grid(decomp, psi, np.linspace(0.0, 8.0, 17)):
         assert abs(np.linalg.norm(evolved) - 1.0) <= 1e-10
         energy = np.real(np.vdot(evolved, ham @ evolved))
         assert abs(energy - reference) <= 1e-9 * max(1.0, abs(reference))
@@ -154,7 +152,10 @@ def test_evolve_on_grid_matches_single_calls():
     times = np.linspace(0.0, 3.0, 600)  # more points than one grid block
     batch = evolve_on_grid(decomp, psi, times)
     for k, t in enumerate(times):
-        assert np.max(np.abs(batch[k] - evolve_spectral(decomp, psi, t))) <= 1e-12
+        # one-point calls cover the block boundaries; the Taylor series is an
+        # independent reference
+        assert np.max(np.abs(batch[k] - evolve_on_grid(decomp, psi, [t])[0])) <= 1e-12
+        assert np.max(np.abs(batch[k] - expm_series_oracle(ham, psi, t))) <= 1e-8
 
 
 def test_ground_state_against_independent_oracles():
