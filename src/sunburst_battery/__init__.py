@@ -3,9 +3,10 @@
 A transverse-field Ising ring (the charger) charges n external qubits (the
 batteries) through sigma^x Sigma^x couplings.  The package builds the
 composite Hamiltonian by bit manipulation, evolves states exactly through
-a dense spectral decomposition, reduces them to the battery register, and
-verifies stored energy, ergotropy, linear entropy and charging power
-against their strong-charger closed forms.
+a dense spectral decomposition of each parity sector the state occupies,
+reduces them to the battery register, and verifies stored energy,
+ergotropy, linear entropy and charging power against their strong-charger
+closed forms.
 """
 
 from .analytic import (
@@ -57,6 +58,7 @@ from .experiments import (
 )
 from .linalg import (
     SpectralDecomposition,
+    decompose,
     eigh,
     evolve_on_grid,
     expm_series_oracle,
@@ -70,6 +72,7 @@ from .model import (
     build_charger,
     build_coupling,
     build_total,
+    parity_sectors,
 )
 from .observables import (
     MeritSeries,

@@ -2,8 +2,10 @@
 
 The charger starts in a cat state, an x-basis product state, or a seeded
 Haar-random state; the batteries always start in the all-ground state
-|00...0>.  Evolution is exact at any time through the cached spectral
-decomposition of the full Hamiltonian, so grids carry no step-size error.
+|00...0>.  Evolution is exact at any time through the spectral
+decomposition of the Hamiltonian on the parity sectors the initial state
+occupies (one for a cat-state charger, both for a random one), so grids
+carry no step-size error.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpectralDecomposition, evolve_on_grid
-from .model import ModelSpec, bit_counts, build_total, config_fields
+from .linalg import SpectralDecomposition, decompose, evolve_on_grid
+from .model import ModelSpec, bit_counts, build_total, config_fields, parity_sectors
 
 CHARGER_KINDS = ("ghz_plus", "ghz_minus", "eigenstate", "random")
 
@@ -143,9 +145,11 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times,
                decomposition: SpectralDecomposition | None = None) -> Trajectory:
     """Evolve the composite initial state to every grid time.
 
-    The spectral decomposition of the full Hamiltonian is computed once and
-    shared by all grid points; pass ``decomposition`` to reuse one across
-    several runs of the same model (it is read-only and thread-safe).
+    Without ``decomposition`` the Hamiltonian is decomposed on the parity
+    sectors where the initial state has weight, once for all grid points.
+    Pass ``decomposition`` (such as ``build_total(spec).decomposition()``,
+    which holds both sectors) to reuse one across several runs of the same
+    model; it is read-only and thread-safe.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -154,12 +158,13 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times,
         raise ValueError("time grid must start at t >= 0")
     if times.size > 1 and not np.all(np.diff(times) > 0):
         raise ValueError("time grid must be strictly increasing")
+    psi0 = initial_state(spec, init)
     if decomposition is None:
-        decomposition = build_total(spec).decomposition()
+        occupied = [idx for idx in parity_sectors(spec.dim) if psi0[idx].any()]
+        decomposition = decompose(build_total(spec), occupied)
     if decomposition.dim != spec.dim:
         raise ValueError(
             f"decomposition dimension {decomposition.dim} does not match model dimension {spec.dim}"
         )
-    psi0 = initial_state(spec, init)
     states = evolve_on_grid(decomposition, psi0, times)
     return Trajectory(spec, times, states)

@@ -50,6 +50,7 @@ from .model import (
     build_total,
     config_fields,
     integral,
+    real,
 )
 from .observables import MeritSeries, charging_power, merit_series, reduce_to_battery
 
@@ -103,7 +104,7 @@ class SweepSpec:
         if not values:
             raise ValueError("sweep needs at least one value")
         if self.parameter == "kappa":
-            values = tuple(float(v) for v in values)
+            values = tuple(real("sweep.values", v) for v in values)
             if any(v < 0 for v in values):
                 raise ValueError("kappa values must be non-negative")
         else:
@@ -129,8 +130,10 @@ class ExperimentConfig:
     output_path: str = "out.csv"
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < 2 ** 64:
+        seed = integral("config.seed", self.seed)
+        if not 0 <= seed < 2 ** 64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
+        object.__setattr__(self, "seed", seed)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -282,7 +285,16 @@ def cmd_fig1(config: ExperimentConfig,
 
 
 def cmd_fig2(config: ExperimentConfig, systems=FIG2_SYSTEMS, jobs: int = 1) -> dict:
-    """Charging power vs time for growing battery count (per-battery collapse)."""
+    """Charging power vs time for growing battery count (per-battery collapse).
+
+    The (L, n) pairs run are ``systems``, with the configured couplings; the
+    configured (L, n) must be one of them.
+    """
+    if (config.model.L, config.model.n) not in systems:
+        raise ValueError(
+            f"fig2 runs the fixed (L, n) systems {tuple(systems)}; the configured "
+            f"model (L={config.model.L}, n={config.model.n}) is not one of them"
+        )
     times = config.grid.times()
     runs = [(replace(config.model, L=ls, n=ns, d=None), config.initial, config.seed)
             for ls, ns in systems]
@@ -302,7 +314,15 @@ def cmd_fig3(config: ExperimentConfig, kappas=None, n_values=(1, 2, 3, 4),
     [0, 2 pi / omega] with the configured number of grid points (the
     default window would miss the peaks at weak coupling).  One summary
     row per point; kappa grid and period-long window are artifact choices.
+    Every point has L + n = ``total_qubits``, which the configured model
+    must match.
     """
+    if config.model.L + config.model.n != total_qubits:
+        systems = tuple((total_qubits - n, n) for n in n_values)
+        raise ValueError(
+            f"fig3 runs the fixed (L, n) systems {systems} with L + n = {total_qubits}; "
+            f"the configured model has L + n = {config.model.L + config.model.n}"
+        )
     if kappas is None:
         if config.sweep is not None and config.sweep.parameter == "kappa":
             kappas = config.sweep.values

@@ -15,11 +15,17 @@ tracing out the charger is a contiguous-stride sum.  Bit value 0 is the
 sigma^z = +1 state.  sigma^x_i flips one bit and sigma^z_i reads one bit,
 so operator construction is pure bit manipulation; every operator below is
 real symmetric in this basis.
+
+Every term flips an even number of bits (sigma^x sigma^x bonds) or none
+(sigma^z, Sigma^z), so every operator below conserves the total parity
+prod sigma^z prod Sigma^z: it is block diagonal in the even and odd
+bit-count sectors (parity_sectors), and is decomposed one block at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -113,11 +119,20 @@ class ModelSpec:
 
 def integral(name: str, value) -> int:
     """An integer config value; a float must be integral (11.0 is 11, 11.7 is
-    an error).  Integers are never converted through float, so values beyond
-    2**53 (such as 64-bit seeds) stay exact."""
-    if isinstance(value, float) and not value.is_integer():
+    an error), and a bool or string is an error.  Integers are never
+    converted through float, so values beyond 2**53 (such as 64-bit seeds)
+    stay exact."""
+    if (isinstance(value, bool) or not isinstance(value, (Integral, float))
+            or isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def real(name: str, value) -> float:
+    """A floating-point config value; a bool or string is an error."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def config_fields(cls, section: str, data: dict, ints=(), floats=(),
@@ -126,7 +141,7 @@ def config_fields(cls, section: str, data: dict, ints=(), floats=(),
 
     Every key must name a field of ``cls`` and every ``required`` key must be
     present.  Values of ``ints`` keys go through integral() and values of
-    ``floats`` keys through float(); None and any other value pass unchanged.
+    ``floats`` keys through real(); None and any other value pass unchanged.
     """
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
@@ -141,7 +156,7 @@ def config_fields(cls, section: str, data: dict, ints=(), floats=(),
         if key in ints:
             kwargs[key] = integral(f"{section}.{key}", value)
         elif key in floats:
-            kwargs[key] = float(value)
+            kwargs[key] = real(f"{section}.{key}", value)
     return kwargs
 
 
@@ -150,12 +165,19 @@ def battery_positions(spec: ModelSpec) -> list[int]:
     return [(i * spec.d) % spec.L + 1 for i in range(spec.n)]
 
 
+def parity_sectors(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices of even and of odd bit count, the two eigenspaces of
+    the total parity prod sigma^z prod Sigma^z on a register of size dim."""
+    odd = (bit_counts(np.arange(dim)) & 1).astype(bool)
+    return np.flatnonzero(~odd), np.flatnonzero(odd)
+
+
 @dataclass(eq=False)
 class HermitianOperator:
-    """Dense Hermitian operator on the composite register.
+    """Dense parity-conserving Hermitian operator on the composite register.
 
-    The spectral decomposition is computed lazily and cached; the matrix
-    itself must not be mutated after construction.
+    The spectral decomposition of both parity sectors is computed lazily and
+    cached; the matrix itself must not be mutated after construction.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -170,7 +192,7 @@ class HermitianOperator:
 
     def decomposition(self) -> linalg.SpectralDecomposition:
         if self._decomposition is None:
-            self._decomposition = linalg.eigh(self.matrix)
+            self._decomposition = linalg.decompose(self.matrix, parity_sectors(self.dim))
         return self._decomposition
 
 

@@ -16,10 +16,11 @@ GHZ = InitialStateSpec()
 class HeavyCache:
     """Shares the expensive full-size runs across test modules.
 
-    A dimension-4096 diagonalization takes ~15 s here, so every test that
-    needs one goes through this cache; merit series (small) are memoized
-    per (model, initial state, grid), trajectories (131 MB of states) are
-    not kept.
+    A dimension-4096 model is decomposed as two dimension-2048 parity
+    blocks, ~2-3 s on two cores, so every test that needs one goes through
+    this cache, which keeps both sectors so that any initial state can be
+    propagated; merit series (small) are memoized per (model, initial
+    state, grid), trajectories (131 MB of states) are not kept.
     """
 
     def __init__(self):

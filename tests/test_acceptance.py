@@ -1,9 +1,10 @@
 """Acceptance suite: every reference claim at full scale (dimension 4096).
 
 One test per criterion; each prints a single PASS/FAIL line (run with
-``pytest -s`` to see them on success).  Heavy spectral decompositions are
-shared through the session-scoped cache, so the whole module runs in a few
-minutes on one core.
+``pytest -s`` to see them on success).  Each dimension-4096 model is
+decomposed once per session, as two dimension-2048 parity blocks, through
+the session-scoped cache, so the whole module runs in well under a minute
+on two cores.
 """
 
 import numpy as np

@@ -9,15 +9,18 @@ from sunburst_battery import (
     build_total,
     compose,
     ergotropy_populations,
+    evolve_on_grid,
     ghz_minus,
     ghz_plus,
     initial_state,
+    parity_sectors,
     random_charger,
     reduce_to_battery,
     stored_energy,
     trajectory,
     xbasis_product_state,
 )
+from sunburst_battery import linalg
 from sunburst_battery.dynamics import battery_ground
 
 
@@ -177,3 +180,33 @@ def test_full_scale_excited_population_at_charging_time(heavy):
         rho = reduce_to_battery(traj.states[0], spec.L, spec.n)
         population = float(np.real(rho[1, 1]))
         assert abs(population - 16.0 / 16.25) <= tol
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec(6, 0, h=0.3),
+    ModelSpec(5, 1, h=0.2, kappa=1.3),
+    ModelSpec(6, 2, d=2, h=0.1),
+    ModelSpec(4, 4, d=1, h=0.4, delta=0.7, kappa=0.9),
+], ids=["L6n0", "L5n1", "L6n2d2", "L4n4"])
+@pytest.mark.parametrize("init", [
+    InitialStateSpec(),
+    InitialStateSpec("ghz_minus"),
+    InitialStateSpec("eigenstate", index=5),
+    InitialStateSpec("random", seed=11),
+], ids=lambda init: init.charger_kind)
+def test_sector_trajectory_matches_dense_oracle(spec, init, monkeypatch):
+    # the parity-sector path against dense full-space ED; cat chargers lie in
+    # one sector (ghz_minus in the odd one), the others in both
+    solved = []
+    dense_eigh = linalg.eigh
+    monkeypatch.setattr(linalg, "eigh", lambda m: solved.append(len(m)) or dense_eigh(m))
+    times = np.linspace(0.0, 3.0, 41)
+    states = trajectory(spec, init, times).states
+    psi0 = initial_state(spec, init)
+    oracle = evolve_on_grid(dense_eigh(build_total(spec).matrix), psi0, times)
+    assert np.max(np.abs(states - oracle)) <= 1e-12
+    even, odd = parity_sectors(spec.dim)
+    empty = {"ghz_plus": [odd], "ghz_minus": [even]}.get(init.charger_kind, [])
+    assert solved == [spec.dim // 2] * (2 - len(empty))
+    for idx in empty:
+        assert not psi0[idx].any() and not states[:, idx].any()

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,6 +88,29 @@ def test_integer_keys_must_hold_integral_numbers(data, key):
     assert config.seed == 2 ** 64 - 1
 
 
+@pytest.mark.parametrize("data, key", [
+    ({"model": {**SMALL_MODEL, "L": "11"}}, "model.L"),
+    ({"model": {**SMALL_MODEL, "h": "0.1"}}, "model.h"),
+    ({"model": {**SMALL_MODEL, "kappa": True}}, "model.kappa"),
+    ({"seed": True}, "config.seed"),
+    ({"grid": {"steps": "40"}}, "grid.steps"),
+    ({"sweep": {"parameter": "kappa", "values": ["1.0"]}}, "sweep.values"),
+    ({"model": {**SMALL_MODEL, "L": 11.0}, "seed": 2 ** 64 - 1}, None),
+])
+def test_numeric_keys_reject_strings_and_booleans(data, key):
+    if key is not None:
+        with pytest.raises(ValueError, match=re.escape(key)):
+            ExperimentConfig.from_dict(data)
+        return
+    config = ExperimentConfig.from_dict(data)
+    assert config.model.L == 11 and isinstance(config.model.L, int)
+    assert config.seed == 2 ** 64 - 1
+    # a seed set after parsing is checked the same way
+    with pytest.raises(ValueError, match="config.seed"):
+        replace(config, seed=1.5)
+    assert replace(config, seed=3.0).seed == 3
+
+
 def test_grid_and_sweep_validation():
     with pytest.raises(ValueError):
         TimeGrid(0.0, 2.0, 1)
@@ -171,7 +195,7 @@ def test_fig2_small_scale(tmp_path):
 
 
 def test_fig3_small_scale(tmp_path):
-    config = small_config(tmp_path, "fig3.csv")
+    config = small_config(tmp_path, "fig3.csv", model={**SMALL_MODEL, "L": 5})
     summary = cmd_fig3(config, kappas=(0.25, 2.0), n_values=(1, 2), total_qubits=6)
     cols = read_csv(config.output_path)
     assert len(cols["t"]) == 4
@@ -184,6 +208,23 @@ def test_fig3_small_scale(tmp_path):
                        - point["analytic_peak_ergotropy"]) <= 0.05
             assert abs(point["peak_power_per_battery"]
                        - point["analytic_peak_power"]) / point["analytic_peak_power"] <= 0.05
+
+
+def test_fig2_fig3_reject_a_model_they_would_not_run(tmp_path, capsys):
+    # both commands run fixed (L, n) systems; a configured model outside them
+    # fails before any work instead of being ignored
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "model": {**SMALL_MODEL, "L": 6},
+        "output_path": str(tmp_path / "never.csv"),
+    }))
+    assert main(["fig3", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert "L + n = 12" in err and "(11, 1)" in err and "L + n = 7" in err
+    assert main(["fig2", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert "(11, 1)" in err and "(L=6, n=1)" in err
+    assert not (tmp_path / "never.csv").exists()
 
 
 def test_fig4_small_scale_determinism(tmp_path):

@@ -4,9 +4,11 @@ import pytest
 from sunburst_battery import (
     ModelSpec,
     build_total,
+    decompose,
     eigh,
     evolve_on_grid,
     expm_series_oracle,
+    parity_sectors,
 )
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -25,15 +27,17 @@ def random_state(rng, dim):
 def test_eigh_already_diagonal():
     delta = 0.5
     decomp = eigh(np.diag([-delta / 2, delta / 2]).astype(complex))
-    assert np.allclose(decomp.eigenvalues, [-0.25, 0.25])
-    assert np.allclose(np.abs(decomp.eigenvectors), np.eye(2))
+    (indices, eigenvalues, eigenvectors), = decomp.sectors
+    assert decomp.dim == 2 and indices.tolist() == [0, 1]
+    assert np.allclose(eigenvalues, [-0.25, 0.25])
+    assert np.allclose(np.abs(eigenvectors), np.eye(2))
 
 
 def test_eigh_pauli_x():
-    decomp = eigh(SX)
-    assert np.allclose(decomp.eigenvalues, [-1.0, 1.0])
+    (_, eigenvalues, eigenvectors), = eigh(SX).sectors
+    assert np.allclose(eigenvalues, [-1.0, 1.0])
     # eigenvectors are |-+> up to phase
-    minus, plus = decomp.eigenvectors.T
+    minus, plus = eigenvectors.T
     assert np.isclose(abs(np.vdot(minus, [1, -1]) / np.sqrt(2)), 1.0)
     assert np.isclose(abs(np.vdot(plus, [1, 1]) / np.sqrt(2)), 1.0)
 
@@ -60,11 +64,10 @@ def test_eigh_rejects_empty_and_nonsquare():
 def test_eigh_reconstruction_and_orthonormality(dim):
     rng = np.random.default_rng(dim)
     ham = random_hermitian(rng, dim)
-    decomp = eigh(ham)
-    vee = decomp.eigenvectors
-    assert np.all(np.diff(decomp.eigenvalues) >= 0)
+    (_, eigenvalues, vee), = eigh(ham).sectors
+    assert np.all(np.diff(eigenvalues) >= 0)
     assert np.max(np.abs(vee.conj().T @ vee - np.eye(dim))) <= 1e-10
-    rebuilt = (vee * decomp.eigenvalues) @ vee.conj().T
+    rebuilt = (vee * eigenvalues) @ vee.conj().T
     assert np.max(np.abs(rebuilt - ham)) <= 1e-9 * np.max(np.abs(ham))
 
 
@@ -90,6 +93,33 @@ def test_evolve_rejects_dimension_mismatch_and_bad_norm():
         evolve_on_grid(decomp, np.ones(3) / np.sqrt(3), [0.1])
     with pytest.raises(ValueError, match="normalized"):
         evolve_on_grid(decomp, np.ones(4), [0.1])
+
+
+def test_decompose_rejects_coupled_sectors_and_non_hermitian_blocks():
+    spec = ModelSpec(3, 1, h=0.3, kappa=1.1)
+    matrix = build_total(spec).matrix
+    # the ring bonds at site 1 flip the highest bit: its halves are no sectors
+    low = np.arange(spec.dim // 2)
+    with pytest.raises(ValueError, match="couples"):
+        decompose(matrix, [low, low + spec.dim // 2])
+    even, odd = parity_sectors(spec.dim)
+    bad = matrix.copy()
+    bad[even[0], even[1]] += 1e-3
+    with pytest.raises(ValueError, match="matrix is not Hermitian"):
+        decompose(bad, [even, odd])
+
+
+def test_evolve_rejects_weight_outside_decomposed_sectors():
+    rng = np.random.default_rng(5)
+    spec = ModelSpec(3, 1, h=0.3, kappa=1.1)
+    even, odd = parity_sectors(spec.dim)
+    decomp = decompose(build_total(spec), [even])
+    with pytest.raises(ValueError, match="outside"):
+        evolve_on_grid(decomp, random_state(rng, spec.dim), [0.1])
+    inside = np.zeros(spec.dim, dtype=complex)
+    inside[even] = random_state(rng, even.size)
+    oracle = evolve_on_grid(eigh(build_total(spec).matrix), inside, [0.1, 2.0])
+    assert np.max(np.abs(evolve_on_grid(decomp, inside, [0.1, 2.0]) - oracle)) <= 1e-12
 
 
 def test_series_oracle_zero_generator():
@@ -164,8 +194,14 @@ def test_ground_state_against_independent_oracles():
     # propagator (pure phase rotation)
     spec = ModelSpec(4, 1, J=1.0, h=0.1, delta=0.5, kappa=2.0)
     total = build_total(spec)
-    decomp = total.decomposition()
-    ground_energy, ground = decomp.eigenvalues[0], decomp.eigenvectors[:, 0]
+    # ground level: the lowest over the parity sectors, its eigenvector
+    # scattered back into the full space
+    indices, eigenvalues, eigenvectors = min(
+        total.decomposition().sectors, key=lambda sector: sector[1][0]
+    )
+    ground_energy = eigenvalues[0]
+    ground = np.zeros(spec.dim)
+    ground[indices] = eigenvectors[:, 0]
 
     # power iteration on (cI - H), accelerated by repeated squaring.  The two
     # lowest levels form a cat doublet split by ~8e-6, one member per sector

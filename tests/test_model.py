@@ -81,7 +81,8 @@ def test_spec_validation():
 def test_two_site_ring_double_counts_the_bond():
     # both i=1 and i=2 contribute the same sx_1 sx_2 bond on a 2-ring
     spec = ModelSpec(2, 0, J=1.0, h=0.0)
-    ground = build_charger(spec).decomposition().eigenvalues[0]
+    sectors = build_charger(spec).decomposition().sectors
+    ground = min(eigenvalues[0] for _, eigenvalues, _ in sectors)
     assert np.isclose(ground, -2.0)
 
 
@@ -186,22 +187,28 @@ def test_full_scale_dimension_and_tracelessness(heavy):
     spec = ModelSpec(11, 1)
     decomp = heavy.decomposition(spec)
     assert decomp.dim == 4096
-    assert np.all(np.diff(decomp.eigenvalues) >= 0)
-    # the operator is a sum of Pauli strings, so its trace (= eigenvalue sum)
-    # vanishes up to solver roundoff
-    assert abs(decomp.eigenvalues.sum()) <= 1e-8
+    assert sum(indices.size for indices, _, _ in decomp.sectors) == 4096
+    for _, eigenvalues, _ in decomp.sectors:
+        assert np.all(np.diff(eigenvalues) >= 0)
+    # the operator is a sum of Pauli strings, so its trace (= eigenvalue sum
+    # over the sectors) vanishes up to solver roundoff
+    assert abs(sum(eigenvalues.sum() for _, eigenvalues, _ in decomp.sectors)) <= 1e-8
 
 
 def test_full_scale_spectral_reconstruction_rows(heavy):
     # V Lambda V^dag reproduces the matrix at the working dimension 4096;
-    # spot-checked row by row to keep the memory footprint down
+    # spot-checked row by row to keep the memory footprint down.  A row is
+    # rebuilt inside its own parity sector and is zero outside it.
     spec = ModelSpec(11, 1)
     decomp = heavy.decomposition(spec)
     matrix = build_total(spec).matrix
     scale = np.max(np.abs(matrix))
-    weighted = decomp.eigenvectors * decomp.eigenvalues
     for row in (0, 1, 513, 2048, 4095):
-        rebuilt = weighted @ decomp.eigenvectors[row]
+        (indices, eigenvalues, eigenvectors), = [
+            sector for sector in decomp.sectors if row in sector[0]
+        ]
+        rebuilt = np.zeros(spec.dim)
+        rebuilt[indices] = (eigenvectors * eigenvalues) @ eigenvectors[indices == row][0]
         assert np.max(np.abs(rebuilt - matrix[row])) <= 1e-9 * scale
 
 

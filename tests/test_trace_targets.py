@@ -8,7 +8,17 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from sunburst_battery import cli, experiments
+import numpy as np
+
+from sunburst_battery import (
+    InitialStateSpec,
+    ModelSpec,
+    build_total,
+    cli,
+    experiments,
+    linalg,
+    trajectory,
+)
 
 CHILD = Path(__file__).resolve().parents[1] / "benchmarks" / "child.py"
 
@@ -38,3 +48,21 @@ def test_runners_cover_every_command_but_validate():
         assert parser.parse_args([command]).command == command
     # the tracer replaces the fig1 collapse set at smoke sizes by keyword
     assert "collapse_systems" in inspect.signature(experiments.cmd_fig1).parameters
+
+
+def test_every_dense_solve_goes_through_linalg_eigh(monkeypatch):
+    # the tracer wraps the linalg.eigh binding to count solves and sum dim**3
+    # over them; a solve that bypassed it would leave linalg.eigh.* reading 0
+    solved = []
+    dense_eigh = linalg.eigh
+    monkeypatch.setattr(linalg, "eigh", lambda m: solved.append(len(m)) or dense_eigh(m))
+    spec = ModelSpec(4, 2)
+    times = np.linspace(0.0, 1.0, 5)
+    trajectory(spec, InitialStateSpec(), times)
+    assert solved == [spec.dim // 2]
+    solved.clear()
+    trajectory(spec, InitialStateSpec("random", seed=3), times)
+    assert solved == [spec.dim // 2] * 2
+    solved.clear()
+    build_total(spec).decomposition()
+    assert solved == [spec.dim // 2] * 2
