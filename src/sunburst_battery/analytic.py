@@ -16,7 +16,7 @@ exact-diagonalization pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,13 +29,11 @@ class AnalyticParams:
 
     delta: float
     kappa: float
-    omega: float = None  # derived; do not pass
+    omega: float = field(init=False)
 
     def __post_init__(self):
         if self.delta < 0 or self.kappa < 0:
             raise ValueError("delta and kappa must be non-negative")
-        if self.omega is not None:
-            raise ValueError("omega is derived from delta and kappa")
         object.__setattr__(self, "omega", float(np.hypot(self.delta, 2.0 * self.kappa)))
 
     @classmethod

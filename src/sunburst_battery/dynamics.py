@@ -53,6 +53,13 @@ def xbasis_product_state(L: int, pattern: int) -> np.ndarray:
     return (signs * 2.0 ** (-L / 2)).astype(np.complex128)
 
 
+def random_state(rng, dim: int) -> np.ndarray:
+    """Normalized vector of ``dim`` independent standard complex Gaussian
+    amplitudes drawn from ``rng``; Haar-distributed."""
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return psi / np.linalg.norm(psi)
+
+
 def random_charger(L: int, seed: int) -> np.ndarray:
     """Haar-distributed charger state from a seeded deterministic generator.
 
@@ -61,9 +68,7 @@ def random_charger(L: int, seed: int) -> np.ndarray:
     """
     if L < 1:
         raise ValueError("L must be >= 1")
-    rng = np.random.default_rng(seed)
-    amp = rng.standard_normal(1 << L) + 1j * rng.standard_normal(1 << L)
-    return amp / np.linalg.norm(amp)
+    return random_state(np.random.default_rng(seed), 1 << L)
 
 
 def battery_ground(n: int) -> np.ndarray:

@@ -17,6 +17,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -36,19 +37,17 @@ from .analytic import (
     unavailable_analytic,
     window_times,
 )
-from .dynamics import InitialStateSpec, ghz_plus, trajectory
+from .dynamics import InitialStateSpec, ghz_plus, random_state, trajectory
 from .linalg import eigh, evolve_on_grid, expm_series_oracle
 from .model import (
     ModelSpec,
-    _battery_xmask,
-    _zvalues,
     battery_energies,
-    battery_positions,
     build_batteries,
     build_charger,
     build_coupling,
     build_total,
     config_fields,
+    corrupted_coupling,
     integral,
     real,
 )
@@ -177,12 +176,8 @@ def read_csv(path) -> dict[str, np.ndarray]:
         if tuple(header) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header {header}")
         cells = [line.strip().split(",") for line in handle if line.strip()]
-    columns = {}
-    for j, name in enumerate(CSV_COLUMNS):
-        columns[name] = np.array(
-            [float(row[j]) if row[j] else np.nan for row in cells]
-        )
-    return columns
+    return {name: np.array([float(row[j]) if row[j] else np.nan for row in cells])
+            for j, name in enumerate(CSV_COLUMNS)}
 
 
 def analytic_reference(spec: ModelSpec, times):
@@ -190,13 +185,8 @@ def analytic_reference(spec: ModelSpec, times):
     times = np.asarray(times, dtype=float)
     p = AnalyticParams.from_model(spec)
     if spec.n == 1:
-        stored = stored_energy_analytic(p, times)
-        return (
-            stored,
-            ergotropy_analytic(p, times),
-            linear_entropy_analytic(p, times),
-            power_analytic(p, times),
-        )
+        return (stored_energy_analytic(p, times), ergotropy_analytic(p, times),
+                linear_entropy_analytic(p, times), power_analytic(p, times))
     if spec.n == 2:
         pair = two_battery(p, times)
         return pair.stored_energy, pair.ergotropy, None, charging_power(pair.stored_energy, times)
@@ -244,13 +234,18 @@ def _write_series(label: str, path, runs, results) -> None:
     print(f"{label}: wrote {len(rows)} rows to {path}")
 
 
+def _max_gap(a, b) -> float:
+    """Largest absolute entry of a - b."""
+    return float(np.max(np.abs(np.subtract(a, b))))
+
+
 def _collapse(command: str, symbol: str, column: str, runs, results, reference):
     """(L, n, max deviation) of each run's per-battery ``column`` from a
     single-battery reference curve, printed one line per run, and the
     largest of these deviations."""
     systems, worst = [], 0.0
     for (spec, _, _), series in zip(runs, results):
-        dev = float(np.max(np.abs(getattr(series, column) / max(spec.n, 1) - reference)))
+        dev = _max_gap(getattr(series, column) / max(spec.n, 1), reference)
         systems.append((spec.L, spec.n, dev))
         worst = max(worst, dev)
         print(f"{command} (L={spec.L}, n={spec.n}): max |{symbol}/n - {symbol}_ana| = {dev:.3e}")
@@ -274,14 +269,10 @@ def cmd_fig1(config: ExperimentConfig,
     single = AnalyticParams.from_model(config.model)
     systems, worst = _collapse("fig1", "xi", "ergotropy", runs, results,
                                ergotropy_analytic(single, times))
-    summary = {"systems": systems, "max_xi_collapse": worst}
-    entropy_dev = float(np.max(np.abs(
-        results[0].linear_entropy - linear_entropy_analytic(single, times)
-    )))
-    summary["max_entropy_deviation"] = entropy_dev
+    entropy_dev = _max_gap(results[0].linear_entropy, linear_entropy_analytic(single, times))
     print(f"fig1 (L={config.model.L}, n={config.model.n}): max |SL - SL_ana| = {entropy_dev:.3e}")
     _write_series("fig1", config.output_path, runs, results)
-    return summary
+    return {"systems": systems, "max_xi_collapse": worst, "max_entropy_deviation": entropy_dev}
 
 
 def cmd_fig2(config: ExperimentConfig, systems=FIG2_SYSTEMS, jobs: int = 1) -> dict:
@@ -392,19 +383,11 @@ def cmd_fig4(config: ExperimentConfig, n_seeds: int = 3, jobs: int = 1) -> dict:
     runs = [(config.model, InitialStateSpec("random", seed=seed), seed) for seed in seeds]
     results = _map_series(runs, times, jobs, build_total(config.model).decomposition())
     pair_pop, pair_spec = 0.0, 0.0
-    for i in range(len(results)):
-        for j in range(i + 1, len(results)):
-            pair_pop = max(pair_pop, float(np.max(np.abs(
-                results[i].ergotropy - results[j].ergotropy
-            ))))
-            pair_spec = max(pair_spec, float(np.max(np.abs(
-                results[i].ergotropy_spectral - results[j].ergotropy_spectral
-            ))))
+    for a, b in combinations(results, 2):
+        pair_pop = max(pair_pop, _max_gap(a.ergotropy, b.ergotropy))
+        pair_spec = max(pair_spec, _max_gap(a.ergotropy_spectral, b.ergotropy_spectral))
     reference = ergotropy_analytic(AnalyticParams.from_model(config.model), times)
-    vs_analytic = max(
-        float(np.max(np.abs(series.ergotropy - reference)))
-        for series in results
-    )
+    vs_analytic = max(_max_gap(series.ergotropy, reference) for series in results)
     summary = {
         "seeds": seeds,
         "pairwise_max_deviation": pair_pop,
@@ -437,190 +420,213 @@ def cmd_sweep(config: ExperimentConfig, jobs: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 # self-check suite
 
-
-def _corrupted_coupling(spec: ModelSpec) -> np.ndarray:
-    """Deliberately wrong interaction (z-type at the attachment site) used to
-    prove the structural checks can fail.  A mere sign flip of kappa would be
-    invisible: it is a local basis change on the battery."""
-    out = np.zeros((spec.dim, spec.dim))
-    idx = np.arange(spec.dim)
-    for i, site in enumerate(battery_positions(spec), start=1):
-        zvals = _zvalues(spec.dim, spec.n + spec.L - site)
-        out[idx ^ _battery_xmask(spec, i), idx] += -spec.kappa * zvals
-    return out
-
-
-def _commutator_max(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a @ b - b @ a)))
+VALIDATE_SEED = 20240601
 
 
 def _naive_partial_trace(psi: np.ndarray, L: int, n: int) -> np.ndarray:
     """Index-looped reference partial trace (oracle, intentionally slow)."""
-    rho = np.zeros((1 << n, 1 << n), dtype=np.complex128)
-    for a in range(1 << n):
-        for b in range(1 << n):
-            acc = 0.0 + 0.0j
-            for c in range(1 << L):
-                acc += psi[(c << n) | a] * np.conj(psi[(c << n) | b])
-            rho[a, b] = acc
-    return rho
+    return np.array([[sum(psi[(c << n) | a] * np.conj(psi[(c << n) | b]) for c in range(1 << L))
+                      for b in range(1 << n)] for a in range(1 << n)], dtype=np.complex128)
 
 
-def cmd_validate(quick: bool = False) -> int:
-    """Run the cross-check suite; print one line per check, nonzero on failure.
+def propagator_gap(rng, dims, models) -> float:
+    """Largest amplitude gap between evolve_on_grid and expm_series_oracle
+    from random states: a random Hermitian matrix per size in ``dims`` at
+    t = 0.1 and 1.0, then each ModelSpec in ``models`` at t = 0.7.  All are
+    drawn from ``rng`` in that order; ``models`` is read lazily, so a
+    generator may draw each spec's parameters from ``rng`` too."""
+    def gap(matrix, decomp, times):
+        psi = random_state(rng, len(matrix))
+        return max(_max_gap(state, expm_series_oracle(matrix, psi, t))
+                   for t, state in zip(times, evolve_on_grid(decomp, psi, times)))
 
-    quick=True shrinks the exact-diagonalization sizes for smoke testing;
-    the full run uses the production (L=10, n=2) system.
-    """
-    checks = []
-
-    def check(name: str, ok: bool, detail: str) -> None:
-        checks.append(ok)
-        print(f"CHECK {name} {'PASS' if ok else 'FAIL'} {detail}")
-
-    rng = np.random.default_rng(20240601)
-
-    # independent propagators agree on random Hermitian generators
     worst = 0.0
-    dims = (8, 16) if quick else (8, 16, 32)
     for dim in dims:
         raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         ham = (raw + raw.conj().T) / 2
-        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        psi /= np.linalg.norm(psi)
-        evolved = evolve_on_grid(eigh(ham), psi, [0.1, 1.0])
-        for state, t in zip(evolved, (0.1, 1.0)):
-            diff = np.max(np.abs(state - expm_series_oracle(ham, psi, t)))
-            worst = max(worst, float(diff))
-    for L, n in ((2, 1), (3, 2)):
-        spec = ModelSpec(L, n, d=1, J=1.0, h=0.3, delta=0.4, kappa=0.8)
+        worst = max(worst, gap(ham, eigh(ham), (0.1, 1.0)))
+    for spec in models:
         total = build_total(spec)
-        psi = rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim)
-        psi /= np.linalg.norm(psi)
-        diff = np.max(np.abs(
-            evolve_on_grid(total.decomposition(), psi, [0.7])[0]
-            - expm_series_oracle(total.matrix, psi, 0.7)
-        ))
-        worst = max(worst, float(diff))
-    check("propagator_oracle_agreement", worst <= 1e-8, f"max amplitude diff {worst:.2e}")
+        worst = max(worst, gap(total.matrix, total.decomposition(), (0.7,)))
+    return worst
 
-    # partial trace against the index-looped oracle
-    worst = 0.0
-    for L, n in ((2, 1), (3, 2), (4, 2), (3, 3)):
-        psi = rng.standard_normal(1 << (L + n)) + 1j * rng.standard_normal(1 << (L + n))
-        psi /= np.linalg.norm(psi)
-        diff = np.max(np.abs(reduce_to_battery(psi, L, n) - _naive_partial_trace(psi, L, n)))
-        worst = max(worst, float(diff))
-    check("partial_trace_oracle", worst <= 1e-12, f"max entry diff {worst:.2e}")
 
-    # amplitude normalization over random parameters
+def partial_trace_gap(rng, shapes) -> float:
+    """Largest entry gap between reduce_to_battery and _naive_partial_trace,
+    over one random normalized state (drawn from ``rng``) per (L, n) shape."""
     worst = 0.0
-    for _ in range(50 if quick else 200):
-        p = AnalyticParams(rng.uniform(0, 3), rng.uniform(0, 3))
-        a, b = amplitudes(p, rng.uniform(0, 10))
+    for L, n in shapes:
+        psi = random_state(rng, 1 << (L + n))
+        worst = max(worst, _max_gap(reduce_to_battery(psi, L, n), _naive_partial_trace(psi, L, n)))
+    return worst
+
+
+def amplitude_residual(rng, draws: int, param_max: float, t_max: float) -> float:
+    """Largest | |A|^2 + |B|^2 - 1 | over ``draws`` random (delta, kappa, t),
+    with delta and kappa uniform on [0, param_max] and t on [0, t_max]."""
+    worst = 0.0
+    for _ in range(draws):
+        p = AnalyticParams(rng.uniform(0, param_max), rng.uniform(0, param_max))
+        a, b = amplitudes(p, rng.uniform(0, t_max))
         worst = max(worst, float(abs(abs(a) ** 2 + abs(b) ** 2 - 1.0)))
-    check("amplitude_normalization", worst <= 1e-12, f"max | |A|^2+|B|^2 - 1 | {worst:.2e}")
+    return worst
 
-    # closed-form consistency chain at strong coupling
+
+def conservation_drift(states: np.ndarray, matrix: np.ndarray) -> float:
+    """Largest norm drift, or energy spread relative to max(1, |E|), along
+    the rows of ``states`` evolved under the Hamiltonian ``matrix``."""
+    norms = np.linalg.norm(states, axis=1)
+    energies = np.real(np.einsum("ti,ij,tj->t", states.conj(), matrix, states))
+    scale = max(1.0, float(np.max(np.abs(energies))))
+    return max(_max_gap(norms, 1.0), float(np.ptp(energies)) / scale)
+
+
+def _check_propagators(rng, quick):
+    models = [ModelSpec(L, n, d=1, h=0.3, delta=0.4, kappa=0.8) for L, n in ((2, 1), (3, 2))]
+    worst = propagator_gap(rng, (8, 16) if quick else (8, 16, 32), models)
+    return worst <= 1e-8, f"max amplitude diff {worst:.2e}"
+
+
+def _check_partial_trace(rng, quick):
+    worst = partial_trace_gap(rng, ((2, 1), (3, 2), (4, 2), (3, 3)))
+    return worst <= 1e-12, f"max entry diff {worst:.2e}"
+
+
+def _check_amplitudes(rng, quick):
+    worst = amplitude_residual(rng, 50 if quick else 200, 3.0, 10.0)
+    return worst <= 1e-12, f"max | |A|^2+|B|^2 - 1 | {worst:.2e}"
+
+
+def _check_analytic_chain(rng, quick):
+    """Closed-form identities at strong coupling, the window by bisection
+    and the period."""
     p = AnalyticParams(0.5, 2.0)
     t_charge = charging_time(p)
     t1, t2 = window_times(p)
     inside = np.linspace(t1 + 1e-6, t2 - 1e-6, 101)
-    identity_dev = float(np.max(np.abs(
-        stored_energy_analytic(p, inside) - ergotropy_analytic(p, inside)
-        - unavailable_analytic(p, inside)
-    )))
+    bis = bisect_window(p)
+    period = 2 * np.pi / p.omega
+    sample = np.linspace(0, period, 37)
     chain_dev = max(
-        identity_dev,
+        _max_gap(stored_energy_analytic(p, inside) - ergotropy_analytic(p, inside),
+                 unavailable_analytic(p, inside)),
         abs(power_at_T(p) - stored_energy_analytic(p, t_charge) / t_charge),
         abs(max_ergotropy(p) - ergotropy_analytic(p, t_charge)),
         abs((t1 + t2) - 2 * t_charge),
+        abs(bis[0] - t1), abs(bis[1] - t2),
+        _max_gap(ergotropy_analytic(p, sample), ergotropy_analytic(p, sample + period)),
     )
-    bis = bisect_window(p)
-    chain_dev = max(chain_dev, abs(bis[0] - t1), abs(bis[1] - t2))
-    period = 2 * np.pi / p.omega
-    sample = np.linspace(0, period, 37)
-    chain_dev = max(chain_dev, float(np.max(np.abs(
-        ergotropy_analytic(p, sample) - ergotropy_analytic(p, sample + period)
-    ))))
-    check("analytic_consistency", chain_dev <= 1e-8, f"max identity residual {chain_dev:.2e}")
+    return chain_dev <= 1e-8, f"max identity residual {chain_dev:.2e}"
 
-    # two-battery closed forms are exactly twice the single-battery ones
+
+def _check_two_battery_analytic(rng, quick):
+    p = AnalyticParams(0.5, 2.0)
     t_random = rng.uniform(0, 10, 100)
     pair = two_battery(p, t_random)
-    twice_dev = max(
-        float(np.max(np.abs(pair.stored_energy - 2 * stored_energy_analytic(p, t_random)))),
-        float(np.max(np.abs(pair.ergotropy - 2 * ergotropy_analytic(p, t_random)))),
-    )
+    twice_dev = max(_max_gap(pair.stored_energy, 2 * stored_energy_analytic(p, t_random)),
+                    _max_gap(pair.ergotropy, 2 * ergotropy_analytic(p, t_random)))
     occupancy_ok = bool(np.all(pair.lambda1 + pair.lambda4 <= 1 + 1e-12))
-    check("two_battery_twice_analytic",
-          twice_dev <= 1e-12 and occupancy_ok,
-          f"max residual {twice_dev:.2e}, corner populations bounded {occupancy_ok}")
+    return (twice_dev <= 1e-12 and occupancy_ok,
+            f"max residual {twice_dev:.2e}, corner populations bounded {occupancy_ok}")
 
-    # commuting structure at h = 0 and detection of a corrupted interaction
-    spec0 = ModelSpec(4, 2, J=1.0, h=0.0, delta=0.5, kappa=2.0)
-    h_c = build_charger(spec0).matrix
-    rest = build_batteries(spec0).matrix + build_coupling(spec0).matrix
-    comm = _commutator_max(h_c, rest)
-    check("commutator_h0", comm <= 1e-10, f"max |[H_c, H_b+V]| entry {comm:.2e}")
-    bad = _commutator_max(h_c, _corrupted_coupling(spec0))
-    check("coupling_mutation_detected", bad > 1e-3,
-          f"corrupted coupling commutator {bad:.2e} (must be far from zero)")
 
-    # cat-state charger energy is -L*J for any transverse field
+def _charger_commutator(spec: ModelSpec, other: np.ndarray) -> float:
+    h_c = build_charger(spec).matrix
+    return float(np.max(np.abs(h_c @ other - other @ h_c)))
+
+
+_COMMUTING_MODEL = ModelSpec(4, 2, h=0.0, delta=0.5, kappa=2.0)
+
+
+def _check_commutator(rng, quick):
+    spec = _COMMUTING_MODEL
+    comm = _charger_commutator(spec, build_batteries(spec).matrix + build_coupling(spec).matrix)
+    return comm <= 1e-10, f"max |[H_c, H_b+V]| entry {comm:.2e}"
+
+
+def _check_mutation(rng, quick):
+    bad = _charger_commutator(_COMMUTING_MODEL, corrupted_coupling(_COMMUTING_MODEL))
+    return bad > 1e-3, f"corrupted coupling commutator {bad:.2e} (must be far from zero)"
+
+
+def _check_ghz_energy(rng, quick):
     worst = 0.0
     for L, h in ((2, 0.0), (3, 0.1), (5, 0.7)):
         spec = ModelSpec(L, 0, J=1.3, h=h)
         state = ghz_plus(L)
         energy = float(np.real(state.conj() @ (build_charger(spec).matrix @ state)))
         worst = max(worst, abs(energy + spec.L * spec.J))
-    check("ghz_charger_energy", worst <= 1e-10, f"max |<H_c> + L*J| {worst:.2e}")
+    return worst <= 1e-10, f"max |<H_c> + L*J| {worst:.2e}"
 
-    # battery spectrum: levels -n d/2 + k d with binomial multiplicity
-    spec_b = ModelSpec(3, 3, d=1, delta=0.7)
-    full = np.sort(np.diagonal(build_batteries(spec_b).matrix))
-    expected = np.sort(np.tile(battery_energies(spec_b.n, spec_b.delta), 1 << spec_b.L))
-    spectrum_ok = np.allclose(full, expected, atol=1e-12)
-    levels = battery_energies(spec_b.n, spec_b.delta)
+
+def _check_battery_spectrum(rng, quick):
+    """Battery levels -n d/2 + k d with binomial multiplicity."""
+    spec = ModelSpec(3, 3, d=1, delta=0.7)
+    full = np.sort(np.diagonal(build_batteries(spec).matrix))
+    levels = battery_energies(spec.n, spec.delta)
+    spectrum_ok = np.allclose(full, np.sort(np.tile(levels, 1 << spec.L)), atol=1e-12)
     binomial_ok = all(
-        int(np.sum(np.isclose(levels, spec_b.delta * (k - spec_b.n / 2))))
-        == math.comb(spec_b.n, k)
-        for k in range(spec_b.n + 1)
+        int(np.sum(np.isclose(levels, spec.delta * (k - spec.n / 2)))) == math.comb(spec.n, k)
+        for k in range(spec.n + 1)
     )
-    check("battery_spectrum", spectrum_ok and binomial_ok,
-          f"levels match {spectrum_ok}, multiplicities binomial {binomial_ok}")
+    return (spectrum_ok and binomial_ok,
+            f"levels match {spectrum_ok}, multiplicities binomial {binomial_ok}")
 
-    # norm and energy conservation along a trajectory
-    spec_t = ModelSpec(5, 1, h=0.1)
-    total = build_total(spec_t)
-    times = np.linspace(0.0, 3.0, 120)
-    traj = trajectory(spec_t, InitialStateSpec(), times, total.decomposition())
-    norms = np.linalg.norm(traj.states, axis=1)
-    energies = np.real(np.einsum("ti,ij,tj->t", traj.states.conj(), total.matrix, traj.states))
-    scale = max(1.0, float(np.max(np.abs(energies))))
-    drift = max(float(np.max(np.abs(norms - 1.0))),
-                float(np.ptp(energies)) / scale)
-    check("trajectory_conservation", drift <= 1e-9, f"max norm/energy drift {drift:.2e}")
 
-    # no work below the coupling threshold (zero up to roundoff)
-    spec_w = ModelSpec(5, 1, h=0.1, delta=0.5, kappa=0.2)
-    series = run_series(spec_w, InitialStateSpec(), np.linspace(0, 6, 240))
-    peak = series.peak_ergotropy
-    check("ergotropy_zero_below_threshold", peak <= 1e-12, f"max work {peak:.2e}")
+def _check_conservation(rng, quick):
+    spec = ModelSpec(5, 1, h=0.1)
+    total = build_total(spec)
+    traj = trajectory(spec, InitialStateSpec(), np.linspace(0.0, 3.0, 120),
+                      total.decomposition())
+    drift = conservation_drift(traj.states, total.matrix)
+    return drift <= 1e-9, f"max norm/energy drift {drift:.2e}"
 
-    # exact diagonalization reproduces twice-the-single-battery at n = 2
-    L_ed, n_ed = (4, 2) if quick else (10, 2)
-    spec_ed = ModelSpec(L_ed, n_ed, h=0.1, delta=0.5, kappa=2.0)
+
+def _check_no_work_below_threshold(rng, quick):
+    spec = ModelSpec(5, 1, h=0.1, delta=0.5, kappa=0.2)
+    peak = run_series(spec, InitialStateSpec(), np.linspace(0, 6, 240)).peak_ergotropy
+    return peak <= 1e-12, f"max work {peak:.2e}"
+
+
+def _check_two_battery_ed(rng, quick):
+    L = 4 if quick else 10
+    spec = ModelSpec(L, 2, h=0.1, delta=0.5, kappa=2.0)
     times = np.linspace(0.0, 2.0, 200 if quick else 2000)
-    series = run_series(spec_ed, InitialStateSpec(), times)
-    p_ed = AnalyticParams.from_model(spec_ed)
-    dev = max(
-        float(np.max(np.abs(series.ergotropy - 2 * ergotropy_analytic(p_ed, times)))),
-        float(np.max(np.abs(series.stored_energy - 2 * stored_energy_analytic(p_ed, times)))),
-    )
-    check("two_battery_twice_ed", dev <= 0.05,
-          f"L={L_ed} max |ED - 2x single| {dev:.3e}")
+    series = run_series(spec, InitialStateSpec(), times)
+    p = AnalyticParams.from_model(spec)
+    dev = max(_max_gap(series.ergotropy, 2 * ergotropy_analytic(p, times)),
+              _max_gap(series.stored_energy, 2 * stored_energy_analytic(p, times)))
+    return dev <= 0.05, f"L={L} max |ED - 2x single| {dev:.3e}"
 
-    failed = checks.count(False)
-    print(f"validate: {len(checks) - failed}/{len(checks)} checks passed")
+
+# Every self-check as (name, check) in the order validate runs it; each
+# check(rng, quick) returns (ok, detail).
+CHECKS = (
+    ("propagator_oracle_agreement", _check_propagators),
+    ("partial_trace_oracle", _check_partial_trace),
+    ("amplitude_normalization", _check_amplitudes),
+    ("analytic_consistency", _check_analytic_chain),
+    ("two_battery_twice_analytic", _check_two_battery_analytic),
+    ("commutator_h0", _check_commutator),
+    ("coupling_mutation_detected", _check_mutation),
+    ("ghz_charger_energy", _check_ghz_energy),
+    ("battery_spectrum", _check_battery_spectrum),
+    ("trajectory_conservation", _check_conservation),
+    ("ergotropy_zero_below_threshold", _check_no_work_below_threshold),
+    ("two_battery_twice_ed", _check_two_battery_ed),
+)
+
+
+def cmd_validate(quick: bool = False) -> int:
+    """Run the CHECKS table in order on one generator seeded with
+    VALIDATE_SEED; print one line per check, nonzero on failure.  quick=True
+    shrinks the exact-diagonalization sizes for smoke testing; the full run
+    uses the production (L=10, n=2) system."""
+    rng = np.random.default_rng(VALIDATE_SEED)
+    failed = 0
+    for name, check in CHECKS:
+        ok, detail = check(rng, quick)
+        failed += not ok
+        print(f"CHECK {name} {'PASS' if ok else 'FAIL'} {detail}")
+    print(f"validate: {len(CHECKS) - failed}/{len(CHECKS)} checks passed")
     return 1 if failed else 0

@@ -85,14 +85,9 @@ class ModelSpec:
         if not isinstance(d, int) or d < 1:
             raise ValueError(f"battery spacing d must be an integer >= 1, got {d!r}")
         object.__setattr__(self, "d", d)
-        if self.n:
-            if self.n * d > self.L:
-                raise ValueError(
-                    f"n*d = {self.n * d} exceeds L = {self.L}: batteries do not fit"
-                )
-            positions = battery_positions(self)
-            if len(set(positions)) != self.n:
-                raise ValueError(f"battery attachment sites collide: {positions}")
+        # n*d <= L also keeps the attachment sites 1, 1+d, ..., 1+(n-1)d distinct
+        if self.n * d > self.L:
+            raise ValueError(f"n*d = {self.n * d} exceeds L = {self.L}: batteries do not fit")
 
     @property
     def qubits(self) -> int:
@@ -101,14 +96,6 @@ class ModelSpec:
     @property
     def dim(self) -> int:
         return 1 << self.qubits
-
-    @property
-    def charger_dim(self) -> int:
-        return 1 << self.L
-
-    @property
-    def battery_dim(self) -> int:
-        return 1 << self.n
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelSpec":
@@ -172,28 +159,19 @@ def parity_sectors(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(~odd), np.flatnonzero(odd)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Dense parity-conserving Hermitian operator on the composite register.
-
-    The spectral decomposition of both parity sectors is computed lazily and
-    cached; the matrix itself must not be mutated after construction.
-    """
+    """Dense parity-conserving Hermitian operator on the composite register."""
 
     matrix: np.ndarray = field(repr=False)
-    label: str = ""
-    _decomposition: linalg.SpectralDecomposition | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def decomposition(self) -> linalg.SpectralDecomposition:
-        if self._decomposition is None:
-            self._decomposition = linalg.decompose(self.matrix, parity_sectors(self.dim))
-        return self._decomposition
+        """Spectral decomposition on both parity sectors, solved on each call."""
+        return linalg.decompose(self.matrix, parity_sectors(self.dim))
 
 
 def _charger_xmask(spec: ModelSpec, site: int) -> int:
@@ -247,21 +225,33 @@ def build_charger(spec: ModelSpec) -> HermitianOperator:
     """Ring Hamiltonian embedded in the composite space (identity on batteries)."""
     out = np.zeros((spec.dim, spec.dim))
     _accumulate_charger(out, spec)
-    return HermitianOperator(out, "H_c")
+    return HermitianOperator(out)
 
 
 def build_batteries(spec: ModelSpec) -> HermitianOperator:
     """Battery gap Hamiltonian embedded in the composite space (diagonal)."""
     out = np.zeros((spec.dim, spec.dim))
     _accumulate_batteries(out, spec)
-    return HermitianOperator(out, "H_b")
+    return HermitianOperator(out)
 
 
 def build_coupling(spec: ModelSpec) -> HermitianOperator:
     """Charger-battery interaction embedded in the composite space."""
     out = np.zeros((spec.dim, spec.dim))
     _accumulate_coupling(out, spec)
-    return HermitianOperator(out, "V_cb")
+    return HermitianOperator(out)
+
+
+def corrupted_coupling(spec: ModelSpec) -> np.ndarray:
+    """Deliberately wrong interaction (z-type at the attachment site) used to
+    prove the structural checks can fail.  A mere sign flip of kappa would be
+    invisible: it is a local basis change on the battery."""
+    out = np.zeros((spec.dim, spec.dim))
+    idx = np.arange(spec.dim)
+    for i, site in enumerate(battery_positions(spec), start=1):
+        zvals = _zvalues(spec.dim, spec.n + spec.L - site)
+        out[idx ^ _battery_xmask(spec, i), idx] += -spec.kappa * zvals
+    return out
 
 
 def build_total(spec: ModelSpec) -> HermitianOperator:
@@ -270,7 +260,7 @@ def build_total(spec: ModelSpec) -> HermitianOperator:
     _accumulate_charger(out, spec)
     _accumulate_batteries(out, spec)
     _accumulate_coupling(out, spec)
-    return HermitianOperator(out, "H_total")
+    return HermitianOperator(out)
 
 
 def battery_energies(n: int, delta: float) -> np.ndarray:

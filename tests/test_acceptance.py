@@ -16,21 +16,23 @@ from sunburst_battery import (
     AnalyticParams,
     InitialStateSpec,
     ModelSpec,
-    amplitudes,
     build_total,
     ergotropy_analytic,
     linear_entropy_analytic,
     max_ergotropy,
     power_analytic,
     read_csv,
-    reduce_to_battery,
     stored_energy_analytic,
     two_battery,
     unavailable_analytic,
 )
 from sunburst_battery.cli import main
-from sunburst_battery.experiments import _naive_partial_trace
-from sunburst_battery.linalg import eigh, evolve_on_grid, expm_series_oracle
+from sunburst_battery.experiments import (
+    amplitude_residual,
+    conservation_drift,
+    partial_trace_gap,
+    propagator_gap,
+)
 
 OMEGA = np.sqrt(16.25)
 T_CHARGE = np.pi / OMEGA
@@ -188,48 +190,20 @@ def test_criterion_8_property_suites(heavy):
     details = []
 
     # propagator oracle equivalence up to dimension 64
-    worst = 0.0
-    for dim in (16, 48, 64):
-        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        ham = (raw + raw.conj().T) / 2
-        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        psi /= np.linalg.norm(psi)
-        times = (0.1, 1.0)
-        for t, evolved in zip(times, evolve_on_grid(eigh(ham), psi, times)):
-            worst = max(worst, float(np.max(np.abs(
-                evolved - expm_series_oracle(ham, psi, t)
-            ))))
-    for L, n in ((2, 1), (3, 2), (4, 2), (5, 1)):
-        spec = ModelSpec(L, n, d=1,
-                         J=float(rng.uniform(0.5, 1.5)), h=float(rng.uniform(0, 1)),
-                         delta=float(rng.uniform(0, 1)), kappa=float(rng.uniform(0, 2)))
-        total = build_total(spec)
-        psi = rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim)
-        psi /= np.linalg.norm(psi)
-        worst = max(worst, float(np.max(np.abs(
-            evolve_on_grid(total.decomposition(), psi, [0.7])[0]
-            - expm_series_oracle(total.matrix, psi, 0.7)
-        ))))
+    models = (ModelSpec(L, n, d=1,
+                        J=float(rng.uniform(0.5, 1.5)), h=float(rng.uniform(0, 1)),
+                        delta=float(rng.uniform(0, 1)), kappa=float(rng.uniform(0, 2)))
+              for L, n in ((2, 1), (3, 2), (4, 2), (5, 1)))
+    worst = propagator_gap(rng, (16, 48, 64), models)
     propagators_ok = worst <= 1e-8
     details.append(f"propagators {worst:.1e}")
 
     # partial-trace oracle equivalence up to 6 qubits
-    worst = 0.0
-    for L, n in ((2, 1), (3, 2), (4, 2), (2, 4), (5, 1), (3, 3)):
-        psi = rng.standard_normal(1 << (L + n)) + 1j * rng.standard_normal(1 << (L + n))
-        psi /= np.linalg.norm(psi)
-        worst = max(worst, float(np.max(np.abs(
-            reduce_to_battery(psi, L, n) - _naive_partial_trace(psi, L, n)
-        ))))
+    worst = partial_trace_gap(rng, ((2, 1), (3, 2), (4, 2), (2, 4), (5, 1), (3, 3)))
     trace_ok = worst <= 1e-12
     details.append(f"partial trace {worst:.1e}")
 
-    # amplitude normalization
-    worst = 0.0
-    for _ in range(200):
-        p = AnalyticParams(float(rng.uniform(0, 4)), float(rng.uniform(0, 4)))
-        a, b = amplitudes(p, rng.uniform(0, 20))
-        worst = max(worst, float(abs(abs(a) ** 2 + abs(b) ** 2 - 1.0)))
+    worst = amplitude_residual(rng, 200, 4.0, 20.0)
     amplitudes_ok = worst <= 1e-12
     details.append(f"normalization {worst:.1e}")
 
@@ -255,25 +229,11 @@ def test_criterion_8_property_suites(heavy):
 
     # conservation along trajectories: full grid on a small model, explicit
     # spot checks on the production system
-    spec_small = ModelSpec(5, 1, h=0.1)
-    total_small = build_total(spec_small)
-    traj = heavy.trajectory(spec_small, times=np.linspace(0.0, 4.0, 400))
-    norms = np.linalg.norm(traj.states, axis=1)
-    energies = np.real(np.einsum(
-        "ti,ij,tj->t", traj.states.conj(), total_small.matrix, traj.states
-    ))
-    drift = max(float(np.max(np.abs(norms - 1.0))),
-                float(np.ptp(energies)) / max(1.0, float(np.max(np.abs(energies)))))
-    big = reference_model()
-    big_traj = heavy.trajectory(big, times=np.array([0.0, 1.0, 2.0]))
-    big_matrix = build_total(big).matrix
-    big_norms = np.linalg.norm(big_traj.states, axis=1)
-    big_energies = np.real(np.einsum(
-        "ti,ij,tj->t", big_traj.states.conj(), big_matrix, big_traj.states
-    ))
-    del big_matrix
-    drift = max(drift, float(np.max(np.abs(big_norms - 1.0))),
-                float(np.ptp(big_energies)) / max(1.0, float(np.max(np.abs(big_energies)))))
+    drift = max(
+        conservation_drift(heavy.trajectory(spec, times=times).states, build_total(spec).matrix)
+        for spec, times in ((ModelSpec(5, 1, h=0.1), np.linspace(0.0, 4.0, 400)),
+                            (reference_model(), np.array([0.0, 1.0, 2.0])))
+    )
     conservation_ok = drift <= 1e-9
     details.append(f"conservation {drift:.1e}")
 

@@ -29,7 +29,7 @@ def test_params_derive_frequency():
                       rtol=1e-12)
     with pytest.raises(ValueError):
         AnalyticParams(-0.1, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # omega is derived, not a constructor argument
         AnalyticParams(0.5, 2.0, omega=1.0)
 
 

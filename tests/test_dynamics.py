@@ -5,7 +5,6 @@ from sunburst_battery import (
     InitialStateSpec,
     ModelSpec,
     battery_energies,
-    build_charger,
     build_total,
     compose,
     ergotropy_populations,
@@ -50,14 +49,6 @@ def test_ghz_weight_structure(L):
                 assert np.isclose(amp, 2 ** ((1 - L) / 2))
             else:
                 assert amp == 0.0
-
-
-@pytest.mark.parametrize("L,h", [(2, 0.0), (4, 0.3), (5, 0.9)])
-def test_ghz_charger_expectation(L, h):
-    spec = ModelSpec(L, 0, J=1.0, h=h)
-    state = ghz_plus(L)
-    energy = np.real(state.conj() @ build_charger(spec).matrix @ state)
-    assert abs(energy + L) <= 1e-10
 
 
 def test_xbasis_product_state():

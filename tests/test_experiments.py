@@ -23,7 +23,9 @@ from sunburst_battery import (
     read_csv,
     write_csv,
 )
+from sunburst_battery import experiments
 from sunburst_battery.cli import build_parser, config_from_args, main
+from sunburst_battery.experiments import CHECKS, VALIDATE_SEED
 
 SMALL_MODEL = {"L": 4, "n": 1, "J": 1.0, "h": 0.1, "delta": 0.5, "kappa": 2.0}
 
@@ -267,12 +269,30 @@ def test_sweep_over_battery_number(tmp_path):
     assert set(np.unique(cols["n"])) == {1, 2}
 
 
-def test_validate_quick_passes(capsys):
-    assert cmd_validate(quick=True) == 0
+@pytest.mark.parametrize("name, check", CHECKS, ids=[name for name, _ in CHECKS])
+def test_validate_check(name, check):
+    ok, detail = check(np.random.default_rng(VALIDATE_SEED), True)
+    assert ok, f"{name}: {detail}"
+
+
+def test_validate_table_order():
+    assert [name for name, _ in CHECKS] == [
+        "propagator_oracle_agreement", "partial_trace_oracle", "amplitude_normalization",
+        "analytic_consistency", "two_battery_twice_analytic", "commutator_h0",
+        "coupling_mutation_detected", "ghz_charger_energy", "battery_spectrum",
+        "trajectory_conservation", "ergotropy_zero_below_threshold", "two_battery_twice_ed",
+    ]
+
+
+def test_validate_reports_a_failing_check(monkeypatch, capsys):
+    table = list(CHECKS)
+    table[6] = ("coupling_mutation_detected", lambda rng, quick: (False, "forced"))
+    monkeypatch.setattr(experiments, "CHECKS", tuple(table))
+    assert cmd_validate(quick=True) == 1
     out = capsys.readouterr().out
-    assert "CHECK propagator_oracle_agreement PASS" in out
-    assert "CHECK coupling_mutation_detected PASS" in out
-    assert "FAIL" not in out
+    assert "CHECK coupling_mutation_detected FAIL forced\n" in out
+    assert out.count(" PASS ") == 11
+    assert out.endswith("validate: 11/12 checks passed\n")
 
 
 def test_cli_parsing_and_overrides(tmp_path):

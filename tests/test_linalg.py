@@ -10,6 +10,7 @@ from sunburst_battery import (
     expm_series_oracle,
     parity_sectors,
 )
+from sunburst_battery.dynamics import random_state
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -17,11 +18,6 @@ SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 def random_hermitian(rng, dim):
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (raw + raw.conj().T) / 2
-
-
-def random_state(rng, dim):
-    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return psi / np.linalg.norm(psi)
 
 
 def test_eigh_already_diagonal():

@@ -86,9 +86,13 @@ def test_two_site_ring_double_counts_the_bond():
     assert np.isclose(ground, -2.0)
 
 
-@pytest.mark.parametrize("L,h", [(2, 0.0), (3, 0.5), (4, 0.1), (5, 1.0)])
-def test_ghz_charger_energy_is_minus_LJ(L, h):
-    spec = ModelSpec(L, 0, J=1.7, h=h)
+@pytest.mark.parametrize("L,h,J", [
+    pytest.param(L, h, J, id=f"{L}-{h}" if J == 1.7 else f"{L}-{h}-J{J}")
+    for L, h, J in ((2, 0.0, 1.7), (3, 0.5, 1.7), (4, 0.1, 1.7), (5, 1.0, 1.7),
+                    (2, 0.0, 1.0), (4, 0.3, 1.0), (5, 0.9, 1.0))
+])
+def test_ghz_charger_energy_is_minus_LJ(L, h, J):
+    spec = ModelSpec(L, 0, J=J, h=h)
     state = compose(ghz_plus(L), battery_ground(0))
     energy = np.real(state.conj() @ (build_charger(spec).matrix @ state))
     assert abs(energy + spec.L * spec.J) <= 1e-10

@@ -25,16 +25,11 @@ from sunburst_battery import (
     trajectory,
     unavailable_analytic,
 )
-from sunburst_battery.dynamics import battery_ground
+from sunburst_battery.dynamics import random_state
 from sunburst_battery.experiments import _naive_partial_trace
 
 OMEGA = np.sqrt(16.25)
 T_CHARGE = np.pi / OMEGA
-
-
-def random_state(rng, dim):
-    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return psi / np.linalg.norm(psi)
 
 
 def test_reduce_product_state_is_pure():
