@@ -1,12 +1,12 @@
 """Sunburst quantum Ising battery: exact dynamics and closed-form analytics.
 
 A transverse-field Ising ring (the charger) charges n external qubits (the
-batteries) through sigma^x Sigma^x couplings.  The package builds the
-composite Hamiltonian by bit manipulation, evolves states exactly through
-a dense spectral decomposition of each parity sector the state occupies,
+batteries) through sigma^x Sigma^x couplings.  The package spells the
+composite Hamiltonian as one list of bit-flip terms, evolves states exactly
+by a matrix-free Chebyshev expansion that serves a whole time grid at once,
 reduces them to the battery register, and verifies stored energy,
 ergotropy, linear entropy and charging power against their strong-charger
-closed forms.
+closed forms and against dense exact-diagonalization oracles.
 """
 
 from .analytic import (
@@ -58,6 +58,7 @@ from .experiments import (
 )
 from .linalg import (
     SpectralDecomposition,
+    chebyshev_series,
     decompose,
     eigh,
     evolve_on_grid,
@@ -73,6 +74,8 @@ from .model import (
     build_coupling,
     build_total,
     parity_sectors,
+    terms,
+    total_matvec,
 )
 from .observables import (
     MeritSeries,

@@ -11,7 +11,7 @@ with |A|^2 + |B|^2 = 1.  Everything else here (stored energy, ergotropy
 and its nonzero window, linear entropy, charging power and its maximum,
 two-battery populations) follows from these amplitudes.  The functions
 accept scalar or array times and are the verification oracle for the
-exact-diagonalization pipeline.
+exact-dynamics pipeline.
 """
 
 from __future__ import annotations

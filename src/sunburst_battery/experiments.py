@@ -1,7 +1,7 @@
 """Experiment runners: reproducible CSV datasets for the time-series,
 collapse, coupling-sweep and random-initial-state studies, plus a
-self-check suite comparing the exact-diagonalization pipeline against the
-closed forms.
+self-check suite comparing the exact Chebyshev pipeline against dense
+oracles and the closed forms.
 
 CSV layout is fixed (see CSV_COLUMNS): numeric columns carry raw battery
 register totals, the n column supports per-battery normalization, and the
@@ -38,7 +38,7 @@ from .analytic import (
     window_times,
 )
 from .dynamics import InitialStateSpec, ghz_plus, random_state, trajectory
-from .linalg import eigh, evolve_on_grid, expm_series_oracle
+from .linalg import chebyshev_series, eigh, evolve_on_grid, expm_series_oracle, row_sum_bound
 from .model import (
     ModelSpec,
     battery_energies,
@@ -50,6 +50,7 @@ from .model import (
     corrupted_coupling,
     integral,
     real,
+    total_matvec,
 )
 from .observables import MeritSeries, charging_power, merit_series, reduce_to_battery
 
@@ -193,10 +194,9 @@ def analytic_reference(spec: ModelSpec, times):
     return None, None, None, None
 
 
-def run_series(spec: ModelSpec, init: InitialStateSpec, times,
-               decomposition=None) -> MeritSeries:
+def run_series(spec: ModelSpec, init: InitialStateSpec, times) -> MeritSeries:
     """Trajectory plus all figures of merit on a grid."""
-    return merit_series(trajectory(spec, init, times, decomposition))
+    return merit_series(trajectory(spec, init, times))
 
 
 def _series_rows(series: MeritSeries, spec: ModelSpec, seed: int) -> list[tuple]:
@@ -212,18 +212,16 @@ def _series_rows(series: MeritSeries, spec: ModelSpec, seed: int) -> list[tuple]
 
 def _parallel_map(fn, items, jobs: int) -> list:
     """Map preserving input order; thread pool is safe since the heavy
-    kernels (LAPACK, matmul) release the GIL."""
+    kernels (FFT, matmul) release the GIL."""
     if jobs <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
 
 
-def _map_series(runs, times, jobs: int, decomposition=None) -> list[MeritSeries]:
+def _map_series(runs, times, jobs: int) -> list[MeritSeries]:
     """run_series for each (spec, init, seed) run on one grid, in run order."""
-    return _parallel_map(
-        lambda run: run_series(run[0], run[1], times, decomposition), runs, jobs
-    )
+    return _parallel_map(lambda run: run_series(run[0], run[1], times), runs, jobs)
 
 
 def _write_series(label: str, path, runs, results) -> None:
@@ -372,8 +370,8 @@ def cmd_fig3(config: ExperimentConfig, kappas=None, n_values=(1, 2, 3, 4),
 def cmd_fig4(config: ExperimentConfig, n_seeds: int = 3, jobs: int = 1) -> dict:
     """Ergotropy vs time for several random charger preparations.
 
-    Seeds are config.seed, config.seed + 1, ...; the model decomposition is
-    shared across realizations.  Reports pairwise curve deviations for both
+    Seeds are config.seed, config.seed + 1, ...; each realization is its
+    own Chebyshev run.  Reports pairwise curve deviations for both
     ergotropy conventions (only the population one collapses as h -> 0;
     the spectral one keeps an O(2**(-L/2)) seed-dependent coherence bump
     near the window edges).
@@ -381,7 +379,7 @@ def cmd_fig4(config: ExperimentConfig, n_seeds: int = 3, jobs: int = 1) -> dict:
     times = config.grid.times()
     seeds = [config.seed + k for k in range(n_seeds)]
     runs = [(config.model, InitialStateSpec("random", seed=seed), seed) for seed in seeds]
-    results = _map_series(runs, times, jobs, build_total(config.model).decomposition())
+    results = _map_series(runs, times, jobs)
     pair_pop, pair_spec = 0.0, 0.0
     for a, b in combinations(results, 2):
         pair_pop = max(pair_pop, _max_gap(a.ergotropy, b.ergotropy))
@@ -430,24 +428,29 @@ def _naive_partial_trace(psi: np.ndarray, L: int, n: int) -> np.ndarray:
 
 
 def propagator_gap(rng, dims, models) -> float:
-    """Largest amplitude gap between evolve_on_grid and expm_series_oracle
-    from random states: a random Hermitian matrix per size in ``dims`` at
-    t = 0.1 and 1.0, then each ModelSpec in ``models`` at t = 0.7.  All are
-    drawn from ``rng`` in that order; ``models`` is read lazily, so a
+    """Largest amplitude gap to expm_series_oracle, from random states, of
+    both chebyshev_series (the production propagator) and evolve_on_grid
+    (dense eigh): a random Hermitian matrix per size in ``dims`` at t = 0.1
+    and 1.0, then each ModelSpec in ``models`` at t = 0.7, matrix-free.  All
+    are drawn from ``rng`` in that order; ``models`` is read lazily, so a
     generator may draw each spec's parameters from ``rng`` too."""
-    def gap(matrix, decomp, times):
+    def gap(matrix, matvec, bound, times):
         psi = random_state(rng, len(matrix))
-        return max(_max_gap(state, expm_series_oracle(matrix, psi, t))
-                   for t, state in zip(times, evolve_on_grid(decomp, psi, times)))
+        coefficients, vectors = chebyshev_series(matvec, bound, psi, times)
+        worst = 0.0
+        for t, chebyshev, dense in zip(times, coefficients @ vectors,
+                                       evolve_on_grid(eigh(matrix), psi, times)):
+            exact = expm_series_oracle(matrix, psi, t)
+            worst = max(worst, _max_gap(chebyshev, exact), _max_gap(dense, exact))
+        return worst
 
     worst = 0.0
     for dim in dims:
         raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         ham = (raw + raw.conj().T) / 2
-        worst = max(worst, gap(ham, eigh(ham), (0.1, 1.0)))
+        worst = max(worst, gap(ham, lambda v: ham @ v, row_sum_bound(ham), (0.1, 1.0)))
     for spec in models:
-        total = build_total(spec)
-        worst = max(worst, gap(total.matrix, total.decomposition(), (0.7,)))
+        worst = max(worst, gap(build_total(spec).matrix, *total_matvec(spec), (0.7,)))
     return worst
 
 
@@ -575,10 +578,8 @@ def _check_battery_spectrum(rng, quick):
 
 def _check_conservation(rng, quick):
     spec = ModelSpec(5, 1, h=0.1)
-    total = build_total(spec)
-    traj = trajectory(spec, InitialStateSpec(), np.linspace(0.0, 3.0, 120),
-                      total.decomposition())
-    drift = conservation_drift(traj.states, total.matrix)
+    traj = trajectory(spec, InitialStateSpec(), np.linspace(0.0, 3.0, 120))
+    drift = conservation_drift(traj.states, build_total(spec).matrix)
     return drift <= 1e-9, f"max norm/energy drift {drift:.2e}"
 
 
@@ -620,7 +621,7 @@ CHECKS = (
 def cmd_validate(quick: bool = False) -> int:
     """Run the CHECKS table in order on one generator seeded with
     VALIDATE_SEED; print one line per check, nonzero on failure.  quick=True
-    shrinks the exact-diagonalization sizes for smoke testing; the full run
+    shrinks the exact-dynamics sizes for smoke testing; the full run
     uses the production (L=10, n=2) system."""
     rng = np.random.default_rng(VALIDATE_SEED)
     failed = 0

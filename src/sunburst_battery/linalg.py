@@ -1,13 +1,14 @@
-"""Dense Hermitian linear algebra: eigendecomposition and spectral propagation.
+"""Hermitian linear algebra: Chebyshev propagation on a time grid, and the
+dense oracles it is checked against.
 
-Everything here acts on composite spin registers of dimension 2**N with
-N <= 12 or so, where dense LAPACK solvers are the fastest and most reliable
-option.  An operator that conserves a symmetry is decomposed block by block:
-each symmetry sector (a set of basis indices that the operator does not
-couple to the rest of the space) is diagonalized on its own, and only the
-sectors a state occupies need to be solved at all.  A sliced Taylor-series
-propagator is kept alongside the spectral one as an independent
-cross-check; the two share no code path.
+The production propagator, ``chebyshev_series``, needs only the action
+psi -> H psi and a bound on ||H||: one vector sequence T_k(H/bound) psi0
+serves every point of a time grid, and each grid point is a set of
+expansion coefficients.  Dense LAPACK eigendecomposition (``eigh``, or
+block by block on symmetry sectors with ``decompose``), spectral
+propagation of such a decomposition (``evolve_on_grid``) and a sliced
+Taylor-series propagator (``expm_series_oracle``) are kept as independent
+references for the tests and the self-check suite.
 """
 
 from __future__ import annotations
@@ -18,7 +19,12 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-10
-GRID_BLOCK = 256  # grid points per matrix-matrix product in evolve_on_grid
+GRID_BLOCK = 256  # grid points per matrix-matrix product over the time grid
+# Chebyshev coefficients are dropped once every later one is below
+# CHEBYSHEV_TOL * (1 + z) over the grid, z = bound * max|t|: evaluating the
+# phase z cos(theta) in double precision already leaves an absolute error of
+# order 1e-16 * z in every coefficient, so a fixed cut would sit in that noise
+CHEBYSHEV_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -51,16 +57,28 @@ def _matrix_of(operator) -> np.ndarray:
     return m
 
 
-def _apply(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """matrix @ x without promoting a real matrix to a complex copy.
+def mixed_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b (a 2-D, b 1-D or 2-D) without promoting a real operand to a
+    complex copy.
 
-    The real/imaginary parts are copied to contiguous storage first: they
+    When exactly one operand is complex, its real and imaginary parts are
+    each multiplied with the real one, straight into the two halves of the
+    complex result: two real products are several times faster than one
+    complex product.  The parts are copied to contiguous storage first: they
     are strided views, and matmul on strided input misses the BLAS path.
     """
-    if np.iscomplexobj(x) and not np.iscomplexobj(matrix):
-        return (matrix @ np.ascontiguousarray(x.real)
-                + 1j * (matrix @ np.ascontiguousarray(x.imag)))
-    return matrix @ x
+    complex_a = np.iscomplexobj(a)
+    if complex_a == np.iscomplexobj(b):
+        return a @ b
+    out = np.empty(a.shape[:-1] + b.shape[1:], dtype=np.complex128)
+    z = a if complex_a else b
+    for part, half in ((z.real, out.real), (z.imag, out.imag)):
+        part = np.ascontiguousarray(part)
+        if complex_a:
+            np.matmul(part, b, out=half)
+        else:
+            np.matmul(a, part, out=half)
+    return out
 
 
 def _check_state(dim: int, psi, require_normalized: bool = True) -> np.ndarray:
@@ -145,12 +163,79 @@ def evolve_on_grid(decomp: SpectralDecomposition, psi0, times) -> np.ndarray:
         part = psi0[idx]
         if not part.any():
             continue
-        w = _apply(eigenvectors.conj().T, part)
+        w = mixed_matmul(eigenvectors.conj().T, part)
         for lo in range(0, times.size, GRID_BLOCK):
             chunk = times[lo:lo + GRID_BLOCK]
             phases = np.exp(-1j * np.outer(eigenvalues, chunk))
-            out[lo:lo + chunk.size, idx] = _apply(eigenvectors, phases * w[:, None]).T
+            out[lo:lo + chunk.size, idx] = mixed_matmul(eigenvectors, phases * w[:, None]).T
     return out
+
+
+def row_sum_bound(matrix) -> float:
+    """Gershgorin bound max_i sum_j |H_ij|, an upper bound on ||H||_2."""
+    return float(np.max(np.abs(_matrix_of(matrix)).sum(axis=1)))
+
+
+def chebyshev_series(matvec, bound: float, psi0, times) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-i H t) psi0 at every grid time as a Chebyshev expansion.
+
+    ``matvec(v)`` returns H v for a Hermitian H, and ``bound`` >= ||H||_2
+    (for example the Gershgorin row-sum bound).  With z = bound * t,
+
+        exp(-i H t) psi0 = sum_k c_k(t) v_k,   v_k = T_k(H / bound) psi0,
+        c_0 = J_0(z),   c_k = 2 (-i)^k J_k(z)
+
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  The vectors do not
+    depend on t, so one three-term recurrence v_{k+1} = 2 (H/bound) v_k -
+    v_{k-1} serves the whole grid.  The c_k(t) are the cosine-series
+    coefficients of exp(-i z cos theta) (Jacobi-Anger), read off one FFT over
+    2 * ceil(1.5 z_max + 60) points of theta; J_k(z) decays faster than
+    exponentially once k > z, and the margin keeps the kept terms clear of
+    aliasing up to z of several hundred.
+
+    Returns ``(coefficients, vectors)`` of shapes (len(times), K) and
+    (K, dim): the state at times[j] is ``coefficients[j] @ vectors``, best
+    formed with mixed_matmul, since the vectors are real when psi0 and H
+    are.  K counts the coefficients up to the last one above CHEBYSHEV_TOL *
+    (1 + z_max) anywhere on the grid; ArithmeticError if they do not fall
+    below that within the FFT.  ValueError if a vector outgrows psi0, which
+    means ``bound`` is below ||H||.
+    """
+    psi0 = _check_state(np.size(psi0), psi0)
+    if not (np.isfinite(bound) and bound > 0):
+        raise ValueError(f"norm bound must be positive and finite, got {bound!r}")
+    z = bound * np.asarray(times, dtype=float)
+    if z.ndim != 1 or z.size == 0 or not np.all(np.isfinite(z)):
+        raise ValueError("time grid must be a non-empty 1-D array of finite times")
+    z_max = float(np.max(np.abs(z)))
+    half = int(np.ceil(1.5 * z_max + 60))
+    theta = np.pi * np.arange(2 * half) / half
+    coefficients = np.fft.fft(np.exp(-1j * np.outer(z, np.cos(theta))), axis=1)[:, :half] / half
+    coefficients[:, 0] /= 2
+    above = np.flatnonzero(np.max(np.abs(coefficients), axis=0) > CHEBYSHEV_TOL * (1 + z_max))
+    kept = int(above[-1]) + 1 if above.size else 1
+    if kept == half:
+        raise ArithmeticError(
+            f"Chebyshev coefficients did not fall below {CHEBYSHEV_TOL:.0e} * (1 + z) "
+            f"within {half} terms at z = {z_max:.3g}"
+        )
+    if not psi0.imag.any():
+        psi0 = psi0.real  # a real H then keeps the whole sequence real
+    first = matvec(psi0) / bound
+    vectors = np.empty((kept, psi0.size), dtype=np.result_type(psi0, first))
+    vectors[0] = psi0
+    if kept > 1:
+        vectors[1] = first
+    for k in range(2, kept):
+        vectors[k] = (2.0 / bound) * matvec(vectors[k - 1]) - vectors[k - 2]
+    # |T_k| <= 1 on [-1, 1]; roundoff grows far slower than this margin, while
+    # an eigenvalue beyond the bound grows T_k exponentially
+    growth = float(np.max(np.linalg.norm(vectors, axis=1)))
+    if growth > 1.0 + 1e-6:
+        raise ValueError(
+            f"Chebyshev vectors grow to norm {growth:.3e}: bound {bound!r} is below ||H||"
+        )
+    return np.ascontiguousarray(coefficients[:, :kept]), vectors
 
 
 def expm_series_oracle(operator, psi0, t: float, term_tol: float = 1e-16) -> np.ndarray:
@@ -163,14 +248,14 @@ def expm_series_oracle(operator, psi0, t: float, term_tol: float = 1e-16) -> np.
     """
     m = _matrix_of(operator)
     psi = _check_state(m.shape[0], psi0, require_normalized=False)
-    hnorm = float(np.max(np.abs(m).sum(axis=1)))  # cheap upper bound on ||H||_2
+    hnorm = row_sum_bound(m)
     nsteps = max(1, int(np.ceil(hnorm * abs(t))))
     dt = t / nsteps
     for _ in range(nsteps):
         term = psi
         acc = psi.astype(np.complex128, copy=True)
         for k in range(1, 400):
-            term = (-1j * dt / k) * _apply(m, term)
+            term = (-1j * dt / k) * mixed_matmul(m, term)
             acc = acc + term
             if float(np.linalg.norm(term)) < term_tol:
                 break

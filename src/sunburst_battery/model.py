@@ -13,13 +13,16 @@ Charger site i (1-based) is bit (L - i) of the charger block and battery
 qubit i is bit (n - i) of the battery block, so |00...0> is index 0 and
 tracing out the charger is a contiguous-stride sum.  Bit value 0 is the
 sigma^z = +1 state.  sigma^x_i flips one bit and sigma^z_i reads one bit,
-so operator construction is pure bit manipulation; every operator below is
-real symmetric in this basis.
+so the Hamiltonian is one list of terms (terms): a real diagonal plus
+bit-flip masks with their coefficients.  The matrix-free product
+(total_matvec) applies that list directly; the dense builders scatter it
+into real symmetric matrices for the oracles and the tests.
 
 Every term flips an even number of bits (sigma^x sigma^x bonds) or none
 (sigma^z, Sigma^z), so every operator below conserves the total parity
 prod sigma^z prod Sigma^z: it is block diagonal in the even and odd
-bit-count sectors (parity_sectors), and is decomposed one block at a time.
+bit-count sectors (parity_sectors), and its dense decomposition is solved
+one block at a time.
 """
 
 from __future__ import annotations
@@ -161,7 +164,8 @@ def parity_sectors(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Dense parity-conserving Hermitian operator on the composite register."""
+    """Dense parity-conserving Hermitian operator on the composite register
+    (the reference form; production propagation is matrix-free)."""
 
     matrix: np.ndarray = field(repr=False)
 
@@ -187,59 +191,85 @@ def _zvalues(dim: int, bit: int) -> np.ndarray:
     return 1.0 - 2.0 * ((np.arange(dim) >> bit) & 1)
 
 
-def _accumulate_charger(out: np.ndarray, spec: ModelSpec) -> None:
-    idx = np.arange(spec.dim)
-    # each i contributes its own bond term, so the single bond of an L=2
-    # ring is counted twice (i=1 and i=2 both give sigma^x_1 sigma^x_2)
-    for site in range(1, spec.L + 1):
-        succ = site % spec.L + 1
-        mask = _charger_xmask(spec, site) | _charger_xmask(spec, succ)
-        out[idx ^ mask, idx] += -spec.J
-    if spec.h != 0.0:
-        diag = np.zeros(spec.dim)
-        for site in range(1, spec.L + 1):
-            diag += _zvalues(spec.dim, spec.n + spec.L - site)
-        out[idx, idx] += -spec.h * diag
-
-
-def _accumulate_batteries(out: np.ndarray, spec: ModelSpec) -> None:
-    if spec.n == 0 or spec.delta == 0.0:
-        return
-    idx = np.arange(spec.dim)
+def _zsum(spec: ModelSpec, bits) -> np.ndarray:
+    """Diagonal of the sum of sigma^z over the listed bits."""
     diag = np.zeros(spec.dim)
-    for i in range(1, spec.n + 1):
-        diag += _zvalues(spec.dim, spec.n - i)
-    out[idx, idx] += -(spec.delta / 2.0) * diag
+    for bit in bits:
+        diag += _zvalues(spec.dim, bit)
+    return diag
 
 
-def _accumulate_coupling(out: np.ndarray, spec: ModelSpec) -> None:
-    if spec.n == 0 or spec.kappa == 0.0:
-        return
+def _charger_terms(spec: ModelSpec):
+    sites = range(1, spec.L + 1)
+    # each site contributes its own bond term, so the single bond of an L=2
+    # ring is listed twice (sites 1 and 2 both give sigma^x_1 sigma^x_2)
+    flips = tuple((_charger_xmask(spec, site) | _charger_xmask(spec, site % spec.L + 1), -spec.J)
+                  for site in sites)
+    return -spec.h * _zsum(spec, [spec.n + spec.L - site for site in sites]), flips
+
+
+def _battery_terms(spec: ModelSpec):
+    return -(spec.delta / 2.0) * _zsum(spec, [spec.n - i for i in range(1, spec.n + 1)]), ()
+
+
+def _coupling_terms(spec: ModelSpec):
+    flips = tuple((_charger_xmask(spec, site) | _battery_xmask(spec, i), -spec.kappa)
+                  for i, site in enumerate(battery_positions(spec), start=1))
+    return np.zeros(spec.dim), flips
+
+
+def terms(spec: ModelSpec) -> tuple[np.ndarray, tuple[tuple[int, float], ...]]:
+    """H_total = H_c + H_b + V_cb as ``(diagonal, ((mask, coef), ...))``.
+
+    The matrix is diag(diagonal) plus, for each flip, ``coef`` at every entry
+    (i ^ mask, i): the term coef * prod sigma^x over the bits set in mask.
+    build_total scatters this list into a dense matrix and total_matvec
+    applies it without one.
+    """
+    parts = (_charger_terms(spec), _battery_terms(spec), _coupling_terms(spec))
+    return sum(diag for diag, _ in parts), tuple(f for _, flips in parts for f in flips)
+
+
+def total_matvec(spec: ModelSpec):
+    """Matrix-free H_total: ``(matvec, bound)`` where matvec(psi) = H psi, by
+    one ``psi[idx ^ mask]`` gather per flip of terms(), and bound is the
+    Gershgorin row-sum bound max_i sum_j |H_ij| >= ||H||_2."""
+    diagonal, flips = terms(spec)
     idx = np.arange(spec.dim)
-    for i, site in enumerate(battery_positions(spec), start=1):
-        mask = _charger_xmask(spec, site) | _battery_xmask(spec, i)
-        out[idx ^ mask, idx] += -spec.kappa
+    gathers = [(idx ^ mask, coef) for mask, coef in flips]
+
+    def matvec(psi):
+        out = diagonal * psi
+        for partner, coef in gathers:
+            out += coef * psi[partner]
+        return out
+
+    return matvec, float(np.max(np.abs(diagonal))) + sum(abs(coef) for _, coef in flips)
+
+
+def _scatter(spec: ModelSpec, diagonal: np.ndarray, flips) -> HermitianOperator:
+    """Dense matrix of a (diagonal, flips) term list."""
+    out = np.zeros((spec.dim, spec.dim))
+    idx = np.arange(spec.dim)
+    out[idx, idx] += diagonal
+    for mask, coef in flips:
+        out[idx ^ mask, idx] += coef
+    return HermitianOperator(out)
 
 
 def build_charger(spec: ModelSpec) -> HermitianOperator:
     """Ring Hamiltonian embedded in the composite space (identity on batteries)."""
-    out = np.zeros((spec.dim, spec.dim))
-    _accumulate_charger(out, spec)
-    return HermitianOperator(out)
+    return _scatter(spec, *_charger_terms(spec))
 
 
 def build_batteries(spec: ModelSpec) -> HermitianOperator:
     """Battery gap Hamiltonian embedded in the composite space (diagonal)."""
-    out = np.zeros((spec.dim, spec.dim))
-    _accumulate_batteries(out, spec)
-    return HermitianOperator(out)
+    return _scatter(spec, *_battery_terms(spec))
 
 
 def build_coupling(spec: ModelSpec) -> HermitianOperator:
     """Charger-battery interaction embedded in the composite space."""
-    out = np.zeros((spec.dim, spec.dim))
-    _accumulate_coupling(out, spec)
-    return HermitianOperator(out)
+    return _scatter(spec, *_coupling_terms(spec))
 
 
 def corrupted_coupling(spec: ModelSpec) -> np.ndarray:
@@ -255,12 +285,9 @@ def corrupted_coupling(spec: ModelSpec) -> np.ndarray:
 
 
 def build_total(spec: ModelSpec) -> HermitianOperator:
-    """Full Hamiltonian H_c + H_b + V_cb, accumulated into a single array."""
-    out = np.zeros((spec.dim, spec.dim))
-    _accumulate_charger(out, spec)
-    _accumulate_batteries(out, spec)
-    _accumulate_coupling(out, spec)
-    return HermitianOperator(out)
+    """Full Hamiltonian H_c + H_b + V_cb as a dense matrix, scattered from
+    terms(); the reference the matrix-free path is checked against."""
+    return _scatter(spec, *terms(spec))
 
 
 def battery_energies(n: int, delta: float) -> np.ndarray:

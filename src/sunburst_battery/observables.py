@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
+from .linalg import GRID_BLOCK, mixed_matmul
 from .model import battery_energies
 
 NEGATIVITY_TOL = 1e-10
@@ -43,8 +44,14 @@ def reduce_to_battery(psi, L: int, n: int) -> np.ndarray:
         raise ValueError(
             f"state of shape {psi.shape} does not match 2**({L}+{n}) = {1 << (L + n)}"
         )
-    m = psi.reshape(psi.shape[:-1] + (1 << L, 1 << n))
-    rho = np.swapaxes(m, -1, -2) @ m.conj()
+    # psi as real (Re, Im) pairs, m[..., c, (a, part)]: one real product
+    # g = m^T m holds every part combination of the sum over c, with no
+    # conjugated copy of the states
+    stack = psi.shape[:-1]
+    m = np.ascontiguousarray(psi, dtype=np.complex128).view(np.float64)
+    m = m.reshape(stack + (1 << L, 2 << n))
+    g = (np.swapaxes(m, -1, -2) @ m).reshape(stack + (1 << n, 2, 1 << n, 2))
+    rho = (g[..., 0, :, 0] + g[..., 1, :, 1]) + 1j * (g[..., 1, :, 0] - g[..., 0, :, 1])
     trace = np.real(np.trace(rho, axis1=-2, axis2=-1))
     off = np.abs(trace - 1.0) > 1e-10
     if np.any(off):
@@ -175,11 +182,19 @@ class MeritSeries:
 
 
 def merit_series(traj: Trajectory) -> MeritSeries:
-    """Evaluate all figures of merit along a trajectory, one column each."""
+    """Evaluate all figures of merit along a trajectory, one column each.
+
+    States are formed and reduced GRID_BLOCK grid points at a time, so no
+    (T, dim) array is ever held.
+    """
     spec = traj.spec
     times = traj.times
     levels = battery_energies(spec.n, spec.delta)
-    rho = reduce_to_battery(traj.states, spec.L, spec.n)
+    rho = np.concatenate([
+        reduce_to_battery(mixed_matmul(traj.coefficients[lo:lo + GRID_BLOCK], traj.vectors),
+                          spec.L, spec.n)
+        for lo in range(0, times.size, GRID_BLOCK)
+    ])
     stored = stored_energy(rho, levels)
     work, _ = ergotropy_populations(rho, levels)
     work_spectral, _ = ergotropy(rho, levels)

@@ -1,10 +1,10 @@
 """Acceptance suite: every reference claim at full scale (dimension 4096).
 
 One test per criterion; each prints a single PASS/FAIL line (run with
-``pytest -s`` to see them on success).  Each dimension-4096 model is
-decomposed once per session, as two dimension-2048 parity blocks, through
-the session-scoped cache, so the whole module runs in well under a minute
-on two cores.
+``pytest -s`` to see them on success).  Each dimension-4096 reference run
+is a matrix-free Chebyshev trajectory, and its merit series is shared
+through the session-scoped cache, so the whole module runs in seconds on
+two cores.
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ from sunburst_battery import (
     power_analytic,
     read_csv,
     stored_energy_analytic,
+    trajectory,
     two_battery,
     unavailable_analytic,
 )
@@ -127,7 +128,7 @@ def test_criterion_4_coupling_sweep_peaks(heavy):
 
 
 def test_criterion_5_initial_state_independence(heavy, tmp_path):
-    # h = 0.1 leg runs end to end through the CLI (its own diagonalization)
+    # h = 0.1 leg runs end to end through the CLI (its own trajectories)
     out = tmp_path / "fig4.csv"
     assert main(["fig4", "--seed", "11", "--out", str(out)]) == 0
     cols = read_csv(out)
@@ -230,7 +231,8 @@ def test_criterion_8_property_suites(heavy):
     # conservation along trajectories: full grid on a small model, explicit
     # spot checks on the production system
     drift = max(
-        conservation_drift(heavy.trajectory(spec, times=times).states, build_total(spec).matrix)
+        conservation_drift(trajectory(spec, InitialStateSpec(), times).states,
+                           build_total(spec).matrix)
         for spec, times in ((ModelSpec(5, 1, h=0.1), np.linspace(0.0, 4.0, 400)),
                             (reference_model(), np.array([0.0, 1.0, 2.0])))
     )

@@ -142,11 +142,10 @@ def test_charger_eigenstates_match_cat_state_observables():
     # battery exactly like the cat state (population convention)
     spec = ModelSpec(5, 1, h=1e-3, delta=0.5, kappa=2.0)
     times = np.linspace(0.0, 2.0, 60)
-    decomp = build_total(spec).decomposition()
     levels = battery_energies(spec.n, spec.delta)
 
     def curves(init):
-        traj = trajectory(spec, init, times, decomp)
+        traj = trajectory(spec, init, times)
         stored, work = [], []
         for psi in traj.states:
             rho = reduce_to_battery(psi, spec.L, spec.n)
@@ -161,13 +160,13 @@ def test_charger_eigenstates_match_cat_state_observables():
         assert np.max(np.abs(got_work - ref_work)) <= 1e-3
 
 
-def test_full_scale_excited_population_at_charging_time(heavy):
+def test_full_scale_excited_population_at_charging_time():
     # |B(T)|^2 = 16/16.25 at the first stored-energy peak; h = 0.1 leaves
     # percent-level corrections, h = 1e-3 leaves none at this tolerance
     t_charge = np.pi / np.sqrt(16.25)
     for h, tol in ((0.1, 0.02), (1e-3, 1e-3)):
         spec = ModelSpec(11, 1, h=h)
-        traj = heavy.trajectory(spec, times=np.array([t_charge]))
+        traj = trajectory(spec, InitialStateSpec(), np.array([t_charge]))
         rho = reduce_to_battery(traj.states[0], spec.L, spec.n)
         population = float(np.real(rho[1, 1]))
         assert abs(population - 16.0 / 16.25) <= tol
@@ -186,8 +185,9 @@ def test_full_scale_excited_population_at_charging_time(heavy):
     InitialStateSpec("random", seed=11),
 ], ids=lambda init: init.charger_kind)
 def test_sector_trajectory_matches_dense_oracle(spec, init, monkeypatch):
-    # the parity-sector path against dense full-space ED; cat chargers lie in
-    # one sector (ghz_minus in the odd one), the others in both
+    # the matrix-free Chebyshev path against dense full-space ED; it solves
+    # nothing, and a cat charger's empty parity sector (the odd one for
+    # ghz_plus, the even one for ghz_minus) stays exactly zero
     solved = []
     dense_eigh = linalg.eigh
     monkeypatch.setattr(linalg, "eigh", lambda m: solved.append(len(m)) or dense_eigh(m))
@@ -196,8 +196,20 @@ def test_sector_trajectory_matches_dense_oracle(spec, init, monkeypatch):
     psi0 = initial_state(spec, init)
     oracle = evolve_on_grid(dense_eigh(build_total(spec).matrix), psi0, times)
     assert np.max(np.abs(states - oracle)) <= 1e-12
+    assert solved == []
     even, odd = parity_sectors(spec.dim)
-    empty = {"ghz_plus": [odd], "ghz_minus": [even]}.get(init.charger_kind, [])
-    assert solved == [spec.dim // 2] * (2 - len(empty))
-    for idx in empty:
+    for idx in {"ghz_plus": [odd], "ghz_minus": [even]}.get(init.charger_kind, []):
         assert not psi0[idx].any() and not states[:, idx].any()
+
+
+@pytest.mark.parametrize("spec, init", [
+    (ModelSpec(4, 4, d=1, h=0.4, delta=0.7, kappa=0.9), InitialStateSpec("random", seed=11)),
+    (ModelSpec(7, 1, h=0.1, kappa=0.25), InitialStateSpec()),
+], ids=["L4n4-random", "L7n1-cat"])
+def test_long_window_matches_dense_oracle(spec, init):
+    # t up to 12 needs ~180 Chebyshev terms here (fig3 windows reach ~9 at
+    # L+n = 12): the recurrence must stay accurate over the whole sequence
+    times = np.linspace(0.0, 12.0, 97)
+    states = trajectory(spec, init, times).states
+    oracle = evolve_on_grid(linalg.eigh(build_total(spec).matrix), initial_state(spec, init), times)
+    assert np.max(np.abs(states - oracle)) <= 1e-12

@@ -1,6 +1,11 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,3 +355,27 @@ def test_parallel_jobs_give_identical_output(tmp_path):
         command(threaded, jobs=3)
         assert (tmp_path / f"{name}_serial.csv").read_bytes() \
             == (tmp_path / f"{name}_threaded.csv").read_bytes(), name
+
+
+def test_default_csv_bytes_do_not_depend_on_blas_threads_or_jobs(tmp_path):
+    # fig1 and fig4 at defaults, each in fresh processes under every pairing
+    # of one or two BLAS threads (set in the child's environment only) with
+    # --jobs 1 or 2; the four children of a command run side by side
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    for command in ("fig1", "fig4"):
+        children = []
+        for threads, jobs in product(("1", "2"), ("1", "2")):
+            out = tmp_path / f"{command}-threads{threads}-jobs{jobs}.csv"
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+            cmd = [sys.executable, "-m", "sunburst_battery.cli", command,
+                   "--jobs", jobs, "--out", str(out)]
+            children.append((subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
+                                              stderr=subprocess.PIPE), out))
+        for child, out in children:
+            _, err = child.communicate(timeout=300)
+            assert child.returncode == 0, err.decode()
+        first = children[0][1].read_bytes()
+        assert first.count(b"\n") == 1 + {"fig1": 4, "fig4": 3}[command] * 2000
+        for _, out in children[1:]:
+            assert out.read_bytes() == first, out.name

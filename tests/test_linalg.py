@@ -4,13 +4,16 @@ import pytest
 from sunburst_battery import (
     ModelSpec,
     build_total,
+    chebyshev_series,
     decompose,
     eigh,
     evolve_on_grid,
     expm_series_oracle,
     parity_sectors,
 )
+from sunburst_battery import linalg
 from sunburst_battery.dynamics import random_state
+from sunburst_battery.linalg import GRID_BLOCK, row_sum_bound
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -178,10 +181,52 @@ def test_evolve_on_grid_matches_single_calls():
     times = np.linspace(0.0, 3.0, 600)  # more points than one grid block
     batch = evolve_on_grid(decomp, psi, times)
     for k, t in enumerate(times):
-        # one-point calls cover the block boundaries; the Taylor series is an
-        # independent reference
+        # one-point calls cover the block boundaries
         assert np.max(np.abs(batch[k] - evolve_on_grid(decomp, psi, [t])[0])) <= 1e-12
-        assert np.max(np.abs(batch[k] - expm_series_oracle(ham, psi, t))) <= 1e-8
+    # the Taylor series is an independent reference: the ends, both block
+    # edges and a spread of interior points
+    edges = [GRID_BLOCK - 1, GRID_BLOCK, 2 * GRID_BLOCK - 1, 2 * GRID_BLOCK]
+    for k in sorted({0, times.size - 1, *edges, *range(37, times.size, 97)}):
+        assert np.max(np.abs(batch[k] - expm_series_oracle(ham, psi, times[k]))) <= 1e-8
+
+
+def test_chebyshev_series_real_state_under_complex_hamiltonian():
+    # a real psi0 keeps a real vector sequence only while H is real: here the
+    # first product is complex and the whole sequence must follow it
+    rng = np.random.default_rng(17)
+    ham = random_hermitian(rng, 24)
+    psi = np.abs(random_state(rng, 24))
+    times = np.array([0.0, 0.05, 0.9, 4.0])
+    coefficients, vectors = chebyshev_series(lambda v: ham @ v, row_sum_bound(ham), psi, times)
+    assert np.iscomplexobj(vectors) and coefficients.shape == (times.size, vectors.shape[0])
+    for t, state in zip(times, coefficients @ vectors):
+        assert np.max(np.abs(state - expm_series_oracle(ham, psi, t))) <= 1e-8
+
+
+def test_chebyshev_series_raises_when_the_tail_does_not_converge(monkeypatch):
+    ham = np.diag([-1.0, 0.5, 1.0])
+    psi = np.ones(3) / np.sqrt(3)
+    # the default cut sits far below every coefficient at this z ...
+    chebyshev_series(lambda v: ham @ v, 1.0, psi, [0.0, 40.0])
+    # ... and a cut no rounded coefficient can reach is never met
+    monkeypatch.setattr(linalg, "CHEBYSHEV_TOL", 0.0)
+    with pytest.raises(ArithmeticError, match="did not fall below"):
+        chebyshev_series(lambda v: ham @ v, 1.0, psi, [0.0, 40.0])
+
+
+def test_chebyshev_series_rejects_bad_bounds_and_grids():
+    ham = np.diag([-2.0, 1.0])
+    psi = np.array([0.6, 0.8], dtype=complex)
+    for bound in (0.0, -1.0, np.inf):
+        with pytest.raises(ValueError, match="bound"):
+            chebyshev_series(lambda v: ham @ v, bound, psi, [1.0])
+    # a bound below ||H|| lets the Chebyshev vectors grow without limit
+    with pytest.raises(ValueError, match="below"):
+        chebyshev_series(lambda v: ham @ v, 1.0, psi, [10.0])
+    with pytest.raises(ValueError, match="time grid"):
+        chebyshev_series(lambda v: ham @ v, 2.0, psi, [])
+    with pytest.raises(ValueError, match="normalized"):
+        chebyshev_series(lambda v: ham @ v, 2.0, 2 * psi, [1.0])
 
 
 def test_ground_state_against_independent_oracles():
