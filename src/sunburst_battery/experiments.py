@@ -52,7 +52,14 @@ from .model import (
     real,
     total_matvec,
 )
-from .observables import MeritSeries, charging_power, merit_series, reduce_to_battery
+from .observables import (
+    WORK_FLOOR,
+    MeritSeries,
+    charging_power,
+    merit_series,
+    reduce_expansion,
+    reduce_to_battery,
+)
 
 CSV_COLUMNS = ("t", "dE_num", "xi_num", "SL_num", "P_num",
                "dE_ana", "xi_ana", "SL_ana", "P_ana", "n", "L", "kappa", "seed")
@@ -163,11 +170,14 @@ def _fmt(value) -> str:
 
 
 def write_csv(path, rows) -> None:
-    """Write rows matching CSV_COLUMNS with full precision and LF endings."""
+    """Write rows matching CSV_COLUMNS with full precision and LF endings.
+
+    A row is a tuple of cells (None, an integer or a float), or a line
+    already formatted the same way (``_series_rows``)."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+        handle.writelines((row if isinstance(row, str) else ",".join(map(_fmt, row))) + "\n"
+                          for row in rows)
 
 
 def read_csv(path) -> dict[str, np.ndarray]:
@@ -199,15 +209,16 @@ def run_series(spec: ModelSpec, init: InitialStateSpec, times) -> MeritSeries:
     return merit_series(trajectory(spec, init, times))
 
 
-def _series_rows(series: MeritSeries, spec: ModelSpec, seed: int) -> list[tuple]:
-    blank = [None] * series.t.size
-    analytic = [blank if col is None else col for col in analytic_reference(spec, series.t)]
-    labels = (spec.n, spec.L, spec.kappa, seed)
-    return [
-        row + labels
-        for row in zip(series.t, series.stored_energy, series.ergotropy,
-                       series.linear_entropy, series.power, *analytic)
-    ]
+def _series_rows(series: MeritSeries, spec: ModelSpec, seed: int) -> list[str]:
+    """One CSV line per grid point, formatted as _fmt formats each cell: a
+    numeric column at a time, and the label and blank cells once."""
+    columns = (series.t, series.stored_energy, series.ergotropy, series.linear_entropy,
+               series.power, *analytic_reference(spec, series.t))
+    cells = [[""] * series.t.size if col is None
+             else [format(v, ".17g") for v in np.asarray(col, dtype=float).tolist()]
+             for col in columns]
+    labels = ",".join(map(_fmt, (spec.n, spec.L, spec.kappa, seed)))
+    return [",".join(row) + "," + labels for row in zip(*cells)]
 
 
 def _parallel_map(fn, items, jobs: int) -> list:
@@ -304,7 +315,8 @@ def cmd_fig3(config: ExperimentConfig, kappas=None, n_values=(1, 2, 3, 4),
     default window would miss the peaks at weak coupling).  One summary
     row per point; kappa grid and period-long window are artifact choices.
     Every point has L + n = ``total_qubits``, which the configured model
-    must match.
+    must match.  A point whose peak ergotropy is at most WORK_FLOOR has no
+    work, so no peak: its ``t`` and ``SL_num`` cells are left empty.
     """
     if config.model.L + config.model.n != total_qubits:
         systems = tuple((total_qubits - n, n) for n in n_values)
@@ -336,12 +348,13 @@ def cmd_fig3(config: ExperimentConfig, kappas=None, n_values=(1, 2, 3, 4),
         p = AnalyticParams.from_model(spec)
         scale = spec.n if spec.n in (1, 2) else None
         peak_p_ana = POWER_PEAK_COEFF * p.delta * p.kappa ** 2 / p.omega
-        sl_at_peak = series.linear_entropy[int(np.argmax(series.ergotropy))]
+        working = series.peak_ergotropy > WORK_FLOOR
+        sl_at_peak = float(series.linear_entropy[int(np.argmax(series.ergotropy))])
         rows.append((
-            series.peak_ergotropy_time,
+            series.peak_ergotropy_time if working else None,
             series.peak_stored,
             series.peak_ergotropy,
-            float(sl_at_peak),
+            sl_at_peak if working else None,
             series.peak_power,
             None if scale is None else scale * p.delta * 4 * p.kappa ** 2 / p.omega ** 2,
             None if scale is None else scale * max_ergotropy(p),
@@ -357,7 +370,7 @@ def cmd_fig3(config: ExperimentConfig, kappas=None, n_values=(1, 2, 3, 4),
             "analytic_peak_power": peak_p_ana,
             "analytic_peak_power_exact": max_power(p)[1],
         })
-        print(f"fig3 (n={spec.n}, kappa={spec.kappa}): "
+        print(f"fig3 (n={spec.n}, kappa={spec.kappa}): {'' if working else 'no work, '}"
               f"max xi/n = {series.peak_ergotropy / spec.n:.5f} "
               f"(closed form {max_ergotropy(p):.5f}), "
               f"max P/n = {series.peak_power / spec.n:.5f} "
@@ -455,12 +468,16 @@ def propagator_gap(rng, dims, models) -> float:
 
 
 def partial_trace_gap(rng, shapes) -> float:
-    """Largest entry gap between reduce_to_battery and _naive_partial_trace,
-    over one random normalized state (drawn from ``rng``) per (L, n) shape."""
+    """Largest entry gap to _naive_partial_trace of both production partial
+    traces, reduce_to_battery and the Gram contraction reduce_expansion (the
+    state as a one-term expansion), over one random normalized state (drawn
+    from ``rng``) per (L, n) shape."""
     worst = 0.0
     for L, n in shapes:
         psi = random_state(rng, 1 << (L + n))
-        worst = max(worst, _max_gap(reduce_to_battery(psi, L, n), _naive_partial_trace(psi, L, n)))
+        naive = _naive_partial_trace(psi, L, n)
+        worst = max(worst, _max_gap(reduce_to_battery(psi, L, n), naive),
+                    _max_gap(reduce_expansion(np.ones((1, 1)), psi[None], L, n)[0], naive))
     return worst
 
 

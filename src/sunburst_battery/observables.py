@@ -14,7 +14,10 @@ scaling.  Merit series therefore report the population value as the
 headline ergotropy and carry the spectral value alongside.
 
 Every function here takes one matrix or a stack of them (leading axes), so
-a whole trajectory is reduced and evaluated in one pass.
+a whole trajectory is reduced and evaluated in one pass.  A trajectory is
+reduced either from its states, formed a grid block at a time, or without
+forming any state, from the Gram matrix of its Chebyshev vectors over the
+charger (``reduce_expansion``), whichever costs fewer operations.
 """
 
 from __future__ import annotations
@@ -52,6 +55,11 @@ def reduce_to_battery(psi, L: int, n: int) -> np.ndarray:
     m = m.reshape(stack + (1 << L, 2 << n))
     g = (np.swapaxes(m, -1, -2) @ m).reshape(stack + (1 << n, 2, 1 << n, 2))
     rho = (g[..., 0, :, 0] + g[..., 1, :, 1]) + 1j * (g[..., 1, :, 0] - g[..., 0, :, 1])
+    return _unit_trace(rho)
+
+
+def _unit_trace(rho) -> np.ndarray:
+    """rho, once every reduced state in it has unit trace within 1e-10."""
     trace = np.real(np.trace(rho, axis1=-2, axis2=-1))
     off = np.abs(trace - 1.0) > 1e-10
     if np.any(off):
@@ -59,6 +67,40 @@ def reduce_to_battery(psi, L: int, n: int) -> np.ndarray:
             f"reduced state has trace {float(trace[off][0])!r}; input state not normalized"
         )
     return rho
+
+
+def reduce_expansion(coefficients, vectors, L: int, n: int) -> np.ndarray:
+    """Reduced battery state of every expansion ``coefficients[j] @ vectors``,
+    without forming any state.
+
+    With v_k[c, a] the K vectors under the model bit convention, the Gram
+    matrix G[k, a, l, b] = sum_c v_k[c, a] conj(v_l[c, b]) over charger
+    configurations c gives rho_ab = sum_kl c_k conj(c_l) G[k, a, l, b].  G
+    is one (K 2**n x 2**L) @ (2**L x K 2**n) product; each GRID_BLOCK of
+    grid points then costs one product with G and one contraction with the
+    conjugate coefficients, T K**2 4**n operations in all against
+    T K 2**(L+n) for forming the states.
+    """
+    coefficients, vectors = np.asarray(coefficients), np.asarray(vectors)
+    if vectors.ndim != 2 or vectors.shape[1] != 1 << (L + n) or coefficients.ndim != 2 \
+            or coefficients.shape[1] != vectors.shape[0]:
+        raise ValueError(
+            f"expansion of shapes {coefficients.shape} @ {vectors.shape} does not match "
+            f"2**({L}+{n}) = {1 << (L + n)}"
+        )
+    kept, levels = vectors.shape[0], 1 << n
+    v = vectors.reshape(kept, 1 << L, levels)
+    # cols is always a fresh buffer: numpy sends x @ x.T on one buffer to
+    # syrk, whose bits change with the BLAS thread count
+    rows = np.ascontiguousarray(v.transpose(0, 2, 1)).reshape(kept * levels, 1 << L)
+    cols = v.transpose(1, 0, 2).copy().reshape(1 << L, kept * levels)
+    gram = (rows @ cols.conj()).reshape(kept, levels * kept * levels)
+    rho = np.empty((coefficients.shape[0], levels, levels), dtype=np.complex128)
+    for lo in range(0, coefficients.shape[0], GRID_BLOCK):
+        block = coefficients[lo:lo + GRID_BLOCK]
+        half = mixed_matmul(block, gram).reshape(-1, levels, kept, levels)
+        rho[lo:lo + GRID_BLOCK] = np.einsum("talb,tl->tab", half, block.conj())
+    return _unit_trace(rho)
 
 
 def check_density_matrix(rho, tol: float = 1e-10) -> None:
@@ -184,17 +226,23 @@ class MeritSeries:
 def merit_series(traj: Trajectory) -> MeritSeries:
     """Evaluate all figures of merit along a trajectory, one column each.
 
-    States are formed and reduced GRID_BLOCK grid points at a time, so no
-    (T, dim) array is ever held.
+    With K Chebyshev vectors, the reduced states come from their Gram
+    matrix (``reduce_expansion``) when K 2**n < 2**L, the case where that
+    contraction takes fewer operations than forming the states; otherwise
+    states are formed and reduced GRID_BLOCK grid points at a time.  Either
+    way no (T, dim) array is ever held.
     """
     spec = traj.spec
     times = traj.times
     levels = battery_energies(spec.n, spec.delta)
-    rho = np.concatenate([
-        reduce_to_battery(mixed_matmul(traj.coefficients[lo:lo + GRID_BLOCK], traj.vectors),
-                          spec.L, spec.n)
-        for lo in range(0, times.size, GRID_BLOCK)
-    ])
+    if traj.vectors.shape[0] << spec.n < 1 << spec.L:
+        rho = reduce_expansion(traj.coefficients, traj.vectors, spec.L, spec.n)
+    else:
+        rho = np.concatenate([
+            reduce_to_battery(mixed_matmul(traj.coefficients[lo:lo + GRID_BLOCK], traj.vectors),
+                              spec.L, spec.n)
+            for lo in range(0, times.size, GRID_BLOCK)
+        ])
     stored = stored_energy(rho, levels)
     work, _ = ergotropy_populations(rho, levels)
     work_spectral, _ = ergotropy(rho, levels)

@@ -14,6 +14,7 @@ from sunburst_battery import (
     CSV_COLUMNS,
     ExperimentConfig,
     InitialStateSpec,
+    MeritSeries,
     ModelSpec,
     SweepSpec,
     TimeGrid,
@@ -148,6 +149,39 @@ def test_csv_format_and_reread(tmp_path):
     assert cols["seed"][0] == 7
 
 
+def test_csv_golden_bytes_for_tuple_and_series_rows(tmp_path):
+    # both row paths format None as empty, integers (np.int64 too) as digits
+    # and floats with 17 significant digits, signed zero and subnormal-range
+    # values included
+    header = ",".join(CSV_COLUMNS) + "\n"
+    path = tmp_path / "tuples.csv"
+    write_csv(path, [(-0.0, 1e-300, None, 0.1, 2, np.int64(-3), 1 / 3, None, 5.0,
+                      1, 4, 2.0, np.int64(2 ** 63 - 1))])
+    assert path.read_bytes() == (
+        header + "-0,1e-300,,0.10000000000000001,2,-3,"
+        "0.33333333333333331,,5,1,4,2,9223372036854775807\n").encode()
+
+    column = np.array([0.0, -0.0, 1e-300, 1 / 3])
+    series = MeritSeries(t=column, stored_energy=-column, ergotropy=column,
+                         ergotropy_spectral=column, linear_entropy=column, power=-column,
+                         unavailable=column, **dict.fromkeys(
+                             ("peak_stored_time", "peak_stored", "peak_ergotropy_time",
+                              "peak_ergotropy", "peak_power_time", "peak_power",
+                              "max_variant_gap"), 0.0),
+                         ergotropy_onsets=[], ergotropy_offsets=[])
+    lines = experiments._series_rows(series, ModelSpec(6, 3, kappa=0.5), np.int64(9))
+    path = tmp_path / "series.csv"
+    write_csv(path, lines)
+    assert path.read_bytes() == (
+        header
+        + "0,-0,0,0,-0,,,,,3,6,0.5,9\n"
+        + "-0,0,-0,-0,0,,,,,3,6,0.5,9\n"
+        + "1e-300,-1e-300,1e-300,"
+          "1e-300,-1e-300,,,,,3,6,0.5,9\n"
+        + "0.33333333333333331,-0.33333333333333331,0.33333333333333331,"
+          "0.33333333333333331,-0.33333333333333331,,,,,3,6,0.5,9\n").encode()
+
+
 def test_analytic_reference_filling():
     times = np.linspace(0.0, 1.0, 5)
     one = analytic_reference(ModelSpec(4, 1), times)
@@ -215,6 +249,22 @@ def test_fig3_small_scale(tmp_path):
                        - point["analytic_peak_ergotropy"]) <= 0.05
             assert abs(point["peak_power_per_battery"]
                        - point["analytic_peak_power"]) / point["analytic_peak_power"] <= 0.05
+
+
+def test_fig3_leaves_peak_cells_empty_without_work(tmp_path, capsys):
+    # 2 kappa < delta: the ergotropy series is roundoff, so it has no peak
+    # time and no entropy at that peak; the strong-coupling point keeps both
+    config = small_config(tmp_path, "fig3.csv", model={**SMALL_MODEL, "L": 5})
+    cmd_fig3(config, kappas=(0.2, 2.0), n_values=(1,), total_qubits=6)
+    cols = read_csv(config.output_path)
+    below = cols["kappa"] == 0.2
+    assert np.max(cols["xi_num"][below]) <= 1e-12
+    assert np.isnan(cols["t"][below]).all() and np.isnan(cols["SL_num"][below]).all()
+    assert not np.isnan(cols["t"][~below]).any() and not np.isnan(cols["SL_num"][~below]).any()
+    assert not np.isnan(cols["dE_num"]).any() and not np.isnan(cols["P_num"]).any()
+    out = capsys.readouterr().out
+    assert "fig3 (n=1, kappa=0.2): no work, max xi/n" in out
+    assert "fig3 (n=1, kappa=2.0): max xi/n" in out
 
 
 def test_fig2_fig3_reject_a_model_they_would_not_run(tmp_path, capsys):

@@ -7,6 +7,7 @@ from sunburst_battery import (
     AnalyticParams,
     InitialStateSpec,
     ModelSpec,
+    Trajectory,
     amplitudes,
     battery_energies,
     charging_power,
@@ -25,8 +26,10 @@ from sunburst_battery import (
     trajectory,
     unavailable_analytic,
 )
+from sunburst_battery import observables
 from sunburst_battery.dynamics import random_state
 from sunburst_battery.experiments import _naive_partial_trace
+from sunburst_battery.observables import reduce_expansion
 
 OMEGA = np.sqrt(16.25)
 T_CHARGE = np.pi / OMEGA
@@ -66,6 +69,10 @@ def test_reduce_against_naive_oracle():
 def test_reduce_rejects_bad_input():
     with pytest.raises(ValueError, match="does not match"):
         reduce_to_battery(np.ones(6) / np.sqrt(6), 2, 1)
+    with pytest.raises(ValueError, match="does not match"):
+        reduce_expansion(np.ones((1, 1)), np.ones((1, 6)) / np.sqrt(6), 2, 1)
+    with pytest.raises(ValueError, match="does not match"):
+        reduce_expansion(np.ones((1, 2)), np.ones((1, 8)) / np.sqrt(8), 2, 1)
     with pytest.raises(ValueError, match="not normalized"):
         reduce_to_battery(np.ones(8), 2, 1)
 
@@ -292,11 +299,22 @@ def test_stacked_input_rejects_one_bad_member():
         assert str(stacked.value) == str(single.value)
 
 
-def test_merit_series_matches_per_point_evaluation():
-    spec = ModelSpec(4, 2, h=0.3, delta=0.5, kappa=1.5)
-    times = np.linspace(0.0, 2.0, 60)
-    traj = trajectory(spec, InitialStateSpec("random", seed=5), times)
-    series = merit_series(traj)
+@pytest.fixture
+def reductions(monkeypatch):
+    """Names of the reductions merit_series calls, in call order."""
+    calls = []
+    for name in ("reduce_expansion", "reduce_to_battery"):
+        def spy(*args, _name=name, _fn=getattr(observables, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(observables, name, spy)
+    return calls
+
+
+def assert_matches_per_point_evaluation(traj, series, exact_peak):
+    """Every column of ``series`` within 1e-14 of reducing and evaluating
+    the states of ``traj`` one at a time."""
+    spec, times = traj.spec, traj.times
     levels = battery_energies(spec.n, spec.delta)
     rhos = [reduce_to_battery(psi, spec.L, spec.n) for psi in traj.states]
     stored = np.array([stored_energy(rho, levels) for rho in rhos])
@@ -312,8 +330,36 @@ def test_merit_series_matches_per_point_evaluation():
     }
     for name, column in expected.items():
         assert np.max(np.abs(getattr(series, name) - np.asarray(column))) <= 1e-14, name
-    assert series.peak_ergotropy == work.max()
+    assert series.peak_ergotropy == (work.max() if exact_peak else series.ergotropy.max())
     assert series.peak_ergotropy_time == times[np.argmax(work)]
+
+
+def test_merit_series_matches_per_point_evaluation(reductions):
+    spec = ModelSpec(4, 2, h=0.3, delta=0.5, kappa=1.5)
+    times = np.linspace(0.0, 2.0, 60)
+    traj = trajectory(spec, InitialStateSpec("random", seed=5), times)
+    series = merit_series(traj)
+    assert set(reductions) == {"reduce_to_battery"}
+    # the states are reduced by the very arithmetic of the per-point calls
+    assert_matches_per_point_evaluation(traj, series, exact_peak=True)
+
+
+@pytest.mark.parametrize("n, init", [
+    (1, InitialStateSpec("random", seed=5)),
+    (2, InitialStateSpec("random", seed=5)),
+    (2, InitialStateSpec()),
+], ids=["n1-random", "n2-random", "n2-cat"])
+def test_gram_merit_series_matches_per_point_evaluation(n, init, reductions):
+    # L = 8 on a window short enough that K 2**n < 2**L, for a complex and a
+    # real vector sequence.  The window starts at t = 0.25: P = dE / t
+    # divides the ~4e-16 roundoff of dE by t, which at the first point of a
+    # 60-point grid on [0, 0.5] (t = 0.008) is 5e-14 on either side of the
+    # comparison
+    traj = trajectory(ModelSpec(8, n, h=0.3, delta=0.5, kappa=1.5), init,
+                      np.linspace(0.25, 0.75, 60))
+    series = merit_series(traj)
+    assert set(reductions) == {"reduce_expansion"}
+    assert_matches_per_point_evaluation(traj, series, exact_peak=False)
 
 
 def test_merit_series_names_first_negative_unavailable_time(monkeypatch):
@@ -330,3 +376,29 @@ def test_merit_series_names_first_negative_unavailable_time(monkeypatch):
     traj = trajectory(spec, InitialStateSpec(), times)
     with pytest.raises(ArithmeticError, match=re.escape(f"at t={times[3]}") + "$"):
         merit_series(traj)
+
+
+def test_default_grid_contracts_exactly_where_it_pays(reductions):
+    # K 2**n < 2**L holds at (11, 1) and (10, 2) (K = 60, 63) and fails at
+    # (9, 3) and (8, 4) (K = 66, 69), where the contraction would cost more
+    # than forming the states
+    times = np.linspace(0.0, 2.0, 2000)
+    for (L, n), path in (((11, 1), "reduce_expansion"), ((10, 2), "reduce_expansion"),
+                         ((9, 3), "reduce_to_battery"), ((8, 4), "reduce_to_battery")):
+        merit_series(trajectory(ModelSpec(L, n, h=0.1), InitialStateSpec(), times))
+        assert set(reductions) == {path}, (L, n)
+        reductions.clear()
+
+
+@pytest.mark.parametrize("terms, path", [(3, "reduce_expansion"), (4, "reduce_to_battery")])
+def test_misnormalized_trajectory_raises_the_same_error_on_both_paths(terms, path, reductions):
+    # every state is twice a basis vector, so its reduced trace is exactly 4
+    # on either path; at L = 3, n = 1 the Gram contraction pays for K = 3
+    # vectors and not for K = 4
+    spec = ModelSpec(3, 1)
+    bad = Trajectory(spec, np.linspace(0.0, 1.0, terms),
+                     np.eye(terms, dtype=complex), 2 * np.eye(terms, 16))
+    with pytest.raises(ValueError) as raised:
+        merit_series(bad)
+    assert str(raised.value) == "reduced state has trace 4.0; input state not normalized"
+    assert reductions == [path]
