@@ -3,8 +3,9 @@
 The charger starts in a cat state, an x-basis product state, or a seeded
 Haar-random state; the batteries always start in the all-ground state
 |00...0>.  A trajectory is one Chebyshev expansion of exp(-i H t) psi0
-driven by the matrix-free Hamiltonian: exact to roundoff at every grid
-time (no step-size error), with no dense matrix and no eigendecomposition.
+driven by the matrix-free Hamiltonian, with real coefficients: exact to
+roundoff at every grid time (no step-size error), with no dense matrix and
+no eigendecomposition.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import chebyshev_series, mixed_matmul
+from .linalg import chebyshev_series, series_states
 from .model import ModelSpec, bit_counts, config_fields, total_matvec
 
 # Not called here: the benchmark tracer wraps these two bindings, and
@@ -143,8 +144,9 @@ def initial_state(spec: ModelSpec, init: InitialStateSpec) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """States on a time grid as a Chebyshev expansion: the state at times[j]
-    is ``coefficients[j] @ vectors`` (shapes (T, K) and (K, dim))."""
+    """States on a time grid as a Chebyshev expansion with real coefficients
+    (shapes (T, K) and (K, dim)): the state at times[j] is the sum over k of
+    coefficients[j, k] vectors[k], times -i for odd k (``chebyshev_series``)."""
 
     spec: ModelSpec
     times: np.ndarray
@@ -154,7 +156,7 @@ class Trajectory:
     @property
     def states(self) -> np.ndarray:
         """Every state at once, shape (T, dim); row k is the state at times[k]."""
-        return mixed_matmul(self.coefficients, self.vectors)
+        return series_states(self.coefficients, self.vectors)
 
 
 def trajectory(spec: ModelSpec, init: InitialStateSpec, times) -> Trajectory:

@@ -38,7 +38,14 @@ from .analytic import (
     window_times,
 )
 from .dynamics import InitialStateSpec, ghz_plus, random_state, trajectory
-from .linalg import chebyshev_series, eigh, evolve_on_grid, expm_series_oracle, row_sum_bound
+from .linalg import (
+    chebyshev_series,
+    eigh,
+    evolve_on_grid,
+    expm_series_oracle,
+    row_sum_bound,
+    series_states,
+)
 from .model import (
     ModelSpec,
     battery_energies,
@@ -222,9 +229,11 @@ def _series_rows(series: MeritSeries, spec: ModelSpec, seed: int) -> list[str]:
 
 
 def _parallel_map(fn, items, jobs: int) -> list:
-    """Map preserving input order; thread pool is safe since the heavy
-    kernels (FFT, matmul) release the GIL."""
-    if jobs <= 1:
+    """Map preserving input order over ``jobs`` >= 1 threads; a thread pool
+    is safe since the heavy kernels (FFT, matmul) release the GIL."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs == 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
@@ -451,7 +460,7 @@ def propagator_gap(rng, dims, models) -> float:
         psi = random_state(rng, len(matrix))
         coefficients, vectors = chebyshev_series(matvec, bound, psi, times)
         worst = 0.0
-        for t, chebyshev, dense in zip(times, coefficients @ vectors,
+        for t, chebyshev, dense in zip(times, series_states(coefficients, vectors),
                                        evolve_on_grid(eigh(matrix), psi, times)):
             exact = expm_series_oracle(matrix, psi, t)
             worst = max(worst, _max_gap(chebyshev, exact), _max_gap(dense, exact))

@@ -15,9 +15,11 @@ headline ergotropy and carry the spectral value alongside.
 
 Every function here takes one matrix or a stack of them (leading axes), so
 a whole trajectory is reduced and evaluated in one pass.  A trajectory is
-reduced either from its states, formed a grid block at a time, or without
-forming any state, from the Gram matrix of its Chebyshev vectors over the
-charger (``reduce_expansion``), whichever costs fewer operations.
+reduced either from the real and imaginary parts of its states, formed a
+grid block at a time by real matrix products, or without forming any
+state, from the Gram matrix of its Chebyshev vectors over the charger with
+the phases of the real coefficients folded in (``reduce_expansion``),
+whichever costs fewer operations.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
-from .linalg import GRID_BLOCK, mixed_matmul
+from .linalg import GRID_BLOCK, state_blocks
 from .model import battery_energies
 
 NEGATIVITY_TOL = 1e-10
@@ -38,24 +40,26 @@ WORK_FLOOR = 1e-12  # below this the clamped ergotropy counts as zero
 def reduce_to_battery(psi, L: int, n: int) -> np.ndarray:
     """Trace the charger out of a composite pure state or a stack of them.
 
-    psi has shape (..., 2**(L+n)) and rho[..., a, b] = sum_c psi[..., c, a]
-    conj(psi[..., c, b]) over charger configurations c, a contiguous-stride
-    sum under the model bit convention.
+    psi has shape (..., 2**(L+n)), or is the pair (real, imag) of its real
+    and imaginary parts as real arrays of that shape.  rho[..., a, b] =
+    sum_c psi[..., c, a] conj(psi[..., c, b]) over charger configurations
+    c, a contiguous-stride sum under the model bit convention; with A and B
+    the real and imaginary parts as (2**L x 2**n) matrices,
+    rho = A^T A + B^T B + i (X - X^T), X = B^T A: three real products, with
+    no conjugated or interleaved copy of the states.
     """
-    psi = np.asarray(psi)
-    if psi.ndim == 0 or psi.shape[-1] != 1 << (L + n):
+    real, imag = psi if isinstance(psi, tuple) else (np.real(psi), np.imag(psi))
+    real, imag = np.asarray(real), np.asarray(imag)
+    if real.ndim == 0 or real.shape[-1] != 1 << (L + n) or imag.shape != real.shape:
         raise ValueError(
-            f"state of shape {psi.shape} does not match 2**({L}+{n}) = {1 << (L + n)}"
+            f"state of shape {real.shape} does not match 2**({L}+{n}) = {1 << (L + n)}"
         )
-    # psi as real (Re, Im) pairs, m[..., c, (a, part)]: one real product
-    # g = m^T m holds every part combination of the sum over c, with no
-    # conjugated copy of the states
-    stack = psi.shape[:-1]
-    m = np.ascontiguousarray(psi, dtype=np.complex128).view(np.float64)
-    m = m.reshape(stack + (1 << L, 2 << n))
-    g = (np.swapaxes(m, -1, -2) @ m).reshape(stack + (1 << n, 2, 1 << n, 2))
-    rho = (g[..., 0, :, 0] + g[..., 1, :, 1]) + 1j * (g[..., 1, :, 0] - g[..., 0, :, 1])
-    return _unit_trace(rho)
+    shape = real.shape[:-1] + (1 << L, 1 << n)
+    a = np.ascontiguousarray(real, dtype=float).reshape(shape)
+    b = np.ascontiguousarray(imag, dtype=float).reshape(shape)
+    a_t, b_t = np.swapaxes(a, -1, -2), np.swapaxes(b, -1, -2)
+    x = b_t @ a
+    return _unit_trace((a_t @ a + b_t @ b) + 1j * (x - np.swapaxes(x, -1, -2)))
 
 
 def _unit_trace(rho) -> np.ndarray:
@@ -70,18 +74,21 @@ def _unit_trace(rho) -> np.ndarray:
 
 
 def reduce_expansion(coefficients, vectors, L: int, n: int) -> np.ndarray:
-    """Reduced battery state of every expansion ``coefficients[j] @ vectors``,
+    """Reduced battery state of every expansion of ``chebyshev_series``,
     without forming any state.
 
-    With v_k[c, a] the K vectors under the model bit convention, the Gram
-    matrix G[k, a, l, b] = sum_c v_k[c, a] conj(v_l[c, b]) over charger
-    configurations c gives rho_ab = sum_kl c_k conj(c_l) G[k, a, l, b].  G
-    is one (K 2**n x 2**L) @ (2**L x K 2**n) product; each GRID_BLOCK of
-    grid points then costs one product with G and one contraction with the
-    conjugate coefficients, T K**2 4**n operations in all against
-    T K 2**(L+n) for forming the states.
+    State j is sum_k s_k g_jk v_k with real coefficients g and phases s_k =
+    1 (k even) or -i (k odd).  With v_k[c, a] the K vectors under the model
+    bit convention, the Gram matrix G[k, a, l, b] = sum_c v_k[c, a]
+    conj(v_l[c, b]) over charger configurations c gives rho_ab = sum_kl g_k
+    g_l P[k, a, l, b], P = s_k conj(s_l) G.  G is one (K 2**n x 2**L) @
+    (2**L x K 2**n) product, and the phases are folded into it once; each
+    GRID_BLOCK of grid points then costs one real product of g with P, read
+    as pairs of reals, and one contraction with g, T K**2 4**n multiply-adds
+    for each of the real and imaginary parts against T K 2**(L+n) for
+    forming the states.
     """
-    coefficients, vectors = np.asarray(coefficients), np.asarray(vectors)
+    coefficients, vectors = np.asarray(coefficients, dtype=float), np.asarray(vectors)
     if vectors.ndim != 2 or vectors.shape[1] != 1 << (L + n) or coefficients.ndim != 2 \
             or coefficients.shape[1] != vectors.shape[0]:
         raise ValueError(
@@ -93,13 +100,19 @@ def reduce_expansion(coefficients, vectors, L: int, n: int) -> np.ndarray:
     # cols is always a fresh buffer: numpy sends x @ x.T on one buffer to
     # syrk, whose bits change with the BLAS thread count
     rows = np.ascontiguousarray(v.transpose(0, 2, 1)).reshape(kept * levels, 1 << L)
-    cols = v.transpose(1, 0, 2).copy().reshape(1 << L, kept * levels)
-    gram = (rows @ cols.conj()).reshape(kept, levels * kept * levels)
+    cols = np.conjugate(v.transpose(1, 0, 2), order="C").reshape(1 << L, kept * levels)
+    phases = np.where(np.arange(kept) % 2, -1j, 1.0)
+    # folded[k, a, b, l] = s_k conj(s_l) G[k, a, l, b], with l last so the
+    # contraction with g runs along memory; the product with g reads it as
+    # real pairs
+    folded = np.multiply((rows @ cols).reshape(kept, levels, kept, levels).transpose(0, 1, 3, 2),
+                         np.multiply.outer(phases, phases.conj())[:, None, None, :], order="C")
+    parts = folded.view(np.float64).reshape(kept, -1)
     rho = np.empty((coefficients.shape[0], levels, levels), dtype=np.complex128)
     for lo in range(0, coefficients.shape[0], GRID_BLOCK):
         block = coefficients[lo:lo + GRID_BLOCK]
-        half = mixed_matmul(block, gram).reshape(-1, levels, kept, levels)
-        rho[lo:lo + GRID_BLOCK] = np.einsum("talb,tl->tab", half, block.conj())
+        half = (block @ parts).view(np.complex128).reshape(-1, levels, levels, kept)
+        rho[lo:lo + GRID_BLOCK] = np.einsum("tabl,tl->tab", half, block)
     return _unit_trace(rho)
 
 
@@ -229,8 +242,9 @@ def merit_series(traj: Trajectory) -> MeritSeries:
     With K Chebyshev vectors, the reduced states come from their Gram
     matrix (``reduce_expansion``) when K 2**n < 2**L, the case where that
     contraction takes fewer operations than forming the states; otherwise
-    states are formed and reduced GRID_BLOCK grid points at a time.  Either
-    way no (T, dim) array is ever held.
+    the real and imaginary parts of the states are formed (``state_blocks``)
+    and reduced GRID_BLOCK grid points at a time, in two buffers reused
+    from block to block.  Either way no (T, dim) array is ever held.
     """
     spec = traj.spec
     times = traj.times
@@ -239,9 +253,8 @@ def merit_series(traj: Trajectory) -> MeritSeries:
         rho = reduce_expansion(traj.coefficients, traj.vectors, spec.L, spec.n)
     else:
         rho = np.concatenate([
-            reduce_to_battery(mixed_matmul(traj.coefficients[lo:lo + GRID_BLOCK], traj.vectors),
-                              spec.L, spec.n)
-            for lo in range(0, times.size, GRID_BLOCK)
+            reduce_to_battery((real, imag), spec.L, spec.n)
+            for _, real, imag in state_blocks(traj.coefficients, traj.vectors)
         ])
     stored = stored_energy(rho, levels)
     work, _ = ergotropy_populations(rho, levels)

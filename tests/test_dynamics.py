@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sunburst_battery import (
     InitialStateSpec,
@@ -20,7 +22,7 @@ from sunburst_battery import (
     xbasis_product_state,
 )
 from sunburst_battery import linalg
-from sunburst_battery.dynamics import battery_ground
+from sunburst_battery.dynamics import CHARGER_KINDS, battery_ground
 
 
 def test_ghz_single_site():
@@ -213,3 +215,36 @@ def test_long_window_matches_dense_oracle(spec, init):
     states = trajectory(spec, init, times).states
     oracle = evolve_on_grid(linalg.eigh(build_total(spec).matrix), initial_state(spec, init), times)
     assert np.max(np.abs(states - oracle)) <= 1e-12
+
+
+@st.composite
+def small_runs(draw, kind):
+    """A random model with L + n <= 7, a ``kind`` charger preparation and an
+    increasing grid on [0, 5]."""
+    n = draw(st.integers(0, 3))
+    L = draw(st.integers(max(n, 2), 7 - n))  # n d <= L: the batteries must fit
+    d = draw(st.integers(1, L // n)) if n else None
+    spec = ModelSpec(L, n, d=d, h=draw(st.floats(0.0, 1.0)), delta=draw(st.floats(0.0, 1.0)),
+                     kappa=draw(st.floats(0.0, 2.0)))
+    init = InitialStateSpec(
+        kind,
+        index=draw(st.integers(0, (1 << L) - 1)) if kind == "eigenstate" else None,
+        seed=draw(st.integers(0, 2 ** 32 - 1)) if kind == "random" else None,
+    )
+    times = np.sort(draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=12, unique=True)))
+    return spec, init, times
+
+
+@pytest.mark.parametrize("kind", CHARGER_KINDS)
+def test_trajectory_matches_dense_oracle_on_random_runs(kind):
+    # ten derandomized draws per charger kind, forty in all
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(small_runs(kind))
+    def check(run):
+        spec, init, times = run
+        states = trajectory(spec, init, times).states
+        oracle = evolve_on_grid(linalg.eigh(build_total(spec).matrix),
+                                initial_state(spec, init), times)
+        assert np.max(np.abs(states - oracle)) <= 1e-12
+
+    check()

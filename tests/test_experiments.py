@@ -390,6 +390,27 @@ def test_cli_end_to_end_small_run(tmp_path):
     assert main(["sweep", "--config", str(config_path)]) == 2  # no sweep section
 
 
+def test_cli_rejects_fewer_than_one_job(tmp_path, capsys):
+    out = tmp_path / "fig4.csv"
+    for jobs in ("0", "-5"):
+        assert main(["fig4", "--jobs", jobs, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: jobs must be at least 1, got {jobs}\n"
+    assert not out.exists()
+
+
+def test_cli_refuses_a_window_whose_expansion_cannot_fit_in_memory(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "model": {"L": 4, "n": 1},
+        "grid": {"t_end": 1e12},
+        "output_path": str(tmp_path / "huge.csv"),
+    }))
+    assert main(["fig4", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Chebyshev expansion at z = ") and "physical memory" in err
+    assert not (tmp_path / "huge.csv").exists()
+
+
 def test_parallel_jobs_give_identical_output(tmp_path):
     commands = {
         "fig1": lambda config, jobs: cmd_fig1(config, collapse_systems=((4, 2),), jobs=jobs),

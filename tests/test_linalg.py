@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from sunburst_battery import (
 )
 from sunburst_battery import linalg
 from sunburst_battery.dynamics import random_state
-from sunburst_battery.linalg import GRID_BLOCK, row_sum_bound
+from sunburst_battery.linalg import GRID_BLOCK, row_sum_bound, series_states
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -199,8 +202,59 @@ def test_chebyshev_series_real_state_under_complex_hamiltonian():
     times = np.array([0.0, 0.05, 0.9, 4.0])
     coefficients, vectors = chebyshev_series(lambda v: ham @ v, row_sum_bound(ham), psi, times)
     assert np.iscomplexobj(vectors) and coefficients.shape == (times.size, vectors.shape[0])
-    for t, state in zip(times, coefficients @ vectors):
+    for t, state in zip(times, series_states(coefficients, vectors)):
         assert np.max(np.abs(state - expm_series_oracle(ham, psi, t))) <= 1e-8
+
+
+def bessel_j(k: int, z: float) -> float:
+    """J_k(z) from its power series sum_m (-1)^m (z/2)^(2m+k) / (m! (m+k)!)
+    in exact rational arithmetic, summed until the alternating terms, which
+    decrease once m > z, fall below 1e-40."""
+    half = Fraction(z) / 2
+    term = half ** k / math.factorial(k)
+    total, m = Fraction(0), 0
+    while m <= z or abs(term) > Fraction(1, 10 ** 40):
+        total += term
+        m += 1
+        term *= -half * half / (m * (m + k))
+    return float(total)
+
+
+def test_chebyshev_coefficients_match_exact_bessel_series():
+    # g_0 = J_0(z) and g_k = 2 (-1)^floor(k/2) J_k(z): checks the FFT and the
+    # sign convention against no FFT at all
+    zs = [0.0, 0.3, 1.7, 4.0, 9.0]
+    coefficients, _ = chebyshev_series(lambda v: np.diag([-1.0, 1.0]) @ v, 1.0,
+                                       np.array([1.0, 0.0]), zs)
+    for z, row in zip(zs, coefficients):
+        for k in range(31):
+            exact = (1 if k == 0 else 2) * (-1) ** (k // 2) * bessel_j(k, z)
+            got = row[k] if k < row.size else 0.0
+            assert abs(got - exact) <= 1e-14, (z, k)
+
+
+def test_coefficient_stage_is_chunked_without_changing_a_bit(monkeypatch):
+    # more than two grid blocks: every FFT sees at most GRID_BLOCK grid
+    # points, and the result is the one-block result to the last bit
+    ham = np.diag([-1.0, 0.25, 1.0])
+    psi = np.ones(3) / np.sqrt(3)
+    times = np.linspace(0.0, 30.0, 2 * GRID_BLOCK + 77)
+    rows = []
+    real_fft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda a, **kw: rows.append(len(a)) or real_fft(a, **kw))
+    chunked, _ = chebyshev_series(lambda v: ham @ v, 1.0, psi, times)
+    assert rows == [GRID_BLOCK, GRID_BLOCK, 77]
+    monkeypatch.setattr(linalg, "GRID_BLOCK", times.size)
+    whole, _ = chebyshev_series(lambda v: ham @ v, 1.0, psi, times)
+    assert rows[3:] == [times.size]
+    assert chunked.shape == whole.shape and np.array_equal(chunked, whole)
+
+
+def test_chebyshev_series_refuses_a_window_beyond_physical_memory():
+    # without the check this size fails at once with MemoryError
+    ham = np.diag([-1.0, 1.0])
+    with pytest.raises(ValueError, match=r"z = 1e\+12 needs .* bytes, more than .* memory"):
+        chebyshev_series(lambda v: ham @ v, 1.0, np.array([1.0, 0.0]), [0.0, 1e12])
 
 
 def test_chebyshev_series_raises_when_the_tail_does_not_converge(monkeypatch):
