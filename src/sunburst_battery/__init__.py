@@ -66,6 +66,7 @@ from .linalg import (
 )
 from .model import (
     HermitianOperator,
+    Layout,
     ModelSpec,
     battery_energies,
     battery_positions,
@@ -74,6 +75,7 @@ from .model import (
     build_coupling,
     build_total,
     parity_sectors,
+    sector_layout,
     terms,
     total_matvec,
 )

@@ -5,7 +5,9 @@ Haar-random state; the batteries always start in the all-ground state
 |00...0>.  A trajectory is one Chebyshev expansion of exp(-i H t) psi0
 driven by the matrix-free Hamiltonian, with real coefficients: exact to
 roundoff at every grid time (no step-size error), with no dense matrix and
-no eigendecomposition.
+no eigendecomposition.  The Hamiltonian conserves the total parity, so a
+state with no weight in one parity sector (a cat charger with ground
+batteries) is expanded on the other sector alone, at half the size.
 """
 
 from __future__ import annotations
@@ -15,7 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import chebyshev_series, series_states
-from .model import ModelSpec, bit_counts, config_fields, total_matvec
+from .model import (
+    Layout,
+    ModelSpec,
+    bit_counts,
+    config_fields,
+    parity_sectors,
+    sector_layout,
+    total_matvec,
+)
 
 # Not called here: the benchmark tracer wraps these two bindings, and
 # re-pinning its targets to the Chebyshev path is ROADMAP item 1.
@@ -100,8 +110,9 @@ class InitialStateSpec:
 
     charger_kind: ghz_plus | ghz_minus | eigenstate | random
     index: x-basis sign pattern, required for "eigenstate"
-    seed: generator seed, required for "random" (the experiment runner
-          fills it from the run seed when left unset)
+    seed: generator seed, required for "random" (every experiment command
+          fills it from the run seed when left unset, through
+          ExperimentConfig.seeded_initial)
     """
 
     charger_kind: str = "ghz_plus"
@@ -145,22 +156,33 @@ def initial_state(spec: ModelSpec, init: InitialStateSpec) -> np.ndarray:
 @dataclass
 class Trajectory:
     """States on a time grid as a Chebyshev expansion with real coefficients
-    (shapes (T, K) and (K, dim)): the state at times[j] is the sum over k of
-    coefficients[j, k] vectors[k], times -i for odd k (``chebyshev_series``)."""
+    (shapes (T, K) and (K, size)): the state at times[j] is the sum over k of
+    coefficients[j, k] vectors[k], times -i for odd k (``chebyshev_series``).
+    The vector entries are laid out by ``layout``, the full space unless
+    given: size is dim, or dim / 2 on one parity sector."""
 
     spec: ModelSpec
     times: np.ndarray
     coefficients: np.ndarray
     vectors: np.ndarray
+    layout: Layout | None = None
+
+    def __post_init__(self):
+        if self.layout is None:
+            self.layout = sector_layout(self.spec)
 
     @property
     def states(self) -> np.ndarray:
-        """Every state at once, shape (T, dim); row k is the state at times[k]."""
-        return series_states(self.coefficients, self.vectors)
+        """Every state at once in the natural basis order, shape (T, dim);
+        row k is the state at times[k]."""
+        states = np.zeros((len(self.times), self.spec.dim), dtype=np.complex128)
+        states[:, self.layout.basis] = series_states(self.coefficients, self.vectors)
+        return states
 
 
 def trajectory(spec: ModelSpec, init: InitialStateSpec, times) -> Trajectory:
-    """Evolve the composite initial state to every grid time."""
+    """Evolve the composite initial state to every grid time, on the one
+    parity sector it occupies if it has exact zeros on the other."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("time grid must be a non-empty 1-D array")
@@ -168,6 +190,10 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times) -> Trajectory:
         raise ValueError("time grid must start at t >= 0")
     if times.size > 1 and not np.all(np.diff(times) > 0):
         raise ValueError("time grid must be strictly increasing")
-    matvec, bound = total_matvec(spec)
-    coefficients, vectors = chebyshev_series(matvec, bound, initial_state(spec, init), times)
-    return Trajectory(spec, times, coefficients, vectors)
+    psi0 = initial_state(spec, init)
+    occupied = [parity for parity, idx in enumerate(parity_sectors(spec.dim)) if psi0[idx].any()]
+    layout = sector_layout(spec, occupied[0] if len(occupied) == 1 else None)
+    psi0 = psi0[layout.basis]
+    matvec, bound = total_matvec(spec, layout.basis)
+    coefficients, vectors = chebyshev_series(matvec, bound, psi0, times)
+    return Trajectory(spec, times, coefficients, vectors, layout)

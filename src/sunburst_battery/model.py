@@ -22,13 +22,16 @@ Every term flips an even number of bits (sigma^x sigma^x bonds) or none
 (sigma^z, Sigma^z), so every operator below conserves the total parity
 prod sigma^z prod Sigma^z: it is block diagonal in the even and odd
 bit-count sectors (parity_sectors), and its dense decomposition is solved
-one block at a time.
+one block at a time.  A state in one sector is stored on that sector alone
+(sector_layout), as one (charger rows x battery levels) block per charger
+parity, and total_matvec acts on it in that layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,6 +165,40 @@ def parity_sectors(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(~odd), np.flatnonzero(odd)
 
 
+class Layout(NamedTuple):
+    """Where the entries of a stored vector sit in the composite register.
+
+    ``basis[i]`` is the full-space index of entry i.  The entries form
+    consecutive row-major blocks, one per ``(rows, labels)`` pair: ``rows``
+    charger configurations times the battery levels ``labels``.
+    """
+
+    basis: np.ndarray
+    blocks: tuple
+
+
+def sector_layout(spec: ModelSpec, parity: int | None = None) -> Layout:
+    """The layout of the total-parity sector ``parity`` (0 even, 1 odd), or
+    of the full space when ``parity`` is None.
+
+    The full space is one block: every charger configuration times every
+    battery level, in the natural order.  A sector holds, for each charger
+    parity r, the 2**(L-1) chargers of parity r times the battery levels of
+    parity ``parity`` ^ r; a block with no such level (n = 0) is left out.
+    """
+    if parity is None:
+        return Layout(np.arange(spec.dim), ((1 << spec.L, np.arange(1 << spec.n)),))
+    chargers = bit_counts(np.arange(1 << spec.L)) & 1
+    levels = bit_counts(np.arange(1 << spec.n)) & 1
+    basis, blocks = [], []
+    for r in (0, 1):
+        rows, labels = np.flatnonzero(chargers == r), np.flatnonzero(levels == parity ^ r)
+        if labels.size:
+            basis.append(((rows[:, None] << spec.n) | labels).ravel())
+            blocks.append((rows.size, labels))
+    return Layout(np.concatenate(basis), tuple(blocks))
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """Dense parity-conserving Hermitian operator on the composite register
@@ -230,13 +267,23 @@ def terms(spec: ModelSpec) -> tuple[np.ndarray, tuple[tuple[int, float], ...]]:
     return sum(diag for diag, _ in parts), tuple(f for _, flips in parts for f in flips)
 
 
-def total_matvec(spec: ModelSpec):
+def total_matvec(spec: ModelSpec, basis=None):
     """Matrix-free H_total: ``(matvec, bound)`` where matvec(psi) = H psi, by
-    one ``psi[idx ^ mask]`` gather per flip of terms(), and bound is the
-    Gershgorin row-sum bound max_i sum_j |H_ij| >= ||H||_2."""
+    one gather per flip of terms(), and bound is the Gershgorin row-sum
+    bound max_i sum_j |H_ij| >= ||H||_2 of the full space.
+
+    psi holds the amplitudes of the full-space indices ``basis`` (all of
+    them, in order, by default), which must span whole parity sectors (a
+    Layout's basis): entry i meets its partner under a flip at
+    ``position[basis[i] ^ mask]``, the position in psi of that index.
+    """
     diagonal, flips = terms(spec)
-    idx = np.arange(spec.dim)
-    gathers = [(idx ^ mask, coef) for mask, coef in flips]
+    bound = float(np.max(np.abs(diagonal))) + sum(abs(coef) for _, coef in flips)
+    basis = np.arange(spec.dim) if basis is None else np.asarray(basis)
+    position = np.zeros(spec.dim, dtype=basis.dtype)
+    position[basis] = np.arange(basis.size)
+    gathers = [(position[basis ^ mask], coef) for mask, coef in flips]
+    diagonal = diagonal[basis]
 
     def matvec(psi):
         out = diagonal * psi
@@ -244,7 +291,7 @@ def total_matvec(spec: ModelSpec):
             out += coef * psi[partner]
         return out
 
-    return matvec, float(np.max(np.abs(diagonal))) + sum(abs(coef) for _, coef in flips)
+    return matvec, bound
 
 
 def _scatter(spec: ModelSpec, diagonal: np.ndarray, flips) -> HermitianOperator:

@@ -19,7 +19,9 @@ reduced either from the real and imaginary parts of its states, formed a
 grid block at a time by real matrix products, or without forming any
 state, from the Gram matrix of its Chebyshev vectors over the charger with
 the phases of the real coefficients folded in (``reduce_expansion``),
-whichever costs fewer operations.
+whichever costs fewer operations.  A trajectory on one parity sector is
+reduced block by block (model.Layout): each charger parity meets the
+battery levels of one parity only.
 """
 
 from __future__ import annotations
@@ -37,7 +39,20 @@ UNAVAILABLE_TOL = 1e-9
 WORK_FLOOR = 1e-12  # below this the clamped ergotropy counts as zero
 
 
-def reduce_to_battery(psi, L: int, n: int) -> np.ndarray:
+def _block_slices(L: int, n: int, blocks):
+    """``(entries, rows, labels)`` for each ``(rows, labels)`` block of a
+    model.Layout (the full register's one block when None), ``entries``
+    the slice of a stored vector the block fills, and the vector size."""
+    if blocks is None:
+        blocks = ((1 << L, np.arange(1 << n)),)
+    slices, size = [], 0
+    for rows, labels in blocks:
+        slices.append((slice(size, size + rows * labels.size), rows, labels))
+        size += rows * labels.size
+    return slices, size
+
+
+def reduce_to_battery(psi, L: int, n: int, blocks=None) -> np.ndarray:
     """Trace the charger out of a composite pure state or a stack of them.
 
     psi has shape (..., 2**(L+n)), or is the pair (real, imag) of its real
@@ -47,19 +62,30 @@ def reduce_to_battery(psi, L: int, n: int) -> np.ndarray:
     the real and imaginary parts as (2**L x 2**n) matrices,
     rho = A^T A + B^T B + i (X - X^T), X = B^T A: three real products, with
     no conjugated or interleaved copy of the states.
+
+    With ``blocks``, the ``(rows, labels)`` blocks of a model.Layout, psi
+    holds the entries of that layout instead: each block is its own
+    (rows x len(labels)) matrix, and its reduced state fills the rows and
+    columns ``labels`` of rho, which is zero elsewhere.
     """
     real, imag = psi if isinstance(psi, tuple) else (np.real(psi), np.imag(psi))
     real, imag = np.asarray(real), np.asarray(imag)
-    if real.ndim == 0 or real.shape[-1] != 1 << (L + n) or imag.shape != real.shape:
+    slices, size = _block_slices(L, n, blocks)
+    if real.ndim == 0 or real.shape[-1] != size or imag.shape != real.shape:
         raise ValueError(
-            f"state of shape {real.shape} does not match 2**({L}+{n}) = {1 << (L + n)}"
+            f"state of shape {real.shape} does not match the {size} entries of "
+            f"2**({L}+{n}) = {1 << (L + n)}"
         )
-    shape = real.shape[:-1] + (1 << L, 1 << n)
-    a = np.ascontiguousarray(real, dtype=float).reshape(shape)
-    b = np.ascontiguousarray(imag, dtype=float).reshape(shape)
-    a_t, b_t = np.swapaxes(a, -1, -2), np.swapaxes(b, -1, -2)
-    x = b_t @ a
-    return _unit_trace((a_t @ a + b_t @ b) + 1j * (x - np.swapaxes(x, -1, -2)))
+    real = np.ascontiguousarray(real, dtype=float)
+    imag = np.ascontiguousarray(imag, dtype=float)
+    rho = np.zeros(real.shape[:-1] + (1 << n, 1 << n), dtype=np.complex128)
+    for entries, rows, labels in slices:
+        shape = real.shape[:-1] + (rows, labels.size)
+        a, b = real[..., entries].reshape(shape), imag[..., entries].reshape(shape)
+        a_t, b_t = np.swapaxes(a, -1, -2), np.swapaxes(b, -1, -2)
+        x = b_t @ a
+        rho[..., labels[:, None], labels] = (a_t @ a + b_t @ b) + 1j * (x - np.swapaxes(x, -1, -2))
+    return _unit_trace(rho)
 
 
 def _unit_trace(rho) -> np.ndarray:
@@ -73,7 +99,7 @@ def _unit_trace(rho) -> np.ndarray:
     return rho
 
 
-def reduce_expansion(coefficients, vectors, L: int, n: int) -> np.ndarray:
+def reduce_expansion(coefficients, vectors, L: int, n: int, blocks=None) -> np.ndarray:
     """Reduced battery state of every expansion of ``chebyshev_series``,
     without forming any state.
 
@@ -86,33 +112,39 @@ def reduce_expansion(coefficients, vectors, L: int, n: int) -> np.ndarray:
     GRID_BLOCK of grid points then costs one real product of g with P, read
     as pairs of reals, and one contraction with g, T K**2 4**n multiply-adds
     for each of the real and imaginary parts against T K 2**(L+n) for
-    forming the states.
+    forming the states.  With ``blocks`` (see reduce_to_battery) the vectors
+    are in that layout, and each block is contracted on its own.
     """
     coefficients, vectors = np.asarray(coefficients, dtype=float), np.asarray(vectors)
-    if vectors.ndim != 2 or vectors.shape[1] != 1 << (L + n) or coefficients.ndim != 2 \
+    slices, size = _block_slices(L, n, blocks)
+    if vectors.ndim != 2 or vectors.shape[1] != size or coefficients.ndim != 2 \
             or coefficients.shape[1] != vectors.shape[0]:
         raise ValueError(
             f"expansion of shapes {coefficients.shape} @ {vectors.shape} does not match "
-            f"2**({L}+{n}) = {1 << (L + n)}"
+            f"the {size} entries of 2**({L}+{n}) = {1 << (L + n)}"
         )
-    kept, levels = vectors.shape[0], 1 << n
-    v = vectors.reshape(kept, 1 << L, levels)
-    # cols is always a fresh buffer: numpy sends x @ x.T on one buffer to
-    # syrk, whose bits change with the BLAS thread count
-    rows = np.ascontiguousarray(v.transpose(0, 2, 1)).reshape(kept * levels, 1 << L)
-    cols = np.conjugate(v.transpose(1, 0, 2), order="C").reshape(1 << L, kept * levels)
+    kept = vectors.shape[0]
     phases = np.where(np.arange(kept) % 2, -1j, 1.0)
-    # folded[k, a, b, l] = s_k conj(s_l) G[k, a, l, b], with l last so the
-    # contraction with g runs along memory; the product with g reads it as
-    # real pairs
-    folded = np.multiply((rows @ cols).reshape(kept, levels, kept, levels).transpose(0, 1, 3, 2),
-                         np.multiply.outer(phases, phases.conj())[:, None, None, :], order="C")
-    parts = folded.view(np.float64).reshape(kept, -1)
-    rho = np.empty((coefficients.shape[0], levels, levels), dtype=np.complex128)
-    for lo in range(0, coefficients.shape[0], GRID_BLOCK):
-        block = coefficients[lo:lo + GRID_BLOCK]
-        half = (block @ parts).view(np.complex128).reshape(-1, levels, levels, kept)
-        rho[lo:lo + GRID_BLOCK] = np.einsum("tabl,tl->tab", half, block)
+    rho = np.zeros((coefficients.shape[0], 1 << n, 1 << n), dtype=np.complex128)
+    for entries, rows, labels in slices:
+        levels = labels.size
+        v = vectors[:, entries].reshape(kept, rows, levels)
+        # right is always a fresh buffer: numpy sends x @ x.T on one buffer to
+        # syrk, whose bits change with the BLAS thread count
+        left = np.ascontiguousarray(v.transpose(0, 2, 1)).reshape(kept * levels, rows)
+        right = np.conjugate(v.transpose(1, 0, 2), order="C").reshape(rows, kept * levels)
+        # folded[k, a, b, l] = s_k conj(s_l) G[k, a, l, b], with l last so the
+        # contraction with g runs along memory; the product with g reads it as
+        # real pairs
+        folded = np.multiply(
+            (left @ right).reshape(kept, levels, kept, levels).transpose(0, 1, 3, 2),
+            np.multiply.outer(phases, phases.conj())[:, None, None, :], order="C")
+        parts = folded.view(np.float64).reshape(kept, -1)
+        for start in range(0, coefficients.shape[0], GRID_BLOCK):
+            block = coefficients[start:start + GRID_BLOCK]
+            half = (block @ parts).view(np.complex128).reshape(-1, levels, levels, kept)
+            rho[start:start + GRID_BLOCK, labels[:, None], labels] = \
+                np.einsum("tabl,tl->tab", half, block)
     return _unit_trace(rho)
 
 
@@ -151,14 +183,19 @@ def _descending_weights(values, what: str) -> np.ndarray:
     return np.sort(clipped / clipped.sum(axis=-1, keepdims=True), axis=-1)[..., ::-1]
 
 
-def ergotropy(rho, level_energies):
+def ergotropy(rho, level_energies, sectors=None):
     """Extractable work and passive energy from the spectral passive state.
 
     Eigenvalues of rho sorted descending are paired with the battery levels
     sorted ascending; returns (work, passive_energy) with work clamped at 0.
+    ``sectors``, index arrays of levels partitioning them, says that rho is
+    block diagonal on them: its spectrum is then that of each block.
     """
     levels = np.asarray(level_energies, dtype=float)
-    weights = _descending_weights(np.linalg.eigvalsh(rho), "density matrix spectrum")
+    spectrum = (np.linalg.eigvalsh(rho) if sectors is None or len(sectors) == 1 else
+                np.concatenate([np.linalg.eigvalsh(rho[..., idx[:, None], idx])
+                                for idx in sectors], axis=-1))
+    weights = _descending_weights(spectrum, "density matrix spectrum")
     passive = weights @ np.sort(levels)
     return np.maximum(0.0, _populations(rho) @ levels - passive), passive
 
@@ -244,21 +281,25 @@ def merit_series(traj: Trajectory) -> MeritSeries:
     contraction takes fewer operations than forming the states; otherwise
     the real and imaginary parts of the states are formed (``state_blocks``)
     and reduced GRID_BLOCK grid points at a time, in two buffers reused
-    from block to block.  Either way no (T, dim) array is ever held.
+    from block to block.  Either way no (T, dim) array is ever held, and
+    each block of the trajectory's layout is reduced on its own: on one
+    parity sector the reduced states are block diagonal in the battery
+    parity, and their spectra are taken block by block.
     """
     spec = traj.spec
     times = traj.times
     levels = battery_energies(spec.n, spec.delta)
+    blocks = traj.layout.blocks
     if traj.vectors.shape[0] << spec.n < 1 << spec.L:
-        rho = reduce_expansion(traj.coefficients, traj.vectors, spec.L, spec.n)
+        rho = reduce_expansion(traj.coefficients, traj.vectors, spec.L, spec.n, blocks)
     else:
         rho = np.concatenate([
-            reduce_to_battery((real, imag), spec.L, spec.n)
+            reduce_to_battery((real, imag), spec.L, spec.n, blocks)
             for _, real, imag in state_blocks(traj.coefficients, traj.vectors)
         ])
     stored = stored_energy(rho, levels)
     work, _ = ergotropy_populations(rho, levels)
-    work_spectral, _ = ergotropy(rho, levels)
+    work_spectral, _ = ergotropy(rho, levels, [labels for _, labels in blocks])
     unavailable = stored - work
     negative = np.flatnonzero(unavailable < -UNAVAILABLE_TOL)
     if negative.size:

@@ -8,12 +8,16 @@ from sunburst_battery import (
     ModelSpec,
     battery_energies,
     build_total,
+    charging_power,
     compose,
+    ergotropy,
     ergotropy_populations,
     evolve_on_grid,
     ghz_minus,
     ghz_plus,
     initial_state,
+    linear_entropy,
+    merit_series,
     parity_sectors,
     random_charger,
     reduce_to_battery,
@@ -174,27 +178,35 @@ def test_full_scale_excited_population_at_charging_time():
         assert abs(population - 16.0 / 16.25) <= tol
 
 
-@pytest.mark.parametrize("spec", [
-    ModelSpec(6, 0, h=0.3),
-    ModelSpec(5, 1, h=0.2, kappa=1.3),
-    ModelSpec(6, 2, d=2, h=0.1),
-    ModelSpec(4, 4, d=1, h=0.4, delta=0.7, kappa=0.9),
-], ids=["L6n0", "L5n1", "L6n2d2", "L4n4"])
+@pytest.mark.parametrize("spec, t_end", [
+    (ModelSpec(6, 0, h=0.3), 3.0),
+    (ModelSpec(5, 1, h=0.2, kappa=1.3), 3.0),
+    (ModelSpec(7, 1, h=0.1), 0.5),
+    (ModelSpec(6, 2, d=2, h=0.1), 3.0),
+    (ModelSpec(4, 4, d=1, h=0.4, delta=0.7, kappa=0.9), 3.0),
+], ids=["L6n0", "L5n1", "L7n1-gram", "L6n2d2", "L4n4"])
 @pytest.mark.parametrize("init", [
     InitialStateSpec(),
     InitialStateSpec("ghz_minus"),
     InitialStateSpec("eigenstate", index=5),
     InitialStateSpec("random", seed=11),
 ], ids=lambda init: init.charger_kind)
-def test_sector_trajectory_matches_dense_oracle(spec, init, monkeypatch):
+def test_sector_trajectory_matches_dense_oracle(spec, t_end, init, monkeypatch):
     # the matrix-free Chebyshev path against dense full-space ED; it solves
-    # nothing, and a cat charger's empty parity sector (the odd one for
-    # ghz_plus, the even one for ghz_minus) stays exactly zero
+    # nothing.  A cat charger is expanded on its one parity sector (vectors
+    # of half the length) and its empty sector (the odd one for ghz_plus,
+    # the even one for ghz_minus) stays exactly zero; an x-product or random
+    # charger is expanded on the full space.  Either way every merit column
+    # follows the reduced oracle states.  The (7, 1) window is short enough
+    # for the Gram contraction (K 2**n < 2**L)
     solved = []
     dense_eigh = linalg.eigh
     monkeypatch.setattr(linalg, "eigh", lambda m: solved.append(len(m)) or dense_eigh(m))
-    times = np.linspace(0.0, 3.0, 41)
-    states = trajectory(spec, init, times).states
+    times = np.linspace(0.0, t_end, 41)
+    traj = trajectory(spec, init, times)
+    cat = init.charger_kind.startswith("ghz")
+    assert traj.vectors.shape == (traj.coefficients.shape[1], spec.dim // 2 if cat else spec.dim)
+    states = traj.states
     psi0 = initial_state(spec, init)
     oracle = evolve_on_grid(dense_eigh(build_total(spec).matrix), psi0, times)
     assert np.max(np.abs(states - oracle)) <= 1e-12
@@ -202,6 +214,21 @@ def test_sector_trajectory_matches_dense_oracle(spec, init, monkeypatch):
     even, odd = parity_sectors(spec.dim)
     for idx in {"ghz_plus": [odd], "ghz_minus": [even]}.get(init.charger_kind, []):
         assert not psi0[idx].any() and not states[:, idx].any()
+    levels = battery_energies(spec.n, spec.delta)
+    rho = reduce_to_battery(oracle, spec.L, spec.n)
+    stored = stored_energy(rho, levels)
+    work = ergotropy_populations(rho, levels)[0]
+    series = merit_series(traj)
+    expected = {
+        "stored_energy": stored,
+        "ergotropy": work,
+        "ergotropy_spectral": ergotropy(rho, levels)[0],
+        "linear_entropy": linear_entropy(rho),
+        "power": charging_power(stored, times),
+        "unavailable": stored - work,
+    }
+    for name, column in expected.items():
+        assert np.max(np.abs(getattr(series, name) - column)) <= 1e-12, name
 
 
 @pytest.mark.parametrize("spec, init", [

@@ -299,6 +299,14 @@ def test_fig4_small_scale_determinism(tmp_path):
     assert np.array_equal(first, again)
 
 
+def test_fig4_compares_each_battery_with_the_closed_form(tmp_path):
+    # the closed form is for one battery: an (8, 2) register holds two, and
+    # its total ergotropy is about twice that curve
+    config = small_config(tmp_path, "fig4.csv", model={**SMALL_MODEL, "L": 8, "n": 2})
+    summary = cmd_fig4(config, n_seeds=2)
+    assert summary["max_deviation_vs_analytic"] <= 0.05
+
+
 def test_sweep_requires_and_runs(tmp_path):
     config = small_config(tmp_path, "sweep.csv")
     with pytest.raises(ValueError, match="sweep"):
@@ -388,6 +396,25 @@ def test_cli_end_to_end_small_run(tmp_path):
     cols = read_csv(tmp_path / "cli_fig4.csv")
     assert len(cols["t"]) == 90
     assert main(["sweep", "--config", str(config_path)]) == 2  # no sweep section
+
+
+@pytest.mark.parametrize("command", ["fig1", "fig2", "fig3"])
+def test_cli_fills_a_random_charger_seed_from_the_run_seed(tmp_path, command):
+    # a random charger without a seed runs as if given the run seed (here
+    # set by --seed), as sweep always did; fig3 scans the one kappa of the
+    # sweep section
+    outputs = []
+    for initial in ({"charger_kind": "random"}, {"charger_kind": "random", "seed": 9}):
+        config_path = tmp_path / "config.json"
+        outputs.append(tmp_path / f"{command}-{len(outputs)}.csv")
+        config_path.write_text(json.dumps({
+            "initial": initial,
+            "grid": {"t_start": 0.0, "t_end": 1.0, "steps": 8},
+            "sweep": {"parameter": "kappa", "values": [2.0]},
+            "output_path": str(outputs[-1]),
+        }))
+        assert main([command, "--config", str(config_path), "--seed", "9"]) == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
 def test_cli_rejects_fewer_than_one_job(tmp_path, capsys):

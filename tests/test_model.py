@@ -10,6 +10,8 @@ from sunburst_battery import (
     build_coupling,
     build_total,
     ghz_plus,
+    parity_sectors,
+    sector_layout,
     terms,
     total_matvec,
 )
@@ -228,6 +230,43 @@ def test_term_list_scatters_to_the_accumulated_matrix_bit_for_bit(spec):
     assert np.max(np.abs(matvec(psi) - dense @ psi)) <= 1e-13
     assert bound == pytest.approx(np.max(np.abs(dense).sum(axis=1)), abs=1e-13)
     assert bound >= np.max(np.abs(np.linalg.eigvalsh(dense))) - 1e-12  # tight at h = 0
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec(5, 0, h=0.3),
+    ModelSpec(4, 1, h=0.2),
+    ModelSpec(4, 2, h=0.3, delta=0.7, kappa=1.1),
+    ModelSpec(3, 3, d=1, h=0.4),
+], ids=["L5n0", "L4n1", "L4n2", "L3n3"])
+def test_sector_layout_orders_each_parity_sector_in_blocks(spec):
+    full = sector_layout(spec)
+    assert np.array_equal(full.basis, np.arange(spec.dim))
+    (rows, labels), = full.blocks
+    assert rows == 1 << spec.L and np.array_equal(labels, np.arange(1 << spec.n))
+    dense = build_total(spec).matrix
+    psi = np.random.default_rng(spec.dim).standard_normal(spec.dim)
+    for parity, sector in enumerate(parity_sectors(spec.dim)):
+        layout = sector_layout(spec, parity)
+        assert np.array_equal(np.sort(layout.basis), sector)
+        # one block per charger parity r, its battery levels of parity
+        # parity ^ r; with n = 0 the block with no level is left out
+        assert len(layout.blocks) == (2 if spec.n else 1)
+        lo = 0
+        for rows, labels in layout.blocks:
+            assert rows == 1 << (spec.L - 1) and labels.size == max(1, 1 << spec.n >> 1)
+            chunk = layout.basis[lo:lo + rows * labels.size].reshape(rows, labels.size)
+            chargers = chunk >> spec.n
+            assert np.all(chunk % (1 << spec.n) == labels) and np.all(chargers == chargers[:, :1])
+            r, = {bin(c).count("1") % 2 for c in chargers[:, 0].tolist()}
+            assert {bin(a).count("1") % 2 for a in labels.tolist()} == {parity ^ r}
+            lo += rows * labels.size
+        assert lo == spec.dim // 2
+        # the matrix-free product in that layout is the dense sector block,
+        # with the full-space norm bound
+        matvec, bound = total_matvec(spec, layout.basis)
+        block = dense[np.ix_(layout.basis, layout.basis)]
+        assert np.max(np.abs(matvec(psi[layout.basis]) - block @ psi[layout.basis])) <= 1e-13
+        assert bound == total_matvec(spec)[1]
 
 
 def test_battery_spectrum_multiplicities():

@@ -80,14 +80,16 @@ def test_reduce_rejects_bad_input():
 @pytest.mark.parametrize("init", [InitialStateSpec(), InitialStateSpec("random", seed=6)],
                          ids=["cat", "random"])
 def test_gram_and_state_reductions_agree_on_every_entry(init):
-    # whole reduced states, coherences included, from a real and a complex
-    # vector sequence of many terms; and the (real, imag) form of a state
-    # reduces exactly like the complex one
+    # whole reduced states, coherences included, from a real vector sequence
+    # on one parity sector and a complex one on the full space, of many
+    # terms; and the (real, imag) form of a state reduces exactly like the
+    # complex one
     traj = trajectory(ModelSpec(5, 2, d=2, h=0.3, delta=0.5, kappa=1.5), init,
                       np.linspace(0.0, 1.5, 40))
     states = traj.states
     rho = reduce_to_battery(states, 5, 2)
-    assert np.max(np.abs(reduce_expansion(traj.coefficients, traj.vectors, 5, 2) - rho)) <= 1e-14
+    gram = reduce_expansion(traj.coefficients, traj.vectors, 5, 2, traj.layout.blocks)
+    assert np.max(np.abs(gram - rho)) <= 1e-14
     assert np.array_equal(reduce_to_battery((states.real, states.imag), 5, 2), rho)
 
 
