@@ -57,15 +57,12 @@ from .experiments import (
     write_csv,
 )
 from .linalg import (
-    SpectralDecomposition,
     chebyshev_series,
-    decompose,
     eigh,
     evolve_on_grid,
     expm_series_oracle,
 )
 from .model import (
-    HermitianOperator,
     Layout,
     ModelSpec,
     battery_energies,

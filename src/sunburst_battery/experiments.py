@@ -129,7 +129,10 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
-        return cls(**config_fields(cls, "sweep", data, required=("parameter", "values")))
+        kwargs = config_fields(cls, "sweep", data, required=("parameter", "values"))
+        if not isinstance(kwargs["values"], list):
+            raise ValueError(f"sweep.values must be a list, got {kwargs['values']!r}")
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -162,12 +165,11 @@ class ExperimentConfig:
         kwargs = config_fields(cls, "config", data, ints=("seed",))
         for key, section in (("model", ModelSpec), ("initial", InitialStateSpec),
                              ("grid", TimeGrid), ("sweep", SweepSpec)):
-            if kwargs.get(key) is None:
-                kwargs.pop(key, None)  # null keeps the default section
-            else:
+            # a null sweep is no sweep; any other section must be an object
+            if key in kwargs and (key != "sweep" or kwargs[key] is not None):
                 kwargs[key] = section.from_dict(kwargs[key])
-        if "output_path" in kwargs:
-            kwargs["output_path"] = str(kwargs["output_path"])
+        if not isinstance(kwargs.get("output_path", ""), str):
+            raise ValueError(f"output_path must be a string, got {kwargs['output_path']!r}")
         return cls(**kwargs)
 
 
@@ -332,8 +334,9 @@ def cmd_fig3(config: ExperimentConfig, kappas=None, n_values=(1, 2, 3, 4),
     default window would miss the peaks at weak coupling).  One summary
     row per point; kappa grid and period-long window are artifact choices.
     Every point has L + n = ``total_qubits``, which the configured model
-    must match.  A point whose peak ergotropy is at most WORK_FLOOR has no
-    work, so no peak: its ``t`` and ``SL_num`` cells are left empty.
+    must match, and a sweep section must sweep kappa.  A point whose peak
+    ergotropy is at most WORK_FLOOR has no work, so no peak: its ``t`` and
+    ``SL_num`` cells are left empty.
     """
     if config.model.L + config.model.n != total_qubits:
         systems = tuple((total_qubits - n, n) for n in n_values)
@@ -341,8 +344,10 @@ def cmd_fig3(config: ExperimentConfig, kappas=None, n_values=(1, 2, 3, 4),
             f"fig3 runs the fixed (L, n) systems {systems} with L + n = {total_qubits}; "
             f"the configured model has L + n = {config.model.L + config.model.n}"
         )
+    if config.sweep is not None and config.sweep.parameter != "kappa":
+        raise ValueError(f"fig3 sweeps kappa only; the config sweeps {config.sweep.parameter}")
     if kappas is None:
-        if config.sweep is not None and config.sweep.parameter == "kappa":
+        if config.sweep is not None:
             kappas = config.sweep.values
         else:
             kappas = FIG3_KAPPAS
@@ -478,7 +483,7 @@ def propagator_gap(rng, dims, models) -> float:
         ham = (raw + raw.conj().T) / 2
         worst = max(worst, gap(ham, lambda v: ham @ v, row_sum_bound(ham), (0.1, 1.0)))
     for spec in models:
-        worst = max(worst, gap(build_total(spec).matrix, *total_matvec(spec), (0.7,)))
+        worst = max(worst, gap(build_total(spec), *total_matvec(spec), (0.7,)))
     return worst
 
 
@@ -566,7 +571,7 @@ def _check_two_battery_analytic(rng, quick):
 
 
 def _charger_commutator(spec: ModelSpec, other: np.ndarray) -> float:
-    h_c = build_charger(spec).matrix
+    h_c = build_charger(spec)
     return float(np.max(np.abs(h_c @ other - other @ h_c)))
 
 
@@ -575,7 +580,7 @@ _COMMUTING_MODEL = ModelSpec(4, 2, h=0.0, delta=0.5, kappa=2.0)
 
 def _check_commutator(rng, quick):
     spec = _COMMUTING_MODEL
-    comm = _charger_commutator(spec, build_batteries(spec).matrix + build_coupling(spec).matrix)
+    comm = _charger_commutator(spec, build_batteries(spec) + build_coupling(spec))
     return comm <= 1e-10, f"max |[H_c, H_b+V]| entry {comm:.2e}"
 
 
@@ -589,7 +594,7 @@ def _check_ghz_energy(rng, quick):
     for L, h in ((2, 0.0), (3, 0.1), (5, 0.7)):
         spec = ModelSpec(L, 0, J=1.3, h=h)
         state = ghz_plus(L)
-        energy = float(np.real(state.conj() @ (build_charger(spec).matrix @ state)))
+        energy = float(np.real(state.conj() @ (build_charger(spec) @ state)))
         worst = max(worst, abs(energy + spec.L * spec.J))
     return worst <= 1e-10, f"max |<H_c> + L*J| {worst:.2e}"
 
@@ -597,7 +602,7 @@ def _check_ghz_energy(rng, quick):
 def _check_battery_spectrum(rng, quick):
     """Battery levels -n d/2 + k d with binomial multiplicity."""
     spec = ModelSpec(3, 3, d=1, delta=0.7)
-    full = np.sort(np.diagonal(build_batteries(spec).matrix))
+    full = np.sort(np.diagonal(build_batteries(spec)))
     levels = battery_energies(spec.n, spec.delta)
     spectrum_ok = np.allclose(full, np.sort(np.tile(levels, 1 << spec.L)), atol=1e-12)
     binomial_ok = all(
@@ -611,7 +616,7 @@ def _check_battery_spectrum(rng, quick):
 def _check_conservation(rng, quick):
     spec = ModelSpec(5, 1, h=0.1)
     traj = trajectory(spec, InitialStateSpec(), np.linspace(0.0, 3.0, 120))
-    drift = conservation_drift(traj.states, build_total(spec).matrix)
+    drift = conservation_drift(traj.states, build_total(spec))
     return drift <= 1e-9, f"max norm/energy drift {drift:.2e}"
 
 

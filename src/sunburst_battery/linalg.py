@@ -6,17 +6,16 @@ psi -> H psi and a bound on ||H||: one vector sequence T_k(H/bound) psi0
 serves every point of a time grid, and each grid point is a set of real
 expansion coefficients, the phases 1 and -i of even and odd terms
 factored out, so the coefficients and the states are formed in real
-arithmetic (``state_blocks``).  Dense LAPACK eigendecomposition (``eigh``, or
-block by block on symmetry sectors with ``decompose``), spectral
-propagation of such a decomposition (``evolve_on_grid``) and a sliced
-Taylor-series propagator (``expm_series_oracle``) are kept as independent
-references for the tests and the self-check suite.
+arithmetic (``state_blocks``).  Dense LAPACK eigendecomposition of the full
+space (``eigh``, a plain ``(eigenvalues, eigenvectors)`` pair), spectral
+propagation with that pair (``evolve_on_grid``) and a sliced Taylor-series
+propagator (``expm_series_oracle``) are kept as independent references for
+the tests and the self-check suite.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,58 +29,12 @@ GRID_BLOCK = 256  # grid points per matrix-matrix product over the time grid
 CHEBYSHEV_TOL = 1e-15
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigendecomposition of a Hermitian operator on ``dim`` basis states,
-    one symmetry sector at a time.
-
-    Each sector is ``(indices, eigenvalues, eigenvectors)``: the basis
-    indices it spans, its eigenvalues (ascending) and the orthonormal
-    eigenvector columns of the block ``H[indices][:, indices]``.  Basis
-    states in no sector were not decomposed: a state with weight on them
-    cannot be propagated.
-
-    Eigenvectors of a real symmetric block are kept in real storage; a
-    complex amplitude vector is then propagated with two real matrix
-    products, which is faster than one complex product and halves the
-    memory held by cached decompositions.
-    """
-
-    dim: int
-    sectors: tuple
-
-
 def _matrix_of(operator) -> np.ndarray:
-    """The square matrix of a plain array or of anything carrying a
-    ``.matrix`` attribute."""
-    m = np.asarray(getattr(operator, "matrix", operator))
+    """The operand as a square matrix."""
+    m = np.asarray(operator)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
-
-
-def mixed_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b (a 2-D, b 1-D or 2-D) without promoting a real operand to a
-    complex copy.
-
-    When exactly one operand is complex, its real and imaginary parts are
-    each multiplied with the real one, straight into the two halves of the
-    complex result: two real products are several times faster than one
-    complex product.  The parts are copied to contiguous storage first: they
-    are strided views, and matmul on strided input misses the BLAS path.
-    """
-    complex_a = np.iscomplexobj(a)
-    if complex_a == np.iscomplexobj(b):
-        return a @ b
-    out = np.empty(a.shape[:-1] + b.shape[1:], dtype=np.complex128)
-    z = a if complex_a else b
-    for part, half in ((z.real, out.real), (z.imag, out.imag)):
-        part = np.ascontiguousarray(part)
-        if complex_a:
-            np.matmul(part, b, out=half)
-        else:
-            np.matmul(a, part, out=half)
-    return out
 
 
 def _check_state(dim: int, psi, require_normalized: bool = True) -> np.ndarray:
@@ -97,80 +50,36 @@ def _check_state(dim: int, psi, require_normalized: bool = True) -> np.ndarray:
     return psi
 
 
-def eigh(operator) -> SpectralDecomposition:
-    """Spectral decomposition of one dense Hermitian matrix, as a single
-    sector spanning the whole space.
-
-    Real symmetric input (every model Hamiltonian is real in the
-    computational basis) is solved in real arithmetic, which is several
-    times faster than the complex driver at dimension 4096.
-    """
+def eigh(operator) -> tuple[np.ndarray, np.ndarray]:
+    """``(eigenvalues, eigenvectors)`` of a dense Hermitian matrix, as from
+    np.linalg.eigh.  Real symmetric input (every model Hamiltonian) is solved
+    in real arithmetic, several times faster than the complex driver."""
     m = _matrix_of(operator)
     if m.shape[0] == 0:
-        raise ValueError("cannot decompose an empty matrix")
+        raise ValueError("cannot diagonalize an empty matrix")
     asymmetry = float(np.max(np.abs(m - m.conj().T)))
     if asymmetry > HERMITICITY_TOL:
         raise ValueError(
             f"matrix is not Hermitian: max |H - H^dag| entry = {asymmetry:.3e}"
         )
     if np.iscomplexobj(m) and np.count_nonzero(m.imag):
-        eigenvalues, eigenvectors = np.linalg.eigh(m)
-    else:
-        eigenvalues, eigenvectors = np.linalg.eigh(m.real)
-    dim = m.shape[0]
-    return SpectralDecomposition(dim, ((np.arange(dim), eigenvalues, eigenvectors),))
+        return np.linalg.eigh(m)
+    return np.linalg.eigh(m.real)
 
 
-def decompose(operator, sectors) -> SpectralDecomposition:
-    """Decompose a Hermitian operator on the listed symmetry sectors only.
-
-    Each sector is an array of basis indices.  The operator must not couple
-    a sector to the rest of the space (every such entry at most
-    HERMITICITY_TOL in size), otherwise ValueError; each diagonal block is
-    then solved by eigh(), which also checks that the block is Hermitian.
-    """
-    m = _matrix_of(operator)
-    dim = m.shape[0]
-    parts = []
-    for idx in map(np.asarray, sectors):
-        rest = np.setdiff1d(np.arange(dim), idx, assume_unique=True)
-        leak = max(float(np.max(np.abs(m[np.ix_(rest, idx)]), initial=0.0)),
-                   float(np.max(np.abs(m[np.ix_(idx, rest)]), initial=0.0)))
-        if leak > HERMITICITY_TOL:
-            raise ValueError(
-                f"operator couples a {idx.size}-state sector to the rest of the "
-                f"space: max entry {leak:.3e}"
-            )
-        (_, eigenvalues, eigenvectors), = eigh(m[np.ix_(idx, idx)]).sectors
-        parts.append((idx, eigenvalues, eigenvectors))
-    return SpectralDecomposition(dim, tuple(parts))
-
-
-def evolve_on_grid(decomp: SpectralDecomposition, psi0, times) -> np.ndarray:
-    """Propagate psi0 to every grid time; returns shape (len(times), dim).
-
-    Sectors where psi0 is exactly zero stay zero and are skipped; psi0 must
-    have no weight outside the decomposed sectors.  Grid points are batched
-    into matrix-matrix products, which is far faster than one matrix-vector
-    product per point at dimension 4096.
-    """
-    psi0 = _check_state(decomp.dim, psi0)
+def evolve_on_grid(decomp, psi0, times) -> np.ndarray:
+    """psi0 propagated to every grid time, shape (len(times), dim), with the
+    ``(eigenvalues, eigenvectors)`` pair of eigh(); grid points are batched
+    into matrix-matrix products, GRID_BLOCK at a time."""
+    eigenvalues, eigenvectors = decomp
+    psi0 = _check_state(eigenvectors.shape[0], psi0)
     times = np.asarray(times, dtype=float)
-    outside = np.ones(decomp.dim, dtype=bool)
-    for idx, _, _ in decomp.sectors:
-        outside[idx] = False
-    if np.any(psi0[outside]):
-        raise ValueError("state has weight outside the decomposed symmetry sectors")
-    out = np.zeros((times.size, decomp.dim), dtype=np.complex128)
-    for idx, eigenvalues, eigenvectors in decomp.sectors:
-        part = psi0[idx]
-        if not part.any():
-            continue
-        w = mixed_matmul(eigenvectors.conj().T, part)
-        for lo in range(0, times.size, GRID_BLOCK):
-            chunk = times[lo:lo + GRID_BLOCK]
-            phases = np.exp(-1j * np.outer(eigenvalues, chunk))
-            out[lo:lo + chunk.size, idx] = mixed_matmul(eigenvectors, phases * w[:, None]).T
+    w = eigenvectors.conj().T @ psi0
+    out = np.empty((times.size, psi0.size), dtype=np.complex128)
+    for lo in range(0, times.size, GRID_BLOCK):
+        chunk = times[lo:lo + GRID_BLOCK]
+        phases = np.exp(-1j * np.outer(eigenvalues, chunk))
+        out[lo:lo + chunk.size] = (eigenvectors @ (phases * w[:, None])).T
     return out
 
 
@@ -355,7 +264,7 @@ def expm_series_oracle(operator, psi0, t: float, term_tol: float = 1e-16) -> np.
         term = psi
         acc = psi.astype(np.complex128, copy=True)
         for k in range(1, 400):
-            term = (-1j * dt / k) * mixed_matmul(m, term)
+            term = (-1j * dt / k) * (m @ term)
             acc = acc + term
             if float(np.linalg.norm(term)) < term_tol:
                 break

@@ -21,21 +21,18 @@ into real symmetric matrices for the oracles and the tests.
 Every term flips an even number of bits (sigma^x sigma^x bonds) or none
 (sigma^z, Sigma^z), so every operator below conserves the total parity
 prod sigma^z prod Sigma^z: it is block diagonal in the even and odd
-bit-count sectors (parity_sectors), and its dense decomposition is solved
-one block at a time.  A state in one sector is stored on that sector alone
-(sector_layout), as one (charger rows x battery levels) block per charger
-parity, and total_matvec acts on it in that layout.
+bit-count sectors (parity_sectors).  A state in one sector is stored on
+that sector alone (sector_layout), as one (charger rows x battery levels)
+block per charger parity, and total_matvec acts on it in that layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
-
-from . import linalg
 
 
 def bit_counts(values: np.ndarray) -> np.ndarray:
@@ -132,11 +129,15 @@ def config_fields(cls, section: str, data: dict, ints=(), floats=(),
                   required=()) -> dict:
     """Keyword arguments for the dataclass ``cls`` from one JSON config section.
 
-    Every key must name a field of ``cls`` and every ``required`` key must be
-    present.  Values of ``ints`` keys go through integral() and values of
-    ``floats`` keys through real(); None and any other value pass unchanged.
+    The section must be a JSON object, every key must name a field of ``cls``
+    and every ``required`` key must be present.  None passes for a field whose
+    default is None; otherwise ``ints`` values go through integral() and
+    ``floats`` values through real(), and any other value passes unchanged.
     """
-    unknown = set(data) - {f.name for f in fields(cls)}
+    if not isinstance(data, dict):
+        raise ValueError(f"{section} must be a JSON object, got {data!r}")
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = set(data) - set(defaults)
     if unknown:
         raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
     missing = [key for key in required if key not in data]
@@ -144,7 +145,7 @@ def config_fields(cls, section: str, data: dict, ints=(), floats=(),
         raise ValueError(f"{section} requires the keys {missing}")
     kwargs = dict(data)
     for key, value in data.items():
-        if value is None:
+        if value is None and defaults[key] is None:
             continue
         if key in ints:
             kwargs[key] = integral(f"{section}.{key}", value)
@@ -197,22 +198,6 @@ def sector_layout(spec: ModelSpec, parity: int | None = None) -> Layout:
             basis.append(((rows[:, None] << spec.n) | labels).ravel())
             blocks.append((rows.size, labels))
     return Layout(np.concatenate(basis), tuple(blocks))
-
-
-@dataclass(frozen=True, eq=False)
-class HermitianOperator:
-    """Dense parity-conserving Hermitian operator on the composite register
-    (the reference form; production propagation is matrix-free)."""
-
-    matrix: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def decomposition(self) -> linalg.SpectralDecomposition:
-        """Spectral decomposition on both parity sectors, solved on each call."""
-        return linalg.decompose(self.matrix, parity_sectors(self.dim))
 
 
 def _charger_xmask(spec: ModelSpec, site: int) -> int:
@@ -294,27 +279,27 @@ def total_matvec(spec: ModelSpec, basis=None):
     return matvec, bound
 
 
-def _scatter(spec: ModelSpec, diagonal: np.ndarray, flips) -> HermitianOperator:
+def _scatter(spec: ModelSpec, diagonal: np.ndarray, flips) -> np.ndarray:
     """Dense matrix of a (diagonal, flips) term list."""
     out = np.zeros((spec.dim, spec.dim))
     idx = np.arange(spec.dim)
     out[idx, idx] += diagonal
     for mask, coef in flips:
         out[idx ^ mask, idx] += coef
-    return HermitianOperator(out)
+    return out
 
 
-def build_charger(spec: ModelSpec) -> HermitianOperator:
+def build_charger(spec: ModelSpec) -> np.ndarray:
     """Ring Hamiltonian embedded in the composite space (identity on batteries)."""
     return _scatter(spec, *_charger_terms(spec))
 
 
-def build_batteries(spec: ModelSpec) -> HermitianOperator:
+def build_batteries(spec: ModelSpec) -> np.ndarray:
     """Battery gap Hamiltonian embedded in the composite space (diagonal)."""
     return _scatter(spec, *_battery_terms(spec))
 
 
-def build_coupling(spec: ModelSpec) -> HermitianOperator:
+def build_coupling(spec: ModelSpec) -> np.ndarray:
     """Charger-battery interaction embedded in the composite space."""
     return _scatter(spec, *_coupling_terms(spec))
 
@@ -331,7 +316,7 @@ def corrupted_coupling(spec: ModelSpec) -> np.ndarray:
     return out
 
 
-def build_total(spec: ModelSpec) -> HermitianOperator:
+def build_total(spec: ModelSpec) -> np.ndarray:
     """Full Hamiltonian H_c + H_b + V_cb as a dense matrix, scattered from
     terms(); the reference the matrix-free path is checked against."""
     return _scatter(spec, *terms(spec))

@@ -232,7 +232,7 @@ def test_criterion_8_property_suites(heavy):
     # spot checks on the production system
     drift = max(
         conservation_drift(trajectory(spec, InitialStateSpec(), times).states,
-                           build_total(spec).matrix)
+                           build_total(spec))
         for spec, times in ((ModelSpec(5, 1, h=0.1), np.linspace(0.0, 4.0, 400)),
                             (reference_model(), np.array([0.0, 1.0, 2.0])))
     )

@@ -127,7 +127,7 @@ def test_trajectory_norm_preservation():
 
 def test_global_phase_leaves_observables_unchanged():
     spec = ModelSpec(3, 1, h=0.1)
-    decomp = build_total(spec).decomposition()
+    decomp = linalg.eigh(build_total(spec))
     psi = initial_state(spec, InitialStateSpec())
     times = np.linspace(0, 2, 7)
     levels = battery_energies(spec.n, spec.delta)
@@ -208,7 +208,7 @@ def test_sector_trajectory_matches_dense_oracle(spec, t_end, init, monkeypatch):
     assert traj.vectors.shape == (traj.coefficients.shape[1], spec.dim // 2 if cat else spec.dim)
     states = traj.states
     psi0 = initial_state(spec, init)
-    oracle = evolve_on_grid(dense_eigh(build_total(spec).matrix), psi0, times)
+    oracle = evolve_on_grid(dense_eigh(build_total(spec)), psi0, times)
     assert np.max(np.abs(states - oracle)) <= 1e-12
     assert solved == []
     even, odd = parity_sectors(spec.dim)
@@ -240,7 +240,7 @@ def test_long_window_matches_dense_oracle(spec, init):
     # L+n = 12): the recurrence must stay accurate over the whole sequence
     times = np.linspace(0.0, 12.0, 97)
     states = trajectory(spec, init, times).states
-    oracle = evolve_on_grid(linalg.eigh(build_total(spec).matrix), initial_state(spec, init), times)
+    oracle = evolve_on_grid(linalg.eigh(build_total(spec)), initial_state(spec, init), times)
     assert np.max(np.abs(states - oracle)) <= 1e-12
 
 
@@ -270,7 +270,7 @@ def test_trajectory_matches_dense_oracle_on_random_runs(kind):
     def check(run):
         spec, init, times = run
         states = trajectory(spec, init, times).states
-        oracle = evolve_on_grid(linalg.eigh(build_total(spec).matrix),
+        oracle = evolve_on_grid(linalg.eigh(build_total(spec)),
                                 initial_state(spec, init), times)
         assert np.max(np.abs(states - oracle)) <= 1e-12
 

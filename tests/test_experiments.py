@@ -281,7 +281,38 @@ def test_fig2_fig3_reject_a_model_they_would_not_run(tmp_path, capsys):
     assert main(["fig2", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert "(11, 1)" in err and "(L=6, n=1)" in err
+    # fig3 sweeps kappa alone: a sweep over n would run n = 1..4 regardless
+    config_path.write_text(json.dumps({
+        "sweep": {"parameter": "n", "values": [1, 2]},
+        "output_path": str(tmp_path / "never.csv"),
+    }))
+    assert main(["fig3", "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert "kappa only" in captured.err and captured.out == ""
     assert not (tmp_path / "never.csv").exists()
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("fig1", 5),
+    ("fig1", [{"model": SMALL_MODEL}]),
+    ("fig1", {"model": 5}),
+    ("fig1", {"model": None}),
+    ("fig1", {"sweep": {"parameter": "kappa", "values": 3}}),
+    ("fig1", {"model": {"L": 4, "n": 1, "h": None}}),
+    ("fig1", {"grid": {"steps": 10, "t_end": None}}),
+    ("fig4", {"output_path": None}),
+    ("fig4", {"output_path": 5}),
+], ids=["top-level-number", "top-level-list", "model-number", "model-null",
+        "sweep-values-number", "model-h-null", "grid-t_end-null", "output_path-null",
+        "output_path-number"])
+def test_cli_rejects_malformed_config_sections(tmp_path, monkeypatch, capsys, command, payload):
+    # each fails with one error line and exit 2, before any output is written
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps(payload))
+    assert main([command, "--config", "config.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_fig4_small_scale_determinism(tmp_path):

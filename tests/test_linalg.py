@@ -8,11 +8,9 @@ from sunburst_battery import (
     ModelSpec,
     build_total,
     chebyshev_series,
-    decompose,
     eigh,
     evolve_on_grid,
     expm_series_oracle,
-    parity_sectors,
 )
 from sunburst_battery import linalg
 from sunburst_battery.dynamics import random_state
@@ -28,15 +26,13 @@ def random_hermitian(rng, dim):
 
 def test_eigh_already_diagonal():
     delta = 0.5
-    decomp = eigh(np.diag([-delta / 2, delta / 2]).astype(complex))
-    (indices, eigenvalues, eigenvectors), = decomp.sectors
-    assert decomp.dim == 2 and indices.tolist() == [0, 1]
+    eigenvalues, eigenvectors = eigh(np.diag([-delta / 2, delta / 2]).astype(complex))
     assert np.allclose(eigenvalues, [-0.25, 0.25])
     assert np.allclose(np.abs(eigenvectors), np.eye(2))
 
 
 def test_eigh_pauli_x():
-    (_, eigenvalues, eigenvectors), = eigh(SX).sectors
+    eigenvalues, eigenvectors = eigh(SX)
     assert np.allclose(eigenvalues, [-1.0, 1.0])
     # eigenvectors are |-+> up to phase
     minus, plus = eigenvectors.T
@@ -66,7 +62,7 @@ def test_eigh_rejects_empty_and_nonsquare():
 def test_eigh_reconstruction_and_orthonormality(dim):
     rng = np.random.default_rng(dim)
     ham = random_hermitian(rng, dim)
-    (_, eigenvalues, vee), = eigh(ham).sectors
+    eigenvalues, vee = eigh(ham)
     assert np.all(np.diff(eigenvalues) >= 0)
     assert np.max(np.abs(vee.conj().T @ vee - np.eye(dim))) <= 1e-10
     rebuilt = (vee * eigenvalues) @ vee.conj().T
@@ -95,33 +91,6 @@ def test_evolve_rejects_dimension_mismatch_and_bad_norm():
         evolve_on_grid(decomp, np.ones(3) / np.sqrt(3), [0.1])
     with pytest.raises(ValueError, match="normalized"):
         evolve_on_grid(decomp, np.ones(4), [0.1])
-
-
-def test_decompose_rejects_coupled_sectors_and_non_hermitian_blocks():
-    spec = ModelSpec(3, 1, h=0.3, kappa=1.1)
-    matrix = build_total(spec).matrix
-    # the ring bonds at site 1 flip the highest bit: its halves are no sectors
-    low = np.arange(spec.dim // 2)
-    with pytest.raises(ValueError, match="couples"):
-        decompose(matrix, [low, low + spec.dim // 2])
-    even, odd = parity_sectors(spec.dim)
-    bad = matrix.copy()
-    bad[even[0], even[1]] += 1e-3
-    with pytest.raises(ValueError, match="matrix is not Hermitian"):
-        decompose(bad, [even, odd])
-
-
-def test_evolve_rejects_weight_outside_decomposed_sectors():
-    rng = np.random.default_rng(5)
-    spec = ModelSpec(3, 1, h=0.3, kappa=1.1)
-    even, odd = parity_sectors(spec.dim)
-    decomp = decompose(build_total(spec), [even])
-    with pytest.raises(ValueError, match="outside"):
-        evolve_on_grid(decomp, random_state(rng, spec.dim), [0.1])
-    inside = np.zeros(spec.dim, dtype=complex)
-    inside[even] = random_state(rng, even.size)
-    oracle = evolve_on_grid(eigh(build_total(spec).matrix), inside, [0.1, 2.0])
-    assert np.max(np.abs(evolve_on_grid(decomp, inside, [0.1, 2.0]) - oracle)) <= 1e-12
 
 
 def test_series_oracle_zero_generator():
@@ -159,8 +128,8 @@ def test_propagators_agree_on_small_models():
         total = build_total(spec)
         psi = random_state(rng, spec.dim)
         times = (0.1, 1.0)
-        for t, evolved in zip(times, evolve_on_grid(total.decomposition(), psi, times)):
-            diff = np.abs(evolved - expm_series_oracle(total.matrix, psi, t))
+        for t, evolved in zip(times, evolve_on_grid(eigh(total), psi, times)):
+            diff = np.abs(evolved - expm_series_oracle(total, psi, t))
             assert np.max(diff) <= 1e-8
 
 
@@ -289,21 +258,15 @@ def test_ground_state_against_independent_oracles():
     # propagator (pure phase rotation)
     spec = ModelSpec(4, 1, J=1.0, h=0.1, delta=0.5, kappa=2.0)
     total = build_total(spec)
-    # ground level: the lowest over the parity sectors, its eigenvector
-    # scattered back into the full space
-    indices, eigenvalues, eigenvectors = min(
-        total.decomposition().sectors, key=lambda sector: sector[1][0]
-    )
-    ground_energy = eigenvalues[0]
-    ground = np.zeros(spec.dim)
-    ground[indices] = eigenvectors[:, 0]
+    eigenvalues, eigenvectors = eigh(total)
+    ground_energy, ground = eigenvalues[0], eigenvectors[:, 0]
 
     # power iteration on (cI - H), accelerated by repeated squaring.  The two
     # lowest levels form a cat doublet split by ~8e-6, one member per sector
     # of the exact global flip symmetry G = prod sigma^z (x) prod Sigma^z, so
     # each sector is iterated separately and the minimum taken.
-    shift = float(np.max(np.abs(total.matrix).sum(axis=1))) + 1.0
-    booster = shift * np.eye(spec.dim) - total.matrix
+    shift = float(np.max(np.abs(total).sum(axis=1))) + 1.0
+    booster = shift * np.eye(spec.dim) - total
     booster /= np.max(np.abs(booster))
     for _ in range(15):
         booster = booster @ booster
@@ -323,9 +286,9 @@ def test_ground_state_against_independent_oracles():
         for _ in range(60):
             vec = booster @ vec
             vec /= np.linalg.norm(vec)
-        sector_energies.append(float(vec @ (total.matrix @ vec)))
+        sector_energies.append(float(vec @ (total @ vec)))
     assert abs(min(sector_energies) - ground_energy) <= 1e-9
 
     t = 0.4
-    evolved = expm_series_oracle(total.matrix, ground.astype(complex), t)
+    evolved = expm_series_oracle(total, ground.astype(complex), t)
     assert np.max(np.abs(evolved - np.exp(-1j * ground_energy * t) * ground)) <= 1e-8

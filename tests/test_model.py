@@ -9,6 +9,7 @@ from sunburst_battery import (
     build_charger,
     build_coupling,
     build_total,
+    eigh,
     ghz_plus,
     parity_sectors,
     sector_layout,
@@ -85,9 +86,8 @@ def test_spec_validation():
 def test_two_site_ring_double_counts_the_bond():
     # both i=1 and i=2 contribute the same sx_1 sx_2 bond on a 2-ring
     spec = ModelSpec(2, 0, J=1.0, h=0.0)
-    sectors = build_charger(spec).decomposition().sectors
-    ground = min(eigenvalues[0] for _, eigenvalues, _ in sectors)
-    assert np.isclose(ground, -2.0)
+    eigenvalues, _ = eigh(build_charger(spec))
+    assert np.isclose(eigenvalues[0], -2.0)
 
 
 @pytest.mark.parametrize("L,h,J", [
@@ -98,61 +98,61 @@ def test_two_site_ring_double_counts_the_bond():
 def test_ghz_charger_energy_is_minus_LJ(L, h, J):
     spec = ModelSpec(L, 0, J=J, h=h)
     state = compose(ghz_plus(L), battery_ground(0))
-    energy = np.real(state.conj() @ (build_charger(spec).matrix @ state))
+    energy = np.real(state.conj() @ (build_charger(spec) @ state))
     assert abs(energy + spec.L * spec.J) <= 1e-10
 
 
 def test_battery_factor_diagonals():
     # battery block diagonal sits in the first 2**n entries (charger index 0)
     spec1 = ModelSpec(2, 1, delta=0.5)
-    assert np.allclose(np.diagonal(build_batteries(spec1).matrix)[:2], [-0.25, 0.25])
+    assert np.allclose(np.diagonal(build_batteries(spec1))[:2], [-0.25, 0.25])
     spec2 = ModelSpec(4, 2, delta=0.5)
     assert np.allclose(
-        np.diagonal(build_batteries(spec2).matrix)[:4], [-0.5, 0.0, 0.0, 0.5]
+        np.diagonal(build_batteries(spec2))[:4], [-0.5, 0.0, 0.0, 0.5]
     )
     assert np.allclose(battery_energies(2, 0.5), [-0.5, 0.0, 0.0, 0.5])
 
 
 def test_no_batteries_edge_case():
     spec = ModelSpec(3, 0)
-    assert not build_batteries(spec).matrix.any()
-    assert not build_coupling(spec).matrix.any()
+    assert not build_batteries(spec).any()
+    assert not build_coupling(spec).any()
     assert battery_positions(spec) == []
     assert battery_energies(0, 0.5).tolist() == [0.0]
 
 
 def test_coupling_zero_when_switched_off():
-    assert not build_coupling(ModelSpec(3, 1, kappa=0.0)).matrix.any()
+    assert not build_coupling(ModelSpec(3, 1, kappa=0.0)).any()
 
 
 def test_coupling_explicit_eight_dim():
     # L=2, n=1: V = -kappa sx_1 (x) 1 (x) Sx, built by hand
     spec = ModelSpec(2, 1, d=1, kappa=1.3)
     expected = -1.3 * kron_chain([SX, ID2, SX])
-    assert np.max(np.abs(build_coupling(spec).matrix - expected)) == 0.0
+    assert np.max(np.abs(build_coupling(spec) - expected)) == 0.0
 
 
 def test_coupling_commutes_with_charger_at_zero_field():
     spec = ModelSpec(4, 2, h=0.0, kappa=2.0)
-    h_c = build_charger(spec).matrix
-    v = build_coupling(spec).matrix
+    h_c = build_charger(spec)
+    v = build_coupling(spec)
     assert np.max(np.abs(h_c @ v - v @ h_c)) <= 1e-10
-    rest = build_batteries(spec).matrix + v
+    rest = build_batteries(spec) + v
     assert np.max(np.abs(h_c @ rest - rest @ h_c)) <= 1e-10
 
 
 def test_total_is_sum_of_parts_and_traceless():
     spec = ModelSpec(3, 2, d=1, h=0.3, delta=0.4, kappa=0.9)
-    total = build_total(spec).matrix
-    parts = (build_charger(spec).matrix + build_batteries(spec).matrix
-             + build_coupling(spec).matrix)
+    total = build_total(spec)
+    parts = (build_charger(spec) + build_batteries(spec)
+             + build_coupling(spec))
     assert np.max(np.abs(total - parts)) == 0.0
     assert abs(np.trace(total)) <= 1e-12
 
 
 def test_decoupled_limit_commutes_with_all_local_terms():
     spec = ModelSpec(3, 1, h=0.0, kappa=0.0)
-    total = build_total(spec).matrix
+    total = build_total(spec)
     for qubit in range(spec.L):
         op = site_op(SX, qubit, spec.L + spec.n)
         assert np.max(np.abs(total @ op - op @ total)) <= 1e-12
@@ -169,7 +169,7 @@ def test_hermiticity_for_random_specs():
             J=float(rng.uniform(0.2, 2)), h=float(rng.uniform(0, 1)),
             delta=float(rng.uniform(0, 1)), kappa=float(rng.uniform(0, 2)),
         )
-        m = build_total(spec).matrix
+        m = build_total(spec)
         assert np.max(np.abs(m - m.conj().T)) <= 1e-12
 
 
@@ -179,7 +179,7 @@ def test_bitmask_builders_match_kronecker_reference():
         spec = ModelSpec(L, n, d=1, J=float(rng.uniform(0.5, 1.5)),
                          h=float(rng.uniform(0, 1)), delta=float(rng.uniform(0, 1)),
                          kappa=float(rng.uniform(0, 2)))
-        assert np.max(np.abs(build_total(spec).matrix - reference_total(spec))) <= 1e-12
+        assert np.max(np.abs(build_total(spec) - reference_total(spec))) <= 1e-12
 
 
 def accumulated_total(spec):
@@ -221,7 +221,7 @@ def test_term_list_scatters_to_the_accumulated_matrix_bit_for_bit(spec):
     # the L=2 ring lists its single bond twice, which doubles that entry
     diagonal, flips = terms(spec)
     assert len(flips) == spec.L + spec.n
-    dense = build_total(spec).matrix
+    dense = build_total(spec)
     assert np.array_equal(dense.view(np.uint64), accumulated_total(spec).view(np.uint64))
     assert np.array_equal(np.diagonal(dense), diagonal)
     # the matrix-free product and its norm bound agree with the dense matrix
@@ -243,9 +243,13 @@ def test_sector_layout_orders_each_parity_sector_in_blocks(spec):
     assert np.array_equal(full.basis, np.arange(spec.dim))
     (rows, labels), = full.blocks
     assert rows == 1 << spec.L and np.array_equal(labels, np.arange(1 << spec.n))
-    dense = build_total(spec).matrix
+    dense = build_total(spec)
+    # every term flips two bits or none: no entry couples the two sectors,
+    # so a flip of a sector entry never leaves its layout
+    even, odd = parity_sectors(spec.dim)
+    assert not dense[np.ix_(even, odd)].any() and not dense[np.ix_(odd, even)].any()
     psi = np.random.default_rng(spec.dim).standard_normal(spec.dim)
-    for parity, sector in enumerate(parity_sectors(spec.dim)):
+    for parity, sector in enumerate((even, odd)):
         layout = sector_layout(spec, parity)
         assert np.array_equal(np.sort(layout.basis), sector)
         # one block per charger parity r, its battery levels of parity
@@ -280,14 +284,13 @@ def test_battery_spectrum_multiplicities():
 
 def test_full_scale_dimension_and_tracelessness(heavy):
     spec = ModelSpec(11, 1)
-    decomp = heavy.decomposition(spec)
-    assert decomp.dim == 4096
-    assert sum(indices.size for indices, _, _ in decomp.sectors) == 4096
-    for _, eigenvalues, _ in decomp.sectors:
+    sectors = heavy.sector_spectra(spec)
+    assert sum(indices.size for indices, _, _ in sectors) == 4096
+    for _, eigenvalues, _ in sectors:
         assert np.all(np.diff(eigenvalues) >= 0)
     # the operator is a sum of Pauli strings, so its trace (= eigenvalue sum
     # over the sectors) vanishes up to solver roundoff
-    assert abs(sum(eigenvalues.sum() for _, eigenvalues, _ in decomp.sectors)) <= 1e-8
+    assert abs(sum(eigenvalues.sum() for _, eigenvalues, _ in sectors)) <= 1e-8
 
 
 def test_full_scale_spectral_reconstruction_rows(heavy):
@@ -295,12 +298,12 @@ def test_full_scale_spectral_reconstruction_rows(heavy):
     # spot-checked row by row to keep the memory footprint down.  A row is
     # rebuilt inside its own parity sector and is zero outside it.
     spec = ModelSpec(11, 1)
-    decomp = heavy.decomposition(spec)
-    matrix = build_total(spec).matrix
+    sectors = heavy.sector_spectra(spec)
+    matrix = build_total(spec)
     scale = np.max(np.abs(matrix))
     for row in (0, 1, 513, 2048, 4095):
         (indices, eigenvalues, eigenvectors), = [
-            sector for sector in decomp.sectors if row in sector[0]
+            sector for sector in sectors if row in sector[0]
         ]
         rebuilt = np.zeros(spec.dim)
         rebuilt[indices] = (eigenvectors * eigenvalues) @ eigenvectors[indices == row][0]

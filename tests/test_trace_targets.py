@@ -13,7 +13,6 @@ import numpy as np
 from sunburst_battery import (
     InitialStateSpec,
     ModelSpec,
-    build_total,
     cli,
     experiments,
     linalg,
@@ -53,8 +52,7 @@ def test_runners_cover_every_command_but_validate():
 def test_every_dense_solve_goes_through_linalg_eigh(monkeypatch):
     # the tracer wraps the linalg.eigh binding to count solves and sum dim**3
     # over them; a solve that bypassed it would leave linalg.eigh.* reading 0.
-    # Trajectories are matrix-free and solve nothing; the dense decomposition
-    # (an oracle) solves both parity blocks.
+    # Trajectories are matrix-free and solve nothing.
     solved = []
     dense_eigh = linalg.eigh
     monkeypatch.setattr(linalg, "eigh", lambda m: solved.append(len(m)) or dense_eigh(m))
@@ -63,5 +61,3 @@ def test_every_dense_solve_goes_through_linalg_eigh(monkeypatch):
     trajectory(spec, InitialStateSpec(), times)
     trajectory(spec, InitialStateSpec("random", seed=3), times)
     assert solved == []
-    build_total(spec).decomposition()
-    assert solved == [spec.dim // 2] * 2
