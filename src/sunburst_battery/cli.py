@@ -4,7 +4,7 @@ Subcommands fig1..fig4 write the reference datasets with the default
 parameter set (J=1, h=0.1, delta=0.5, kappa=2), `sweep` runs the sweep
 described in a config file and `validate` runs the self-check suite.
 A JSON config can override any part of the run; --seed, --out and
---h-override tweak it from the command line.
+--h-override tweak it from the command line.  Every run is serial.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="override the output CSV path")
         cmd.add_argument("--h-override", type=float, dest="h_override",
                          help="override the transverse field h")
-        cmd.add_argument("--jobs", type=int, default=1,
-                         help="worker threads for independent sweep points")
+        # read by nothing; goes once the benchmark stops passing --jobs 1 (ROADMAP item 1)
+        cmd.add_argument("--jobs", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
     val = sub.add_parser("validate", help="run the numeric/analytic cross-check suite")
     val.add_argument("--quick", action="store_true",
                      help="smaller systems, for smoke testing")
@@ -73,7 +73,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return cmd_validate(quick=args.quick)
         runner, _ = _RUNNERS[args.command]
-        runner(config_from_args(args), jobs=args.jobs)
+        runner(config_from_args(args))
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

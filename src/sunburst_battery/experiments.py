@@ -8,14 +8,18 @@ register totals, the n column supports per-battery normalization, and the
 analytic reference columns are filled for n = 1 and n = 2 only (there is
 no closed form beyond two batteries; the linear-entropy reference exists
 only for n = 1).  Floats are written with 17 significant digits and LF
-line endings so a run is reproducible byte for byte given (config, seed).
+line endings so a run is reproducible byte for byte given (config, seed),
+whatever the BLAS thread count.
+
+Each command runs its trajectories one after another, in run order: a
+trajectory's matrix products already spread over the BLAS threads.  A
+config section that a command would not read fails before any run.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -29,7 +33,6 @@ from .analytic import (
     ergotropy_analytic,
     linear_entropy_analytic,
     max_ergotropy,
-    max_power,
     power_analytic,
     power_at_T,
     stored_energy_analytic,
@@ -238,22 +241,6 @@ def _series_rows(series: MeritSeries, spec: ModelSpec, seed: int) -> list[str]:
     return [",".join(row) + "," + labels for row in zip(*cells)]
 
 
-def _parallel_map(fn, items, jobs: int) -> list:
-    """Map preserving input order over ``jobs`` >= 1 threads; a thread pool
-    is safe since the heavy kernels (FFT, matmul) release the GIL."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if jobs == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
-def _map_series(runs, times, jobs: int) -> list[MeritSeries]:
-    """run_series for each (spec, init, seed) run on one grid, in run order."""
-    return _parallel_map(lambda run: run_series(run[0], run[1], times), runs, jobs)
-
-
 def _write_series(label: str, path, runs, results) -> None:
     """One CSV of every run's series, rows in run order."""
     rows = [row for (spec, _, seed), series in zip(runs, results)
@@ -280,20 +267,27 @@ def _collapse(command: str, symbol: str, column: str, runs, results, reference):
     return systems, worst
 
 
-def cmd_fig1(config: ExperimentConfig,
-             collapse_systems=FIG1_COLLAPSE_SYSTEMS, jobs: int = 1) -> dict:
+def _refuse_sweep(command: str, config: ExperimentConfig) -> None:
+    """A command that sweeps nothing fails on a sweep section instead of
+    ignoring it."""
+    if config.sweep is not None:
+        raise ValueError(f"{command} runs no sweep; remove the config's sweep section")
+
+
+def cmd_fig1(config: ExperimentConfig, collapse_systems=FIG1_COLLAPSE_SYSTEMS) -> dict:
     """Ergotropy and linear entropy vs time, single battery plus collapse set.
 
     The configured model is the single-battery panel; ``collapse_systems``
     are (L, n) pairs run with the same couplings for the per-battery
-    collapse onto the single-battery curve.
+    collapse onto the single-battery curve.  A sweep section is refused.
     """
+    _refuse_sweep("fig1", config)
     times = config.grid.times()
     specs = [config.model] + [
         replace(config.model, L=ls, n=ns, d=None) for ls, ns in collapse_systems
     ]
     runs = [(spec, config.seeded_initial, config.seed) for spec in specs]
-    results = _map_series(runs, times, jobs)
+    results = [run_series(spec, init, times) for spec, init, _ in runs]
     single = AnalyticParams.from_model(config.model)
     systems, worst = _collapse("fig1", "xi", "ergotropy", runs, results,
                                ergotropy_analytic(single, times))
@@ -303,12 +297,13 @@ def cmd_fig1(config: ExperimentConfig,
     return {"systems": systems, "max_xi_collapse": worst, "max_entropy_deviation": entropy_dev}
 
 
-def cmd_fig2(config: ExperimentConfig, systems=FIG2_SYSTEMS, jobs: int = 1) -> dict:
+def cmd_fig2(config: ExperimentConfig, systems=FIG2_SYSTEMS) -> dict:
     """Charging power vs time for growing battery count (per-battery collapse).
 
     The (L, n) pairs run are ``systems``, with the configured couplings; the
-    configured (L, n) must be one of them.
+    configured (L, n) must be one of them.  A sweep section is refused.
     """
+    _refuse_sweep("fig2", config)
     if (config.model.L, config.model.n) not in systems:
         raise ValueError(
             f"fig2 runs the fixed (L, n) systems {tuple(systems)}; the configured "
@@ -317,7 +312,7 @@ def cmd_fig2(config: ExperimentConfig, systems=FIG2_SYSTEMS, jobs: int = 1) -> d
     times = config.grid.times()
     runs = [(replace(config.model, L=ls, n=ns, d=None), config.seeded_initial, config.seed)
             for ls, ns in systems]
-    results = _map_series(runs, times, jobs)
+    results = [run_series(spec, init, times) for spec, init, _ in runs]
     reference = power_analytic(AnalyticParams.from_model(config.model), times)
     collapse, worst = _collapse("fig2", "P", "power", runs, results, reference)
     _write_series("fig2", config.output_path, runs, results)
@@ -326,7 +321,7 @@ def cmd_fig2(config: ExperimentConfig, systems=FIG2_SYSTEMS, jobs: int = 1) -> d
 
 
 def cmd_fig3(config: ExperimentConfig, kappas=None, n_values=(1, 2, 3, 4),
-             total_qubits: int = FIG3_TOTAL_QUBITS, jobs: int = 1) -> dict:
+             total_qubits: int = FIG3_TOTAL_QUBITS) -> dict:
     """Peak per-battery ergotropy and power as a function of the coupling.
 
     Each (kappa, n) point is scanned over one full oscillation period
@@ -334,9 +329,10 @@ def cmd_fig3(config: ExperimentConfig, kappas=None, n_values=(1, 2, 3, 4),
     default window would miss the peaks at weak coupling).  One summary
     row per point; kappa grid and period-long window are artifact choices.
     Every point has L + n = ``total_qubits``, which the configured model
-    must match, and a sweep section must sweep kappa.  A point whose peak
-    ergotropy is at most WORK_FLOOR has no work, so no peak: its ``t`` and
-    ``SL_num`` cells are left empty.
+    must match, and a sweep section must sweep kappa.  The grid section
+    sets the number of points only: a window other than the default is
+    refused.  A point whose peak ergotropy is at most WORK_FLOOR has no
+    work, so no peak: its ``t`` and ``SL_num`` cells are left empty.
     """
     if config.model.L + config.model.n != total_qubits:
         systems = tuple((total_qubits - n, n) for n in n_values)
@@ -346,6 +342,10 @@ def cmd_fig3(config: ExperimentConfig, kappas=None, n_values=(1, 2, 3, 4),
         )
     if config.sweep is not None and config.sweep.parameter != "kappa":
         raise ValueError(f"fig3 sweeps kappa only; the config sweeps {config.sweep.parameter}")
+    window = (config.grid.t_start, config.grid.t_end)
+    if window != (TimeGrid.t_start, TimeGrid.t_end):
+        raise ValueError(f"fig3 scans [0, 2 pi / omega] and reads only grid.steps; remove the "
+                         f"config's grid window [{window[0]}, {window[1]}]")
     if kappas is None:
         if config.sweep is not None:
             kappas = config.sweep.values
@@ -363,7 +363,7 @@ def cmd_fig3(config: ExperimentConfig, kappas=None, n_values=(1, 2, 3, 4),
             times = np.linspace(0.0, 2.0 * np.pi / p.omega, config.grid.steps)
             tasks.append((spec, times))
     init = config.seeded_initial
-    results = _parallel_map(lambda task: run_series(task[0], init, task[1]), tasks, jobs)
+    results = [run_series(spec, init, times) for spec, times in tasks]
     rows, summary = [], {"points": []}
     for (spec, times), series in zip(tasks, results):
         p = AnalyticParams.from_model(spec)
@@ -389,7 +389,6 @@ def cmd_fig3(config: ExperimentConfig, kappas=None, n_values=(1, 2, 3, 4),
             "peak_power_per_battery": series.peak_power / spec.n,
             "analytic_peak_ergotropy": max_ergotropy(p),
             "analytic_peak_power": peak_p_ana,
-            "analytic_peak_power_exact": max_power(p)[1],
         })
         print(f"fig3 (n={spec.n}, kappa={spec.kappa}): {'' if working else 'no work, '}"
               f"max xi/n = {series.peak_ergotropy / spec.n:.5f} "
@@ -401,19 +400,24 @@ def cmd_fig3(config: ExperimentConfig, kappas=None, n_values=(1, 2, 3, 4),
     return summary
 
 
-def cmd_fig4(config: ExperimentConfig, n_seeds: int = 3, jobs: int = 1) -> dict:
+def cmd_fig4(config: ExperimentConfig, n_seeds: int = 3) -> dict:
     """Ergotropy vs time for several random charger preparations.
 
     Seeds are config.seed, config.seed + 1, ...; each realization is its
     own Chebyshev run.  Reports pairwise curve deviations for both
     ergotropy conventions (only the population one collapses as h -> 0;
     the spectral one keeps an O(2**(-L/2)) seed-dependent coherence bump
-    near the window edges).
+    near the window edges).  A sweep or initial section is refused: fig4
+    sets every charger itself.
     """
+    _refuse_sweep("fig4", config)
+    if config.initial != InitialStateSpec():
+        raise ValueError("fig4 runs random chargers seeded seed, seed + 1, ...; "
+                         "remove the config's initial section")
     times = config.grid.times()
     seeds = [config.seed + k for k in range(n_seeds)]
     runs = [(config.model, InitialStateSpec("random", seed=seed), seed) for seed in seeds]
-    results = _map_series(runs, times, jobs)
+    results = [run_series(spec, init, times) for spec, init, _ in runs]
     pair_pop, pair_spec = 0.0, 0.0
     for a, b in combinations(results, 2):
         pair_pop = max(pair_pop, _max_gap(a.ergotropy, b.ergotropy))
@@ -435,7 +439,7 @@ def cmd_fig4(config: ExperimentConfig, n_seeds: int = 3, jobs: int = 1) -> dict:
     return summary
 
 
-def cmd_sweep(config: ExperimentConfig, jobs: int = 1) -> dict:
+def cmd_sweep(config: ExperimentConfig) -> dict:
     """Time series for each value of the swept parameter (kappa or n)."""
     if config.sweep is None:
         raise ValueError("sweep command needs a 'sweep' section in the config")
@@ -443,7 +447,7 @@ def cmd_sweep(config: ExperimentConfig, jobs: int = 1) -> dict:
     runs = [(replace(config.model, kappa=value) if config.sweep.parameter == "kappa"
              else replace(config.model, n=value, d=None), config.seeded_initial, config.seed)
             for value in config.sweep.values]
-    results = _map_series(runs, times, jobs)
+    results = [run_series(spec, init, times) for spec, init, _ in runs]
     _write_series(f"sweep ({config.sweep.parameter})", config.output_path, runs, results)
     return {"values": config.sweep.values}
 

@@ -90,6 +90,21 @@ def test_criterion_2_per_battery_ergotropy_collapse(heavy):
            f"max |xi/n - xi_1| = {worst:.2e} over n=2..4")
 
 
+def test_criterion_2b_per_battery_ergotropy_is_nearly_exact(heavy):
+    # far below criterion 2's 0.05: over t <= 2 the battery sees only a few
+    # charger sites, so xi/n hardly depends on L or n (measured 2.5e-10,
+    # 6.1e-14, 7.5e-10 and 1.1e-8).  Battery spacing d + 1 instead of d
+    # gives 1.7e-5 at (9,3) and still passes criterion 2.
+    single = heavy.series(reference_model()).ergotropy
+    details, ok = [], True
+    for L, n, bound in ((8, 1, 1e-8), (10, 2, 1e-12), (9, 3, 1e-8), (8, 4, 1e-7)):
+        gap = float(np.max(np.abs(heavy.series(reference_model(L=L, n=n)).ergotropy / n
+                                  - single)))
+        ok = ok and gap <= bound
+        details.append(f"({L},{n}) {gap:.1e} <= {bound:.0e}")
+    report("2b", "per-battery ergotropy vs (11,1)", ok, "; ".join(details))
+
+
 def test_criterion_3_power_collapse_and_peak_location(heavy):
     reference = power_analytic(AnalyticParams(0.5, 2.0), REFERENCE_GRID)
     worst = 0.0

@@ -4,7 +4,6 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -432,28 +431,56 @@ def test_cli_end_to_end_small_run(tmp_path):
 @pytest.mark.parametrize("command", ["fig1", "fig2", "fig3"])
 def test_cli_fills_a_random_charger_seed_from_the_run_seed(tmp_path, command):
     # a random charger without a seed runs as if given the run seed (here
-    # set by --seed), as sweep always did; fig3 scans the one kappa of the
-    # sweep section
+    # set by --seed), as sweep always did; fig3 scans its own window at the
+    # one kappa of the sweep section
     outputs = []
     for initial in ({"charger_kind": "random"}, {"charger_kind": "random", "seed": 9}):
         config_path = tmp_path / "config.json"
         outputs.append(tmp_path / f"{command}-{len(outputs)}.csv")
+        sections = ({"grid": {"steps": 8}, "sweep": {"parameter": "kappa", "values": [2.0]}}
+                    if command == "fig3" else {"grid": {"t_start": 0.0, "t_end": 1.0, "steps": 8}})
         config_path.write_text(json.dumps({
-            "initial": initial,
-            "grid": {"t_start": 0.0, "t_end": 1.0, "steps": 8},
-            "sweep": {"parameter": "kappa", "values": [2.0]},
-            "output_path": str(outputs[-1]),
+            "initial": initial, **sections, "output_path": str(outputs[-1]),
         }))
         assert main([command, "--config", str(config_path), "--seed", "9"]) == 0
     assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
-def test_cli_rejects_fewer_than_one_job(tmp_path, capsys):
+@pytest.mark.parametrize("command, sections, section", [
+    ("fig1", {"sweep": {"parameter": "kappa", "values": [1.0, 2.0]}}, "sweep"),
+    ("fig2", {"sweep": {"parameter": "kappa", "values": [1.0, 2.0]}}, "sweep"),
+    ("fig4", {"sweep": {"parameter": "kappa", "values": [1.0, 2.0]}}, "sweep"),
+    ("fig4", {"model": {"L": 4, "n": 1},
+              "initial": {"charger_kind": "eigenstate", "index": 10 ** 30}}, "initial"),
+    ("fig3", {"grid": {"t_start": 1.0, "t_end": 1.5}}, "grid"),
+], ids=["fig1-sweep", "fig2-sweep", "fig4-sweep", "fig4-initial", "fig3-grid-window"])
+def test_cli_rejects_a_config_section_the_command_would_ignore(tmp_path, capsys, command,
+                                                               sections, section):
+    # a section the command would not read fails before any run: exit 2,
+    # one error line naming the section, no CSV
+    config_path = tmp_path / "config.json"
+    out = tmp_path / "never.csv"
+    config_path.write_text(json.dumps({**sections, "output_path": str(out)}))
+    assert main([command, "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"the config's {section} " in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_cli_jobs_is_a_parse_shim_for_one(tmp_path, capsys):
+    # --jobs survives only as a flag whose one value, 1, changes nothing
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"model": {"L": 4, "n": 1}, "grid": {"steps": 10}}))
     out = tmp_path / "fig4.csv"
-    for jobs in ("0", "-5"):
-        assert main(["fig4", "--jobs", jobs, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: jobs must be at least 1, got {jobs}\n"
-    assert not out.exists()
+    assert main(["fig4", "--config", str(config_path), "--jobs", "1", "--out", str(out)]) == 0
+    assert out.exists()
+    for jobs in ("2", "0"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig4", "--jobs", jobs, "--out", str(tmp_path / "never.csv")])
+        assert exit_info.value.code == 2
+        assert "--jobs: invalid choice" in capsys.readouterr().err
+    assert not (tmp_path / "never.csv").exists()
 
 
 def test_cli_refuses_a_window_whose_expansion_cannot_fit_in_memory(tmp_path, capsys):
@@ -469,36 +496,18 @@ def test_cli_refuses_a_window_whose_expansion_cannot_fit_in_memory(tmp_path, cap
     assert not (tmp_path / "huge.csv").exists()
 
 
-def test_parallel_jobs_give_identical_output(tmp_path):
-    commands = {
-        "fig1": lambda config, jobs: cmd_fig1(config, collapse_systems=((4, 2),), jobs=jobs),
-        "fig2": lambda config, jobs: cmd_fig2(config, systems=((4, 1), (4, 2)), jobs=jobs),
-        "fig4": cmd_fig4,
-        "sweep": cmd_sweep,
-    }
-    sweep = {"parameter": "kappa", "values": [0.5, 1.0, 2.0]}
-    for name, command in commands.items():
-        serial = small_config(tmp_path, f"{name}_serial.csv", sweep=sweep)
-        command(serial, jobs=1)
-        threaded = small_config(tmp_path, f"{name}_threaded.csv", sweep=sweep)
-        command(threaded, jobs=3)
-        assert (tmp_path / f"{name}_serial.csv").read_bytes() \
-            == (tmp_path / f"{name}_threaded.csv").read_bytes(), name
-
-
-def test_default_csv_bytes_do_not_depend_on_blas_threads_or_jobs(tmp_path):
-    # fig1 and fig4 at defaults, each in fresh processes under every pairing
-    # of one or two BLAS threads (set in the child's environment only) with
-    # --jobs 1 or 2; the four children of a command run side by side
+def test_default_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # fig1 and fig4 at defaults, each in fresh processes under one and two
+    # BLAS threads (set in the child's environment only); the two children
+    # of a command run side by side
     src = str(Path(experiments.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     for command in ("fig1", "fig4"):
         children = []
-        for threads, jobs in product(("1", "2"), ("1", "2")):
-            out = tmp_path / f"{command}-threads{threads}-jobs{jobs}.csv"
+        for threads in ("1", "2"):
+            out = tmp_path / f"{command}-threads{threads}.csv"
             env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
-            cmd = [sys.executable, "-m", "sunburst_battery.cli", command,
-                   "--jobs", jobs, "--out", str(out)]
+            cmd = [sys.executable, "-m", "sunburst_battery.cli", command, "--out", str(out)]
             children.append((subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
                                               stderr=subprocess.PIPE), out))
         for child, out in children:
