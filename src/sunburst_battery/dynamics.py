@@ -8,6 +8,15 @@ roundoff at every grid time (no step-size error), with no dense matrix and
 no eigendecomposition.  The Hamiltonian conserves the total parity, so a
 state with no weight in one parity sector (a cat charger with ground
 batteries) is expanded on the other sector alone, at half the size.
+
+A grid of more points than its window needs is evaluated at M Chebyshev
+nodes of the window instead, and what merit_series computes from the
+states there is interpolated onto the grid (``linalg.interpolate``).  The
+reduced state is bilinear in the state, a sum of phases exp(-i (E_m -
+E_m') t) with |E_m - E_m'| <= 2 bound, so on a window of length D its
+Chebyshev series in t decays like J_k(bound D), as the propagator's does
+at z = bound D: the M terms that the CHEBYSHEV_TOL cut keeps at that z
+fix it on the whole window to roundoff.
 """
 
 from __future__ import annotations
@@ -16,7 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import chebyshev_series, series_states
+from .linalg import (
+    chebyshev_coefficients,
+    chebyshev_nodes,
+    chebyshev_series,
+    series_states,
+)
 from .model import (
     Layout,
     ModelSpec,
@@ -155,17 +169,23 @@ def initial_state(spec: ModelSpec, init: InitialStateSpec) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """States on a time grid as a Chebyshev expansion with real coefficients
-    (shapes (T, K) and (K, size)): the state at times[j] is the sum over k of
-    coefficients[j, k] vectors[k], times -i for odd k (``chebyshev_series``).
-    The vector entries are laid out by ``layout``, the full space unless
-    given: size is dim, or dim / 2 on one parity sector."""
+    """States as a Chebyshev expansion with real coefficients (shapes (P, K)
+    and (K, size)) at P evaluation points: the state at point j is the sum
+    over k of coefficients[j, k] vectors[k], times -i for odd k
+    (``chebyshev_series``).  The points are the grid ``times`` themselves
+    when ``nodes`` is None, else the Chebyshev ``nodes`` of the grid window,
+    from which quantities of the states are interpolated onto the grid.
+    ``bound`` is the expansion's norm bound.  The vector entries are laid
+    out by ``layout``, the full space unless given: size is dim, or dim / 2
+    on one parity sector."""
 
     spec: ModelSpec
     times: np.ndarray
     coefficients: np.ndarray
     vectors: np.ndarray
     layout: Layout | None = None
+    nodes: np.ndarray | None = None
+    bound: float | None = None
 
     def __post_init__(self):
         if self.layout is None:
@@ -173,16 +193,28 @@ class Trajectory:
 
     @property
     def states(self) -> np.ndarray:
-        """Every state at once in the natural basis order, shape (T, dim);
-        row k is the state at times[k]."""
+        """Every grid state at once in the natural basis order, shape (T,
+        dim); row k is the state at times[k].  A trajectory evaluated at
+        nodes rebuilds the grid's coefficients from ``bound``, so these are
+        exact at the grid times too, not interpolated."""
+        coefficients = self.coefficients if self.nodes is None else \
+            chebyshev_coefficients(self.bound * self.times, self.vectors.shape[0])
         states = np.zeros((len(self.times), self.spec.dim), dtype=np.complex128)
-        states[:, self.layout.basis] = series_states(self.coefficients, self.vectors)
+        states[:, self.layout.basis] = series_states(coefficients, self.vectors)
         return states
 
 
 def trajectory(spec: ModelSpec, init: InitialStateSpec, times) -> Trajectory:
-    """Evolve the composite initial state to every grid time, on the one
-    parity sector it occupies if it has exact zeros on the other."""
+    """Evolve the composite initial state over the grid, on the one parity
+    sector it occupies if it has exact zeros on the other.
+
+    The expansion is evaluated at the grid times when there are at most M
+    of them, else at M Chebyshev nodes of [times[0], times[-1]], M >= 2 the
+    number of terms the CHEBYSHEV_TOL cut keeps at z = bound (times[-1] -
+    times[0]).  The nodes include times[-1], so the expansion has as many
+    terms either way.  The up-front memory check counts the reduced states
+    merit_series holds, 16 4**n bytes per grid point.
+    """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("time grid must be a non-empty 1-D array")
@@ -195,5 +227,9 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times) -> Trajectory:
     layout = sector_layout(spec, occupied[0] if len(occupied) == 1 else None)
     psi0 = psi0[layout.basis]
     matvec, bound = total_matvec(spec, layout.basis)
-    coefficients, vectors = chebyshev_series(matvec, bound, psi0, times)
-    return Trajectory(spec, times, coefficients, vectors, layout)
+    count = max(2, chebyshev_coefficients([bound * (times[-1] - times[0])]).shape[1])
+    nodes = chebyshev_nodes(times[0], times[-1], count) if times.size > count else None
+    points = times if nodes is None else nodes
+    coefficients, vectors = chebyshev_series(matvec, bound, psi0, points,
+                                             extra_bytes=times.size * (16 << 2 * spec.n))
+    return Trajectory(spec, times, coefficients, vectors, layout, nodes, bound)

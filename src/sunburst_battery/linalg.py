@@ -6,7 +6,10 @@ psi -> H psi and a bound on ||H||: one vector sequence T_k(H/bound) psi0
 serves every point of a time grid, and each grid point is a set of real
 expansion coefficients, the phases 1 and -i of even and odd terms
 factored out, so the coefficients and the states are formed in real
-arithmetic (``state_blocks``).  Dense LAPACK eigendecomposition of the full
+arithmetic (``state_blocks``).  What varies smoothly along a window, such
+as a reduced state, can be computed at the window's second-kind Chebyshev
+points only (``chebyshev_nodes``) and carried onto the grid by barycentric
+interpolation (``interpolate``).  Dense LAPACK eigendecomposition of the full
 space (``eigh``, a plain ``(eigenvalues, eigenvectors)`` pair), spectral
 propagation with that pair (``evolve_on_grid``) and a sliced Taylor-series
 propagator (``expm_series_oracle``) are kept as independent references for
@@ -95,71 +98,68 @@ def _smooth_size(n: int) -> int:
     while fives < best:
         threes = fives
         while threes < best:
-            size = threes
-            while size < n:
-                size *= 2
-            best = min(best, size)
+            # threes 2**a with the least a that reaches n
+            best = min(best, threes << max(0, (-(-n // threes) - 1).bit_length()))
             threes *= 3
         fives *= 5
     return best
 
 
-def chebyshev_series(matvec, bound: float, psi0, times) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-i H t) psi0 at every grid time as a Chebyshev expansion with real
-    coefficients.
+def _fft_half(z_max: float) -> int:
+    """half, the number of cosine-series terms the coefficient FFT resolves
+    at |z| <= z_max: twice the smallest 2**a 3**b 5**c >= 0.75 z_max + 30."""
+    return 2 * _smooth_size(int(np.ceil(0.75 * z_max + 30)))
 
-    ``matvec(v)`` returns H v for a Hermitian H, and ``bound`` >= ||H||_2
-    (for example the Gershgorin row-sum bound).  With z = bound * t and
-    v_k = T_k(H / bound) psi0,
 
-        exp(-i H t) psi0 = sum_{k even} g_k(t) v_k - i sum_{k odd} g_k(t) v_k,
-        g_0 = J_0(z),   g_k = 2 (-1)^floor(k/2) J_k(z),
+def _refuse_beyond_memory(z_max: float, half: int, needed: float, vectors: float = 0) -> None:
+    """ValueError unless ``needed`` bytes fit in physical memory; the message
+    names the ``half`` terms per point at z_max and, when given, the vector
+    count, each to three digits."""
+    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > available:
+        counted = f" and at least {vectors:.3g} vectors" if vectors else ""
+        raise ValueError(
+            f"Chebyshev expansion at z = {z_max:.3g} needs {half:.3g} coefficient terms per "
+            f"point{counted}: {needed:.3g} bytes, more than the {available:.3g} bytes of "
+            f"physical memory"
+        )
 
-    the expansion of Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984),
-    whose coefficients 2 (-i)^k J_k(z) are g_k times 1 or -i.  The vectors do
-    not depend on t, so one three-term recurrence v_{k+1} = 2 (H/bound) v_k -
-    v_{k-1} serves the whole grid.  The g_k(t) are the cosine-series
+
+def _finite_grid(z) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 1 or z.size == 0 or not np.all(np.isfinite(z)):
+        raise ValueError("time grid must be a non-empty 1-D array of finite times")
+    return z
+
+
+def chebyshev_coefficients(z, terms: int | None = None) -> np.ndarray:
+    """The real expansion coefficients g_k(z) of ``chebyshev_series`` at
+    every z of a 1-D array, shape (len(z), K).
+
+    g_0 = J_0(z) and g_k = 2 (-1)**floor(k/2) J_k(z) are the cosine-series
     coefficients of f(theta) = cos(z cos theta) + sin(z cos theta)
     (Jacobi-Anger), read off one real FFT of f at theta_j = pi j / half,
-    j < 2 half, GRID_BLOCK grid points at a time, so the FFT workspace does
-    not grow with the grid.  cos and sin are evaluated on [0, pi/2] only:
+    j < 2 half, GRID_BLOCK points at a time, so the FFT workspace does not
+    grow with the grid.  cos and sin are evaluated on [0, pi/2] only:
     f(pi - theta) = cos(z cos theta) - sin(z cos theta) and f(2 pi - theta)
     = f(theta).  half is twice the smallest 2**a 3**b 5**c >= 0.75 z_max +
     30, an FFT length with no large prime factor and at least 1.5 z_max + 60;
     J_k(z) decays faster than exponentially once k > z, and the margin keeps
     the kept terms clear of aliasing up to z of several hundred.
 
-    Returns ``(coefficients, vectors)`` of shapes (len(times), K) and
-    (K, dim), the coefficients real; ``series_states`` and ``state_blocks``
-    form the states.  The vectors are real when psi0 and H are.  K counts
-    the coefficients up to the last one above CHEBYSHEV_TOL * (1 + z_max)
-    anywhere on the grid; ArithmeticError if they do not fall below that
-    within the FFT.  ValueError if a vector outgrows psi0, which means
-    ``bound`` is below ||H||, and, before anything is allocated, if the
-    coefficient table and the at least z_max vectors cannot fit in physical
-    memory.
+    K is ``terms`` when given, else the count up to the last coefficient
+    above CHEBYSHEV_TOL * (1 + z_max) anywhere on the array; ArithmeticError
+    if they do not fall below that within the FFT.  ValueError, before
+    anything is allocated, if the table and the FFT workspace cannot fit in
+    physical memory.
     """
-    psi0 = _check_state(np.size(psi0), psi0)
-    if not (np.isfinite(bound) and bound > 0):
-        raise ValueError(f"norm bound must be positive and finite, got {bound!r}")
-    z = bound * np.asarray(times, dtype=float)
-    if z.ndim != 1 or z.size == 0 or not np.all(np.isfinite(z)):
-        raise ValueError("time grid must be a non-empty 1-D array of finite times")
-    if not psi0.imag.any():
-        psi0 = psi0.real  # a real H then keeps the whole sequence real
+    z = _finite_grid(z)
     z_max = float(np.max(np.abs(z)))
-    quarter = _smooth_size(int(np.ceil(0.75 * z_max + 30)))
-    half = 2 * quarter
+    half = _fft_half(z_max)
+    quarter = half // 2
     rows = min(z.size, GRID_BLOCK)
-    # the table, the FFT's input, output and temporaries, and the vectors
-    needed = 8 * half * (z.size + 6 * rows) + psi0.itemsize * psi0.size * int(np.ceil(z_max))
-    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if needed > available:
-        raise ValueError(
-            f"Chebyshev expansion at z = {z_max:.3g} needs {half} coefficient terms per "
-            f"grid point and at least {int(np.ceil(z_max))} vectors: {needed:.3g} bytes, "
-            f"more than the {available:.3g} bytes of physical memory"
-        )
+    # the table, the FFT's input, output and temporaries
+    _refuse_beyond_memory(z_max, half, 8 * half * (z.size + 6 * rows))
     # theta_j on [0, pi/2]: cos theta changes sign under theta -> pi - theta,
     # and so does sin(z cos theta) while cos(z cos theta) does not
     cos_theta = np.cos(np.pi * np.arange(quarter + 1) / half)
@@ -176,13 +176,58 @@ def chebyshev_series(matvec, bound: float, psi0, times) -> tuple[np.ndarray, np.
         table[lo:lo + chunk.shape[0]] = np.fft.rfft(chunk, axis=1)[:, :half].real
     table /= half
     table[:, 0] /= 2
-    above = np.flatnonzero(np.max(np.abs(table), axis=0) > CHEBYSHEV_TOL * (1 + z_max))
-    kept = int(above[-1]) + 1 if above.size else 1
-    if kept == half:
-        raise ArithmeticError(
-            f"Chebyshev coefficients did not fall below {CHEBYSHEV_TOL:.0e} * (1 + z) "
-            f"within {half} terms at z = {z_max:.3g}"
-        )
+    if terms is None:
+        above = np.flatnonzero(np.max(np.abs(table), axis=0) > CHEBYSHEV_TOL * (1 + z_max))
+        terms = int(above[-1]) + 1 if above.size else 1
+        if terms == half:
+            raise ArithmeticError(
+                f"Chebyshev coefficients did not fall below {CHEBYSHEV_TOL:.0e} * (1 + z) "
+                f"within {half} terms at z = {z_max:.3g}"
+            )
+    return np.ascontiguousarray(table[:, :terms])
+
+
+def chebyshev_series(matvec, bound: float, psi0, times,
+                     extra_bytes: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-i H t) psi0 at every grid time as a Chebyshev expansion with real
+    coefficients.
+
+    ``matvec(v)`` returns H v for a Hermitian H, and ``bound`` >= ||H||_2
+    (for example the Gershgorin row-sum bound).  With z = bound * t and
+    v_k = T_k(H / bound) psi0,
+
+        exp(-i H t) psi0 = sum_{k even} g_k(t) v_k - i sum_{k odd} g_k(t) v_k,
+        g_0 = J_0(z),   g_k = 2 (-1)^floor(k/2) J_k(z),
+
+    the expansion of Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984),
+    whose coefficients 2 (-i)^k J_k(z) are g_k times 1 or -i.  The vectors do
+    not depend on t, so one three-term recurrence v_{k+1} = 2 (H/bound) v_k -
+    v_{k-1} serves the whole grid; ``chebyshev_coefficients`` gives the g_k.
+
+    Returns ``(coefficients, vectors)`` of shapes (len(times), K) and
+    (K, dim), the coefficients real; ``series_states`` and ``state_blocks``
+    form the states.  The vectors are real when psi0 and H are.  K counts
+    the coefficients up to the last one above CHEBYSHEV_TOL * (1 + z_max)
+    anywhere on the grid; ArithmeticError if they do not fall below that
+    within the FFT.  ValueError if a vector outgrows psi0, which means
+    ``bound`` is below ||H||, and, before anything is allocated, if the
+    coefficient table, the at least z_max vectors and ``extra_bytes`` more,
+    which the caller will hold alongside, cannot fit in physical memory.
+    """
+    psi0 = _check_state(np.size(psi0), psi0)
+    if not (np.isfinite(bound) and bound > 0):
+        raise ValueError(f"norm bound must be positive and finite, got {bound!r}")
+    z = _finite_grid(bound * np.asarray(times, dtype=float))
+    if not psi0.imag.any():
+        psi0 = psi0.real  # a real H then keeps the whole sequence real
+    z_max = float(np.max(np.abs(z)))
+    half = _fft_half(z_max)
+    count = np.ceil(z_max)  # K > z_max: J_k(z) only starts to decay once k > z
+    # the coefficient table and its FFT workspace, the vectors and the caller's bytes
+    _refuse_beyond_memory(z_max, half, 8 * half * (z.size + 6 * min(z.size, GRID_BLOCK))
+                          + psi0.itemsize * psi0.size * count + extra_bytes, count)
+    coefficients = chebyshev_coefficients(z)
+    kept = coefficients.shape[1]
     first = matvec(psi0) / bound
     vectors = np.empty((kept, psi0.size), dtype=np.result_type(psi0, first))
     vectors[0] = psi0
@@ -191,13 +236,15 @@ def chebyshev_series(matvec, bound: float, psi0, times) -> tuple[np.ndarray, np.
     for k in range(2, kept):
         vectors[k] = (2.0 / bound) * matvec(vectors[k - 1]) - vectors[k - 2]
     # |T_k| <= 1 on [-1, 1]; roundoff grows far slower than this margin, while
-    # an eigenvalue beyond the bound grows T_k exponentially
-    growth = float(np.max(np.linalg.norm(vectors, axis=1)))
+    # an eigenvalue beyond the bound grows T_k exponentially.  The squared
+    # norms are taken over the real view: no conjugated copy of the vectors
+    flat = vectors.view(np.float64)
+    growth = float(np.sqrt(np.max(np.einsum("kj,kj->k", flat, flat))))
     if growth > 1.0 + 1e-6:
         raise ValueError(
             f"Chebyshev vectors grow to norm {growth:.3e}: bound {bound!r} is below ||H||"
         )
-    return np.ascontiguousarray(table[:, :kept]), vectors
+    return coefficients, vectors
 
 
 def state_blocks(coefficients, vectors):
@@ -245,6 +292,50 @@ def series_states(coefficients, vectors) -> np.ndarray:
         states.real[lo:lo + real.shape[0]] = real
         states.imag[lo:lo + real.shape[0]] = imag
     return states
+
+
+def chebyshev_nodes(t_first: float, t_last: float, count: int) -> np.ndarray:
+    """``count`` >= 2 second-kind Chebyshev points of [t_first, t_last],
+    (t_first + t_last) / 2 - (t_last - t_first) / 2 cos(pi j / (count - 1)),
+    increasing, with the ends exactly t_first and t_last."""
+    if count < 2:
+        raise ValueError(f"need at least 2 Chebyshev nodes, got {count}")
+    nodes = t_first + (t_last - t_first) * (1 - np.cos(np.pi * np.arange(count) / (count - 1))) / 2
+    nodes[[0, -1]] = t_first, t_last
+    return nodes
+
+
+def interpolate(nodes, values, times) -> np.ndarray:
+    """The polynomial through ``values`` (shape (M, ...), real or complex)
+    at the M ``chebyshev_nodes``, evaluated at every one of ``times``.
+
+    This is the barycentric formula of the second kind, whose weights at
+    second-kind Chebyshev points are (-1)**j, halved at both ends; it is
+    forward stable there (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)),
+    and a time equal to a node takes that node's values exactly.  The
+    (rows x M) weights are built for GRID_BLOCK grid times at a time, and
+    each block costs one real matrix product with the values read as reals.
+    """
+    nodes, times = np.asarray(nodes, dtype=float), np.asarray(times, dtype=float)
+    values = np.ascontiguousarray(values)
+    if nodes.ndim != 1 or nodes.size < 2 or values.shape[:1] != nodes.shape:
+        raise ValueError(f"values of shape {values.shape} do not match {nodes.size} nodes")
+    weights = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
+    weights[[0, -1]] /= 2
+    samples = values.reshape(nodes.size, -1)
+    samples = samples.view(np.float64) if np.iscomplexobj(samples) else np.asarray(samples, float)
+    out = np.empty((times.size, samples.shape[1]))
+    for lo in range(0, times.size, GRID_BLOCK):
+        gaps = np.subtract.outer(times[lo:lo + GRID_BLOCK], nodes)
+        on_node = gaps == 0
+        np.copyto(gaps, 1.0, where=on_node)
+        rows = weights / gaps
+        hits = on_node.any(axis=1)
+        rows[hits] = on_node[hits]
+        rows /= rows.sum(axis=1, keepdims=True)
+        np.matmul(rows, samples, out=out[lo:lo + rows.shape[0]])
+    out = out.view(np.complex128) if np.iscomplexobj(values) else out
+    return out.reshape(times.shape + values.shape[1:])
 
 
 def expm_series_oracle(operator, psi0, t: float, term_tol: float = 1e-16) -> np.ndarray:

@@ -15,13 +15,13 @@ headline ergotropy and carry the spectral value alongside.
 
 Every function here takes one matrix or a stack of them (leading axes), so
 a whole trajectory is reduced and evaluated in one pass.  A trajectory is
-reduced either from the real and imaginary parts of its states, formed a
-grid block at a time by real matrix products, or without forming any
-state, from the Gram matrix of its Chebyshev vectors over the charger with
-the phases of the real coefficients folded in (``reduce_expansion``),
-whichever costs fewer operations.  A trajectory on one parity sector is
-reduced block by block (model.Layout): each charger parity meets the
-battery levels of one parity only.
+reduced from the real and imaginary parts of its states at its evaluation
+points, formed a grid block at a time by real matrix products; when those
+are Chebyshev nodes of the grid window, the reduced states are then
+interpolated onto the grid (dynamics.trajectory has the bandwidth
+argument).  A trajectory on one parity sector is reduced block by block
+(model.Layout): each charger parity meets the battery levels of one parity
+only.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
-from .linalg import GRID_BLOCK, state_blocks
+from .linalg import interpolate, state_blocks
 from .model import battery_energies
 
 NEGATIVITY_TOL = 1e-10
@@ -97,55 +97,6 @@ def _unit_trace(rho) -> np.ndarray:
             f"reduced state has trace {float(trace[off][0])!r}; input state not normalized"
         )
     return rho
-
-
-def reduce_expansion(coefficients, vectors, L: int, n: int, blocks=None) -> np.ndarray:
-    """Reduced battery state of every expansion of ``chebyshev_series``,
-    without forming any state.
-
-    State j is sum_k s_k g_jk v_k with real coefficients g and phases s_k =
-    1 (k even) or -i (k odd).  With v_k[c, a] the K vectors under the model
-    bit convention, the Gram matrix G[k, a, l, b] = sum_c v_k[c, a]
-    conj(v_l[c, b]) over charger configurations c gives rho_ab = sum_kl g_k
-    g_l P[k, a, l, b], P = s_k conj(s_l) G.  G is one (K 2**n x 2**L) @
-    (2**L x K 2**n) product, and the phases are folded into it once; each
-    GRID_BLOCK of grid points then costs one real product of g with P, read
-    as pairs of reals, and one contraction with g, T K**2 4**n multiply-adds
-    for each of the real and imaginary parts against T K 2**(L+n) for
-    forming the states.  With ``blocks`` (see reduce_to_battery) the vectors
-    are in that layout, and each block is contracted on its own.
-    """
-    coefficients, vectors = np.asarray(coefficients, dtype=float), np.asarray(vectors)
-    slices, size = _block_slices(L, n, blocks)
-    if vectors.ndim != 2 or vectors.shape[1] != size or coefficients.ndim != 2 \
-            or coefficients.shape[1] != vectors.shape[0]:
-        raise ValueError(
-            f"expansion of shapes {coefficients.shape} @ {vectors.shape} does not match "
-            f"the {size} entries of 2**({L}+{n}) = {1 << (L + n)}"
-        )
-    kept = vectors.shape[0]
-    phases = np.where(np.arange(kept) % 2, -1j, 1.0)
-    rho = np.zeros((coefficients.shape[0], 1 << n, 1 << n), dtype=np.complex128)
-    for entries, rows, labels in slices:
-        levels = labels.size
-        v = vectors[:, entries].reshape(kept, rows, levels)
-        # right is always a fresh buffer: numpy sends x @ x.T on one buffer to
-        # syrk, whose bits change with the BLAS thread count
-        left = np.ascontiguousarray(v.transpose(0, 2, 1)).reshape(kept * levels, rows)
-        right = np.conjugate(v.transpose(1, 0, 2), order="C").reshape(rows, kept * levels)
-        # folded[k, a, b, l] = s_k conj(s_l) G[k, a, l, b], with l last so the
-        # contraction with g runs along memory; the product with g reads it as
-        # real pairs
-        folded = np.multiply(
-            (left @ right).reshape(kept, levels, kept, levels).transpose(0, 1, 3, 2),
-            np.multiply.outer(phases, phases.conj())[:, None, None, :], order="C")
-        parts = folded.view(np.float64).reshape(kept, -1)
-        for start in range(0, coefficients.shape[0], GRID_BLOCK):
-            block = coefficients[start:start + GRID_BLOCK]
-            half = (block @ parts).view(np.complex128).reshape(-1, levels, levels, kept)
-            rho[start:start + GRID_BLOCK, labels[:, None], labels] = \
-                np.einsum("tabl,tl->tab", half, block)
-    return _unit_trace(rho)
 
 
 def check_density_matrix(rho, tol: float = 1e-10) -> None:
@@ -276,13 +227,13 @@ class MeritSeries:
 def merit_series(traj: Trajectory) -> MeritSeries:
     """Evaluate all figures of merit along a trajectory, one column each.
 
-    With K Chebyshev vectors, the reduced states come from their Gram
-    matrix (``reduce_expansion``) when K 2**n < 2**L, the case where that
-    contraction takes fewer operations than forming the states; otherwise
-    the real and imaginary parts of the states are formed (``state_blocks``)
-    and reduced GRID_BLOCK grid points at a time, in two buffers reused
-    from block to block.  Either way no (T, dim) array is ever held, and
-    each block of the trajectory's layout is reduced on its own: on one
+    The real and imaginary parts of the states at the trajectory's
+    evaluation points are formed (``state_blocks``) and reduced GRID_BLOCK
+    points at a time, in two buffers reused from block to block, so no
+    (T, dim) array is ever held.  On Chebyshev nodes that is one block of
+    about K points, whose reduced states are interpolated onto the grid
+    (``linalg.interpolate``); everything else is evaluated per grid point.
+    Each block of the trajectory's layout is reduced on its own: on one
     parity sector the reduced states are block diagonal in the battery
     parity, and their spectra are taken block by block.
     """
@@ -290,13 +241,12 @@ def merit_series(traj: Trajectory) -> MeritSeries:
     times = traj.times
     levels = battery_energies(spec.n, spec.delta)
     blocks = traj.layout.blocks
-    if traj.vectors.shape[0] << spec.n < 1 << spec.L:
-        rho = reduce_expansion(traj.coefficients, traj.vectors, spec.L, spec.n, blocks)
-    else:
-        rho = np.concatenate([
-            reduce_to_battery((real, imag), spec.L, spec.n, blocks)
-            for _, real, imag in state_blocks(traj.coefficients, traj.vectors)
-        ])
+    rho = np.concatenate([
+        reduce_to_battery((real, imag), spec.L, spec.n, blocks)
+        for _, real, imag in state_blocks(traj.coefficients, traj.vectors)
+    ])
+    if traj.nodes is not None:
+        rho = interpolate(traj.nodes, rho, times)
     stored = stored_energy(rho, levels)
     work, _ = ergotropy_populations(rho, levels)
     work_spectral, _ = ergotropy(rho, levels, [labels for _, labels in blocks])

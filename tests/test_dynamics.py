@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,17 @@ def test_trajectory_validation_and_identity_grid():
         trajectory(spec, init, [-0.5, 0.5])
 
 
+def test_trajectory_refuses_a_grid_whose_reduced_states_cannot_fit_in_memory():
+    # n = 8 reduced states take 16 4**8 bytes = 1 MiB per grid point: a
+    # short window with one point more than physical memory holds is refused
+    # before any vector is allocated, though the expansion itself is tiny
+    spec = ModelSpec(8, 8, d=1)
+    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    times = np.linspace(0.0, 0.01, available // (16 << 16) + 1)
+    with pytest.raises(ValueError, match="physical memory"):
+        trajectory(spec, InitialStateSpec(), times)
+
+
 def test_trajectory_norm_preservation():
     spec = ModelSpec(4, 2, h=0.2)
     traj = trajectory(spec, InitialStateSpec("random", seed=8), np.linspace(0, 5, 101))
@@ -184,7 +197,7 @@ def test_full_scale_excited_population_at_charging_time():
     (ModelSpec(7, 1, h=0.1), 0.5),
     (ModelSpec(6, 2, d=2, h=0.1), 3.0),
     (ModelSpec(4, 4, d=1, h=0.4, delta=0.7, kappa=0.9), 3.0),
-], ids=["L6n0", "L5n1", "L7n1-gram", "L6n2d2", "L4n4"])
+], ids=["L6n0", "L5n1", "L7n1-short", "L6n2d2", "L4n4"])
 @pytest.mark.parametrize("init", [
     InitialStateSpec(),
     InitialStateSpec("ghz_minus"),
@@ -198,7 +211,8 @@ def test_sector_trajectory_matches_dense_oracle(spec, t_end, init, monkeypatch):
     # the even one for ghz_minus) stays exactly zero; an x-product or random
     # charger is expanded on the full space.  Either way every merit column
     # follows the reduced oracle states.  The (7, 1) window is short enough
-    # for the Gram contraction (K 2**n < 2**L)
+    # for fewer Chebyshev nodes than its 41 grid points, so its reduced
+    # states are interpolated; every other grid is evaluated itself
     solved = []
     dense_eigh = linalg.eigh
     monkeypatch.setattr(linalg, "eigh", lambda m: solved.append(len(m)) or dense_eigh(m))
@@ -214,21 +228,63 @@ def test_sector_trajectory_matches_dense_oracle(spec, t_end, init, monkeypatch):
     even, odd = parity_sectors(spec.dim)
     for idx in {"ghz_plus": [odd], "ghz_minus": [even]}.get(init.charger_kind, []):
         assert not psi0[idx].any() and not states[:, idx].any()
+    assert (traj.nodes is None) == (t_end > 0.5)
+    assert_merit_columns_match_oracle(merit_series(traj), oracle, spec)
+
+
+def assert_merit_columns_match_oracle(series, oracle, spec):
+    """Every merit column of ``series`` within 1e-12 of reducing the dense
+    oracle states, shape (T, dim), and evaluating them."""
     levels = battery_energies(spec.n, spec.delta)
     rho = reduce_to_battery(oracle, spec.L, spec.n)
     stored = stored_energy(rho, levels)
     work = ergotropy_populations(rho, levels)[0]
-    series = merit_series(traj)
     expected = {
         "stored_energy": stored,
         "ergotropy": work,
         "ergotropy_spectral": ergotropy(rho, levels)[0],
         "linear_entropy": linear_entropy(rho),
-        "power": charging_power(stored, times),
+        "power": charging_power(stored, series.t),
         "unavailable": stored - work,
     }
     for name, column in expected.items():
         assert np.max(np.abs(getattr(series, name) - column)) <= 1e-12, name
+
+
+def interpolated_cases():
+    """(spec, init, times) with more grid points than Chebyshev nodes: n = 0..4
+    under every charger kind on [0, 3], a window that starts at t = 0.7, and
+    the window of fig3 at kappa = 0.25, one period 2 pi / omega, at z = bound
+    (t_last - t_first) ~ 108.  The first nonzero grid time stays >= ~0.005:
+    P = dE / t turns the ~1e-15 roundoff of dE into ~1e-12 at t = 0.001."""
+    specs = [ModelSpec(6, 0, h=0.3), ModelSpec(5, 1, h=0.2, kappa=1.3),
+             ModelSpec(6, 2, d=2, h=0.1), ModelSpec(5, 3, d=1, h=0.2, kappa=0.8),
+             ModelSpec(4, 4, d=1, h=0.4, delta=0.7, kappa=0.9)]
+    for spec in specs:
+        for init in (InitialStateSpec(), InitialStateSpec("ghz_minus"),
+                     InitialStateSpec("eigenstate", index=5),
+                     InitialStateSpec("random", seed=11)):
+            yield pytest.param(spec, init, np.linspace(0.0, 3.0, 400),
+                               id=f"L{spec.L}n{spec.n}-{init.charger_kind}")
+    yield pytest.param(ModelSpec(5, 1, h=0.2, kappa=1.3), InitialStateSpec("random", seed=4),
+                       np.linspace(0.7, 3.7, 400), id="late-start")
+    slow = ModelSpec(9, 1, h=0.3, kappa=0.25)
+    yield pytest.param(slow, InitialStateSpec(),
+                       np.linspace(0.0, 2 * np.pi / np.hypot(slow.delta, 2 * slow.kappa), 1500),
+                       id="fig3-kappa0.25-period")
+
+
+@pytest.mark.parametrize("spec, init, times", interpolated_cases())
+def test_interpolated_trajectory_matches_dense_oracle(spec, init, times):
+    # the states are expanded at the Chebyshev nodes of the window only, and
+    # their reduced states interpolated onto the grid: every merit column
+    # still follows dense full-space ED to 1e-12, and the states the
+    # trajectory reports are exact at the grid times
+    traj = trajectory(spec, init, times)
+    assert traj.nodes is not None and traj.nodes.size < times.size
+    oracle = evolve_on_grid(linalg.eigh(build_total(spec)), initial_state(spec, init), times)
+    assert np.max(np.abs(traj.states - oracle)) <= 1e-12
+    assert_merit_columns_match_oracle(merit_series(traj), oracle, spec)
 
 
 @pytest.mark.parametrize("spec, init", [

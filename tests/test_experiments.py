@@ -496,6 +496,34 @@ def test_cli_refuses_a_window_whose_expansion_cannot_fit_in_memory(tmp_path, cap
     assert not (tmp_path / "huge.csv").exists()
 
 
+@pytest.mark.parametrize("key, value", [("t_end", "NaN"), ("t_end", "Infinity"),
+                                        ("t_start", "NaN"), ("t_start", "-Infinity")])
+def test_cli_refuses_a_non_finite_grid_window(tmp_path, capsys, key, value):
+    # JSON NaN and Infinity parse as floats; the grid names the key at once
+    config_path = tmp_path / "config.json"
+    config_path.write_text(f'{{"model": {{"L": 4, "n": 1}}, "grid": {{"{key}": {value}}}, '
+                           f'"output_path": "{tmp_path / "never.csv"}"}}')
+    assert main(["fig4", "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: grid.{key} must be finite, got {float(value.replace('Infinity', 'inf'))!r}"]
+    assert not (tmp_path / "never.csv").exists()
+
+
+def test_cli_memory_refusal_prints_no_long_integers(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "model": {"L": 4, "n": 1},
+        "grid": {"t_end": 1e300},
+        "output_path": str(tmp_path / "huge.csv"),
+    }))
+    assert main(["fig4", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Chebyshev expansion at z = ") and err.count("\n") == 1
+    assert "physical memory" in err and not re.search(r"\d{5}", err), err
+    assert not (tmp_path / "huge.csv").exists()
+
+
 def test_default_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
     # fig1 and fig4 at defaults, each in fresh processes under one and two
     # BLAS threads (set in the child's environment only); the two children

@@ -1,4 +1,6 @@
 import math
+import os
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +16,14 @@ from sunburst_battery import (
 )
 from sunburst_battery import linalg
 from sunburst_battery.dynamics import random_state
-from sunburst_battery.linalg import GRID_BLOCK, row_sum_bound, series_states
+from sunburst_battery.linalg import (
+    GRID_BLOCK,
+    chebyshev_coefficients,
+    chebyshev_nodes,
+    interpolate,
+    row_sum_bound,
+    series_states,
+)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -224,6 +233,82 @@ def test_chebyshev_series_refuses_a_window_beyond_physical_memory():
     ham = np.diag([-1.0, 1.0])
     with pytest.raises(ValueError, match=r"z = 1e\+12 needs .* bytes, more than .* memory"):
         chebyshev_series(lambda v: ham @ v, 1.0, np.array([1.0, 0.0]), [0.0, 1e12])
+
+
+def test_memory_refusal_prints_every_count_in_three_digits():
+    # at z = 1e300 the term and vector counts are 300-digit integers
+    ham = np.diag([-1.0, 1.0])
+    with pytest.raises(ValueError) as raised:
+        chebyshev_series(lambda v: ham @ v, 1.0, np.array([1.0, 0.0]), [0.0, 1e300])
+    message = str(raised.value)
+    assert "needs 1.5e+300 coefficient terms per point and at least 1e+300 vectors" in message
+    assert not re.search(r"\d{5}", message), message
+    with pytest.raises(ValueError, match=r"^Chebyshev expansion at z = 1e\+300 needs 1\.5e\+300 "
+                                         r"coefficient terms per point: .* physical memory$"):
+        chebyshev_coefficients([1e300])
+
+
+def test_chebyshev_series_counts_the_callers_bytes_in_the_memory_check():
+    ham = np.diag([-1.0, 1.0])
+    psi = np.array([1.0, 0.0])
+    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    chebyshev_series(lambda v: ham @ v, 1.0, psi, [0.0, 1.0], extra_bytes=available // 2)
+    with pytest.raises(ValueError, match="physical memory"):
+        chebyshev_series(lambda v: ham @ v, 1.0, psi, [0.0, 1.0], extra_bytes=available)
+
+
+def test_smooth_size_is_the_least_five_smooth_bound():
+    smooth = [m for m in range(1, 2000) if set(prime_factors(m)) <= {2, 3, 5}]
+    for n in range(1, 1800):
+        assert linalg._smooth_size(n) == min(m for m in smooth if m >= n), n
+
+
+def prime_factors(m: int) -> list:
+    factors, p = [], 2
+    while m > 1:
+        while m % p == 0:
+            factors.append(p)
+            m //= p
+        p += 1
+    return factors
+
+
+def test_chebyshev_nodes_are_increasing_with_exact_ends():
+    nodes = chebyshev_nodes(0.3, 2.0, 7)
+    assert nodes[0] == 0.3 and nodes[-1] == 2.0 and np.all(np.diff(nodes) > 0)
+    assert np.allclose(nodes, 1.15 - 0.85 * np.cos(np.pi * np.arange(7) / 6), atol=1e-15)
+    with pytest.raises(ValueError, match="at least 2"):
+        chebyshev_nodes(0.0, 1.0, 1)
+
+
+def test_interpolation_reproduces_polynomials_and_node_values(monkeypatch):
+    # a complex polynomial of degree M - 1 in t, times a (2, 2) pattern, is
+    # reproduced on a grid of several blocks, exactly at the nodes; the
+    # weights are built at most GRID_BLOCK rows at a time
+    rng = np.random.default_rng(3)
+    nodes = chebyshev_nodes(0.5, 2.5, 12)
+    coefficients = rng.standard_normal((12, 2, 2)) + 1j * rng.standard_normal((12, 2, 2))
+
+    def poly(t):
+        u = np.asarray(t)[..., None, None] - 1.5
+        return sum(c * u ** k for k, c in enumerate(coefficients))
+
+    times = np.sort(np.concatenate([np.linspace(0.5, 2.5, 2 * GRID_BLOCK + 50), nodes[1:-1]]))
+    rows = []
+    real_matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, b, **kw: rows.append(len(a)) or
+                        real_matmul(a, b, **kw))
+    values = interpolate(nodes, poly(nodes), times)
+    monkeypatch.undo()
+    assert rows == [GRID_BLOCK, GRID_BLOCK, times.size - 2 * GRID_BLOCK]
+    assert values.shape == (times.size, 2, 2) and np.iscomplexobj(values)
+    assert np.max(np.abs(values - poly(times))) <= 1e-12
+    at_nodes = interpolate(nodes, poly(nodes), nodes)
+    assert np.array_equal(at_nodes, poly(nodes))
+    real = interpolate(nodes, poly(nodes).real, times)
+    assert not np.iscomplexobj(real) and np.max(np.abs(real - poly(times).real)) <= 1e-12
+    with pytest.raises(ValueError, match="do not match"):
+        interpolate(nodes, poly(nodes)[1:], times)
 
 
 def test_chebyshev_series_raises_when_the_tail_does_not_converge(monkeypatch):

@@ -29,7 +29,7 @@ from sunburst_battery import (
 from sunburst_battery import observables
 from sunburst_battery.dynamics import random_state
 from sunburst_battery.experiments import _naive_partial_trace
-from sunburst_battery.observables import reduce_expansion
+from sunburst_battery.linalg import chebyshev_nodes
 
 OMEGA = np.sqrt(16.25)
 T_CHARGE = np.pi / OMEGA
@@ -69,10 +69,6 @@ def test_reduce_against_naive_oracle():
 def test_reduce_rejects_bad_input():
     with pytest.raises(ValueError, match="does not match"):
         reduce_to_battery(np.ones(6) / np.sqrt(6), 2, 1)
-    with pytest.raises(ValueError, match="does not match"):
-        reduce_expansion(np.ones((1, 1)), np.ones((1, 6)) / np.sqrt(6), 2, 1)
-    with pytest.raises(ValueError, match="does not match"):
-        reduce_expansion(np.ones((1, 2)), np.ones((1, 8)) / np.sqrt(8), 2, 1)
     with pytest.raises(ValueError, match="not normalized"):
         reduce_to_battery(np.ones(8), 2, 1)
 
@@ -80,16 +76,13 @@ def test_reduce_rejects_bad_input():
 @pytest.mark.parametrize("init", [InitialStateSpec(), InitialStateSpec("random", seed=6)],
                          ids=["cat", "random"])
 def test_gram_and_state_reductions_agree_on_every_entry(init):
-    # whole reduced states, coherences included, from a real vector sequence
-    # on one parity sector and a complex one on the full space, of many
-    # terms; and the (real, imag) form of a state reduces exactly like the
-    # complex one
+    # the (real, imag) form of a state reduces exactly like the complex one,
+    # for states of a real vector sequence on one parity sector and of a
+    # complex one on the full space
     traj = trajectory(ModelSpec(5, 2, d=2, h=0.3, delta=0.5, kappa=1.5), init,
                       np.linspace(0.0, 1.5, 40))
     states = traj.states
     rho = reduce_to_battery(states, 5, 2)
-    gram = reduce_expansion(traj.coefficients, traj.vectors, 5, 2, traj.layout.blocks)
-    assert np.max(np.abs(gram - rho)) <= 1e-14
     assert np.array_equal(reduce_to_battery((states.real, states.imag), 5, 2), rho)
 
 
@@ -317,19 +310,23 @@ def test_stacked_input_rejects_one_bad_member():
 
 @pytest.fixture
 def reductions(monkeypatch):
-    """Names of the reductions merit_series calls, in call order."""
+    """The number of states each reduce_to_battery call merit_series makes
+    reduces, in call order."""
     calls = []
-    for name in ("reduce_expansion", "reduce_to_battery"):
-        def spy(*args, _name=name, _fn=getattr(observables, name)):
-            calls.append(_name)
-            return _fn(*args)
-        monkeypatch.setattr(observables, name, spy)
+    reduce = observables.reduce_to_battery
+
+    def spy(psi, *args):
+        calls.append(len(psi[0]))
+        return reduce(psi, *args)
+
+    monkeypatch.setattr(observables, "reduce_to_battery", spy)
     return calls
 
 
 def assert_matches_per_point_evaluation(traj, series, exact_peak):
     """Every column of ``series`` within 1e-14 of reducing and evaluating
-    the states of ``traj`` one at a time."""
+    the states of ``traj`` one at a time, and the peak ergotropy at the same
+    grid time."""
     spec, times = traj.spec, traj.times
     levels = battery_energies(spec.n, spec.delta)
     rhos = [reduce_to_battery(psi, spec.L, spec.n) for psi in traj.states]
@@ -346,35 +343,36 @@ def assert_matches_per_point_evaluation(traj, series, exact_peak):
     }
     for name, column in expected.items():
         assert np.max(np.abs(getattr(series, name) - np.asarray(column))) <= 1e-14, name
-    assert series.peak_ergotropy == (work.max() if exact_peak else series.ergotropy.max())
+    if exact_peak:
+        assert series.peak_ergotropy == work.max()
+    else:
+        assert abs(series.peak_ergotropy - work.max()) <= 1e-14
     assert series.peak_ergotropy_time == times[np.argmax(work)]
 
 
 def test_merit_series_matches_per_point_evaluation(reductions):
+    # at most M = 45 grid points for this system and window: the grid itself
+    # is evaluated, and its states are reduced by the very arithmetic of the
+    # per-point calls
     spec = ModelSpec(4, 2, h=0.3, delta=0.5, kappa=1.5)
-    times = np.linspace(0.0, 2.0, 60)
+    times = np.linspace(0.0, 2.0, 45)
     traj = trajectory(spec, InitialStateSpec("random", seed=5), times)
+    assert traj.nodes is None
     series = merit_series(traj)
-    assert set(reductions) == {"reduce_to_battery"}
-    # the states are reduced by the very arithmetic of the per-point calls
+    assert reductions == [45]
     assert_matches_per_point_evaluation(traj, series, exact_peak=True)
 
 
-@pytest.mark.parametrize("n, init", [
-    (1, InitialStateSpec("random", seed=5)),
-    (2, InitialStateSpec("random", seed=5)),
-    (2, InitialStateSpec()),
-], ids=["n1-random", "n2-random", "n2-cat"])
-def test_gram_merit_series_matches_per_point_evaluation(n, init, reductions):
-    # L = 8 on a window short enough that K 2**n < 2**L, for a complex and a
-    # real vector sequence.  The window starts at t = 0.25: P = dE / t
-    # divides the ~4e-16 roundoff of dE by t, which at the first point of a
-    # 60-point grid on [0, 0.5] (t = 0.008) is 5e-14 on either side of the
-    # comparison
-    traj = trajectory(ModelSpec(8, n, h=0.3, delta=0.5, kappa=1.5), init,
-                      np.linspace(0.25, 0.75, 60))
+def test_interpolated_merit_series_matches_per_point_evaluation(reductions):
+    # more grid points than the M = 45 nodes: the states are reduced at the
+    # nodes only, and the interpolated reduced states give every column to
+    # roundoff and the peak at the same grid time
+    spec = ModelSpec(4, 2, h=0.3, delta=0.5, kappa=1.5)
+    times = np.linspace(0.0, 2.0, 60)
+    traj = trajectory(spec, InitialStateSpec("random", seed=5), times)
+    assert traj.nodes is not None and traj.nodes.size == 45
     series = merit_series(traj)
-    assert set(reductions) == {"reduce_expansion"}
+    assert reductions == [45]
     assert_matches_per_point_evaluation(traj, series, exact_peak=False)
 
 
@@ -394,27 +392,35 @@ def test_merit_series_names_first_negative_unavailable_time(monkeypatch):
         merit_series(traj)
 
 
-def test_default_grid_contracts_exactly_where_it_pays(reductions):
-    # K 2**n < 2**L holds at (11, 1) and (10, 2) (K = 60, 63) and fails at
-    # (9, 3) and (8, 4) (K = 66, 69), where the contraction would cost more
-    # than forming the states
+def test_default_grid_reduces_once_at_the_nodes(reductions):
+    # on the default 2000-point grid every fig1 system is evaluated at its M
+    # Chebyshev nodes, as many as the expansion has terms (the window
+    # starts at t = 0), and reduced in one call; a grid of M points on the
+    # window is evaluated itself
     times = np.linspace(0.0, 2.0, 2000)
-    for (L, n), path in (((11, 1), "reduce_expansion"), ((10, 2), "reduce_expansion"),
-                         ((9, 3), "reduce_to_battery"), ((8, 4), "reduce_to_battery")):
-        merit_series(trajectory(ModelSpec(L, n, h=0.1), InitialStateSpec(), times))
-        assert set(reductions) == {path}, (L, n)
+    for (L, n), count in (((11, 1), 60), ((10, 2), 63), ((9, 3), 66), ((8, 4), 69)):
+        traj = trajectory(ModelSpec(L, n, h=0.1), InitialStateSpec(), times)
+        assert traj.nodes.size == count == traj.coefficients.shape[1], (L, n)
+        assert traj.nodes[0] == 0.0 and traj.nodes[-1] == 2.0
+        merit_series(traj)
+        assert reductions == [count], (L, n)
         reductions.clear()
+        for steps, direct in ((count, True), (count + 1, False)):
+            coarse = trajectory(ModelSpec(L, n, h=0.1), InitialStateSpec(),
+                                np.linspace(0.0, 2.0, steps))
+            assert (coarse.nodes is None) == direct, (L, n, steps)
 
 
-@pytest.mark.parametrize("terms, path", [(3, "reduce_expansion"), (4, "reduce_to_battery")])
-def test_misnormalized_trajectory_raises_the_same_error_on_both_paths(terms, path, reductions):
-    # every state is twice a basis vector, so its reduced trace is exactly 4
-    # on either path; at L = 3, n = 1 the Gram contraction pays for K = 3
-    # vectors and not for K = 4
+@pytest.mark.parametrize("interpolated", [False, True], ids=["grid", "nodes"])
+def test_misnormalized_trajectory_raises_the_same_error_on_both_paths(interpolated,
+                                                                      reductions):
+    # every state is twice a basis vector, so its reduced trace is exactly 4,
+    # at the grid times themselves or at three nodes of a five-point grid
     spec = ModelSpec(3, 1)
-    bad = Trajectory(spec, np.linspace(0.0, 1.0, terms),
-                     np.eye(terms), 2 * np.eye(terms, 16))
+    times = np.linspace(0.0, 1.0, 5 if interpolated else 3)
+    nodes = chebyshev_nodes(0.0, 1.0, 3) if interpolated else None
+    bad = Trajectory(spec, times, np.eye(3), 2 * np.eye(3, 16), nodes=nodes)
     with pytest.raises(ValueError) as raised:
         merit_series(bad)
     assert str(raised.value) == "reduced state has trace 4.0; input state not normalized"
-    assert reductions == [path]
+    assert reductions == [3]
