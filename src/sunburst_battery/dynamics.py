@@ -213,7 +213,9 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times) -> Trajectory:
     number of terms the CHEBYSHEV_TOL cut keeps at z = bound (times[-1] -
     times[0]).  The nodes include times[-1], so the expansion has as many
     terms either way.  The up-front memory check counts the reduced states
-    merit_series holds, 16 4**n bytes per grid point.
+    merit_series holds, the layout's blocks of them: 16 sum(b**2) bytes per
+    grid point over blocks of b battery levels, 16 4**n on the full space
+    and half that on a sector.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -230,6 +232,7 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times) -> Trajectory:
     count = max(2, chebyshev_coefficients([bound * (times[-1] - times[0])]).shape[1])
     nodes = chebyshev_nodes(times[0], times[-1], count) if times.size > count else None
     points = times if nodes is None else nodes
+    cells = sum(labels.size ** 2 for _, labels in layout.blocks)
     coefficients, vectors = chebyshev_series(matvec, bound, psi0, points,
-                                             extra_bytes=times.size * (16 << 2 * spec.n))
+                                             extra_bytes=16 * cells * times.size)
     return Trajectory(spec, times, coefficients, vectors, layout, nodes, bound)

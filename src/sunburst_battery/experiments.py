@@ -203,14 +203,28 @@ def write_csv(path, rows) -> None:
 
 
 def read_csv(path) -> dict[str, np.ndarray]:
-    """Read a dataset written by write_csv into column arrays (NaN = empty)."""
+    """Read a dataset written by write_csv into column arrays (NaN = empty).
+
+    The cells are parsed line by line into one float array, so no string of
+    a cell outlives its line."""
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().strip().split(",")
         if tuple(header) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header {header}")
-        cells = [line.strip().split(",") for line in handle if line.strip()]
-    return {name: np.array([float(row[j]) if row[j] else np.nan for row in cells])
-            for j, name in enumerate(CSV_COLUMNS)}
+        table = np.fromiter(_csv_cells(handle), dtype=float)
+    return dict(zip(CSV_COLUMNS, table.reshape(-1, len(CSV_COLUMNS)).T.copy()))
+
+
+def _csv_cells(lines):
+    """Every cell of the non-blank data ``lines`` as a float, NaN when empty."""
+    for number, line in enumerate(lines, start=2):
+        cells = line.strip().split(",")
+        if cells == [""]:
+            continue
+        if len(cells) != len(CSV_COLUMNS):
+            raise ValueError(f"CSV line {number} has {len(cells)} cells, "
+                             f"expected {len(CSV_COLUMNS)}")
+        yield from (float(cell) if cell else np.nan for cell in cells)
 
 
 def analytic_reference(spec: ModelSpec, times):
@@ -231,16 +245,22 @@ def run_series(spec: ModelSpec, init: InitialStateSpec, times) -> MeritSeries:
     return merit_series(trajectory(spec, init, times))
 
 
+def _format_rows(columns, labels) -> list[str]:
+    """One CSV line per entry of the equal-length float ``columns`` (None
+    for a blank column), followed by the ``labels`` cells, each line as
+    ``_fmt`` would join its cells: every line fills one "%.17g" template
+    whose label and blank cells are formatted once."""
+    template = ",".join("" if col is None else "%.17g" for col in columns)
+    template += "," + ",".join(map(_fmt, labels))
+    values = [np.asarray(col, dtype=float).tolist() for col in columns if col is not None]
+    return [template % row for row in zip(*values)]
+
+
 def _series_rows(series: MeritSeries, spec: ModelSpec, seed: int) -> list[str]:
-    """One CSV line per grid point, formatted as _fmt formats each cell: a
-    numeric column at a time, and the label and blank cells once."""
+    """One CSV line per grid point (``_format_rows``)."""
     columns = (series.t, series.stored_energy, series.ergotropy, series.linear_entropy,
                series.power, *analytic_reference(spec, series.t))
-    cells = [[""] * series.t.size if col is None
-             else [format(v, ".17g") for v in np.asarray(col, dtype=float).tolist()]
-             for col in columns]
-    labels = ",".join(map(_fmt, (spec.n, spec.L, spec.kappa, seed)))
-    return [",".join(row) + "," + labels for row in zip(*cells)]
+    return _format_rows(columns, (spec.n, spec.L, spec.kappa, seed))
 
 
 def _write_series(label: str, path, runs, results) -> None:

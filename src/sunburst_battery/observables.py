@@ -21,7 +21,11 @@ are Chebyshev nodes of the grid window, the reduced states are then
 interpolated onto the grid (dynamics.trajectory has the bandwidth
 argument).  A trajectory on one parity sector is reduced block by block
 (model.Layout): each charger parity meets the battery levels of one parity
-only.
+only, so its reduced state is block diagonal in the battery parity.  From
+the partial trace to the last figure of merit that state is carried as its
+blocks alone, Sum b**2 entries per grid point over blocks of b levels
+(half of 4**n on a sector; the full space is the one-block case): no
+zero-filled 2**n x 2**n stack is built.
 """
 
 from __future__ import annotations
@@ -39,17 +43,16 @@ UNAVAILABLE_TOL = 1e-9
 WORK_FLOOR = 1e-12  # below this the clamped ergotropy counts as zero
 
 
-def _block_slices(L: int, n: int, blocks):
-    """``(entries, rows, labels)`` for each ``(rows, labels)`` block of a
-    model.Layout (the full register's one block when None), ``entries``
-    the slice of a stored vector the block fills, and the vector size."""
-    if blocks is None:
-        blocks = ((1 << L, np.arange(1 << n)),)
-    slices, size = [], 0
-    for rows, labels in blocks:
-        slices.append((slice(size, size + rows * labels.size), rows, labels))
-        size += rows * labels.size
-    return slices, size
+def _block_views(cells, blocks):
+    """``(labels, rho)`` for each ``(rows, labels)`` block of a model.Layout,
+    ``rho`` the (..., b, b) view of that block's reduced state in
+    ``cells``, whose last axis holds the blocks' b x b entries side by side
+    (b = len(labels))."""
+    start = 0
+    for _, labels in blocks:
+        stop = start + labels.size ** 2
+        yield labels, cells[..., start:stop].reshape(cells.shape[:-1] + (labels.size,) * 2)
+        start = stop
 
 
 def reduce_to_battery(psi, L: int, n: int, blocks=None) -> np.ndarray:
@@ -65,12 +68,17 @@ def reduce_to_battery(psi, L: int, n: int, blocks=None) -> np.ndarray:
 
     With ``blocks``, the ``(rows, labels)`` blocks of a model.Layout, psi
     holds the entries of that layout instead: each block is its own
-    (rows x len(labels)) matrix, and its reduced state fills the rows and
-    columns ``labels`` of rho, which is zero elsewhere.
+    (rows x len(labels)) matrix, and its reduced state is the block of rho
+    on the rows and columns ``labels``, rho being zero off the blocks.  The
+    result is then those blocks only, shape (..., sum of len(labels)**2):
+    each block's entries row-major, side by side in the layout's order.
     """
     real, imag = psi if isinstance(psi, tuple) else (np.real(psi), np.imag(psi))
     real, imag = np.asarray(real), np.asarray(imag)
-    slices, size = _block_slices(L, n, blocks)
+    full = blocks is None
+    if full:
+        blocks = ((1 << L, np.arange(1 << n)),)
+    size = sum(rows * labels.size for rows, labels in blocks)
     if real.ndim == 0 or real.shape[-1] != size or imag.shape != real.shape:
         raise ValueError(
             f"state of shape {real.shape} does not match the {size} entries of "
@@ -78,25 +86,25 @@ def reduce_to_battery(psi, L: int, n: int, blocks=None) -> np.ndarray:
         )
     real = np.ascontiguousarray(real, dtype=float)
     imag = np.ascontiguousarray(imag, dtype=float)
-    rho = np.zeros(real.shape[:-1] + (1 << n, 1 << n), dtype=np.complex128)
-    for entries, rows, labels in slices:
+    cells = np.empty(real.shape[:-1] + (sum(labels.size ** 2 for _, labels in blocks),),
+                     dtype=np.complex128)
+    start, trace = 0, 0.0
+    for (rows, labels), (_, rho) in zip(blocks, _block_views(cells, blocks)):
+        entries = slice(start, start + rows * labels.size)
+        start = entries.stop
         shape = real.shape[:-1] + (rows, labels.size)
         a, b = real[..., entries].reshape(shape), imag[..., entries].reshape(shape)
         a_t, b_t = np.swapaxes(a, -1, -2), np.swapaxes(b, -1, -2)
         x = b_t @ a
-        rho[..., labels[:, None], labels] = (a_t @ a + b_t @ b) + 1j * (x - np.swapaxes(x, -1, -2))
-    return _unit_trace(rho)
-
-
-def _unit_trace(rho) -> np.ndarray:
-    """rho, once every reduced state in it has unit trace within 1e-10."""
-    trace = np.real(np.trace(rho, axis1=-2, axis2=-1))
+        rho.real = a_t @ a + b_t @ b
+        rho.imag = x - np.swapaxes(x, -1, -2)
+        trace += np.trace(rho.real, axis1=-2, axis2=-1)
     off = np.abs(trace - 1.0) > 1e-10
     if np.any(off):
         raise ValueError(
             f"reduced state has trace {float(trace[off][0])!r}; input state not normalized"
         )
-    return rho
+    return cells.reshape(real.shape[:-1] + (1 << n, 1 << n)) if full else cells
 
 
 def check_density_matrix(rho, tol: float = 1e-10) -> None:
@@ -134,21 +142,29 @@ def _descending_weights(values, what: str) -> np.ndarray:
     return np.sort(clipped / clipped.sum(axis=-1, keepdims=True), axis=-1)[..., ::-1]
 
 
-def ergotropy(rho, level_energies, sectors=None):
+def _work(populations, weights, levels, what: str):
+    """(work, passive energy) of a state with these level ``populations``
+    whose passive state has these ``weights`` (``what`` names them): the
+    weights sorted descending are paired with the levels sorted ascending,
+    and the work is clamped at 0."""
+    passive = _descending_weights(weights, what) @ np.sort(levels)
+    return np.maximum(0.0, populations @ levels - passive), passive
+
+
+def ergotropy(rho, level_energies):
     """Extractable work and passive energy from the spectral passive state.
 
     Eigenvalues of rho sorted descending are paired with the battery levels
     sorted ascending; returns (work, passive_energy) with work clamped at 0.
-    ``sectors``, index arrays of levels partitioning them, says that rho is
-    block diagonal on them: its spectrum is then that of each block.
     """
     levels = np.asarray(level_energies, dtype=float)
-    spectrum = (np.linalg.eigvalsh(rho) if sectors is None or len(sectors) == 1 else
-                np.concatenate([np.linalg.eigvalsh(rho[..., idx[:, None], idx])
-                                for idx in sectors], axis=-1))
-    weights = _descending_weights(spectrum, "density matrix spectrum")
-    passive = weights @ np.sort(levels)
-    return np.maximum(0.0, _populations(rho) @ levels - passive), passive
+    return _work(_populations(rho), np.linalg.eigvalsh(rho), levels,
+                 "density matrix spectrum")
+
+
+def _population_work(populations, levels):
+    """``ergotropy_populations`` from the level populations themselves."""
+    return _work(populations, populations, levels, "density matrix diagonal")
 
 
 def ergotropy_populations(rho, level_energies):
@@ -157,11 +173,7 @@ def ergotropy_populations(rho, level_energies):
     This is the convention behind all the closed-form results here: the
     battery coherences are not exploited, only populations are reordered.
     """
-    levels = np.asarray(level_energies, dtype=float)
-    populations = _populations(rho)
-    weights = _descending_weights(populations, "density matrix diagonal")
-    passive = weights @ np.sort(levels)
-    return np.maximum(0.0, populations @ levels - passive), passive
+    return _population_work(_populations(rho), np.asarray(level_energies, dtype=float))
 
 
 def passive_state(rho, level_energies) -> np.ndarray:
@@ -174,14 +186,29 @@ def passive_state(rho, level_energies) -> np.ndarray:
     return out
 
 
-def linear_entropy(rho):
-    """Mixedness 1 - tr(rho^2), in [0, 1 - 1/dim]."""
-    rho = np.asarray(rho)
-    purity = np.real(np.sum(rho.conj() * rho, axis=(-2, -1)))
+def _purity(cells) -> np.ndarray:
+    """tr(rho^2) = sum of |rho_ab|**2 of a Hermitian rho whose entries
+    (all of them, or all its nonzero blocks) fill the last axis of
+    ``cells``: a sum of squares over the real view, with no conjugated
+    copy."""
+    cells = np.asarray(cells)
+    if np.iscomplexobj(cells):
+        cells = np.ascontiguousarray(cells, dtype=np.complex128).view(np.float64)
+    return np.einsum("...i,...i->...", cells, cells)
+
+
+def _mixedness(purity) -> np.ndarray:
+    """1 - purity clamped at 0, or ValueError when the purity exceeds 1."""
     value = 1.0 - purity
     if np.min(value) < -1e-12:
         raise ValueError(f"purity {float(np.max(purity))!r} exceeds 1; not a density matrix")
     return np.maximum(0.0, value)
+
+
+def linear_entropy(rho):
+    """Mixedness 1 - tr(rho^2), in [0, 1 - 1/dim]."""
+    rho = np.asarray(rho)
+    return _mixedness(_purity(rho.reshape(rho.shape[:-2] + (-1,))))
 
 
 def charging_power(delta_e, t):
@@ -224,6 +251,32 @@ class MeritSeries:
     max_variant_gap: float
 
 
+def _reduced_blocks(traj: Trajectory) -> np.ndarray:
+    """The reduced states at every grid time as the blocks of the
+    trajectory's layout (``reduce_to_battery`` with ``blocks``), shape (T,
+    sum of b**2): reduced at the evaluation points, then interpolated onto
+    the grid when those are Chebyshev nodes."""
+    spec = traj.spec
+    cells = np.concatenate([
+        reduce_to_battery((real, imag), spec.L, spec.n, traj.layout.blocks)
+        for _, real, imag in state_blocks(traj.coefficients, traj.vectors)
+    ])
+    return cells if traj.nodes is None else interpolate(traj.nodes, cells, traj.times)
+
+
+def _block_figures(cells, blocks, levels: int):
+    """``(populations, spectrum, purity)`` of reduced states given as the
+    ``blocks`` of a layout (``reduce_to_battery``): the populations of the
+    ``levels`` battery levels from the block diagonals, the eigenvalues of
+    each block side by side, and the sum of squares of the block entries."""
+    populations = np.zeros(cells.shape[:-1] + (levels,))
+    spectra = []
+    for labels, rho in _block_views(cells, blocks):
+        populations[..., labels] = _populations(rho)
+        spectra.append(np.linalg.eigvalsh(rho))
+    return populations, np.concatenate(spectra, axis=-1), _purity(cells)
+
+
 def merit_series(traj: Trajectory) -> MeritSeries:
     """Evaluate all figures of merit along a trajectory, one column each.
 
@@ -233,23 +286,18 @@ def merit_series(traj: Trajectory) -> MeritSeries:
     (T, dim) array is ever held.  On Chebyshev nodes that is one block of
     about K points, whose reduced states are interpolated onto the grid
     (``linalg.interpolate``); everything else is evaluated per grid point.
-    Each block of the trajectory's layout is reduced on its own: on one
-    parity sector the reduced states are block diagonal in the battery
-    parity, and their spectra are taken block by block.
+    The reduced states are carried as the blocks of the trajectory's
+    layout (``_reduced_blocks``), interpolated in one call: populations
+    come from the block diagonals, spectra block by block and the purity
+    from the sum of squares of the block entries.
     """
-    spec = traj.spec
     times = traj.times
-    levels = battery_energies(spec.n, spec.delta)
-    blocks = traj.layout.blocks
-    rho = np.concatenate([
-        reduce_to_battery((real, imag), spec.L, spec.n, blocks)
-        for _, real, imag in state_blocks(traj.coefficients, traj.vectors)
-    ])
-    if traj.nodes is not None:
-        rho = interpolate(traj.nodes, rho, times)
-    stored = stored_energy(rho, levels)
-    work, _ = ergotropy_populations(rho, levels)
-    work_spectral, _ = ergotropy(rho, levels, [labels for _, labels in blocks])
+    levels = battery_energies(traj.spec.n, traj.spec.delta)
+    populations, spectrum, purity = _block_figures(_reduced_blocks(traj), traj.layout.blocks,
+                                                   levels.size)
+    stored = populations @ levels - levels.min()
+    work, _ = _population_work(populations, levels)
+    work_spectral, _ = _work(populations, spectrum, levels, "density matrix spectrum")
     unavailable = stored - work
     negative = np.flatnonzero(unavailable < -UNAVAILABLE_TOL)
     if negative.size:
@@ -266,7 +314,7 @@ def merit_series(traj: Trajectory) -> MeritSeries:
         stored_energy=stored,
         ergotropy=work,
         ergotropy_spectral=work_spectral,
-        linear_entropy=linear_entropy(rho),
+        linear_entropy=_mixedness(purity),
         power=power,
         unavailable=unavailable,
         peak_stored_time=float(times[np.argmax(stored)]),

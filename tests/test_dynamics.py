@@ -121,12 +121,13 @@ def test_trajectory_validation_and_identity_grid():
 
 
 def test_trajectory_refuses_a_grid_whose_reduced_states_cannot_fit_in_memory():
-    # n = 8 reduced states take 16 4**8 bytes = 1 MiB per grid point: a
-    # short window with one point more than physical memory holds is refused
-    # before any vector is allocated, though the expansion itself is tiny
+    # the two parity blocks of an n = 8 reduced state on one sector take
+    # 16 * 2 * 128**2 bytes = 512 KiB per grid point: a short window with
+    # one point more than physical memory holds is refused before any
+    # vector is allocated, though the expansion itself is tiny
     spec = ModelSpec(8, 8, d=1)
     available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    times = np.linspace(0.0, 0.01, available // (16 << 16) + 1)
+    times = np.linspace(0.0, 0.01, available // (8 << 16) + 1)
     with pytest.raises(ValueError, match="physical memory"):
         trajectory(spec, InitialStateSpec(), times)
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sunburst_battery import (
     CSV_COLUMNS,
@@ -179,6 +181,30 @@ def test_csv_golden_bytes_for_tuple_and_series_rows(tmp_path):
           "1e-300,-1e-300,,,,,3,6,0.5,9\n"
         + "0.33333333333333331,-0.33333333333333331,0.33333333333333331,"
           "0.33333333333333331,-0.33333333333333331,,,,,3,6,0.5,9\n").encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(0, 4), data=st.data(),
+       labels=st.tuples(st.integers(0, 8), st.integers(2, 24), st.floats(),
+                        st.integers(0, 2 ** 64 - 1)))
+def test_row_template_formats_every_cell_as_fmt(rows, data, labels):
+    # nan, infinities, subnormals and -0.0 included; a None column is blank,
+    # and the first (the time) never is
+    column = st.lists(st.floats(), min_size=rows, max_size=rows)
+    columns = [data.draw(column)] + data.draw(st.lists(st.none() | column, max_size=8))
+    lines = experiments._format_rows(columns, labels)
+    assert len(lines) == rows
+    for k, line in enumerate(lines):
+        cells = [None if col is None else col[k] for col in columns] + list(labels)
+        assert line == ",".join(map(experiments._fmt, cells))
+
+
+def test_read_csv_rejects_a_row_of_the_wrong_width(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(["1"] * len(CSV_COLUMNS))
+                    + "\n\n" + ",".join(["1"] * (len(CSV_COLUMNS) - 1)) + "\n")
+    with pytest.raises(ValueError, match=f"CSV line 4 has {len(CSV_COLUMNS) - 1} cells"):
+        read_csv(path)
 
 
 def test_analytic_reference_filling():

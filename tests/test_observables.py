@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,11 +23,12 @@ from sunburst_battery import (
     passive_state,
     reduce_to_battery,
     run_series,
+    sector_layout,
     stored_energy,
     trajectory,
     unavailable_analytic,
 )
-from sunburst_battery import observables
+from sunburst_battery import dynamics, observables
 from sunburst_battery.dynamics import random_state
 from sunburst_battery.experiments import _naive_partial_trace
 from sunburst_battery.linalg import chebyshev_nodes
@@ -84,6 +86,34 @@ def test_gram_and_state_reductions_agree_on_every_entry(init):
     states = traj.states
     rho = reduce_to_battery(states, 5, 2)
     assert np.array_equal(reduce_to_battery((states.real, states.imag), 5, 2), rho)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_block_reduction_holds_the_blocks_of_the_full_reduction(n):
+    # on a parity sector the full reduced state is zero off the layout's
+    # blocks, and reducing the layout's entries gives each block's entries
+    # row-major, side by side; the full layout is the one-block case
+    rng = np.random.default_rng(50 + n)
+    spec = ModelSpec(4, n, d=1)
+    for parity in (0, 1, None):
+        layout = sector_layout(spec, parity)
+        states = np.zeros((3, spec.dim), dtype=np.complex128)
+        for psi in states:
+            psi[layout.basis] = random_state(rng, layout.basis.size)
+        full = reduce_to_battery(states, spec.L, n)
+        cells = reduce_to_battery(states[:, layout.basis], spec.L, n, layout.blocks)
+        assert cells.shape == (3, sum(labels.size ** 2 for _, labels in layout.blocks))
+        on_blocks = np.zeros(full.shape, dtype=bool)
+        start = 0
+        for _, labels in layout.blocks:
+            stop = start + labels.size ** 2
+            block = full[:, labels[:, None], labels].reshape(3, -1)
+            assert np.max(np.abs(cells[:, start:stop] - block)) <= 1e-15, (parity, labels)
+            on_blocks[:, labels[:, None], labels] = True
+            start = stop
+        assert not np.any(full[~on_blocks]), parity
+        single = reduce_to_battery(states[1, layout.basis], spec.L, n, layout.blocks)
+        assert np.max(np.abs(single - cells[1])) <= 1e-15, parity
 
 
 def test_stored_energy_endpoints():
@@ -376,15 +406,43 @@ def test_interpolated_merit_series_matches_per_point_evaluation(reductions):
     assert_matches_per_point_evaluation(traj, series, exact_peak=False)
 
 
+def test_merit_series_peak_memory_is_the_block_stack_that_trajectory_counts(monkeypatch):
+    # a sector run interpolated from its nodes holds one (T, sum b**2)
+    # complex stack of reduced-state blocks, 8 4**n bytes per grid point,
+    # which is what trajectory counts up front; populations, spectra and
+    # the purity add no second stack
+    counted = []
+    series = dynamics.chebyshev_series
+
+    def spy(*args, extra_bytes=0, **kwargs):
+        counted.append(extra_bytes)
+        return series(*args, extra_bytes=extra_bytes, **kwargs)
+
+    monkeypatch.setattr(dynamics, "chebyshev_series", spy)
+    spec = ModelSpec(4, 4, d=1)
+    times = np.linspace(0.0, 2.0, 4000)
+    traj = trajectory(spec, InitialStateSpec(), times)
+    assert traj.nodes is not None and counted == [8 * 4 ** 4 * times.size]
+    merit_series(traj)  # first-call allocations of the linear-algebra routines
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        merit_series(traj)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * counted[0] + (1 << 20), (peak, counted[0])
+
+
 def test_merit_series_names_first_negative_unavailable_time(monkeypatch):
     from sunburst_battery import observables
 
-    def inflated(rho, levels):
-        work = stored_energy(rho, levels)
+    def inflated(populations, levels):
+        work = populations @ levels - levels.min()
         work[[3, 5]] += 1e-6
         return work, None
 
-    monkeypatch.setattr(observables, "ergotropy_populations", inflated)
+    monkeypatch.setattr(observables, "_population_work", inflated)
     spec = ModelSpec(3, 1, h=0.3, delta=0.5, kappa=1.5)
     times = np.linspace(0.0, 1.0, 8)
     traj = trajectory(spec, InitialStateSpec(), times)
