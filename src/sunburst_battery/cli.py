@@ -4,32 +4,41 @@ Subcommands fig1..fig4 write the reference datasets with the default
 parameter set (J=1, h=0.1, delta=0.5, kappa=2), `sweep` runs the sweep
 described in a config file and `validate` runs the self-check suite.
 A JSON config can override any part of the run; --seed, --out and
---h-override tweak it from the command line.  Every run is serial.
+--h-override tweak it from the command line.  Every run is serial, and
+its BLAS runs on one thread unless the environment names another count.
+
+numpy is imported only once ``main`` has set that default, because BLAS
+reads its thread count when it loads: neither this module nor the package
+``__init__`` imports anything that loads numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
-from .experiments import (
-    ExperimentConfig,
-    cmd_fig1,
-    cmd_fig2,
-    cmd_fig3,
-    cmd_fig4,
-    cmd_sweep,
-    cmd_validate,
-    load_config,
-)
+# read by OpenBLAS, OpenMP and MKL when numpy loads
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _command(name: str):
+    """A runner that calls experiments.<name> with its config, imported at
+    the first call."""
+    def run(config):
+        from . import experiments
+
+        return getattr(experiments, name)(config)
+    return run
+
 
 _RUNNERS = {
-    "fig1": (cmd_fig1, "single-battery merit curves plus per-battery collapse"),
-    "fig2": (cmd_fig2, "charging power collapse for n = 1..4"),
-    "fig3": (cmd_fig3, "peak ergotropy and power versus coupling"),
-    "fig4": (cmd_fig4, "random charger preparations (initial-state independence)"),
-    "sweep": (cmd_sweep, "time series for each value of a swept parameter"),
+    "fig1": (_command("cmd_fig1"), "single-battery merit curves plus per-battery collapse"),
+    "fig2": (_command("cmd_fig2"), "charging power collapse for n = 1..4"),
+    "fig3": (_command("cmd_fig3"), "peak ergotropy and power versus coupling"),
+    "fig4": (_command("cmd_fig4"), "random charger preparations (initial-state independence)"),
+    "sweep": (_command("cmd_sweep"), "time series for each value of a swept parameter"),
 }
 
 
@@ -54,7 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+def config_from_args(args: argparse.Namespace):
+    """The ExperimentConfig of a parsed fig/sweep command line."""
+    from .experiments import ExperimentConfig, load_config
+
     config = load_config(args.config) if args.config else ExperimentConfig()
     if args.out is None and args.config is None:
         config = replace(config, output_path=f"{args.command}.csv")
@@ -67,13 +79,30 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
+def _require_output_dir(path: str) -> None:
+    """FileNotFoundError unless the directory that will hold the CSV exists,
+    so that a bad --out fails before any run rather than after all of them."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(f"output directory {folder!r} does not exist")
+
+
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:
+        # every product here is small: a second BLAS thread speeds none of
+        # them up and spins after each one; an explicit setting wins
+        for name in BLAS_THREAD_VARIABLES:
+            os.environ.setdefault(name, "1")
     args = build_parser().parse_args(argv)
     try:
         if args.command == "validate":
+            from .experiments import cmd_validate
+
             return cmd_validate(quick=args.quick)
         runner, _ = _RUNNERS[args.command]
-        runner(config_from_args(args))
+        config = config_from_args(args)
+        _require_output_dir(config.output_path)
+        runner(config)
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -212,10 +212,11 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times) -> Trajectory:
     of them, else at M Chebyshev nodes of [times[0], times[-1]], M >= 2 the
     number of terms the CHEBYSHEV_TOL cut keeps at z = bound (times[-1] -
     times[0]).  The nodes include times[-1], so the expansion has as many
-    terms either way.  The up-front memory check counts the reduced states
-    merit_series holds, the layout's blocks of them: 16 sum(b**2) bytes per
-    grid point over blocks of b battery levels, 16 4**n on the full space
-    and half that on a sector.
+    terms either way.  Besides the K vectors and the buffers that form the
+    states from them (``chebyshev_series``), the up-front memory check
+    counts the reduced states merit_series holds, the layout's blocks of
+    them: 16 sum(b**2) bytes per grid point over blocks of b battery
+    levels, 16 4**n on the full space and half that on a sector.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:

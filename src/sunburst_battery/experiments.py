@@ -11,9 +11,9 @@ only for n = 1).  Floats are written with 17 significant digits and LF
 line endings so a run is reproducible byte for byte given (config, seed),
 whatever the BLAS thread count.
 
-Each command runs its trajectories one after another, in run order: a
-trajectory's matrix products already spread over the BLAS threads.  A
-config section that a command would not read fails before any run.
+Each command runs its trajectories one after another, in run order; the
+command line runs BLAS on one thread by default (``cli.main``).  A config
+section that a command would not read fails before any run.
 """
 
 from __future__ import annotations

@@ -211,8 +211,11 @@ def chebyshev_series(matvec, bound: float, psi0, times,
     anywhere on the grid; ArithmeticError if they do not fall below that
     within the FFT.  ValueError if a vector outgrows psi0, which means
     ``bound`` is below ||H||, and, before anything is allocated, if the
-    coefficient table, the at least z_max vectors and ``extra_bytes`` more,
-    which the caller will hold alongside, cannot fit in physical memory.
+    coefficient table, the at least z_max vectors, the ``state_blocks``
+    buffers that form the states from them and ``extra_bytes`` more, which
+    the caller will hold alongside, cannot fit in physical memory; the
+    count is repeated with the exact K once the coefficients are known,
+    before any vector is allocated.
     """
     psi0 = _check_state(np.size(psi0), psi0)
     if not (np.isfinite(bound) and bound > 0):
@@ -222,12 +225,14 @@ def chebyshev_series(matvec, bound: float, psi0, times,
         psi0 = psi0.real  # a real H then keeps the whole sequence real
     z_max = float(np.max(np.abs(z)))
     half = _fft_half(z_max)
+    # the coefficient table, its FFT workspace and the caller's bytes; then
+    # the vectors and the buffers that form the states from them
+    fixed = 8 * half * (z.size + 6 * min(z.size, GRID_BLOCK)) + extra_bytes
     count = np.ceil(z_max)  # K > z_max: J_k(z) only starts to decay once k > z
-    # the coefficient table and its FFT workspace, the vectors and the caller's bytes
-    _refuse_beyond_memory(z_max, half, 8 * half * (z.size + 6 * min(z.size, GRID_BLOCK))
-                          + psi0.itemsize * psi0.size * count + extra_bytes, count)
+    _refuse_beyond_memory(z_max, half, fixed + _expansion_bytes(z.size, count, psi0), count)
     coefficients = chebyshev_coefficients(z)
     kept = coefficients.shape[1]
+    _refuse_beyond_memory(z_max, half, fixed + _expansion_bytes(z.size, kept, psi0), kept)
     first = matvec(psi0) / bound
     vectors = np.empty((kept, psi0.size), dtype=np.result_type(psi0, first))
     vectors[0] = psi0
@@ -245,6 +250,15 @@ def chebyshev_series(matvec, bound: float, psi0, times,
             f"Chebyshev vectors grow to norm {growth:.3e}: bound {bound!r} is below ||H||"
         )
     return coefficients, vectors
+
+
+def _expansion_bytes(points: int, kept, psi0) -> float:
+    """Bytes of ``kept`` vectors shaped like ``psi0`` plus what
+    ``state_blocks`` allocates to form ``points`` states from them: two real
+    (min(points, GRID_BLOCK), size) buffers and, for complex vectors, two
+    real (kept, size) operands."""
+    operands = 16 * kept * psi0.size if np.iscomplexobj(psi0) else 0
+    return psi0.itemsize * kept * psi0.size + 16 * min(points, GRID_BLOCK) * psi0.size + operands
 
 
 def state_blocks(coefficients, vectors):

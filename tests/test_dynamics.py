@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from sunburst_battery import (
     trajectory,
     xbasis_product_state,
 )
-from sunburst_battery import linalg
+from sunburst_battery import dynamics, linalg
 from sunburst_battery.dynamics import CHARGER_KINDS, battery_ground
 
 
@@ -130,6 +131,47 @@ def test_trajectory_refuses_a_grid_whose_reduced_states_cannot_fit_in_memory():
     times = np.linspace(0.0, 0.01, available // (8 << 16) + 1)
     with pytest.raises(ValueError, match="physical memory"):
         trajectory(spec, InitialStateSpec(), times)
+
+
+def test_trajectory_refuses_a_run_whose_vectors_and_state_buffers_cannot_fit(monkeypatch):
+    # a random charger at (10,2) holds K = 63 complex vectors of dim 4096,
+    # the two real buffers state_blocks forms their states in and its two
+    # concatenated real operands, 13.4 MB at the tracemalloc peak of the
+    # whole run.  The check used to count ceil(z) = 31 vectors and the
+    # reduced states, 2.9 MB.  Now the run fails before any vector is
+    # allocated with half the peak as physical memory (refused on ceil(z)
+    # vectors and their buffers, 9.1 MB) and with 0.9 of it (refused on the
+    # exact K, 13.3 MB), and runs with 1.1 times it: the count is close
+    spec, init = ModelSpec(10, 2), InitialStateSpec("random", seed=3)
+    times = np.linspace(0.0, 2.0, 2000)
+    tracemalloc.start()
+    try:
+        merit_series(trajectory(spec, init, times))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    page, sysconf = os.sysconf("SC_PAGE_SIZE"), os.sysconf
+    matvecs, total_matvec = [], dynamics.total_matvec
+
+    def counted(*args):
+        matvec, bound = total_matvec(*args)
+        return lambda v: matvecs.append(1) or matvec(v), bound
+
+    def physical(memory):
+        monkeypatch.setattr(os, "sysconf", lambda key: int(memory) // page
+                            if key == "SC_PHYS_PAGES" else sysconf(key))
+
+    monkeypatch.setattr(dynamics, "total_matvec", counted)
+    for share, vectors in ((0.5, 31), (0.9, 63)):
+        physical(share * peak)
+        with pytest.raises(ValueError, match=rf"^Chebyshev expansion at z = \S+ needs \S+ "
+                                             rf"coefficient terms per point and at least "
+                                             rf"{vectors} vectors: \S+ bytes, more than the "
+                                             rf"\S+ bytes of physical memory$"):
+            trajectory(spec, init, times)
+    assert matvecs == []
+    physical(1.1 * peak)
+    assert trajectory(spec, init, times).vectors.shape == (63, 4096)
 
 
 def test_trajectory_norm_preservation():

@@ -550,17 +550,96 @@ def test_cli_memory_refusal_prints_no_long_integers(tmp_path, capsys):
     assert not (tmp_path / "huge.csv").exists()
 
 
-def test_default_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # fig1 and fig4 at defaults, each in fresh processes under one and two
-    # BLAS threads (set in the child's environment only); the two children
-    # of a command run side by side
+def test_cli_refuses_a_missing_output_directory_before_any_run(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(experiments, "run_series", lambda *args: calls.append(args))
+    out = tmp_path / "missing" / "fig3.csv"
+    assert main(["fig3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: output directory {str(out.parent)!r} does not exist"]
+    assert captured.out == "" and calls == [] and not out.parent.exists()
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def child_env(**variables) -> dict:
+    """This environment for a fresh Python process that imports the package
+    from this checkout, without the BLAS thread variables unless given."""
     src = str(Path(experiments.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_THREADS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**env, **variables}
+
+
+def run_child(code: str, **variables):
+    """The JSON that ``code`` prints as its last line in a fresh process."""
+    done = subprocess.run([sys.executable, "-c", code], env=child_env(**variables),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_loads_no_numpy_and_resolves_every_export():
+    loaded = run_child(
+        "import json, sys, sunburst_battery\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m == 'numpy' or m.startswith('sunburst_battery.'))))"
+    )
+    assert loaded == []
+    import importlib
+
+    import sunburst_battery
+
+    assert set(sunburst_battery.__all__) <= set(dir(sunburst_battery))
+    for name in sunburst_battery.__all__:
+        module = importlib.import_module(f"sunburst_battery.{sunburst_battery._SOURCE[name]}")
+        assert getattr(sunburst_battery, name) is getattr(module, name), name
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        sunburst_battery.no_such_name
+
+
+def test_cli_defaults_blas_to_one_thread_unless_the_environment_says_otherwise(tmp_path):
+    # main sets each variable it finds unset before numpy loads, and OpenBLAS
+    # then starts no thread of its own; an explicit setting is left as it is
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"L": 4, "n": 1}, "grid": {"steps": 10}}))
+    code = (
+        "import json, os\n"
+        "from sunburst_battery.cli import main\n"
+        f"code = main(['fig4', '--config', {str(config)!r}, '--out', {str(tmp_path / 'x.csv')!r}])\n"
+        "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None\n"
+        f"print(json.dumps([code, [os.environ.get(v) for v in {BLAS_THREADS!r}], tasks]))"
+    )
+    code_default, values, tasks = run_child(code)
+    assert code_default == 0 and values == ["1", "1", "1"]
+    if tasks is not None:
+        assert tasks == 1
+    code_two, values, _ = run_child(code, OPENBLAS_NUM_THREADS="2")
+    assert code_two == 0 and values[0] == "2"
+
+
+def test_in_process_cli_leaves_the_environment_alone(tmp_path, monkeypatch):
+    # numpy is already loaded here, so the thread default could not apply
+    for name in BLAS_THREADS:
+        monkeypatch.delenv(name, raising=False)
+    before = dict(os.environ)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"L": 4, "n": 1}, "grid": {"steps": 10}}))
+    assert main(["fig4", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 0
+    assert dict(os.environ) == before
+
+
+def test_default_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # fig1 and fig4 at defaults in fresh processes: one with the BLAS thread
+    # variables unset (the CLI's one-thread default) and one with two
+    # OpenBLAS threads (set in the child's environment only); the two
+    # children of a command run side by side
     for command in ("fig1", "fig4"):
         children = []
-        for threads in ("1", "2"):
+        for threads in (None, "2"):
             out = tmp_path / f"{command}-threads{threads}.csv"
-            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+            env = child_env() if threads is None else child_env(OPENBLAS_NUM_THREADS=threads)
             cmd = [sys.executable, "-m", "sunburst_battery.cli", command, "--out", str(out)]
             children.append((subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
                                               stderr=subprocess.PIPE), out))
