@@ -80,11 +80,14 @@ def config_from_args(args: argparse.Namespace):
 
 
 def _require_output_dir(path: str) -> None:
-    """FileNotFoundError unless the directory that will hold the CSV exists,
-    so that a bad --out fails before any run rather than after all of them."""
+    """OSError unless the directory that will hold the CSV exists and the
+    path is not itself a directory, so that a bad --out fails before any
+    run rather than after all of them."""
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise FileNotFoundError(f"output directory {folder!r} does not exist")
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"output path {path!r} is a directory")
 
 
 def main(argv=None) -> int:
@@ -104,7 +107,7 @@ def main(argv=None) -> int:
         _require_output_dir(config.output_path)
         runner(config)
         return 0
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,14 +9,14 @@ no eigendecomposition.  The Hamiltonian conserves the total parity, so a
 state with no weight in one parity sector (a cat charger with ground
 batteries) is expanded on the other sector alone, at half the size.
 
-A grid of more points than its window needs is evaluated at M Chebyshev
-nodes of the window instead, and what merit_series computes from the
-states there is interpolated onto the grid (``linalg.interpolate``).  The
-reduced state is bilinear in the state, a sum of phases exp(-i (E_m -
-E_m') t) with |E_m - E_m'| <= 2 bound, so on a window of length D its
-Chebyshev series in t decays like J_k(bound D), as the propagator's does
-at z = bound D: the M terms that the CHEBYSHEV_TOL cut keeps at that z
-fix it on the whole window to roundoff.
+Every trajectory is evaluated at M Chebyshev nodes of its grid window,
+and what merit_series computes from the states there is interpolated onto
+the grid (``linalg.interpolate``).  The reduced state is bilinear in the
+state, a sum of phases exp(-i (E_m - E_m') t) with |E_m - E_m'| <= 2
+bound, so on a window of length D its Chebyshev series in t decays like
+J_k(bound D), as the propagator's does at z = bound D: the M terms that
+the CHEBYSHEV_TOL cut keeps at that z fix it on the whole window to
+roundoff.
 """
 
 from __future__ import annotations
@@ -145,6 +145,8 @@ class InitialStateSpec:
             raise ValueError(f"index is only valid for 'eigenstate', not {self.charger_kind!r}")
         if self.charger_kind != "random" and self.seed is not None:
             raise ValueError(f"seed is only valid for 'random', not {self.charger_kind!r}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"initial.seed must be non-negative, got {self.seed!r}")
 
     def charger_state(self, L: int) -> np.ndarray:
         if self.charger_kind == "ghz_plus":
@@ -169,36 +171,30 @@ def initial_state(spec: ModelSpec, init: InitialStateSpec) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """States as a Chebyshev expansion with real coefficients (shapes (P, K)
-    and (K, size)) at P evaluation points: the state at point j is the sum
-    over k of coefficients[j, k] vectors[k], times -i for odd k
-    (``chebyshev_series``).  The points are the grid ``times`` themselves
-    when ``nodes`` is None, else the Chebyshev ``nodes`` of the grid window,
-    from which quantities of the states are interpolated onto the grid.
-    ``bound`` is the expansion's norm bound.  The vector entries are laid
-    out by ``layout``, the full space unless given: size is dim, or dim / 2
-    on one parity sector."""
+    """States as a Chebyshev expansion with real coefficients (shapes (M, K)
+    and (K, size)) at the M Chebyshev ``nodes`` of the grid window: the
+    state at node j is the sum over k of coefficients[j, k] vectors[k],
+    times -i for odd k (``chebyshev_series``).  Quantities of the states
+    are interpolated from the nodes onto the grid ``times``.  ``bound`` is
+    the expansion's norm bound.  The vector entries are laid out by
+    ``layout``: size is dim on the full space, or dim / 2 on one parity
+    sector."""
 
     spec: ModelSpec
     times: np.ndarray
     coefficients: np.ndarray
     vectors: np.ndarray
-    layout: Layout | None = None
-    nodes: np.ndarray | None = None
-    bound: float | None = None
-
-    def __post_init__(self):
-        if self.layout is None:
-            self.layout = sector_layout(self.spec)
+    layout: Layout
+    nodes: np.ndarray
+    bound: float
 
     @property
     def states(self) -> np.ndarray:
         """Every grid state at once in the natural basis order, shape (T,
-        dim); row k is the state at times[k].  A trajectory evaluated at
-        nodes rebuilds the grid's coefficients from ``bound``, so these are
-        exact at the grid times too, not interpolated."""
-        coefficients = self.coefficients if self.nodes is None else \
-            chebyshev_coefficients(self.bound * self.times, self.vectors.shape[0])
+        dim); row k is the state at times[k].  The grid's coefficients are
+        rebuilt from ``bound``, so these are exact at the grid times too,
+        not interpolated."""
+        coefficients = chebyshev_coefficients(self.bound * self.times, self.vectors.shape[0])
         states = np.zeros((len(self.times), self.spec.dim), dtype=np.complex128)
         states[:, self.layout.basis] = series_states(coefficients, self.vectors)
         return states
@@ -208,15 +204,14 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times) -> Trajectory:
     """Evolve the composite initial state over the grid, on the one parity
     sector it occupies if it has exact zeros on the other.
 
-    The expansion is evaluated at the grid times when there are at most M
-    of them, else at M Chebyshev nodes of [times[0], times[-1]], M >= 2 the
-    number of terms the CHEBYSHEV_TOL cut keeps at z = bound (times[-1] -
-    times[0]).  The nodes include times[-1], so the expansion has as many
-    terms either way.  Besides the K vectors and the buffers that form the
-    states from them (``chebyshev_series``), the up-front memory check
-    counts the reduced states merit_series holds, the layout's blocks of
-    them: 16 sum(b**2) bytes per grid point over blocks of b battery
-    levels, 16 4**n on the full space and half that on a sector.
+    The expansion is evaluated at M Chebyshev nodes of [times[0],
+    times[-1]], M >= 2 the number of terms the CHEBYSHEV_TOL cut keeps at
+    z = bound (times[-1] - times[0]); a one-point grid has two equal nodes.
+    Besides the K vectors and the buffers that form the states from them
+    (``chebyshev_series``), the up-front memory check counts the reduced
+    states merit_series holds, the layout's blocks of them: 16 sum(b**2)
+    bytes per grid point over blocks of b battery levels, 16 4**n on the
+    full space and half that on a sector.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -231,9 +226,8 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times) -> Trajectory:
     psi0 = psi0[layout.basis]
     matvec, bound = total_matvec(spec, layout.basis)
     count = max(2, chebyshev_coefficients([bound * (times[-1] - times[0])]).shape[1])
-    nodes = chebyshev_nodes(times[0], times[-1], count) if times.size > count else None
-    points = times if nodes is None else nodes
+    nodes = chebyshev_nodes(times[0], times[-1], count)
     cells = sum(labels.size ** 2 for _, labels in layout.blocks)
-    coefficients, vectors = chebyshev_series(matvec, bound, psi0, points,
+    coefficients, vectors = chebyshev_series(matvec, bound, psi0, nodes,
                                              extra_bytes=16 * cells * times.size)
     return Trajectory(spec, times, coefficients, vectors, layout, nodes, bound)

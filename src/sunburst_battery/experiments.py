@@ -342,7 +342,7 @@ def cmd_fig2(config: ExperimentConfig, systems=FIG2_SYSTEMS) -> dict:
             "peak_power_times": [series.peak_power_time for series in results]}
 
 
-def cmd_fig3(config: ExperimentConfig, kappas=None, n_values=(1, 2, 3, 4),
+def cmd_fig3(config: ExperimentConfig, n_values=(1, 2, 3, 4),
              total_qubits: int = FIG3_TOTAL_QUBITS) -> dict:
     """Peak per-battery ergotropy and power as a function of the coupling.
 
@@ -351,7 +351,8 @@ def cmd_fig3(config: ExperimentConfig, kappas=None, n_values=(1, 2, 3, 4),
     default window would miss the peaks at weak coupling).  One summary
     row per point; kappa grid and period-long window are artifact choices.
     Every point has L + n = ``total_qubits``, which the configured model
-    must match, and a sweep section must sweep kappa.  The grid section
+    must match.  The kappa grid is the values of the config's sweep
+    section, which must sweep kappa, else FIG3_KAPPAS.  The grid section
     sets the number of points only: a window other than the default is
     refused.  A point whose peak ergotropy is at most WORK_FLOOR has no
     work, so no peak: its ``t`` and ``SL_num`` cells are left empty.
@@ -368,13 +369,12 @@ def cmd_fig3(config: ExperimentConfig, kappas=None, n_values=(1, 2, 3, 4),
     if window != (TimeGrid.t_start, TimeGrid.t_end):
         raise ValueError(f"fig3 scans [0, 2 pi / omega] and reads only grid.steps; remove the "
                          f"config's grid window [{window[0]}, {window[1]}]")
-    if kappas is None:
-        if config.sweep is not None:
-            kappas = config.sweep.values
-        else:
-            kappas = FIG3_KAPPAS
-            print(f"fig3: kappa grid {FIG3_KAPPAS} is an artifact default, "
-                  "not a reference-pinned set")
+    if config.sweep is not None:
+        kappas = config.sweep.values
+    else:
+        kappas = FIG3_KAPPAS
+        print(f"fig3: kappa grid {FIG3_KAPPAS} is an artifact default, "
+              "not a reference-pinned set")
     tasks = []
     for n in n_values:
         for kappa in kappas:

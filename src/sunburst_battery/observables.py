@@ -15,17 +15,17 @@ headline ergotropy and carry the spectral value alongside.
 
 Every function here takes one matrix or a stack of them (leading axes), so
 a whole trajectory is reduced and evaluated in one pass.  A trajectory is
-reduced from the real and imaginary parts of its states at its evaluation
-points, formed a grid block at a time by real matrix products; when those
-are Chebyshev nodes of the grid window, the reduced states are then
-interpolated onto the grid (dynamics.trajectory has the bandwidth
-argument).  A trajectory on one parity sector is reduced block by block
-(model.Layout): each charger parity meets the battery levels of one parity
-only, so its reduced state is block diagonal in the battery parity.  From
-the partial trace to the last figure of merit that state is carried as its
-blocks alone, Sum b**2 entries per grid point over blocks of b levels
-(half of 4**n on a sector; the full space is the one-block case): no
-zero-filled 2**n x 2**n stack is built.
+reduced from the real and imaginary parts of its states at the Chebyshev
+nodes of its grid window, formed a block of nodes at a time by real
+matrix products, and the reduced states are then interpolated onto the
+grid (dynamics.trajectory has the bandwidth argument).  A trajectory on
+one parity sector is reduced block by block (model.Layout): each charger
+parity meets the battery levels of one parity only, so its reduced state
+is block diagonal in the battery parity.  From the partial trace to the
+last figure of merit that state is carried as its blocks alone, Sum b**2
+entries per grid point over blocks of b levels (half of 4**n on a sector;
+the full space is the one-block case): no zero-filled 2**n x 2**n stack
+is built.
 """
 
 from __future__ import annotations
@@ -254,14 +254,14 @@ class MeritSeries:
 def _reduced_blocks(traj: Trajectory) -> np.ndarray:
     """The reduced states at every grid time as the blocks of the
     trajectory's layout (``reduce_to_battery`` with ``blocks``), shape (T,
-    sum of b**2): reduced at the evaluation points, then interpolated onto
-    the grid when those are Chebyshev nodes."""
+    sum of b**2): reduced at the Chebyshev nodes, then interpolated onto
+    the grid."""
     spec = traj.spec
     cells = np.concatenate([
         reduce_to_battery((real, imag), spec.L, spec.n, traj.layout.blocks)
         for _, real, imag in state_blocks(traj.coefficients, traj.vectors)
     ])
-    return cells if traj.nodes is None else interpolate(traj.nodes, cells, traj.times)
+    return interpolate(traj.nodes, cells, traj.times)
 
 
 def _block_figures(cells, blocks, levels: int):
@@ -281,15 +281,14 @@ def merit_series(traj: Trajectory) -> MeritSeries:
     """Evaluate all figures of merit along a trajectory, one column each.
 
     The real and imaginary parts of the states at the trajectory's
-    evaluation points are formed (``state_blocks``) and reduced GRID_BLOCK
-    points at a time, in two buffers reused from block to block, so no
-    (T, dim) array is ever held.  On Chebyshev nodes that is one block of
-    about K points, whose reduced states are interpolated onto the grid
-    (``linalg.interpolate``); everything else is evaluated per grid point.
-    The reduced states are carried as the blocks of the trajectory's
-    layout (``_reduced_blocks``), interpolated in one call: populations
-    come from the block diagonals, spectra block by block and the purity
-    from the sum of squares of the block entries.
+    Chebyshev nodes are formed (``state_blocks``) and reduced GRID_BLOCK
+    nodes at a time, in two buffers reused from block to block, so no
+    (T, dim) array is ever held; the reduced states are then interpolated
+    onto the grid (``linalg.interpolate``).  The reduced states are carried
+    as the blocks of the trajectory's layout (``_reduced_blocks``),
+    interpolated in one call: populations come from the block diagonals,
+    spectra block by block and the purity from the sum of squares of the
+    block entries.
     """
     times = traj.times
     levels = battery_energies(traj.spec.n, traj.spec.delta)

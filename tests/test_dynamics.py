@@ -253,9 +253,9 @@ def test_sector_trajectory_matches_dense_oracle(spec, t_end, init, monkeypatch):
     # of half the length) and its empty sector (the odd one for ghz_plus,
     # the even one for ghz_minus) stays exactly zero; an x-product or random
     # charger is expanded on the full space.  Either way every merit column
-    # follows the reduced oracle states.  The (7, 1) window is short enough
-    # for fewer Chebyshev nodes than its 41 grid points, so its reduced
-    # states are interpolated; every other grid is evaluated itself
+    # follows the reduced oracle states, interpolated from the Chebyshev
+    # nodes of the window: fewer than the 41 grid points for the short
+    # (7, 1) window, more for every other
     solved = []
     dense_eigh = linalg.eigh
     monkeypatch.setattr(linalg, "eigh", lambda m: solved.append(len(m)) or dense_eigh(m))
@@ -271,7 +271,6 @@ def test_sector_trajectory_matches_dense_oracle(spec, t_end, init, monkeypatch):
     even, odd = parity_sectors(spec.dim)
     for idx in {"ghz_plus": [odd], "ghz_minus": [even]}.get(init.charger_kind, []):
         assert not psi0[idx].any() and not states[:, idx].any()
-    assert (traj.nodes is None) == (t_end > 0.5)
     assert_merit_columns_match_oracle(merit_series(traj), oracle, spec)
 
 
@@ -324,7 +323,7 @@ def test_interpolated_trajectory_matches_dense_oracle(spec, init, times):
     # still follows dense full-space ED to 1e-12, and the states the
     # trajectory reports are exact at the grid times
     traj = trajectory(spec, init, times)
-    assert traj.nodes is not None and traj.nodes.size < times.size
+    assert traj.nodes.size < times.size
     oracle = evolve_on_grid(linalg.eigh(build_total(spec)), initial_state(spec, init), times)
     assert np.max(np.abs(traj.states - oracle)) <= 1e-12
     assert_merit_columns_match_oracle(merit_series(traj), oracle, spec)

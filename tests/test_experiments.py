@@ -261,8 +261,9 @@ def test_fig2_small_scale(tmp_path):
 
 
 def test_fig3_small_scale(tmp_path):
-    config = small_config(tmp_path, "fig3.csv", model={**SMALL_MODEL, "L": 5})
-    summary = cmd_fig3(config, kappas=(0.25, 2.0), n_values=(1, 2), total_qubits=6)
+    config = small_config(tmp_path, "fig3.csv", model={**SMALL_MODEL, "L": 5},
+                          sweep={"parameter": "kappa", "values": [0.25, 2.0]})
+    summary = cmd_fig3(config, n_values=(1, 2), total_qubits=6)
     cols = read_csv(config.output_path)
     assert len(cols["t"]) == 4
     for point in summary["points"]:
@@ -279,8 +280,9 @@ def test_fig3_small_scale(tmp_path):
 def test_fig3_leaves_peak_cells_empty_without_work(tmp_path, capsys):
     # 2 kappa < delta: the ergotropy series is roundoff, so it has no peak
     # time and no entropy at that peak; the strong-coupling point keeps both
-    config = small_config(tmp_path, "fig3.csv", model={**SMALL_MODEL, "L": 5})
-    cmd_fig3(config, kappas=(0.2, 2.0), n_values=(1,), total_qubits=6)
+    config = small_config(tmp_path, "fig3.csv", model={**SMALL_MODEL, "L": 5},
+                          sweep={"parameter": "kappa", "values": [0.2, 2.0]})
+    cmd_fig3(config, n_values=(1,), total_qubits=6)
     cols = read_csv(config.output_path)
     below = cols["kappa"] == 0.2
     assert np.max(cols["xi_num"][below]) <= 1e-12
@@ -558,6 +560,43 @@ def test_cli_refuses_a_missing_output_directory_before_any_run(tmp_path, monkeyp
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: output directory {str(out.parent)!r} does not exist"]
     assert captured.out == "" and calls == [] and not out.parent.exists()
+
+
+def test_cli_refuses_an_output_path_that_is_a_directory_before_any_run(tmp_path, monkeypatch,
+                                                                        capsys):
+    calls = []
+    monkeypatch.setattr(experiments, "run_series", lambda *args: calls.append(args))
+    assert main(["fig4", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: output path {str(tmp_path)!r} is a directory"]
+    assert captured.out == "" and calls == [] and list(tmp_path.iterdir()) == []
+
+
+def test_cli_reports_an_allocation_failure_as_one_error_line(tmp_path, capsys):
+    # 10**17 grid times are 800 PB, beyond any address space, so np.linspace
+    # raises at once instead of reserving pages it would never touch
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "grid": {"steps": 10 ** 17}, "output_path": str(tmp_path / "fig1.csv"),
+    }))
+    assert main(["fig1", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1, err
+    assert not (tmp_path / "fig1.csv").exists()
+
+
+def test_negative_initial_seed_is_refused_at_parse_time(tmp_path, monkeypatch, capsys):
+    data = {"initial": {"charger_kind": "random", "seed": -3}}
+    with pytest.raises(ValueError, match=re.escape("initial.seed must be non-negative, got -3")):
+        ExperimentConfig.from_dict(data)
+    calls = []
+    monkeypatch.setattr(experiments, "run_series", lambda *args: calls.append(args))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**data, "output_path": str(tmp_path / "fig1.csv")}))
+    assert main(["fig1", "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: initial.seed must be non-negative, got -3"]
+    assert captured.out == "" and calls == []
 
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

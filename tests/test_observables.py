@@ -353,7 +353,7 @@ def reductions(monkeypatch):
     return calls
 
 
-def assert_matches_per_point_evaluation(traj, series, exact_peak):
+def assert_matches_per_point_evaluation(traj, series):
     """Every column of ``series`` within 1e-14 of reducing and evaluating
     the states of ``traj`` one at a time, and the peak ergotropy at the same
     grid time."""
@@ -373,37 +373,39 @@ def assert_matches_per_point_evaluation(traj, series, exact_peak):
     }
     for name, column in expected.items():
         assert np.max(np.abs(getattr(series, name) - np.asarray(column))) <= 1e-14, name
-    if exact_peak:
-        assert series.peak_ergotropy == work.max()
-    else:
-        assert abs(series.peak_ergotropy - work.max()) <= 1e-14
+    assert abs(series.peak_ergotropy - work.max()) <= 1e-14
     assert series.peak_ergotropy_time == times[np.argmax(work)]
 
 
-def test_merit_series_matches_per_point_evaluation(reductions):
-    # at most M = 45 grid points for this system and window: the grid itself
-    # is evaluated, and its states are reduced by the very arithmetic of the
-    # per-point calls
+def assert_grids_match_per_point_evaluation(grids, reductions):
+    """For a random and a cat charger of a (4, 2) model, each grid of
+    ``grids`` (times, M) is formed at its M Chebyshev nodes, reduced there in
+    one call and matches per-point evaluation."""
     spec = ModelSpec(4, 2, h=0.3, delta=0.5, kappa=1.5)
-    times = np.linspace(0.0, 2.0, 45)
-    traj = trajectory(spec, InitialStateSpec("random", seed=5), times)
-    assert traj.nodes is None
-    series = merit_series(traj)
-    assert reductions == [45]
-    assert_matches_per_point_evaluation(traj, series, exact_peak=True)
+    for init in (InitialStateSpec("random", seed=5), InitialStateSpec()):
+        for times, count in grids:
+            traj = trajectory(spec, init, times)
+            assert traj.nodes.size == count, (init.charger_kind, times.size)
+            series = merit_series(traj)
+            assert reductions == [count], (init.charger_kind, times.size)
+            reductions.clear()
+            assert_matches_per_point_evaluation(traj, series)
+
+
+def test_merit_series_matches_per_point_evaluation(reductions):
+    # grids of at most M points are interpolated from the nodes too: fewer
+    # points than the M = 45 nodes of [0, 2] and as many, one point (two
+    # equal nodes) and two points five apart (79 nodes)
+    grids = [(np.linspace(0.0, 2.0, steps), 45) for steps in (30, 45)]
+    grids += [(np.array([0.7]), 2), (np.array([0.0, 5.0]), 79)]
+    assert_grids_match_per_point_evaluation(grids, reductions)
 
 
 def test_interpolated_merit_series_matches_per_point_evaluation(reductions):
     # more grid points than the M = 45 nodes: the states are reduced at the
     # nodes only, and the interpolated reduced states give every column to
     # roundoff and the peak at the same grid time
-    spec = ModelSpec(4, 2, h=0.3, delta=0.5, kappa=1.5)
-    times = np.linspace(0.0, 2.0, 60)
-    traj = trajectory(spec, InitialStateSpec("random", seed=5), times)
-    assert traj.nodes is not None and traj.nodes.size == 45
-    series = merit_series(traj)
-    assert reductions == [45]
-    assert_matches_per_point_evaluation(traj, series, exact_peak=False)
+    assert_grids_match_per_point_evaluation([(np.linspace(0.0, 2.0, 60), 45)], reductions)
 
 
 def test_merit_series_peak_memory_is_the_block_stack_that_trajectory_counts(monkeypatch):
@@ -422,7 +424,7 @@ def test_merit_series_peak_memory_is_the_block_stack_that_trajectory_counts(monk
     spec = ModelSpec(4, 4, d=1)
     times = np.linspace(0.0, 2.0, 4000)
     traj = trajectory(spec, InitialStateSpec(), times)
-    assert traj.nodes is not None and counted == [8 * 4 ** 4 * times.size]
+    assert counted == [8 * 4 ** 4 * times.size]
     merit_series(traj)  # first-call allocations of the linear-algebra routines
     tracemalloc.start()
     try:
@@ -453,8 +455,8 @@ def test_merit_series_names_first_negative_unavailable_time(monkeypatch):
 def test_default_grid_reduces_once_at_the_nodes(reductions):
     # on the default 2000-point grid every fig1 system is evaluated at its M
     # Chebyshev nodes, as many as the expansion has terms (the window
-    # starts at t = 0), and reduced in one call; a grid of M points on the
-    # window is evaluated itself
+    # starts at t = 0), and reduced in one call; so is a grid of M or M + 1
+    # points on the window
     times = np.linspace(0.0, 2.0, 2000)
     for (L, n), count in (((11, 1), 60), ((10, 2), 63), ((9, 3), 66), ((8, 4), 69)):
         traj = trajectory(ModelSpec(L, n, h=0.1), InitialStateSpec(), times)
@@ -463,21 +465,18 @@ def test_default_grid_reduces_once_at_the_nodes(reductions):
         merit_series(traj)
         assert reductions == [count], (L, n)
         reductions.clear()
-        for steps, direct in ((count, True), (count + 1, False)):
+        for steps in (count, count + 1):
             coarse = trajectory(ModelSpec(L, n, h=0.1), InitialStateSpec(),
                                 np.linspace(0.0, 2.0, steps))
-            assert (coarse.nodes is None) == direct, (L, n, steps)
+            assert np.array_equal(coarse.nodes, traj.nodes), (L, n, steps)
 
 
-@pytest.mark.parametrize("interpolated", [False, True], ids=["grid", "nodes"])
-def test_misnormalized_trajectory_raises_the_same_error_on_both_paths(interpolated,
-                                                                      reductions):
-    # every state is twice a basis vector, so its reduced trace is exactly 4,
-    # at the grid times themselves or at three nodes of a five-point grid
+def test_misnormalized_trajectory_raises_a_trace_error(reductions):
+    # every state is twice a basis vector, so its reduced trace is exactly 4
+    # at each of the three nodes of a five-point grid
     spec = ModelSpec(3, 1)
-    times = np.linspace(0.0, 1.0, 5 if interpolated else 3)
-    nodes = chebyshev_nodes(0.0, 1.0, 3) if interpolated else None
-    bad = Trajectory(spec, times, np.eye(3), 2 * np.eye(3, 16), nodes=nodes)
+    bad = Trajectory(spec, np.linspace(0.0, 1.0, 5), np.eye(3), 2 * np.eye(3, 16),
+                     sector_layout(spec), chebyshev_nodes(0.0, 1.0, 3), 1.0)
     with pytest.raises(ValueError) as raised:
         merit_series(bad)
     assert str(raised.value) == "reduced state has trace 4.0; input state not normalized"
