@@ -36,9 +36,8 @@ _EXPORTS = {
         build_charger build_coupling build_total parity_sectors sector_layout terms
         total_matvec""",
     "observables": """
-        MeritSeries charging_power check_density_matrix ergotropy
-        ergotropy_populations linear_entropy merit_series passive_state
-        reduce_to_battery stored_energy""",
+        MeritSeries charging_power ergotropy ergotropy_populations linear_entropy
+        merit_series reduce_to_battery stored_energy""",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_SOURCE)

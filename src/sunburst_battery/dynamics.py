@@ -171,14 +171,15 @@ def initial_state(spec: ModelSpec, init: InitialStateSpec) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """States as a Chebyshev expansion with real coefficients (shapes (M, K)
-    and (K, size)) at the M Chebyshev ``nodes`` of the grid window: the
-    state at node j is the sum over k of coefficients[j, k] vectors[k],
-    times -i for odd k (``chebyshev_series``).  Quantities of the states
-    are interpolated from the nodes onto the grid ``times``.  ``bound`` is
-    the expansion's norm bound.  The vector entries are laid out by
-    ``layout``: size is dim on the full space, or dim / 2 on one parity
-    sector."""
+    """States as a Chebyshev expansion with real coefficients (shape (M, K))
+    at the M Chebyshev ``nodes`` of the grid window: the state at node j is
+    the sum over k of coefficients[j, k] v_k, times -i for odd k, with the
+    K vectors v_k held once as the real operands of ``chebyshev_series``,
+    shape (1, K, size) when they are real and (2, K, size) when complex.
+    Quantities of the states are interpolated from the nodes onto the grid
+    ``times``.  ``bound`` is the expansion's norm bound.  The vector entries
+    are laid out by ``layout``: size is dim on the full space, or dim / 2
+    on one parity sector."""
 
     spec: ModelSpec
     times: np.ndarray
@@ -194,7 +195,7 @@ class Trajectory:
         dim); row k is the state at times[k].  The grid's coefficients are
         rebuilt from ``bound``, so these are exact at the grid times too,
         not interpolated."""
-        coefficients = chebyshev_coefficients(self.bound * self.times, self.vectors.shape[0])
+        coefficients = chebyshev_coefficients(self.bound * self.times, self.vectors.shape[1])
         states = np.zeros((len(self.times), self.spec.dim), dtype=np.complex128)
         states[:, self.layout.basis] = series_states(coefficients, self.vectors)
         return states
@@ -207,11 +208,11 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times) -> Trajectory:
     The expansion is evaluated at M Chebyshev nodes of [times[0],
     times[-1]], M >= 2 the number of terms the CHEBYSHEV_TOL cut keeps at
     z = bound (times[-1] - times[0]); a one-point grid has two equal nodes.
-    Besides the K vectors and the buffers that form the states from them
-    (``chebyshev_series``), the up-front memory check counts the reduced
-    states merit_series holds, the layout's blocks of them: 16 sum(b**2)
-    bytes per grid point over blocks of b battery levels, 16 4**n on the
-    full space and half that on a sector.
+    Besides the K vectors and the two real NODE_BLOCK-row buffers that form
+    the states from them (``chebyshev_series``), the up-front memory check
+    counts the reduced states merit_series holds, the layout's blocks of
+    them: 16 sum(b**2) bytes per grid point over blocks of b battery
+    levels, 16 4**n on the full space and half that on a sector.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:

@@ -263,10 +263,25 @@ def _series_rows(series: MeritSeries, spec: ModelSpec, seed: int) -> list[str]:
     return _format_rows(columns, (spec.n, spec.L, spec.kappa, seed))
 
 
+class _SeriesLines:
+    """Every run's CSV lines (``_series_rows``) in run order, formatted one
+    run at a time as they are read, so the lines of a whole file are never
+    held at once; len() is the row count."""
+
+    def __init__(self, runs, results):
+        self.pairs = list(zip(runs, results))
+
+    def __len__(self) -> int:
+        return sum(series.t.size for _, series in self.pairs)
+
+    def __iter__(self):
+        for (spec, _, seed), series in self.pairs:
+            yield from _series_rows(series, spec, seed)
+
+
 def _write_series(label: str, path, runs, results) -> None:
     """One CSV of every run's series, rows in run order."""
-    rows = [row for (spec, _, seed), series in zip(runs, results)
-            for row in _series_rows(series, spec, seed)]
+    rows = _SeriesLines(runs, results)
     write_csv(path, rows)
     print(f"{label}: wrote {len(rows)} rows to {path}")
 

@@ -25,6 +25,7 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-10
 GRID_BLOCK = 256  # grid points per matrix-matrix product over the time grid
+NODE_BLOCK = 8  # states per matrix product in state_blocks
 # Chebyshev coefficients are dropped once every later one is below
 # CHEBYSHEV_TOL * (1 + z) over the grid, z = bound * max|t|: evaluating the
 # phase z cos(theta) in double precision already leaves an absolute error of
@@ -204,14 +205,17 @@ def chebyshev_series(matvec, bound: float, psi0, times,
     not depend on t, so one three-term recurrence v_{k+1} = 2 (H/bound) v_k -
     v_{k-1} serves the whole grid; ``chebyshev_coefficients`` gives the g_k.
 
-    Returns ``(coefficients, vectors)`` of shapes (len(times), K) and
-    (K, dim), the coefficients real; ``series_states`` and ``state_blocks``
-    form the states.  The vectors are real when psi0 and H are.  K counts
-    the coefficients up to the last one above CHEBYSHEV_TOL * (1 + z_max)
+    Returns ``(coefficients, vectors)``: the real coefficients, shape
+    (len(times), K), and the K vectors, each written as the recurrence
+    produces it into the real operands that ``state_blocks`` multiplies, the
+    even k first: shape (1, K, size) [v_even; v_odd] when psi0 and H are
+    real, else (2, K, size) [Re v_even; Im v_odd] and [Im v_even; Re v_odd].
+    ``series_states`` and ``state_blocks`` form the states.  K counts the
+    coefficients up to the last one above CHEBYSHEV_TOL * (1 + z_max)
     anywhere on the grid; ArithmeticError if they do not fall below that
-    within the FFT.  ValueError if a vector outgrows psi0, which means
-    ``bound`` is below ||H||, and, before anything is allocated, if the
-    coefficient table, the at least z_max vectors, the ``state_blocks``
+    within the FFT.  ValueError as soon as a vector outgrows psi0, which
+    means ``bound`` is below ||H||, and, before anything is allocated, if
+    the coefficient table, the at least z_max vectors, the ``state_blocks``
     buffers that form the states from them and ``extra_bytes`` more, which
     the caller will hold alongside, cannot fit in physical memory; the
     count is repeated with the exact K once the coefficients are known,
@@ -233,66 +237,68 @@ def chebyshev_series(matvec, bound: float, psi0, times,
     coefficients = chebyshev_coefficients(z)
     kept = coefficients.shape[1]
     _refuse_beyond_memory(z_max, half, fixed + _expansion_bytes(z.size, kept, psi0), kept)
-    first = matvec(psi0) / bound
-    vectors = np.empty((kept, psi0.size), dtype=np.result_type(psi0, first))
-    vectors[0] = psi0
-    if kept > 1:
-        vectors[1] = first
-    for k in range(2, kept):
-        vectors[k] = (2.0 / bound) * matvec(vectors[k - 1]) - vectors[k - 2]
-    # |T_k| <= 1 on [-1, 1]; roundoff grows far slower than this margin, while
-    # an eigenvalue beyond the bound grows T_k exponentially.  The squared
-    # norms are taken over the real view: no conjugated copy of the vectors
-    flat = vectors.view(np.float64)
-    growth = float(np.sqrt(np.max(np.einsum("kj,kj->k", flat, flat))))
-    if growth > 1.0 + 1e-6:
-        raise ValueError(
-            f"Chebyshev vectors grow to norm {growth:.3e}: bound {bound!r} is below ||H||"
-        )
+    previous, current = psi0, matvec(psi0) / bound
+    complex_parts = np.iscomplexobj(current)
+    vectors = np.empty((1 + complex_parts, kept, psi0.size))
+    evens = (kept + 1) // 2
+    for k in range(kept):
+        if k > 1:
+            previous, current = current, (2.0 / bound) * matvec(current) - previous
+        v = previous if k == 0 else current
+        row = k // 2 + (k % 2) * evens
+        if complex_parts:
+            vectors[k % 2, row], vectors[1 - k % 2, row] = v.real, v.imag
+        else:
+            vectors[0, row] = v
+        # |T_k| <= 1 on [-1, 1]; roundoff grows far slower than this margin,
+        # while an eigenvalue beyond the bound grows T_k exponentially
+        growth = float(np.sqrt(np.vdot(v, v).real))
+        if growth > 1.0 + 1e-6:
+            raise ValueError(
+                f"Chebyshev vectors grow to norm {growth:.3e}: bound {bound!r} is below ||H||"
+            )
     return coefficients, vectors
 
 
 def _expansion_bytes(points: int, kept, psi0) -> float:
-    """Bytes of ``kept`` vectors shaped like ``psi0`` plus what
-    ``state_blocks`` allocates to form ``points`` states from them: two real
-    (min(points, GRID_BLOCK), size) buffers and, for complex vectors, two
-    real (kept, size) operands."""
-    operands = 16 * kept * psi0.size if np.iscomplexobj(psi0) else 0
-    return psi0.itemsize * kept * psi0.size + 16 * min(points, GRID_BLOCK) * psi0.size + operands
+    """Bytes of ``kept`` vectors shaped like ``psi0`` plus the two real
+    (min(points, NODE_BLOCK), size) buffers ``state_blocks`` forms
+    ``points`` states in."""
+    return psi0.itemsize * kept * psi0.size + 16 * min(points, NODE_BLOCK) * psi0.size
 
 
 def state_blocks(coefficients, vectors):
-    """The states of a ``chebyshev_series`` expansion, GRID_BLOCK grid points
-    at a time, formed in real arithmetic.
+    """The states of a ``chebyshev_series`` expansion, NODE_BLOCK points at
+    a time, formed in real arithmetic.
 
     State j is sum_{k even} g_jk v_k - i sum_{k odd} g_jk v_k for real
-    coefficients g (T, K) and vectors v (K, dim).  Yields ``(lo, real,
-    imag)``: the real and imaginary parts of states lo, lo + 1, ... as two
-    contiguous real (rows, dim) arrays, each one real matrix product.  Real
-    vectors take T K dim multiply-adds in all, the even terms giving the
-    real part and the odd ones the imaginary part; complex vectors take
-    2 T K dim, with Re psi = g_e Re v_e + g_o Im v_o and Im psi = g_e Im v_e -
-    g_o Re v_o.  The two buffers are allocated once and overwritten by the
-    next block: use each block before asking for the next.
+    coefficients g (T, K) and the vectors v as ``chebyshev_series`` lays
+    them out, shape (parts, K, dim).  Yields ``(lo, real, imag)``: the real
+    and imaginary parts of states lo, lo + 1, ... as two contiguous real
+    (rows, dim) arrays, each one real matrix product.  Real vectors take
+    T K dim multiply-adds in all, the even terms giving the real part and
+    the odd ones the imaginary part; complex vectors take 2 T K dim, with
+    Re psi = g_e Re v_e + g_o Im v_o and Im psi = g_e Im v_e - g_o Re v_o.
+    The two buffers are allocated once and overwritten by the next block:
+    use each block before asking for the next.
     """
     coefficients, vectors = np.asarray(coefficients, dtype=float), np.asarray(vectors)
-    if coefficients.ndim != 2 or vectors.ndim != 2 or coefficients.shape[1] != vectors.shape[0]:
+    if (coefficients.ndim != 2 or vectors.ndim != 3 or vectors.shape[0] not in (1, 2)
+            or coefficients.shape[1] != vectors.shape[1]):
         raise ValueError(
             f"expansion of shapes {coefficients.shape} @ {vectors.shape} does not match"
         )
-    kept = vectors.shape[0]
-    even, odd = slice(0, None, 2), slice(1, None, 2)
+    kept, evens = vectors.shape[1], (vectors.shape[1] + 1) // 2
+    both = np.r_[0:kept:2, 1:kept:2]
     # (columns of g, their signs, real operand) for each part
-    if np.iscomplexobj(vectors):
-        both = np.r_[0:kept:2, 1:kept:2]
-        operands = ((both, 1.0, np.concatenate([vectors.real[even], vectors.imag[odd]])),
-                    (both, np.where(both % 2, -1.0, 1.0),
-                     np.concatenate([vectors.imag[even], vectors.real[odd]])))
+    if vectors.shape[0] == 2:
+        operands = ((both, 1.0, vectors[0]), (both, np.where(both % 2, -1.0, 1.0), vectors[1]))
     else:
-        operands = ((even, 1.0, vectors[even]), (odd, -1.0, vectors[odd]))
-    parts = np.empty((2, min(coefficients.shape[0], GRID_BLOCK), vectors.shape[1]))
-    for lo in range(0, coefficients.shape[0], GRID_BLOCK):
-        block = coefficients[lo:lo + GRID_BLOCK]
+        operands = ((both[:evens], 1.0, vectors[0, :evens]),
+                    (both[evens:], -1.0, vectors[0, evens:]))
+    parts = np.empty((2, min(coefficients.shape[0], NODE_BLOCK), vectors.shape[2]))
+    for lo in range(0, coefficients.shape[0], NODE_BLOCK):
+        block = coefficients[lo:lo + NODE_BLOCK]
         out = parts[:, :block.shape[0]]
         for part, (columns, sign, operand) in zip(out, operands):
             np.matmul(block[:, columns] * sign, operand, out=part)
@@ -301,7 +307,7 @@ def state_blocks(coefficients, vectors):
 
 def series_states(coefficients, vectors) -> np.ndarray:
     """Every state of a ``chebyshev_series`` expansion, shape (T, dim) complex."""
-    states = np.empty((len(coefficients), np.shape(vectors)[1]), dtype=np.complex128)
+    states = np.empty((len(coefficients), np.shape(vectors)[2]), dtype=np.complex128)
     for lo, real, imag in state_blocks(coefficients, vectors):
         states.real[lo:lo + real.shape[0]] = real
         states.imag[lo:lo + real.shape[0]] = imag

@@ -107,20 +107,6 @@ def reduce_to_battery(psi, L: int, n: int, blocks=None) -> np.ndarray:
     return cells.reshape(real.shape[:-1] + (1 << n, 1 << n)) if full else cells
 
 
-def check_density_matrix(rho, tol: float = 1e-10) -> None:
-    """Raise unless rho is Hermitian, unit-trace and positive within tol."""
-    rho = np.asarray(rho)
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm > tol:
-        raise ValueError(f"density matrix not Hermitian: max asymmetry {herm:.3e}")
-    trace = float(np.real(np.trace(rho)))
-    if abs(trace - 1.0) > tol:
-        raise ValueError(f"density matrix trace {trace!r} != 1")
-    lowest = float(np.linalg.eigvalsh(rho)[0])
-    if lowest < -tol:
-        raise ValueError(f"density matrix has negative eigenvalue {lowest:.3e}")
-
-
 def _populations(rho) -> np.ndarray:
     """Real diagonal of rho, or of each matrix in a stack."""
     return np.real(np.diagonal(rho, axis1=-2, axis2=-1))
@@ -174,16 +160,6 @@ def ergotropy_populations(rho, level_energies):
     battery coherences are not exploited, only populations are reordered.
     """
     return _population_work(_populations(rho), np.asarray(level_energies, dtype=float))
-
-
-def passive_state(rho, level_energies) -> np.ndarray:
-    """Passive state of rho: its spectrum laid out non-increasing in energy."""
-    levels = np.asarray(level_energies, dtype=float)
-    weights = _descending_weights(np.linalg.eigvalsh(rho), "density matrix spectrum")
-    out = np.zeros((levels.size, levels.size), dtype=np.complex128)
-    order = np.argsort(levels, kind="stable")
-    out[order, order] = weights
-    return out
 
 
 def _purity(cells) -> np.ndarray:
@@ -281,7 +257,7 @@ def merit_series(traj: Trajectory) -> MeritSeries:
     """Evaluate all figures of merit along a trajectory, one column each.
 
     The real and imaginary parts of the states at the trajectory's
-    Chebyshev nodes are formed (``state_blocks``) and reduced GRID_BLOCK
+    Chebyshev nodes are formed (``state_blocks``) and reduced NODE_BLOCK
     nodes at a time, in two buffers reused from block to block, so no
     (T, dim) array is ever held; the reduced states are then interpolated
     onto the grid (``linalg.interpolate``).  The reduced states are carried

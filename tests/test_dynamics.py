@@ -134,14 +134,15 @@ def test_trajectory_refuses_a_grid_whose_reduced_states_cannot_fit_in_memory():
 
 
 def test_trajectory_refuses_a_run_whose_vectors_and_state_buffers_cannot_fit(monkeypatch):
-    # a random charger at (10,2) holds K = 63 complex vectors of dim 4096,
-    # the two real buffers state_blocks forms their states in and its two
-    # concatenated real operands, 13.4 MB at the tracemalloc peak of the
-    # whole run.  The check used to count ceil(z) = 31 vectors and the
-    # reduced states, 2.9 MB.  Now the run fails before any vector is
-    # allocated with half the peak as physical memory (refused on ceil(z)
-    # vectors and their buffers, 9.1 MB) and with 0.9 of it (refused on the
-    # exact K, 13.3 MB), and runs with 1.1 times it: the count is close
+    # a random charger at (10,2) holds K = 63 complex vectors of dim 4096
+    # as two real operands and the two 8-row real buffers state_blocks forms
+    # their states in, 6.1 MB at the tracemalloc peak of the whole run
+    # (5.3 MB once warmed).  The check used to count ceil(z) = 31 vectors
+    # and the reduced states, 2.9 MB.  Now the run fails before any vector
+    # is allocated with half the peak as physical memory (refused on
+    # ceil(z) vectors and their buffers, 3.45 MB) and with 0.9 of it
+    # (refused on the exact K, 5.55 MB), and runs with 1.1 times it: the
+    # count is close
     spec, init = ModelSpec(10, 2), InitialStateSpec("random", seed=3)
     times = np.linspace(0.0, 2.0, 2000)
     tracemalloc.start()
@@ -171,7 +172,28 @@ def test_trajectory_refuses_a_run_whose_vectors_and_state_buffers_cannot_fit(mon
             trajectory(spec, init, times)
     assert matvecs == []
     physical(1.1 * peak)
-    assert trajectory(spec, init, times).vectors.shape == (63, 4096)
+    assert trajectory(spec, init, times).vectors.shape == (2, 63, 4096)
+
+
+@pytest.mark.parametrize("spec, init", [
+    (ModelSpec(12, 2), InitialStateSpec("random", seed=3)),
+    (ModelSpec(12, 3), InitialStateSpec()),
+], ids=["random-L12n2", "cat-L12n3"])
+def test_the_expansion_is_held_once(spec, init):
+    # complex vectors on the full space and real ones on a sector: the K
+    # vectors are the only array of their size, so forming and reducing
+    # the node states on the 2000-point grid peaks at 1.19 and 1.34 times
+    # their bytes; a second copy of the operands, or all M ~ K node states
+    # formed at once, would each take it past 2
+    times = np.linspace(0.0, 2.0, 2000)
+    tracemalloc.start()
+    try:
+        traj = trajectory(spec, init, times)
+        merit_series(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * traj.vectors.nbytes, peak / traj.vectors.nbytes
 
 
 def test_trajectory_norm_preservation():
@@ -262,7 +284,9 @@ def test_sector_trajectory_matches_dense_oracle(spec, t_end, init, monkeypatch):
     times = np.linspace(0.0, t_end, 41)
     traj = trajectory(spec, init, times)
     cat = init.charger_kind.startswith("ghz")
-    assert traj.vectors.shape == (traj.coefficients.shape[1], spec.dim // 2 if cat else spec.dim)
+    parts = 2 if init.charger_kind == "random" else 1  # complex vectors: two real operands
+    assert traj.vectors.shape == (parts, traj.coefficients.shape[1],
+                                  spec.dim // 2 if cat else spec.dim)
     states = traj.states
     psi0 = initial_state(spec, init)
     oracle = evolve_on_grid(dense_eigh(build_total(spec)), psi0, times)

@@ -179,7 +179,7 @@ def test_chebyshev_series_real_state_under_complex_hamiltonian():
     psi = np.abs(random_state(rng, 24))
     times = np.array([0.0, 0.05, 0.9, 4.0])
     coefficients, vectors = chebyshev_series(lambda v: ham @ v, row_sum_bound(ham), psi, times)
-    assert np.iscomplexobj(vectors) and coefficients.shape == (times.size, vectors.shape[0])
+    assert vectors.shape[0] == 2 and coefficients.shape == (times.size, vectors.shape[1])
     for t, state in zip(times, series_states(coefficients, vectors)):
         assert np.max(np.abs(state - expm_series_oracle(ham, psi, t))) <= 1e-8
 
@@ -226,6 +226,33 @@ def test_coefficient_stage_is_chunked_without_changing_a_bit(monkeypatch):
     whole, _ = chebyshev_series(lambda v: ham @ v, 1.0, psi, times)
     assert rows[3:] == [times.size]
     assert chunked.shape == whole.shape and np.array_equal(chunked, whole)
+
+
+@pytest.mark.parametrize("nodes", [5, 17], ids=["M5", "M17"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_node_blocking_changes_no_state(nodes, kind, monkeypatch):
+    # states are formed NODE_BLOCK nodes at a time, two products per block;
+    # 17 nodes leave a one-row last block, which numpy hands to GEMV.  Each
+    # state is the one of a single product over all the nodes
+    rng = np.random.default_rng(23)
+    if kind == "real":
+        raw = rng.standard_normal((40, 40))
+        ham, psi = (raw + raw.T) / 2, np.abs(random_state(rng, 40))
+    else:
+        ham, psi = random_hermitian(rng, 40), random_state(rng, 40)
+    coefficients, vectors = chebyshev_series(lambda v: ham @ v, row_sum_bound(ham), psi,
+                                             chebyshev_nodes(0.0, 3.0, nodes))
+    assert vectors.shape[0] == (1 if kind == "real" else 2)
+    rows = []
+    real_matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, b, **kw: rows.append(len(a)) or
+                        real_matmul(a, b, **kw))
+    blocked = series_states(coefficients, vectors)
+    assert rows == {5: [5, 5], 17: [8, 8, 8, 8, 1, 1]}[nodes]
+    monkeypatch.setattr(linalg, "NODE_BLOCK", nodes)
+    whole = series_states(coefficients, vectors)
+    assert rows[-2:] == [nodes, nodes]
+    assert np.max(np.abs(blocked - whole)) <= 1e-15
 
 
 def test_chebyshev_series_refuses_a_window_beyond_physical_memory():

@@ -12,7 +12,6 @@ from sunburst_battery import (
     amplitudes,
     battery_energies,
     charging_power,
-    check_density_matrix,
     compose,
     ergotropy,
     ergotropy_populations,
@@ -20,7 +19,6 @@ from sunburst_battery import (
     ghz_plus,
     linear_entropy,
     merit_series,
-    passive_state,
     reduce_to_battery,
     run_series,
     sector_layout,
@@ -31,7 +29,7 @@ from sunburst_battery import (
 from sunburst_battery import dynamics, observables
 from sunburst_battery.dynamics import random_state
 from sunburst_battery.experiments import _naive_partial_trace
-from sunburst_battery.linalg import chebyshev_nodes
+from sunburst_battery.linalg import NODE_BLOCK, chebyshev_nodes
 
 OMEGA = np.sqrt(16.25)
 T_CHARGE = np.pi / OMEGA
@@ -65,7 +63,9 @@ def test_reduce_against_naive_oracle():
         fast = reduce_to_battery(psi, L, n)
         slow = _naive_partial_trace(psi, L, n)
         assert np.max(np.abs(fast - slow)) <= 1e-12
-        check_density_matrix(fast)
+        assert np.max(np.abs(fast - fast.conj().T)) <= 1e-10
+        assert abs(np.trace(fast) - 1.0) <= 1e-10
+        assert np.linalg.eigvalsh(fast)[0] >= -1e-10
 
 
 def test_reduce_rejects_bad_input():
@@ -160,8 +160,8 @@ def test_passive_state_has_zero_ergotropy():
     psi = random_state(rng, 32)
     rho = reduce_to_battery(psi, 2, 3)
     levels = battery_energies(3, 0.7)
-    passive = passive_state(rho, levels)
-    check_density_matrix(passive)
+    # the spectrum descending on the levels ascending
+    passive = np.diag(np.linalg.eigvalsh(rho)[::-1][np.argsort(np.argsort(levels))])
     work, _ = ergotropy(passive, levels)
     assert work <= 1e-10
     # energies ordered against weights: passive energy reproduced exactly
@@ -353,6 +353,11 @@ def reductions(monkeypatch):
     return calls
 
 
+def node_blocks(count):
+    """The state counts of the reduce_to_battery calls for ``count`` nodes."""
+    return [min(NODE_BLOCK, count - lo) for lo in range(0, count, NODE_BLOCK)]
+
+
 def assert_matches_per_point_evaluation(traj, series):
     """Every column of ``series`` within 1e-14 of reducing and evaluating
     the states of ``traj`` one at a time, and the peak ergotropy at the same
@@ -379,15 +384,15 @@ def assert_matches_per_point_evaluation(traj, series):
 
 def assert_grids_match_per_point_evaluation(grids, reductions):
     """For a random and a cat charger of a (4, 2) model, each grid of
-    ``grids`` (times, M) is formed at its M Chebyshev nodes, reduced there in
-    one call and matches per-point evaluation."""
+    ``grids`` (times, M) is formed at its M Chebyshev nodes, reduced there
+    NODE_BLOCK at a time and matches per-point evaluation."""
     spec = ModelSpec(4, 2, h=0.3, delta=0.5, kappa=1.5)
     for init in (InitialStateSpec("random", seed=5), InitialStateSpec()):
         for times, count in grids:
             traj = trajectory(spec, init, times)
             assert traj.nodes.size == count, (init.charger_kind, times.size)
             series = merit_series(traj)
-            assert reductions == [count], (init.charger_kind, times.size)
+            assert reductions == node_blocks(count), (init.charger_kind, times.size)
             reductions.clear()
             assert_matches_per_point_evaluation(traj, series)
 
@@ -455,15 +460,15 @@ def test_merit_series_names_first_negative_unavailable_time(monkeypatch):
 def test_default_grid_reduces_once_at_the_nodes(reductions):
     # on the default 2000-point grid every fig1 system is evaluated at its M
     # Chebyshev nodes, as many as the expansion has terms (the window
-    # starts at t = 0), and reduced in one call; so is a grid of M or M + 1
-    # points on the window
+    # starts at t = 0), and reduced NODE_BLOCK nodes at a time; so is a grid
+    # of M or M + 1 points on the window
     times = np.linspace(0.0, 2.0, 2000)
     for (L, n), count in (((11, 1), 60), ((10, 2), 63), ((9, 3), 66), ((8, 4), 69)):
         traj = trajectory(ModelSpec(L, n, h=0.1), InitialStateSpec(), times)
         assert traj.nodes.size == count == traj.coefficients.shape[1], (L, n)
         assert traj.nodes[0] == 0.0 and traj.nodes[-1] == 2.0
         merit_series(traj)
-        assert reductions == [count], (L, n)
+        assert reductions == node_blocks(count), (L, n)
         reductions.clear()
         for steps in (count, count + 1):
             coarse = trajectory(ModelSpec(L, n, h=0.1), InitialStateSpec(),
@@ -475,7 +480,7 @@ def test_misnormalized_trajectory_raises_a_trace_error(reductions):
     # every state is twice a basis vector, so its reduced trace is exactly 4
     # at each of the three nodes of a five-point grid
     spec = ModelSpec(3, 1)
-    bad = Trajectory(spec, np.linspace(0.0, 1.0, 5), np.eye(3), 2 * np.eye(3, 16),
+    bad = Trajectory(spec, np.linspace(0.0, 1.0, 5), np.eye(3), 2 * np.eye(3, 16)[None],
                      sector_layout(spec), chebyshev_nodes(0.0, 1.0, 3), 1.0)
     with pytest.raises(ValueError) as raised:
         merit_series(bad)
