@@ -21,7 +21,7 @@ _EXPORTS = {
     "analytic": """
         AnalyticParams TwoBatteryResult amplitudes bisect_window charging_time
         ergotropy_analytic excited_population linear_entropy_analytic max_ergotropy
-        max_power power_analytic power_at_T stored_energy_analytic two_battery
+        power_analytic power_at_T stored_energy_analytic two_battery
         unavailable_analytic window_times""",
     "dynamics": """
         InitialStateSpec Trajectory battery_ground compose ghz_minus ghz_plus

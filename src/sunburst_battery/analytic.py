@@ -8,10 +8,10 @@ Rabi-like frequency omega = sqrt(delta^2 + 4 kappa^2):
     B(t) = (2 i kappa / omega) sin(omega t / 2)
 
 with |A|^2 + |B|^2 = 1.  Everything else here (stored energy, ergotropy
-and its nonzero window, linear entropy, charging power and its maximum,
-two-battery populations) follows from these amplitudes.  The functions
-accept scalar or array times and are the verification oracle for the
-exact-dynamics pipeline.
+and its nonzero window, linear entropy, charging power and its value at
+the charging time, two-battery populations) follows from these
+amplitudes.  The functions accept scalar or array times and are the
+verification oracle for the exact-dynamics pipeline.
 """
 
 from __future__ import annotations
@@ -168,34 +168,6 @@ def power_at_T(p: AnalyticParams) -> float:
     if p.omega == 0.0:
         raise ValueError("undefined for delta = kappa = 0")
     return float(4.0 * p.delta * p.kappa ** 2 / (np.pi * p.omega))
-
-
-def max_power(p: AnalyticParams, tol: float = 1e-10) -> tuple[float, float]:
-    """Time and value of the power maximum, by golden-section search.
-
-    The power rises to a single interior maximum before T and decays
-    afterwards, so it is unimodal on one period.  The maximizer sits near
-    2.3312/omega and the value near 1.45 delta kappa^2 / omega.
-    """
-    if p.omega == 0.0:
-        raise ValueError("undefined for delta = kappa = 0")
-    lo, hi = 1e-12, 2.0 * np.pi / p.omega
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a = hi - inv_phi * (hi - lo)
-    b = lo + inv_phi * (hi - lo)
-    fa = float(power_analytic(p, a))
-    fb = float(power_analytic(p, b))
-    while hi - lo > tol:
-        if fa > fb:
-            hi, b, fb = b, a, fa
-            a = hi - inv_phi * (hi - lo)
-            fa = float(power_analytic(p, a))
-        else:
-            lo, a, fa = a, b, fb
-            b = lo + inv_phi * (hi - lo)
-            fb = float(power_analytic(p, b))
-    t_best = 0.5 * (lo + hi)
-    return float(t_best), float(power_analytic(p, t_best))
 
 
 def max_ergotropy(p: AnalyticParams) -> float:

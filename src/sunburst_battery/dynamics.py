@@ -212,7 +212,10 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times) -> Trajectory:
     the states from them (``chebyshev_series``), the up-front memory check
     counts the reduced states merit_series holds, the layout's blocks of
     them: 16 sum(b**2) bytes per grid point over blocks of b battery
-    levels, 16 4**n on the full space and half that on a sector.
+    levels, 16 4**n on the full space and half that on a sector; and the
+    matrix-free Hamiltonian (``total_matvec``), held for the whole run: an
+    int64 gather index per flip, L + n of them, and the diagonal, 8 (L + n
+    + 1) bytes per vector entry.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -229,6 +232,7 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times) -> Trajectory:
     count = max(2, chebyshev_coefficients([bound * (times[-1] - times[0])]).shape[1])
     nodes = chebyshev_nodes(times[0], times[-1], count)
     cells = sum(labels.size ** 2 for _, labels in layout.blocks)
+    hamiltonian = 8 * (spec.qubits + 1) * psi0.size
     coefficients, vectors = chebyshev_series(matvec, bound, psi0, nodes,
-                                             extra_bytes=16 * cells * times.size)
+                                             extra_bytes=16 * cells * times.size + hamiltonian)
     return Trajectory(spec, times, coefficients, vectors, layout, nodes, bound)

@@ -311,6 +311,15 @@ def _refuse_sweep(command: str, config: ExperimentConfig) -> None:
         raise ValueError(f"{command} runs no sweep; remove the config's sweep section")
 
 
+def _refuse_large_index(command: str, init: InitialStateSpec, specs) -> None:
+    """An eigenstate charger pattern must fit the ring of every system a
+    command runs: checked before the first run, naming the system."""
+    for spec in specs:
+        if init.charger_kind == "eigenstate" and init.index >= 1 << spec.L:
+            raise ValueError(f"{command}: initial.index {init.index} outside [0, 2**{spec.L}) "
+                             f"for the (L, n) = ({spec.L}, {spec.n}) system")
+
+
 def cmd_fig1(config: ExperimentConfig, collapse_systems=FIG1_COLLAPSE_SYSTEMS) -> dict:
     """Ergotropy and linear entropy vs time, single battery plus collapse set.
 
@@ -323,6 +332,7 @@ def cmd_fig1(config: ExperimentConfig, collapse_systems=FIG1_COLLAPSE_SYSTEMS) -
     specs = [config.model] + [
         replace(config.model, L=ls, n=ns, d=None) for ls, ns in collapse_systems
     ]
+    _refuse_large_index("fig1", config.initial, specs)
     runs = [(spec, config.seeded_initial, config.seed) for spec in specs]
     results = [run_series(spec, init, times) for spec, init, _ in runs]
     single = AnalyticParams.from_model(config.model)
@@ -349,6 +359,7 @@ def cmd_fig2(config: ExperimentConfig, systems=FIG2_SYSTEMS) -> dict:
     times = config.grid.times()
     runs = [(replace(config.model, L=ls, n=ns, d=None), config.seeded_initial, config.seed)
             for ls, ns in systems]
+    _refuse_large_index("fig2", config.initial, [spec for spec, _, _ in runs])
     results = [run_series(spec, init, times) for spec, init, _ in runs]
     reference = power_analytic(AnalyticParams.from_model(config.model), times)
     collapse, worst = _collapse("fig2", "P", "power", runs, results, reference)
@@ -399,6 +410,7 @@ def cmd_fig3(config: ExperimentConfig, n_values=(1, 2, 3, 4),
                 raise ValueError("cannot scan a period for delta = kappa = 0")
             times = np.linspace(0.0, 2.0 * np.pi / p.omega, config.grid.steps)
             tasks.append((spec, times))
+    _refuse_large_index("fig3", config.initial, [spec for spec, _ in tasks])
     init = config.seeded_initial
     results = [run_series(spec, init, times) for spec, times in tasks]
     rows, summary = [], {"points": []}
@@ -577,7 +589,8 @@ def _check_amplitudes(rng, quick):
 
 def _check_analytic_chain(rng, quick):
     """Closed-form identities at strong coupling, the window by bisection
-    and the period."""
+    and the period; and the rounded POWER_PEAK_COEFF against the power
+    maximum sampled over one period."""
     p = AnalyticParams(0.5, 2.0)
     t_charge = charging_time(p)
     t1, t2 = window_times(p)
@@ -594,7 +607,11 @@ def _check_analytic_chain(rng, quick):
         abs(bis[0] - t1), abs(bis[1] - t2),
         _max_gap(ergotropy_analytic(p, sample), ergotropy_analytic(p, sample + period)),
     )
-    return chain_dev <= 1e-8, f"max identity residual {chain_dev:.2e}"
+    peak = float(np.max(power_analytic(p, np.linspace(0, period, 2001))))
+    coeff_dev = abs(peak / (POWER_PEAK_COEFF * p.delta * p.kappa ** 2 / p.omega) - 1)
+    return (chain_dev <= 1e-8 and coeff_dev <= 5e-3,
+            f"max identity residual {chain_dev:.2e}, power peak {coeff_dev:.2e} "
+            f"from POWER_PEAK_COEFF")
 
 
 def _check_two_battery_analytic(rng, quick):

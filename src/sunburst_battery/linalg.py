@@ -217,9 +217,11 @@ def chebyshev_series(matvec, bound: float, psi0, times,
     means ``bound`` is below ||H||, and, before anything is allocated, if
     the coefficient table, the at least z_max vectors, the ``state_blocks``
     buffers that form the states from them and ``extra_bytes`` more, which
-    the caller will hold alongside, cannot fit in physical memory; the
-    count is repeated with the exact K once the coefficients are known,
-    before any vector is allocated.
+    the caller will hold alongside, cannot fit in physical memory (the
+    table's FFT workspace, freed before the first vector, counts instead
+    of the vectors and buffers where it is larger); the count is repeated
+    with the exact K once the coefficients are known, before any vector is
+    allocated.
     """
     psi0 = _check_state(np.size(psi0), psi0)
     if not (np.isfinite(bound) and bound > 0):
@@ -229,14 +231,17 @@ def chebyshev_series(matvec, bound: float, psi0, times,
         psi0 = psi0.real  # a real H then keeps the whole sequence real
     z_max = float(np.max(np.abs(z)))
     half = _fft_half(z_max)
-    # the coefficient table, its FFT workspace and the caller's bytes; then
-    # the vectors and the buffers that form the states from them
-    fixed = 8 * half * (z.size + 6 * min(z.size, GRID_BLOCK)) + extra_bytes
+    # the coefficient table and the caller's bytes; then the table's FFT
+    # workspace or, once that is freed, the vectors and the buffers that
+    # form the states from them, whichever is larger
+    fixed, workspace = 8 * half * z.size + extra_bytes, 48 * half * min(z.size, GRID_BLOCK)
     count = np.ceil(z_max)  # K > z_max: J_k(z) only starts to decay once k > z
-    _refuse_beyond_memory(z_max, half, fixed + _expansion_bytes(z.size, count, psi0), count)
+    _refuse_beyond_memory(z_max, half,
+                          fixed + max(workspace, _expansion_bytes(z.size, count, psi0)), count)
     coefficients = chebyshev_coefficients(z)
     kept = coefficients.shape[1]
-    _refuse_beyond_memory(z_max, half, fixed + _expansion_bytes(z.size, kept, psi0), kept)
+    _refuse_beyond_memory(z_max, half,
+                          fixed + max(workspace, _expansion_bytes(z.size, kept, psi0)), kept)
     previous, current = psi0, matvec(psi0) / bound
     complex_parts = np.iscomplexobj(current)
     vectors = np.empty((1 + complex_parts, kept, psi0.size))

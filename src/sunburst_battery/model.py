@@ -119,10 +119,14 @@ def integral(name: str, value) -> int:
 
 
 def real(name: str, value) -> float:
-    """A floating-point config value; a bool or string is an error."""
+    """A floating-point config value; a bool, a string or an integer beyond
+    the float range is an error."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is an integer beyond the float range") from None
 
 
 def config_fields(cls, section: str, data: dict, ints=(), floats=(),

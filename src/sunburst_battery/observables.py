@@ -11,21 +11,24 @@ diagonal and the two agree; for n >= 2 it carries 00<->11 and 01<->10
 coherences even in the strong-charger limit, and only the population
 convention follows the per-battery closed forms and their linear-in-n
 scaling.  Merit series therefore report the population value as the
-headline ergotropy and carry the spectral value alongside.
+headline ergotropy and carry the spectral value alongside.  Both return
+the work only.
 
-Every function here takes one matrix or a stack of them (leading axes), so
-a whole trajectory is reduced and evaluated in one pass.  A trajectory is
-reduced from the real and imaginary parts of its states at the Chebyshev
-nodes of its grid window, formed a block of nodes at a time by real
-matrix products, and the reduced states are then interpolated onto the
-grid (dynamics.trajectory has the bandwidth argument).  A trajectory on
-one parity sector is reduced block by block (model.Layout): each charger
-parity meets the battery levels of one parity only, so its reduced state
-is block diagonal in the battery parity.  From the partial trace to the
-last figure of merit that state is carried as its blocks alone, Sum b**2
-entries per grid point over blocks of b levels (half of 4**n on a sector;
-the full space is the one-block case): no zero-filled 2**n x 2**n stack
-is built.
+Every function here takes one reduced state or a stack of them (leading
+axes), so a whole trajectory is reduced and evaluated in one pass, in
+either of the two forms ``reduce_to_battery`` returns: full (..., d, d)
+matrices, or, with ``blocks=`` the blocks of a model.Layout, the (...,
+Sum b**2) entries of those blocks over blocks of b levels, the full matrix
+being the one-block case.  A trajectory is reduced from the real and
+imaginary parts of its states at the Chebyshev nodes of its grid window,
+formed a block of nodes at a time by real matrix products, and the reduced
+states are then interpolated onto the grid (dynamics.trajectory has the
+bandwidth argument).  A trajectory on one parity sector is reduced block
+by block: each charger parity meets the battery levels of one parity
+only, so its reduced state is block diagonal in the battery parity.  From
+the partial trace to the last figure of merit that state is carried as
+its blocks alone (half of 4**n entries on a sector): no zero-filled
+2**n x 2**n stack is built.
 """
 
 from __future__ import annotations
@@ -47,7 +50,11 @@ def _block_views(cells, blocks):
     """``(labels, rho)`` for each ``(rows, labels)`` block of a model.Layout,
     ``rho`` the (..., b, b) view of that block's reduced state in
     ``cells``, whose last axis holds the blocks' b x b entries side by side
-    (b = len(labels))."""
+    (b = len(labels)).  With ``blocks`` None, ``cells`` are full (..., d, d)
+    matrices, the one block of all d levels."""
+    if blocks is None:
+        yield np.arange(cells.shape[-1]), cells
+        return
     start = 0
     for _, labels in blocks:
         stop = start + labels.size ** 2
@@ -107,84 +114,69 @@ def reduce_to_battery(psi, L: int, n: int, blocks=None) -> np.ndarray:
     return cells.reshape(real.shape[:-1] + (1 << n, 1 << n)) if full else cells
 
 
-def _populations(rho) -> np.ndarray:
-    """Real diagonal of rho, or of each matrix in a stack."""
-    return np.real(np.diagonal(rho, axis1=-2, axis2=-1))
-
-
-def stored_energy(rho, level_energies):
-    """Battery energy above the all-ground initial level: tr(rho H_b) - E_ground."""
-    levels = np.asarray(level_energies, dtype=float)
-    return _populations(rho) @ levels - levels.min()
-
-
-def _descending_weights(values, what: str) -> np.ndarray:
-    """Clamp numerical negativity in [-NEGATIVITY_TOL, 0), renormalize, sort
-    along the last axis."""
-    values = np.real(np.asarray(values))
-    if values.min() < -NEGATIVITY_TOL:
-        raise ValueError(f"{what} has negative weight {values.min():.3e}")
-    clipped = np.clip(values, 0.0, None)
-    return np.sort(clipped / clipped.sum(axis=-1, keepdims=True), axis=-1)[..., ::-1]
+def _populations(cells, blocks) -> np.ndarray:
+    """Real level populations of reduced states: the diagonal of each of
+    the layout's ``blocks`` at its labels, or of the full matrices when
+    ``blocks`` is None."""
+    views = list(_block_views(np.asarray(cells), blocks))
+    populations = np.zeros(views[0][1].shape[:-2] + (sum(labels.size for labels, _ in views),))
+    for labels, rho in views:
+        populations[..., labels] = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
+    return populations
 
 
 def _work(populations, weights, levels, what: str):
-    """(work, passive energy) of a state with these level ``populations``
-    whose passive state has these ``weights`` (``what`` names them): the
-    weights sorted descending are paired with the levels sorted ascending,
-    and the work is clamped at 0."""
-    passive = _descending_weights(weights, what) @ np.sort(levels)
-    return np.maximum(0.0, populations @ levels - passive), passive
+    """Work extractable from states with these level ``populations`` whose
+    passive state has these ``weights`` (``what`` names them): negativity in
+    [-NEGATIVITY_TOL, 0) is clamped and the weights renormalized, then
+    sorted descending and paired with the levels sorted ascending; the work
+    is clamped at 0."""
+    if weights.min() < -NEGATIVITY_TOL:
+        raise ValueError(f"{what} has negative weight {weights.min():.3e}")
+    clipped = np.clip(weights, 0.0, None)
+    descending = np.sort(clipped / clipped.sum(axis=-1, keepdims=True), axis=-1)[..., ::-1]
+    return np.maximum(0.0, populations @ levels - descending @ np.sort(levels))
 
 
-def ergotropy(rho, level_energies):
-    """Extractable work and passive energy from the spectral passive state.
-
-    Eigenvalues of rho sorted descending are paired with the battery levels
-    sorted ascending; returns (work, passive_energy) with work clamped at 0.
-    """
-    levels = np.asarray(level_energies, dtype=float)
-    return _work(_populations(rho), np.linalg.eigvalsh(rho), levels,
-                 "density matrix spectrum")
+def stored_energy(rho, levels, blocks=None):
+    """Battery energy above the all-ground initial level: tr(rho H_b) - E_ground."""
+    levels = np.asarray(levels, dtype=float)
+    return _populations(rho, blocks) @ levels - levels.min()
 
 
-def _population_work(populations, levels):
-    """``ergotropy_populations`` from the level populations themselves."""
-    return _work(populations, populations, levels, "density matrix diagonal")
+def ergotropy(rho, levels, blocks=None):
+    """Extractable work with the spectral passive state: the eigenvalues of
+    rho (of each block) sorted descending on the levels sorted ascending."""
+    levels = np.asarray(levels, dtype=float)
+    spectrum = np.concatenate([np.linalg.eigvalsh(block)
+                               for _, block in _block_views(np.asarray(rho), blocks)], axis=-1)
+    return _work(_populations(rho, blocks), spectrum, levels, "density matrix spectrum")
 
 
-def ergotropy_populations(rho, level_energies):
+def ergotropy_populations(rho, levels, blocks=None):
     """Extractable work using level occupations as the passive weights.
 
     This is the convention behind all the closed-form results here: the
     battery coherences are not exploited, only populations are reordered.
     """
-    return _population_work(_populations(rho), np.asarray(level_energies, dtype=float))
+    populations = _populations(rho, blocks)
+    return _work(populations, populations, np.asarray(levels, dtype=float),
+                 "density matrix diagonal")
 
 
-def _purity(cells) -> np.ndarray:
-    """tr(rho^2) = sum of |rho_ab|**2 of a Hermitian rho whose entries
-    (all of them, or all its nonzero blocks) fill the last axis of
-    ``cells``: a sum of squares over the real view, with no conjugated
-    copy."""
-    cells = np.asarray(cells)
+def linear_entropy(rho, blocks=None):
+    """Mixedness 1 - tr(rho^2), in [0, 1 - 1/dim]: tr(rho^2) is the sum of
+    |rho_ab|**2 over every entry (every block entry), a sum of squares over
+    the real view, with no conjugated copy."""
+    cells = np.asarray(rho)
+    if blocks is None:
+        cells = cells.reshape(cells.shape[:-2] + (-1,))
     if np.iscomplexobj(cells):
         cells = np.ascontiguousarray(cells, dtype=np.complex128).view(np.float64)
-    return np.einsum("...i,...i->...", cells, cells)
-
-
-def _mixedness(purity) -> np.ndarray:
-    """1 - purity clamped at 0, or ValueError when the purity exceeds 1."""
-    value = 1.0 - purity
-    if np.min(value) < -1e-12:
+    purity = np.einsum("...i,...i->...", cells, cells)
+    if np.min(1.0 - purity) < -1e-12:
         raise ValueError(f"purity {float(np.max(purity))!r} exceeds 1; not a density matrix")
-    return np.maximum(0.0, value)
-
-
-def linear_entropy(rho):
-    """Mixedness 1 - tr(rho^2), in [0, 1 - 1/dim]."""
-    rho = np.asarray(rho)
-    return _mixedness(_purity(rho.reshape(rho.shape[:-2] + (-1,))))
+    return np.maximum(0.0, 1.0 - purity)
 
 
 def charging_power(delta_e, t):
@@ -240,19 +232,6 @@ def _reduced_blocks(traj: Trajectory) -> np.ndarray:
     return interpolate(traj.nodes, cells, traj.times)
 
 
-def _block_figures(cells, blocks, levels: int):
-    """``(populations, spectrum, purity)`` of reduced states given as the
-    ``blocks`` of a layout (``reduce_to_battery``): the populations of the
-    ``levels`` battery levels from the block diagonals, the eigenvalues of
-    each block side by side, and the sum of squares of the block entries."""
-    populations = np.zeros(cells.shape[:-1] + (levels,))
-    spectra = []
-    for labels, rho in _block_views(cells, blocks):
-        populations[..., labels] = _populations(rho)
-        spectra.append(np.linalg.eigvalsh(rho))
-    return populations, np.concatenate(spectra, axis=-1), _purity(cells)
-
-
 def merit_series(traj: Trajectory) -> MeritSeries:
     """Evaluate all figures of merit along a trajectory, one column each.
 
@@ -262,17 +241,15 @@ def merit_series(traj: Trajectory) -> MeritSeries:
     (T, dim) array is ever held; the reduced states are then interpolated
     onto the grid (``linalg.interpolate``).  The reduced states are carried
     as the blocks of the trajectory's layout (``_reduced_blocks``),
-    interpolated in one call: populations come from the block diagonals,
-    spectra block by block and the purity from the sum of squares of the
-    block entries.
+    interpolated in one call, and each figure is the public function of
+    this module evaluated on those blocks.
     """
     times = traj.times
     levels = battery_energies(traj.spec.n, traj.spec.delta)
-    populations, spectrum, purity = _block_figures(_reduced_blocks(traj), traj.layout.blocks,
-                                                   levels.size)
-    stored = populations @ levels - levels.min()
-    work, _ = _population_work(populations, levels)
-    work_spectral, _ = _work(populations, spectrum, levels, "density matrix spectrum")
+    cells, blocks = _reduced_blocks(traj), traj.layout.blocks
+    stored = stored_energy(cells, levels, blocks)
+    work = ergotropy_populations(cells, levels, blocks)
+    work_spectral = ergotropy(cells, levels, blocks)
     unavailable = stored - work
     negative = np.flatnonzero(unavailable < -UNAVAILABLE_TOL)
     if negative.size:
@@ -289,7 +266,7 @@ def merit_series(traj: Trajectory) -> MeritSeries:
         stored_energy=stored,
         ergotropy=work,
         ergotropy_spectral=work_spectral,
-        linear_entropy=_mixedness(purity),
+        linear_entropy=linear_entropy(cells, blocks),
         power=power,
         unavailable=unavailable,
         peak_stored_time=float(times[np.argmax(stored)]),

@@ -10,7 +10,6 @@ from sunburst_battery import (
     excited_population,
     linear_entropy_analytic,
     max_ergotropy,
-    max_power,
     power_analytic,
     power_at_T,
     stored_energy_analytic,
@@ -158,22 +157,6 @@ def test_power_curve_limits():
     # rises linearly from zero: P ~ delta kappa^2 t
     expected = REF.delta * REF.kappa ** 2 * small
     assert np.allclose(power_analytic(REF, small), expected, rtol=1e-6)
-
-
-def test_max_power_against_rounded_constants():
-    t_peak, p_peak = max_power(REF)
-    # the golden-section maximum sits where tan(u) = 2u, u = omega t / 2
-    u = OMEGA * t_peak / 2
-    assert abs(np.tan(u) - 2 * u) <= 1e-6
-    assert np.isclose(t_peak, 0.5782802933027373, atol=1e-9)
-    assert np.isclose(p_peak, 0.7190158155681687, atol=1e-12)
-    # rounded reference constants 2.3312/omega and 1.45 d k^2/omega hold to 0.5%
-    assert abs(t_peak - 2.3312 / OMEGA) / (2.3312 / OMEGA) <= 5e-3
-    approx = 1.45 * REF.delta * REF.kappa ** 2 / OMEGA
-    assert abs(p_peak - approx) / approx <= 5e-3
-    # and the value at the peak beats the whole sampled curve
-    grid = np.linspace(1e-6, 2 * np.pi / OMEGA, 20000)
-    assert p_peak >= np.max(power_analytic(REF, grid)) - 1e-9
 
 
 def test_max_ergotropy_values_and_saturation():

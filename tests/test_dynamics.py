@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import numpy_figures
+
 from sunburst_battery import (
     InitialStateSpec,
     ModelSpec,
@@ -13,13 +15,11 @@ from sunburst_battery import (
     build_total,
     charging_power,
     compose,
-    ergotropy,
     ergotropy_populations,
     evolve_on_grid,
     ghz_minus,
     ghz_plus,
     initial_state,
-    linear_entropy,
     merit_series,
     parity_sectors,
     random_charger,
@@ -136,15 +136,17 @@ def test_trajectory_refuses_a_grid_whose_reduced_states_cannot_fit_in_memory():
 def test_trajectory_refuses_a_run_whose_vectors_and_state_buffers_cannot_fit(monkeypatch):
     # a random charger at (10,2) holds K = 63 complex vectors of dim 4096
     # as two real operands and the two 8-row real buffers state_blocks forms
-    # their states in, 6.1 MB at the tracemalloc peak of the whole run
-    # (5.3 MB once warmed).  The check used to count ceil(z) = 31 vectors
+    # their states in, 5.3 MB at the tracemalloc peak of the whole run once
+    # a small run has made the one-time allocations of the first call (6.2
+    # MB with them).  The check used to count ceil(z) = 31 vectors
     # and the reduced states, 2.9 MB.  Now the run fails before any vector
     # is allocated with half the peak as physical memory (refused on
-    # ceil(z) vectors and their buffers, 3.45 MB) and with 0.9 of it
-    # (refused on the exact K, 5.55 MB), and runs with 1.1 times it: the
-    # count is close
+    # ceil(z) vectors, their buffers and the matrix-free Hamiltonian,
+    # 3.55 MB) and with 0.9 of it (refused on the exact K, 5.65 MB), and
+    # runs with 1.1 times it: the count is close
     spec, init = ModelSpec(10, 2), InitialStateSpec("random", seed=3)
     times = np.linspace(0.0, 2.0, 2000)
+    merit_series(trajectory(ModelSpec(4, 1), init, times))
     tracemalloc.start()
     try:
         merit_series(trajectory(spec, init, times))
@@ -196,6 +198,32 @@ def test_the_expansion_is_held_once(spec, init):
     assert peak <= 1.4 * traj.vectors.nbytes, peak / traj.vectors.nbytes
 
 
+def test_the_memory_count_covers_the_whole_run(monkeypatch):
+    # what a (13,1) random run counts up front (the K vectors and their
+    # state buffers, the reduced states, and total_matvec's L + n gather
+    # indices and diagonal) is at least the tracemalloc peak of forming and
+    # evaluating it, 21.56 MB against 20.77 MB; without the Hamiltonian's
+    # 1.97 MB the count was 20.0 MB.  A small run first makes the one-time
+    # allocations of the first call, which are no part of the run
+    merit_series(trajectory(ModelSpec(4, 1), InitialStateSpec("random", seed=3),
+                            np.linspace(0.0, 2.0, 2000)))
+    counted, refuse = [], linalg._refuse_beyond_memory
+
+    def spy(z_max, half, needed, vectors=0):
+        counted.append(needed)
+        return refuse(z_max, half, needed, vectors)
+
+    monkeypatch.setattr(linalg, "_refuse_beyond_memory", spy)
+    spec, init = ModelSpec(13, 1), InitialStateSpec("random", seed=3)
+    tracemalloc.start()
+    try:
+        merit_series(trajectory(spec, init, np.linspace(0.0, 2.0, 2000)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counted[-1] >= peak, (counted[-1], peak)
+
+
 def test_trajectory_norm_preservation():
     spec = ModelSpec(4, 2, h=0.2)
     traj = trajectory(spec, InitialStateSpec("random", seed=8), np.linspace(0, 5, 101))
@@ -217,8 +245,8 @@ def test_global_phase_leaves_observables_unchanged():
         rho_a = reduce_to_battery(plain, spec.L, spec.n)
         rho_b = reduce_to_battery(turned, spec.L, spec.n)
         assert abs(stored_energy(rho_a, levels) - stored_energy(rho_b, levels)) <= 1e-12
-        assert abs(ergotropy_populations(rho_a, levels)[0]
-                   - ergotropy_populations(rho_b, levels)[0]) <= 1e-12
+        assert abs(ergotropy_populations(rho_a, levels)
+                   - ergotropy_populations(rho_b, levels)) <= 1e-12
 
 
 def test_charger_eigenstates_match_cat_state_observables():
@@ -234,7 +262,7 @@ def test_charger_eigenstates_match_cat_state_observables():
         for psi in traj.states:
             rho = reduce_to_battery(psi, spec.L, spec.n)
             stored.append(stored_energy(rho, levels))
-            work.append(ergotropy_populations(rho, levels)[0])
+            work.append(ergotropy_populations(rho, levels))
         return np.array(stored), np.array(work)
 
     ref_stored, ref_work = curves(InitialStateSpec())
@@ -301,18 +329,11 @@ def test_sector_trajectory_matches_dense_oracle(spec, t_end, init, monkeypatch):
 def assert_merit_columns_match_oracle(series, oracle, spec):
     """Every merit column of ``series`` within 1e-12 of reducing the dense
     oracle states, shape (T, dim), and evaluating them."""
-    levels = battery_energies(spec.n, spec.delta)
-    rho = reduce_to_battery(oracle, spec.L, spec.n)
-    stored = stored_energy(rho, levels)
-    work = ergotropy_populations(rho, levels)[0]
-    expected = {
-        "stored_energy": stored,
-        "ergotropy": work,
-        "ergotropy_spectral": ergotropy(rho, levels)[0],
-        "linear_entropy": linear_entropy(rho),
-        "power": charging_power(stored, series.t),
-        "unavailable": stored - work,
-    }
+    expected = numpy_figures(reduce_to_battery(oracle, spec.L, spec.n),
+                             battery_energies(spec.n, spec.delta))
+    stored = expected["stored_energy"]
+    expected["power"] = charging_power(stored, series.t)
+    expected["unavailable"] = stored - expected["ergotropy"]
     for name, column in expected.items():
         assert np.max(np.abs(getattr(series, name) - column)) <= 1e-12, name
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -134,6 +135,70 @@ def test_grid_and_sweep_validation():
     with pytest.raises(ValueError):
         SweepSpec("n", (-1,))
     assert SweepSpec("n", (1, 2)).values == (1, 2)
+
+
+VALID_CONFIG = {
+    "model": {"L": 4, "n": 2, "d": 2, "J": 1.0, "h": 0.1, "delta": 0.5, "kappa": 2.0},
+    "initial": {"charger_kind": "random", "index": None, "seed": 3},
+    "grid": {"t_start": 0.0, "t_end": 1.0, "steps": 10},
+    "sweep": {"parameter": "kappa", "values": [0.5, 1.0]},
+    "seed": 42,
+    "output_path": "x.csv",
+}
+JSON_SCALARS = (
+    st.sampled_from([None, True, False, 0, -1, math.nan, math.inf, -math.inf, "", "kappa",
+                     "n", "random", "eigenstate"]),
+    st.sampled_from([2 ** 64, -(2 ** 64), 10 ** 400, -(10 ** 400)]),
+    st.integers(), st.floats(), st.text(max_size=6),
+)
+JSON_VALUES = st.one_of(*JSON_SCALARS, st.recursive(
+    st.one_of(*JSON_SCALARS),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                               max_size=3),
+    max_leaves=6,
+))
+CONFIG_PATHS = [(key, None) for key in VALID_CONFIG] + [
+    (key, field) for key, section in VALID_CONFIG.items() if isinstance(section, dict)
+    for field in section]
+
+
+@st.composite
+def json_configs(draw):
+    """VALID_CONFIG with one to three known keys, or whole sections, set to
+    arbitrary JSON values and some sections left out."""
+    config = {key: dict(value) if isinstance(value, dict) else value
+              for key, value in VALID_CONFIG.items()}
+    for key, field in draw(st.lists(st.sampled_from(CONFIG_PATHS), min_size=1, max_size=3)):
+        if field is not None and isinstance(config[key], dict):
+            config[key][field] = draw(JSON_VALUES)
+        elif field is None:
+            config[key] = draw(JSON_VALUES)
+    for key in draw(st.lists(st.sampled_from(sorted(VALID_CONFIG)), max_size=2)):
+        config.pop(key, None)
+    return config
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(json_configs())
+def test_config_parses_or_raises_value_error_on_any_json(data):
+    # nulls, booleans, huge integers, NaN and infinities, strings, lists and
+    # objects under every known key: bad input fails with a ValueError
+    try:
+        ExperimentConfig.from_dict(data)
+    except ValueError:
+        pass
+
+
+@pytest.mark.parametrize("section, key", [("model", "h"), ("grid", "t_end")])
+def test_cli_refuses_an_integer_beyond_the_float_range(tmp_path, capsys, section, key):
+    # JSON reads a 400-digit integer exactly; as a float it overflows
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({section: {**VALID_CONFIG[section], key: 10 ** 400},
+                                       "output_path": str(tmp_path / "never.csv")}))
+    assert main(["fig4", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {section}.{key} is an integer beyond the float range"]
+    assert not (tmp_path / "never.csv").exists()
 
 
 def test_csv_format_and_reread(tmp_path):
@@ -597,6 +662,23 @@ def test_negative_initial_seed_is_refused_at_parse_time(tmp_path, monkeypatch, c
     captured = capsys.readouterr()
     assert captured.err.splitlines() == ["error: initial.seed must be non-negative, got -3"]
     assert captured.out == "" and calls == []
+
+
+@pytest.mark.parametrize("command", ["fig1", "fig2", "fig3"])
+def test_an_eigenstate_index_too_large_for_a_ring_is_refused_before_any_run(
+        tmp_path, monkeypatch, capsys, command):
+    # these commands run rings of L = 11, 10, 9 and 8: pattern 1000 fits
+    # the first two only, and the (9, 3) system is named before any run
+    calls = []
+    monkeypatch.setattr(experiments, "run_series", lambda *args: calls.append(args))
+    out = tmp_path / f"{command}.csv"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"initial": {"charger_kind": "eigenstate", "index": 1000},
+                                       "output_path": str(out)}))
+    assert main([command, "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {command}: initial.index 1000 outside [0, 2**9) for the (L, n) = (9, 3) system"]
+    assert calls == [] and not out.exists()
 
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import numpy_figures
+
 from sunburst_battery import (
     AnalyticParams,
     InitialStateSpec,
@@ -92,9 +94,11 @@ def test_gram_and_state_reductions_agree_on_every_entry(init):
 def test_block_reduction_holds_the_blocks_of_the_full_reduction(n):
     # on a parity sector the full reduced state is zero off the layout's
     # blocks, and reducing the layout's entries gives each block's entries
-    # row-major, side by side; the full layout is the one-block case
+    # row-major, side by side; the full layout is the one-block case.  Each
+    # figure of merit reads the blocks as it reads the full matrix
     rng = np.random.default_rng(50 + n)
     spec = ModelSpec(4, n, d=1)
+    levels = battery_energies(n, 0.5)
     for parity in (0, 1, None):
         layout = sector_layout(spec, parity)
         states = np.zeros((3, spec.dim), dtype=np.complex128)
@@ -114,6 +118,11 @@ def test_block_reduction_holds_the_blocks_of_the_full_reduction(n):
         assert not np.any(full[~on_blocks]), parity
         single = reduce_to_battery(states[1, layout.basis], spec.L, n, layout.blocks)
         assert np.max(np.abs(single - cells[1])) <= 1e-15, parity
+        for figure in (stored_energy, ergotropy, ergotropy_populations):
+            on_cells = figure(cells, levels, layout.blocks)
+            assert np.max(np.abs(on_cells - figure(full, levels))) <= 1e-14, (parity, figure)
+        on_cells = linear_entropy(cells, layout.blocks)
+        assert np.max(np.abs(on_cells - linear_entropy(full))) <= 1e-14, parity
 
 
 def test_stored_energy_endpoints():
@@ -133,9 +142,9 @@ def test_stored_energy_at_charging_time_value():
 
 def test_ergotropy_maximally_mixed_is_passive():
     levels = battery_energies(2, 0.5)
-    work, passive = ergotropy(np.eye(4) / 4, levels)
-    assert work == 0.0
-    assert np.isclose(passive, np.mean(levels))
+    mixed = np.eye(4) / 4
+    assert ergotropy(mixed, levels) == 0.0
+    assert np.isclose(stored_energy(mixed, levels) + levels.min(), np.mean(levels))
 
 
 @pytest.mark.parametrize("p", [0.9, 0.6, 0.5, 0.3, 0.05])
@@ -145,14 +154,13 @@ def test_single_battery_ergotropy_piecewise(p):
     levels = battery_energies(1, delta)
     expected = delta * (1 - 2 * p) if p < 0.5 else 0.0
     for variant in (ergotropy, ergotropy_populations):
-        work, _ = variant(rho, levels)
-        assert np.isclose(work, expected, atol=1e-12)
+        assert np.isclose(variant(rho, levels), expected, atol=1e-12)
 
 
 def test_ergotropy_at_charging_time_value():
     rho = np.diag([0.25 / 16.25, 16.0 / 16.25])
-    work, _ = ergotropy(rho, battery_energies(1, 0.5))
-    assert np.isclose(work, 0.4846153846153846, atol=1e-12)
+    assert np.isclose(ergotropy(rho, battery_energies(1, 0.5)), 0.4846153846153846,
+                      atol=1e-12)
 
 
 def test_passive_state_has_zero_ergotropy():
@@ -162,11 +170,10 @@ def test_passive_state_has_zero_ergotropy():
     levels = battery_energies(3, 0.7)
     # the spectrum descending on the levels ascending
     passive = np.diag(np.linalg.eigvalsh(rho)[::-1][np.argsort(np.argsort(levels))])
-    work, _ = ergotropy(passive, levels)
-    assert work <= 1e-10
-    # energies ordered against weights: passive energy reproduced exactly
-    _, reference = ergotropy(rho, levels)
-    assert np.isclose(stored_energy(passive, levels) + levels.min(), reference)
+    assert ergotropy(passive, levels) <= 1e-10
+    # the work is the energy above that of the passive state
+    assert np.isclose(ergotropy(rho, levels),
+                      stored_energy(rho, levels) - stored_energy(passive, levels))
 
 
 def test_variants_agree_on_diagonal_states():
@@ -175,8 +182,8 @@ def test_variants_agree_on_diagonal_states():
         weights = rng.dirichlet(np.ones(8))
         rho = np.diag(weights).astype(complex)
         levels = battery_energies(3, 0.5)
-        assert np.isclose(ergotropy(rho, levels)[0],
-                          ergotropy_populations(rho, levels)[0], atol=1e-10)
+        assert np.isclose(ergotropy(rho, levels), ergotropy_populations(rho, levels),
+                          atol=1e-10)
 
 
 def test_spectral_variant_sees_coherence_populations_do_not():
@@ -186,8 +193,8 @@ def test_spectral_variant_sees_coherence_populations_do_not():
     delta = 0.5
     rho = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
     levels = battery_energies(1, delta)
-    spectral, _ = ergotropy(rho, levels)
-    population, _ = ergotropy_populations(rho, levels)
+    spectral = ergotropy(rho, levels)
+    population = ergotropy_populations(rho, levels)
     assert np.isclose(spectral, delta * 0.3, atol=1e-12)
     assert population == 0.0
 
@@ -195,8 +202,7 @@ def test_spectral_variant_sees_coherence_populations_do_not():
 def test_negative_eigenvalue_clamp_and_rejection():
     levels = battery_energies(1, 0.5)
     slightly = np.diag([1.0 + 5e-11, -5e-11])
-    work, _ = ergotropy(slightly, levels)
-    assert work == 0.0
+    assert ergotropy(slightly, levels) == 0.0
     with pytest.raises(ValueError, match="negative weight"):
         ergotropy(np.diag([1.001, -0.001]), levels)
 
@@ -297,18 +303,15 @@ def test_stacked_merit_functions_match_per_matrix_calls(n):
     rng = np.random.default_rng(30 + n)
     levels = battery_energies(n, 0.5)
     stack = random_density_matrices(rng, 6, 1 << n)
-    singles = {
-        "stored": [stored_energy(rho, levels) for rho in stack],
-        "spectral": [ergotropy(rho, levels) for rho in stack],
-        "populations": [ergotropy_populations(rho, levels) for rho in stack],
-        "entropy": [linear_entropy(rho) for rho in stack],
+    singles = numpy_figures(stack, levels)
+    stacked = {
+        "stored_energy": stored_energy(stack, levels),
+        "ergotropy": ergotropy_populations(stack, levels),
+        "ergotropy_spectral": ergotropy(stack, levels),
+        "linear_entropy": linear_entropy(stack),
     }
-    assert np.max(np.abs(stored_energy(stack, levels) - singles["stored"])) <= 1e-14
-    assert np.max(np.abs(linear_entropy(stack) - singles["entropy"])) <= 1e-14
-    for name, variant in (("spectral", ergotropy), ("populations", ergotropy_populations)):
-        work, passive = variant(stack, levels)
-        assert np.max(np.abs(work - [w for w, _ in singles[name]])) <= 1e-14
-        assert np.max(np.abs(passive - [p for _, p in singles[name]])) <= 1e-14
+    for name, column in stacked.items():
+        assert np.max(np.abs(column - singles[name])) <= 1e-14, name
 
     L = 5 - n
     states = np.array([random_state(rng, 1 << (L + n)) for _ in range(6)])
@@ -363,19 +366,12 @@ def assert_matches_per_point_evaluation(traj, series):
     the states of ``traj`` one at a time, and the peak ergotropy at the same
     grid time."""
     spec, times = traj.spec, traj.times
-    levels = battery_energies(spec.n, spec.delta)
-    rhos = [reduce_to_battery(psi, spec.L, spec.n) for psi in traj.states]
-    stored = np.array([stored_energy(rho, levels) for rho in rhos])
-    work = np.array([ergotropy_populations(rho, levels)[0] for rho in rhos])
-    expected = {
-        "t": times,
-        "stored_energy": stored,
-        "ergotropy": work,
-        "ergotropy_spectral": [ergotropy(rho, levels)[0] for rho in rhos],
-        "linear_entropy": [linear_entropy(rho) for rho in rhos],
-        "power": [charging_power(e, t) for e, t in zip(stored, times)],
-        "unavailable": stored - work,
-    }
+    expected = numpy_figures([reduce_to_battery(psi, spec.L, spec.n) for psi in traj.states],
+                             battery_energies(spec.n, spec.delta))
+    stored, work = expected["stored_energy"], expected["ergotropy"]
+    expected["t"] = times
+    expected["power"] = [charging_power(e, t) for e, t in zip(stored, times)]
+    expected["unavailable"] = stored - work
     for name, column in expected.items():
         assert np.max(np.abs(getattr(series, name) - np.asarray(column))) <= 1e-14, name
     assert abs(series.peak_ergotropy - work.max()) <= 1e-14
@@ -416,8 +412,9 @@ def test_interpolated_merit_series_matches_per_point_evaluation(reductions):
 def test_merit_series_peak_memory_is_the_block_stack_that_trajectory_counts(monkeypatch):
     # a sector run interpolated from its nodes holds one (T, sum b**2)
     # complex stack of reduced-state blocks, 8 4**n bytes per grid point,
-    # which is what trajectory counts up front; populations, spectra and
-    # the purity add no second stack
+    # which trajectory counts up front beside the matrix-free Hamiltonian
+    # (8 (L + n + 1) bytes per entry of the 128-entry sector); populations,
+    # spectra and the purity add no second stack
     counted = []
     series = dynamics.chebyshev_series
 
@@ -429,7 +426,8 @@ def test_merit_series_peak_memory_is_the_block_stack_that_trajectory_counts(monk
     spec = ModelSpec(4, 4, d=1)
     times = np.linspace(0.0, 2.0, 4000)
     traj = trajectory(spec, InitialStateSpec(), times)
-    assert counted == [8 * 4 ** 4 * times.size]
+    blocks = 8 * 4 ** 4 * times.size
+    assert counted == [blocks + 8 * 9 * 128]
     merit_series(traj)  # first-call allocations of the linear-algebra routines
     tracemalloc.start()
     try:
@@ -438,18 +436,16 @@ def test_merit_series_peak_memory_is_the_block_stack_that_trajectory_counts(monk
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * counted[0] + (1 << 20), (peak, counted[0])
+    assert peak <= 1.25 * blocks + (1 << 20), (peak, blocks)
 
 
 def test_merit_series_names_first_negative_unavailable_time(monkeypatch):
-    from sunburst_battery import observables
-
-    def inflated(populations, levels):
-        work = populations @ levels - levels.min()
+    def inflated(cells, levels, blocks):
+        work = stored_energy(cells, levels, blocks)
         work[[3, 5]] += 1e-6
-        return work, None
+        return work
 
-    monkeypatch.setattr(observables, "_population_work", inflated)
+    monkeypatch.setattr(observables, "ergotropy_populations", inflated)
     spec = ModelSpec(3, 1, h=0.3, delta=0.5, kappa=1.5)
     times = np.linspace(0.0, 1.0, 8)
     traj = trajectory(spec, InitialStateSpec(), times)
