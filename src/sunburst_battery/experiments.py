@@ -320,6 +320,15 @@ def _refuse_large_index(command: str, init: InitialStateSpec, specs) -> None:
                              f"for the (L, n) = ({spec.L}, {spec.n}) system")
 
 
+def _refuse_spacing(command: str, model: ModelSpec) -> None:
+    """A command that runs every system at the equispaced spacing L/n fails
+    on a configured spacing other than that instead of dropping it; a
+    single battery sits at site 1 whatever d is."""
+    if model.n >= 2 and model.d * model.n != model.L:
+        raise ValueError(f"{command} runs every system at the equispaced spacing L/n; "
+                         f"remove the config's model.d ({model.d})")
+
+
 def cmd_fig1(config: ExperimentConfig, collapse_systems=FIG1_COLLAPSE_SYSTEMS) -> dict:
     """Ergotropy and linear entropy vs time, single battery plus collapse set.
 
@@ -347,10 +356,13 @@ def cmd_fig1(config: ExperimentConfig, collapse_systems=FIG1_COLLAPSE_SYSTEMS) -
 def cmd_fig2(config: ExperimentConfig, systems=FIG2_SYSTEMS) -> dict:
     """Charging power vs time for growing battery count (per-battery collapse).
 
-    The (L, n) pairs run are ``systems``, with the configured couplings; the
-    configured (L, n) must be one of them.  A sweep section is refused.
+    The (L, n) pairs run are ``systems``, with the configured couplings, each
+    at the equispaced spacing L/n; the configured (L, n) must be one of them,
+    and a configured spacing other than L/n is refused, as is a sweep
+    section.
     """
     _refuse_sweep("fig2", config)
+    _refuse_spacing("fig2", config.model)
     if (config.model.L, config.model.n) not in systems:
         raise ValueError(
             f"fig2 runs the fixed (L, n) systems {tuple(systems)}; the configured "
@@ -365,7 +377,7 @@ def cmd_fig2(config: ExperimentConfig, systems=FIG2_SYSTEMS) -> dict:
     collapse, worst = _collapse("fig2", "P", "power", runs, results, reference)
     _write_series("fig2", config.output_path, runs, results)
     return {"systems": collapse, "max_power_collapse": worst,
-            "peak_power_times": [series.peak_power_time for series in results]}
+            "peak_power_times": [float(series.t[np.argmax(series.power)]) for series in results]}
 
 
 def cmd_fig3(config: ExperimentConfig, n_values=(1, 2, 3, 4),
@@ -377,7 +389,8 @@ def cmd_fig3(config: ExperimentConfig, n_values=(1, 2, 3, 4),
     default window would miss the peaks at weak coupling).  One summary
     row per point; kappa grid and period-long window are artifact choices.
     Every point has L + n = ``total_qubits``, which the configured model
-    must match.  The kappa grid is the values of the config's sweep
+    must match, and the equispaced spacing L/n (another configured spacing
+    is refused).  The kappa grid is the values of the config's sweep
     section, which must sweep kappa, else FIG3_KAPPAS.  The grid section
     sets the number of points only: a window other than the default is
     refused.  A point whose peak ergotropy is at most WORK_FLOOR has no
@@ -389,6 +402,7 @@ def cmd_fig3(config: ExperimentConfig, n_values=(1, 2, 3, 4),
             f"fig3 runs the fixed (L, n) systems {systems} with L + n = {total_qubits}; "
             f"the configured model has L + n = {config.model.L + config.model.n}"
         )
+    _refuse_spacing("fig3", config.model)
     if config.sweep is not None and config.sweep.parameter != "kappa":
         raise ValueError(f"fig3 sweeps kappa only; the config sweeps {config.sweep.parameter}")
     window = (config.grid.t_start, config.grid.t_end)
@@ -418,14 +432,15 @@ def cmd_fig3(config: ExperimentConfig, n_values=(1, 2, 3, 4),
         p = AnalyticParams.from_model(spec)
         scale = spec.n if spec.n in (1, 2) else None
         peak_p_ana = POWER_PEAK_COEFF * p.delta * p.kappa ** 2 / p.omega
-        working = series.peak_ergotropy > WORK_FLOOR
-        sl_at_peak = float(series.linear_entropy[int(np.argmax(series.ergotropy))])
+        k = int(np.argmax(series.ergotropy))
+        peak_work, peak_power = float(series.ergotropy[k]), float(series.power.max())
+        working = peak_work > WORK_FLOOR
         rows.append((
-            series.peak_ergotropy_time if working else None,
-            series.peak_stored,
-            series.peak_ergotropy,
-            sl_at_peak if working else None,
-            series.peak_power,
+            float(series.t[k]) if working else None,
+            float(series.stored_energy.max()),
+            peak_work,
+            float(series.linear_entropy[k]) if working else None,
+            peak_power,
             None if scale is None else scale * p.delta * 4 * p.kappa ** 2 / p.omega ** 2,
             None if scale is None else scale * max_ergotropy(p),
             linear_entropy_analytic(p, charging_time(p)) if spec.n == 1 else None,
@@ -434,15 +449,15 @@ def cmd_fig3(config: ExperimentConfig, n_values=(1, 2, 3, 4),
         ))
         summary["points"].append({
             "n": spec.n, "kappa": spec.kappa,
-            "peak_ergotropy_per_battery": series.peak_ergotropy / spec.n,
-            "peak_power_per_battery": series.peak_power / spec.n,
+            "peak_ergotropy_per_battery": peak_work / spec.n,
+            "peak_power_per_battery": peak_power / spec.n,
             "analytic_peak_ergotropy": max_ergotropy(p),
             "analytic_peak_power": peak_p_ana,
         })
         print(f"fig3 (n={spec.n}, kappa={spec.kappa}): {'' if working else 'no work, '}"
-              f"max xi/n = {series.peak_ergotropy / spec.n:.5f} "
+              f"max xi/n = {peak_work / spec.n:.5f} "
               f"(closed form {max_ergotropy(p):.5f}), "
-              f"max P/n = {series.peak_power / spec.n:.5f} "
+              f"max P/n = {peak_power / spec.n:.5f} "
               f"(approx {peak_p_ana:.5f})")
     write_csv(config.output_path, rows)
     print(f"fig3: wrote {len(rows)} rows to {config.output_path}")
@@ -489,13 +504,18 @@ def cmd_fig4(config: ExperimentConfig, n_seeds: int = 3) -> dict:
 
 
 def cmd_sweep(config: ExperimentConfig) -> dict:
-    """Time series for each value of the swept parameter (kappa or n)."""
+    """Time series for each value of the swept parameter (kappa or n).  An n
+    sweep runs every n at the equispaced spacing L/n, and refuses a
+    configured spacing other than that."""
     if config.sweep is None:
         raise ValueError("sweep command needs a 'sweep' section in the config")
+    if config.sweep.parameter == "n":
+        _refuse_spacing("sweep", config.model)
     times = config.grid.times()
     runs = [(replace(config.model, kappa=value) if config.sweep.parameter == "kappa"
              else replace(config.model, n=value, d=None), config.seeded_initial, config.seed)
             for value in config.sweep.values]
+    _refuse_large_index("sweep", config.initial, [spec for spec, _, _ in runs])
     results = [run_series(spec, init, times) for spec, init, _ in runs]
     _write_series(f"sweep ({config.sweep.parameter})", config.output_path, runs, results)
     return {"values": config.sweep.values}
@@ -677,7 +697,7 @@ def _check_conservation(rng, quick):
 
 def _check_no_work_below_threshold(rng, quick):
     spec = ModelSpec(5, 1, h=0.1, delta=0.5, kappa=0.2)
-    peak = run_series(spec, InitialStateSpec(), np.linspace(0, 6, 240)).peak_ergotropy
+    peak = run_series(spec, InitialStateSpec(), np.linspace(0, 6, 240)).ergotropy.max()
     return peak <= 1e-12, f"max work {peak:.2e}"
 
 

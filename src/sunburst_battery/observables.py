@@ -12,7 +12,8 @@ coherences even in the strong-charger limit, and only the population
 convention follows the per-battery closed forms and their linear-in-n
 scaling.  Merit series therefore report the population value as the
 headline ergotropy and carry the spectral value alongside.  Both return
-the work only.
+the work only.  A merit series is its per-point columns alone: peaks,
+work windows and the gap between the two conventions are read from them.
 
 Every function here takes one reduced state or a stack of them (leading
 axes), so a whole trajectory is reduced and evaluated in one pass, in
@@ -189,16 +190,13 @@ def charging_power(delta_e, t):
 
 @dataclass
 class MeritSeries:
-    """Figures of merit as columns over a time grid, plus peaks and window
-    brackets.
+    """Figures of merit as columns over a time grid, one entry per grid
+    point.
 
     ``ergotropy`` is the population convention used by every closed-form
     comparison; ``ergotropy_spectral`` is the eigenvalue-based value.
-    ``unavailable`` is stored_energy - ergotropy.  Window brackets are the
-    grid intervals where the ergotropy switches between zero and nonzero
-    (onsets and offsets); the grid cannot resolve the switch times any
-    finer.  ``max_variant_gap`` is the largest spread between the two
-    ergotropy conventions along the run.
+    Peaks, work windows and the gap between the two conventions are read
+    from these columns where they are used.
     """
 
     t: np.ndarray
@@ -207,16 +205,6 @@ class MeritSeries:
     ergotropy_spectral: np.ndarray
     linear_entropy: np.ndarray
     power: np.ndarray
-    unavailable: np.ndarray
-    peak_stored_time: float
-    peak_stored: float
-    peak_ergotropy_time: float
-    peak_ergotropy: float
-    peak_power_time: float
-    peak_power: float
-    ergotropy_onsets: list[tuple[float, float]]
-    ergotropy_offsets: list[tuple[float, float]]
-    max_variant_gap: float
 
 
 def _reduced_blocks(traj: Trajectory) -> np.ndarray:
@@ -242,14 +230,15 @@ def merit_series(traj: Trajectory) -> MeritSeries:
     onto the grid (``linalg.interpolate``).  The reduced states are carried
     as the blocks of the trajectory's layout (``_reduced_blocks``),
     interpolated in one call, and each figure is the public function of
-    this module evaluated on those blocks.
+    this module evaluated on those blocks.  ArithmeticError names the first
+    time where the unavailable energy, stored energy minus ergotropy, is
+    below -UNAVAILABLE_TOL.
     """
     times = traj.times
     levels = battery_energies(traj.spec.n, traj.spec.delta)
     cells, blocks = _reduced_blocks(traj), traj.layout.blocks
     stored = stored_energy(cells, levels, blocks)
     work = ergotropy_populations(cells, levels, blocks)
-    work_spectral = ergotropy(cells, levels, blocks)
     unavailable = stored - work
     negative = np.flatnonzero(unavailable < -UNAVAILABLE_TOL)
     if negative.size:
@@ -257,27 +246,11 @@ def merit_series(traj: Trajectory) -> MeritSeries:
         raise ArithmeticError(
             f"unavailable energy {unavailable[k]:.3e} < -{UNAVAILABLE_TOL} at t={times[k]}"
         )
-    power = charging_power(stored, times)
-
-    working = work > WORK_FLOOR
-    switches = np.flatnonzero(working[1:] != working[:-1])
     return MeritSeries(
         t=times,
         stored_energy=stored,
         ergotropy=work,
-        ergotropy_spectral=work_spectral,
+        ergotropy_spectral=ergotropy(cells, levels, blocks),
         linear_entropy=linear_entropy(cells, blocks),
-        power=power,
-        unavailable=unavailable,
-        peak_stored_time=float(times[np.argmax(stored)]),
-        peak_stored=float(stored.max()),
-        peak_ergotropy_time=float(times[np.argmax(work)]),
-        peak_ergotropy=float(work.max()),
-        peak_power_time=float(times[np.argmax(power)]),
-        peak_power=float(power.max()),
-        ergotropy_onsets=[(float(times[k]), float(times[k + 1]))
-                          for k in switches if working[k + 1]],
-        ergotropy_offsets=[(float(times[k]), float(times[k + 1]))
-                           for k in switches if not working[k + 1]],
-        max_variant_gap=float(np.max(np.abs(work_spectral - work))),
+        power=charging_power(stored, times),
     )

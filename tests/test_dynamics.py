@@ -331,9 +331,7 @@ def assert_merit_columns_match_oracle(series, oracle, spec):
     oracle states, shape (T, dim), and evaluating them."""
     expected = numpy_figures(reduce_to_battery(oracle, spec.L, spec.n),
                              battery_energies(spec.n, spec.delta))
-    stored = expected["stored_energy"]
-    expected["power"] = charging_power(stored, series.t)
-    expected["unavailable"] = stored - expected["ergotropy"]
+    expected["power"] = charging_power(expected["stored_energy"], series.t)
     for name, column in expected.items():
         assert np.max(np.abs(getattr(series, name) - column)) <= 1e-12, name
 

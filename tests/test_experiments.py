@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from sunburst_battery import (
     CSV_COLUMNS,
+    AnalyticParams,
     ExperimentConfig,
     InitialStateSpec,
     MeritSeries,
@@ -34,6 +35,7 @@ from sunburst_battery import (
 from sunburst_battery import experiments
 from sunburst_battery.cli import build_parser, config_from_args, main
 from sunburst_battery.experiments import CHECKS, VALIDATE_SEED
+from sunburst_battery.observables import WORK_FLOOR
 
 SMALL_MODEL = {"L": 4, "n": 1, "J": 1.0, "h": 0.1, "delta": 0.5, "kappa": 2.0}
 
@@ -229,12 +231,7 @@ def test_csv_golden_bytes_for_tuple_and_series_rows(tmp_path):
 
     column = np.array([0.0, -0.0, 1e-300, 1 / 3])
     series = MeritSeries(t=column, stored_energy=-column, ergotropy=column,
-                         ergotropy_spectral=column, linear_entropy=column, power=-column,
-                         unavailable=column, **dict.fromkeys(
-                             ("peak_stored_time", "peak_stored", "peak_ergotropy_time",
-                              "peak_ergotropy", "peak_power_time", "peak_power",
-                              "max_variant_gap"), 0.0),
-                         ergotropy_onsets=[], ergotropy_offsets=[])
+                         ergotropy_spectral=column, linear_entropy=column, power=-column)
     lines = experiments._series_rows(series, ModelSpec(6, 3, kappa=0.5), np.int64(9))
     path = tmp_path / "series.csv"
     write_csv(path, lines)
@@ -359,6 +356,32 @@ def test_fig3_leaves_peak_cells_empty_without_work(tmp_path, capsys):
     assert "fig3 (n=1, kappa=2.0): max xi/n" in out
 
 
+def test_fig3_rows_are_the_peaks_of_the_runs_they_name(tmp_path):
+    # each row's t, dE, xi, SL and P cells are read, to the last bit, from
+    # the columns of run_series on that row's system and period grid: t and
+    # SL at the ergotropy argmax (empty without work), the others maxima
+    config = small_config(tmp_path, "fig3.csv", model={**SMALL_MODEL, "L": 5},
+                          sweep={"parameter": "kappa", "values": [0.2, 2.0]})
+    cmd_fig3(config, n_values=(1, 2), total_qubits=6)
+    cols = read_csv(config.output_path)
+    assert len(cols["t"]) == 4
+    for row in range(4):
+        spec = replace(config.model, L=int(cols["L"][row]), n=int(cols["n"][row]), d=None,
+                       kappa=float(cols["kappa"][row]))
+        omega = AnalyticParams.from_model(spec).omega
+        times = np.linspace(0.0, 2.0 * np.pi / omega, config.grid.steps)
+        series = experiments.run_series(spec, config.seeded_initial, times)
+        k = np.argmax(series.ergotropy)
+        working = series.ergotropy[k] > WORK_FLOOR
+        expected = {"t": times[k] if working else np.nan,
+                    "dE_num": series.stored_energy.max(), "xi_num": series.ergotropy[k],
+                    "SL_num": series.linear_entropy[k] if working else np.nan,
+                    "P_num": series.power.max()}
+        for name, value in expected.items():
+            assert np.array_equal(cols[name][row], value, equal_nan=True), (row, name)
+    assert np.isnan(cols["t"][cols["kappa"] == 0.2]).all()
+
+
 def test_fig2_fig3_reject_a_model_they_would_not_run(tmp_path, capsys):
     # both commands run fixed (L, n) systems; a configured model outside them
     # fails before any work instead of being ignored
@@ -382,6 +405,41 @@ def test_fig2_fig3_reject_a_model_they_would_not_run(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "kappa only" in captured.err and captured.out == ""
     assert not (tmp_path / "never.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["fig2", "fig3", "sweep"])
+def test_a_spacing_the_command_would_drop_is_refused_before_any_run(
+        tmp_path, monkeypatch, capsys, command):
+    # fig2, fig3 and an n sweep run every system at d = L/n: a configured
+    # (10, 2) model at d = 3 fails instead of running at d = 5
+    calls = []
+    monkeypatch.setattr(experiments, "run_series", lambda *args: calls.append(args))
+    out = tmp_path / f"{command}.csv"
+    data = {"model": {"L": 10, "n": 2, "d": 3}, "output_path": str(out)}
+    if command == "sweep":
+        data["sweep"] = {"parameter": "n", "values": [1, 2]}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(data))
+    assert main([command, "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {command} runs every system at the equispaced spacing L/n; "
+        "remove the config's model.d (3)"]
+    assert calls == [] and not out.exists()
+
+
+def test_an_equispaced_or_single_battery_spacing_still_runs(tmp_path):
+    # an explicit d = L/n is the spacing these commands run; one battery
+    # sits at site 1 whatever d is
+    equispaced = {**SMALL_MODEL, "n": 2, "d": 2}
+    cmd_fig2(small_config(tmp_path, "fig2.csv", model=equispaced), systems=((4, 1), (4, 2)))
+    cmd_fig3(small_config(tmp_path, "fig3.csv", model=equispaced,
+                          sweep={"parameter": "kappa", "values": [2.0]}),
+             n_values=(1, 2), total_qubits=6)
+    for name, model in (("sweep.csv", equispaced), ("single.csv", {**SMALL_MODEL, "d": 3})):
+        config = small_config(tmp_path, name, model=model,
+                              sweep={"parameter": "n", "values": [1, 2]})
+        cmd_sweep(config)
+        assert set(np.unique(read_csv(config.output_path)["n"])) == {1, 2}
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -664,17 +722,20 @@ def test_negative_initial_seed_is_refused_at_parse_time(tmp_path, monkeypatch, c
     assert captured.out == "" and calls == []
 
 
-@pytest.mark.parametrize("command", ["fig1", "fig2", "fig3"])
+@pytest.mark.parametrize("command", ["fig1", "fig2", "fig3", "sweep"])
 def test_an_eigenstate_index_too_large_for_a_ring_is_refused_before_any_run(
         tmp_path, monkeypatch, capsys, command):
-    # these commands run rings of L = 11, 10, 9 and 8: pattern 1000 fits
-    # the first two only, and the (9, 3) system is named before any run
+    # the figures run rings of L = 11, 10, 9 and 8, the sweep a (9, 3)
+    # system: pattern 1000 fits L >= 10 only, and the (9, 3) system is named
+    # before any run
     calls = []
     monkeypatch.setattr(experiments, "run_series", lambda *args: calls.append(args))
     out = tmp_path / f"{command}.csv"
+    data = {"initial": {"charger_kind": "eigenstate", "index": 1000}, "output_path": str(out)}
+    if command == "sweep":
+        data.update(model={"L": 9, "n": 3}, sweep={"parameter": "kappa", "values": [1.0, 2.0]})
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"initial": {"charger_kind": "eigenstate", "index": 1000},
-                                       "output_path": str(out)}))
+    config_path.write_text(json.dumps(data))
     assert main([command, "--config", str(config_path)]) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: {command}: initial.index 1000 outside [0, 2**9) for the (L, n) = (9, 3) system"]

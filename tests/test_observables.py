@@ -32,9 +32,20 @@ from sunburst_battery import dynamics, observables
 from sunburst_battery.dynamics import random_state
 from sunburst_battery.experiments import _naive_partial_trace
 from sunburst_battery.linalg import NODE_BLOCK, chebyshev_nodes
+from sunburst_battery.observables import WORK_FLOOR
 
 OMEGA = np.sqrt(16.25)
 T_CHARGE = np.pi / OMEGA
+
+
+def work_windows(series):
+    """(onsets, offsets): the (t_k, t_k+1) grid brackets where the ergotropy
+    column switches from at most WORK_FLOOR to above it, and back."""
+    working = series.ergotropy > WORK_FLOOR
+    switches = np.flatnonzero(working[1:] != working[:-1])
+    onsets = [(series.t[k], series.t[k + 1]) for k in switches if working[k + 1]]
+    offsets = [(series.t[k], series.t[k + 1]) for k in switches if not working[k + 1]]
+    return onsets, offsets
 
 
 def test_reduce_product_state_is_pure():
@@ -236,8 +247,8 @@ def test_merit_series_zero_ergotropy_below_threshold():
     # 2 kappa < delta keeps the battery mostly in the ground state
     spec = ModelSpec(5, 1, h=0.1, delta=0.5, kappa=0.2)
     series = run_series(spec, InitialStateSpec(), np.linspace(0, 6, 200))
-    assert series.peak_ergotropy <= 1e-12
-    assert series.ergotropy_onsets == []
+    assert series.ergotropy.max() <= 1e-12
+    assert work_windows(series)[0] == []
 
 
 def test_merit_series_window_and_peaks():
@@ -245,15 +256,16 @@ def test_merit_series_window_and_peaks():
     times = np.linspace(0.0, 2.0, 2000)
     series = run_series(spec, InitialStateSpec(), times)
     step = times[1] - times[0]
-    assert abs(series.peak_stored_time - T_CHARGE) <= 1.5 * step
+    assert abs(times[np.argmax(series.stored_energy)] - T_CHARGE) <= 1.5 * step
     # onset/offset brackets straddle the closed-form window edges
-    (t1_lo, t1_hi) = series.ergotropy_onsets[0]
-    (t2_lo, t2_hi) = series.ergotropy_offsets[0]
+    onsets, offsets = work_windows(series)
+    (t1_lo, t1_hi) = onsets[0]
+    (t2_lo, t2_hi) = offsets[0]
     assert t1_lo <= 0.3935428541669808 + 1e-3 and 0.3935428541669808 <= t1_hi + 1e-3
     assert t2_lo <= 1.1651235897346877 + 1e-3 and 1.1651235897346877 <= t2_hi + 1e-3
     # second onset one period after the first
-    assert len(series.ergotropy_onsets) == 2
-    assert np.isclose(series.ergotropy_onsets[1][1] - series.ergotropy_onsets[0][1],
+    assert len(onsets) == 2
+    assert np.isclose(onsets[1][1] - onsets[0][1],
                       2 * np.pi / OMEGA, atol=2 * step)
 
 
@@ -264,8 +276,9 @@ def test_merit_unavailable_identity_on_window():
     times = np.linspace(0.45, 1.1, 50)  # strictly inside the window
     series = run_series(spec, InitialStateSpec(), times)
     expected = unavailable_analytic(p, times)
-    assert np.max(np.abs(series.unavailable - expected)) <= 1e-3
-    assert np.min(series.unavailable) >= -1e-9
+    unavailable = series.stored_energy - series.ergotropy
+    assert np.max(np.abs(unavailable - expected)) <= 1e-3
+    assert np.min(unavailable) >= -1e-9
 
 
 def test_variants_coincide_for_single_battery_at_small_field():
@@ -273,7 +286,7 @@ def test_variants_coincide_for_single_battery_at_small_field():
     # in the strong-charger limit, so the two conventions agree there
     spec = ModelSpec(6, 1, h=1e-3, delta=0.5, kappa=2.0)
     series = run_series(spec, InitialStateSpec(), np.linspace(0, 2, 300))
-    assert series.max_variant_gap <= 1e-3
+    assert np.max(np.abs(series.ergotropy_spectral - series.ergotropy)) <= 1e-3
 
 
 def test_variant_gap_reported_for_multiple_batteries():
@@ -281,15 +294,15 @@ def test_variant_gap_reported_for_multiple_batteries():
     # so the spectral convention exceeds the population one inside the run
     spec = ModelSpec(4, 2, h=1e-3, delta=0.5, kappa=2.0)
     series = run_series(spec, InitialStateSpec(), np.linspace(0, 2, 300))
-    assert series.max_variant_gap > 0.1
     gaps = series.ergotropy_spectral - series.ergotropy
+    assert np.max(np.abs(gaps)) > 0.1
     assert np.min(gaps) >= -1e-10
 
 
 def test_merit_full_scale_peak_near_charging_time(heavy):
     series = heavy.series(ModelSpec(11, 1, h=0.1))
     step = 2.0 / 1999
-    assert abs(series.peak_stored_time - T_CHARGE) <= 1.5 * step
+    assert abs(series.t[np.argmax(series.stored_energy)] - T_CHARGE) <= 1.5 * step
 
 
 def random_density_matrices(rng, count, dim):
@@ -363,19 +376,14 @@ def node_blocks(count):
 
 def assert_matches_per_point_evaluation(traj, series):
     """Every column of ``series`` within 1e-14 of reducing and evaluating
-    the states of ``traj`` one at a time, and the peak ergotropy at the same
-    grid time."""
+    the states of ``traj`` one at a time."""
     spec, times = traj.spec, traj.times
     expected = numpy_figures([reduce_to_battery(psi, spec.L, spec.n) for psi in traj.states],
                              battery_energies(spec.n, spec.delta))
-    stored, work = expected["stored_energy"], expected["ergotropy"]
     expected["t"] = times
-    expected["power"] = [charging_power(e, t) for e, t in zip(stored, times)]
-    expected["unavailable"] = stored - work
+    expected["power"] = [charging_power(e, t) for e, t in zip(expected["stored_energy"], times)]
     for name, column in expected.items():
         assert np.max(np.abs(getattr(series, name) - np.asarray(column))) <= 1e-14, name
-    assert abs(series.peak_ergotropy - work.max()) <= 1e-14
-    assert series.peak_ergotropy_time == times[np.argmax(work)]
 
 
 def assert_grids_match_per_point_evaluation(grids, reductions):
@@ -405,7 +413,7 @@ def test_merit_series_matches_per_point_evaluation(reductions):
 def test_interpolated_merit_series_matches_per_point_evaluation(reductions):
     # more grid points than the M = 45 nodes: the states are reduced at the
     # nodes only, and the interpolated reduced states give every column to
-    # roundoff and the peak at the same grid time
+    # roundoff
     assert_grids_match_per_point_evaluation([(np.linspace(0.0, 2.0, 60), 45)], reductions)
 
 
