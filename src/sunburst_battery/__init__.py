@@ -37,7 +37,7 @@ _EXPORTS = {
         total_matvec""",
     "observables": """
         MeritSeries charging_power ergotropy ergotropy_populations linear_entropy
-        merit_series reduce_to_battery stored_energy""",
+        merit_series reduce_to_battery reduced_states stored_energy""",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_SOURCE)

@@ -66,8 +66,10 @@ from .observables import (
     WORK_FLOOR,
     MeritSeries,
     charging_power,
+    ergotropy,
     merit_series,
     reduce_to_battery,
+    reduced_states,
 )
 
 CSV_COLUMNS = ("t", "dE_num", "xi_num", "SL_num", "P_num",
@@ -241,8 +243,9 @@ def analytic_reference(spec: ModelSpec, times):
 
 
 def run_series(spec: ModelSpec, init: InitialStateSpec, times) -> MeritSeries:
-    """Trajectory plus all figures of merit on a grid."""
-    return merit_series(trajectory(spec, init, times))
+    """Trajectory, its reduced states, then all figures of merit on a grid."""
+    traj = trajectory(spec, init, times)
+    return merit_series(traj, reduced_states(traj))
 
 
 def _format_rows(columns, labels) -> list[str]:
@@ -329,14 +332,25 @@ def _refuse_spacing(command: str, model: ModelSpec) -> None:
                          f"remove the config's model.d ({model.d})")
 
 
+def _refuse_no_battery(command: str, model: ModelSpec) -> None:
+    """A command that compares each battery with the one-battery closed
+    forms fails on a model without one."""
+    if model.n == 0:
+        raise ValueError(f"{command} compares each battery with the one-battery closed "
+                         "forms; model.n must be at least 1, got 0")
+
+
 def cmd_fig1(config: ExperimentConfig, collapse_systems=FIG1_COLLAPSE_SYSTEMS) -> dict:
     """Ergotropy and linear entropy vs time, single battery plus collapse set.
 
     The configured model is the single-battery panel; ``collapse_systems``
     are (L, n) pairs run with the same couplings for the per-battery
-    collapse onto the single-battery curve.  A sweep section is refused.
+    collapse onto the single-battery curve.  The linear entropy is compared
+    with its closed form only when the configured n is 1, the only n it
+    has one for.  A sweep section and a model without a battery are refused.
     """
     _refuse_sweep("fig1", config)
+    _refuse_no_battery("fig1", config.model)
     times = config.grid.times()
     specs = [config.model] + [
         replace(config.model, L=ls, n=ns, d=None) for ls, ns in collapse_systems
@@ -347,8 +361,10 @@ def cmd_fig1(config: ExperimentConfig, collapse_systems=FIG1_COLLAPSE_SYSTEMS) -
     single = AnalyticParams.from_model(config.model)
     systems, worst = _collapse("fig1", "xi", "ergotropy", runs, results,
                                ergotropy_analytic(single, times))
-    entropy_dev = _max_gap(results[0].linear_entropy, linear_entropy_analytic(single, times))
-    print(f"fig1 (L={config.model.L}, n={config.model.n}): max |SL - SL_ana| = {entropy_dev:.3e}")
+    entropy_dev = None
+    if config.model.n == 1:
+        entropy_dev = _max_gap(results[0].linear_entropy, linear_entropy_analytic(single, times))
+        print(f"fig1 (L={config.model.L}, n=1): max |SL - SL_ana| = {entropy_dev:.3e}")
     _write_series("fig1", config.output_path, runs, results)
     return {"systems": systems, "max_xi_collapse": worst, "max_entropy_deviation": entropy_dev}
 
@@ -464,31 +480,42 @@ def cmd_fig3(config: ExperimentConfig, n_values=(1, 2, 3, 4),
     return summary
 
 
+def _run_with_spectral(spec: ModelSpec, init: InitialStateSpec, times):
+    """A run's merit series and its spectral ergotropy column, both from
+    one set of reduced states, which are dropped on return."""
+    traj = trajectory(spec, init, times)
+    cells = reduced_states(traj)
+    levels = battery_energies(spec.n, spec.delta)
+    return merit_series(traj, cells), ergotropy(cells, levels, traj.layout.blocks)
+
+
 def cmd_fig4(config: ExperimentConfig, n_seeds: int = 3) -> dict:
     """Ergotropy vs time for several random charger preparations.
 
     Seeds are config.seed, config.seed + 1, ...; each realization is its
-    own Chebyshev run.  Reports pairwise curve deviations for both
-    ergotropy conventions (only the population one collapses as h -> 0;
-    the spectral one keeps an O(2**(-L/2)) seed-dependent coherence bump
-    near the window edges).  A sweep or initial section is refused: fig4
-    sets every charger itself.
+    own Chebyshev run (``_run_with_spectral``), one held at a time.  Reports
+    pairwise curve deviations for both ergotropy conventions (only the
+    population one collapses as h -> 0; the spectral one keeps an
+    O(2**(-L/2)) seed-dependent coherence bump near the window edges).  A
+    sweep or initial section is refused, since fig4 sets every charger
+    itself, and so is a model without a battery.
     """
     _refuse_sweep("fig4", config)
+    _refuse_no_battery("fig4", config.model)
     if config.initial != InitialStateSpec():
         raise ValueError("fig4 runs random chargers seeded seed, seed + 1, ...; "
                          "remove the config's initial section")
     times = config.grid.times()
     seeds = [config.seed + k for k in range(n_seeds)]
     runs = [(config.model, InitialStateSpec("random", seed=seed), seed) for seed in seeds]
-    results = [run_series(spec, init, times) for spec, init, _ in runs]
+    results, spectral = zip(*(_run_with_spectral(spec, init, times) for spec, init, _ in runs))
     pair_pop, pair_spec = 0.0, 0.0
-    for a, b in combinations(results, 2):
+    for (a, a_spec), (b, b_spec) in combinations(zip(results, spectral), 2):
         pair_pop = max(pair_pop, _max_gap(a.ergotropy, b.ergotropy))
-        pair_spec = max(pair_spec, _max_gap(a.ergotropy_spectral, b.ergotropy_spectral))
+        pair_spec = max(pair_spec, _max_gap(a_spec, b_spec))
     # per battery, as _collapse compares: the closed form is for one battery
     reference = ergotropy_analytic(AnalyticParams.from_model(config.model), times)
-    vs_analytic = max(_max_gap(series.ergotropy / max(config.model.n, 1), reference)
+    vs_analytic = max(_max_gap(series.ergotropy / config.model.n, reference)
                       for series in results)
     summary = {
         "seeds": seeds,

@@ -10,10 +10,11 @@ basis.  For a single battery charged from a cat state the reduced state is
 diagonal and the two agree; for n >= 2 it carries 00<->11 and 01<->10
 coherences even in the strong-charger limit, and only the population
 convention follows the per-battery closed forms and their linear-in-n
-scaling.  Merit series therefore report the population value as the
-headline ergotropy and carry the spectral value alongside.  Both return
-the work only.  A merit series is its per-point columns alone: peaks,
-work windows and the gap between the two conventions are read from them.
+scaling.  Merit series therefore report the population value and no
+spectral one: the spectral value is ``ergotropy`` of a trajectory's
+``reduced_states``, taken only where it is read.  Both return the work
+only.  A merit series is its per-point columns alone: peaks and work
+windows are read from them.
 
 Every function here takes one reduced state or a stack of them (leading
 axes), so a whole trajectory is reduced and evaluated in one pass, in
@@ -194,24 +195,25 @@ class MeritSeries:
     point.
 
     ``ergotropy`` is the population convention used by every closed-form
-    comparison; ``ergotropy_spectral`` is the eigenvalue-based value.
-    Peaks, work windows and the gap between the two conventions are read
-    from these columns where they are used.
+    comparison.  Peaks and work windows are read from these columns where
+    they are used.
     """
 
     t: np.ndarray
     stored_energy: np.ndarray
     ergotropy: np.ndarray
-    ergotropy_spectral: np.ndarray
     linear_entropy: np.ndarray
     power: np.ndarray
 
 
-def _reduced_blocks(traj: Trajectory) -> np.ndarray:
+def reduced_states(traj: Trajectory) -> np.ndarray:
     """The reduced states at every grid time as the blocks of the
     trajectory's layout (``reduce_to_battery`` with ``blocks``), shape (T,
-    sum of b**2): reduced at the Chebyshev nodes, then interpolated onto
-    the grid."""
+    sum of b**2).  The real and imaginary parts of the states at the
+    trajectory's Chebyshev nodes are formed (``state_blocks``) and reduced
+    NODE_BLOCK nodes at a time, in two buffers reused from block to block,
+    so no (T, dim) array is ever held; the reduced states are then
+    interpolated onto the grid in one call (``linalg.interpolate``)."""
     spec = traj.spec
     cells = np.concatenate([
         reduce_to_battery((real, imag), spec.L, spec.n, traj.layout.blocks)
@@ -220,23 +222,17 @@ def _reduced_blocks(traj: Trajectory) -> np.ndarray:
     return interpolate(traj.nodes, cells, traj.times)
 
 
-def merit_series(traj: Trajectory) -> MeritSeries:
-    """Evaluate all figures of merit along a trajectory, one column each.
-
-    The real and imaginary parts of the states at the trajectory's
-    Chebyshev nodes are formed (``state_blocks``) and reduced NODE_BLOCK
-    nodes at a time, in two buffers reused from block to block, so no
-    (T, dim) array is ever held; the reduced states are then interpolated
-    onto the grid (``linalg.interpolate``).  The reduced states are carried
-    as the blocks of the trajectory's layout (``_reduced_blocks``),
-    interpolated in one call, and each figure is the public function of
-    this module evaluated on those blocks.  ArithmeticError names the first
-    time where the unavailable energy, stored energy minus ergotropy, is
-    below -UNAVAILABLE_TOL.
+def merit_series(traj: Trajectory, cells: np.ndarray) -> MeritSeries:
+    """Evaluate the figures of merit along a trajectory, one column each,
+    from its reduced states ``cells`` (``reduced_states(traj)``): each
+    figure is the public function of this module evaluated on the blocks
+    of the trajectory's layout.  ArithmeticError names the first time
+    where the unavailable energy, stored energy minus ergotropy, is below
+    -UNAVAILABLE_TOL.
     """
     times = traj.times
     levels = battery_energies(traj.spec.n, traj.spec.delta)
-    cells, blocks = _reduced_blocks(traj), traj.layout.blocks
+    blocks = traj.layout.blocks
     stored = stored_energy(cells, levels, blocks)
     work = ergotropy_populations(cells, levels, blocks)
     unavailable = stored - work
@@ -250,7 +246,6 @@ def merit_series(traj: Trajectory) -> MeritSeries:
         t=times,
         stored_energy=stored,
         ergotropy=work,
-        ergotropy_spectral=ergotropy(cells, levels, blocks),
         linear_entropy=linear_entropy(cells, blocks),
         power=charging_power(stored, times),
     )

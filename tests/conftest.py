@@ -5,9 +5,8 @@ from sunburst_battery import (
     InitialStateSpec,
     build_total,
     linalg,
-    merit_series,
     parity_sectors,
-    trajectory,
+    run_series,
 )
 
 # default grid used by the reference runs: 2000 uniform points on [0, 2]
@@ -74,7 +73,7 @@ class HeavyCache:
             (float(times[0]), float(times[-1]), len(times)),
         )
         if key not in self._series:
-            self._series[key] = merit_series(trajectory(spec, init, times))
+            self._series[key] = run_series(spec, init, times)
         return self._series[key]
 
 

@@ -15,6 +15,7 @@ from sunburst_battery import (
     build_total,
     charging_power,
     compose,
+    ergotropy,
     ergotropy_populations,
     evolve_on_grid,
     ghz_minus,
@@ -24,6 +25,8 @@ from sunburst_battery import (
     parity_sectors,
     random_charger,
     reduce_to_battery,
+    reduced_states,
+    run_series,
     stored_energy,
     trajectory,
     xbasis_product_state,
@@ -146,10 +149,10 @@ def test_trajectory_refuses_a_run_whose_vectors_and_state_buffers_cannot_fit(mon
     # runs with 1.1 times it: the count is close
     spec, init = ModelSpec(10, 2), InitialStateSpec("random", seed=3)
     times = np.linspace(0.0, 2.0, 2000)
-    merit_series(trajectory(ModelSpec(4, 1), init, times))
+    run_series(ModelSpec(4, 1), init, times)
     tracemalloc.start()
     try:
-        merit_series(trajectory(spec, init, times))
+        run_series(spec, init, times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -191,7 +194,7 @@ def test_the_expansion_is_held_once(spec, init):
     tracemalloc.start()
     try:
         traj = trajectory(spec, init, times)
-        merit_series(traj)
+        merit_series(traj, reduced_states(traj))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -205,8 +208,7 @@ def test_the_memory_count_covers_the_whole_run(monkeypatch):
     # evaluating it, 21.56 MB against 20.77 MB; without the Hamiltonian's
     # 1.97 MB the count was 20.0 MB.  A small run first makes the one-time
     # allocations of the first call, which are no part of the run
-    merit_series(trajectory(ModelSpec(4, 1), InitialStateSpec("random", seed=3),
-                            np.linspace(0.0, 2.0, 2000)))
+    run_series(ModelSpec(4, 1), InitialStateSpec("random", seed=3), np.linspace(0.0, 2.0, 2000))
     counted, refuse = [], linalg._refuse_beyond_memory
 
     def spy(z_max, half, needed, vectors=0):
@@ -217,7 +219,7 @@ def test_the_memory_count_covers_the_whole_run(monkeypatch):
     spec, init = ModelSpec(13, 1), InitialStateSpec("random", seed=3)
     tracemalloc.start()
     try:
-        merit_series(trajectory(spec, init, np.linspace(0.0, 2.0, 2000)))
+        run_series(spec, init, np.linspace(0.0, 2.0, 2000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -323,17 +325,26 @@ def test_sector_trajectory_matches_dense_oracle(spec, t_end, init, monkeypatch):
     even, odd = parity_sectors(spec.dim)
     for idx in {"ghz_plus": [odd], "ghz_minus": [even]}.get(init.charger_kind, []):
         assert not psi0[idx].any() and not states[:, idx].any()
-    assert_merit_columns_match_oracle(merit_series(traj), oracle, spec)
+    assert_merit_columns_match_oracle(traj, oracle)
 
 
-def assert_merit_columns_match_oracle(series, oracle, spec):
-    """Every merit column of ``series`` within 1e-12 of reducing the dense
-    oracle states, shape (T, dim), and evaluating them."""
-    expected = numpy_figures(reduce_to_battery(oracle, spec.L, spec.n),
-                             battery_energies(spec.n, spec.delta))
-    expected["power"] = charging_power(expected["stored_energy"], series.t)
+def assert_merit_columns_match_oracle(traj, oracle, power=True):
+    """Every merit column of ``traj``, and the spectral ergotropy of its
+    reduced states, within 1e-12 of reducing the dense oracle states, shape
+    (T, dim), and evaluating them.  With ``power`` False the power is
+    checked through the stored energy instead: it must be charging_power
+    of the stored-energy column."""
+    spec, cells = traj.spec, reduced_states(traj)
+    levels = battery_energies(spec.n, spec.delta)
+    expected = numpy_figures(reduce_to_battery(oracle, spec.L, spec.n), levels)
+    columns = vars(merit_series(traj, cells))
+    columns["ergotropy_spectral"] = ergotropy(cells, levels, traj.layout.blocks)
+    if power:
+        expected["power"] = charging_power(expected["stored_energy"], traj.times)
+    else:
+        assert np.array_equal(columns["power"], charging_power(columns["stored_energy"], traj.times))
     for name, column in expected.items():
-        assert np.max(np.abs(getattr(series, name) - column)) <= 1e-12, name
+        assert np.max(np.abs(columns[name] - column)) <= 1e-12, name
 
 
 def interpolated_cases():
@@ -369,7 +380,7 @@ def test_interpolated_trajectory_matches_dense_oracle(spec, init, times):
     assert traj.nodes.size < times.size
     oracle = evolve_on_grid(linalg.eigh(build_total(spec)), initial_state(spec, init), times)
     assert np.max(np.abs(traj.states - oracle)) <= 1e-12
-    assert_merit_columns_match_oracle(merit_series(traj), oracle, spec)
+    assert_merit_columns_match_oracle(traj, oracle)
 
 
 @pytest.mark.parametrize("spec, init", [
@@ -386,9 +397,10 @@ def test_long_window_matches_dense_oracle(spec, init):
 
 
 @st.composite
-def small_runs(draw, kind):
+def small_runs(draw, kind, grids=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=12,
+                                          unique=True).map(np.sort)):
     """A random model with L + n <= 7, a ``kind`` charger preparation and an
-    increasing grid on [0, 5]."""
+    increasing grid drawn from ``grids``, by default on [0, 5]."""
     n = draw(st.integers(0, 3))
     L = draw(st.integers(max(n, 2), 7 - n))  # n d <= L: the batteries must fit
     d = draw(st.integers(1, L // n)) if n else None
@@ -399,8 +411,7 @@ def small_runs(draw, kind):
         index=draw(st.integers(0, (1 << L) - 1)) if kind == "eigenstate" else None,
         seed=draw(st.integers(0, 2 ** 32 - 1)) if kind == "random" else None,
     )
-    times = np.sort(draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=12, unique=True)))
-    return spec, init, times
+    return spec, init, draw(grids)
 
 
 @pytest.mark.parametrize("kind", CHARGER_KINDS)
@@ -416,3 +427,29 @@ def test_trajectory_matches_dense_oracle_on_random_runs(kind):
         assert np.max(np.abs(states - oracle)) <= 1e-12
 
     check()
+
+
+@st.composite
+def grids(draw):
+    """A uniform or random strictly increasing grid of 1 to 399 points on a
+    window 0.01 to 8 long that starts between 0 and 3."""
+    start, length = draw(st.floats(0.0, 3.0)), draw(st.floats(0.01, 8.0))
+    count = draw(st.integers(1, 399))
+    if draw(st.booleans()):
+        return np.linspace(start, start + length, count)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return np.unique(rng.uniform(start, start + length, count))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(CHARGER_KINDS).flatmap(lambda kind: small_runs(kind, grids())))
+def test_production_path_matches_dense_oracle_on_random_runs(run):
+    # every column of the path each command takes (trajectory, then
+    # reduced_states, then merit_series, and ergotropy for the spectral
+    # value) follows the dense full-space ED oracle, whatever the model,
+    # charger, window and grid; the power is P = dE / t, whose roundoff
+    # grows without bound as t -> 0, so it is checked through the stored
+    # energy
+    spec, init, times = run
+    oracle = evolve_on_grid(linalg.eigh(build_total(spec)), initial_state(spec, init), times)
+    assert_merit_columns_match_oracle(trajectory(spec, init, times), oracle, power=False)

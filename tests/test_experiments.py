@@ -231,7 +231,7 @@ def test_csv_golden_bytes_for_tuple_and_series_rows(tmp_path):
 
     column = np.array([0.0, -0.0, 1e-300, 1 / 3])
     series = MeritSeries(t=column, stored_energy=-column, ergotropy=column,
-                         ergotropy_spectral=column, linear_entropy=column, power=-column)
+                         linear_entropy=column, power=-column)
     lines = experiments._series_rows(series, ModelSpec(6, 3, kappa=0.5), np.int64(9))
     path = tmp_path / "series.csv"
     write_csv(path, lines)
@@ -292,6 +292,39 @@ def test_fig1_small_scale(tmp_path):
     mask2 = cols["n"] == 2
     assert np.isnan(cols["SL_ana"][mask2]).all()
     assert not np.isnan(cols["SL_ana"][~mask2]).any()
+
+
+def test_fig1_compares_the_linear_entropy_only_for_one_battery(tmp_path, capsys):
+    # the closed form of the linear entropy is for n = 1 only, and the SL_ana
+    # cells of a (6, 2) panel are blank: no deviation is printed or returned
+    config = small_config(tmp_path, "fig1.csv", model={**SMALL_MODEL, "L": 6, "n": 2})
+    summary = cmd_fig1(config, collapse_systems=((4, 1),))
+    assert summary["max_entropy_deviation"] is None
+    assert "SL" not in capsys.readouterr().out
+    cols = read_csv(config.output_path)
+    assert np.isnan(cols["SL_ana"][cols["n"] == 2]).all()
+
+
+def test_a_model_without_a_battery_is_refused_by_the_closed_form_commands(
+        tmp_path, monkeypatch, capsys):
+    # fig1 and fig4 compare each battery with the one-battery closed forms:
+    # n = 0 fails before any run.  A sweep over n compares nothing, and runs it
+    calls = []
+    for name in ("run_series", "trajectory"):
+        monkeypatch.setattr(experiments, name, lambda *args: calls.append(args))
+    config_path = tmp_path / "config.json"
+    for command in ("fig1", "fig4"):
+        out = tmp_path / f"{command}.csv"
+        config_path.write_text(json.dumps({"model": {"L": 4, "n": 0}, "output_path": str(out)}))
+        assert main([command, "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {command} compares each battery with the one-battery closed forms; "
+            "model.n must be at least 1, got 0"]
+        assert calls == [] and not out.exists()
+    monkeypatch.undo()
+    config = small_config(tmp_path, "sweep.csv", sweep={"parameter": "n", "values": [0, 1]})
+    cmd_sweep(config)
+    assert set(np.unique(read_csv(config.output_path)["n"])) == {0, 1}
 
 
 def test_fig1_rows_are_reproducible_bytes(tmp_path):
@@ -683,12 +716,21 @@ def test_cli_refuses_a_missing_output_directory_before_any_run(tmp_path, monkeyp
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: output directory {str(out.parent)!r} does not exist"]
     assert captured.out == "" and calls == [] and not out.parent.exists()
+    # an empty path names no file, from --out or from the config
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"output_path": ""}))
+    for args in (["--out", ""], ["--config", str(config_path)]):
+        assert main(["fig3", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: output path is empty"], args
+        assert captured.out == "" and calls == []
 
 
 def test_cli_refuses_an_output_path_that_is_a_directory_before_any_run(tmp_path, monkeypatch,
                                                                         capsys):
     calls = []
-    monkeypatch.setattr(experiments, "run_series", lambda *args: calls.append(args))
+    for name in ("run_series", "trajectory"):  # fig4 runs its trajectories itself
+        monkeypatch.setattr(experiments, name, lambda *args: calls.append(args))
     assert main(["fig4", "--out", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: output path {str(tmp_path)!r} is a directory"]

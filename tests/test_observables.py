@@ -22,6 +22,7 @@ from sunburst_battery import (
     linear_entropy,
     merit_series,
     reduce_to_battery,
+    reduced_states,
     run_series,
     sector_layout,
     stored_energy,
@@ -237,9 +238,12 @@ def test_charging_power_contract():
 
 def test_merit_series_decoupled_is_identically_zero():
     spec = ModelSpec(4, 2, h=0.3, kappa=0.0)
-    series = run_series(spec, InitialStateSpec(), np.linspace(0, 2, 40))
+    traj = trajectory(spec, InitialStateSpec(), np.linspace(0, 2, 40))
+    cells = reduced_states(traj)
+    series = merit_series(traj, cells)
+    spectral = ergotropy(cells, battery_energies(spec.n, spec.delta), traj.layout.blocks)
     for column in (series.stored_energy, series.ergotropy, series.power,
-                   series.linear_entropy, series.ergotropy_spectral):
+                   series.linear_entropy, spectral):
         assert np.max(np.abs(column)) <= 1e-12
 
 
@@ -281,22 +285,45 @@ def test_merit_unavailable_identity_on_window():
     assert np.min(unavailable) >= -1e-9
 
 
+def spectral_run(spec, times):
+    """The merit series of a cat-charged run and the spectral ergotropy of
+    its reduced states."""
+    traj = trajectory(spec, InitialStateSpec(), times)
+    cells = reduced_states(traj)
+    levels = battery_energies(spec.n, spec.delta)
+    return merit_series(traj, cells), ergotropy(cells, levels, traj.layout.blocks)
+
+
 def test_variants_coincide_for_single_battery_at_small_field():
     # the single-battery reduced state from a cat preparation is diagonal
     # in the strong-charger limit, so the two conventions agree there
     spec = ModelSpec(6, 1, h=1e-3, delta=0.5, kappa=2.0)
-    series = run_series(spec, InitialStateSpec(), np.linspace(0, 2, 300))
-    assert np.max(np.abs(series.ergotropy_spectral - series.ergotropy)) <= 1e-3
+    series, spectral = spectral_run(spec, np.linspace(0, 2, 300))
+    assert np.max(np.abs(spectral - series.ergotropy)) <= 1e-3
 
 
 def test_variant_gap_reported_for_multiple_batteries():
     # with two batteries the reduced state keeps coherences even for small h,
     # so the spectral convention exceeds the population one inside the run
     spec = ModelSpec(4, 2, h=1e-3, delta=0.5, kappa=2.0)
-    series = run_series(spec, InitialStateSpec(), np.linspace(0, 2, 300))
-    gaps = series.ergotropy_spectral - series.ergotropy
+    series, spectral = spectral_run(spec, np.linspace(0, 2, 300))
+    gaps = spectral - series.ergotropy
     assert np.max(np.abs(gaps)) > 0.1
     assert np.min(gaps) >= -1e-10
+
+
+def test_run_series_computes_no_spectrum(monkeypatch):
+    # no merit column is spectral, so a series solves no eigenvalue problem;
+    # the spectral ergotropy is taken from the reduced states where it is read
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    times = np.linspace(0.0, 2.0, 200)
+    run_series(ModelSpec(6, 2), InitialStateSpec(), times)
+    run_series(ModelSpec(5, 1), InitialStateSpec("random", seed=3), times)
+    assert calls == []
+    ergotropy(np.eye(2) / 2, [0.0, 1.0])  # the spy sees the spectral convention
+    assert calls == [(2, 2)]
 
 
 def test_merit_full_scale_peak_near_charging_time(heavy):
@@ -356,7 +383,7 @@ def test_stacked_input_rejects_one_bad_member():
 
 @pytest.fixture
 def reductions(monkeypatch):
-    """The number of states each reduce_to_battery call merit_series makes
+    """The number of states each reduce_to_battery call reduced_states makes
     reduces, in call order."""
     calls = []
     reduce = observables.reduce_to_battery
@@ -374,16 +401,20 @@ def node_blocks(count):
     return [min(NODE_BLOCK, count - lo) for lo in range(0, count, NODE_BLOCK)]
 
 
-def assert_matches_per_point_evaluation(traj, series):
-    """Every column of ``series`` within 1e-14 of reducing and evaluating
-    the states of ``traj`` one at a time."""
+def assert_matches_per_point_evaluation(traj, cells):
+    """Every merit column of the reduced states ``cells`` of ``traj``, and
+    their spectral ergotropy, within 1e-14 of reducing and evaluating the
+    states of ``traj`` one at a time."""
     spec, times = traj.spec, traj.times
+    levels = battery_energies(spec.n, spec.delta)
     expected = numpy_figures([reduce_to_battery(psi, spec.L, spec.n) for psi in traj.states],
-                             battery_energies(spec.n, spec.delta))
+                             levels)
     expected["t"] = times
     expected["power"] = [charging_power(e, t) for e, t in zip(expected["stored_energy"], times)]
+    columns = vars(merit_series(traj, cells))
+    columns["ergotropy_spectral"] = ergotropy(cells, levels, traj.layout.blocks)
     for name, column in expected.items():
-        assert np.max(np.abs(getattr(series, name) - np.asarray(column))) <= 1e-14, name
+        assert np.max(np.abs(columns[name] - np.asarray(column))) <= 1e-14, name
 
 
 def assert_grids_match_per_point_evaluation(grids, reductions):
@@ -395,10 +426,10 @@ def assert_grids_match_per_point_evaluation(grids, reductions):
         for times, count in grids:
             traj = trajectory(spec, init, times)
             assert traj.nodes.size == count, (init.charger_kind, times.size)
-            series = merit_series(traj)
+            cells = reduced_states(traj)
             assert reductions == node_blocks(count), (init.charger_kind, times.size)
             reductions.clear()
-            assert_matches_per_point_evaluation(traj, series)
+            assert_matches_per_point_evaluation(traj, cells)
 
 
 def test_merit_series_matches_per_point_evaluation(reductions):
@@ -421,8 +452,8 @@ def test_merit_series_peak_memory_is_the_block_stack_that_trajectory_counts(monk
     # a sector run interpolated from its nodes holds one (T, sum b**2)
     # complex stack of reduced-state blocks, 8 4**n bytes per grid point,
     # which trajectory counts up front beside the matrix-free Hamiltonian
-    # (8 (L + n + 1) bytes per entry of the 128-entry sector); populations,
-    # spectra and the purity add no second stack
+    # (8 (L + n + 1) bytes per entry of the 128-entry sector); populations
+    # and the purity add no second stack
     counted = []
     series = dynamics.chebyshev_series
 
@@ -436,11 +467,11 @@ def test_merit_series_peak_memory_is_the_block_stack_that_trajectory_counts(monk
     traj = trajectory(spec, InitialStateSpec(), times)
     blocks = 8 * 4 ** 4 * times.size
     assert counted == [blocks + 8 * 9 * 128]
-    merit_series(traj)  # first-call allocations of the linear-algebra routines
+    merit_series(traj, reduced_states(traj))  # first-call allocations of the linear algebra
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        merit_series(traj)
+        merit_series(traj, reduced_states(traj))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -458,7 +489,7 @@ def test_merit_series_names_first_negative_unavailable_time(monkeypatch):
     times = np.linspace(0.0, 1.0, 8)
     traj = trajectory(spec, InitialStateSpec(), times)
     with pytest.raises(ArithmeticError, match=re.escape(f"at t={times[3]}") + "$"):
-        merit_series(traj)
+        merit_series(traj, reduced_states(traj))
 
 
 def test_default_grid_reduces_once_at_the_nodes(reductions):
@@ -471,7 +502,7 @@ def test_default_grid_reduces_once_at_the_nodes(reductions):
         traj = trajectory(ModelSpec(L, n, h=0.1), InitialStateSpec(), times)
         assert traj.nodes.size == count == traj.coefficients.shape[1], (L, n)
         assert traj.nodes[0] == 0.0 and traj.nodes[-1] == 2.0
-        merit_series(traj)
+        reduced_states(traj)
         assert reductions == node_blocks(count), (L, n)
         reductions.clear()
         for steps in (count, count + 1):
@@ -487,6 +518,6 @@ def test_misnormalized_trajectory_raises_a_trace_error(reductions):
     bad = Trajectory(spec, np.linspace(0.0, 1.0, 5), np.eye(3), 2 * np.eye(3, 16)[None],
                      sector_layout(spec), chebyshev_nodes(0.0, 1.0, 3), 1.0)
     with pytest.raises(ValueError) as raised:
-        merit_series(bad)
+        reduced_states(bad)
     assert str(raised.value) == "reduced state has trace 4.0; input state not normalized"
     assert reductions == [3]
