@@ -15,6 +15,7 @@ reads its thread count when it loads: neither this module nor the package
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from dataclasses import replace
@@ -93,13 +94,16 @@ def _require_output_dir(path: str) -> None:
 
 
 def main(argv=None) -> int:
-    if "numpy" not in sys.modules:
+    fresh = "numpy" not in sys.modules
+    if fresh:
+        # a run leaves no cyclic garbage: skip ~8 ms of collections and teardown's ~40 ms pass
+        gc.disable()
         # every product here is small: a second BLAS thread speeds none of
         # them up and spins after each one; an explicit setting wins
         for name in BLAS_THREAD_VARIABLES:
             os.environ.setdefault(name, "1")
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "validate":
             from .experiments import cmd_validate
 
@@ -112,6 +116,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if fresh:
+            gc.freeze()
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from .linalg import (
     chebyshev_coefficients,
     chebyshev_nodes,
     chebyshev_series,
+    phases,
     series_states,
 )
 from .model import (
@@ -229,7 +230,7 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times) -> Trajectory:
     layout = sector_layout(spec, occupied[0] if len(occupied) == 1 else None)
     psi0 = psi0[layout.basis]
     matvec, bound = total_matvec(spec, layout.basis)
-    count = max(2, chebyshev_coefficients([bound * (times[-1] - times[0])]).shape[1])
+    count = max(2, chebyshev_coefficients(phases(bound, [times[-1] - times[0]])).shape[1])
     nodes = chebyshev_nodes(times[0], times[-1], count)
     cells = sum(labels.size ** 2 for _, labels in layout.blocks)
     hamiltonian = 8 * (spec.qubits + 1) * psi0.size

@@ -9,7 +9,9 @@ analytic reference columns are filled for n = 1 and n = 2 only (there is
 no closed form beyond two batteries; the linear-entropy reference exists
 only for n = 1).  Floats are written with 17 significant digits and LF
 line endings so a run is reproducible byte for byte given (config, seed),
-whatever the BLAS thread count.
+whatever the BLAS thread count.  Every line comes from one formatter,
+``_format_rows``, GRID_BLOCK grid points at a time, and is written as it
+is made.
 
 Each command runs its trajectories one after another, in run order; the
 command line runs BLAS on one thread by default (``cli.main``).  A config
@@ -42,6 +44,7 @@ from .analytic import (
 )
 from .dynamics import InitialStateSpec, ghz_plus, random_state, trajectory
 from .linalg import (
+    GRID_BLOCK,
     chebyshev_series,
     eigh,
     evolve_on_grid,
@@ -185,23 +188,12 @@ def load_config(path) -> ExperimentConfig:
         return ExperimentConfig.from_dict(json.load(handle))
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
-def write_csv(path, rows) -> None:
-    """Write rows matching CSV_COLUMNS with full precision and LF endings.
-
-    A row is a tuple of cells (None, an integer or a float), or a line
-    already formatted the same way (``_series_rows``)."""
+def write_csv(path, lines) -> None:
+    """Write the CSV_COLUMNS header, then each of ``lines`` (from
+    ``_format_rows``) as it is read, with LF endings."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(CSV_COLUMNS) + "\n")
-        handle.writelines((row if isinstance(row, str) else ",".join(map(_fmt, row))) + "\n"
-                          for row in rows)
+        handle.writelines(line + "\n" for line in lines)
 
 
 def read_csv(path) -> dict[str, np.ndarray]:
@@ -248,28 +240,24 @@ def run_series(spec: ModelSpec, init: InitialStateSpec, times) -> MeritSeries:
     return merit_series(traj, reduced_states(traj))
 
 
-def _format_rows(columns, labels) -> list[str]:
-    """One CSV line per entry of the equal-length float ``columns`` (None
-    for a blank column), followed by the ``labels`` cells, each line as
-    ``_fmt`` would join its cells: every line fills one "%.17g" template
-    whose label and blank cells are formatted once."""
+def _format_rows(columns, labels):
+    """The CSV lines of the equal-length float ``columns`` (None for a blank
+    column), one per entry, each ending in the (n, L, kappa, seed)
+    ``labels``: every line fills one "%.17g" template whose label and blank
+    cells are formatted once, and the lines are made GRID_BLOCK entries at
+    a time, so only one block's cells and lines are held."""
     template = ",".join("" if col is None else "%.17g" for col in columns)
-    template += "," + ",".join(map(_fmt, labels))
-    values = [np.asarray(col, dtype=float).tolist() for col in columns if col is not None]
-    return [template % row for row in zip(*values)]
-
-
-def _series_rows(series: MeritSeries, spec: ModelSpec, seed: int) -> list[str]:
-    """One CSV line per grid point (``_format_rows``)."""
-    columns = (series.t, series.stored_energy, series.ergotropy, series.linear_entropy,
-               series.power, *analytic_reference(spec, series.t))
-    return _format_rows(columns, (spec.n, spec.L, spec.kappa, seed))
+    template += ",%d,%d,%.17g,%d" % labels
+    values = [np.asarray(col, dtype=float) for col in columns if col is not None]
+    for lo in range(0, values[0].size, GRID_BLOCK):
+        block = [col[lo:lo + GRID_BLOCK].tolist() for col in values]
+        yield from (template % row for row in zip(*block))
 
 
 class _SeriesLines:
-    """Every run's CSV lines (``_series_rows``) in run order, formatted one
-    run at a time as they are read, so the lines of a whole file are never
-    held at once; len() is the row count."""
+    """Every run's CSV lines in run order, formatted as they are read, so
+    the lines of a whole file are never held at once; len() is the row
+    count."""
 
     def __init__(self, runs, results):
         self.pairs = list(zip(runs, results))
@@ -279,7 +267,10 @@ class _SeriesLines:
 
     def __iter__(self):
         for (spec, _, seed), series in self.pairs:
-            yield from _series_rows(series, spec, seed)
+            yield from _format_rows((series.t, series.stored_energy, series.ergotropy,
+                                     series.linear_entropy, series.power,
+                                     *analytic_reference(spec, series.t)),
+                                    (spec.n, spec.L, spec.kappa, seed))
 
 
 def _write_series(label: str, path, runs, results) -> None:
@@ -451,18 +442,17 @@ def cmd_fig3(config: ExperimentConfig, n_values=(1, 2, 3, 4),
         k = int(np.argmax(series.ergotropy))
         peak_work, peak_power = float(series.ergotropy[k]), float(series.power.max())
         working = peak_work > WORK_FLOOR
-        rows.append((
-            float(series.t[k]) if working else None,
-            float(series.stored_energy.max()),
-            peak_work,
-            float(series.linear_entropy[k]) if working else None,
-            peak_power,
-            None if scale is None else scale * p.delta * 4 * p.kappa ** 2 / p.omega ** 2,
-            None if scale is None else scale * max_ergotropy(p),
-            linear_entropy_analytic(p, charging_time(p)) if spec.n == 1 else None,
-            None if scale is None else scale * peak_p_ana,
-            spec.n, spec.L, spec.kappa, config.seed,
-        ))
+        rows.extend(_format_rows([
+            (series.t[k],) if working else None,
+            (series.stored_energy.max(),),
+            (peak_work,),
+            (series.linear_entropy[k],) if working else None,
+            (peak_power,),
+            None if scale is None else (scale * p.delta * 4 * p.kappa ** 2 / p.omega ** 2,),
+            None if scale is None else (scale * max_ergotropy(p),),
+            (linear_entropy_analytic(p, charging_time(p)),) if spec.n == 1 else None,
+            None if scale is None else (scale * peak_p_ana,),
+        ], (spec.n, spec.L, spec.kappa, config.seed)))
         summary["points"].append({
             "n": spec.n, "kappa": spec.kappa,
             "peak_ergotropy_per_battery": peak_work / spec.n,

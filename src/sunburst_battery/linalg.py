@@ -18,7 +18,9 @@ the tests and the self-check suite.
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 
 import numpy as np
 
@@ -119,11 +121,25 @@ def _refuse_beyond_memory(z_max: float, half: int, needed: float, vectors: float
     available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if needed > available:
         counted = f" and at least {vectors:.3g} vectors" if vectors else ""
+        # a count past the float range reads inf: formatting it as a float would raise
+        half, needed = (float(c) if c <= sys.float_info.max else math.inf for c in (half, needed))
         raise ValueError(
             f"Chebyshev expansion at z = {z_max:.3g} needs {half:.3g} coefficient terms per "
             f"point{counted}: {needed:.3g} bytes, more than the {available:.3g} bytes of "
             f"physical memory"
         )
+
+
+def phases(bound: float, times) -> np.ndarray:
+    """z = bound * t at every time of a finite 1-D grid; ValueError, naming
+    the product, when one overflows the float range."""
+    times = _finite_grid(times)
+    with np.errstate(over="ignore"):
+        z = bound * times
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"phase bound * t = {bound:.3g} * {np.max(np.abs(times)):.3g} "
+                         "overflows the float range")
+    return z
 
 
 def _finite_grid(z) -> np.ndarray:
@@ -213,7 +229,8 @@ def chebyshev_series(matvec, bound: float, psi0, times,
     ``series_states`` and ``state_blocks`` form the states.  K counts the
     coefficients up to the last one above CHEBYSHEV_TOL * (1 + z_max)
     anywhere on the grid; ArithmeticError if they do not fall below that
-    within the FFT.  ValueError as soon as a vector outgrows psi0, which
+    within the FFT.  ValueError if a phase bound * t overflows the float
+    range (``phases``), as soon as a vector outgrows psi0, which
     means ``bound`` is below ||H||, and, before anything is allocated, if
     the coefficient table, the at least z_max vectors, the ``state_blocks``
     buffers that form the states from them and ``extra_bytes`` more, which
@@ -226,7 +243,7 @@ def chebyshev_series(matvec, bound: float, psi0, times,
     psi0 = _check_state(np.size(psi0), psi0)
     if not (np.isfinite(bound) and bound > 0):
         raise ValueError(f"norm bound must be positive and finite, got {bound!r}")
-    z = _finite_grid(bound * np.asarray(times, dtype=float))
+    z = phases(bound, times)
     if not psi0.imag.any():
         psi0 = psi0.real  # a real H then keeps the whole sequence real
     z_max = float(np.max(np.abs(z)))

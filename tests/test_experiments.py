@@ -1,9 +1,11 @@
+import gc
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import numpy_figures
 from sunburst_battery import (
     CSV_COLUMNS,
     AnalyticParams,
@@ -22,17 +25,22 @@ from sunburst_battery import (
     SweepSpec,
     TimeGrid,
     analytic_reference,
+    battery_energies,
+    build_total,
+    charging_power,
     cmd_fig1,
     cmd_fig2,
     cmd_fig3,
     cmd_fig4,
     cmd_sweep,
     cmd_validate,
+    initial_state,
     load_config,
     read_csv,
+    reduce_to_battery,
     write_csv,
 )
-from sunburst_battery import experiments
+from sunburst_battery import experiments, linalg
 from sunburst_battery.cli import build_parser, config_from_args, main
 from sunburst_battery.experiments import CHECKS, VALIDATE_SEED
 from sunburst_battery.observables import WORK_FLOOR
@@ -205,8 +213,8 @@ def test_cli_refuses_an_integer_beyond_the_float_range(tmp_path, capsys, section
 
 def test_csv_format_and_reread(tmp_path):
     path = tmp_path / "table.csv"
-    rows = [(0.1, 1 / 3, None, 2.0, 0.0, None, None, None, None, 1, 4, 2.0, 7)]
-    write_csv(path, rows)
+    columns = [(0.1,), (1 / 3,), None, (2.0,), (0.0,), None, None, None, None]
+    write_csv(path, list(experiments._format_rows(columns, (1, 4, 2.0, 7))))
     raw = path.read_bytes()
     assert raw.startswith((",".join(CSV_COLUMNS) + "\n").encode())
     assert b"\r" not in raw
@@ -218,13 +226,13 @@ def test_csv_format_and_reread(tmp_path):
 
 
 def test_csv_golden_bytes_for_tuple_and_series_rows(tmp_path):
-    # both row paths format None as empty, integers (np.int64 too) as digits
-    # and floats with 17 significant digits, signed zero and subnormal-range
-    # values included
+    # one-entry columns (fig3's summary rows) and a whole series format None
+    # as empty, integers (np.int64 too) as digits and floats with 17
+    # significant digits, signed zero and subnormal-range values included
     header = ",".join(CSV_COLUMNS) + "\n"
     path = tmp_path / "tuples.csv"
-    write_csv(path, [(-0.0, 1e-300, None, 0.1, 2, np.int64(-3), 1 / 3, None, 5.0,
-                      1, 4, 2.0, np.int64(2 ** 63 - 1))])
+    columns = [(-0.0,), (1e-300,), None, (0.1,), (2,), (np.int64(-3),), (1 / 3,), None, (5.0,)]
+    write_csv(path, list(experiments._format_rows(columns, (1, 4, 2.0, np.int64(2 ** 63 - 1)))))
     assert path.read_bytes() == (
         header + "-0,1e-300,,0.10000000000000001,2,-3,"
         "0.33333333333333331,,5,1,4,2,9223372036854775807\n").encode()
@@ -232,7 +240,7 @@ def test_csv_golden_bytes_for_tuple_and_series_rows(tmp_path):
     column = np.array([0.0, -0.0, 1e-300, 1 / 3])
     series = MeritSeries(t=column, stored_energy=-column, ergotropy=column,
                          linear_entropy=column, power=-column)
-    lines = experiments._series_rows(series, ModelSpec(6, 3, kappa=0.5), np.int64(9))
+    lines = experiments._SeriesLines([(ModelSpec(6, 3, kappa=0.5), None, np.int64(9))], [series])
     path = tmp_path / "series.csv"
     write_csv(path, lines)
     assert path.read_bytes() == (
@@ -252,13 +260,61 @@ def test_csv_golden_bytes_for_tuple_and_series_rows(tmp_path):
 def test_row_template_formats_every_cell_as_fmt(rows, data, labels):
     # nan, infinities, subnormals and -0.0 included; a None column is blank,
     # and the first (the time) never is
+    def fmt(value):
+        if value is None:
+            return ""
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return format(float(value), ".17g")
+
     column = st.lists(st.floats(), min_size=rows, max_size=rows)
     columns = [data.draw(column)] + data.draw(st.lists(st.none() | column, max_size=8))
-    lines = experiments._format_rows(columns, labels)
+    lines = list(experiments._format_rows(columns, labels))
     assert len(lines) == rows
     for k, line in enumerate(lines):
         cells = [None if col is None else col[k] for col in columns] + list(labels)
-        assert line == ",".join(map(experiments._fmt, cells))
+        assert line == ",".join(map(fmt, cells))
+
+
+def test_series_lines_do_not_depend_on_the_grid_block(monkeypatch):
+    # two full blocks and three points more: the block edges leave no mark
+    t = np.linspace(0.0, 2.0, 2 * experiments.GRID_BLOCK + 3)
+    series = MeritSeries(t=t, stored_energy=np.sin(t), ergotropy=np.cos(t) ** 2,
+                         linear_entropy=-t / 3, power=np.exp(-t))
+    runs = [(ModelSpec(4, 1), None, 7), (ModelSpec(6, 3, kappa=0.5), None, 8)]
+    blocked = list(experiments._SeriesLines(runs, [series, series]))
+    monkeypatch.setattr(experiments, "GRID_BLOCK", t.size)
+    assert blocked == list(experiments._SeriesLines(runs, [series, series]))
+    assert len(blocked) == 2 * t.size
+
+
+def test_csv_golden_bytes_for_a_fig3_row_without_work(tmp_path):
+    # no peak (blank t and SL_num) and no closed form (n = 3): one line
+    path = tmp_path / "fig3.csv"
+    columns = [None, (0.25,), (1e-17,), None, (np.float64(1 / 3),), None, None, None, None]
+    write_csv(path, list(experiments._format_rows(columns, (3, 9, 0.25, 2 ** 64 - 1))))
+    assert path.read_bytes() == (
+        ",".join(CSV_COLUMNS) + "\n"
+        + ",0.25,1.0000000000000001e-17,,0.33333333333333331,,,,,3,9,0.25,"
+          "18446744073709551615\n").encode()
+
+
+def test_series_csv_is_written_a_grid_block_at_a_time(tmp_path):
+    # the lines of a run are never all held: one n = 1 series of 1e5 points
+    # costs at most 64 B per point above the series itself (the closed-form
+    # columns take 32 of them)
+    t = np.linspace(0.0, 2.0, 100_000)
+    series = MeritSeries(t=t, stored_energy=t / 3, ergotropy=t / 7, linear_entropy=-t,
+                         power=t * t)
+    lines = experiments._SeriesLines([(ModelSpec(4, 1), None, 7)], [series])
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "long.csv", lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * t.size, peak / t.size
+    assert len(read_csv(tmp_path / "long.csv")["t"]) == t.size
 
 
 def test_read_csv_rejects_a_row_of_the_wrong_width(tmp_path):
@@ -695,17 +751,29 @@ def test_cli_refuses_a_non_finite_grid_window(tmp_path, capsys, key, value):
 
 
 def test_cli_memory_refusal_prints_no_long_integers(tmp_path, capsys):
+    # a 300-digit term count, a byte count beyond the float range and a
+    # phase bound * t beyond it each end in one error line, before any run
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({
-        "model": {"L": 4, "n": 1},
-        "grid": {"t_end": 1e300},
-        "output_path": str(tmp_path / "huge.csv"),
-    }))
-    assert main(["fig4", "--config", str(config_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: Chebyshev expansion at z = ") and err.count("\n") == 1
-    assert "physical memory" in err and not re.search(r"\d{5}", err), err
-    assert not (tmp_path / "huge.csv").exists()
+    refusals = [
+        (("fig4",), {"t_end": 1e300}, "error: Chebyshev expansion at z = ", "physical memory"),
+        (("fig1", "fig4"), {"steps": 20, "t_end": 1e306},
+         "error: Chebyshev expansion at z = ", "inf bytes"),
+        (("fig1", "fig4"), {"steps": 20, "t_start": 1e308, "t_end": 1.7e308},
+         "error: phase bound * t = 6.65 * 7e+307 ", "overflows the float range"),
+    ]
+    for commands, grid, start, detail in refusals:
+        config_path.write_text(json.dumps({
+            "model": {"L": 4, "n": 1},
+            "grid": grid,
+            "output_path": str(tmp_path / "huge.csv"),
+        }))
+        for command in commands:
+            assert main([command, "--config", str(config_path)]) == 2
+            captured = capsys.readouterr()
+            err = captured.err
+            assert err.startswith(start) and err.count("\n") == 1, err
+            assert detail in err and not re.search(r"\d{5}", err), err
+            assert captured.out == "" and not (tmp_path / "huge.csv").exists()
 
 
 def test_cli_refuses_a_missing_output_directory_before_any_run(tmp_path, monkeypatch, capsys):
@@ -854,6 +922,27 @@ def test_in_process_cli_leaves_the_environment_alone(tmp_path, monkeypatch):
     assert dict(os.environ) == before
 
 
+def test_fresh_cli_process_skips_cyclic_collection_and_freezes_before_exit(tmp_path):
+    # a fresh interpreter writes the bytes an in-process run writes, and
+    # returns with the collector on and the objects alive at exit frozen;
+    # an in-process run, numpy already loaded, freezes nothing
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"L": 4, "n": 1}, "grid": {"steps": 10}}))
+    fresh = tmp_path / "fresh.csv"
+    code, enabled, frozen = run_child(
+        "import gc, json\n"
+        "from sunburst_battery.cli import main\n"
+        f"code = main(['fig4', '--config', {str(config)!r}, '--out', {str(fresh)!r}])\n"
+        "print(json.dumps([code, gc.isenabled(), gc.get_freeze_count()]))"
+    )
+    assert code == 0 and enabled and frozen > 0
+    frozen = gc.get_freeze_count()
+    out = tmp_path / "in-process.csv"
+    assert main(["fig4", "--config", str(config), "--out", str(out)]) == 0
+    assert gc.get_freeze_count() == frozen and gc.isenabled()
+    assert out.read_bytes() == fresh.read_bytes()
+
+
 def test_default_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
     # fig1 and fig4 at defaults in fresh processes: one with the BLAS thread
     # variables unset (the CLI's one-thread default) and one with two
@@ -874,3 +963,142 @@ def test_default_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
         assert first.count(b"\n") == 1 + {"fig1": 4, "fig4": 3}[command] * 2000
         for _, out in children[1:]:
             assert out.read_bytes() == first, out.name
+
+
+def command_cases():
+    """(name, command, config data, keyword arguments) running every command
+    on systems of at most 6 qubits, parameters drawn from a fixed seed: the
+    keyword arguments shrink the fixed systems of fig1..fig3."""
+    rng = np.random.default_rng(20261019)
+
+    def model(L, n):
+        return {"L": L, "n": n, "J": float(rng.uniform(0.5, 1.5)), "h": float(rng.uniform(0, 0.6)),
+                "delta": float(rng.uniform(0.2, 1.0)), "kappa": float(rng.uniform(0.2, 2.0))}
+
+    def grid():
+        start = float(rng.uniform(0.0, 1.0))
+        return {"t_start": start, "t_end": start + float(rng.uniform(0.5, 3.0)),
+                "steps": int(rng.integers(20, 60))}
+
+    def seed():
+        return int(rng.integers(0, 2 ** 32))
+
+    return [
+        ("fig1", "cmd_fig1", {"model": model(3, 1), "grid": grid(), "seed": seed(),
+                              "initial": {"charger_kind": "eigenstate", "index": 5}},
+         {"collapse_systems": ((4, 2),)}),
+        ("fig2", "cmd_fig2", {"model": model(4, 2), "grid": grid(), "seed": seed(),
+                              "initial": {"charger_kind": "ghz_minus"}},
+         {"systems": ((3, 1), (4, 2))}),
+        ("fig3", "cmd_fig3", {"model": model(5, 1), "grid": {"steps": 40}, "seed": seed(),
+                              "initial": {"charger_kind": "random"},
+                              "sweep": {"parameter": "kappa", "values": [0.3, 1.7]}},
+         {"n_values": (1, 2, 3), "total_qubits": 6}),
+        ("fig4", "cmd_fig4", {"model": model(4, 1), "grid": grid(), "seed": seed()}, {}),
+        ("sweep-kappa", "cmd_sweep", {"model": {**model(3, 2), "d": 1}, "grid": grid(),
+                                      "seed": seed(),
+                                      "initial": {"charger_kind": "random", "seed": seed()},
+                                      "sweep": {"parameter": "kappa", "values": [0.4, 1.1]}}, {}),
+        ("sweep-n", "cmd_sweep", {"model": model(4, 2), "grid": grid(), "seed": seed(),
+                                  "sweep": {"parameter": "n", "values": [1, 2, 4]}}, {}),
+    ]
+
+
+def command_runs(command, config, kwargs):
+    """(spec, initial state, times) of every run ``command`` writes, in
+    order, for the series commands; fig3's (spec, times) per summary row."""
+    model, times, init = config.model, config.grid.times(), config.seeded_initial
+    if command == "cmd_fig1":
+        specs = [model] + [replace(model, L=L, n=n, d=None) for L, n in kwargs["collapse_systems"]]
+    elif command == "cmd_fig2":
+        specs = [replace(model, L=L, n=n, d=None) for L, n in kwargs["systems"]]
+    elif command == "cmd_fig3":
+        specs = [replace(model, L=kwargs["total_qubits"] - n, n=n, d=None, kappa=kappa)
+                 for n in kwargs["n_values"] for kappa in config.sweep.values]
+        return [(spec, np.linspace(0.0, 2 * np.pi / AnalyticParams.from_model(spec).omega,
+                                   config.grid.steps)) for spec in specs]
+    elif command == "cmd_fig4":
+        return [(model, InitialStateSpec("random", seed=config.seed + k), times)
+                for k in range(3)]
+    elif config.sweep.parameter == "kappa":
+        specs = [replace(model, kappa=value) for value in config.sweep.values]
+    else:
+        specs = [replace(model, n=value, d=None) for value in config.sweep.values]
+    return [(spec, init, times) for spec in specs]
+
+
+def dense_columns(spec, init, times):
+    """Stored energy, population ergotropy and linear entropy of dense
+    full-space ED states on ``times``."""
+    oracle = linalg.evolve_on_grid(linalg.eigh(build_total(spec)),
+                                   initial_state(spec, init), times)
+    return numpy_figures(reduce_to_battery(oracle, spec.L, spec.n),
+                         battery_energies(spec.n, spec.delta))
+
+
+def test_small_commands_match_dense_oracle_at_one_and_two_blas_threads(tmp_path):
+    # every *_num cell that fig1..fig4 and sweep write follows dense ED to
+    # 1e-12 (the power, dE / t, through the stored energy: its roundoff
+    # grows as t -> 0), and fresh processes at one and at two OpenBLAS
+    # threads write the bytes this process writes
+    cases = [(name, command, {**data, "output_path": f"{name}.csv"}, kwargs)
+             for name, command, data, kwargs in command_cases()]
+    code = (
+        "import os, sys\n"
+        "from sunburst_battery import experiments\n"
+        "os.chdir(sys.argv[1])\n"
+        f"for _, command, data, kwargs in {cases!r}:\n"
+        "    config = experiments.ExperimentConfig.from_dict(data)\n"
+        "    getattr(experiments, command)(config, **kwargs)\n"
+    )
+    children = []
+    for threads in ("1", "2"):
+        folder = tmp_path / f"threads{threads}"
+        folder.mkdir()
+        children.append((subprocess.Popen(
+            [sys.executable, "-c", code, str(folder)], env=child_env(OPENBLAS_NUM_THREADS=threads),
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE), folder))
+    for name, command, data, kwargs in cases:
+        config = ExperimentConfig.from_dict({**data, "output_path": str(tmp_path / f"{name}.csv")})
+        getattr(experiments, command)(config, **kwargs)
+        cols = read_csv(config.output_path)
+        runs = command_runs(command, config, kwargs)
+        if command == "cmd_fig3":
+            assert len(cols["t"]) == len(runs)
+            for row, (spec, times) in enumerate(runs):
+                dense = dense_columns(spec, config.seeded_initial, times)
+                power = charging_power(dense["stored_energy"], times)
+                labels = (cols["n"][row], cols["L"][row], cols["kappa"][row])
+                assert labels == (spec.n, spec.L, spec.kappa)
+                assert abs(cols["dE_num"][row] - dense["stored_energy"].max()) <= 1e-12
+                assert abs(cols["xi_num"][row] - dense["ergotropy"].max()) <= 1e-12
+                assert abs(cols["P_num"][row] - power.max()) <= 1e-12
+                if dense["ergotropy"].max() <= WORK_FLOOR:  # no work, no peak
+                    assert np.isnan(cols["t"][row]) and np.isnan(cols["SL_num"][row])
+                    continue
+                k = int(np.flatnonzero(times == cols["t"][row])[0])
+                assert dense["ergotropy"][k] >= dense["ergotropy"].max() - 1e-12
+                assert abs(cols["SL_num"][row] - dense["linear_entropy"][k]) <= 1e-12
+            continue
+        start = 0
+        for spec, init, times in runs:
+            block = slice(start, start + times.size)
+            start += times.size
+            assert np.array_equal(cols["t"][block], times)
+            assert np.all(cols["n"][block] == spec.n) and np.all(cols["L"][block] == spec.L)
+            assert np.all(cols["kappa"][block] == spec.kappa)
+            assert np.all(cols["seed"][block] == (init.seed if command == "cmd_fig4"
+                                                  else config.seed))
+            dense = dense_columns(spec, init, times)
+            for cell, name in (("dE_num", "stored_energy"), ("xi_num", "ergotropy"),
+                               ("SL_num", "linear_entropy")):
+                assert np.max(np.abs(cols[cell][block] - dense[name])) <= 1e-12, (command, cell)
+            assert np.array_equal(cols["P_num"][block],
+                                  charging_power(cols["dE_num"][block], times))
+        assert start == cols["t"].size
+    for child, folder in children:
+        _, err = child.communicate(timeout=300)
+        assert child.returncode == 0, err.decode()
+        for name, _, _, _ in cases:
+            expected = (tmp_path / f"{name}.csv").read_bytes()
+            assert (folder / f"{name}.csv").read_bytes() == expected, (folder.name, name)

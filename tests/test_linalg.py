@@ -275,6 +275,13 @@ def test_memory_refusal_prints_every_count_in_three_digits():
         chebyshev_coefficients([1e300])
 
 
+def test_chebyshev_series_names_a_phase_beyond_the_float_range():
+    # the times are finite; bound * t is not
+    ham = np.diag([-1.0, 1.0])
+    with pytest.raises(ValueError, match=r"^phase bound \* t = 2 \* 1\.7e\+308 overflows"):
+        chebyshev_series(lambda v: ham @ v, 2.0, np.array([1.0, 0.0]), [0.0, 1.7e308])
+
+
 def test_chebyshev_series_counts_the_callers_bytes_in_the_memory_check():
     ham = np.diag([-1.0, 1.0])
     psi = np.array([1.0, 0.0])
