@@ -119,17 +119,17 @@ def window_times(p: AnalyticParams):
     return float(t1), float(t2)
 
 
-def bisect_window(p: AnalyticParams, scan_points: int = 512, tol: float = 1e-9):
+def bisect_window(p: AnalyticParams):
     """Locate the ergotropy window by sign-change bracketing plus bisection.
 
-    Independent of ``window_times``: scans delta*(2|B|^2 - 1) over one
-    period and bisects each sign change to ``tol``.  Returns (t1, t2) or
+    Independent of ``window_times``: scans delta*(2|B|^2 - 1) at 512 points
+    of one period and bisects each sign change to 1e-9.  Returns (t1, t2) or
     None when there is no sign change (including the tangent case
     2 kappa = delta, where the window is a single point).
     """
     if p.omega == 0.0:
         return None
-    grid = np.linspace(0.0, 2.0 * np.pi / p.omega, scan_points)
+    grid = np.linspace(0.0, 2.0 * np.pi / p.omega, 512)
     raw = lambda t: p.delta * (2.0 * float(excited_population(p, t)) - 1.0)
     values = p.delta * (2.0 * excited_population(p, grid) - 1.0)
     crossings = []
@@ -137,7 +137,7 @@ def bisect_window(p: AnalyticParams, scan_points: int = 512, tol: float = 1e-9):
         lo, hi = float(grid[k - 1]), float(grid[k])
         if values[k - 1] == 0.0 or np.sign(values[k - 1]) == np.sign(values[k]):
             continue
-        while hi - lo > tol:
+        while hi - lo > 1e-9:
             mid = 0.5 * (lo + hi)
             if np.sign(raw(mid)) == np.sign(raw(lo)):
                 lo = mid

@@ -10,13 +10,14 @@ state with no weight in one parity sector (a cat charger with ground
 batteries) is expanded on the other sector alone, at half the size.
 
 Every trajectory is evaluated at M Chebyshev nodes of its grid window,
-and what merit_series computes from the states there is interpolated onto
-the grid (``linalg.interpolate``).  The reduced state is bilinear in the
-state, a sum of phases exp(-i (E_m - E_m') t) with |E_m - E_m'| <= 2
-bound, so on a window of length D its Chebyshev series in t decays like
-J_k(bound D), as the propagator's does at z = bound D: the M terms that
-the CHEBYSHEV_TOL cut keeps at that z fix it on the whole window to
-roundoff.
+and the states or the reduced states there are interpolated onto the grid
+(``linalg.interpolate``).  The reduced state is bilinear in the state, a
+sum of phases exp(-i (E_m - E_m') t) with |E_m - E_m'| <= 2 bound, so on a
+window of length D its Chebyshev series in t decays like J_k(bound D), as
+the propagator's does at z = bound D: the M terms that the CHEBYSHEV_TOL
+cut keeps at that z fix it on the whole window to roundoff.  A state's
+phases exp(-i E t) have |E| <= bound, half that bandwidth, so the same
+nodes fix the states too.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .linalg import (
     chebyshev_coefficients,
     chebyshev_nodes,
     chebyshev_series,
+    interpolate,
     phases,
     series_states,
 )
@@ -177,10 +179,9 @@ class Trajectory:
     the sum over k of coefficients[j, k] v_k, times -i for odd k, with the
     K vectors v_k held once as the real operands of ``chebyshev_series``,
     shape (1, K, size) when they are real and (2, K, size) when complex.
-    Quantities of the states are interpolated from the nodes onto the grid
-    ``times``.  ``bound`` is the expansion's norm bound.  The vector entries
-    are laid out by ``layout``: size is dim on the full space, or dim / 2
-    on one parity sector."""
+    The states and quantities of them are interpolated from the nodes onto
+    the grid ``times``.  The vector entries are laid out by ``layout``: size
+    is dim on the full space, or dim / 2 on one parity sector."""
 
     spec: ModelSpec
     times: np.ndarray
@@ -188,17 +189,15 @@ class Trajectory:
     vectors: np.ndarray
     layout: Layout
     nodes: np.ndarray
-    bound: float
 
     @property
     def states(self) -> np.ndarray:
         """Every grid state at once in the natural basis order, shape (T,
-        dim); row k is the state at times[k].  The grid's coefficients are
-        rebuilt from ``bound``, so these are exact at the grid times too,
-        not interpolated."""
-        coefficients = chebyshev_coefficients(self.bound * self.times, self.vectors.shape[1])
+        dim); row k is the state at times[k], interpolated from the states
+        at the nodes."""
         states = np.zeros((len(self.times), self.spec.dim), dtype=np.complex128)
-        states[:, self.layout.basis] = series_states(coefficients, self.vectors)
+        states[:, self.layout.basis] = interpolate(
+            self.nodes, series_states(self.coefficients, self.vectors), self.times)
         return states
 
 
@@ -211,12 +210,12 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times) -> Trajectory:
     z = bound (times[-1] - times[0]); a one-point grid has two equal nodes.
     Besides the K vectors and the two real NODE_BLOCK-row buffers that form
     the states from them (``chebyshev_series``), the up-front memory check
-    counts the reduced states merit_series holds, the layout's blocks of
-    them: 16 sum(b**2) bytes per grid point over blocks of b battery
-    levels, 16 4**n on the full space and half that on a sector; and the
-    matrix-free Hamiltonian (``total_matvec``), held for the whole run: an
-    int64 gather index per flip, L + n of them, and the diagonal, 8 (L + n
-    + 1) bytes per vector entry.
+    counts the reduced states that ``reduced_states`` holds, the layout's
+    blocks of them: 16 sum(b**2) bytes per grid point over blocks of b
+    battery levels, 16 4**n on the full space and half that on a sector;
+    and the matrix-free Hamiltonian (``total_matvec``), held for the whole
+    run: an int64 gather index per flip, L + n of them, and the diagonal,
+    8 (L + n + 1) bytes per vector entry.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -236,4 +235,4 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times) -> Trajectory:
     hamiltonian = 8 * (spec.qubits + 1) * psi0.size
     coefficients, vectors = chebyshev_series(matvec, bound, psi0, nodes,
                                              extra_bytes=16 * cells * times.size + hamiltonian)
-    return Trajectory(spec, times, coefficients, vectors, layout, nodes, bound)
+    return Trajectory(spec, times, coefficients, vectors, layout, nodes)

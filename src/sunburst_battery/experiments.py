@@ -482,8 +482,9 @@ def _run_with_spectral(spec: ModelSpec, init: InitialStateSpec, times):
 def cmd_fig4(config: ExperimentConfig, n_seeds: int = 3) -> dict:
     """Ergotropy vs time for several random charger preparations.
 
-    Seeds are config.seed, config.seed + 1, ...; each realization is its
-    own Chebyshev run (``_run_with_spectral``), one held at a time.  Reports
+    Seeds are config.seed, config.seed + 1, ..., and the last must fit in
+    64 unsigned bits as the first does; each realization is its own
+    Chebyshev run (``_run_with_spectral``), one held at a time.  Reports
     pairwise curve deviations for both ergotropy conventions (only the
     population one collapses as h -> 0; the spectral one keeps an
     O(2**(-L/2)) seed-dependent coherence bump near the window edges).  A
@@ -495,8 +496,11 @@ def cmd_fig4(config: ExperimentConfig, n_seeds: int = 3) -> dict:
     if config.initial != InitialStateSpec():
         raise ValueError("fig4 runs random chargers seeded seed, seed + 1, ...; "
                          "remove the config's initial section")
-    times = config.grid.times()
     seeds = [config.seed + k for k in range(n_seeds)]
+    if seeds[-1] >= 2 ** 64:
+        raise ValueError(f"fig4 runs seeds seed..seed + {n_seeds - 1}, so seed must be at most "
+                         f"{2 ** 64 - n_seeds}, got {config.seed}")
+    times = config.grid.times()
     runs = [(config.model, InitialStateSpec("random", seed=seed), seed) for seed in seeds]
     results, spectral = zip(*(_run_with_spectral(spec, init, times) for spec, init, _ in runs))
     pair_pop, pair_spec = 0.0, 0.0

@@ -18,9 +18,7 @@ the tests and the self-check suite.
 
 from __future__ import annotations
 
-import math
 import os
-import sys
 
 import numpy as np
 
@@ -114,17 +112,15 @@ def _fft_half(z_max: float) -> int:
     return 2 * _smooth_size(int(np.ceil(0.75 * z_max + 30)))
 
 
-def _refuse_beyond_memory(z_max: float, half: int, needed: float, vectors: float = 0) -> None:
+def _refuse_beyond_memory(z_max: float, terms: float, needed: float, vectors: int = 0) -> None:
     """ValueError unless ``needed`` bytes fit in physical memory; the message
-    names the ``half`` terms per point at z_max and, when given, the vector
-    count, each to three digits."""
+    names the coefficient ``terms`` per point at z_max and, when given, the
+    vector count, each to three digits."""
     available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if needed > available:
-        counted = f" and at least {vectors:.3g} vectors" if vectors else ""
-        # a count past the float range reads inf: formatting it as a float would raise
-        half, needed = (float(c) if c <= sys.float_info.max else math.inf for c in (half, needed))
+        counted = f" and {vectors:.3g} vectors" if vectors else ""
         raise ValueError(
-            f"Chebyshev expansion at z = {z_max:.3g} needs {half:.3g} coefficient terms per "
+            f"Chebyshev expansion at z = {z_max:.3g} needs {terms:.3g} coefficient terms per "
             f"point{counted}: {needed:.3g} bytes, more than the {available:.3g} bytes of "
             f"physical memory"
         )
@@ -149,7 +145,7 @@ def _finite_grid(z) -> np.ndarray:
     return z
 
 
-def chebyshev_coefficients(z, terms: int | None = None) -> np.ndarray:
+def chebyshev_coefficients(z) -> np.ndarray:
     """The real expansion coefficients g_k(z) of ``chebyshev_series`` at
     every z of a 1-D array, shape (len(z), K).
 
@@ -164,18 +160,20 @@ def chebyshev_coefficients(z, terms: int | None = None) -> np.ndarray:
     J_k(z) decays faster than exponentially once k > z, and the margin keeps
     the kept terms clear of aliasing up to z of several hundred.
 
-    K is ``terms`` when given, else the count up to the last coefficient
-    above CHEBYSHEV_TOL * (1 + z_max) anywhere on the array; ArithmeticError
-    if they do not fall below that within the FFT.  ValueError, before
-    anything is allocated, if the table and the FFT workspace cannot fit in
-    physical memory.
+    K counts the coefficients up to the last one above CHEBYSHEV_TOL * (1 +
+    z_max) anywhere on the array; ArithmeticError if they do not fall below
+    that within the FFT.  ValueError, before anything is allocated, if the
+    table and the FFT workspace cannot fit in physical memory, checked on
+    the least half, 1.5 z_max + 60, before the search for half.
     """
     z = _finite_grid(z)
     z_max = float(np.max(np.abs(z)))
-    half = _fft_half(z_max)
-    quarter = half // 2
     rows = min(z.size, GRID_BLOCK)
     # the table, the FFT's input, output and temporaries
+    least = 1.5 * z_max + 60
+    _refuse_beyond_memory(z_max, least, 8 * least * (z.size + 6 * rows))
+    half = _fft_half(z_max)
+    quarter = half // 2
     _refuse_beyond_memory(z_max, half, 8 * half * (z.size + 6 * rows))
     # theta_j on [0, pi/2]: cos theta changes sign under theta -> pi - theta,
     # and so does sin(z cos theta) while cos(z cos theta) does not
@@ -193,14 +191,13 @@ def chebyshev_coefficients(z, terms: int | None = None) -> np.ndarray:
         table[lo:lo + chunk.shape[0]] = np.fft.rfft(chunk, axis=1)[:, :half].real
     table /= half
     table[:, 0] /= 2
-    if terms is None:
-        above = np.flatnonzero(np.max(np.abs(table), axis=0) > CHEBYSHEV_TOL * (1 + z_max))
-        terms = int(above[-1]) + 1 if above.size else 1
-        if terms == half:
-            raise ArithmeticError(
-                f"Chebyshev coefficients did not fall below {CHEBYSHEV_TOL:.0e} * (1 + z) "
-                f"within {half} terms at z = {z_max:.3g}"
-            )
+    above = np.flatnonzero(np.max(np.abs(table), axis=0) > CHEBYSHEV_TOL * (1 + z_max))
+    terms = int(above[-1]) + 1 if above.size else 1
+    if terms == half:
+        raise ArithmeticError(
+            f"Chebyshev coefficients did not fall below {CHEBYSHEV_TOL:.0e} * (1 + z) "
+            f"within {half} terms at z = {z_max:.3g}"
+        )
     return np.ascontiguousarray(table[:, :terms])
 
 
@@ -230,15 +227,13 @@ def chebyshev_series(matvec, bound: float, psi0, times,
     coefficients up to the last one above CHEBYSHEV_TOL * (1 + z_max)
     anywhere on the grid; ArithmeticError if they do not fall below that
     within the FFT.  ValueError if a phase bound * t overflows the float
-    range (``phases``), as soon as a vector outgrows psi0, which
-    means ``bound`` is below ||H||, and, before anything is allocated, if
-    the coefficient table, the at least z_max vectors, the ``state_blocks``
-    buffers that form the states from them and ``extra_bytes`` more, which
-    the caller will hold alongside, cannot fit in physical memory (the
-    table's FFT workspace, freed before the first vector, counts instead
-    of the vectors and buffers where it is larger); the count is repeated
-    with the exact K once the coefficients are known, before any vector is
-    allocated.
+    range (``phases``), as soon as a vector outgrows psi0, which means
+    ``bound`` is below ||H||, if the coefficient table and its FFT
+    workspace cannot fit in physical memory (``chebyshev_coefficients``),
+    and, once the coefficients are known and before any vector is
+    allocated, if they, the K vectors, the two ``state_blocks`` buffers
+    that form the states from them and ``extra_bytes`` more, which the
+    caller will hold alongside, cannot.
     """
     psi0 = _check_state(np.size(psi0), psi0)
     if not (np.isfinite(bound) and bound > 0):
@@ -246,19 +241,11 @@ def chebyshev_series(matvec, bound: float, psi0, times,
     z = phases(bound, times)
     if not psi0.imag.any():
         psi0 = psi0.real  # a real H then keeps the whole sequence real
-    z_max = float(np.max(np.abs(z)))
-    half = _fft_half(z_max)
-    # the coefficient table and the caller's bytes; then the table's FFT
-    # workspace or, once that is freed, the vectors and the buffers that
-    # form the states from them, whichever is larger
-    fixed, workspace = 8 * half * z.size + extra_bytes, 48 * half * min(z.size, GRID_BLOCK)
-    count = np.ceil(z_max)  # K > z_max: J_k(z) only starts to decay once k > z
-    _refuse_beyond_memory(z_max, half,
-                          fixed + max(workspace, _expansion_bytes(z.size, count, psi0)), count)
     coefficients = chebyshev_coefficients(z)
     kept = coefficients.shape[1]
-    _refuse_beyond_memory(z_max, half,
-                          fixed + max(workspace, _expansion_bytes(z.size, kept, psi0)), kept)
+    _refuse_beyond_memory(float(np.max(np.abs(z))), kept, coefficients.nbytes + extra_bytes
+                          + psi0.itemsize * kept * psi0.size
+                          + 16 * min(z.size, NODE_BLOCK) * psi0.size, kept)
     previous, current = psi0, matvec(psi0) / bound
     complex_parts = np.iscomplexobj(current)
     vectors = np.empty((1 + complex_parts, kept, psi0.size))
@@ -280,13 +267,6 @@ def chebyshev_series(matvec, bound: float, psi0, times,
                 f"Chebyshev vectors grow to norm {growth:.3e}: bound {bound!r} is below ||H||"
             )
     return coefficients, vectors
-
-
-def _expansion_bytes(points: int, kept, psi0) -> float:
-    """Bytes of ``kept`` vectors shaped like ``psi0`` plus the two real
-    (min(points, NODE_BLOCK), size) buffers ``state_blocks`` forms
-    ``points`` states in."""
-    return psi0.itemsize * kept * psi0.size + 16 * min(points, NODE_BLOCK) * psi0.size
 
 
 def state_blocks(coefficients, vectors):
@@ -380,12 +360,12 @@ def interpolate(nodes, values, times) -> np.ndarray:
     return out.reshape(times.shape + values.shape[1:])
 
 
-def expm_series_oracle(operator, psi0, t: float, term_tol: float = 1e-16) -> np.ndarray:
+def expm_series_oracle(operator, psi0, t: float) -> np.ndarray:
     """Taylor-series propagator with time slicing (test oracle).
 
     t is sliced so that ||H||_inf * dt <= 1, then exp(-i H dt) is applied
     stepwise as sum_k (-i H dt)^k / k! psi, truncating once the term norm
-    drops below ``term_tol``.  Accurate to ~1e-10 per amplitude at the
+    drops below 1e-16.  Accurate to ~1e-10 per amplitude at the
     scales used here; independent of the spectral path.
     """
     m = _matrix_of(operator)
@@ -399,7 +379,7 @@ def expm_series_oracle(operator, psi0, t: float, term_tol: float = 1e-16) -> np.
         for k in range(1, 400):
             term = (-1j * dt / k) * (m @ term)
             acc = acc + term
-            if float(np.linalg.norm(term)) < term_tol:
+            if float(np.linalg.norm(term)) < 1e-16:
                 break
         else:
             raise ArithmeticError("propagator series did not converge")

@@ -1,7 +1,7 @@
 """Battery figures of merit: reduced density matrix, stored energy,
 ergotropy, linear entropy and charging power.
 
-Two ergotropy conventions are computed side by side.  ``ergotropy`` builds
+Two ergotropy conventions are implemented here.  ``ergotropy`` builds
 the passive state from the eigenvalues of the reduced density matrix, the
 general definition (optimal over all unitaries on the battery register).
 ``ergotropy_populations`` uses the occupation probabilities of the battery

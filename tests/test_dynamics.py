@@ -141,12 +141,10 @@ def test_trajectory_refuses_a_run_whose_vectors_and_state_buffers_cannot_fit(mon
     # as two real operands and the two 8-row real buffers state_blocks forms
     # their states in, 5.3 MB at the tracemalloc peak of the whole run once
     # a small run has made the one-time allocations of the first call (6.2
-    # MB with them).  The check used to count ceil(z) = 31 vectors
-    # and the reduced states, 2.9 MB.  Now the run fails before any vector
-    # is allocated with half the peak as physical memory (refused on
-    # ceil(z) vectors, their buffers and the matrix-free Hamiltonian,
-    # 3.55 MB) and with 0.9 of it (refused on the exact K, 5.65 MB), and
-    # runs with 1.1 times it: the count is close
+    # MB with them).  The run fails before any vector is allocated with
+    # half and with 0.9 of the peak as physical memory, refused on the
+    # exact K, its buffers, the reduced states and the matrix-free
+    # Hamiltonian (5.62 MB), and runs with 1.1 times it: the count is close
     spec, init = ModelSpec(10, 2), InitialStateSpec("random", seed=3)
     times = np.linspace(0.0, 2.0, 2000)
     run_series(ModelSpec(4, 1), init, times)
@@ -168,12 +166,12 @@ def test_trajectory_refuses_a_run_whose_vectors_and_state_buffers_cannot_fit(mon
                             if key == "SC_PHYS_PAGES" else sysconf(key))
 
     monkeypatch.setattr(dynamics, "total_matvec", counted)
-    for share, vectors in ((0.5, 31), (0.9, 63)):
+    for share in (0.5, 0.9):
         physical(share * peak)
-        with pytest.raises(ValueError, match=rf"^Chebyshev expansion at z = \S+ needs \S+ "
-                                             rf"coefficient terms per point and at least "
-                                             rf"{vectors} vectors: \S+ bytes, more than the "
-                                             rf"\S+ bytes of physical memory$"):
+        with pytest.raises(ValueError, match=r"^Chebyshev expansion at z = \S+ needs 63 "
+                                             r"coefficient terms per point and 63 vectors: "
+                                             r"\S+ bytes, more than the \S+ bytes of "
+                                             r"physical memory$"):
             trajectory(spec, init, times)
     assert matvecs == []
     physical(1.1 * peak)

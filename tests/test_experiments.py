@@ -42,6 +42,7 @@ from sunburst_battery import (
 )
 from sunburst_battery import experiments, linalg
 from sunburst_battery.cli import build_parser, config_from_args, main
+from sunburst_battery.dynamics import CHARGER_KINDS
 from sunburst_battery.experiments import CHECKS, VALIDATE_SEED
 from sunburst_battery.observables import WORK_FLOOR
 
@@ -1102,3 +1103,104 @@ def test_small_commands_match_dense_oracle_at_one_and_two_blas_threads(tmp_path)
         for name, _, _, _ in cases:
             expected = (tmp_path / f"{name}.csv").read_bytes()
             assert (folder / f"{name}.csv").read_bytes() == expected, (folder.name, name)
+
+
+@st.composite
+def drawn_commands(draw):
+    """One of ``command_cases`` with its four model parameters, grid window
+    and steps (steps alone for fig3, which scans one period), run seed and
+    charger kind drawn: (command, config data, keyword arguments)."""
+    _, command, data, kwargs = draw(st.sampled_from(command_cases()))
+    model = {**data["model"], **{key: draw(st.floats(lo, hi)) for key, lo, hi in (
+        ("J", 0.2, 1.5), ("h", 0.0, 1.0), ("delta", 0.1, 1.0), ("kappa", 0.1, 2.0))}}
+    grid = {"steps": draw(st.integers(2, 60))}
+    if command != "cmd_fig3":
+        start = draw(st.floats(0.0, 3.0))
+        grid.update(t_start=start, t_end=start + draw(st.floats(0.01, 8.0)))
+    data = {key: value for key, value in data.items() if key != "initial"}
+    data.update(model=model, grid=grid, seed=draw(st.integers(0, 2 ** 64 - 3)))
+    if command != "cmd_fig4":  # fig4 seeds its random chargers itself
+        kind = draw(st.sampled_from(CHARGER_KINDS))
+        data["initial"] = {"charger_kind": kind}
+        if kind == "eigenstate":  # a pattern of the smallest charger, L = 3
+            data["initial"]["index"] = draw(st.integers(0, 7))
+        elif kind == "random" and draw(st.booleans()):
+            data["initial"]["seed"] = draw(st.integers(0, 2 ** 64 - 1))
+    return command, data, kwargs
+
+
+def test_drawn_commands_match_dense_oracle(tmp_path):
+    # every *_num cell of a command run on drawn parameters, window, seeds
+    # and charger follows dense ED to 1e-12, as at the fixed seed above
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(drawn_commands())
+    def check(case):
+        command, data, kwargs = case
+        config = ExperimentConfig.from_dict({**data, "output_path": str(tmp_path / "run.csv")})
+        getattr(experiments, command)(config, **kwargs)
+        cols = read_csv(config.output_path)
+        runs = command_runs(command, config, kwargs)
+        if command == "cmd_fig3":
+            for row, (spec, times) in enumerate(runs):
+                dense = dense_columns(spec, config.seeded_initial, times)
+                assert abs(cols["dE_num"][row] - dense["stored_energy"].max()) <= 1e-12
+                assert abs(cols["xi_num"][row] - dense["ergotropy"].max()) <= 1e-12
+                power = charging_power(dense["stored_energy"], times)
+                assert abs(cols["P_num"][row] - power.max()) <= 1e-12
+                if dense["ergotropy"].max() > WORK_FLOOR:
+                    k = int(np.flatnonzero(times == cols["t"][row])[0])
+                    assert abs(cols["SL_num"][row] - dense["linear_entropy"][k]) <= 1e-12
+            assert len(cols["t"]) == len(runs)
+            return
+        start = 0
+        for spec, init, times in runs:
+            block = slice(start, start + times.size)
+            start += times.size
+            dense = dense_columns(spec, init, times)
+            for cell, name in (("dE_num", "stored_energy"), ("xi_num", "ergotropy"),
+                               ("SL_num", "linear_entropy")):
+                assert np.max(np.abs(cols[cell][block] - dense[name])) <= 1e-12, (command, cell)
+            assert np.array_equal(cols["P_num"][block],
+                                  charging_power(cols["dE_num"][block], times))
+        assert start == cols["t"].size
+
+    check()
+
+
+def test_a_huge_window_is_refused_before_the_fft_length_search(tmp_path, monkeypatch, capsys):
+    # at z = 1e300 the least coefficient table, 1.5 z + 60 terms per point,
+    # is refused before the 5-smooth search for the FFT length, which walks
+    # every 3**b 5**c below 2**1000 (~0.3 s)
+    def search(n):
+        raise AssertionError(f"5-smooth search for {n:.3g}")
+
+    monkeypatch.setattr(linalg, "_smooth_size", search)
+    with pytest.raises(ValueError, match=r"^Chebyshev expansion at z = 1e\+300 needs 1\.5e\+300 "
+                                         r"coefficient terms per point: .* physical memory$"):
+        linalg.chebyshev_coefficients([1e300])
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"model": {"L": 4, "n": 1}, "grid": {"t_end": 1e300},
+                                       "output_path": str(tmp_path / "huge.csv")}))
+    assert main(["fig4", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Chebyshev expansion at z = ") and err.count("\n") == 1, err
+    assert "physical memory" in err and not (tmp_path / "huge.csv").exists()
+
+
+def test_fig4_refuses_a_seed_whose_last_run_seed_leaves_64_bits(tmp_path, capsys):
+    # fig4 runs seed, seed + 1 and seed + 2: the largest valid run seed,
+    # 2**64 - 1, may only be the last of them
+    config_path = tmp_path / "config.json"
+    out = tmp_path / "fig4.csv"
+    config_path.write_text(json.dumps({"model": {"L": 4, "n": 1}, "grid": {"steps": 20}}))
+    for seed in (2 ** 64 - 1, 2 ** 64 - 2):
+        assert main(["fig4", "--config", str(config_path), "--seed", str(seed),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: fig4 runs seeds seed..seed + 2, so seed must be at most {2 ** 64 - 3}, "
+            f"got {seed}"]
+        assert captured.out == "" and not out.exists()
+    assert main(["fig4", "--config", str(config_path), "--seed", str(2 ** 64 - 3),
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-1].endswith(f",{2 ** 64 - 1}")

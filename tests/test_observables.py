@@ -516,7 +516,7 @@ def test_misnormalized_trajectory_raises_a_trace_error(reductions):
     # at each of the three nodes of a five-point grid
     spec = ModelSpec(3, 1)
     bad = Trajectory(spec, np.linspace(0.0, 1.0, 5), np.eye(3), 2 * np.eye(3, 16)[None],
-                     sector_layout(spec), chebyshev_nodes(0.0, 1.0, 3), 1.0)
+                     sector_layout(spec), chebyshev_nodes(0.0, 1.0, 3))
     with pytest.raises(ValueError) as raised:
         reduced_states(bad)
     assert str(raised.value) == "reduced state has trace 4.0; input state not normalized"
