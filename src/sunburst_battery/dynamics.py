@@ -22,6 +22,7 @@ nodes fix the states too.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,11 +212,13 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times) -> Trajectory:
     Besides the K vectors and the two real NODE_BLOCK-row buffers that form
     the states from them (``chebyshev_series``), the up-front memory check
     counts the reduced states that ``reduced_states`` holds, the layout's
-    blocks of them: 16 sum(b**2) bytes per grid point over blocks of b
-    battery levels, 16 4**n on the full space and half that on a sector;
+    B blocks of b battery levels: 16 B b**2 bytes per grid point, 16 4**n
+    on the full space and half that on a sector for n >= 1;
     and the matrix-free Hamiltonian (``total_matvec``), held for the whole
     run: an int64 gather index per flip, L + n of them, and the diagonal,
-    8 (L + n + 1) bytes per vector entry.
+    8 (L + n + 1) bytes per vector entry.  Before the initial state is
+    built, a model is refused whose state and Hamiltonian cannot fit on the
+    smaller layout, a sector: 8 (L + n + 3) bytes per entry of 2**(L+n-1).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -224,6 +227,15 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times) -> Trajectory:
         raise ValueError("time grid must start at t >= 0")
     if times.size > 1 and not np.all(np.diff(times) > 0):
         raise ValueError("time grid must be strictly increasing")
+    with np.errstate(over="ignore"):
+        held = np.ldexp(8.0 * (spec.qubits + 3), spec.qubits - 1)
+    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if held > available:
+        raise ValueError(
+            f"a run at (L, n) = ({spec.L}, {spec.n}) holds its state and Hamiltonian on "
+            f"2**{spec.qubits - 1} entries or more, {8 * (spec.qubits + 3):.3g} bytes each: "
+            f"{held:.3g} bytes, more than the {available:.3g} bytes of physical memory"
+        )
     psi0 = initial_state(spec, init)
     occupied = [parity for parity, idx in enumerate(parity_sectors(spec.dim)) if psi0[idx].any()]
     layout = sector_layout(spec, occupied[0] if len(occupied) == 1 else None)
@@ -231,7 +243,7 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times) -> Trajectory:
     matvec, bound = total_matvec(spec, layout.basis)
     count = max(2, chebyshev_coefficients(phases(bound, [times[-1] - times[0]])).shape[1])
     nodes = chebyshev_nodes(times[0], times[-1], count)
-    cells = sum(labels.size ** 2 for _, labels in layout.blocks)
+    cells = layout.labels.size * layout.labels.shape[1]
     hamiltonian = 8 * (spec.qubits + 1) * psi0.size
     coefficients, vectors = chebyshev_series(matvec, bound, psi0, nodes,
                                              extra_bytes=16 * cells * times.size + hamiltonian)

@@ -476,7 +476,7 @@ def _run_with_spectral(spec: ModelSpec, init: InitialStateSpec, times):
     traj = trajectory(spec, init, times)
     cells = reduced_states(traj)
     levels = battery_energies(spec.n, spec.delta)
-    return merit_series(traj, cells), ergotropy(cells, levels, traj.layout.blocks)
+    return merit_series(traj, cells), ergotropy(cells, levels, traj.layout)
 
 
 def cmd_fig4(config: ExperimentConfig, n_seeds: int = 3) -> dict:

@@ -173,13 +173,14 @@ def parity_sectors(dim: int) -> tuple[np.ndarray, np.ndarray]:
 class Layout(NamedTuple):
     """Where the entries of a stored vector sit in the composite register.
 
-    ``basis[i]`` is the full-space index of entry i.  The entries form
-    consecutive row-major blocks, one per ``(rows, labels)`` pair: ``rows``
-    charger configurations times the battery levels ``labels``.
+    ``basis[i]`` is the full-space index of entry i.  The entries form B
+    consecutive row-major blocks of equal size, one per row of ``labels``,
+    a (B, b) int array: basis.size // labels.size charger configurations
+    times the b battery levels of that row.
     """
 
     basis: np.ndarray
-    blocks: tuple
+    labels: np.ndarray
 
 
 def sector_layout(spec: ModelSpec, parity: int | None = None) -> Layout:
@@ -189,19 +190,20 @@ def sector_layout(spec: ModelSpec, parity: int | None = None) -> Layout:
     The full space is one block: every charger configuration times every
     battery level, in the natural order.  A sector holds, for each charger
     parity r, the 2**(L-1) chargers of parity r times the battery levels of
-    parity ``parity`` ^ r; a block with no such level (n = 0) is left out.
+    parity ``parity`` ^ r; a block with no such level (n = 0) is left out,
+    so at n = 0 a sector and the full space both have labels [[0]].
     """
     if parity is None:
-        return Layout(np.arange(spec.dim), ((1 << spec.L, np.arange(1 << spec.n)),))
+        return Layout(np.arange(spec.dim), np.arange(1 << spec.n)[None])
     chargers = bit_counts(np.arange(1 << spec.L)) & 1
     levels = bit_counts(np.arange(1 << spec.n)) & 1
-    basis, blocks = [], []
+    basis, labels = [], []
     for r in (0, 1):
-        rows, labels = np.flatnonzero(chargers == r), np.flatnonzero(levels == parity ^ r)
-        if labels.size:
-            basis.append(((rows[:, None] << spec.n) | labels).ravel())
-            blocks.append((rows.size, labels))
-    return Layout(np.concatenate(basis), tuple(blocks))
+        rows, block = np.flatnonzero(chargers == r), np.flatnonzero(levels == parity ^ r)
+        if block.size:
+            basis.append(((rows[:, None] << spec.n) | block).ravel())
+            labels.append(block)
+    return Layout(np.concatenate(basis), np.array(labels))
 
 
 def _charger_xmask(spec: ModelSpec, site: int) -> int:

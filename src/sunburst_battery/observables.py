@@ -19,17 +19,16 @@ windows are read from them.
 Every function here takes one reduced state or a stack of them (leading
 axes), so a whole trajectory is reduced and evaluated in one pass, in
 either of the two forms ``reduce_to_battery`` returns: full (..., d, d)
-matrices, or, with ``blocks=`` the blocks of a model.Layout, the (...,
-Sum b**2) entries of those blocks over blocks of b levels, the full matrix
-being the one-block case.  A trajectory is reduced from the real and
-imaginary parts of its states at the Chebyshev nodes of its grid window,
-formed a block of nodes at a time by real matrix products, and the reduced
-states are then interpolated onto the grid (dynamics.trajectory has the
-bandwidth argument).  A trajectory on one parity sector is reduced block
-by block: each charger parity meets the battery levels of one parity
-only, so its reduced state is block diagonal in the battery parity.  From
-the partial trace to the last figure of merit that state is carried as
-its blocks alone (half of 4**n entries on a sector): no zero-filled
+matrices, or, with ``layout=`` a model.Layout, the (..., B, b, b) stack of
+its B blocks of b levels, the full matrix being the one-block stack.  A
+trajectory is reduced from the real and imaginary parts of its states at
+the Chebyshev nodes of its grid window, formed a block of nodes at a time
+by real matrix products, and the reduced states are then interpolated
+onto the grid (dynamics.trajectory has the bandwidth argument).  On one
+parity sector each charger parity meets the battery levels of one parity
+only, so the reduced state is block diagonal in the battery parity: from
+the partial trace to the last figure of merit it is carried as its
+blocks alone (half of the 4**n entries for n >= 1), and no zero-filled
 2**n x 2**n stack is built.
 """
 
@@ -48,23 +47,17 @@ UNAVAILABLE_TOL = 1e-9
 WORK_FLOOR = 1e-12  # below this the clamped ergotropy counts as zero
 
 
-def _block_views(cells, blocks):
-    """``(labels, rho)`` for each ``(rows, labels)`` block of a model.Layout,
-    ``rho`` the (..., b, b) view of that block's reduced state in
-    ``cells``, whose last axis holds the blocks' b x b entries side by side
-    (b = len(labels)).  With ``blocks`` None, ``cells`` are full (..., d, d)
-    matrices, the one block of all d levels."""
-    if blocks is None:
-        yield np.arange(cells.shape[-1]), cells
-        return
-    start = 0
-    for _, labels in blocks:
-        stop = start + labels.size ** 2
-        yield labels, cells[..., start:stop].reshape(cells.shape[:-1] + (labels.size,) * 2)
-        start = stop
+def _stack(rho, layout):
+    """``rho`` as a (..., B, b, b) stack of blocks and their (B, b) labels,
+    those of ``layout``; with ``layout`` None, ``rho`` holds full (..., d,
+    d) matrices, the one block of all d levels."""
+    rho = np.asarray(rho)
+    if layout is None:
+        return rho[..., None, :, :], np.arange(rho.shape[-1])[None]
+    return rho, layout.labels
 
 
-def reduce_to_battery(psi, L: int, n: int, blocks=None) -> np.ndarray:
+def reduce_to_battery(psi, L: int, n: int, layout=None) -> np.ndarray:
     """Trace the charger out of a composite pure state or a stack of them.
 
     psi has shape (..., 2**(L+n)), or is the pair (real, imag) of its real
@@ -75,55 +68,47 @@ def reduce_to_battery(psi, L: int, n: int, blocks=None) -> np.ndarray:
     rho = A^T A + B^T B + i (X - X^T), X = B^T A: three real products, with
     no conjugated or interleaved copy of the states.
 
-    With ``blocks``, the ``(rows, labels)`` blocks of a model.Layout, psi
-    holds the entries of that layout instead: each block is its own
-    (rows x len(labels)) matrix, and its reduced state is the block of rho
-    on the rows and columns ``labels``, rho being zero off the blocks.  The
-    result is then those blocks only, shape (..., sum of len(labels)**2):
-    each block's entries row-major, side by side in the layout's order.
+    With ``layout``, a model.Layout, psi holds the entries of that layout
+    instead: each of its B blocks is its own (rows x b) matrix, and its
+    reduced state is the block of rho on the rows and columns of its
+    labels, rho being zero off the blocks.  The result is then those blocks
+    only, the stack of shape (..., B, b, b), whose three products are made
+    once for all blocks.
     """
     real, imag = psi if isinstance(psi, tuple) else (np.real(psi), np.imag(psi))
     real, imag = np.asarray(real), np.asarray(imag)
-    full = blocks is None
-    if full:
-        blocks = ((1 << L, np.arange(1 << n)),)
-    size = sum(rows * labels.size for rows, labels in blocks)
+    labels = np.arange(1 << n)[None] if layout is None else layout.labels
+    rows = 1 << L if layout is None else layout.basis.size // labels.size
+    size = rows * labels.size
     if real.ndim == 0 or real.shape[-1] != size or imag.shape != real.shape:
         raise ValueError(
             f"state of shape {real.shape} does not match the {size} entries of "
             f"2**({L}+{n}) = {1 << (L + n)}"
         )
-    real = np.ascontiguousarray(real, dtype=float)
-    imag = np.ascontiguousarray(imag, dtype=float)
-    cells = np.empty(real.shape[:-1] + (sum(labels.size ** 2 for _, labels in blocks),),
-                     dtype=np.complex128)
-    start, trace = 0, 0.0
-    for (rows, labels), (_, rho) in zip(blocks, _block_views(cells, blocks)):
-        entries = slice(start, start + rows * labels.size)
-        start = entries.stop
-        shape = real.shape[:-1] + (rows, labels.size)
-        a, b = real[..., entries].reshape(shape), imag[..., entries].reshape(shape)
-        a_t, b_t = np.swapaxes(a, -1, -2), np.swapaxes(b, -1, -2)
-        x = b_t @ a
-        rho.real = a_t @ a + b_t @ b
-        rho.imag = x - np.swapaxes(x, -1, -2)
-        trace += np.trace(rho.real, axis1=-2, axis2=-1)
+    shape = real.shape[:-1] + (labels.shape[0], rows, labels.shape[1])
+    a = np.ascontiguousarray(real, dtype=float).reshape(shape)
+    b = np.ascontiguousarray(imag, dtype=float).reshape(shape)
+    a_t, b_t = np.swapaxes(a, -1, -2), np.swapaxes(b, -1, -2)
+    x = b_t @ a
+    rho = np.empty(shape[:-2] + (labels.shape[1],) * 2, dtype=np.complex128)
+    rho.real = a_t @ a + b_t @ b
+    rho.imag = x - np.swapaxes(x, -1, -2)
+    trace = np.trace(rho.real, axis1=-2, axis2=-1).sum(axis=-1)
     off = np.abs(trace - 1.0) > 1e-10
     if np.any(off):
         raise ValueError(
             f"reduced state has trace {float(trace[off][0])!r}; input state not normalized"
         )
-    return cells.reshape(real.shape[:-1] + (1 << n, 1 << n)) if full else cells
+    return rho[..., 0, :, :] if layout is None else rho
 
 
-def _populations(cells, blocks) -> np.ndarray:
-    """Real level populations of reduced states: the diagonal of each of
-    the layout's ``blocks`` at its labels, or of the full matrices when
-    ``blocks`` is None."""
-    views = list(_block_views(np.asarray(cells), blocks))
-    populations = np.zeros(views[0][1].shape[:-2] + (sum(labels.size for labels, _ in views),))
-    for labels, rho in views:
-        populations[..., labels] = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
+def _populations(rho, layout) -> np.ndarray:
+    """Real level populations of reduced states: the diagonal of each block
+    of ``layout`` at its labels, or of the full matrices when ``layout`` is
+    None."""
+    blocks, labels = _stack(rho, layout)
+    populations = np.zeros(blocks.shape[:-3] + (labels.size,))
+    populations[..., labels] = np.real(np.diagonal(blocks, axis1=-2, axis2=-1))
     return populations
 
 
@@ -140,39 +125,38 @@ def _work(populations, weights, levels, what: str):
     return np.maximum(0.0, populations @ levels - descending @ np.sort(levels))
 
 
-def stored_energy(rho, levels, blocks=None):
+def stored_energy(rho, levels, layout=None):
     """Battery energy above the all-ground initial level: tr(rho H_b) - E_ground."""
     levels = np.asarray(levels, dtype=float)
-    return _populations(rho, blocks) @ levels - levels.min()
+    return _populations(rho, layout) @ levels - levels.min()
 
 
-def ergotropy(rho, levels, blocks=None):
+def ergotropy(rho, levels, layout=None):
     """Extractable work with the spectral passive state: the eigenvalues of
     rho (of each block) sorted descending on the levels sorted ascending."""
-    levels = np.asarray(levels, dtype=float)
-    spectrum = np.concatenate([np.linalg.eigvalsh(block)
-                               for _, block in _block_views(np.asarray(rho), blocks)], axis=-1)
-    return _work(_populations(rho, blocks), spectrum, levels, "density matrix spectrum")
+    blocks, _ = _stack(rho, layout)
+    spectrum = np.linalg.eigvalsh(blocks).reshape(blocks.shape[:-3] + (-1,))
+    return _work(_populations(rho, layout), spectrum, np.asarray(levels, dtype=float),
+                 "density matrix spectrum")
 
 
-def ergotropy_populations(rho, levels, blocks=None):
+def ergotropy_populations(rho, levels, layout=None):
     """Extractable work using level occupations as the passive weights.
 
     This is the convention behind all the closed-form results here: the
     battery coherences are not exploited, only populations are reordered.
     """
-    populations = _populations(rho, blocks)
+    populations = _populations(rho, layout)
     return _work(populations, populations, np.asarray(levels, dtype=float),
                  "density matrix diagonal")
 
 
-def linear_entropy(rho, blocks=None):
+def linear_entropy(rho, layout=None):
     """Mixedness 1 - tr(rho^2), in [0, 1 - 1/dim]: tr(rho^2) is the sum of
     |rho_ab|**2 over every entry (every block entry), a sum of squares over
     the real view, with no conjugated copy."""
-    cells = np.asarray(rho)
-    if blocks is None:
-        cells = cells.reshape(cells.shape[:-2] + (-1,))
+    cells, _ = _stack(rho, layout)
+    cells = cells.reshape(cells.shape[:-3] + (-1,))
     if np.iscomplexobj(cells):
         cells = np.ascontiguousarray(cells, dtype=np.complex128).view(np.float64)
     purity = np.einsum("...i,...i->...", cells, cells)
@@ -208,15 +192,15 @@ class MeritSeries:
 
 def reduced_states(traj: Trajectory) -> np.ndarray:
     """The reduced states at every grid time as the blocks of the
-    trajectory's layout (``reduce_to_battery`` with ``blocks``), shape (T,
-    sum of b**2).  The real and imaginary parts of the states at the
+    trajectory's layout (``reduce_to_battery`` with ``layout``), shape (T,
+    B, b, b).  The real and imaginary parts of the states at the
     trajectory's Chebyshev nodes are formed (``state_blocks``) and reduced
     NODE_BLOCK nodes at a time, in two buffers reused from block to block,
     so no (T, dim) array is ever held; the reduced states are then
     interpolated onto the grid in one call (``linalg.interpolate``)."""
     spec = traj.spec
     cells = np.concatenate([
-        reduce_to_battery((real, imag), spec.L, spec.n, traj.layout.blocks)
+        reduce_to_battery((real, imag), spec.L, spec.n, traj.layout)
         for _, real, imag in state_blocks(traj.coefficients, traj.vectors)
     ])
     return interpolate(traj.nodes, cells, traj.times)
@@ -232,9 +216,9 @@ def merit_series(traj: Trajectory, cells: np.ndarray) -> MeritSeries:
     """
     times = traj.times
     levels = battery_energies(traj.spec.n, traj.spec.delta)
-    blocks = traj.layout.blocks
-    stored = stored_energy(cells, levels, blocks)
-    work = ergotropy_populations(cells, levels, blocks)
+    layout = traj.layout
+    stored = stored_energy(cells, levels, layout)
+    work = ergotropy_populations(cells, levels, layout)
     unavailable = stored - work
     negative = np.flatnonzero(unavailable < -UNAVAILABLE_TOL)
     if negative.size:
@@ -246,6 +230,6 @@ def merit_series(traj: Trajectory, cells: np.ndarray) -> MeritSeries:
         t=times,
         stored_energy=stored,
         ergotropy=work,
-        linear_entropy=linear_entropy(cells, blocks),
+        linear_entropy=linear_entropy(cells, layout),
         power=charging_power(stored, times),
     )

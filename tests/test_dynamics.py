@@ -1,4 +1,6 @@
+import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -32,6 +34,7 @@ from sunburst_battery import (
     xbasis_product_state,
 )
 from sunburst_battery import dynamics, linalg
+from sunburst_battery.cli import main
 from sunburst_battery.dynamics import CHARGER_KINDS, battery_ground
 
 
@@ -176,6 +179,37 @@ def test_trajectory_refuses_a_run_whose_vectors_and_state_buffers_cannot_fit(mon
     assert matvecs == []
     physical(1.1 * peak)
     assert trajectory(spec, init, times).vectors.shape == (2, 63, 4096)
+
+
+def test_a_model_too_big_for_memory_is_refused_before_its_state_is_built(tmp_path, monkeypatch,
+                                                                         capsys):
+    # with 1 MiB of physical memory, (16,2) cannot hold its state and
+    # Hamiltonian even on one parity sector, 8 (L + n + 3) bytes on each
+    # of 2**17 entries: it is refused before the initial state, the
+    # parity sectors, the layout or the Hamiltonian's gathers are built
+    # (which peaked at 50 MB before the expansion's own check), and the
+    # CLI prints that as one error line
+    page, sysconf = os.sysconf("SC_PAGE_SIZE"), os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda key: (1 << 20) // page
+                        if key == "SC_PHYS_PAGES" else sysconf(key))
+    message = (r"a run at \(L, n\) = \(16, 2\) holds its state and Hamiltonian on 2\*\*17 "
+               r"entries or more, 168 bytes each: 2\.2e\+07 bytes, more than the \S+ bytes of "
+               r"physical memory")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            trajectory(ModelSpec(16, 2), InitialStateSpec("random", seed=3),
+                       np.linspace(0.0, 2.0, 2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"L": 16, "n": 2}, "output_path": str(tmp_path / "x")}))
+    assert main(["fig4", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(f"error: {message}\n", captured.err), captured.err
+    assert captured.out == "" and not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("spec, init", [
@@ -336,7 +370,7 @@ def assert_merit_columns_match_oracle(traj, oracle, power=True):
     levels = battery_energies(spec.n, spec.delta)
     expected = numpy_figures(reduce_to_battery(oracle, spec.L, spec.n), levels)
     columns = vars(merit_series(traj, cells))
-    columns["ergotropy_spectral"] = ergotropy(cells, levels, traj.layout.blocks)
+    columns["ergotropy_spectral"] = ergotropy(cells, levels, traj.layout)
     if power:
         expected["power"] = charging_power(expected["stored_energy"], traj.times)
     else:

@@ -1037,11 +1037,53 @@ def dense_columns(spec, init, times):
                          battery_energies(spec.n, spec.delta))
 
 
+def assert_matches_dense_oracle(command, config, kwargs):
+    """Every *_num cell that ``command`` wrote to ``config.output_path``
+    follows dense ED to 1e-12 (the power, dE / t, through the stored
+    energy: its roundoff grows as t -> 0), under the labels, seeds and
+    times of its runs; fig3's peak time is a time where the dense ergotropy
+    peaks, blank with its entropy where there is no work."""
+    cols = read_csv(config.output_path)
+    runs = command_runs(command, config, kwargs)
+    if command == "cmd_fig3":
+        assert len(cols["t"]) == len(runs)
+        for row, (spec, times) in enumerate(runs):
+            dense = dense_columns(spec, config.seeded_initial, times)
+            power = charging_power(dense["stored_energy"], times)
+            labels = (cols["n"][row], cols["L"][row], cols["kappa"][row])
+            assert labels == (spec.n, spec.L, spec.kappa)
+            assert abs(cols["dE_num"][row] - dense["stored_energy"].max()) <= 1e-12
+            assert abs(cols["xi_num"][row] - dense["ergotropy"].max()) <= 1e-12
+            assert abs(cols["P_num"][row] - power.max()) <= 1e-12
+            if dense["ergotropy"].max() <= WORK_FLOOR:  # no work, no peak
+                assert np.isnan(cols["t"][row]) and np.isnan(cols["SL_num"][row])
+                continue
+            k = int(np.flatnonzero(times == cols["t"][row])[0])
+            assert dense["ergotropy"][k] >= dense["ergotropy"].max() - 1e-12
+            assert abs(cols["SL_num"][row] - dense["linear_entropy"][k]) <= 1e-12
+        return
+    start = 0
+    for spec, init, times in runs:
+        block = slice(start, start + times.size)
+        start += times.size
+        assert np.array_equal(cols["t"][block], times)
+        assert np.all(cols["n"][block] == spec.n) and np.all(cols["L"][block] == spec.L)
+        assert np.all(cols["kappa"][block] == spec.kappa)
+        assert np.all(cols["seed"][block] == (init.seed if command == "cmd_fig4"
+                                              else config.seed))
+        dense = dense_columns(spec, init, times)
+        for cell, name in (("dE_num", "stored_energy"), ("xi_num", "ergotropy"),
+                           ("SL_num", "linear_entropy")):
+            assert np.max(np.abs(cols[cell][block] - dense[name])) <= 1e-12, (command, cell)
+        assert np.array_equal(cols["P_num"][block],
+                              charging_power(cols["dE_num"][block], times))
+    assert start == cols["t"].size
+
+
 def test_small_commands_match_dense_oracle_at_one_and_two_blas_threads(tmp_path):
-    # every *_num cell that fig1..fig4 and sweep write follows dense ED to
-    # 1e-12 (the power, dE / t, through the stored energy: its roundoff
-    # grows as t -> 0), and fresh processes at one and at two OpenBLAS
-    # threads write the bytes this process writes
+    # every *_num cell that fig1..fig4 and sweep write follows dense ED
+    # (assert_matches_dense_oracle), and fresh processes at one and at two
+    # OpenBLAS threads write the bytes this process writes
     cases = [(name, command, {**data, "output_path": f"{name}.csv"}, kwargs)
              for name, command, data, kwargs in command_cases()]
     code = (
@@ -1062,41 +1104,7 @@ def test_small_commands_match_dense_oracle_at_one_and_two_blas_threads(tmp_path)
     for name, command, data, kwargs in cases:
         config = ExperimentConfig.from_dict({**data, "output_path": str(tmp_path / f"{name}.csv")})
         getattr(experiments, command)(config, **kwargs)
-        cols = read_csv(config.output_path)
-        runs = command_runs(command, config, kwargs)
-        if command == "cmd_fig3":
-            assert len(cols["t"]) == len(runs)
-            for row, (spec, times) in enumerate(runs):
-                dense = dense_columns(spec, config.seeded_initial, times)
-                power = charging_power(dense["stored_energy"], times)
-                labels = (cols["n"][row], cols["L"][row], cols["kappa"][row])
-                assert labels == (spec.n, spec.L, spec.kappa)
-                assert abs(cols["dE_num"][row] - dense["stored_energy"].max()) <= 1e-12
-                assert abs(cols["xi_num"][row] - dense["ergotropy"].max()) <= 1e-12
-                assert abs(cols["P_num"][row] - power.max()) <= 1e-12
-                if dense["ergotropy"].max() <= WORK_FLOOR:  # no work, no peak
-                    assert np.isnan(cols["t"][row]) and np.isnan(cols["SL_num"][row])
-                    continue
-                k = int(np.flatnonzero(times == cols["t"][row])[0])
-                assert dense["ergotropy"][k] >= dense["ergotropy"].max() - 1e-12
-                assert abs(cols["SL_num"][row] - dense["linear_entropy"][k]) <= 1e-12
-            continue
-        start = 0
-        for spec, init, times in runs:
-            block = slice(start, start + times.size)
-            start += times.size
-            assert np.array_equal(cols["t"][block], times)
-            assert np.all(cols["n"][block] == spec.n) and np.all(cols["L"][block] == spec.L)
-            assert np.all(cols["kappa"][block] == spec.kappa)
-            assert np.all(cols["seed"][block] == (init.seed if command == "cmd_fig4"
-                                                  else config.seed))
-            dense = dense_columns(spec, init, times)
-            for cell, name in (("dE_num", "stored_energy"), ("xi_num", "ergotropy"),
-                               ("SL_num", "linear_entropy")):
-                assert np.max(np.abs(cols[cell][block] - dense[name])) <= 1e-12, (command, cell)
-            assert np.array_equal(cols["P_num"][block],
-                                  charging_power(cols["dE_num"][block], times))
-        assert start == cols["t"].size
+        assert_matches_dense_oracle(command, config, kwargs)
     for child, folder in children:
         _, err = child.communicate(timeout=300)
         assert child.returncode == 0, err.decode()
@@ -1131,38 +1139,15 @@ def drawn_commands(draw):
 
 def test_drawn_commands_match_dense_oracle(tmp_path):
     # every *_num cell of a command run on drawn parameters, window, seeds
-    # and charger follows dense ED to 1e-12, as at the fixed seed above
+    # and charger follows dense ED to 1e-12, under the same checks as at the
+    # fixed seed above
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
     @given(drawn_commands())
     def check(case):
         command, data, kwargs = case
         config = ExperimentConfig.from_dict({**data, "output_path": str(tmp_path / "run.csv")})
         getattr(experiments, command)(config, **kwargs)
-        cols = read_csv(config.output_path)
-        runs = command_runs(command, config, kwargs)
-        if command == "cmd_fig3":
-            for row, (spec, times) in enumerate(runs):
-                dense = dense_columns(spec, config.seeded_initial, times)
-                assert abs(cols["dE_num"][row] - dense["stored_energy"].max()) <= 1e-12
-                assert abs(cols["xi_num"][row] - dense["ergotropy"].max()) <= 1e-12
-                power = charging_power(dense["stored_energy"], times)
-                assert abs(cols["P_num"][row] - power.max()) <= 1e-12
-                if dense["ergotropy"].max() > WORK_FLOOR:
-                    k = int(np.flatnonzero(times == cols["t"][row])[0])
-                    assert abs(cols["SL_num"][row] - dense["linear_entropy"][k]) <= 1e-12
-            assert len(cols["t"]) == len(runs)
-            return
-        start = 0
-        for spec, init, times in runs:
-            block = slice(start, start + times.size)
-            start += times.size
-            dense = dense_columns(spec, init, times)
-            for cell, name in (("dE_num", "stored_energy"), ("xi_num", "ergotropy"),
-                               ("SL_num", "linear_entropy")):
-                assert np.max(np.abs(cols[cell][block] - dense[name])) <= 1e-12, (command, cell)
-            assert np.array_equal(cols["P_num"][block],
-                                  charging_power(cols["dE_num"][block], times))
-        assert start == cols["t"].size
+        assert_matches_dense_oracle(command, config, kwargs)
 
     check()
 

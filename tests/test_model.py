@@ -241,8 +241,7 @@ def test_term_list_scatters_to_the_accumulated_matrix_bit_for_bit(spec):
 def test_sector_layout_orders_each_parity_sector_in_blocks(spec):
     full = sector_layout(spec)
     assert np.array_equal(full.basis, np.arange(spec.dim))
-    (rows, labels), = full.blocks
-    assert rows == 1 << spec.L and np.array_equal(labels, np.arange(1 << spec.n))
+    assert np.array_equal(full.labels, [np.arange(1 << spec.n)])
     dense = build_total(spec)
     # every term flips two bits or none: no entry couples the two sectors,
     # so a flip of a sector entry never leaves its layout
@@ -254,10 +253,11 @@ def test_sector_layout_orders_each_parity_sector_in_blocks(spec):
         assert np.array_equal(np.sort(layout.basis), sector)
         # one block per charger parity r, its battery levels of parity
         # parity ^ r; with n = 0 the block with no level is left out
-        assert len(layout.blocks) == (2 if spec.n else 1)
+        assert layout.labels.shape == ((2, 1 << spec.n >> 1) if spec.n else (1, 1))
+        rows = layout.basis.size // layout.labels.size
+        assert rows == 1 << (spec.L - 1)
         lo = 0
-        for rows, labels in layout.blocks:
-            assert rows == 1 << (spec.L - 1) and labels.size == max(1, 1 << spec.n >> 1)
+        for labels in layout.labels:
             chunk = layout.basis[lo:lo + rows * labels.size].reshape(rows, labels.size)
             chargers = chunk >> spec.n
             assert np.all(chunk % (1 << spec.n) == labels) and np.all(chargers == chargers[:, :1])

@@ -89,6 +89,26 @@ def test_reduce_rejects_bad_input():
         reduce_to_battery(np.ones(8), 2, 1)
 
 
+@pytest.mark.parametrize("n, parity", [(2, 1), (0, None), (0, 0)],
+                         ids=["sector-n2", "full-n0", "sector-n0"])
+def test_reduce_with_a_layout_rejects_a_state_of_another_size(n, parity):
+    # a layout's states have its basis.size entries: at n = 0 the full
+    # layout and a sector both have labels [[0]], but 2**L and 2**(L-1)
+    # rows, so the state of the one is refused by the other, as is any
+    # other size
+    rng = np.random.default_rng(60 + n)
+    spec = ModelSpec(4, n, d=1)
+    layout = sector_layout(spec, parity)
+    size = layout.basis.size
+    rho = reduce_to_battery(random_state(rng, size), spec.L, n, layout)
+    assert rho.shape == layout.labels.shape + layout.labels.shape[1:]
+    for shape in ((size // 2,), (2 * size,), (size + 1,), (3, size - 1)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"state of shape {shape} does not match the {size} entries of "
+                f"2**(4+{n}) = {spec.dim}")):
+            reduce_to_battery(np.ones(shape) / np.sqrt(shape[-1]), spec.L, n, layout)
+
+
 @pytest.mark.parametrize("init", [InitialStateSpec(), InitialStateSpec("random", seed=6)],
                          ids=["cat", "random"])
 def test_gram_and_state_reductions_agree_on_every_entry(init):
@@ -105,8 +125,8 @@ def test_gram_and_state_reductions_agree_on_every_entry(init):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_block_reduction_holds_the_blocks_of_the_full_reduction(n):
     # on a parity sector the full reduced state is zero off the layout's
-    # blocks, and reducing the layout's entries gives each block's entries
-    # row-major, side by side; the full layout is the one-block case.  Each
+    # blocks, and reducing the layout's entries gives those blocks as one
+    # (B, b, b) stack; the full layout is the one-block stack.  Each
     # figure of merit reads the blocks as it reads the full matrix
     rng = np.random.default_rng(50 + n)
     spec = ModelSpec(4, n, d=1)
@@ -117,23 +137,20 @@ def test_block_reduction_holds_the_blocks_of_the_full_reduction(n):
         for psi in states:
             psi[layout.basis] = random_state(rng, layout.basis.size)
         full = reduce_to_battery(states, spec.L, n)
-        cells = reduce_to_battery(states[:, layout.basis], spec.L, n, layout.blocks)
-        assert cells.shape == (3, sum(labels.size ** 2 for _, labels in layout.blocks))
+        cells = reduce_to_battery(states[:, layout.basis], spec.L, n, layout)
+        assert cells.shape == (3,) + layout.labels.shape + layout.labels.shape[1:]
         on_blocks = np.zeros(full.shape, dtype=bool)
-        start = 0
-        for _, labels in layout.blocks:
-            stop = start + labels.size ** 2
-            block = full[:, labels[:, None], labels].reshape(3, -1)
-            assert np.max(np.abs(cells[:, start:stop] - block)) <= 1e-15, (parity, labels)
+        for block, labels in enumerate(layout.labels):
+            expected = full[:, labels[:, None], labels]
+            assert np.max(np.abs(cells[:, block] - expected)) <= 1e-15, (parity, labels)
             on_blocks[:, labels[:, None], labels] = True
-            start = stop
         assert not np.any(full[~on_blocks]), parity
-        single = reduce_to_battery(states[1, layout.basis], spec.L, n, layout.blocks)
+        single = reduce_to_battery(states[1, layout.basis], spec.L, n, layout)
         assert np.max(np.abs(single - cells[1])) <= 1e-15, parity
         for figure in (stored_energy, ergotropy, ergotropy_populations):
-            on_cells = figure(cells, levels, layout.blocks)
+            on_cells = figure(cells, levels, layout)
             assert np.max(np.abs(on_cells - figure(full, levels))) <= 1e-14, (parity, figure)
-        on_cells = linear_entropy(cells, layout.blocks)
+        on_cells = linear_entropy(cells, layout)
         assert np.max(np.abs(on_cells - linear_entropy(full))) <= 1e-14, parity
 
 
@@ -241,7 +258,7 @@ def test_merit_series_decoupled_is_identically_zero():
     traj = trajectory(spec, InitialStateSpec(), np.linspace(0, 2, 40))
     cells = reduced_states(traj)
     series = merit_series(traj, cells)
-    spectral = ergotropy(cells, battery_energies(spec.n, spec.delta), traj.layout.blocks)
+    spectral = ergotropy(cells, battery_energies(spec.n, spec.delta), traj.layout)
     for column in (series.stored_energy, series.ergotropy, series.power,
                    series.linear_entropy, spectral):
         assert np.max(np.abs(column)) <= 1e-12
@@ -291,7 +308,7 @@ def spectral_run(spec, times):
     traj = trajectory(spec, InitialStateSpec(), times)
     cells = reduced_states(traj)
     levels = battery_energies(spec.n, spec.delta)
-    return merit_series(traj, cells), ergotropy(cells, levels, traj.layout.blocks)
+    return merit_series(traj, cells), ergotropy(cells, levels, traj.layout)
 
 
 def test_variants_coincide_for_single_battery_at_small_field():
@@ -323,7 +340,7 @@ def test_run_series_computes_no_spectrum(monkeypatch):
     run_series(ModelSpec(5, 1), InitialStateSpec("random", seed=3), times)
     assert calls == []
     ergotropy(np.eye(2) / 2, [0.0, 1.0])  # the spy sees the spectral convention
-    assert calls == [(2, 2)]
+    assert calls == [(1, 2, 2)]
 
 
 def test_merit_full_scale_peak_near_charging_time(heavy):
@@ -412,7 +429,7 @@ def assert_matches_per_point_evaluation(traj, cells):
     expected["t"] = times
     expected["power"] = [charging_power(e, t) for e, t in zip(expected["stored_energy"], times)]
     columns = vars(merit_series(traj, cells))
-    columns["ergotropy_spectral"] = ergotropy(cells, levels, traj.layout.blocks)
+    columns["ergotropy_spectral"] = ergotropy(cells, levels, traj.layout)
     for name, column in expected.items():
         assert np.max(np.abs(columns[name] - np.asarray(column))) <= 1e-14, name
 
@@ -449,7 +466,7 @@ def test_interpolated_merit_series_matches_per_point_evaluation(reductions):
 
 
 def test_merit_series_peak_memory_is_the_block_stack_that_trajectory_counts(monkeypatch):
-    # a sector run interpolated from its nodes holds one (T, sum b**2)
+    # a sector run interpolated from its nodes holds one (T, B, b, b)
     # complex stack of reduced-state blocks, 8 4**n bytes per grid point,
     # which trajectory counts up front beside the matrix-free Hamiltonian
     # (8 (L + n + 1) bytes per entry of the 128-entry sector); populations
