@@ -58,9 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override the transverse field h")
         # read by nothing; goes once the benchmark stops passing --jobs 1 (ROADMAP item 1)
         cmd.add_argument("--jobs", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
-    val = sub.add_parser("validate", help="run the numeric/analytic cross-check suite")
-    val.add_argument("--quick", action="store_true",
-                     help="smaller systems, for smoke testing")
+    sub.add_parser("validate", help="run the numeric/analytic cross-check suite")
     return parser
 
 
@@ -107,7 +105,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             from .experiments import cmd_validate
 
-            return cmd_validate(quick=args.quick)
+            return cmd_validate()
         runner, _ = _RUNNERS[args.command]
         config = config_from_args(args)
         _require_output_dir(config.output_path)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -84,11 +85,15 @@ FIG2_SYSTEMS = ((11, 1), (10, 2), (9, 3), (8, 4))
 FIG3_KAPPAS = (0.25, 0.5, 1.0, 2.0, 4.0)
 FIG3_TOTAL_QUBITS = 12
 POWER_PEAK_COEFF = 1.45  # rounded coefficient of the power maximum
+# the least any run holds per grid point: the time, one complex
+# reduced-state entry and four float merit columns
+GRID_POINT_BYTES = 8 + 16 + 4 * 8
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid of ``steps`` points on [t_start, t_end]."""
+    """Uniform grid of ``steps`` points on [t_start, t_end]; ``steps`` must
+    fit GRID_POINT_BYTES per point in physical memory."""
 
     t_start: float = 0.0
     t_end: float = 2.0
@@ -97,6 +102,10 @@ class TimeGrid:
     def __post_init__(self):
         if self.steps < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.steps}")
+        available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if self.steps * GRID_POINT_BYTES > available:
+            raise ValueError(f"grid.steps = {self.steps} points of {GRID_POINT_BYTES} bytes "
+                             f"cannot fit in the {available:.3g} bytes of physical memory")
         for key in ("t_start", "t_end"):
             if not math.isfinite(getattr(self, key)):
                 raise ValueError(f"grid.{key} must be finite, got {getattr(self, key)!r}")
@@ -612,23 +621,23 @@ def conservation_drift(states: np.ndarray, matrix: np.ndarray) -> float:
     return max(_max_gap(norms, 1.0), float(np.ptp(energies)) / scale)
 
 
-def _check_propagators(rng, quick):
+def _check_propagators(rng):
     models = [ModelSpec(L, n, d=1, h=0.3, delta=0.4, kappa=0.8) for L, n in ((2, 1), (3, 2))]
-    worst = propagator_gap(rng, (8, 16) if quick else (8, 16, 32), models)
+    worst = propagator_gap(rng, (8, 16, 32), models)
     return worst <= 1e-8, f"max amplitude diff {worst:.2e}"
 
 
-def _check_partial_trace(rng, quick):
+def _check_partial_trace(rng):
     worst = partial_trace_gap(rng, ((2, 1), (3, 2), (4, 2), (3, 3)))
     return worst <= 1e-12, f"max entry diff {worst:.2e}"
 
 
-def _check_amplitudes(rng, quick):
-    worst = amplitude_residual(rng, 50 if quick else 200, 3.0, 10.0)
+def _check_amplitudes(rng):
+    worst = amplitude_residual(rng, 200, 3.0, 10.0)
     return worst <= 1e-12, f"max | |A|^2+|B|^2 - 1 | {worst:.2e}"
 
 
-def _check_analytic_chain(rng, quick):
+def _check_analytic_chain(rng):
     """Closed-form identities at strong coupling, the window by bisection
     and the period; and the rounded POWER_PEAK_COEFF against the power
     maximum sampled over one period."""
@@ -655,7 +664,7 @@ def _check_analytic_chain(rng, quick):
             f"from POWER_PEAK_COEFF")
 
 
-def _check_two_battery_analytic(rng, quick):
+def _check_two_battery_analytic(rng):
     p = AnalyticParams(0.5, 2.0)
     t_random = rng.uniform(0, 10, 100)
     pair = two_battery(p, t_random)
@@ -674,18 +683,18 @@ def _charger_commutator(spec: ModelSpec, other: np.ndarray) -> float:
 _COMMUTING_MODEL = ModelSpec(4, 2, h=0.0, delta=0.5, kappa=2.0)
 
 
-def _check_commutator(rng, quick):
+def _check_commutator(rng):
     spec = _COMMUTING_MODEL
     comm = _charger_commutator(spec, build_batteries(spec) + build_coupling(spec))
     return comm <= 1e-10, f"max |[H_c, H_b+V]| entry {comm:.2e}"
 
 
-def _check_mutation(rng, quick):
+def _check_mutation(rng):
     bad = _charger_commutator(_COMMUTING_MODEL, corrupted_coupling(_COMMUTING_MODEL))
     return bad > 1e-3, f"corrupted coupling commutator {bad:.2e} (must be far from zero)"
 
 
-def _check_ghz_energy(rng, quick):
+def _check_ghz_energy(rng):
     worst = 0.0
     for L, h in ((2, 0.0), (3, 0.1), (5, 0.7)):
         spec = ModelSpec(L, 0, J=1.3, h=h)
@@ -695,7 +704,7 @@ def _check_ghz_energy(rng, quick):
     return worst <= 1e-10, f"max |<H_c> + L*J| {worst:.2e}"
 
 
-def _check_battery_spectrum(rng, quick):
+def _check_battery_spectrum(rng):
     """Battery levels -n d/2 + k d with binomial multiplicity."""
     spec = ModelSpec(3, 3, d=1, delta=0.7)
     full = np.sort(np.diagonal(build_batteries(spec)))
@@ -709,32 +718,31 @@ def _check_battery_spectrum(rng, quick):
             f"levels match {spectrum_ok}, multiplicities binomial {binomial_ok}")
 
 
-def _check_conservation(rng, quick):
+def _check_conservation(rng):
     spec = ModelSpec(5, 1, h=0.1)
     traj = trajectory(spec, InitialStateSpec(), np.linspace(0.0, 3.0, 120))
     drift = conservation_drift(traj.states, build_total(spec))
     return drift <= 1e-9, f"max norm/energy drift {drift:.2e}"
 
 
-def _check_no_work_below_threshold(rng, quick):
+def _check_no_work_below_threshold(rng):
     spec = ModelSpec(5, 1, h=0.1, delta=0.5, kappa=0.2)
     peak = run_series(spec, InitialStateSpec(), np.linspace(0, 6, 240)).ergotropy.max()
     return peak <= 1e-12, f"max work {peak:.2e}"
 
 
-def _check_two_battery_ed(rng, quick):
-    L = 4 if quick else 10
-    spec = ModelSpec(L, 2, h=0.1, delta=0.5, kappa=2.0)
-    times = np.linspace(0.0, 2.0, 200 if quick else 2000)
+def _check_two_battery_ed(rng):
+    spec = ModelSpec(10, 2, h=0.1, delta=0.5, kappa=2.0)
+    times = np.linspace(0.0, 2.0, 2000)
     series = run_series(spec, InitialStateSpec(), times)
     p = AnalyticParams.from_model(spec)
     dev = max(_max_gap(series.ergotropy, 2 * ergotropy_analytic(p, times)),
               _max_gap(series.stored_energy, 2 * stored_energy_analytic(p, times)))
-    return dev <= 0.05, f"L={L} max |ED - 2x single| {dev:.3e}"
+    return dev <= 0.05, f"L={spec.L} max |ED - 2x single| {dev:.3e}"
 
 
 # Every self-check as (name, check) in the order validate runs it; each
-# check(rng, quick) returns (ok, detail).
+# check(rng) returns (ok, detail).
 CHECKS = (
     ("propagator_oracle_agreement", _check_propagators),
     ("partial_trace_oracle", _check_partial_trace),
@@ -751,15 +759,13 @@ CHECKS = (
 )
 
 
-def cmd_validate(quick: bool = False) -> int:
+def cmd_validate() -> int:
     """Run the CHECKS table in order on one generator seeded with
-    VALIDATE_SEED; print one line per check, nonzero on failure.  quick=True
-    shrinks the exact-dynamics sizes for smoke testing; the full run
-    uses the production (L=10, n=2) system."""
+    VALIDATE_SEED; print one line per check, nonzero on failure."""
     rng = np.random.default_rng(VALIDATE_SEED)
     failed = 0
     for name, check in CHECKS:
-        ok, detail = check(rng, quick)
+        ok, detail = check(rng)
         failed += not ok
         print(f"CHECK {name} {'PASS' if ok else 'FAIL'} {detail}")
     print(f"validate: {len(CHECKS) - failed}/{len(CHECKS)} checks passed")

@@ -106,12 +106,6 @@ def _smooth_size(n: int) -> int:
     return best
 
 
-def _fft_half(z_max: float) -> int:
-    """half, the number of cosine-series terms the coefficient FFT resolves
-    at |z| <= z_max: twice the smallest 2**a 3**b 5**c >= 0.75 z_max + 30."""
-    return 2 * _smooth_size(int(np.ceil(0.75 * z_max + 30)))
-
-
 def _refuse_beyond_memory(z_max: float, terms: float, needed: float, vectors: int = 0) -> None:
     """ValueError unless ``needed`` bytes fit in physical memory; the message
     names the coefficient ``terms`` per point at z_max and, when given, the
@@ -172,7 +166,7 @@ def chebyshev_coefficients(z) -> np.ndarray:
     # the table, the FFT's input, output and temporaries
     least = 1.5 * z_max + 60
     _refuse_beyond_memory(z_max, least, 8 * least * (z.size + 6 * rows))
-    half = _fft_half(z_max)
+    half = 2 * _smooth_size(int(np.ceil(0.75 * z_max + 30)))
     quarter = half // 2
     _refuse_beyond_memory(z_max, half, 8 * half * (z.size + 6 * rows))
     # theta_j on [0, pi/2]: cos theta changes sign under theta -> pi - theta,

@@ -605,7 +605,7 @@ def test_sweep_over_battery_number(tmp_path):
 
 @pytest.mark.parametrize("name, check", CHECKS, ids=[name for name, _ in CHECKS])
 def test_validate_check(name, check):
-    ok, detail = check(np.random.default_rng(VALIDATE_SEED), True)
+    ok, detail = check(np.random.default_rng(VALIDATE_SEED))
     assert ok, f"{name}: {detail}"
 
 
@@ -620,13 +620,31 @@ def test_validate_table_order():
 
 def test_validate_reports_a_failing_check(monkeypatch, capsys):
     table = list(CHECKS)
-    table[6] = ("coupling_mutation_detected", lambda rng, quick: (False, "forced"))
+    table[6] = ("coupling_mutation_detected", lambda rng: (False, "forced"))
     monkeypatch.setattr(experiments, "CHECKS", tuple(table))
-    assert cmd_validate(quick=True) == 1
+    assert cmd_validate() == 1
     out = capsys.readouterr().out
     assert "CHECK coupling_mutation_detected FAIL forced\n" in out
     assert out.count(" PASS ") == 11
     assert out.endswith("validate: 11/12 checks passed\n")
+
+
+def test_cli_validate_prints_one_pass_line_per_check_and_takes_no_options(capsys):
+    # one size only: a second run in the same process prints the same bytes,
+    # and an option such as --quick is a usage error
+    assert main(["validate"]) == 0
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert len(lines) == len(CHECKS) + 1
+    for line, (name, _) in zip(lines, CHECKS):
+        assert line.startswith(f"CHECK {name} PASS "), line
+    assert lines[-1] == "validate: 12/12 checks passed"
+    assert main(["validate"]) == 0
+    assert capsys.readouterr().out == out
+    with pytest.raises(SystemExit) as exit_info:
+        main(["validate", "--quick"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --quick" in capsys.readouterr().err
 
 
 def test_cli_parsing_and_overrides(tmp_path):
@@ -806,9 +824,42 @@ def test_cli_refuses_an_output_path_that_is_a_directory_before_any_run(tmp_path,
     assert captured.out == "" and calls == [] and list(tmp_path.iterdir()) == []
 
 
-def test_cli_reports_an_allocation_failure_as_one_error_line(tmp_path, capsys):
+def physical_memory(monkeypatch, pages) -> int:
+    """Make os.sysconf report ``pages`` pages of physical memory; the bytes."""
+    page, sysconf = os.sysconf("SC_PAGE_SIZE"), os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda key: pages if key == "SC_PHYS_PAGES"
+                        else sysconf(key))
+    return pages * page
+
+
+def test_cli_refuses_a_grid_beyond_memory_before_allocating_it(tmp_path, monkeypatch, capsys):
+    # under 1 MiB of physical memory, 4 000 000 grid points cannot hold the
+    # 56 bytes that any run keeps per point: the config is refused as it is
+    # parsed, before the 32 MB grid or any coefficient is allocated
+    available = physical_memory(monkeypatch, (1 << 20) // os.sysconf("SC_PAGE_SIZE"))
+    config_path = tmp_path / "config.json"
+    out = tmp_path / "fig4.csv"
+    config_path.write_text(json.dumps({"grid": {"steps": 4_000_000}, "output_path": str(out)}))
+    tracemalloc.start()
+    try:
+        assert main(["fig4", "--config", str(config_path)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: grid.steps = 4000000 points of 56 bytes cannot fit in the {available:.3g} "
+        "bytes of physical memory"]
+    assert captured.out == "" and not out.exists()
+
+
+def test_cli_reports_an_allocation_failure_as_one_error_line(tmp_path, monkeypatch, capsys):
     # 10**17 grid times are 800 PB, beyond any address space, so np.linspace
-    # raises at once instead of reserving pages it would never touch
+    # raises at once instead of reserving pages it would never touch; the
+    # reported physical memory is raised past the grid's 56 bytes per point
+    # so that the config is not refused first
+    physical_memory(monkeypatch, 1 << 62)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({
         "grid": {"steps": 10 ** 17}, "output_path": str(tmp_path / "fig1.csv"),
