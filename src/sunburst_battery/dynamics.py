@@ -22,7 +22,6 @@ nodes fix the states too.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,7 @@ from .linalg import (
     chebyshev_series,
     interpolate,
     phases,
+    physical_memory,
     series_states,
 )
 from .model import (
@@ -53,24 +53,26 @@ from .model import build_total  # noqa: F401
 CHARGER_KINDS = ("ghz_plus", "ghz_minus", "eigenstate", "random")
 
 
+def _cat(L: int, parity: int) -> np.ndarray:
+    """Amplitude 2**((1-L)/2) on every bit string whose weight has ``parity``."""
+    if L < 1:
+        raise ValueError("L must be >= 1")
+    weights = bit_counts(np.arange(1 << L)) & 1
+    return np.where(weights == parity, 2.0 ** ((1 - L) / 2), 0.0).astype(np.complex128)
+
+
 def ghz_plus(L: int) -> np.ndarray:
     """Even cat state (|++..+> + |--..->)/sqrt(2) in the z basis.
 
     Nonzero amplitude 2**((1-L)/2) on every even-weight bit string; the
     charger ground state for J >> h.
     """
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    parity = bit_counts(np.arange(1 << L)) & 1
-    return np.where(parity == 0, 2.0 ** ((1 - L) / 2), 0.0).astype(np.complex128)
+    return _cat(L, 0)
 
 
 def ghz_minus(L: int) -> np.ndarray:
     """Odd cat state (|++..+> - |--..->)/sqrt(2): amplitude on odd-weight strings."""
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    parity = bit_counts(np.arange(1 << L)) & 1
-    return np.where(parity == 1, 2.0 ** ((1 - L) / 2), 0.0).astype(np.complex128)
+    return _cat(L, 1)
 
 
 def xbasis_product_state(L: int, pattern: int) -> np.ndarray:
@@ -128,14 +130,13 @@ class InitialStateSpec:
 
     charger_kind: ghz_plus | ghz_minus | eigenstate | random
     index: x-basis sign pattern, required for "eigenstate"
-    seed: generator seed, required for "random" (every experiment command
-          fills it from the run seed when left unset, through
-          ExperimentConfig.seeded_initial)
+
+    A "random" charger is drawn from the seed of the run that prepares it
+    (``charger_state``): every experiment command passes its run seed.
     """
 
     charger_kind: str = "ghz_plus"
     index: int | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if self.charger_kind not in CHARGER_KINDS:
@@ -147,30 +148,26 @@ class InitialStateSpec:
                 raise ValueError("eigenstate initial state needs a pattern index >= 0")
         elif self.index is not None:
             raise ValueError(f"index is only valid for 'eigenstate', not {self.charger_kind!r}")
-        if self.charger_kind != "random" and self.seed is not None:
-            raise ValueError(f"seed is only valid for 'random', not {self.charger_kind!r}")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"initial.seed must be non-negative, got {self.seed!r}")
 
-    def charger_state(self, L: int) -> np.ndarray:
+    def charger_state(self, L: int, seed: int | None = None) -> np.ndarray:
         if self.charger_kind == "ghz_plus":
             return ghz_plus(L)
         if self.charger_kind == "ghz_minus":
             return ghz_minus(L)
         if self.charger_kind == "eigenstate":
             return xbasis_product_state(L, self.index)
-        if self.seed is None:
+        if seed is None:
             raise ValueError("random initial state has no seed set")
-        return random_charger(L, self.seed)
+        return random_charger(L, seed)
 
     @classmethod
     def from_dict(cls, data: dict) -> "InitialStateSpec":
-        return cls(**config_fields(cls, "initial-state", data, ints=("index", "seed")))
+        return cls(**config_fields(cls, "initial-state", data, ints=("index",)))
 
 
-def initial_state(spec: ModelSpec, init: InitialStateSpec) -> np.ndarray:
-    """Composite initial state: prepared charger tensor all-ground batteries."""
-    return compose(init.charger_state(spec.L), battery_ground(spec.n))
+def initial_state(spec: ModelSpec, init: InitialStateSpec, seed: int | None = None) -> np.ndarray:
+    """Prepared charger, a random one drawn from ``seed``, tensor all-ground batteries."""
+    return compose(init.charger_state(spec.L, seed), battery_ground(spec.n))
 
 
 @dataclass
@@ -202,9 +199,11 @@ class Trajectory:
         return states
 
 
-def trajectory(spec: ModelSpec, init: InitialStateSpec, times) -> Trajectory:
+def trajectory(spec: ModelSpec, init: InitialStateSpec, times, seed: int | None = None
+               ) -> Trajectory:
     """Evolve the composite initial state over the grid, on the one parity
-    sector it occupies if it has exact zeros on the other.
+    sector it occupies if it has exact zeros on the other; a random charger
+    is drawn from ``seed``.
 
     The expansion is evaluated at M Chebyshev nodes of [times[0],
     times[-1]], M >= 2 the number of terms the CHEBYSHEV_TOL cut keeps at
@@ -229,14 +228,14 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times) -> Trajectory:
         raise ValueError("time grid must be strictly increasing")
     with np.errstate(over="ignore"):
         held = np.ldexp(8.0 * (spec.qubits + 3), spec.qubits - 1)
-    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    available = physical_memory()
     if held > available:
         raise ValueError(
             f"a run at (L, n) = ({spec.L}, {spec.n}) holds its state and Hamiltonian on "
             f"2**{spec.qubits - 1} entries or more, {8 * (spec.qubits + 3):.3g} bytes each: "
             f"{held:.3g} bytes, more than the {available:.3g} bytes of physical memory"
         )
-    psi0 = initial_state(spec, init)
+    psi0 = initial_state(spec, init, seed)
     occupied = [parity for parity, idx in enumerate(parity_sectors(spec.dim)) if psi0[idx].any()]
     layout = sector_layout(spec, occupied[0] if len(occupied) == 1 else None)
     psi0 = psi0[layout.basis]

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -50,6 +49,7 @@ from .linalg import (
     eigh,
     evolve_on_grid,
     expm_series_oracle,
+    physical_memory,
     row_sum_bound,
     series_states,
 )
@@ -102,7 +102,7 @@ class TimeGrid:
     def __post_init__(self):
         if self.steps < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.steps}")
-        available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        available = physical_memory()
         if self.steps * GRID_POINT_BYTES > available:
             raise ValueError(f"grid.steps = {self.steps} points of {GRID_POINT_BYTES} bytes "
                              f"cannot fit in the {available:.3g} bytes of physical memory")
@@ -171,14 +171,6 @@ class ExperimentConfig:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
         object.__setattr__(self, "seed", seed)
 
-    @property
-    def seeded_initial(self) -> InitialStateSpec:
-        """The initial state every command runs: a random charger left
-        without a seed takes the run seed."""
-        if self.initial.charger_kind == "random" and self.initial.seed is None:
-            return replace(self.initial, seed=self.seed)
-        return self.initial
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         kwargs = config_fields(cls, "config", data, ints=("seed",))
@@ -243,9 +235,11 @@ def analytic_reference(spec: ModelSpec, times):
     return None, None, None, None
 
 
-def run_series(spec: ModelSpec, init: InitialStateSpec, times) -> MeritSeries:
-    """Trajectory, its reduced states, then all figures of merit on a grid."""
-    traj = trajectory(spec, init, times)
+def run_series(spec: ModelSpec, init: InitialStateSpec, times, seed: int | None = None
+               ) -> MeritSeries:
+    """Trajectory, its reduced states, then all figures of merit on a grid;
+    a random charger is drawn from ``seed``."""
+    traj = trajectory(spec, init, times, seed)
     return merit_series(traj, reduced_states(traj))
 
 
@@ -356,8 +350,8 @@ def cmd_fig1(config: ExperimentConfig, collapse_systems=FIG1_COLLAPSE_SYSTEMS) -
         replace(config.model, L=ls, n=ns, d=None) for ls, ns in collapse_systems
     ]
     _refuse_large_index("fig1", config.initial, specs)
-    runs = [(spec, config.seeded_initial, config.seed) for spec in specs]
-    results = [run_series(spec, init, times) for spec, init, _ in runs]
+    runs = [(spec, config.initial, config.seed) for spec in specs]
+    results = [run_series(spec, init, times, seed) for spec, init, seed in runs]
     single = AnalyticParams.from_model(config.model)
     systems, worst = _collapse("fig1", "xi", "ergotropy", runs, results,
                                ergotropy_analytic(single, times))
@@ -385,10 +379,10 @@ def cmd_fig2(config: ExperimentConfig, systems=FIG2_SYSTEMS) -> dict:
             f"model (L={config.model.L}, n={config.model.n}) is not one of them"
         )
     times = config.grid.times()
-    runs = [(replace(config.model, L=ls, n=ns, d=None), config.seeded_initial, config.seed)
+    runs = [(replace(config.model, L=ls, n=ns, d=None), config.initial, config.seed)
             for ls, ns in systems]
     _refuse_large_index("fig2", config.initial, [spec for spec, _, _ in runs])
-    results = [run_series(spec, init, times) for spec, init, _ in runs]
+    results = [run_series(spec, init, times, seed) for spec, init, seed in runs]
     reference = power_analytic(AnalyticParams.from_model(config.model), times)
     collapse, worst = _collapse("fig2", "P", "power", runs, results, reference)
     _write_series("fig2", config.output_path, runs, results)
@@ -441,8 +435,7 @@ def cmd_fig3(config: ExperimentConfig, n_values=(1, 2, 3, 4),
             times = np.linspace(0.0, 2.0 * np.pi / p.omega, config.grid.steps)
             tasks.append((spec, times))
     _refuse_large_index("fig3", config.initial, [spec for spec, _ in tasks])
-    init = config.seeded_initial
-    results = [run_series(spec, init, times) for spec, times in tasks]
+    results = [run_series(spec, config.initial, times, config.seed) for spec, times in tasks]
     rows, summary = [], {"points": []}
     for (spec, times), series in zip(tasks, results):
         p = AnalyticParams.from_model(spec)
@@ -479,10 +472,11 @@ def cmd_fig3(config: ExperimentConfig, n_values=(1, 2, 3, 4),
     return summary
 
 
-def _run_with_spectral(spec: ModelSpec, init: InitialStateSpec, times):
-    """A run's merit series and its spectral ergotropy column, both from
-    one set of reduced states, which are dropped on return."""
-    traj = trajectory(spec, init, times)
+def _run_with_spectral(spec: ModelSpec, times, seed: int):
+    """The merit series of a random charger drawn from ``seed`` and its
+    spectral ergotropy column, both from one set of reduced states, which
+    are dropped on return."""
+    traj = trajectory(spec, InitialStateSpec("random"), times, seed)
     cells = reduced_states(traj)
     levels = battery_energies(spec.n, spec.delta)
     return merit_series(traj, cells), ergotropy(cells, levels, traj.layout)
@@ -491,9 +485,9 @@ def _run_with_spectral(spec: ModelSpec, init: InitialStateSpec, times):
 def cmd_fig4(config: ExperimentConfig, n_seeds: int = 3) -> dict:
     """Ergotropy vs time for several random charger preparations.
 
-    Seeds are config.seed, config.seed + 1, ..., and the last must fit in
-    64 unsigned bits as the first does; each realization is its own
-    Chebyshev run (``_run_with_spectral``), one held at a time.  Reports
+    Run k draws its charger from the seed its CSV rows carry, config.seed +
+    k; the last must fit in 64 unsigned bits as the first does.  Each is its
+    own Chebyshev run (``_run_with_spectral``), one held at a time.  Reports
     pairwise curve deviations for both ergotropy conventions (only the
     population one collapses as h -> 0; the spectral one keeps an
     O(2**(-L/2)) seed-dependent coherence bump near the window edges).  A
@@ -510,8 +504,8 @@ def cmd_fig4(config: ExperimentConfig, n_seeds: int = 3) -> dict:
         raise ValueError(f"fig4 runs seeds seed..seed + {n_seeds - 1}, so seed must be at most "
                          f"{2 ** 64 - n_seeds}, got {config.seed}")
     times = config.grid.times()
-    runs = [(config.model, InitialStateSpec("random", seed=seed), seed) for seed in seeds]
-    results, spectral = zip(*(_run_with_spectral(spec, init, times) for spec, init, _ in runs))
+    runs = [(config.model, InitialStateSpec("random"), seed) for seed in seeds]
+    results, spectral = zip(*(_run_with_spectral(spec, times, seed) for spec, _, seed in runs))
     pair_pop, pair_spec = 0.0, 0.0
     for (a, a_spec), (b, b_spec) in combinations(zip(results, spectral), 2):
         pair_pop = max(pair_pop, _max_gap(a.ergotropy, b.ergotropy))
@@ -543,10 +537,10 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
         _refuse_spacing("sweep", config.model)
     times = config.grid.times()
     runs = [(replace(config.model, kappa=value) if config.sweep.parameter == "kappa"
-             else replace(config.model, n=value, d=None), config.seeded_initial, config.seed)
+             else replace(config.model, n=value, d=None), config.initial, config.seed)
             for value in config.sweep.values]
     _refuse_large_index("sweep", config.initial, [spec for spec, _, _ in runs])
-    results = [run_series(spec, init, times) for spec, init, _ in runs]
+    results = [run_series(spec, init, times, seed) for spec, init, seed in runs]
     _write_series(f"sweep ({config.sweep.parameter})", config.output_path, runs, results)
     return {"values": config.sweep.values}
 

@@ -106,11 +106,16 @@ def _smooth_size(n: int) -> int:
     return best
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory, as the operating system reports them."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _refuse_beyond_memory(z_max: float, terms: float, needed: float, vectors: int = 0) -> None:
     """ValueError unless ``needed`` bytes fit in physical memory; the message
     names the coefficient ``terms`` per point at z_max and, when given, the
     vector count, each to three digits."""
-    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    available = physical_memory()
     if needed > available:
         counted = f" and {vectors:.3g} vectors" if vectors else ""
         raise ValueError(

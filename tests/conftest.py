@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from sunburst_battery import InitialStateSpec, run_series
+from sunburst_battery.linalg import physical_memory
 
 # default grid used by the reference runs: 2000 uniform points on [0, 2]
 REFERENCE_GRID = np.linspace(0.0, 2.0, 2000)
@@ -29,10 +32,19 @@ def numpy_figures(rho, levels) -> dict:
     return {name: np.array(values) for name, values in columns.items()}
 
 
+def report_physical_memory(monkeypatch, memory) -> int:
+    """Make os.sysconf report ``memory`` bytes of physical memory, in whole
+    pages; the bytes that ``physical_memory`` then reads."""
+    page, sysconf = os.sysconf("SC_PAGE_SIZE"), os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda key: int(memory) // page
+                        if key == "SC_PHYS_PAGES" else sysconf(key))
+    return physical_memory()
+
+
 class HeavyCache:
     """Shares the full-size results across test modules.
 
-    Merit series are memoized per (model, initial state, grid): a
+    Merit series are memoized per (model, initial state, grid, run seed): a
     dimension-4096 Chebyshev trajectory takes a fraction of a second, but
     the acceptance criteria read the same reference runs many times.
     Trajectories are not kept: a test that needs one calls ``trajectory``
@@ -46,14 +58,15 @@ class HeavyCache:
     def _model_key(spec):
         return (spec.L, spec.n, spec.d, spec.J, spec.h, spec.delta, spec.kappa)
 
-    def series(self, spec, init=GHZ, times=REFERENCE_GRID):
+    def series(self, spec, init=GHZ, times=REFERENCE_GRID, seed=None):
         key = (
             self._model_key(spec),
-            (init.charger_kind, init.index, init.seed),
+            (init.charger_kind, init.index),
             (float(times[0]), float(times[-1]), len(times)),
+            seed,
         )
         if key not in self._series:
-            self._series[key] = run_series(spec, init, times)
+            self._series[key] = run_series(spec, init, times, seed)
         return self._series[key]
 
 

@@ -158,7 +158,7 @@ def test_criterion_5_initial_state_independence(heavy, tmp_path):
     vs_ana_01 = max(float(np.max(np.abs(c - reference))) for c in curves)
 
     fine = [
-        heavy.series(reference_model(h=1e-3), init=InitialStateSpec("random", seed=seed))
+        heavy.series(reference_model(h=1e-3), init=InitialStateSpec("random"), seed=seed)
         for seed in (11, 12, 13)
     ]
     pair_fine = max(

@@ -1,5 +1,4 @@
 import json
-import os
 import re
 import tracemalloc
 
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import numpy_figures
+from conftest import numpy_figures, report_physical_memory
 
 from sunburst_battery import (
     InitialStateSpec,
@@ -108,10 +107,9 @@ def test_initial_state_spec_validation():
         InitialStateSpec("eigenstate")
     with pytest.raises(ValueError, match="only valid"):
         InitialStateSpec("ghz_plus", index=1)
-    with pytest.raises(ValueError, match="only valid"):
-        InitialStateSpec("ghz_plus", seed=3)
-    spec = InitialStateSpec.from_dict({"charger_kind": "random", "seed": 5})
-    assert spec.seed == 5
+    # a random charger is drawn from the run's seed, which it cannot run without
+    with pytest.raises(ValueError, match="no seed set"):
+        trajectory(ModelSpec(3, 1), InitialStateSpec("random"), [0.0])
     with pytest.raises(ValueError, match="battery_kind"):
         InitialStateSpec.from_dict({"charger_kind": "ghz_plus", "battery_kind": "excited"})
 
@@ -133,8 +131,7 @@ def test_trajectory_refuses_a_grid_whose_reduced_states_cannot_fit_in_memory():
     # one point more than physical memory holds is refused before any
     # vector is allocated, though the expansion itself is tiny
     spec = ModelSpec(8, 8, d=1)
-    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    times = np.linspace(0.0, 0.01, available // (8 << 16) + 1)
+    times = np.linspace(0.0, 0.01, linalg.physical_memory() // (8 << 16) + 1)
     with pytest.raises(ValueError, match="physical memory"):
         trajectory(spec, InitialStateSpec(), times)
 
@@ -148,37 +145,32 @@ def test_trajectory_refuses_a_run_whose_vectors_and_state_buffers_cannot_fit(mon
     # half and with 0.9 of the peak as physical memory, refused on the
     # exact K, its buffers, the reduced states and the matrix-free
     # Hamiltonian (5.62 MB), and runs with 1.1 times it: the count is close
-    spec, init = ModelSpec(10, 2), InitialStateSpec("random", seed=3)
+    spec, init = ModelSpec(10, 2), InitialStateSpec("random")
     times = np.linspace(0.0, 2.0, 2000)
-    run_series(ModelSpec(4, 1), init, times)
+    run_series(ModelSpec(4, 1), init, times, 3)
     tracemalloc.start()
     try:
-        run_series(spec, init, times)
+        run_series(spec, init, times, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    page, sysconf = os.sysconf("SC_PAGE_SIZE"), os.sysconf
     matvecs, total_matvec = [], dynamics.total_matvec
 
     def counted(*args):
         matvec, bound = total_matvec(*args)
         return lambda v: matvecs.append(1) or matvec(v), bound
 
-    def physical(memory):
-        monkeypatch.setattr(os, "sysconf", lambda key: int(memory) // page
-                            if key == "SC_PHYS_PAGES" else sysconf(key))
-
     monkeypatch.setattr(dynamics, "total_matvec", counted)
     for share in (0.5, 0.9):
-        physical(share * peak)
+        report_physical_memory(monkeypatch, share * peak)
         with pytest.raises(ValueError, match=r"^Chebyshev expansion at z = \S+ needs 63 "
                                              r"coefficient terms per point and 63 vectors: "
                                              r"\S+ bytes, more than the \S+ bytes of "
                                              r"physical memory$"):
-            trajectory(spec, init, times)
+            trajectory(spec, init, times, 3)
     assert matvecs == []
-    physical(1.1 * peak)
-    assert trajectory(spec, init, times).vectors.shape == (2, 63, 4096)
+    report_physical_memory(monkeypatch, 1.1 * peak)
+    assert trajectory(spec, init, times, 3).vectors.shape == (2, 63, 4096)
 
 
 def test_a_model_too_big_for_memory_is_refused_before_its_state_is_built(tmp_path, monkeypatch,
@@ -189,17 +181,15 @@ def test_a_model_too_big_for_memory_is_refused_before_its_state_is_built(tmp_pat
     # parity sectors, the layout or the Hamiltonian's gathers are built
     # (which peaked at 50 MB before the expansion's own check), and the
     # CLI prints that as one error line
-    page, sysconf = os.sysconf("SC_PAGE_SIZE"), os.sysconf
-    monkeypatch.setattr(os, "sysconf", lambda key: (1 << 20) // page
-                        if key == "SC_PHYS_PAGES" else sysconf(key))
+    report_physical_memory(monkeypatch, 1 << 20)
     message = (r"a run at \(L, n\) = \(16, 2\) holds its state and Hamiltonian on 2\*\*17 "
                r"entries or more, 168 bytes each: 2\.2e\+07 bytes, more than the \S+ bytes of "
                r"physical memory")
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"^{message}$"):
-            trajectory(ModelSpec(16, 2), InitialStateSpec("random", seed=3),
-                       np.linspace(0.0, 2.0, 2000))
+            trajectory(ModelSpec(16, 2), InitialStateSpec("random"),
+                       np.linspace(0.0, 2.0, 2000), 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -213,7 +203,7 @@ def test_a_model_too_big_for_memory_is_refused_before_its_state_is_built(tmp_pat
 
 
 @pytest.mark.parametrize("spec, init", [
-    (ModelSpec(12, 2), InitialStateSpec("random", seed=3)),
+    (ModelSpec(12, 2), InitialStateSpec("random")),
     (ModelSpec(12, 3), InitialStateSpec()),
 ], ids=["random-L12n2", "cat-L12n3"])
 def test_the_expansion_is_held_once(spec, init):
@@ -225,7 +215,7 @@ def test_the_expansion_is_held_once(spec, init):
     times = np.linspace(0.0, 2.0, 2000)
     tracemalloc.start()
     try:
-        traj = trajectory(spec, init, times)
+        traj = trajectory(spec, init, times, 3)
         merit_series(traj, reduced_states(traj))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -240,7 +230,7 @@ def test_the_memory_count_covers_the_whole_run(monkeypatch):
     # evaluating it, 21.56 MB against 20.77 MB; without the Hamiltonian's
     # 1.97 MB the count was 20.0 MB.  A small run first makes the one-time
     # allocations of the first call, which are no part of the run
-    run_series(ModelSpec(4, 1), InitialStateSpec("random", seed=3), np.linspace(0.0, 2.0, 2000))
+    run_series(ModelSpec(4, 1), InitialStateSpec("random"), np.linspace(0.0, 2.0, 2000), 3)
     counted, refuse = [], linalg._refuse_beyond_memory
 
     def spy(z_max, half, needed, vectors=0):
@@ -248,10 +238,10 @@ def test_the_memory_count_covers_the_whole_run(monkeypatch):
         return refuse(z_max, half, needed, vectors)
 
     monkeypatch.setattr(linalg, "_refuse_beyond_memory", spy)
-    spec, init = ModelSpec(13, 1), InitialStateSpec("random", seed=3)
+    spec, init = ModelSpec(13, 1), InitialStateSpec("random")
     tracemalloc.start()
     try:
-        run_series(spec, init, np.linspace(0.0, 2.0, 2000))
+        run_series(spec, init, np.linspace(0.0, 2.0, 2000), 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -260,7 +250,7 @@ def test_the_memory_count_covers_the_whole_run(monkeypatch):
 
 def test_trajectory_norm_preservation():
     spec = ModelSpec(4, 2, h=0.2)
-    traj = trajectory(spec, InitialStateSpec("random", seed=8), np.linspace(0, 5, 101))
+    traj = trajectory(spec, InitialStateSpec("random"), np.linspace(0, 5, 101), 8)
     norms = np.linalg.norm(traj.states, axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-9
 
@@ -329,7 +319,7 @@ def test_full_scale_excited_population_at_charging_time():
     InitialStateSpec(),
     InitialStateSpec("ghz_minus"),
     InitialStateSpec("eigenstate", index=5),
-    InitialStateSpec("random", seed=11),
+    InitialStateSpec("random"),
 ], ids=lambda init: init.charger_kind)
 def test_sector_trajectory_matches_dense_oracle(spec, t_end, init, monkeypatch):
     # the matrix-free Chebyshev path against dense full-space ED; it solves
@@ -344,13 +334,13 @@ def test_sector_trajectory_matches_dense_oracle(spec, t_end, init, monkeypatch):
     dense_eigh = linalg.eigh
     monkeypatch.setattr(linalg, "eigh", lambda m: solved.append(len(m)) or dense_eigh(m))
     times = np.linspace(0.0, t_end, 41)
-    traj = trajectory(spec, init, times)
+    traj = trajectory(spec, init, times, 11)
     cat = init.charger_kind.startswith("ghz")
     parts = 2 if init.charger_kind == "random" else 1  # complex vectors: two real operands
     assert traj.vectors.shape == (parts, traj.coefficients.shape[1],
                                   spec.dim // 2 if cat else spec.dim)
     states = traj.states
-    psi0 = initial_state(spec, init)
+    psi0 = initial_state(spec, init, 11)
     oracle = evolve_on_grid(dense_eigh(build_total(spec)), psi0, times)
     assert np.max(np.abs(states - oracle)) <= 1e-12
     assert solved == []
@@ -380,7 +370,7 @@ def assert_merit_columns_match_oracle(traj, oracle, power=True):
 
 
 def interpolated_cases():
-    """(spec, init, times) with more grid points than Chebyshev nodes: n = 0..4
+    """(spec, init, times, seed) with more grid points than Chebyshev nodes: n = 0..4
     under every charger kind on [0, 3], a window that starts at t = 0.7, and
     the window of fig3 at kappa = 0.25, one period 2 pi / omega, at z = bound
     (t_last - t_first) ~ 108.  The first nonzero grid time stays >= ~0.005:
@@ -391,59 +381,58 @@ def interpolated_cases():
     for spec in specs:
         for init in (InitialStateSpec(), InitialStateSpec("ghz_minus"),
                      InitialStateSpec("eigenstate", index=5),
-                     InitialStateSpec("random", seed=11)):
-            yield pytest.param(spec, init, np.linspace(0.0, 3.0, 400),
+                     InitialStateSpec("random")):
+            yield pytest.param(spec, init, np.linspace(0.0, 3.0, 400), 11,
                                id=f"L{spec.L}n{spec.n}-{init.charger_kind}")
-    yield pytest.param(ModelSpec(5, 1, h=0.2, kappa=1.3), InitialStateSpec("random", seed=4),
-                       np.linspace(0.7, 3.7, 400), id="late-start")
+    yield pytest.param(ModelSpec(5, 1, h=0.2, kappa=1.3), InitialStateSpec("random"),
+                       np.linspace(0.7, 3.7, 400), 4, id="late-start")
     slow = ModelSpec(9, 1, h=0.3, kappa=0.25)
     yield pytest.param(slow, InitialStateSpec(),
                        np.linspace(0.0, 2 * np.pi / np.hypot(slow.delta, 2 * slow.kappa), 1500),
-                       id="fig3-kappa0.25-period")
+                       None, id="fig3-kappa0.25-period")
 
 
-@pytest.mark.parametrize("spec, init, times", interpolated_cases())
-def test_interpolated_trajectory_matches_dense_oracle(spec, init, times):
+@pytest.mark.parametrize("spec, init, times, seed", interpolated_cases())
+def test_interpolated_trajectory_matches_dense_oracle(spec, init, times, seed):
     # the states are expanded at the Chebyshev nodes of the window only, and
     # their reduced states interpolated onto the grid: every merit column
     # still follows dense full-space ED to 1e-12, and the states the
     # trajectory reports are exact at the grid times
-    traj = trajectory(spec, init, times)
+    traj = trajectory(spec, init, times, seed)
     assert traj.nodes.size < times.size
-    oracle = evolve_on_grid(linalg.eigh(build_total(spec)), initial_state(spec, init), times)
+    oracle = evolve_on_grid(linalg.eigh(build_total(spec)), initial_state(spec, init, seed), times)
     assert np.max(np.abs(traj.states - oracle)) <= 1e-12
     assert_merit_columns_match_oracle(traj, oracle)
 
 
 @pytest.mark.parametrize("spec, init", [
-    (ModelSpec(4, 4, d=1, h=0.4, delta=0.7, kappa=0.9), InitialStateSpec("random", seed=11)),
+    (ModelSpec(4, 4, d=1, h=0.4, delta=0.7, kappa=0.9), InitialStateSpec("random")),
     (ModelSpec(7, 1, h=0.1, kappa=0.25), InitialStateSpec()),
 ], ids=["L4n4-random", "L7n1-cat"])
 def test_long_window_matches_dense_oracle(spec, init):
     # t up to 12 needs ~180 Chebyshev terms here (fig3 windows reach ~9 at
     # L+n = 12): the recurrence must stay accurate over the whole sequence
     times = np.linspace(0.0, 12.0, 97)
-    states = trajectory(spec, init, times).states
-    oracle = evolve_on_grid(linalg.eigh(build_total(spec)), initial_state(spec, init), times)
+    states = trajectory(spec, init, times, 11).states
+    oracle = evolve_on_grid(linalg.eigh(build_total(spec)), initial_state(spec, init, 11), times)
     assert np.max(np.abs(states - oracle)) <= 1e-12
 
 
 @st.composite
 def small_runs(draw, kind, grids=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=12,
                                           unique=True).map(np.sort)):
-    """A random model with L + n <= 7, a ``kind`` charger preparation and an
-    increasing grid drawn from ``grids``, by default on [0, 5]."""
+    """A random model with L + n <= 7, a ``kind`` charger preparation, an
+    increasing grid drawn from ``grids``, by default on [0, 5], and the
+    run seed of a random charger (None for another kind)."""
     n = draw(st.integers(0, 3))
     L = draw(st.integers(max(n, 2), 7 - n))  # n d <= L: the batteries must fit
     d = draw(st.integers(1, L // n)) if n else None
     spec = ModelSpec(L, n, d=d, h=draw(st.floats(0.0, 1.0)), delta=draw(st.floats(0.0, 1.0)),
                      kappa=draw(st.floats(0.0, 2.0)))
     init = InitialStateSpec(
-        kind,
-        index=draw(st.integers(0, (1 << L) - 1)) if kind == "eigenstate" else None,
-        seed=draw(st.integers(0, 2 ** 32 - 1)) if kind == "random" else None,
-    )
-    return spec, init, draw(grids)
+        kind, index=draw(st.integers(0, (1 << L) - 1)) if kind == "eigenstate" else None)
+    seed = draw(st.integers(0, 2 ** 32 - 1)) if kind == "random" else None
+    return spec, init, draw(grids), seed
 
 
 @pytest.mark.parametrize("kind", CHARGER_KINDS)
@@ -452,10 +441,10 @@ def test_trajectory_matches_dense_oracle_on_random_runs(kind):
     @settings(max_examples=10, derandomize=True, deadline=None)
     @given(small_runs(kind))
     def check(run):
-        spec, init, times = run
-        states = trajectory(spec, init, times).states
+        spec, init, times, seed = run
+        states = trajectory(spec, init, times, seed).states
         oracle = evolve_on_grid(linalg.eigh(build_total(spec)),
-                                initial_state(spec, init), times)
+                                initial_state(spec, init, seed), times)
         assert np.max(np.abs(states - oracle)) <= 1e-12
 
     check()
@@ -482,6 +471,6 @@ def test_production_path_matches_dense_oracle_on_random_runs(run):
     # charger, window and grid; the power is P = dE / t, whose roundoff
     # grows without bound as t -> 0, so it is checked through the stored
     # energy
-    spec, init, times = run
-    oracle = evolve_on_grid(linalg.eigh(build_total(spec)), initial_state(spec, init), times)
-    assert_merit_columns_match_oracle(trajectory(spec, init, times), oracle, power=False)
+    spec, init, times, seed = run
+    oracle = evolve_on_grid(linalg.eigh(build_total(spec)), initial_state(spec, init, seed), times)
+    assert_merit_columns_match_oracle(trajectory(spec, init, times, seed), oracle, power=False)

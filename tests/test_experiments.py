@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import numpy_figures
+from conftest import numpy_figures, report_physical_memory
 from sunburst_battery import (
     CSV_COLUMNS,
     AnalyticParams,
@@ -64,7 +64,7 @@ def small_config(tmp_path, name, **overrides):
 def test_config_roundtrip_and_unknown_keys(tmp_path):
     payload = {
         "model": dict(SMALL_MODEL),
-        "initial": {"charger_kind": "random", "seed": 3},
+        "initial": {"charger_kind": "random"},
         "grid": {"t_start": 0.0, "t_end": 1.0, "steps": 10},
         "sweep": {"parameter": "kappa", "values": [0.5, 1.0]},
         "seed": 42,
@@ -74,7 +74,7 @@ def test_config_roundtrip_and_unknown_keys(tmp_path):
     path.write_text(json.dumps(payload))
     config = load_config(path)
     assert config.model.kappa == 2.0
-    assert config.initial.seed == 3
+    assert config.initial.charger_kind == "random"
     assert config.sweep.values == (0.5, 1.0)
     assert config.seed == 42
 
@@ -83,6 +83,7 @@ def test_config_roundtrip_and_unknown_keys(tmp_path):
         {"model": {**SMALL_MODEL, "mu": 0.2}},
         {"grid": {"t_start": 0, "t_end": 1, "steps": 10, "dt": 0.1}},
         {"initial": {"charger_kind": "ghz_plus", "phase": 0.3}},
+        {"initial": {"charger_kind": "random", "seed": 3}},
         {"sweep": {"parameter": "kappa", "values": [1], "scale": "log"}},
     ):
         broken = {**payload, **corruption}
@@ -95,7 +96,6 @@ def test_config_roundtrip_and_unknown_keys(tmp_path):
     ({"grid": {"steps": 2000.9}}, "grid.steps"),
     ({"seed": 1.5}, "config.seed"),
     ({"initial": {"charger_kind": "eigenstate", "index": 2.5}}, "initial-state.index"),
-    ({"initial": {"charger_kind": "random", "seed": 2.5}}, "initial-state.seed"),
     ({"sweep": {"parameter": "n", "values": [1.5]}}, "sweep.values"),
     ({"model": {**SMALL_MODEL, "L": 11.0}, "seed": 2 ** 64 - 1}, None),
 ])
@@ -150,7 +150,7 @@ def test_grid_and_sweep_validation():
 
 VALID_CONFIG = {
     "model": {"L": 4, "n": 2, "d": 2, "J": 1.0, "h": 0.1, "delta": 0.5, "kappa": 2.0},
-    "initial": {"charger_kind": "random", "index": None, "seed": 3},
+    "initial": {"charger_kind": "random", "index": None},
     "grid": {"t_start": 0.0, "t_end": 1.0, "steps": 10},
     "sweep": {"parameter": "kappa", "values": [0.5, 1.0]},
     "seed": 42,
@@ -301,10 +301,11 @@ def test_csv_golden_bytes_for_a_fig3_row_without_work(tmp_path):
 
 
 def test_series_csv_is_written_a_grid_block_at_a_time(tmp_path):
-    # the lines of a run are never all held: one n = 1 series of 1e5 points
+    # the lines of a run are never all held: one n = 1 series of 1e4 points
     # costs at most 64 B per point above the series itself (the closed-form
-    # columns take 32 of them)
-    t = np.linspace(0.0, 2.0, 100_000)
+    # columns take 32 of them; 57 B in all), where a formatter that holds a
+    # whole run's lines takes 555
+    t = np.linspace(0.0, 2.0, 10_000)
     series = MeritSeries(t=t, stored_energy=t / 3, ergotropy=t / 7, linear_entropy=-t,
                          power=t * t)
     lines = experiments._SeriesLines([(ModelSpec(4, 1), None, 7)], [series])
@@ -460,7 +461,7 @@ def test_fig3_rows_are_the_peaks_of_the_runs_they_name(tmp_path):
                        kappa=float(cols["kappa"][row]))
         omega = AnalyticParams.from_model(spec).omega
         times = np.linspace(0.0, 2.0 * np.pi / omega, config.grid.steps)
-        series = experiments.run_series(spec, config.seeded_initial, times)
+        series = experiments.run_series(spec, config.initial, times, config.seed)
         k = np.argmax(series.ergotropy)
         working = series.ergotropy[k] > WORK_FLOOR
         expected = {"t": times[k] if working else np.nan,
@@ -687,22 +688,47 @@ def test_cli_end_to_end_small_run(tmp_path):
     assert main(["sweep", "--config", str(config_path)]) == 2  # no sweep section
 
 
-@pytest.mark.parametrize("command", ["fig1", "fig2", "fig3"])
-def test_cli_fills_a_random_charger_seed_from_the_run_seed(tmp_path, command):
-    # a random charger without a seed runs as if given the run seed (here
-    # set by --seed), as sweep always did; fig3 scans its own window at the
-    # one kappa of the sweep section
-    outputs = []
-    for initial in ({"charger_kind": "random"}, {"charger_kind": "random", "seed": 9}):
-        config_path = tmp_path / "config.json"
-        outputs.append(tmp_path / f"{command}-{len(outputs)}.csv")
-        sections = ({"grid": {"steps": 8}, "sweep": {"parameter": "kappa", "values": [2.0]}}
-                    if command == "fig3" else {"grid": {"t_start": 0.0, "t_end": 1.0, "steps": 8}})
-        config_path.write_text(json.dumps({
-            "initial": initial, **sections, "output_path": str(outputs[-1]),
-        }))
-        assert main([command, "--config", str(config_path), "--seed", "9"]) == 0
-    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+@pytest.mark.parametrize("command", ["fig1", "fig2", "fig3", "sweep"])
+def test_cli_fills_a_random_charger_seed_from_the_run_seed(tmp_path, capsys, command):
+    # a random charger is drawn from the run seed (here set by --seed), the
+    # seed every CSV row carries: at --seed 9 and 10 the files differ, and
+    # each series' xi_num cells are those of an in-process run drawn from
+    # the seed in its cells.  fig3 scans its own window at the one kappa of
+    # the sweep section and writes each series' peak
+    sections = {
+        "fig3": {"grid": {"steps": 8}, "sweep": {"parameter": "kappa", "values": [2.0]}},
+        "sweep": {"model": {"L": 4, "n": 2}, "grid": {"t_end": 1.0, "steps": 8},
+                  "sweep": {"parameter": "kappa", "values": [1.0, 2.0]}},
+    }.get(command, {"grid": {"t_end": 1.0, "steps": 8}})
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"initial": {"charger_kind": "random"}, **sections}))
+    config = load_config(config_path)
+    columns = []
+    for seed in (9, 10):
+        out = tmp_path / f"{command}-{seed}.csv"
+        assert main([command, "--config", str(config_path), "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        cols = read_csv(out)
+        assert np.all(cols["seed"] == seed)
+        for n, L, kappa in sorted(set(zip(cols["n"], cols["L"], cols["kappa"]))):
+            spec = replace(config.model, L=int(L), n=int(n), d=None, kappa=kappa)
+            times = (np.linspace(0.0, 2 * np.pi / AnalyticParams.from_model(spec).omega, 8)
+                     if command == "fig3" else config.grid.times())
+            work = experiments.run_series(spec, InitialStateSpec("random"), times, seed).ergotropy
+            rows = (cols["n"] == n) & (cols["L"] == L) & (cols["kappa"] == kappa)
+            assert np.array_equal(cols["xi_num"][rows], [work.max()] if command == "fig3"
+                                  else work), (seed, n, L, kappa)
+        columns.append(cols["xi_num"])
+    assert not np.array_equal(*columns)
+    # the charger has no seed of its own
+    out = tmp_path / "never.csv"
+    config_path.write_text(json.dumps({"initial": {"charger_kind": "random", "seed": 9},
+                                       **sections, "output_path": str(out)}))
+    capsys.readouterr()
+    assert main([command, "--config", str(config_path), "--seed", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: unknown initial-state keys: ['seed']"]
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("command, sections, section", [
@@ -824,19 +850,11 @@ def test_cli_refuses_an_output_path_that_is_a_directory_before_any_run(tmp_path,
     assert captured.out == "" and calls == [] and list(tmp_path.iterdir()) == []
 
 
-def physical_memory(monkeypatch, pages) -> int:
-    """Make os.sysconf report ``pages`` pages of physical memory; the bytes."""
-    page, sysconf = os.sysconf("SC_PAGE_SIZE"), os.sysconf
-    monkeypatch.setattr(os, "sysconf", lambda key: pages if key == "SC_PHYS_PAGES"
-                        else sysconf(key))
-    return pages * page
-
-
 def test_cli_refuses_a_grid_beyond_memory_before_allocating_it(tmp_path, monkeypatch, capsys):
     # under 1 MiB of physical memory, 4 000 000 grid points cannot hold the
     # 56 bytes that any run keeps per point: the config is refused as it is
     # parsed, before the 32 MB grid or any coefficient is allocated
-    available = physical_memory(monkeypatch, (1 << 20) // os.sysconf("SC_PAGE_SIZE"))
+    available = report_physical_memory(monkeypatch, 1 << 20)
     config_path = tmp_path / "config.json"
     out = tmp_path / "fig4.csv"
     config_path.write_text(json.dumps({"grid": {"steps": 4_000_000}, "output_path": str(out)}))
@@ -859,7 +877,7 @@ def test_cli_reports_an_allocation_failure_as_one_error_line(tmp_path, monkeypat
     # raises at once instead of reserving pages it would never touch; the
     # reported physical memory is raised past the grid's 56 bytes per point
     # so that the config is not refused first
-    physical_memory(monkeypatch, 1 << 62)
+    report_physical_memory(monkeypatch, os.sysconf("SC_PAGE_SIZE") << 62)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({
         "grid": {"steps": 10 ** 17}, "output_path": str(tmp_path / "fig1.csv"),
@@ -871,8 +889,9 @@ def test_cli_reports_an_allocation_failure_as_one_error_line(tmp_path, monkeypat
 
 
 def test_negative_initial_seed_is_refused_at_parse_time(tmp_path, monkeypatch, capsys):
-    data = {"initial": {"charger_kind": "random", "seed": -3}}
-    with pytest.raises(ValueError, match=re.escape("initial.seed must be non-negative, got -3")):
+    # the run seed, which draws a random charger, is refused before any run
+    data = {"initial": {"charger_kind": "random"}, "seed": -3}
+    with pytest.raises(ValueError, match=re.escape("seed must fit in 64 unsigned bits, got -3")):
         ExperimentConfig.from_dict(data)
     calls = []
     monkeypatch.setattr(experiments, "run_series", lambda *args: calls.append(args))
@@ -880,7 +899,7 @@ def test_negative_initial_seed_is_refused_at_parse_time(tmp_path, monkeypatch, c
     config_path.write_text(json.dumps({**data, "output_path": str(tmp_path / "fig1.csv")}))
     assert main(["fig1", "--config", str(config_path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == ["error: initial.seed must be non-negative, got -3"]
+    assert captured.err.splitlines() == ["error: seed must fit in 64 unsigned bits, got -3"]
     assert captured.out == "" and calls == []
 
 
@@ -1048,8 +1067,7 @@ def command_cases():
          {"n_values": (1, 2, 3), "total_qubits": 6}),
         ("fig4", "cmd_fig4", {"model": model(4, 1), "grid": grid(), "seed": seed()}, {}),
         ("sweep-kappa", "cmd_sweep", {"model": {**model(3, 2), "d": 1}, "grid": grid(),
-                                      "seed": seed(),
-                                      "initial": {"charger_kind": "random", "seed": seed()},
+                                      "seed": seed(), "initial": {"charger_kind": "random"},
                                       "sweep": {"parameter": "kappa", "values": [0.4, 1.1]}}, {}),
         ("sweep-n", "cmd_sweep", {"model": model(4, 2), "grid": grid(), "seed": seed(),
                                   "sweep": {"parameter": "n", "values": [1, 2, 4]}}, {}),
@@ -1057,9 +1075,10 @@ def command_cases():
 
 
 def command_runs(command, config, kwargs):
-    """(spec, initial state, times) of every run ``command`` writes, in
-    order, for the series commands; fig3's (spec, times) per summary row."""
-    model, times, init = config.model, config.grid.times(), config.seeded_initial
+    """(spec, initial state, times, run seed) of every run ``command``
+    writes, in order, for the series commands; fig3's (spec, times) per
+    summary row."""
+    model, times = config.model, config.grid.times()
     if command == "cmd_fig1":
         specs = [model] + [replace(model, L=L, n=n, d=None) for L, n in kwargs["collapse_systems"]]
     elif command == "cmd_fig2":
@@ -1070,20 +1089,19 @@ def command_runs(command, config, kwargs):
         return [(spec, np.linspace(0.0, 2 * np.pi / AnalyticParams.from_model(spec).omega,
                                    config.grid.steps)) for spec in specs]
     elif command == "cmd_fig4":
-        return [(model, InitialStateSpec("random", seed=config.seed + k), times)
-                for k in range(3)]
+        return [(model, InitialStateSpec("random"), times, config.seed + k) for k in range(3)]
     elif config.sweep.parameter == "kappa":
         specs = [replace(model, kappa=value) for value in config.sweep.values]
     else:
         specs = [replace(model, n=value, d=None) for value in config.sweep.values]
-    return [(spec, init, times) for spec in specs]
+    return [(spec, config.initial, times, config.seed) for spec in specs]
 
 
-def dense_columns(spec, init, times):
+def dense_columns(spec, init, times, seed):
     """Stored energy, population ergotropy and linear entropy of dense
-    full-space ED states on ``times``."""
+    full-space ED states on ``times``, a random charger drawn from ``seed``."""
     oracle = linalg.evolve_on_grid(linalg.eigh(build_total(spec)),
-                                   initial_state(spec, init), times)
+                                   initial_state(spec, init, seed), times)
     return numpy_figures(reduce_to_battery(oracle, spec.L, spec.n),
                          battery_energies(spec.n, spec.delta))
 
@@ -1099,7 +1117,7 @@ def assert_matches_dense_oracle(command, config, kwargs):
     if command == "cmd_fig3":
         assert len(cols["t"]) == len(runs)
         for row, (spec, times) in enumerate(runs):
-            dense = dense_columns(spec, config.seeded_initial, times)
+            dense = dense_columns(spec, config.initial, times, config.seed)
             power = charging_power(dense["stored_energy"], times)
             labels = (cols["n"][row], cols["L"][row], cols["kappa"][row])
             assert labels == (spec.n, spec.L, spec.kappa)
@@ -1114,15 +1132,14 @@ def assert_matches_dense_oracle(command, config, kwargs):
             assert abs(cols["SL_num"][row] - dense["linear_entropy"][k]) <= 1e-12
         return
     start = 0
-    for spec, init, times in runs:
+    for spec, init, times, seed in runs:
         block = slice(start, start + times.size)
         start += times.size
         assert np.array_equal(cols["t"][block], times)
         assert np.all(cols["n"][block] == spec.n) and np.all(cols["L"][block] == spec.L)
         assert np.all(cols["kappa"][block] == spec.kappa)
-        assert np.all(cols["seed"][block] == (init.seed if command == "cmd_fig4"
-                                              else config.seed))
-        dense = dense_columns(spec, init, times)
+        assert np.all(cols["seed"][block] == seed)
+        dense = dense_columns(spec, init, times, seed)
         for cell, name in (("dE_num", "stored_energy"), ("xi_num", "ergotropy"),
                            ("SL_num", "linear_entropy")):
             assert np.max(np.abs(cols[cell][block] - dense[name])) <= 1e-12, (command, cell)
@@ -1183,8 +1200,6 @@ def drawn_commands(draw):
         data["initial"] = {"charger_kind": kind}
         if kind == "eigenstate":  # a pattern of the smallest charger, L = 3
             data["initial"]["index"] = draw(st.integers(0, 7))
-        elif kind == "random" and draw(st.booleans()):
-            data["initial"]["seed"] = draw(st.integers(0, 2 ** 64 - 1))
     return command, data, kwargs
 
 

@@ -1,5 +1,4 @@
 import math
-import os
 import re
 from fractions import Fraction
 
@@ -286,7 +285,7 @@ def test_chebyshev_series_names_a_phase_beyond_the_float_range():
 def test_chebyshev_series_counts_the_callers_bytes_in_the_memory_check():
     ham = np.diag([-1.0, 1.0])
     psi = np.array([1.0, 0.0])
-    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    available = linalg.physical_memory()
     chebyshev_series(lambda v: ham @ v, 1.0, psi, [0.0, 1.0], extra_bytes=available // 2)
     with pytest.raises(ValueError, match="physical memory"):
         chebyshev_series(lambda v: ham @ v, 1.0, psi, [0.0, 1.0], extra_bytes=available)

@@ -109,14 +109,14 @@ def test_reduce_with_a_layout_rejects_a_state_of_another_size(n, parity):
             reduce_to_battery(np.ones(shape) / np.sqrt(shape[-1]), spec.L, n, layout)
 
 
-@pytest.mark.parametrize("init", [InitialStateSpec(), InitialStateSpec("random", seed=6)],
+@pytest.mark.parametrize("init", [InitialStateSpec(), InitialStateSpec("random")],
                          ids=["cat", "random"])
 def test_gram_and_state_reductions_agree_on_every_entry(init):
     # the (real, imag) form of a state reduces exactly like the complex one,
     # for states of a real vector sequence on one parity sector and of a
     # complex one on the full space
     traj = trajectory(ModelSpec(5, 2, d=2, h=0.3, delta=0.5, kappa=1.5), init,
-                      np.linspace(0.0, 1.5, 40))
+                      np.linspace(0.0, 1.5, 40), 6)
     states = traj.states
     rho = reduce_to_battery(states, 5, 2)
     assert np.array_equal(reduce_to_battery((states.real, states.imag), 5, 2), rho)
@@ -337,7 +337,7 @@ def test_run_series_computes_no_spectrum(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
     times = np.linspace(0.0, 2.0, 200)
     run_series(ModelSpec(6, 2), InitialStateSpec(), times)
-    run_series(ModelSpec(5, 1), InitialStateSpec("random", seed=3), times)
+    run_series(ModelSpec(5, 1), InitialStateSpec("random"), times, 3)
     assert calls == []
     ergotropy(np.eye(2) / 2, [0.0, 1.0])  # the spy sees the spectral convention
     assert calls == [(1, 2, 2)]
@@ -439,9 +439,9 @@ def assert_grids_match_per_point_evaluation(grids, reductions):
     ``grids`` (times, M) is formed at its M Chebyshev nodes, reduced there
     NODE_BLOCK at a time and matches per-point evaluation."""
     spec = ModelSpec(4, 2, h=0.3, delta=0.5, kappa=1.5)
-    for init in (InitialStateSpec("random", seed=5), InitialStateSpec()):
+    for init in (InitialStateSpec("random"), InitialStateSpec()):
         for times, count in grids:
-            traj = trajectory(spec, init, times)
+            traj = trajectory(spec, init, times, 5)
             assert traj.nodes.size == count, (init.charger_kind, times.size)
             cells = reduced_states(traj)
             assert reductions == node_blocks(count), (init.charger_kind, times.size)

@@ -59,5 +59,5 @@ def test_every_dense_solve_goes_through_linalg_eigh(monkeypatch):
     spec = ModelSpec(4, 2)
     times = np.linspace(0.0, 1.0, 5)
     trajectory(spec, InitialStateSpec(), times)
-    trajectory(spec, InitialStateSpec("random", seed=3), times)
+    trajectory(spec, InitialStateSpec("random"), times, 3)
     assert solved == []
