@@ -82,7 +82,7 @@ def xbasis_product_state(L: int, pattern: int) -> np.ndarray:
     """
     if L < 1:
         raise ValueError("L must be >= 1")
-    if not 0 <= pattern < (1 << L):
+    if pattern < 0 or pattern >> L:
         raise ValueError(f"pattern {pattern} outside [0, 2**{L})")
     signs = 1.0 - 2.0 * (bit_counts(np.arange(1 << L) & pattern) & 1)
     return (signs * 2.0 ** (-L / 2)).astype(np.complex128)

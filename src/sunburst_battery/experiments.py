@@ -288,17 +288,12 @@ def _max_gap(a, b) -> float:
     return float(np.max(np.abs(np.subtract(a, b))))
 
 
-def _collapse(command: str, symbol: str, column: str, runs, results, reference):
-    """(L, n, max deviation) of each run's per-battery ``column`` from a
-    single-battery reference curve, printed one line per run, and the
-    largest of these deviations."""
-    systems, worst = [], 0.0
+def _collapse(command: str, symbol: str, column: str, runs, results, reference) -> None:
+    """Print, one line per run, the largest deviation of its per-battery
+    ``column`` from a single-battery reference curve."""
     for (spec, _, _), series in zip(runs, results):
         dev = _max_gap(getattr(series, column) / max(spec.n, 1), reference)
-        systems.append((spec.L, spec.n, dev))
-        worst = max(worst, dev)
         print(f"{command} (L={spec.L}, n={spec.n}): max |{symbol}/n - {symbol}_ana| = {dev:.3e}")
-    return systems, worst
 
 
 def _refuse_sweep(command: str, config: ExperimentConfig) -> None:
@@ -312,7 +307,7 @@ def _refuse_large_index(command: str, init: InitialStateSpec, specs) -> None:
     """An eigenstate charger pattern must fit the ring of every system a
     command runs: checked before the first run, naming the system."""
     for spec in specs:
-        if init.charger_kind == "eigenstate" and init.index >= 1 << spec.L:
+        if init.charger_kind == "eigenstate" and init.index >> spec.L:
             raise ValueError(f"{command}: initial.index {init.index} outside [0, 2**{spec.L}) "
                              f"for the (L, n) = ({spec.L}, {spec.n}) system")
 
@@ -334,7 +329,7 @@ def _refuse_no_battery(command: str, model: ModelSpec) -> None:
                          "forms; model.n must be at least 1, got 0")
 
 
-def cmd_fig1(config: ExperimentConfig, collapse_systems=FIG1_COLLAPSE_SYSTEMS) -> dict:
+def cmd_fig1(config: ExperimentConfig, collapse_systems=FIG1_COLLAPSE_SYSTEMS) -> None:
     """Ergotropy and linear entropy vs time, single battery plus collapse set.
 
     The configured model is the single-battery panel; ``collapse_systems``
@@ -353,17 +348,14 @@ def cmd_fig1(config: ExperimentConfig, collapse_systems=FIG1_COLLAPSE_SYSTEMS) -
     runs = [(spec, config.initial, config.seed) for spec in specs]
     results = [run_series(spec, init, times, seed) for spec, init, seed in runs]
     single = AnalyticParams.from_model(config.model)
-    systems, worst = _collapse("fig1", "xi", "ergotropy", runs, results,
-                               ergotropy_analytic(single, times))
-    entropy_dev = None
+    _collapse("fig1", "xi", "ergotropy", runs, results, ergotropy_analytic(single, times))
     if config.model.n == 1:
         entropy_dev = _max_gap(results[0].linear_entropy, linear_entropy_analytic(single, times))
         print(f"fig1 (L={config.model.L}, n=1): max |SL - SL_ana| = {entropy_dev:.3e}")
     _write_series("fig1", config.output_path, runs, results)
-    return {"systems": systems, "max_xi_collapse": worst, "max_entropy_deviation": entropy_dev}
 
 
-def cmd_fig2(config: ExperimentConfig, systems=FIG2_SYSTEMS) -> dict:
+def cmd_fig2(config: ExperimentConfig, systems=FIG2_SYSTEMS) -> None:
     """Charging power vs time for growing battery count (per-battery collapse).
 
     The (L, n) pairs run are ``systems``, with the configured couplings, each
@@ -384,14 +376,12 @@ def cmd_fig2(config: ExperimentConfig, systems=FIG2_SYSTEMS) -> dict:
     _refuse_large_index("fig2", config.initial, [spec for spec, _, _ in runs])
     results = [run_series(spec, init, times, seed) for spec, init, seed in runs]
     reference = power_analytic(AnalyticParams.from_model(config.model), times)
-    collapse, worst = _collapse("fig2", "P", "power", runs, results, reference)
+    _collapse("fig2", "P", "power", runs, results, reference)
     _write_series("fig2", config.output_path, runs, results)
-    return {"systems": collapse, "max_power_collapse": worst,
-            "peak_power_times": [float(series.t[np.argmax(series.power)]) for series in results]}
 
 
 def cmd_fig3(config: ExperimentConfig, n_values=(1, 2, 3, 4),
-             total_qubits: int = FIG3_TOTAL_QUBITS) -> dict:
+             total_qubits: int = FIG3_TOTAL_QUBITS) -> None:
     """Peak per-battery ergotropy and power as a function of the coupling.
 
     Each (kappa, n) point is scanned over one full oscillation period
@@ -404,7 +394,9 @@ def cmd_fig3(config: ExperimentConfig, n_values=(1, 2, 3, 4),
     section, which must sweep kappa, else FIG3_KAPPAS.  The grid section
     sets the number of points only: a window other than the default is
     refused.  A point whose peak ergotropy is at most WORK_FLOOR has no
-    work, so no peak: its ``t`` and ``SL_num`` cells are left empty.
+    work, so no peak: its ``t`` and ``SL_num`` cells are left empty.  Every
+    refusal comes before the first run; the points then run one at a time,
+    each printing its line as its row is made.
     """
     if config.model.L + config.model.n != total_qubits:
         systems = tuple((total_qubits - n, n) for n in n_values)
@@ -419,26 +411,20 @@ def cmd_fig3(config: ExperimentConfig, n_values=(1, 2, 3, 4),
     if window != (TimeGrid.t_start, TimeGrid.t_end):
         raise ValueError(f"fig3 scans [0, 2 pi / omega] and reads only grid.steps; remove the "
                          f"config's grid window [{window[0]}, {window[1]}]")
-    if config.sweep is not None:
-        kappas = config.sweep.values
-    else:
-        kappas = FIG3_KAPPAS
+    kappas = FIG3_KAPPAS if config.sweep is None else config.sweep.values
+    specs = [replace(config.model, L=total_qubits - n, n=n, d=None, kappa=kappa)
+             for n in n_values for kappa in kappas]
+    points = [(spec, AnalyticParams.from_model(spec)) for spec in specs]
+    if any(p.omega == 0.0 for _, p in points):
+        raise ValueError("cannot scan a period for delta = kappa = 0")
+    _refuse_large_index("fig3", config.initial, specs)
+    if config.sweep is None:
         print(f"fig3: kappa grid {FIG3_KAPPAS} is an artifact default, "
               "not a reference-pinned set")
-    tasks = []
-    for n in n_values:
-        for kappa in kappas:
-            spec = replace(config.model, L=total_qubits - n, n=n, d=None, kappa=kappa)
-            p = AnalyticParams.from_model(spec)
-            if p.omega == 0.0:
-                raise ValueError("cannot scan a period for delta = kappa = 0")
-            times = np.linspace(0.0, 2.0 * np.pi / p.omega, config.grid.steps)
-            tasks.append((spec, times))
-    _refuse_large_index("fig3", config.initial, [spec for spec, _ in tasks])
-    results = [run_series(spec, config.initial, times, config.seed) for spec, times in tasks]
-    rows, summary = [], {"points": []}
-    for (spec, times), series in zip(tasks, results):
-        p = AnalyticParams.from_model(spec)
+    rows = []
+    for spec, p in points:
+        times = np.linspace(0.0, 2.0 * np.pi / p.omega, config.grid.steps)
+        series = run_series(spec, config.initial, times, config.seed)
         scale = spec.n if spec.n in (1, 2) else None
         peak_p_ana = POWER_PEAK_COEFF * p.delta * p.kappa ** 2 / p.omega
         k = int(np.argmax(series.ergotropy))
@@ -455,13 +441,6 @@ def cmd_fig3(config: ExperimentConfig, n_values=(1, 2, 3, 4),
             (linear_entropy_analytic(p, charging_time(p)),) if spec.n == 1 else None,
             None if scale is None else (scale * peak_p_ana,),
         ], (spec.n, spec.L, spec.kappa, config.seed)))
-        summary["points"].append({
-            "n": spec.n, "kappa": spec.kappa,
-            "peak_ergotropy_per_battery": peak_work / spec.n,
-            "peak_power_per_battery": peak_power / spec.n,
-            "analytic_peak_ergotropy": max_ergotropy(p),
-            "analytic_peak_power": peak_p_ana,
-        })
         print(f"fig3 (n={spec.n}, kappa={spec.kappa}): {'' if working else 'no work, '}"
               f"max xi/n = {peak_work / spec.n:.5f} "
               f"(closed form {max_ergotropy(p):.5f}), "
@@ -469,7 +448,6 @@ def cmd_fig3(config: ExperimentConfig, n_values=(1, 2, 3, 4),
               f"(approx {peak_p_ana:.5f})")
     write_csv(config.output_path, rows)
     print(f"fig3: wrote {len(rows)} rows to {config.output_path}")
-    return summary
 
 
 def _run_with_spectral(spec: ModelSpec, times, seed: int):
@@ -482,7 +460,7 @@ def _run_with_spectral(spec: ModelSpec, times, seed: int):
     return merit_series(traj, cells), ergotropy(cells, levels, traj.layout)
 
 
-def cmd_fig4(config: ExperimentConfig, n_seeds: int = 3) -> dict:
+def cmd_fig4(config: ExperimentConfig, n_seeds: int = 3) -> None:
     """Ergotropy vs time for several random charger preparations.
 
     Run k draws its charger from the seed its CSV rows carry, config.seed +
@@ -514,20 +492,13 @@ def cmd_fig4(config: ExperimentConfig, n_seeds: int = 3) -> dict:
     reference = ergotropy_analytic(AnalyticParams.from_model(config.model), times)
     vs_analytic = max(_max_gap(series.ergotropy / config.model.n, reference)
                       for series in results)
-    summary = {
-        "seeds": seeds,
-        "pairwise_max_deviation": pair_pop,
-        "pairwise_max_deviation_spectral": pair_spec,
-        "max_deviation_vs_analytic": vs_analytic,
-    }
     print(f"fig4: pairwise max |xi_i - xi_j| = {pair_pop:.3e} "
           f"(spectral convention {pair_spec:.3e}), "
           f"max |xi/n - xi_ana| = {vs_analytic:.3e}")
     _write_series("fig4", config.output_path, runs, results)
-    return summary
 
 
-def cmd_sweep(config: ExperimentConfig) -> dict:
+def cmd_sweep(config: ExperimentConfig) -> None:
     """Time series for each value of the swept parameter (kappa or n).  An n
     sweep runs every n at the equispaced spacing L/n, and refuses a
     configured spacing other than that."""
@@ -542,7 +513,6 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
     _refuse_large_index("sweep", config.initial, [spec for spec, _, _ in runs])
     results = [run_series(spec, init, times, seed) for spec, init, seed in runs]
     _write_series(f"sweep ({config.sweep.parameter})", config.output_path, runs, results)
-    return {"values": config.sweep.values}
 
 
 # ---------------------------------------------------------------------------

@@ -152,9 +152,8 @@ def chebyshev_coefficients(z) -> np.ndarray:
     coefficients of f(theta) = cos(z cos theta) + sin(z cos theta)
     (Jacobi-Anger), read off one real FFT of f at theta_j = pi j / half,
     j < 2 half, GRID_BLOCK points at a time, so the FFT workspace does not
-    grow with the grid.  cos and sin are evaluated on [0, pi/2] only:
-    f(pi - theta) = cos(z cos theta) - sin(z cos theta) and f(2 pi - theta)
-    = f(theta).  half is twice the smallest 2**a 3**b 5**c >= 0.75 z_max +
+    grow with the grid.  f is evaluated on [0, pi] only, f(2 pi - theta) =
+    f(theta).  half is twice the smallest 2**a 3**b 5**c >= 0.75 z_max +
     30, an FFT length with no large prime factor and at least 1.5 z_max + 60;
     J_k(z) decays faster than exponentially once k > z, and the margin keeps
     the kept terms clear of aliasing up to z of several hundred.
@@ -172,20 +171,17 @@ def chebyshev_coefficients(z) -> np.ndarray:
     least = 1.5 * z_max + 60
     _refuse_beyond_memory(z_max, least, 8 * least * (z.size + 6 * rows))
     half = 2 * _smooth_size(int(np.ceil(0.75 * z_max + 30)))
-    quarter = half // 2
     _refuse_beyond_memory(z_max, half, 8 * half * (z.size + 6 * rows))
-    # theta_j on [0, pi/2]: cos theta changes sign under theta -> pi - theta,
-    # and so does sin(z cos theta) while cos(z cos theta) does not
-    cos_theta = np.cos(np.pi * np.arange(quarter + 1) / half)
+    # cos theta_j on [0, pi/2], mirrored with its sign flipped onto (pi/2,
+    # pi]: cos(pi - theta) = -cos(theta)
+    cos_theta = np.cos(np.pi * np.arange(half // 2 + 1) / half)
+    cos_theta = np.concatenate((cos_theta, -cos_theta[-2::-1]))
     samples = np.empty((rows, 2 * half))
     table = np.empty((z.size, half))
     for lo in range(0, z.size, GRID_BLOCK):
         chunk = samples[:min(GRID_BLOCK, z.size - lo)]
         phase = np.multiply.outer(z[lo:lo + GRID_BLOCK], cos_theta)
-        even, odd = np.cos(phase), np.sin(phase)
-        np.add(even, odd, out=chunk[:, :quarter + 1])
-        np.subtract(even[:, quarter - 1::-1], odd[:, quarter - 1::-1],
-                    out=chunk[:, quarter + 1:half + 1])  # theta -> pi - theta
+        np.add(np.cos(phase), np.sin(phase), out=chunk[:, :half + 1])
         chunk[:, half + 1:] = chunk[:, half - 1:0:-1]  # theta -> 2 pi - theta
         table[lo:lo + chunk.shape[0]] = np.fft.rfft(chunk, axis=1)[:, :half].real
     table /= half

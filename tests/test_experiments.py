@@ -36,6 +36,7 @@ from sunburst_battery import (
     cmd_validate,
     initial_state,
     load_config,
+    max_ergotropy,
     read_csv,
     reduce_to_battery,
     write_csv,
@@ -47,6 +48,11 @@ from sunburst_battery.experiments import CHECKS, VALIDATE_SEED
 from sunburst_battery.observables import WORK_FLOOR
 
 SMALL_MODEL = {"L": 4, "n": 1, "J": 1.0, "h": 0.1, "delta": 0.5, "kappa": 2.0}
+
+
+def printed_gaps(out: str, label: str) -> list[float]:
+    """Every value that a line of ``out`` prints as ``label = value``."""
+    return [float(value) for value in re.findall(re.escape(label) + r" = (\S+)", out)]
 
 
 def small_config(tmp_path, name, **overrides):
@@ -336,13 +342,23 @@ def test_analytic_reference_filling():
     assert two[2] is None  # no two-battery closed form for the linear entropy
     three = analytic_reference(ModelSpec(6, 3), times)
     assert all(col is None for col in three)
+    # delta = kappa = 0 freezes the battery: omega = 0, and every closed-form
+    # column and the peak work are zero, not the NaN of a division by omega
+    times = np.linspace(0.0, 1.0, 5)
+    for n in (1, 2):
+        for col in analytic_reference(ModelSpec(4, n, delta=0.0, kappa=0.0), times):
+            assert col is None or np.array_equal(col, np.zeros_like(times)), (n, col)
+    assert max_ergotropy(AnalyticParams(0.0, 0.0)) == 0.0
 
 
-def test_fig1_small_scale(tmp_path):
+def test_fig1_small_scale(tmp_path, capsys):
     config = small_config(tmp_path, "fig1.csv")
-    summary = cmd_fig1(config, collapse_systems=((4, 2),))
-    assert summary["max_xi_collapse"] <= 0.05
-    assert summary["max_entropy_deviation"] <= 0.05
+    assert cmd_fig1(config, collapse_systems=((4, 2),)) is None
+    out = capsys.readouterr().out
+    collapse = printed_gaps(out, "max |xi/n - xi_ana|")
+    assert len(collapse) == 2 and max(collapse) <= 0.05
+    entropy = printed_gaps(out, "max |SL - SL_ana|")
+    assert len(entropy) == 1 and entropy[0] <= 0.05
     cols = read_csv(config.output_path)
     assert len(cols["t"]) == 2 * 40
     # analytic columns filled for both systems here (n = 1 and n = 2)
@@ -354,11 +370,11 @@ def test_fig1_small_scale(tmp_path):
 
 def test_fig1_compares_the_linear_entropy_only_for_one_battery(tmp_path, capsys):
     # the closed form of the linear entropy is for n = 1 only, and the SL_ana
-    # cells of a (6, 2) panel are blank: no deviation is printed or returned
+    # cells of a (6, 2) panel are blank: no deviation is printed
     config = small_config(tmp_path, "fig1.csv", model={**SMALL_MODEL, "L": 6, "n": 2})
-    summary = cmd_fig1(config, collapse_systems=((4, 1),))
-    assert summary["max_entropy_deviation"] is None
-    assert "SL" not in capsys.readouterr().out
+    cmd_fig1(config, collapse_systems=((4, 1),))
+    out = capsys.readouterr().out
+    assert "SL" not in out and len(printed_gaps(out, "max |xi/n - xi_ana|")) == 2
     cols = read_csv(config.output_path)
     assert np.isnan(cols["SL_ana"][cols["n"] == 2]).all()
 
@@ -404,10 +420,11 @@ def test_fig1_zero_coupling_kills_all_work_columns(tmp_path):
     assert np.max(np.abs(cols["xi_ana"])) == 0.0
 
 
-def test_fig2_small_scale(tmp_path):
+def test_fig2_small_scale(tmp_path, capsys):
     config = small_config(tmp_path, "fig2.csv")
-    summary = cmd_fig2(config, systems=((4, 1), (4, 2)))
-    assert summary["max_power_collapse"] <= 0.05
+    assert cmd_fig2(config, systems=((4, 1), (4, 2))) is None
+    collapse = printed_gaps(capsys.readouterr().out, "max |P/n - P_ana|")
+    assert len(collapse) == 2 and max(collapse) <= 0.05
     cols = read_csv(config.output_path)
     # power vanishes at t = 0 for every system
     assert np.all(cols["P_num"][cols["t"] == 0.0] == 0.0)
@@ -416,18 +433,17 @@ def test_fig2_small_scale(tmp_path):
 def test_fig3_small_scale(tmp_path):
     config = small_config(tmp_path, "fig3.csv", model={**SMALL_MODEL, "L": 5},
                           sweep={"parameter": "kappa", "values": [0.25, 2.0]})
-    summary = cmd_fig3(config, n_values=(1, 2), total_qubits=6)
+    assert cmd_fig3(config, n_values=(1, 2), total_qubits=6) is None
     cols = read_csv(config.output_path)
     assert len(cols["t"]) == 4
-    for point in summary["points"]:
-        if point["kappa"] == 0.25:
-            # threshold coupling: no extractable work up to h corrections
-            assert point["peak_ergotropy_per_battery"] <= 0.05
-        else:
-            assert abs(point["peak_ergotropy_per_battery"]
-                       - point["analytic_peak_ergotropy"]) <= 0.05
-            assert abs(point["peak_power_per_battery"]
-                       - point["analytic_peak_power"]) / point["analytic_peak_power"] <= 0.05
+    # per battery: the closed-form cells of n = 1 and 2 are n times one battery's
+    xi, xi_ana, power, power_ana = (cols[name] / cols["n"]
+                                    for name in ("xi_num", "xi_ana", "P_num", "P_ana"))
+    weak = cols["kappa"] == 0.25
+    # threshold coupling: no extractable work up to h corrections
+    assert np.all(xi[weak] <= 0.05)
+    assert np.all(np.abs(xi - xi_ana)[~weak] <= 0.05)
+    assert np.all((np.abs(power - power_ana) / power_ana)[~weak] <= 0.05)
 
 
 def test_fig3_leaves_peak_cells_empty_without_work(tmp_path, capsys):
@@ -471,6 +487,24 @@ def test_fig3_rows_are_the_peaks_of_the_runs_they_name(tmp_path):
         for name, value in expected.items():
             assert np.array_equal(cols[name][row], value, equal_nan=True), (row, name)
     assert np.isnan(cols["t"][cols["kappa"] == 0.2]).all()
+
+
+@pytest.mark.parametrize("kappas", [[0.0], [2.0, 0.0]], ids=["alone", "after-a-point"])
+def test_fig3_refuses_delta_and_kappa_zero_before_any_run(tmp_path, monkeypatch, capsys,
+                                                          kappas):
+    # omega = 0 has no period to scan: the point is refused with every other
+    # check, before the first run, also when another point comes first
+    calls = []
+    monkeypatch.setattr(experiments, "run_series", lambda *args: calls.append(args))
+    out = tmp_path / "fig3.csv"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"model": {"L": 11, "n": 1, "delta": 0.0},
+                                       "sweep": {"parameter": "kappa", "values": kappas},
+                                       "output_path": str(out)}))
+    assert main(["fig3", "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: cannot scan a period for delta = kappa = 0"]
+    assert captured.out == "" and calls == [] and not out.exists()
 
 
 def test_fig2_fig3_reject_a_model_they_would_not_run(tmp_path, capsys):
@@ -556,13 +590,13 @@ def test_cli_rejects_malformed_config_sections(tmp_path, monkeypatch, capsys, co
     assert os.listdir(tmp_path) == ["config.json"]
 
 
-def test_fig4_small_scale_determinism(tmp_path):
+def test_fig4_small_scale_determinism(tmp_path, capsys):
     config = small_config(tmp_path, "fig4.csv", model={**SMALL_MODEL, "L": 5})
-    summary = cmd_fig4(config, n_seeds=3)
-    assert summary["seeds"] == [7, 8, 9]
-    assert summary["pairwise_max_deviation"] <= 0.05
+    assert cmd_fig4(config, n_seeds=3) is None
+    pairwise = printed_gaps(capsys.readouterr().out, "pairwise max |xi_i - xi_j|")
+    assert len(pairwise) == 1 and pairwise[0] <= 0.05
     cols = read_csv(config.output_path)
-    assert set(np.unique(cols["seed"])) == {7, 8, 9}
+    assert np.array_equal(cols["seed"], np.repeat([7, 8, 9], 40))
     # identical seed -> identical curve, bit for bit
     first = cols["xi_num"][cols["seed"] == 7]
     config_again = small_config(tmp_path, "fig4b.csv", model={**SMALL_MODEL, "L": 5})
@@ -571,12 +605,14 @@ def test_fig4_small_scale_determinism(tmp_path):
     assert np.array_equal(first, again)
 
 
-def test_fig4_compares_each_battery_with_the_closed_form(tmp_path):
+def test_fig4_compares_each_battery_with_the_closed_form(tmp_path, capsys):
     # the closed form is for one battery: an (8, 2) register holds two, and
-    # its total ergotropy is about twice that curve
+    # its total ergotropy is about twice that curve; the printed gap is per
+    # battery
     config = small_config(tmp_path, "fig4.csv", model={**SMALL_MODEL, "L": 8, "n": 2})
-    summary = cmd_fig4(config, n_seeds=2)
-    assert summary["max_deviation_vs_analytic"] <= 0.05
+    cmd_fig4(config, n_seeds=2)
+    gap = printed_gaps(capsys.readouterr().out, "max |xi/n - xi_ana|")
+    assert len(gap) == 1 and gap[0] <= 0.05
 
 
 def test_sweep_requires_and_runs(tmp_path):
@@ -921,6 +957,25 @@ def test_an_eigenstate_index_too_large_for_a_ring_is_refused_before_any_run(
     assert capsys.readouterr().err.splitlines() == [
         f"error: {command}: initial.index 1000 outside [0, 2**9) for the (L, n) = (9, 3) system"]
     assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fig1", "sweep"])
+def test_an_eigenstate_charger_on_a_huge_ring_is_refused_by_its_size(tmp_path, capsys, command):
+    # pattern 3 fits a ring of L = 10**11 (tested by a shift: no 2**L
+    # integer is built), so the run's own size refuses it, in one line
+    # naming the system
+    out = tmp_path / f"{command}.csv"
+    data = {"model": {"L": 100_000_000_000, "n": 1},
+            "initial": {"charger_kind": "eigenstate", "index": 3}, "output_path": str(out)}
+    if command == "sweep":
+        data["sweep"] = {"parameter": "kappa", "values": [1.0]}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(data))
+    assert main([command, "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error: a run at (L, n) = (100000000000, 1) holds its state "), err
+    assert not out.exists()
 
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -365,6 +365,13 @@ def test_chebyshev_series_rejects_bad_bounds_and_grids():
     # a bound below ||H|| lets the Chebyshev vectors grow without limit
     with pytest.raises(ValueError, match="below"):
         chebyshev_series(lambda v: ham @ v, 1.0, psi, [10.0])
+    # at bound = (1 - 1e-4) ||H|| they grow only as T_k(1 / (1 - 1e-4)): to
+    # norm 1.058 over the 25 terms of the window [0, 5], past the guard's
+    # 1 + 1e-6 though far below a loose margin such as 2
+    unit = np.diag([-1.0, 1.0])
+    with pytest.raises(ValueError, match=r"bound 0\.9999 is below \|\|H\|\|"):
+        chebyshev_series(lambda v: unit @ v, 1 - 1e-4, np.array([1.0, 1.0]) / np.sqrt(2),
+                         [0.0, 5.0])
     with pytest.raises(ValueError, match="time grid"):
         chebyshev_series(lambda v: ham @ v, 2.0, psi, [])
     with pytest.raises(ValueError, match="normalized"):

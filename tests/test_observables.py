@@ -87,6 +87,13 @@ def test_reduce_rejects_bad_input():
         reduce_to_battery(np.ones(6) / np.sqrt(6), 2, 1)
     with pytest.raises(ValueError, match="not normalized"):
         reduce_to_battery(np.ones(8), 2, 1)
+    # the trace gate is 1e-10: a squared norm of 1 + 1e-9 is refused, and
+    # one of 1 + 1e-12, far above roundoff, passes
+    psi = random_state(np.random.default_rng(3), 32)
+    with pytest.raises(ValueError, match="not normalized"):
+        reduce_to_battery(psi * np.sqrt(1 + 1e-9), 4, 1)
+    rho = reduce_to_battery(psi * np.sqrt(1 + 1e-12), 4, 1)
+    assert abs(np.trace(rho).real - (1 + 1e-12)) <= 1e-14
 
 
 @pytest.mark.parametrize("n, parity", [(2, 1), (0, None), (0, 0)],
