@@ -80,10 +80,12 @@ def config_from_args(args: argparse.Namespace):
 
 def _require_output_dir(path: str) -> None:
     """OSError unless the path is not empty, the directory that will hold
-    the CSV exists and the path is not itself a directory, so that a bad
-    --out fails before any run rather than after all of them."""
+    the CSV exists and the path is not itself a directory, and ValueError
+    for a null byte, so that a bad --out fails before any run."""
     if not path:
         raise FileNotFoundError("output path is empty")
+    if "\0" in path:
+        raise ValueError(f"output path {path!r} has an embedded null byte")
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise FileNotFoundError(f"output directory {folder!r} does not exist")

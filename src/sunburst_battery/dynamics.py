@@ -22,6 +22,7 @@ nodes fix the states too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,6 @@ from .model import (
     Layout,
     ModelSpec,
     bit_counts,
-    config_fields,
     parity_sectors,
     sector_layout,
     total_matvec,
@@ -160,10 +160,6 @@ class InitialStateSpec:
             raise ValueError("random initial state has no seed set")
         return random_charger(L, seed)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "InitialStateSpec":
-        return cls(**config_fields(cls, "initial-state", data, ints=("index",)))
-
 
 def initial_state(spec: ModelSpec, init: InitialStateSpec, seed: int | None = None) -> np.ndarray:
     """Prepared charger, a random one drawn from ``seed``, tensor all-ground batteries."""
@@ -226,13 +222,16 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times, seed: int | None 
         raise ValueError("time grid must start at t >= 0")
     if times.size > 1 and not np.all(np.diff(times) > 0):
         raise ValueError("time grid must be strictly increasing")
-    with np.errstate(over="ignore"):
-        held = np.ldexp(8.0 * (spec.qubits + 3), spec.qubits - 1)
+    entry = 8 * (spec.qubits + 3)
+    try:
+        held = math.ldexp(entry, spec.qubits - 1)
+    except OverflowError:  # the entry size or the total is beyond the float range
+        held = math.inf
     available = physical_memory()
     if held > available:
         raise ValueError(
             f"a run at (L, n) = ({spec.L}, {spec.n}) holds its state and Hamiltonian on "
-            f"2**{spec.qubits - 1} entries or more, {8 * (spec.qubits + 3):.3g} bytes each: "
+            f"2**{spec.qubits - 1} entries or more, {entry} bytes each: "
             f"{held:.3g} bytes, more than the {available:.3g} bytes of physical memory"
         )
     psi0 = initial_state(spec, init, seed)

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from itertools import combinations
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -60,10 +61,7 @@ from .model import (
     build_charger,
     build_coupling,
     build_total,
-    config_fields,
     corrupted_coupling,
-    integral,
-    real,
     total_matvec,
 )
 from .observables import (
@@ -88,6 +86,56 @@ POWER_PEAK_COEFF = 1.45  # rounded coefficient of the power maximum
 # the least any run holds per grid point: the time, one complex
 # reduced-state entry and four float merit columns
 GRID_POINT_BYTES = 8 + 16 + 4 * 8
+
+
+def integral(name: str, value) -> int:
+    """An integer config value; a float must be integral (11.0 is 11, 11.7 is
+    an error), and a bool or string is an error.  Integers are never
+    converted through float, so values beyond 2**53 (such as 64-bit seeds)
+    stay exact."""
+    if (isinstance(value, bool) or not isinstance(value, (Integral, float))
+            or isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def real(name: str, value) -> float:
+    """A floating-point config value; a bool, a string or an integer beyond
+    the float range is an error."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is an integer beyond the float range") from None
+
+
+def config_fields(cls, section: str, data) -> dict:
+    """Keyword arguments for the dataclass ``cls`` from the JSON object
+    ``data`` at key ``section``: every key names a field, every field with
+    no default is given, and a value (but None for a None default) goes
+    through integral() for a field declared ``int`` or ``int | None`` and
+    through real() for ``float``.  Each config module postpones its
+    annotations, so the declarations are strings."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{section} must be a JSON object, got {data!r}")
+    declared = {f.name: f for f in fields(cls)}
+    unknown = set(data) - set(declared)
+    if unknown:
+        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+    missing = [name for name, f in declared.items() if f.default is MISSING and name not in data]
+    if missing:
+        raise ValueError(f"{section} requires the keys {missing}")
+    kwargs = dict(data)
+    for key, value in data.items():
+        field = declared[key]
+        if value is None and field.default is None:
+            continue
+        if field.type in ("int", "int | None"):
+            kwargs[key] = integral(f"{section}.{key}", value)
+        elif field.type == "float":
+            kwargs[key] = real(f"{section}.{key}", value)
+    return kwargs
 
 
 @dataclass(frozen=True)
@@ -117,11 +165,6 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.steps)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TimeGrid":
-        return cls(**config_fields(cls, "grid", data, ints=("steps",),
-                                   floats=("t_start", "t_end")))
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -131,6 +174,8 @@ class SweepSpec:
     values: tuple
 
     def __post_init__(self):
+        if not isinstance(self.values, (list, tuple)):
+            raise ValueError(f"sweep.values must be a list, got {self.values!r}")
         if self.parameter not in ("kappa", "n"):
             raise ValueError(f"sweep parameter must be 'kappa' or 'n', got {self.parameter!r}")
         values = tuple(self.values)
@@ -145,13 +190,6 @@ class SweepSpec:
             if any(v < 0 for v in values):
                 raise ValueError("n values must be non-negative")
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepSpec":
-        kwargs = config_fields(cls, "sweep", data, required=("parameter", "values"))
-        if not isinstance(kwargs["values"], list):
-            raise ValueError(f"sweep.values must be a list, got {kwargs['values']!r}")
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -173,12 +211,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        kwargs = config_fields(cls, "config", data, ints=("seed",))
+        kwargs = config_fields(cls, "config", data)
         for key, section in (("model", ModelSpec), ("initial", InitialStateSpec),
                              ("grid", TimeGrid), ("sweep", SweepSpec)):
             # a null sweep is no sweep; any other section must be an object
             if key in kwargs and (key != "sweep" or kwargs[key] is not None):
-                kwargs[key] = section.from_dict(kwargs[key])
+                kwargs[key] = section(**config_fields(section, key, kwargs[key]))
         if not isinstance(kwargs.get("output_path", ""), str):
             raise ValueError(f"output_path must be a string, got {kwargs['output_path']!r}")
         return cls(**kwargs)
@@ -186,7 +224,11 @@ class ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     with open(path, encoding="utf-8") as handle:
-        return ExperimentConfig.from_dict(json.load(handle))
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"config {str(path)!r} is nested too deeply to read") from None
+    return ExperimentConfig.from_dict(data)
 
 
 def write_csv(path, lines) -> None:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import numpy_figures, report_physical_memory
 
 from sunburst_battery import (
+    ExperimentConfig,
     InitialStateSpec,
     ModelSpec,
     battery_energies,
@@ -111,7 +112,8 @@ def test_initial_state_spec_validation():
     with pytest.raises(ValueError, match="no seed set"):
         trajectory(ModelSpec(3, 1), InitialStateSpec("random"), [0.0])
     with pytest.raises(ValueError, match="battery_kind"):
-        InitialStateSpec.from_dict({"charger_kind": "ghz_plus", "battery_kind": "excited"})
+        ExperimentConfig.from_dict({"initial": {"charger_kind": "ghz_plus",
+                                                "battery_kind": "excited"}})
 
 
 def test_trajectory_validation_and_identity_grid():

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -101,7 +103,7 @@ def test_config_roundtrip_and_unknown_keys(tmp_path):
     ({"model": {**SMALL_MODEL, "L": 11.7}}, "model.L"),
     ({"grid": {"steps": 2000.9}}, "grid.steps"),
     ({"seed": 1.5}, "config.seed"),
-    ({"initial": {"charger_kind": "eigenstate", "index": 2.5}}, "initial-state.index"),
+    ({"initial": {"charger_kind": "eigenstate", "index": 2.5}}, "initial.index"),
     ({"sweep": {"parameter": "n", "values": [1.5]}}, "sweep.values"),
     ({"model": {**SMALL_MODEL, "L": 11.0}, "seed": 2 ** 64 - 1}, None),
 ])
@@ -216,6 +218,71 @@ def test_cli_refuses_an_integer_beyond_the_float_range(tmp_path, capsys, section
     assert capsys.readouterr().err.splitlines() == [
         f"error: {section}.{key} is an integer beyond the float range"]
     assert not (tmp_path / "never.csv").exists()
+
+
+CONFIG_SECTIONS = (("config", ExperimentConfig), ("model", ModelSpec),
+                   ("initial", InitialStateSpec), ("grid", TimeGrid), ("sweep", SweepSpec))
+
+
+def test_every_numeric_config_field_is_read_by_its_declared_type():
+    # the types are resolved from each section's annotations here, apart
+    # from the reader: an int field set to 2.5 and a float field set to
+    # "0.1" are refused by their key path, so a reader that stops matching
+    # a declaration lets one through to its dataclass and fails
+    checked = []
+    for key, cls in CONFIG_SECTIONS:
+        types = typing.get_type_hints(cls)
+        for field in dataclasses.fields(cls):
+            if types[field.name] in (int, int | None):
+                value, message = 2.5, "must be an integer, got 2.5"
+            elif types[field.name] is float:
+                value, message = "0.1", "must be a number, got '0.1'"
+            else:
+                continue
+            data = {name: dict(section) if isinstance(section, dict) else section
+                    for name, section in VALID_CONFIG.items()}
+            (data if key == "config" else data[key])[field.name] = value
+            path = f"{key}.{field.name}"
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path} {message}')}$"):
+                ExperimentConfig.from_dict(data)
+            checked.append(path)
+    assert checked == ["config.seed", "model.L", "model.n", "model.d", "model.J", "model.h",
+                       "model.delta", "model.kappa", "initial.index", "grid.t_start",
+                       "grid.t_end", "grid.steps"]
+
+
+def test_cli_refuses_a_config_nested_too_deeply_for_the_json_reader(tmp_path, capsys):
+    # 100 000 nested lists overflow the JSON reader's recursion limit
+    out = tmp_path / "never.csv"
+    config_path = tmp_path / "config.json"
+    config_path.write_text('{"model": ' + "[" * 100_000 + "]" * 100_000
+                           + f', "output_path": {json.dumps(str(out))}}}')
+    assert main(["fig1", "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: config {str(config_path)!r} is nested too deeply to read"]
+    assert captured.out == "" and not out.exists()
+
+
+def test_cli_refuses_a_field_that_overflows_the_hamiltonian_in_one_line(tmp_path, capsys):
+    # h = 1e308 takes the ring's diagonal past the float range to inf, which
+    # raises no numpy warning: the overflowing phase bound is the one line
+    out = tmp_path / "never.csv"
+    assert main(["fig1", "--h-override", "1e308", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: phase bound * t = inf * 2 overflows the float range"]
+    assert not out.exists()
+
+
+def test_cli_refuses_an_output_path_with_a_null_byte_before_any_run(tmp_path, monkeypatch,
+                                                                     capsys):
+    calls = []
+    monkeypatch.setattr(experiments, "run_series", lambda *args: calls.append(args))
+    out = str(tmp_path / "a\0b.csv")
+    assert main(["fig1", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: output path {out!r} has an embedded null byte"]
+    assert captured.out == "" and calls == [] and list(tmp_path.iterdir()) == []
 
 
 def test_csv_format_and_reread(tmp_path):
@@ -763,7 +830,7 @@ def test_cli_fills_a_random_charger_seed_from_the_run_seed(tmp_path, capsys, com
     capsys.readouterr()
     assert main([command, "--config", str(config_path), "--seed", "9"]) == 2
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == ["error: unknown initial-state keys: ['seed']"]
+    assert captured.err.splitlines() == ["error: unknown initial keys: ['seed']"]
     assert captured.out == "" and not out.exists()
 
 
@@ -963,19 +1030,23 @@ def test_an_eigenstate_index_too_large_for_a_ring_is_refused_before_any_run(
 def test_an_eigenstate_charger_on_a_huge_ring_is_refused_by_its_size(tmp_path, capsys, command):
     # pattern 3 fits a ring of L = 10**11 (tested by a shift: no 2**L
     # integer is built), so the run's own size refuses it, in one line
-    # naming the system
+    # naming the system and the exact bytes per entry, 8 (L + n + 3); so
+    # does a ring whose 2**(L-1) entries overflow a C long (10**19) or whose
+    # L itself overflows a float (10**400)
     out = tmp_path / f"{command}.csv"
-    data = {"model": {"L": 100_000_000_000, "n": 1},
-            "initial": {"charger_kind": "eigenstate", "index": 3}, "output_path": str(out)}
-    if command == "sweep":
-        data["sweep"] = {"parameter": "kappa", "values": [1.0]}
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(data))
-    assert main([command, "--config", str(config_path)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1, err
-    assert err[0].startswith("error: a run at (L, n) = (100000000000, 1) holds its state "), err
-    assert not out.exists()
+    for L in (100_000_000_000, 10 ** 19, 10 ** 400):
+        data = {"model": {"L": L, "n": 1},
+                "initial": {"charger_kind": "eigenstate", "index": 3}, "output_path": str(out)}
+        if command == "sweep":
+            data["sweep"] = {"parameter": "kappa", "values": [1.0]}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        assert main([command, "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error: a run at (L, n) = ({L}, 1) holds its state "), err
+        assert f" entries or more, {8 * (L + 4)} bytes each: " in err[0], err
+        assert not out.exists()
 
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

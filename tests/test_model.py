@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sunburst_battery import (
+    ExperimentConfig,
     ModelSpec,
     battery_energies,
     battery_positions,
@@ -298,6 +299,6 @@ def test_full_scale_dimension_and_tracelessness():
 
 def test_model_spec_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown model keys"):
-        ModelSpec.from_dict({"L": 4, "n": 1, "coupling": 2.0})
+        ExperimentConfig.from_dict({"model": {"L": 4, "n": 1, "coupling": 2.0}})
     with pytest.raises(ValueError, match="requires"):
-        ModelSpec.from_dict({"L": 4})
+        ExperimentConfig.from_dict({"model": {"L": 4}})
