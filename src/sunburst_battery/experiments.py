@@ -228,6 +228,8 @@ def load_config(path) -> ExperimentConfig:
             data = json.load(handle)
         except RecursionError:
             raise ValueError(f"config {str(path)!r} is nested too deeply to read") from None
+        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+            raise ValueError(f"config {str(path)!r} is not valid JSON: {exc}") from None
     return ExperimentConfig.from_dict(data)
 
 

@@ -156,31 +156,21 @@ def _battery_xmask(spec: ModelSpec, i: int) -> int:
     return 1 << (spec.n - i)
 
 
-def _zvalues(dim: int, bit: int) -> np.ndarray:
-    """Diagonal of sigma^z for one bit: +1 where the bit is 0, else -1."""
-    return 1.0 - 2.0 * ((np.arange(dim) >> bit) & 1)
-
-
-def _zsum(spec: ModelSpec, bits) -> np.ndarray:
-    """Diagonal of the sum of sigma^z over the listed bits."""
-    diag = np.zeros(spec.dim)
-    for bit in bits:
-        diag += _zvalues(spec.dim, bit)
-    return diag
-
-
 def _charger_terms(spec: ModelSpec):
     sites = range(1, spec.L + 1)
     # each site contributes its own bond term, so the single bond of an L=2
     # ring is listed twice (sites 1 and 2 both give sigma^x_1 sigma^x_2)
     flips = tuple((_charger_xmask(spec, site) | _charger_xmask(spec, site % spec.L + 1), -spec.J)
                   for site in sites)
+    # sum of sigma^z over the ring: L minus twice the number of set charger bits
+    zsum = spec.L - 2.0 * bit_counts(np.arange(spec.dim) >> spec.n)
     with np.errstate(over="ignore"):  # an h near the float limit gives inf, refused by linalg.phases
-        return -spec.h * _zsum(spec, [spec.n + spec.L - site for site in sites]), flips
+        return -spec.h * zsum, flips
 
 
 def _battery_terms(spec: ModelSpec):
-    return -(spec.delta / 2.0) * _zsum(spec, [spec.n - i for i in range(1, spec.n + 1)]), ()
+    zsum = spec.n - 2.0 * bit_counts(np.arange(spec.dim) & ((1 << spec.n) - 1))
+    return -(spec.delta / 2.0) * zsum, ()
 
 
 def _coupling_terms(spec: ModelSpec):
@@ -260,7 +250,7 @@ def corrupted_coupling(spec: ModelSpec) -> np.ndarray:
     out = np.zeros((spec.dim, spec.dim))
     idx = np.arange(spec.dim)
     for i, site in enumerate(battery_positions(spec), start=1):
-        zvals = _zvalues(spec.dim, spec.n + spec.L - site)
+        zvals = 1.0 - 2.0 * ((idx >> (spec.n + spec.L - site)) & 1)
         out[idx ^ _battery_xmask(spec, i), idx] += -spec.kappa * zvals
     return out
 

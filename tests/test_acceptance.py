@@ -12,28 +12,26 @@ import pytest
 
 from conftest import REFERENCE_GRID
 
-from sunburst_battery import (
+from sunburst_battery.analytic import (
     AnalyticParams,
-    InitialStateSpec,
-    ModelSpec,
-    build_total,
     ergotropy_analytic,
     linear_entropy_analytic,
     max_ergotropy,
     power_analytic,
-    read_csv,
     stored_energy_analytic,
-    trajectory,
     two_battery,
     unavailable_analytic,
 )
 from sunburst_battery.cli import main
+from sunburst_battery.dynamics import InitialStateSpec, trajectory
 from sunburst_battery.experiments import (
     amplitude_residual,
     conservation_drift,
     partial_trace_gap,
     propagator_gap,
+    read_csv,
 )
+from sunburst_battery.model import ModelSpec, build_total
 
 OMEGA = np.sqrt(16.25)
 T_CHARGE = np.pi / OMEGA

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sunburst_battery import (
+from sunburst_battery.analytic import (
     AnalyticParams,
     amplitudes,
     bisect_window,

@@ -9,33 +9,32 @@ from hypothesis import strategies as st
 
 from conftest import numpy_figures, report_physical_memory
 
-from sunburst_battery import (
-    ExperimentConfig,
+from sunburst_battery import dynamics, linalg
+from sunburst_battery.cli import main
+from sunburst_battery.dynamics import (
+    CHARGER_KINDS,
     InitialStateSpec,
-    ModelSpec,
-    battery_energies,
-    build_total,
-    charging_power,
+    battery_ground,
     compose,
-    ergotropy,
-    ergotropy_populations,
-    evolve_on_grid,
     ghz_minus,
     ghz_plus,
     initial_state,
-    merit_series,
-    parity_sectors,
     random_charger,
-    reduce_to_battery,
-    reduced_states,
-    run_series,
-    stored_energy,
     trajectory,
     xbasis_product_state,
 )
-from sunburst_battery import dynamics, linalg
-from sunburst_battery.cli import main
-from sunburst_battery.dynamics import CHARGER_KINDS, battery_ground
+from sunburst_battery.experiments import ExperimentConfig, run_series
+from sunburst_battery.linalg import evolve_on_grid
+from sunburst_battery.model import ModelSpec, battery_energies, build_total, parity_sectors
+from sunburst_battery.observables import (
+    charging_power,
+    ergotropy,
+    ergotropy_populations,
+    merit_series,
+    reduce_to_battery,
+    reduced_states,
+    stored_energy,
+)
 
 
 def test_ghz_single_site():

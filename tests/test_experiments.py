@@ -17,37 +17,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import numpy_figures, report_physical_memory
-from sunburst_battery import (
+from sunburst_battery import experiments, linalg
+from sunburst_battery.analytic import AnalyticParams, max_ergotropy
+from sunburst_battery.cli import build_parser, config_from_args, main
+from sunburst_battery.dynamics import CHARGER_KINDS, InitialStateSpec, initial_state
+from sunburst_battery.experiments import (
+    CHECKS,
     CSV_COLUMNS,
-    AnalyticParams,
+    VALIDATE_SEED,
     ExperimentConfig,
-    InitialStateSpec,
-    MeritSeries,
-    ModelSpec,
     SweepSpec,
     TimeGrid,
     analytic_reference,
-    battery_energies,
-    build_total,
-    charging_power,
     cmd_fig1,
     cmd_fig2,
     cmd_fig3,
     cmd_fig4,
     cmd_sweep,
     cmd_validate,
-    initial_state,
     load_config,
-    max_ergotropy,
     read_csv,
-    reduce_to_battery,
     write_csv,
 )
-from sunburst_battery import experiments, linalg
-from sunburst_battery.cli import build_parser, config_from_args, main
-from sunburst_battery.dynamics import CHARGER_KINDS
-from sunburst_battery.experiments import CHECKS, VALIDATE_SEED
-from sunburst_battery.observables import WORK_FLOOR
+from sunburst_battery.model import ModelSpec, battery_energies, build_total
+from sunburst_battery.observables import WORK_FLOOR, MeritSeries, charging_power, reduce_to_battery
 
 SMALL_MODEL = {"L": 4, "n": 1, "J": 1.0, "h": 0.1, "delta": 0.5, "kappa": 2.0}
 
@@ -262,6 +255,28 @@ def test_cli_refuses_a_config_nested_too_deeply_for_the_json_reader(tmp_path, ca
     assert captured.err.splitlines() == [
         f"error: config {str(config_path)!r} is nested too deeply to read"]
     assert captured.out == "" and not out.exists()
+
+
+def test_cli_names_a_config_file_that_fails_to_parse(tmp_path, monkeypatch, capsys):
+    # the parser's own message follows the path, for bad JSON and bad UTF-8 alike
+    calls = []
+    monkeypatch.setattr(experiments, "run_series", lambda *args: calls.append(args))
+    monkeypatch.chdir(tmp_path)
+    cases = {
+        "truncated.json": (b'{"model": ', "Expecting value: line 1 column 11 (char 10)"),
+        "utf16.json": (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0"),
+        "empty.json": (b"", "Expecting value: line 1 column 1 (char 0)"),
+    }
+    for name, (content, reason) in cases.items():
+        config_path = tmp_path / name
+        config_path.write_bytes(content)
+        assert main(["fig1", "--config", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: config {str(config_path)!r} is not valid JSON: "), line
+        assert reason in line
+        assert captured.out == ""
+    assert calls == [] and sorted(path.name for path in tmp_path.iterdir()) == sorted(cases)
 
 
 def test_cli_refuses_a_field_that_overflows_the_hamiltonian_in_one_line(tmp_path, capsys):
@@ -528,6 +543,18 @@ def test_fig3_leaves_peak_cells_empty_without_work(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "fig3 (n=1, kappa=0.2): no work, max xi/n" in out
     assert "fig3 (n=1, kappa=2.0): max xi/n" in out
+    # just above threshold (2 kappa = delta (1 + 1e-6), h = 0) the peak
+    # ergotropy is 5.0e-7, far below the strong-coupling values but above
+    # WORK_FLOOR = 1e-12: it has a peak time; the odd step count puts T = pi/omega on the grid
+    config = small_config(tmp_path, "fig3_edge.csv", model={**SMALL_MODEL, "h": 0.0},
+                          grid={"t_start": 0.0, "t_end": 2.0, "steps": 101},
+                          sweep={"parameter": "kappa", "values": [0.25 * (1 + 1e-6)]})
+    cmd_fig3(config, n_values=(1,), total_qubits=5)
+    cols = read_csv(config.output_path)
+    assert 1e-7 < cols["xi_num"][0] < 1e-6
+    assert cols["t"][0] == 4.4428807167174522
+    out = capsys.readouterr().out
+    assert "max xi/n" in out and "no work, " not in out
 
 
 def test_fig3_rows_are_the_peaks_of_the_runs_they_name(tmp_path):
@@ -1069,23 +1096,17 @@ def run_child(code: str, **variables):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_importing_the_package_loads_no_numpy_and_resolves_every_export():
-    loaded = run_child(
+def test_importing_the_package_loads_no_numpy_and_defines_only_its_version():
+    loaded, names = run_child(
         "import json, sys, sunburst_battery\n"
-        "print(json.dumps(sorted(m for m in sys.modules\n"
-        "                        if m == 'numpy' or m.startswith('sunburst_battery.'))))"
+        "print(json.dumps([sorted(m for m in sys.modules\n"
+        "                         if m == 'numpy' or m.startswith('sunburst_battery.')),\n"
+        "                  sorted(vars(sunburst_battery))]))"
     )
     assert loaded == []
-    import importlib
-
-    import sunburst_battery
-
-    assert set(sunburst_battery.__all__) <= set(dir(sunburst_battery))
-    for name in sunburst_battery.__all__:
-        module = importlib.import_module(f"sunburst_battery.{sunburst_battery._SOURCE[name]}")
-        assert getattr(sunburst_battery, name) is getattr(module, name), name
-    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
-        sunburst_battery.no_such_name
+    module_attributes = {"__builtins__", "__cached__", "__doc__", "__file__", "__loader__",
+                         "__name__", "__package__", "__path__", "__spec__"}
+    assert set(names) - module_attributes == {"__version__"}
 
 
 def test_cli_defaults_blas_to_one_thread_unless_the_environment_says_otherwise(tmp_path):

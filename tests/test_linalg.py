@@ -5,24 +5,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sunburst_battery import (
-    ModelSpec,
-    build_total,
-    chebyshev_series,
-    eigh,
-    evolve_on_grid,
-    expm_series_oracle,
-)
 from sunburst_battery import linalg
 from sunburst_battery.dynamics import random_state
 from sunburst_battery.linalg import (
     GRID_BLOCK,
     chebyshev_coefficients,
     chebyshev_nodes,
+    chebyshev_series,
+    eigh,
+    evolve_on_grid,
+    expm_series_oracle,
     interpolate,
     row_sum_bound,
     series_states,
 )
+from sunburst_battery.model import ModelSpec, build_total
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -57,6 +54,10 @@ def test_eigh_rejects_non_hermitian():
         eigh(bad)
     except ValueError as exc:
         assert "1.0" in str(exc)
+    # the gate sits at HERMITICITY_TOL = 1e-12
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eigh(np.array([[1.0, 0.3], [0.3 + 1e-11, -1.0]]))
+    assert eigh(np.array([[1.0, 0.3], [0.3 + 1e-13, -1.0]]))[0].shape == (2,)
 
 
 def test_eigh_rejects_empty_and_nonsquare():
@@ -99,6 +100,10 @@ def test_evolve_rejects_dimension_mismatch_and_bad_norm():
         evolve_on_grid(decomp, np.ones(3) / np.sqrt(3), [0.1])
     with pytest.raises(ValueError, match="normalized"):
         evolve_on_grid(decomp, np.ones(4), [0.1])
+    # the gate sits at NORM_TOL = 1e-10
+    with pytest.raises(ValueError, match="not normalized"):
+        evolve_on_grid(decomp, np.full(4, 0.5 * (1 + 1e-9)), [0.1])
+    assert evolve_on_grid(decomp, np.full(4, 0.5 * (1 + 1e-11)), [0.1]).shape == (1, 4)
 
 
 def test_series_oracle_zero_generator():
@@ -376,6 +381,10 @@ def test_chebyshev_series_rejects_bad_bounds_and_grids():
         chebyshev_series(lambda v: ham @ v, 2.0, psi, [])
     with pytest.raises(ValueError, match="normalized"):
         chebyshev_series(lambda v: ham @ v, 2.0, 2 * psi, [1.0])
+    # the gate sits at NORM_TOL = 1e-10
+    with pytest.raises(ValueError, match="not normalized"):
+        chebyshev_series(lambda v: ham @ v, 2.0, psi * (1 + 1e-9), [1.0])
+    chebyshev_series(lambda v: ham @ v, 2.0, psi * (1 + 1e-11), [1.0])
 
 
 def test_ground_state_against_independent_oracles():

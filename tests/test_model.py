@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from sunburst_battery import (
-    ExperimentConfig,
+from sunburst_battery.dynamics import battery_ground, compose, ghz_plus
+from sunburst_battery.experiments import ExperimentConfig
+from sunburst_battery.linalg import eigh
+from sunburst_battery.model import (
     ModelSpec,
     battery_energies,
     battery_positions,
@@ -10,14 +12,11 @@ from sunburst_battery import (
     build_charger,
     build_coupling,
     build_total,
-    eigh,
-    ghz_plus,
     parity_sectors,
     sector_layout,
     terms,
     total_matvec,
 )
-from sunburst_battery.dynamics import battery_ground, compose
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])

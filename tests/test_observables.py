@@ -6,34 +6,31 @@ import pytest
 
 from conftest import numpy_figures
 
-from sunburst_battery import (
-    AnalyticParams,
+from sunburst_battery import dynamics, observables
+from sunburst_battery.analytic import AnalyticParams, amplitudes, unavailable_analytic
+from sunburst_battery.dynamics import (
     InitialStateSpec,
-    ModelSpec,
     Trajectory,
-    amplitudes,
-    battery_energies,
-    charging_power,
     compose,
-    ergotropy,
-    ergotropy_populations,
     ghz_minus,
     ghz_plus,
+    random_state,
+    trajectory,
+)
+from sunburst_battery.experiments import _naive_partial_trace, run_series
+from sunburst_battery.linalg import NODE_BLOCK, chebyshev_nodes
+from sunburst_battery.model import ModelSpec, battery_energies, sector_layout
+from sunburst_battery.observables import (
+    WORK_FLOOR,
+    charging_power,
+    ergotropy,
+    ergotropy_populations,
     linear_entropy,
     merit_series,
     reduce_to_battery,
     reduced_states,
-    run_series,
-    sector_layout,
     stored_energy,
-    trajectory,
-    unavailable_analytic,
 )
-from sunburst_battery import dynamics, observables
-from sunburst_battery.dynamics import random_state
-from sunburst_battery.experiments import _naive_partial_trace
-from sunburst_battery.linalg import NODE_BLOCK, chebyshev_nodes
-from sunburst_battery.observables import WORK_FLOOR
 
 OMEGA = np.sqrt(16.25)
 T_CHARGE = np.pi / OMEGA
@@ -241,6 +238,10 @@ def test_negative_eigenvalue_clamp_and_rejection():
     assert ergotropy(slightly, levels) == 0.0
     with pytest.raises(ValueError, match="negative weight"):
         ergotropy(np.diag([1.001, -0.001]), levels)
+    # a weight of -1e-9 is past NEGATIVITY_TOL = 1e-10 in both conventions
+    for work in (ergotropy, ergotropy_populations):
+        with pytest.raises(ValueError, match="negative weight"):
+            work(np.diag([1.0 + 1e-9, -1e-9]), levels)
 
 
 def test_linear_entropy_bounds_and_values():
@@ -249,6 +250,11 @@ def test_linear_entropy_bounds_and_values():
     assert np.isclose(linear_entropy(np.eye(2) / 2), 0.5)
     rho = np.diag([0.25 / 16.25, 16.0 / 16.25])
     assert np.isclose(linear_entropy(rho), 0.030295857988165364, atol=1e-12)
+    # the purity gate sits at 1 + 1e-12: a purity of 1 + 1e-10 is refused,
+    # one of 1 + 1e-13 is roundoff and clamps to 0
+    with pytest.raises(ValueError, match="exceeds 1"):
+        linear_entropy(np.diag([1.0 + 5e-11, 0.0]))
+    assert linear_entropy(np.diag([1.0 + 5e-14, 0.0])) == 0.0
 
 
 def test_charging_power_contract():

@@ -10,14 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from sunburst_battery import (
-    InitialStateSpec,
-    ModelSpec,
-    cli,
-    experiments,
-    linalg,
-    trajectory,
-)
+from sunburst_battery import cli, experiments, linalg
+from sunburst_battery.dynamics import InitialStateSpec, trajectory
+from sunburst_battery.model import ModelSpec
 
 CHILD = Path(__file__).resolve().parents[1] / "benchmarks" / "child.py"
 
