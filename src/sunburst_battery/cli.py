@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands fig1..fig4 write the reference datasets with the default
+Subcommands fig1, fig3 and fig4 write the reference datasets with the default
 parameter set (J=1, h=0.1, delta=0.5, kappa=2), `sweep` runs the sweep
 described in a config file and `validate` runs the self-check suite.
 A JSON config can override any part of the run; --seed, --out and
@@ -35,8 +35,7 @@ def _command(name: str):
 
 
 _RUNNERS = {
-    "fig1": (_command("cmd_fig1"), "single-battery merit curves plus per-battery collapse"),
-    "fig2": (_command("cmd_fig2"), "charging power collapse for n = 1..4"),
+    "fig1": (_command("cmd_fig1"), "merit curves plus per-battery ergotropy and power collapse"),
     "fig3": (_command("cmd_fig3"), "peak ergotropy and power versus coupling"),
     "fig4": (_command("cmd_fig4"), "random charger preparations (initial-state independence)"),
     "sweep": (_command("cmd_sweep"), "time series for each value of a swept parameter"),

@@ -79,7 +79,6 @@ CSV_COLUMNS = ("t", "dE_num", "xi_num", "SL_num", "P_num",
 
 DEFAULT_SEED = 1234
 FIG1_COLLAPSE_SYSTEMS = ((10, 2), (9, 3), (8, 4))
-FIG2_SYSTEMS = ((11, 1), (10, 2), (9, 3), (8, 4))
 FIG3_KAPPAS = (0.25, 0.5, 1.0, 2.0, 4.0)
 FIG3_TOTAL_QUBITS = 12
 POWER_PEAK_COEFF = 1.45  # rounded coefficient of the power maximum
@@ -197,7 +196,7 @@ class ExperimentConfig:
     """Full description of one run; serializable as a single JSON document."""
 
     model: ModelSpec = ModelSpec(11, 1)
-    initial: InitialStateSpec = InitialStateSpec()
+    initial: InitialStateSpec | None = None  # no section: the cat charger, or fig4's own
     grid: TimeGrid = TimeGrid()
     sweep: SweepSpec | None = None
     seed: int = DEFAULT_SEED
@@ -374,54 +373,33 @@ def _refuse_no_battery(command: str, model: ModelSpec) -> None:
 
 
 def cmd_fig1(config: ExperimentConfig, collapse_systems=FIG1_COLLAPSE_SYSTEMS) -> None:
-    """Ergotropy and linear entropy vs time, single battery plus collapse set.
+    """Ergotropy, linear entropy and charging power vs time, single battery
+    plus collapse set (the paper's Figs. 1 and 2).
 
     The configured model is the single-battery panel; ``collapse_systems``
     are (L, n) pairs run with the same couplings for the per-battery
-    collapse onto the single-battery curve.  The linear entropy is compared
-    with its closed form only when the configured n is 1, the only n it
-    has one for.  A sweep section and a model without a battery are refused.
+    collapse of the ergotropy, then of the power, onto the single-battery
+    curves.  The linear entropy is compared with its closed form only when
+    the configured n is 1, the only n it has one for.  A sweep section and
+    a model without a battery are refused.
     """
     _refuse_sweep("fig1", config)
     _refuse_no_battery("fig1", config.model)
+    init = config.initial or InitialStateSpec()
     times = config.grid.times()
     specs = [config.model] + [
         replace(config.model, L=ls, n=ns, d=None) for ls, ns in collapse_systems
     ]
-    _refuse_large_index("fig1", config.initial, specs)
-    runs = [(spec, config.initial, config.seed) for spec in specs]
+    _refuse_large_index("fig1", init, specs)
+    runs = [(spec, init, config.seed) for spec in specs]
     results = [run_series(spec, init, times, seed) for spec, init, seed in runs]
     single = AnalyticParams.from_model(config.model)
     _collapse("fig1", "xi", "ergotropy", runs, results, ergotropy_analytic(single, times))
     if config.model.n == 1:
         entropy_dev = _max_gap(results[0].linear_entropy, linear_entropy_analytic(single, times))
         print(f"fig1 (L={config.model.L}, n=1): max |SL - SL_ana| = {entropy_dev:.3e}")
+    _collapse("fig1", "P", "power", runs, results, power_analytic(single, times))
     _write_series("fig1", config.output_path, runs, results)
-
-
-def cmd_fig2(config: ExperimentConfig, systems=FIG2_SYSTEMS) -> None:
-    """Charging power vs time for growing battery count (per-battery collapse).
-
-    The (L, n) pairs run are ``systems``, with the configured couplings, each
-    at the equispaced spacing L/n; the configured (L, n) must be one of them,
-    and a configured spacing other than L/n is refused, as is a sweep
-    section.
-    """
-    _refuse_sweep("fig2", config)
-    _refuse_spacing("fig2", config.model)
-    if (config.model.L, config.model.n) not in systems:
-        raise ValueError(
-            f"fig2 runs the fixed (L, n) systems {tuple(systems)}; the configured "
-            f"model (L={config.model.L}, n={config.model.n}) is not one of them"
-        )
-    times = config.grid.times()
-    runs = [(replace(config.model, L=ls, n=ns, d=None), config.initial, config.seed)
-            for ls, ns in systems]
-    _refuse_large_index("fig2", config.initial, [spec for spec, _, _ in runs])
-    results = [run_series(spec, init, times, seed) for spec, init, seed in runs]
-    reference = power_analytic(AnalyticParams.from_model(config.model), times)
-    _collapse("fig2", "P", "power", runs, results, reference)
-    _write_series("fig2", config.output_path, runs, results)
 
 
 def cmd_fig3(config: ExperimentConfig, n_values=(1, 2, 3, 4),
@@ -456,19 +434,20 @@ def cmd_fig3(config: ExperimentConfig, n_values=(1, 2, 3, 4),
         raise ValueError(f"fig3 scans [0, 2 pi / omega] and reads only grid.steps; remove the "
                          f"config's grid window [{window[0]}, {window[1]}]")
     kappas = FIG3_KAPPAS if config.sweep is None else config.sweep.values
+    init = config.initial or InitialStateSpec()
     specs = [replace(config.model, L=total_qubits - n, n=n, d=None, kappa=kappa)
              for n in n_values for kappa in kappas]
     points = [(spec, AnalyticParams.from_model(spec)) for spec in specs]
     if any(p.omega == 0.0 for _, p in points):
         raise ValueError("cannot scan a period for delta = kappa = 0")
-    _refuse_large_index("fig3", config.initial, specs)
+    _refuse_large_index("fig3", init, specs)
     if config.sweep is None:
         print(f"fig3: kappa grid {FIG3_KAPPAS} is an artifact default, "
               "not a reference-pinned set")
     rows = []
     for spec, p in points:
         times = np.linspace(0.0, 2.0 * np.pi / p.omega, config.grid.steps)
-        series = run_series(spec, config.initial, times, config.seed)
+        series = run_series(spec, init, times, config.seed)
         scale = spec.n if spec.n in (1, 2) else None
         peak_p_ana = POWER_PEAK_COEFF * p.delta * p.kappa ** 2 / p.omega
         k = int(np.argmax(series.ergotropy))
@@ -518,7 +497,7 @@ def cmd_fig4(config: ExperimentConfig, n_seeds: int = 3) -> None:
     """
     _refuse_sweep("fig4", config)
     _refuse_no_battery("fig4", config.model)
-    if config.initial != InitialStateSpec():
+    if config.initial is not None:
         raise ValueError("fig4 runs random chargers seeded seed, seed + 1, ...; "
                          "remove the config's initial section")
     seeds = [config.seed + k for k in range(n_seeds)]
@@ -550,11 +529,12 @@ def cmd_sweep(config: ExperimentConfig) -> None:
         raise ValueError("sweep command needs a 'sweep' section in the config")
     if config.sweep.parameter == "n":
         _refuse_spacing("sweep", config.model)
+    init = config.initial or InitialStateSpec()
     times = config.grid.times()
     runs = [(replace(config.model, kappa=value) if config.sweep.parameter == "kappa"
-             else replace(config.model, n=value, d=None), config.initial, config.seed)
+             else replace(config.model, n=value, d=None), init, config.seed)
             for value in config.sweep.values]
-    _refuse_large_index("sweep", config.initial, [spec for spec, _, _ in runs])
+    _refuse_large_index("sweep", init, [spec for spec, _, _ in runs])
     results = [run_series(spec, init, times, seed) for spec, init, seed in runs]
     _write_series(f"sweep ({config.sweep.parameter})", config.output_path, runs, results)
 

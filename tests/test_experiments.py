@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import numpy_figures, report_physical_memory
+from conftest import GHZ, numpy_figures, report_physical_memory
 from sunburst_battery import experiments, linalg
 from sunburst_battery.analytic import AnalyticParams, max_ergotropy
 from sunburst_battery.cli import build_parser, config_from_args, main
@@ -30,7 +30,6 @@ from sunburst_battery.experiments import (
     TimeGrid,
     analytic_reference,
     cmd_fig1,
-    cmd_fig2,
     cmd_fig3,
     cmd_fig4,
     cmd_sweep,
@@ -51,6 +50,8 @@ def printed_gaps(out: str, label: str) -> list[float]:
 
 
 def small_config(tmp_path, name, **overrides):
+    """A small config with a ghz_plus initial section; a section overridden
+    with None is left out."""
     data = {
         "model": dict(SMALL_MODEL),
         "initial": {"charger_kind": "ghz_plus"},
@@ -59,7 +60,7 @@ def small_config(tmp_path, name, **overrides):
         "output_path": str(tmp_path / name),
     }
     data.update(overrides)
-    return ExperimentConfig.from_dict(data)
+    return ExperimentConfig.from_dict({k: v for k, v in data.items() if v is not None})
 
 
 def test_config_roundtrip_and_unknown_keys(tmp_path):
@@ -441,13 +442,35 @@ def test_fig1_small_scale(tmp_path, capsys):
     assert len(collapse) == 2 and max(collapse) <= 0.05
     entropy = printed_gaps(out, "max |SL - SL_ana|")
     assert len(entropy) == 1 and entropy[0] <= 0.05
+    power = printed_gaps(out, "max |P/n - P_ana|")
+    assert len(power) == 2 and max(power) <= 0.05
     cols = read_csv(config.output_path)
     assert len(cols["t"]) == 2 * 40
+    # power vanishes at t = 0 for every system
+    assert np.all(cols["P_num"][cols["t"] == 0.0] == 0.0)
     # analytic columns filled for both systems here (n = 1 and n = 2)
     assert not np.isnan(cols["xi_ana"]).any()
     mask2 = cols["n"] == 2
     assert np.isnan(cols["SL_ana"][mask2]).all()
     assert not np.isnan(cols["SL_ana"][~mask2]).any()
+
+
+def test_fig1_prints_the_power_collapse_and_fig2_is_gone(tmp_path, capsys):
+    # fig1 writes the paper's Figs. 1 and 2: after its ergotropy lines, one
+    # power line per system, in run order; fig2 is no command
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fig2", "--out", str(tmp_path / "never.csv")])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'fig2'" in capsys.readouterr().err
+    config = small_config(tmp_path, "fig1.csv")
+    cmd_fig1(config, collapse_systems=((4, 2), (3, 1)))
+    lines = capsys.readouterr().out.splitlines()
+    xi = [k for k, line in enumerate(lines) if "max |xi/n - xi_ana|" in line]
+    power = [k for k, line in enumerate(lines) if "max |P/n - P_ana|" in line]
+    assert len(xi) == len(power) == 3 and max(xi) < min(power)
+    assert [lines[k].split(":")[0] for k in power] == [
+        "fig1 (L=4, n=1)", "fig1 (L=4, n=2)", "fig1 (L=3, n=1)"]
+    assert not (tmp_path / "never.csv").exists()
 
 
 def test_fig1_compares_the_linear_entropy_only_for_one_battery(tmp_path, capsys):
@@ -500,16 +523,6 @@ def test_fig1_zero_coupling_kills_all_work_columns(tmp_path):
     cols = read_csv(config.output_path)
     assert np.max(np.abs(cols["xi_num"])) <= 1e-12
     assert np.max(np.abs(cols["xi_ana"])) == 0.0
-
-
-def test_fig2_small_scale(tmp_path, capsys):
-    config = small_config(tmp_path, "fig2.csv")
-    assert cmd_fig2(config, systems=((4, 1), (4, 2))) is None
-    collapse = printed_gaps(capsys.readouterr().out, "max |P/n - P_ana|")
-    assert len(collapse) == 2 and max(collapse) <= 0.05
-    cols = read_csv(config.output_path)
-    # power vanishes at t = 0 for every system
-    assert np.all(cols["P_num"][cols["t"] == 0.0] == 0.0)
 
 
 def test_fig3_small_scale(tmp_path):
@@ -601,9 +614,9 @@ def test_fig3_refuses_delta_and_kappa_zero_before_any_run(tmp_path, monkeypatch,
     assert captured.out == "" and calls == [] and not out.exists()
 
 
-def test_fig2_fig3_reject_a_model_they_would_not_run(tmp_path, capsys):
-    # both commands run fixed (L, n) systems; a configured model outside them
-    # fails before any work instead of being ignored
+def test_fig3_rejects_a_model_it_would_not_run(tmp_path, capsys):
+    # fig3 runs fixed (L, n) systems; a configured model outside them fails
+    # before any work instead of being ignored
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({
         "model": {**SMALL_MODEL, "L": 6},
@@ -612,9 +625,6 @@ def test_fig2_fig3_reject_a_model_they_would_not_run(tmp_path, capsys):
     assert main(["fig3", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert "L + n = 12" in err and "(11, 1)" in err and "L + n = 7" in err
-    assert main(["fig2", "--config", str(config_path)]) == 2
-    err = capsys.readouterr().err
-    assert "(11, 1)" in err and "(L=6, n=1)" in err
     # fig3 sweeps kappa alone: a sweep over n would run n = 1..4 regardless
     config_path.write_text(json.dumps({
         "sweep": {"parameter": "n", "values": [1, 2]},
@@ -626,10 +636,10 @@ def test_fig2_fig3_reject_a_model_they_would_not_run(tmp_path, capsys):
     assert not (tmp_path / "never.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["fig2", "fig3", "sweep"])
+@pytest.mark.parametrize("command", ["fig3", "sweep"])
 def test_a_spacing_the_command_would_drop_is_refused_before_any_run(
         tmp_path, monkeypatch, capsys, command):
-    # fig2, fig3 and an n sweep run every system at d = L/n: a configured
+    # fig3 and an n sweep run every system at d = L/n: a configured
     # (10, 2) model at d = 3 fails instead of running at d = 5
     calls = []
     monkeypatch.setattr(experiments, "run_series", lambda *args: calls.append(args))
@@ -650,7 +660,6 @@ def test_an_equispaced_or_single_battery_spacing_still_runs(tmp_path):
     # an explicit d = L/n is the spacing these commands run; one battery
     # sits at site 1 whatever d is
     equispaced = {**SMALL_MODEL, "n": 2, "d": 2}
-    cmd_fig2(small_config(tmp_path, "fig2.csv", model=equispaced), systems=((4, 1), (4, 2)))
     cmd_fig3(small_config(tmp_path, "fig3.csv", model=equispaced,
                           sweep={"parameter": "kappa", "values": [2.0]}),
              n_values=(1, 2), total_qubits=6)
@@ -685,7 +694,7 @@ def test_cli_rejects_malformed_config_sections(tmp_path, monkeypatch, capsys, co
 
 
 def test_fig4_small_scale_determinism(tmp_path, capsys):
-    config = small_config(tmp_path, "fig4.csv", model={**SMALL_MODEL, "L": 5})
+    config = small_config(tmp_path, "fig4.csv", model={**SMALL_MODEL, "L": 5}, initial=None)
     assert cmd_fig4(config, n_seeds=3) is None
     pairwise = printed_gaps(capsys.readouterr().out, "pairwise max |xi_i - xi_j|")
     assert len(pairwise) == 1 and pairwise[0] <= 0.05
@@ -693,7 +702,8 @@ def test_fig4_small_scale_determinism(tmp_path, capsys):
     assert np.array_equal(cols["seed"], np.repeat([7, 8, 9], 40))
     # identical seed -> identical curve, bit for bit
     first = cols["xi_num"][cols["seed"] == 7]
-    config_again = small_config(tmp_path, "fig4b.csv", model={**SMALL_MODEL, "L": 5})
+    config_again = small_config(tmp_path, "fig4b.csv", model={**SMALL_MODEL, "L": 5},
+                                initial=None)
     cmd_fig4(config_again, n_seeds=1)
     again = read_csv(config_again.output_path)["xi_num"]
     assert np.array_equal(first, again)
@@ -703,7 +713,8 @@ def test_fig4_compares_each_battery_with_the_closed_form(tmp_path, capsys):
     # the closed form is for one battery: an (8, 2) register holds two, and
     # its total ergotropy is about twice that curve; the printed gap is per
     # battery
-    config = small_config(tmp_path, "fig4.csv", model={**SMALL_MODEL, "L": 8, "n": 2})
+    config = small_config(tmp_path, "fig4.csv", model={**SMALL_MODEL, "L": 8, "n": 2},
+                          initial=None)
     cmd_fig4(config, n_seeds=2)
     gap = printed_gaps(capsys.readouterr().out, "max |xi/n - xi_ana|")
     assert len(gap) == 1 and gap[0] <= 0.05
@@ -797,10 +808,10 @@ def test_cli_parsing_and_overrides(tmp_path):
     assert config.model.h == 0.001
     assert config.model.L == 4
 
-    defaults = config_from_args(parser.parse_args(["fig2"]))
+    defaults = config_from_args(parser.parse_args(["fig3"]))
     assert defaults.model.L == 11 and defaults.model.n == 1
     assert defaults.model.h == 0.1 and defaults.model.kappa == 2.0
-    assert defaults.output_path == "fig2.csv"
+    assert defaults.output_path == "fig3.csv"
     assert defaults.grid.steps == 2000
 
 
@@ -818,7 +829,7 @@ def test_cli_end_to_end_small_run(tmp_path):
     assert main(["sweep", "--config", str(config_path)]) == 2  # no sweep section
 
 
-@pytest.mark.parametrize("command", ["fig1", "fig2", "fig3", "sweep"])
+@pytest.mark.parametrize("command", ["fig1", "fig3", "sweep"])
 def test_cli_fills_a_random_charger_seed_from_the_run_seed(tmp_path, capsys, command):
     # a random charger is drawn from the run seed (here set by --seed), the
     # seed every CSV row carries: at --seed 9 and 10 the files differ, and
@@ -863,12 +874,16 @@ def test_cli_fills_a_random_charger_seed_from_the_run_seed(tmp_path, capsys, com
 
 @pytest.mark.parametrize("command, sections, section", [
     ("fig1", {"sweep": {"parameter": "kappa", "values": [1.0, 2.0]}}, "sweep"),
-    ("fig2", {"sweep": {"parameter": "kappa", "values": [1.0, 2.0]}}, "sweep"),
     ("fig4", {"sweep": {"parameter": "kappa", "values": [1.0, 2.0]}}, "sweep"),
     ("fig4", {"model": {"L": 4, "n": 1},
               "initial": {"charger_kind": "eigenstate", "index": 10 ** 30}}, "initial"),
+    # an initial section fig4 would ignore is refused even when it spells out the default
+    ("fig4", {"model": {"L": 4, "n": 1}, "grid": {"steps": 5}, "initial": {}}, "initial"),
+    ("fig4", {"model": {"L": 4, "n": 1}, "grid": {"steps": 5},
+              "initial": {"charger_kind": "ghz_plus"}}, "initial"),
     ("fig3", {"grid": {"t_start": 1.0, "t_end": 1.5}}, "grid"),
-], ids=["fig1-sweep", "fig2-sweep", "fig4-sweep", "fig4-initial", "fig3-grid-window"])
+], ids=["fig1-sweep", "fig4-sweep", "fig4-initial", "fig4-initial-empty",
+        "fig4-initial-default", "fig3-grid-window"])
 def test_cli_rejects_a_config_section_the_command_would_ignore(tmp_path, capsys, command,
                                                                sections, section):
     # a section the command would not read fails before any run: exit 2,
@@ -1033,7 +1048,7 @@ def test_negative_initial_seed_is_refused_at_parse_time(tmp_path, monkeypatch, c
     assert captured.out == "" and calls == []
 
 
-@pytest.mark.parametrize("command", ["fig1", "fig2", "fig3", "sweep"])
+@pytest.mark.parametrize("command", ["fig1", "fig3", "sweep"])
 def test_an_eigenstate_index_too_large_for_a_ring_is_refused_before_any_run(
         tmp_path, monkeypatch, capsys, command):
     # the figures run rings of L = 11, 10, 9 and 8, the sweep a (9, 3)
@@ -1186,7 +1201,7 @@ def test_default_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
 def command_cases():
     """(name, command, config data, keyword arguments) running every command
     on systems of at most 6 qubits, parameters drawn from a fixed seed: the
-    keyword arguments shrink the fixed systems of fig1..fig3."""
+    keyword arguments shrink the fixed systems of fig1 and fig3."""
     rng = np.random.default_rng(20261019)
 
     def model(L, n):
@@ -1205,9 +1220,9 @@ def command_cases():
         ("fig1", "cmd_fig1", {"model": model(3, 1), "grid": grid(), "seed": seed(),
                               "initial": {"charger_kind": "eigenstate", "index": 5}},
          {"collapse_systems": ((4, 2),)}),
-        ("fig2", "cmd_fig2", {"model": model(4, 2), "grid": grid(), "seed": seed(),
-                              "initial": {"charger_kind": "ghz_minus"}},
-         {"systems": ((3, 1), (4, 2))}),
+        ("fig1-ghz_minus", "cmd_fig1", {"model": model(4, 2), "grid": grid(), "seed": seed(),
+                                        "initial": {"charger_kind": "ghz_minus"}},
+         {"collapse_systems": ((3, 1), (4, 2))}),
         ("fig3", "cmd_fig3", {"model": model(5, 1), "grid": {"steps": 40}, "seed": seed(),
                               "initial": {"charger_kind": "random"},
                               "sweep": {"parameter": "kappa", "values": [0.3, 1.7]}},
@@ -1228,8 +1243,6 @@ def command_runs(command, config, kwargs):
     model, times = config.model, config.grid.times()
     if command == "cmd_fig1":
         specs = [model] + [replace(model, L=L, n=n, d=None) for L, n in kwargs["collapse_systems"]]
-    elif command == "cmd_fig2":
-        specs = [replace(model, L=L, n=n, d=None) for L, n in kwargs["systems"]]
     elif command == "cmd_fig3":
         specs = [replace(model, L=kwargs["total_qubits"] - n, n=n, d=None, kappa=kappa)
                  for n in kwargs["n_values"] for kappa in config.sweep.values]
@@ -1241,7 +1254,7 @@ def command_runs(command, config, kwargs):
         specs = [replace(model, kappa=value) for value in config.sweep.values]
     else:
         specs = [replace(model, n=value, d=None) for value in config.sweep.values]
-    return [(spec, config.initial, times, config.seed) for spec in specs]
+    return [(spec, config.initial or GHZ, times, config.seed) for spec in specs]
 
 
 def dense_columns(spec, init, times, seed):
@@ -1264,7 +1277,7 @@ def assert_matches_dense_oracle(command, config, kwargs):
     if command == "cmd_fig3":
         assert len(cols["t"]) == len(runs)
         for row, (spec, times) in enumerate(runs):
-            dense = dense_columns(spec, config.initial, times, config.seed)
+            dense = dense_columns(spec, config.initial or GHZ, times, config.seed)
             power = charging_power(dense["stored_energy"], times)
             labels = (cols["n"][row], cols["L"][row], cols["kappa"][row])
             assert labels == (spec.n, spec.L, spec.kappa)
@@ -1296,7 +1309,7 @@ def assert_matches_dense_oracle(command, config, kwargs):
 
 
 def test_small_commands_match_dense_oracle_at_one_and_two_blas_threads(tmp_path):
-    # every *_num cell that fig1..fig4 and sweep write follows dense ED
+    # every *_num cell that fig1, fig3, fig4 and sweep write follows dense ED
     # (assert_matches_dense_oracle), and fresh processes at one and at two
     # OpenBLAS threads write the bytes this process writes
     cases = [(name, command, {**data, "output_path": f"{name}.csv"}, kwargs)

@@ -37,7 +37,7 @@ def test_every_trace_target_is_bound():
 
 def test_runners_cover_every_command_but_validate():
     parser = cli.build_parser()
-    assert set(cli._RUNNERS) == {"fig1", "fig2", "fig3", "fig4", "sweep"}
+    assert set(cli._RUNNERS) == {"fig1", "fig3", "fig4", "sweep"}
     for command in [*cli._RUNNERS, "validate"]:
         assert parser.parse_args([command]).command == command
     # the tracer replaces the fig1 collapse set at smoke sizes by keyword
