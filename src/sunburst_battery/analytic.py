@@ -9,9 +9,14 @@ Rabi-like frequency omega = sqrt(delta^2 + 4 kappa^2):
 
 with |A|^2 + |B|^2 = 1.  Everything else here (stored energy, ergotropy
 and its nonzero window, linear entropy, charging power and its value at
-the charging time, two-battery populations) follows from these
-amplitudes.  The functions accept scalar or array times and are the
-verification oracle for the exact-dynamics pipeline.
+the charging time) follows from these amplitudes.  At h = 0 each of n
+equispaced batteries is excited with probability |B|^2, independently,
+so the stored energy, ergotropy (population convention) and power of n
+batteries are n times one battery's, and a cat charger leaves them the
+linear entropy (1 - (1 - 2|B|^2)^(2n)) / 2.  ``two_battery`` derives the
+n = 2 values independently, as an oracle.  The functions accept scalar or
+array times and are the verification oracle for the exact-dynamics
+pipeline.
 """
 
 from __future__ import annotations
@@ -70,11 +75,11 @@ def excited_population(p: AnalyticParams, t):
     return (2.0 * p.kappa / p.omega) ** 2 * np.sin(p.omega * t / 2.0) ** 2
 
 
-def linear_entropy_analytic(p: AnalyticParams, t):
-    """Battery mixedness 1 - (|A|^4 + |B|^4); at most 1/2 for one qubit."""
-    b2 = excited_population(p, t)
-    a2 = 1.0 - b2
-    return 1.0 - (a2 ** 2 + b2 ** 2)
+def linear_entropy_analytic(p: AnalyticParams, t, n: int = 1):
+    """Mixedness 1 - tr(rho^2) of n batteries charged from a cat charger,
+    (1 - (1 - 2|B|^2)^(2n)) / 2: for one battery 1 - (|A|^4 + |B|^4), at
+    most 1/2."""
+    return 0.5 * (1.0 - (1.0 - 2.0 * excited_population(p, t)) ** (2 * n))
 
 
 def stored_energy_analytic(p: AnalyticParams, t):
@@ -197,7 +202,8 @@ class TwoBatteryResult:
 
 
 def two_battery(p: AnalyticParams, t) -> TwoBatteryResult:
-    """Two-battery closed forms from the even/odd time-power resummation."""
+    """Two-battery closed forms from the even/odd time-power resummation:
+    an oracle for the n-battery forms, derived without them."""
     t = _times(t)
     if p.omega == 0.0:
         one = np.ones_like(t)

@@ -5,13 +5,12 @@ oracles and the closed forms.
 
 CSV layout is fixed (see CSV_COLUMNS): numeric columns carry raw battery
 register totals, the n column supports per-battery normalization, and the
-analytic reference columns are filled for n = 1 and n = 2 only (there is
-no closed form beyond two batteries; the linear-entropy reference exists
-only for n = 1).  Floats are written with 17 significant digits and LF
-line endings so a run is reproducible byte for byte given (config, seed),
-whatever the BLAS thread count.  Every line comes from one formatter,
-``_format_rows``, GRID_BLOCK grid points at a time, and is written as it
-is made.
+analytic reference columns hold the strong-charger closed forms of n
+batteries for every n (``analytic_reference``).  Floats are written with
+17 significant digits and LF line endings so a run is reproducible byte
+for byte given (config, seed), whatever the BLAS thread count.  Every
+line comes from one formatter, ``_format_rows``, GRID_BLOCK grid points
+at a time, and is written as it is made.
 
 Each command runs its trajectories one after another, in run order; the
 command line runs BLAS on one thread by default (``cli.main``).  A config
@@ -39,7 +38,7 @@ from .analytic import (
     power_analytic,
     power_at_T,
     stored_energy_analytic,
-    two_battery,
+    two_battery,  # the n = 2 oracle of validate only
     unavailable_analytic,
     window_times,
 )
@@ -67,7 +66,6 @@ from .model import (
 from .observables import (
     WORK_FLOOR,
     MeritSeries,
-    charging_power,
     ergotropy,
     merit_series,
     reduce_to_battery,
@@ -266,16 +264,12 @@ def _csv_cells(lines):
 
 
 def analytic_reference(spec: ModelSpec, times):
-    """Closed-form (dE, xi, SL, P) columns for n in {1, 2}; None otherwise."""
+    """Closed-form (dE, xi, SL, P) columns of spec.n batteries: n times one
+    battery's dE, xi and P, and the cat charger's SL."""
     times = np.asarray(times, dtype=float)
     p = AnalyticParams.from_model(spec)
-    if spec.n == 1:
-        return (stored_energy_analytic(p, times), ergotropy_analytic(p, times),
-                linear_entropy_analytic(p, times), power_analytic(p, times))
-    if spec.n == 2:
-        pair = two_battery(p, times)
-        return pair.stored_energy, pair.ergotropy, None, charging_power(pair.stored_energy, times)
-    return None, None, None, None
+    return (spec.n * stored_energy_analytic(p, times), spec.n * ergotropy_analytic(p, times),
+            linear_entropy_analytic(p, times, spec.n), spec.n * power_analytic(p, times))
 
 
 def run_series(spec: ModelSpec, init: InitialStateSpec, times, seed: int | None = None
@@ -335,7 +329,7 @@ def _collapse(command: str, symbol: str, column: str, runs, results, reference) 
     """Print, one line per run, the largest deviation of its per-battery
     ``column`` from a single-battery reference curve."""
     for (spec, _, _), series in zip(runs, results):
-        dev = _max_gap(getattr(series, column) / max(spec.n, 1), reference)
+        dev = _max_gap(getattr(series, column) / spec.n, reference)
         print(f"{command} (L={spec.L}, n={spec.n}): max |{symbol}/n - {symbol}_ana| = {dev:.3e}")
 
 
@@ -364,12 +358,13 @@ def _refuse_spacing(command: str, model: ModelSpec) -> None:
                          f"remove the config's model.d ({model.d})")
 
 
-def _refuse_no_battery(command: str, model: ModelSpec) -> None:
+def _refuse_no_battery(command: str, specs) -> None:
     """A command that compares each battery with the one-battery closed
-    forms fails on a model without one."""
-    if model.n == 0:
-        raise ValueError(f"{command} compares each battery with the one-battery closed "
-                         "forms; model.n must be at least 1, got 0")
+    forms fails, before the first run, on a system without one, naming it."""
+    for spec in specs:
+        if spec.n == 0:
+            raise ValueError(f"{command} compares each battery with the one-battery closed "
+                             f"forms; the (L, n) = ({spec.L}, 0) system has no battery")
 
 
 def cmd_fig1(config: ExperimentConfig, collapse_systems=FIG1_COLLAPSE_SYSTEMS) -> None:
@@ -379,25 +374,25 @@ def cmd_fig1(config: ExperimentConfig, collapse_systems=FIG1_COLLAPSE_SYSTEMS) -
     The configured model is the single-battery panel; ``collapse_systems``
     are (L, n) pairs run with the same couplings for the per-battery
     collapse of the ergotropy, then of the power, onto the single-battery
-    curves.  The linear entropy is compared with its closed form only when
-    the configured n is 1, the only n it has one for.  A sweep section and
-    a model without a battery are refused.
+    curves; between them, each system's linear entropy is compared with
+    the cat charger's closed form for its n.  A sweep section and a system
+    without a battery are refused.
     """
     _refuse_sweep("fig1", config)
-    _refuse_no_battery("fig1", config.model)
     init = config.initial or InitialStateSpec()
     times = config.grid.times()
     specs = [config.model] + [
         replace(config.model, L=ls, n=ns, d=None) for ls, ns in collapse_systems
     ]
+    _refuse_no_battery("fig1", specs)
     _refuse_large_index("fig1", init, specs)
     runs = [(spec, init, config.seed) for spec in specs]
     results = [run_series(spec, init, times, seed) for spec, init, seed in runs]
     single = AnalyticParams.from_model(config.model)
     _collapse("fig1", "xi", "ergotropy", runs, results, ergotropy_analytic(single, times))
-    if config.model.n == 1:
-        entropy_dev = _max_gap(results[0].linear_entropy, linear_entropy_analytic(single, times))
-        print(f"fig1 (L={config.model.L}, n=1): max |SL - SL_ana| = {entropy_dev:.3e}")
+    for spec, series in zip(specs, results):
+        dev = _max_gap(series.linear_entropy, linear_entropy_analytic(single, times, spec.n))
+        print(f"fig1 (L={spec.L}, n={spec.n}): max |SL - SL_ana| = {dev:.3e}")
     _collapse("fig1", "P", "power", runs, results, power_analytic(single, times))
     _write_series("fig1", config.output_path, runs, results)
 
@@ -448,7 +443,6 @@ def cmd_fig3(config: ExperimentConfig, n_values=(1, 2, 3, 4),
     for spec, p in points:
         times = np.linspace(0.0, 2.0 * np.pi / p.omega, config.grid.steps)
         series = run_series(spec, init, times, config.seed)
-        scale = spec.n if spec.n in (1, 2) else None
         peak_p_ana = POWER_PEAK_COEFF * p.delta * p.kappa ** 2 / p.omega
         k = int(np.argmax(series.ergotropy))
         peak_work, peak_power = float(series.ergotropy[k]), float(series.power.max())
@@ -459,10 +453,10 @@ def cmd_fig3(config: ExperimentConfig, n_values=(1, 2, 3, 4),
             (peak_work,),
             (series.linear_entropy[k],) if working else None,
             (peak_power,),
-            None if scale is None else (scale * p.delta * 4 * p.kappa ** 2 / p.omega ** 2,),
-            None if scale is None else (scale * max_ergotropy(p),),
-            (linear_entropy_analytic(p, charging_time(p)),) if spec.n == 1 else None,
-            None if scale is None else (scale * peak_p_ana,),
+            (spec.n * p.delta * 4 * p.kappa ** 2 / p.omega ** 2,),
+            (spec.n * max_ergotropy(p),),
+            (linear_entropy_analytic(p, charging_time(p), spec.n),),
+            (spec.n * peak_p_ana,),
         ], (spec.n, spec.L, spec.kappa, config.seed)))
         print(f"fig3 (n={spec.n}, kappa={spec.kappa}): {'' if working else 'no work, '}"
               f"max xi/n = {peak_work / spec.n:.5f} "
@@ -496,7 +490,7 @@ def cmd_fig4(config: ExperimentConfig, n_seeds: int = 3) -> None:
     itself, and so is a model without a battery.
     """
     _refuse_sweep("fig4", config)
-    _refuse_no_battery("fig4", config.model)
+    _refuse_no_battery("fig4", [config.model])
     if config.initial is not None:
         raise ValueError("fig4 runs random chargers seeded seed, seed + 1, ...; "
                          "remove the config's initial section")
@@ -723,9 +717,8 @@ def _check_two_battery_ed(rng):
     spec = ModelSpec(10, 2, h=0.1, delta=0.5, kappa=2.0)
     times = np.linspace(0.0, 2.0, 2000)
     series = run_series(spec, InitialStateSpec(), times)
-    p = AnalyticParams.from_model(spec)
-    dev = max(_max_gap(series.ergotropy, 2 * ergotropy_analytic(p, times)),
-              _max_gap(series.stored_energy, 2 * stored_energy_analytic(p, times)))
+    stored, work = analytic_reference(spec, times)[:2]
+    dev = max(_max_gap(series.ergotropy, work), _max_gap(series.stored_energy, stored))
     return dev <= 0.05, f"L={spec.L} max |ED - 2x single| {dev:.3e}"
 
 

@@ -318,7 +318,8 @@ def test_csv_format_and_reread(tmp_path):
 def test_csv_golden_bytes_for_tuple_and_series_rows(tmp_path):
     # one-entry columns (fig3's summary rows) and a whole series format None
     # as empty, integers (np.int64 too) as digits and floats with 17
-    # significant digits, signed zero and subnormal-range values included
+    # significant digits, signed zero and subnormal-range values included;
+    # a series of n = 3 batteries carries its closed-form cells
     header = ",".join(CSV_COLUMNS) + "\n"
     path = tmp_path / "tuples.csv"
     columns = [(-0.0,), (1e-300,), None, (0.1,), (2,), (np.int64(-3),), (1 / 3,), None, (5.0,)]
@@ -335,12 +336,13 @@ def test_csv_golden_bytes_for_tuple_and_series_rows(tmp_path):
     write_csv(path, lines)
     assert path.read_bytes() == (
         header
-        + "0,-0,0,0,-0,,,,,3,6,0.5,9\n"
-        + "-0,0,-0,-0,0,,,,,3,6,0.5,9\n"
+        + "0,-0,0,0,-0,0,0,0,0,3,6,0.5,9\n"
+        + "-0,0,-0,-0,0,0,0,0,0,3,6,0.5,9\n"
         + "1e-300,-1e-300,1e-300,"
-          "1e-300,-1e-300,,,,,3,6,0.5,9\n"
+          "1e-300,-1e-300,0,0,0,0,3,6,0.5,9\n"
         + "0.33333333333333331,-0.33333333333333331,0.33333333333333331,"
-          "0.33333333333333331,-0.33333333333333331,,,,,3,6,0.5,9\n").encode()
+          "0.33333333333333331,-0.33333333333333331,0.041186640704626791,0,"
+          "0.14371807539089571,0.12355992211388037,3,6,0.5,9\n").encode()
 
 
 @settings(max_examples=200, deadline=None)
@@ -417,21 +419,46 @@ def test_read_csv_rejects_a_row_of_the_wrong_width(tmp_path):
 
 
 def test_analytic_reference_filling():
+    # every n has every column: dE, xi and P are n times one battery's, and
+    # SL is the cat charger's (1 - (1 - 2 q)^(2n)) / 2, q the excited
+    # population, so n = 0 has zero cells
     times = np.linspace(0.0, 1.0, 5)
-    one = analytic_reference(ModelSpec(4, 1), times)
-    assert all(col is not None for col in one)
-    two = analytic_reference(ModelSpec(4, 2), times)
-    assert two[0] is not None and two[1] is not None and two[3] is not None
-    assert two[2] is None  # no two-battery closed form for the linear entropy
-    three = analytic_reference(ModelSpec(6, 3), times)
-    assert all(col is None for col in three)
+    one = ModelSpec(4, 1)
+    dE1, xi1, sl1, p1 = analytic_reference(one, times)
+    q = dE1 / one.delta
+    assert np.allclose(sl1, 2 * q * (1 - q), rtol=0, atol=1e-15)
+    for n in (0, 2, 3, 4):
+        dE, xi, sl, power = analytic_reference(ModelSpec(12 - n, n), times)
+        assert np.array_equal(dE, n * dE1) and np.array_equal(xi, n * xi1)
+        assert np.array_equal(power, n * p1)
+        assert np.allclose(sl, (1 - (1 - 2 * q) ** (2 * n)) / 2, rtol=0, atol=1e-15)
+    assert all(np.array_equal(col, np.zeros_like(times))
+               for col in analytic_reference(ModelSpec(4, 0), times))
     # delta = kappa = 0 freezes the battery: omega = 0, and every closed-form
     # column and the peak work are zero, not the NaN of a division by omega
-    times = np.linspace(0.0, 1.0, 5)
-    for n in (1, 2):
-        for col in analytic_reference(ModelSpec(4, n, delta=0.0, kappa=0.0), times):
-            assert col is None or np.array_equal(col, np.zeros_like(times)), (n, col)
+    for n in (0, 1, 2, 3):
+        for col in analytic_reference(ModelSpec(12 - n, n, delta=0.0, kappa=0.0), times):
+            assert np.array_equal(col, np.zeros_like(times)), (n, col)
     assert max_ergotropy(AnalyticParams(0.0, 0.0)) == 0.0
+
+
+@pytest.mark.parametrize("L, n", [(7, 1), (6, 2), (6, 3), (4, 4)])
+def test_analytic_reference_is_exact_for_every_battery_count_at_zero_field(L, n):
+    # at h = 0 the batteries are excited independently, each with the one-
+    # battery probability q, whatever the charger: dE, xi and P are n times
+    # one battery's, and a cat charger gives SL = (1 - (1 - 2 q)^(2n)) / 2.
+    # P is compared as P t, since P = dE / t magnifies roundoff near t = 0
+    spec = ModelSpec(L, n, h=0.0)
+    times = np.linspace(0.0, 2.0, 200)
+    dE, xi, sl, power = analytic_reference(spec, times)
+    for kind, index, seed in (("ghz_plus", None, None), ("ghz_minus", None, None),
+                              ("random", None, 5), ("eigenstate", 3, None)):
+        series = experiments.run_series(spec, InitialStateSpec(kind, index), times, seed)
+        gaps = [np.max(np.abs(series.stored_energy - dE)), np.max(np.abs(series.ergotropy - xi)),
+                np.max(np.abs(series.power * times - power * times))]
+        if kind.startswith("ghz"):
+            gaps.append(np.max(np.abs(series.linear_entropy - sl)))
+        assert max(gaps) <= 1e-12, (kind, gaps)
 
 
 def test_fig1_small_scale(tmp_path, capsys):
@@ -441,18 +468,16 @@ def test_fig1_small_scale(tmp_path, capsys):
     collapse = printed_gaps(out, "max |xi/n - xi_ana|")
     assert len(collapse) == 2 and max(collapse) <= 0.05
     entropy = printed_gaps(out, "max |SL - SL_ana|")
-    assert len(entropy) == 1 and entropy[0] <= 0.05
+    assert len(entropy) == 2 and max(entropy) <= 0.05
     power = printed_gaps(out, "max |P/n - P_ana|")
     assert len(power) == 2 and max(power) <= 0.05
     cols = read_csv(config.output_path)
     assert len(cols["t"]) == 2 * 40
     # power vanishes at t = 0 for every system
     assert np.all(cols["P_num"][cols["t"] == 0.0] == 0.0)
-    # analytic columns filled for both systems here (n = 1 and n = 2)
-    assert not np.isnan(cols["xi_ana"]).any()
-    mask2 = cols["n"] == 2
-    assert np.isnan(cols["SL_ana"][mask2]).all()
-    assert not np.isnan(cols["SL_ana"][~mask2]).any()
+    # every analytic cell is filled, for n = 1 and n = 2 alike
+    for name in ("dE_ana", "xi_ana", "SL_ana", "P_ana"):
+        assert not np.isnan(cols[name]).any(), name
 
 
 def test_fig1_prints_the_power_collapse_and_fig2_is_gone(tmp_path, capsys):
@@ -473,21 +498,28 @@ def test_fig1_prints_the_power_collapse_and_fig2_is_gone(tmp_path, capsys):
     assert not (tmp_path / "never.csv").exists()
 
 
-def test_fig1_compares_the_linear_entropy_only_for_one_battery(tmp_path, capsys):
-    # the closed form of the linear entropy is for n = 1 only, and the SL_ana
-    # cells of a (6, 2) panel are blank: no deviation is printed
+def test_fig1_compares_the_linear_entropy_for_every_battery_count(tmp_path, capsys):
+    # a (6, 2) panel and a (4, 1) collapse system: one SL line per system,
+    # in run order, between the xi and the P lines, each the largest gap of
+    # SL_num to the SL_ana cells of its n
     config = small_config(tmp_path, "fig1.csv", model={**SMALL_MODEL, "L": 6, "n": 2})
     cmd_fig1(config, collapse_systems=((4, 1),))
-    out = capsys.readouterr().out
-    assert "SL" not in out and len(printed_gaps(out, "max |xi/n - xi_ana|")) == 2
+    lines = capsys.readouterr().out.splitlines()
+    labels = [line.split(": ")[1].split(" = ")[0] for line in lines[:-1]]
+    assert labels == ["max |xi/n - xi_ana|"] * 2 + ["max |SL - SL_ana|"] * 2 + [
+        "max |P/n - P_ana|"] * 2
+    assert [line.split(":")[0] for line in lines[2:4]] == ["fig1 (L=6, n=2)", "fig1 (L=4, n=1)"]
     cols = read_csv(config.output_path)
-    assert np.isnan(cols["SL_ana"][cols["n"] == 2]).all()
+    gaps = [np.max(np.abs(cols["SL_num"] - cols["SL_ana"])[cols["n"] == n]) for n in (2, 1)]
+    assert printed_gaps("\n".join(lines), "max |SL - SL_ana|") == [float(f"{g:.3e}") for g in gaps]
+    assert max(gaps) <= 0.05
 
 
 def test_a_model_without_a_battery_is_refused_by_the_closed_form_commands(
         tmp_path, monkeypatch, capsys):
     # fig1 and fig4 compare each battery with the one-battery closed forms:
-    # n = 0 fails before any run.  A sweep over n compares nothing, and runs it
+    # n = 0 fails before any run.  A sweep over n compares nothing, and runs
+    # it, with zero closed-form cells
     calls = []
     for name in ("run_series", "trajectory"):
         monkeypatch.setattr(experiments, name, lambda *args: calls.append(args))
@@ -498,12 +530,27 @@ def test_a_model_without_a_battery_is_refused_by_the_closed_form_commands(
         assert main([command, "--config", str(config_path)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"error: {command} compares each battery with the one-battery closed forms; "
-            "model.n must be at least 1, got 0"]
+            "the (L, n) = (4, 0) system has no battery"]
         assert calls == [] and not out.exists()
     monkeypatch.undo()
     config = small_config(tmp_path, "sweep.csv", sweep={"parameter": "n", "values": [0, 1]})
     cmd_sweep(config)
-    assert set(np.unique(read_csv(config.output_path)["n"])) == {0, 1}
+    cols = read_csv(config.output_path)
+    assert set(np.unique(cols["n"])) == {0, 1}
+    for name in ("dE_ana", "xi_ana", "SL_ana", "P_ana"):
+        assert np.all(cols[name][cols["n"] == 0] == 0.0), name
+
+
+def test_fig1_refuses_a_collapse_system_without_a_battery_before_any_run(
+        tmp_path, monkeypatch):
+    # a library call may pass collapse systems: one with n = 0 has no
+    # per-battery curve to compare, and fails before the first run
+    calls = []
+    monkeypatch.setattr(experiments, "run_series", lambda *args: calls.append(args))
+    config = small_config(tmp_path, "fig1.csv")
+    with pytest.raises(ValueError, match=re.escape("the (L, n) = (4, 0) system has no battery")):
+        cmd_fig1(config, collapse_systems=((4, 0),))
+    assert calls == [] and list(tmp_path.iterdir()) == []
 
 
 def test_fig1_rows_are_reproducible_bytes(tmp_path):
@@ -528,10 +575,12 @@ def test_fig1_zero_coupling_kills_all_work_columns(tmp_path):
 def test_fig3_small_scale(tmp_path):
     config = small_config(tmp_path, "fig3.csv", model={**SMALL_MODEL, "L": 5},
                           sweep={"parameter": "kappa", "values": [0.25, 2.0]})
-    assert cmd_fig3(config, n_values=(1, 2), total_qubits=6) is None
+    assert cmd_fig3(config, n_values=(1, 2, 3), total_qubits=6) is None
     cols = read_csv(config.output_path)
-    assert len(cols["t"]) == 4
-    # per battery: the closed-form cells of n = 1 and 2 are n times one battery's
+    assert len(cols["t"]) == 6
+    for name in ("dE_ana", "xi_ana", "SL_ana", "P_ana"):
+        assert not np.isnan(cols[name]).any(), name
+    # per battery: the closed-form cells of every n are n times one battery's
     xi, xi_ana, power, power_ana = (cols[name] / cols["n"]
                                     for name in ("xi_num", "xi_ana", "P_num", "P_ana"))
     weak = cols["kappa"] == 0.25
