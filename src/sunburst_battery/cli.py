@@ -2,7 +2,8 @@
 
 Subcommands fig1, fig3 and fig4 write the reference datasets with the default
 parameter set (J=1, h=0.1, delta=0.5, kappa=2), `sweep` runs the sweep
-described in a config file and `validate` runs the self-check suite.
+described in a config file and `validate` runs the self-check suite, the
+only command that imports the ``validate`` module.
 A JSON config can override any part of the run; --seed, --out and
 --h-override tweak it from the command line.  Every run is serial, and
 its BLAS runs on one thread unless the environment names another count.
@@ -55,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="override the output CSV path")
         cmd.add_argument("--h-override", type=float, dest="h_override",
                          help="override the transverse field h")
-        # read by nothing; goes once the benchmark stops passing --jobs 1 (ROADMAP item 1)
+        # read by nothing but the benchmark, which passes --jobs 1 (ROADMAP item 10)
         cmd.add_argument("--jobs", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
     sub.add_parser("validate", help="run the numeric/analytic cross-check suite")
     return parser
@@ -104,7 +105,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.command == "validate":
-            from .experiments import cmd_validate
+            from .validate import cmd_validate
 
             return cmd_validate()
         runner, _ = _RUNNERS[args.command]

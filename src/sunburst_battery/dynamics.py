@@ -45,10 +45,8 @@ from .model import (
     total_matvec,
 )
 
-# Not called here: the benchmark tracer wraps these two bindings, and
-# re-pinning its targets to the Chebyshev path is ROADMAP item 1.
-from .linalg import evolve_on_grid  # noqa: F401
-from .model import build_total  # noqa: F401
+from .linalg import evolve_on_grid  # noqa: F401  benchmark tracer binding only (ROADMAP item 10)
+from .model import build_total  # noqa: F401  benchmark tracer binding only (ROADMAP item 10)
 
 CHARGER_KINDS = ("ghz_plus", "ghz_minus", "eigenstate", "random")
 

@@ -10,10 +10,11 @@ arithmetic (``state_blocks``).  What varies smoothly along a window, such
 as a reduced state, can be computed at the window's second-kind Chebyshev
 points only (``chebyshev_nodes``) and carried onto the grid by barycentric
 interpolation (``interpolate``).  Dense LAPACK eigendecomposition of the full
-space (``eigh``, a plain ``(eigenvalues, eigenvectors)`` pair), spectral
-propagation with that pair (``evolve_on_grid``) and a sliced Taylor-series
-propagator (``expm_series_oracle``) are kept as independent references for
-the tests and the self-check suite.
+space (``eigh``, a plain ``(eigenvalues, eigenvectors)`` pair) and spectral
+propagation with that pair (``evolve_on_grid``) are kept as independent
+references for the tests and the self-check suite; the sliced
+Taylor-series propagator and the Gershgorin bound of a dense matrix are
+``validate``'s.
 """
 
 from __future__ import annotations
@@ -85,11 +86,6 @@ def evolve_on_grid(decomp, psi0, times) -> np.ndarray:
         phases = np.exp(-1j * np.outer(eigenvalues, chunk))
         out[lo:lo + chunk.size] = (eigenvectors @ (phases * w[:, None])).T
     return out
-
-
-def row_sum_bound(matrix) -> float:
-    """Gershgorin bound max_i sum_j |H_ij|, an upper bound on ||H||_2."""
-    return float(np.max(np.abs(_matrix_of(matrix)).sum(axis=1)))
 
 
 def _smooth_size(n: int) -> int:
@@ -353,30 +349,3 @@ def interpolate(nodes, values, times) -> np.ndarray:
         np.matmul(rows, samples, out=out[lo:lo + rows.shape[0]])
     out = out.view(np.complex128) if np.iscomplexobj(values) else out
     return out.reshape(times.shape + values.shape[1:])
-
-
-def expm_series_oracle(operator, psi0, t: float) -> np.ndarray:
-    """Taylor-series propagator with time slicing (test oracle).
-
-    t is sliced so that ||H||_inf * dt <= 1, then exp(-i H dt) is applied
-    stepwise as sum_k (-i H dt)^k / k! psi, truncating once the term norm
-    drops below 1e-16.  Accurate to ~1e-10 per amplitude at the
-    scales used here; independent of the spectral path.
-    """
-    m = _matrix_of(operator)
-    psi = _check_state(m.shape[0], psi0, require_normalized=False)
-    hnorm = row_sum_bound(m)
-    nsteps = max(1, int(np.ceil(hnorm * abs(t))))
-    dt = t / nsteps
-    for _ in range(nsteps):
-        term = psi
-        acc = psi.astype(np.complex128, copy=True)
-        for k in range(1, 400):
-            term = (-1j * dt / k) * (m @ term)
-            acc = acc + term
-            if float(np.linalg.norm(term)) < 1e-16:
-                break
-        else:
-            raise ArithmeticError("propagator series did not converge")
-        psi = acc
-    return psi

@@ -19,19 +19,19 @@ from sunburst_battery.analytic import (
     max_ergotropy,
     power_analytic,
     stored_energy_analytic,
-    two_battery,
-    unavailable_analytic,
 )
 from sunburst_battery.cli import main
 from sunburst_battery.dynamics import InitialStateSpec, trajectory
-from sunburst_battery.experiments import (
+from sunburst_battery.experiments import read_csv
+from sunburst_battery.model import ModelSpec, build_total
+from sunburst_battery.validate import (
     amplitude_residual,
     conservation_drift,
     partial_trace_gap,
     propagator_gap,
-    read_csv,
+    two_battery,
+    unavailable_analytic,
 )
-from sunburst_battery.model import ModelSpec, build_total
 
 OMEGA = np.sqrt(16.25)
 T_CHARGE = np.pi / OMEGA

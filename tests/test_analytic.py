@@ -3,16 +3,18 @@ import pytest
 
 from sunburst_battery.analytic import (
     AnalyticParams,
-    amplitudes,
-    bisect_window,
     charging_time,
     ergotropy_analytic,
     excited_population,
     linear_entropy_analytic,
     max_ergotropy,
     power_analytic,
-    power_at_T,
     stored_energy_analytic,
+)
+from sunburst_battery.validate import (
+    amplitudes,
+    bisect_window,
+    power_at_T,
     two_battery,
     unavailable_analytic,
     window_times,

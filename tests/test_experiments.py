@@ -17,14 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GHZ, numpy_figures, report_physical_memory
-from sunburst_battery import experiments, linalg
+from sunburst_battery import experiments, linalg, validate
 from sunburst_battery.analytic import AnalyticParams, max_ergotropy
 from sunburst_battery.cli import build_parser, config_from_args, main
 from sunburst_battery.dynamics import CHARGER_KINDS, InitialStateSpec, initial_state
 from sunburst_battery.experiments import (
-    CHECKS,
     CSV_COLUMNS,
-    VALIDATE_SEED,
     ExperimentConfig,
     SweepSpec,
     TimeGrid,
@@ -33,13 +31,13 @@ from sunburst_battery.experiments import (
     cmd_fig3,
     cmd_fig4,
     cmd_sweep,
-    cmd_validate,
     load_config,
     read_csv,
     write_csv,
 )
 from sunburst_battery.model import ModelSpec, battery_energies, build_total
 from sunburst_battery.observables import WORK_FLOOR, MeritSeries, charging_power, reduce_to_battery
+from sunburst_battery.validate import CHECKS, VALIDATE_SEED, cmd_validate
 
 SMALL_MODEL = {"L": 4, "n": 1, "J": 1.0, "h": 0.1, "delta": 0.5, "kappa": 2.0}
 
@@ -515,6 +513,22 @@ def test_fig1_compares_the_linear_entropy_for_every_battery_count(tmp_path, caps
     assert max(gaps) <= 0.05
 
 
+@pytest.mark.parametrize("initial", [{"charger_kind": "eigenstate", "index": 3},
+                                     {"charger_kind": "random"}], ids=["eigenstate", "random"])
+def test_fig1_compares_the_linear_entropy_only_for_a_cat_charger(tmp_path, capsys, initial):
+    # SL_ana is the cat charger's closed form, so another charger gets no SL
+    # line (at h = 0 an eigenstate charger leaves its battery pure), but
+    # still its xi and P lines, which at h = 0 hold for every charger, and a
+    # full SL_ana column
+    config = small_config(tmp_path, "fig1.csv", model={**SMALL_MODEL, "h": 0.0}, initial=initial)
+    cmd_fig1(config, collapse_systems=((4, 2),))
+    lines = capsys.readouterr().out.splitlines()
+    labels = [line.split(": ")[1].split(" = ")[0] for line in lines[:-1]]
+    assert labels == ["max |xi/n - xi_ana|"] * 2 + ["max |P/n - P_ana|"] * 2
+    assert max(printed_gaps("\n".join(lines), "max |xi/n - xi_ana|")) <= 1e-12
+    assert not np.isnan(read_csv(config.output_path)["SL_ana"]).any()
+
+
 def test_a_model_without_a_battery_is_refused_by_the_closed_form_commands(
         tmp_path, monkeypatch, capsys):
     # fig1 and fig4 compare each battery with the one-battery closed forms:
@@ -812,7 +826,7 @@ def test_validate_table_order():
 def test_validate_reports_a_failing_check(monkeypatch, capsys):
     table = list(CHECKS)
     table[6] = ("coupling_mutation_detected", lambda rng: (False, "forced"))
-    monkeypatch.setattr(experiments, "CHECKS", tuple(table))
+    monkeypatch.setattr(validate, "CHECKS", tuple(table))
     assert cmd_validate() == 1
     out = capsys.readouterr().out
     assert "CHECK coupling_mutation_detected FAIL forced\n" in out
@@ -1171,6 +1185,26 @@ def test_importing_the_package_loads_no_numpy_and_defines_only_its_version():
     module_attributes = {"__builtins__", "__cached__", "__doc__", "__file__", "__loader__",
                          "__name__", "__package__", "__path__", "__spec__"}
     assert set(names) - module_attributes == {"__version__"}
+
+
+def test_only_the_validate_command_loads_the_self_check_module(tmp_path):
+    # fig4 and a sweep run the production path alone: the check table and
+    # the oracles load for validate only
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"model": {"L": 4, "n": 1}, "grid": {"steps": 10},
+                                  "sweep": {"parameter": "n", "values": [1, 2]}}))
+    loaded = run_child(
+        "import json, sys\n"
+        "from sunburst_battery.cli import main\n"
+        "loaded = []\n"
+        f"for argv in (['fig4', '--out', {str(tmp_path / 'fig4.csv')!r}],\n"
+        f"             ['sweep', '--config', {str(config)!r}, '--out', {str(tmp_path / 'n.csv')!r}],\n"
+        "             ['validate']):\n"
+        "    assert main(argv) == 0\n"
+        "    loaded.append('sunburst_battery.validate' in sys.modules)\n"
+        "print(json.dumps(loaded))"
+    )
+    assert loaded == [False, False, True]
 
 
 def test_cli_defaults_blas_to_one_thread_unless_the_environment_says_otherwise(tmp_path):

@@ -14,12 +14,11 @@ from sunburst_battery.linalg import (
     chebyshev_series,
     eigh,
     evolve_on_grid,
-    expm_series_oracle,
     interpolate,
-    row_sum_bound,
     series_states,
 )
 from sunburst_battery.model import ModelSpec, build_total
+from sunburst_battery.validate import expm_series_oracle, row_sum_bound
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 

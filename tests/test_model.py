@@ -273,6 +273,30 @@ def test_sector_layout_orders_each_parity_sector_in_blocks(spec):
         assert bound == total_matvec(spec)[1]
 
 
+def test_every_flip_is_an_xor_on_the_layout_index():
+    # total_matvec gathers entry i's partner at position[basis[i] ^ mask]; on
+    # the full space and on either parity sector that position is i ^ x, one
+    # constant x per flip, so a flip maps every block of a layout onto one
+    # block, entry for entry
+    flips = 0
+    for L in range(2, 9):
+        for n in range(5):
+            for d in range(1, L + 1):
+                if n * d > L:
+                    continue
+                spec = ModelSpec(L, n, d=d)
+                for parity in (None, 0, 1):
+                    basis = sector_layout(spec, parity).basis
+                    position = np.zeros(spec.dim, dtype=basis.dtype)
+                    position[basis] = np.arange(basis.size)
+                    for mask, _ in terms(spec)[1]:
+                        partner = position[basis ^ mask]
+                        assert np.array_equal(partner, np.arange(basis.size) ^ partner[0]), (
+                            spec, parity, mask)
+                        flips += 1
+    assert flips == 2130
+
+
 def test_battery_spectrum_multiplicities():
     levels = battery_energies(4, 0.6)
     values, counts = np.unique(np.round(levels, 12), return_counts=True)

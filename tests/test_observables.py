@@ -7,7 +7,7 @@ import pytest
 from conftest import numpy_figures
 
 from sunburst_battery import dynamics, observables
-from sunburst_battery.analytic import AnalyticParams, amplitudes, unavailable_analytic
+from sunburst_battery.analytic import AnalyticParams
 from sunburst_battery.dynamics import (
     InitialStateSpec,
     Trajectory,
@@ -17,7 +17,7 @@ from sunburst_battery.dynamics import (
     random_state,
     trajectory,
 )
-from sunburst_battery.experiments import _naive_partial_trace, run_series
+from sunburst_battery.experiments import run_series
 from sunburst_battery.linalg import NODE_BLOCK, chebyshev_nodes
 from sunburst_battery.model import ModelSpec, battery_energies, sector_layout
 from sunburst_battery.observables import (
@@ -31,6 +31,7 @@ from sunburst_battery.observables import (
     reduced_states,
     stored_energy,
 )
+from sunburst_battery.validate import _naive_partial_trace, amplitudes, unavailable_analytic
 
 OMEGA = np.sqrt(16.25)
 T_CHARGE = np.pi / OMEGA
