@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelSpec
+from .config import ModelSpec
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,11 @@ its BLAS runs on one thread unless the environment names another count.
 
 numpy is imported only once ``main`` has set that default, because BLAS
 reads its thread count when it loads: neither this module nor the package
-``__init__`` imports anything that loads numpy.
+``__init__`` imports anything that loads numpy.  The command line, the
+config (``config``, which imports the standard library only) and the
+output path are all checked before that, since numpy first loads when the
+command's runner imports ``experiments``: a bad input fails without
+waiting for the numeric modules.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace):
     """The ExperimentConfig of a parsed fig/sweep command line."""
-    from .experiments import ExperimentConfig, load_config
+    from .config import ExperimentConfig, load_config
 
     config = load_config(args.config) if args.config else ExperimentConfig()
     if args.out is None and args.config is None:

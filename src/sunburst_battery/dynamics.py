@@ -1,7 +1,8 @@
 """Initial-state factory and exact time evolution on explicit time grids.
 
 The charger starts in a cat state, an x-basis product state, or a seeded
-Haar-random state; the batteries always start in the all-ground state
+Haar-random state, as a ``config.InitialStateSpec`` names it
+(``charger_state``); the batteries always start in the all-ground state
 |00...0>.  A trajectory is one Chebyshev expansion of exp(-i H t) psi0
 driven by the matrix-free Hamiltonian, with real coefficients: exact to
 roundoff at every grid time (no step-size error), with no dense matrix and
@@ -27,18 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import InitialStateSpec, ModelSpec, physical_memory
 from .linalg import (
     chebyshev_coefficients,
     chebyshev_nodes,
     chebyshev_series,
     interpolate,
     phases,
-    physical_memory,
     series_states,
 )
 from .model import (
     Layout,
-    ModelSpec,
     bit_counts,
     parity_sectors,
     sector_layout,
@@ -47,8 +47,6 @@ from .model import (
 
 from .linalg import evolve_on_grid  # noqa: F401  benchmark tracer binding only (ROADMAP item 10)
 from .model import build_total  # noqa: F401  benchmark tracer binding only (ROADMAP item 10)
-
-CHARGER_KINDS = ("ghz_plus", "ghz_minus", "eigenstate", "random")
 
 
 def _cat(L: int, parity: int) -> np.ndarray:
@@ -122,46 +120,23 @@ def compose(charger: np.ndarray, battery: np.ndarray) -> np.ndarray:
     return np.kron(charger, battery)
 
 
-@dataclass(frozen=True)
-class InitialStateSpec:
-    """Charger preparation; the battery register is always all-ground.
-
-    charger_kind: ghz_plus | ghz_minus | eigenstate | random
-    index: x-basis sign pattern, required for "eigenstate"
-
-    A "random" charger is drawn from the seed of the run that prepares it
-    (``charger_state``): every experiment command passes its run seed.
-    """
-
-    charger_kind: str = "ghz_plus"
-    index: int | None = None
-
-    def __post_init__(self):
-        if self.charger_kind not in CHARGER_KINDS:
-            raise ValueError(
-                f"unknown charger kind {self.charger_kind!r}; expected one of {CHARGER_KINDS}"
-            )
-        if self.charger_kind == "eigenstate":
-            if self.index is None or self.index < 0:
-                raise ValueError("eigenstate initial state needs a pattern index >= 0")
-        elif self.index is not None:
-            raise ValueError(f"index is only valid for 'eigenstate', not {self.charger_kind!r}")
-
-    def charger_state(self, L: int, seed: int | None = None) -> np.ndarray:
-        if self.charger_kind == "ghz_plus":
-            return ghz_plus(L)
-        if self.charger_kind == "ghz_minus":
-            return ghz_minus(L)
-        if self.charger_kind == "eigenstate":
-            return xbasis_product_state(L, self.index)
-        if seed is None:
-            raise ValueError("random initial state has no seed set")
-        return random_charger(L, seed)
+def charger_state(init: InitialStateSpec, L: int, seed: int | None = None) -> np.ndarray:
+    """The charger that ``init`` prepares on a ring of L sites; a random one
+    is drawn from ``seed``."""
+    if init.charger_kind == "ghz_plus":
+        return ghz_plus(L)
+    if init.charger_kind == "ghz_minus":
+        return ghz_minus(L)
+    if init.charger_kind == "eigenstate":
+        return xbasis_product_state(L, init.index)
+    if seed is None:
+        raise ValueError("random initial state has no seed set")
+    return random_charger(L, seed)
 
 
 def initial_state(spec: ModelSpec, init: InitialStateSpec, seed: int | None = None) -> np.ndarray:
     """Prepared charger, a random one drawn from ``seed``, tensor all-ground batteries."""
-    return compose(init.charger_state(spec.L, seed), battery_ground(spec.n))
+    return compose(charger_state(init, spec.L, seed), battery_ground(spec.n))
 
 
 @dataclass

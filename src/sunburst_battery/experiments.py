@@ -1,7 +1,8 @@
-"""Experiment runners: the JSON config, and the commands that write
-reproducible CSV datasets for the time-series, collapse, coupling-sweep and
-random-initial-state studies.  The self-check suite and its oracles are
-``validate``'s, which no command here imports.
+"""Experiment runners: the commands that write reproducible CSV datasets
+for the time-series, collapse, coupling-sweep and random-initial-state
+studies, from a run description that ``config`` reads and checks.  The
+self-check suite and its oracles are ``validate``'s, which no command here
+imports.
 
 CSV layout is fixed (see CSV_COLUMNS): numeric columns carry raw battery
 register totals, the n column supports per-battery normalization, and the
@@ -19,11 +20,8 @@ section that a command would not read fails before any run.
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import replace
 from itertools import combinations
-from numbers import Integral, Real
 
 import numpy as np
 
@@ -36,168 +34,20 @@ from .analytic import (
     power_analytic,
     stored_energy_analytic,
 )
-from .dynamics import InitialStateSpec, trajectory
-from .linalg import GRID_BLOCK, physical_memory
-from .model import ModelSpec, battery_energies
+from .config import ExperimentConfig, InitialStateSpec, ModelSpec, TimeGrid
+from .dynamics import trajectory
+from .linalg import GRID_BLOCK
+from .model import battery_energies
 from .model import build_total  # noqa: F401  benchmark tracer binding only (ROADMAP item 10)
 from .observables import WORK_FLOOR, MeritSeries, ergotropy, merit_series, reduced_states
 
 CSV_COLUMNS = ("t", "dE_num", "xi_num", "SL_num", "P_num",
                "dE_ana", "xi_ana", "SL_ana", "P_ana", "n", "L", "kappa", "seed")
 
-DEFAULT_SEED = 1234
 FIG1_COLLAPSE_SYSTEMS = ((10, 2), (9, 3), (8, 4))
 FIG3_KAPPAS = (0.25, 0.5, 1.0, 2.0, 4.0)
 FIG3_TOTAL_QUBITS = 12
 POWER_PEAK_COEFF = 1.45  # rounded coefficient of the power maximum
-# the least any run holds per grid point: the time, one complex
-# reduced-state entry and four float merit columns
-GRID_POINT_BYTES = 8 + 16 + 4 * 8
-
-
-def integral(name: str, value) -> int:
-    """An integer config value; a float must be integral (11.0 is 11, 11.7 is
-    an error), and a bool or string is an error.  Integers are never
-    converted through float, so values beyond 2**53 (such as 64-bit seeds)
-    stay exact."""
-    if (isinstance(value, bool) or not isinstance(value, (Integral, float))
-            or isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def real(name: str, value) -> float:
-    """A floating-point config value; a bool, a string or an integer beyond
-    the float range is an error."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} is an integer beyond the float range") from None
-
-
-def config_fields(cls, section: str, data) -> dict:
-    """Keyword arguments for the dataclass ``cls`` from the JSON object
-    ``data`` at key ``section``: every key names a field, every field with
-    no default is given, and a value (but None for a None default) goes
-    through integral() for a field declared ``int`` or ``int | None`` and
-    through real() for ``float``.  Each config module postpones its
-    annotations, so the declarations are strings."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{section} must be a JSON object, got {data!r}")
-    declared = {f.name: f for f in fields(cls)}
-    unknown = set(data) - set(declared)
-    if unknown:
-        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
-    missing = [name for name, f in declared.items() if f.default is MISSING and name not in data]
-    if missing:
-        raise ValueError(f"{section} requires the keys {missing}")
-    kwargs = dict(data)
-    for key, value in data.items():
-        field = declared[key]
-        if value is None and field.default is None:
-            continue
-        if field.type in ("int", "int | None"):
-            kwargs[key] = integral(f"{section}.{key}", value)
-        elif field.type == "float":
-            kwargs[key] = real(f"{section}.{key}", value)
-    return kwargs
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform grid of ``steps`` points on [t_start, t_end]; ``steps`` must
-    fit GRID_POINT_BYTES per point in physical memory."""
-
-    t_start: float = 0.0
-    t_end: float = 2.0
-    steps: int = 2000
-
-    def __post_init__(self):
-        if self.steps < 2:
-            raise ValueError(f"grid needs at least 2 points, got {self.steps}")
-        available = physical_memory()
-        if self.steps * GRID_POINT_BYTES > available:
-            raise ValueError(f"grid.steps = {self.steps} points of {GRID_POINT_BYTES} bytes "
-                             f"cannot fit in the {available:.3g} bytes of physical memory")
-        for key in ("t_start", "t_end"):
-            if not math.isfinite(getattr(self, key)):
-                raise ValueError(f"grid.{key} must be finite, got {getattr(self, key)!r}")
-        if self.t_start < 0 or self.t_end <= self.t_start:
-            raise ValueError(
-                f"grid requires t_end > t_start >= 0, got [{self.t_start}, {self.t_end}]"
-            )
-
-    def times(self) -> np.ndarray:
-        return np.linspace(self.t_start, self.t_end, self.steps)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One swept parameter (kappa or n) and its values."""
-
-    parameter: str
-    values: tuple
-
-    def __post_init__(self):
-        if not isinstance(self.values, (list, tuple)):
-            raise ValueError(f"sweep.values must be a list, got {self.values!r}")
-        if self.parameter not in ("kappa", "n"):
-            raise ValueError(f"sweep parameter must be 'kappa' or 'n', got {self.parameter!r}")
-        values = tuple(self.values)
-        if not values:
-            raise ValueError("sweep needs at least one value")
-        if self.parameter == "kappa":
-            values = tuple(real("sweep.values", v) for v in values)
-            if any(v < 0 for v in values):
-                raise ValueError("kappa values must be non-negative")
-        else:
-            values = tuple(integral("sweep.values", v) for v in values)
-            if any(v < 0 for v in values):
-                raise ValueError("n values must be non-negative")
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Full description of one run; serializable as a single JSON document."""
-
-    model: ModelSpec = ModelSpec(11, 1)
-    initial: InitialStateSpec | None = None  # no section: the cat charger, or fig4's own
-    grid: TimeGrid = TimeGrid()
-    sweep: SweepSpec | None = None
-    seed: int = DEFAULT_SEED
-    output_path: str = "out.csv"
-
-    def __post_init__(self):
-        seed = integral("config.seed", self.seed)
-        if not 0 <= seed < 2 ** 64:
-            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
-        object.__setattr__(self, "seed", seed)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        kwargs = config_fields(cls, "config", data)
-        for key, section in (("model", ModelSpec), ("initial", InitialStateSpec),
-                             ("grid", TimeGrid), ("sweep", SweepSpec)):
-            # a null sweep is no sweep; any other section must be an object
-            if key in kwargs and (key != "sweep" or kwargs[key] is not None):
-                kwargs[key] = section(**config_fields(section, key, kwargs[key]))
-        if not isinstance(kwargs.get("output_path", ""), str):
-            raise ValueError(f"output_path must be a string, got {kwargs['output_path']!r}")
-        return cls(**kwargs)
-
-
-def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except RecursionError:
-            raise ValueError(f"config {str(path)!r} is nested too deeply to read") from None
-        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
-            raise ValueError(f"config {str(path)!r} is not valid JSON: {exc}") from None
-    return ExperimentConfig.from_dict(data)
 
 
 def write_csv(path, lines) -> None:

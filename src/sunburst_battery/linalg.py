@@ -19,9 +19,11 @@ Taylor-series propagator and the Gershgorin bound of a dense matrix are
 
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
+
+from .config import physical_memory
 
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-10
@@ -100,11 +102,6 @@ def _smooth_size(n: int) -> int:
             threes *= 3
         fives *= 5
     return best
-
-
-def physical_memory() -> int:
-    """Bytes of physical memory, as the operating system reports them."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _refuse_beyond_memory(z_max: float, terms: float, needed: float, vectors: int = 0) -> None:
@@ -328,6 +325,9 @@ def interpolate(nodes, values, times) -> np.ndarray:
     and a time equal to a node takes that node's values exactly.  The
     (rows x M) weights are built for GRID_BLOCK grid times at a time, and
     each block costs one real matrix product with the values read as reals.
+    The time-node gaps are scaled by the power of two that brings the
+    window's width near 1, which is exact and cancels in the normalized
+    weights, so a window of subnormal width does not overflow them.
     """
     nodes, times = np.asarray(nodes, dtype=float), np.asarray(times, dtype=float)
     values = np.ascontiguousarray(values)
@@ -338,8 +338,9 @@ def interpolate(nodes, values, times) -> np.ndarray:
     samples = values.reshape(nodes.size, -1)
     samples = samples.view(np.float64) if np.iscomplexobj(samples) else np.asarray(samples, float)
     out = np.empty((times.size, samples.shape[1]))
+    scale = -math.frexp(nodes[-1] - nodes[0])[1]
     for lo in range(0, times.size, GRID_BLOCK):
-        gaps = np.subtract.outer(times[lo:lo + GRID_BLOCK], nodes)
+        gaps = np.ldexp(np.subtract.outer(times[lo:lo + GRID_BLOCK], nodes), scale)
         on_node = gaps == 0
         np.copyto(gaps, 1.0, where=on_node)
         rows = weights / gaps

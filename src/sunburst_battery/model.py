@@ -16,7 +16,8 @@ sigma^z = +1 state.  sigma^x_i flips one bit and sigma^z_i reads one bit,
 so the Hamiltonian is one list of terms (terms): a real diagonal plus
 bit-flip masks with their coefficients.  The matrix-free product
 (total_matvec) applies that list directly; the dense builders scatter it
-into real symmetric matrices for the oracles and the tests.
+into real symmetric matrices for the oracles and the tests.  The
+parameters are a ``config.ModelSpec``, checked as the config is read.
 
 Every term flips an even number of bits (sigma^x sigma^x bonds) or none
 (sigma^z, Sigma^z), so every operator below conserves the total parity
@@ -28,10 +29,11 @@ block per charger parity, and total_matvec acts on it in that layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .config import ModelSpec
 
 
 def bit_counts(values: np.ndarray) -> np.ndarray:
@@ -42,62 +44,6 @@ def bit_counts(values: np.ndarray) -> np.ndarray:
         counts += vals & 1
         vals >>= 1
     return counts
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Model parameters.  Couplings are in units of the ring bond J.
-
-    d is the site spacing between consecutive batteries; when omitted it
-    defaults to the equispaced choice L/n (which requires n to divide L).
-    """
-
-    L: int
-    n: int
-    d: int | None = None
-    J: float = 1.0
-    h: float = 0.1
-    delta: float = 0.5
-    kappa: float = 2.0
-
-    def __post_init__(self):
-        if not isinstance(self.L, int) or self.L < 2:
-            raise ValueError(f"ring length L must be an integer >= 2, got {self.L!r}")
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"battery count n must be an integer >= 0, got {self.n!r}")
-        for name in ("J", "h", "delta", "kappa"):
-            val = getattr(self, name)
-            if not np.isfinite(val):
-                raise ValueError(f"{name} must be finite, got {val!r}")
-        if self.J <= 0:
-            raise ValueError("J must be positive (ferromagnetic ring)")
-        if self.h < 0 or self.delta < 0 or self.kappa < 0:
-            raise ValueError("h, delta and kappa must be non-negative")
-        d = self.d
-        if d is None:
-            if self.n <= 1:
-                d = 1
-            elif self.L % self.n == 0:
-                d = self.L // self.n
-            else:
-                raise ValueError(
-                    f"battery spacing d must be given explicitly: {self.n} does "
-                    f"not divide L={self.L} so there is no equispaced default"
-                )
-        if not isinstance(d, int) or d < 1:
-            raise ValueError(f"battery spacing d must be an integer >= 1, got {d!r}")
-        object.__setattr__(self, "d", d)
-        # n*d <= L also keeps the attachment sites 1, 1+d, ..., 1+(n-1)d distinct
-        if self.n * d > self.L:
-            raise ValueError(f"n*d = {self.n * d} exceeds L = {self.L}: batteries do not fit")
-
-    @property
-    def qubits(self) -> int:
-        return self.L + self.n
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.qubits
 
 
 def battery_positions(spec: ModelSpec) -> list[int]:

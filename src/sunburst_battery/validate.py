@@ -28,11 +28,11 @@ from .analytic import (
     power_analytic,
     stored_energy_analytic,
 )
-from .dynamics import InitialStateSpec, ghz_plus, random_state, trajectory
+from .config import InitialStateSpec, ModelSpec
+from .dynamics import ghz_plus, random_state, trajectory
 from .experiments import POWER_PEAK_COEFF, _max_gap, analytic_reference, run_series
 from .linalg import _check_state, _matrix_of, chebyshev_series, eigh, evolve_on_grid, series_states
 from .model import (
-    ModelSpec,
     battery_energies,
     build_batteries,
     build_charger,

@@ -3,9 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from sunburst_battery.dynamics import InitialStateSpec
+from sunburst_battery.config import InitialStateSpec, physical_memory
 from sunburst_battery.experiments import run_series
-from sunburst_battery.linalg import physical_memory
 
 # default grid used by the reference runs: 2000 uniform points on [0, 2]
 REFERENCE_GRID = np.linspace(0.0, 2.0, 2000)

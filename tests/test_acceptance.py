@@ -21,9 +21,10 @@ from sunburst_battery.analytic import (
     stored_energy_analytic,
 )
 from sunburst_battery.cli import main
-from sunburst_battery.dynamics import InitialStateSpec, trajectory
+from sunburst_battery.config import InitialStateSpec, ModelSpec
+from sunburst_battery.dynamics import trajectory
 from sunburst_battery.experiments import read_csv
-from sunburst_battery.model import ModelSpec, build_total
+from sunburst_battery.model import build_total
 from sunburst_battery.validate import (
     amplitude_residual,
     conservation_drift,

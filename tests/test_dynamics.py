@@ -11,9 +11,14 @@ from conftest import numpy_figures, report_physical_memory
 
 from sunburst_battery import dynamics, linalg
 from sunburst_battery.cli import main
-from sunburst_battery.dynamics import (
+from sunburst_battery.config import (
     CHARGER_KINDS,
+    ExperimentConfig,
     InitialStateSpec,
+    ModelSpec,
+    physical_memory,
+)
+from sunburst_battery.dynamics import (
     battery_ground,
     compose,
     ghz_minus,
@@ -23,9 +28,9 @@ from sunburst_battery.dynamics import (
     trajectory,
     xbasis_product_state,
 )
-from sunburst_battery.experiments import ExperimentConfig, run_series
+from sunburst_battery.experiments import run_series
 from sunburst_battery.linalg import evolve_on_grid
-from sunburst_battery.model import ModelSpec, battery_energies, build_total, parity_sectors
+from sunburst_battery.model import battery_energies, build_total, parity_sectors
 from sunburst_battery.observables import (
     charging_power,
     ergotropy,
@@ -132,7 +137,7 @@ def test_trajectory_refuses_a_grid_whose_reduced_states_cannot_fit_in_memory():
     # one point more than physical memory holds is refused before any
     # vector is allocated, though the expansion itself is tiny
     spec = ModelSpec(8, 8, d=1)
-    times = np.linspace(0.0, 0.01, linalg.physical_memory() // (8 << 16) + 1)
+    times = np.linspace(0.0, 0.01, physical_memory() // (8 << 16) + 1)
     with pytest.raises(ValueError, match="physical memory"):
         trajectory(spec, InitialStateSpec(), times)
 

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import gc
 import json
@@ -20,22 +21,27 @@ from conftest import GHZ, numpy_figures, report_physical_memory
 from sunburst_battery import experiments, linalg, validate
 from sunburst_battery.analytic import AnalyticParams, max_ergotropy
 from sunburst_battery.cli import build_parser, config_from_args, main
-from sunburst_battery.dynamics import CHARGER_KINDS, InitialStateSpec, initial_state
-from sunburst_battery.experiments import (
-    CSV_COLUMNS,
+from sunburst_battery.config import (
+    CHARGER_KINDS,
     ExperimentConfig,
+    InitialStateSpec,
+    ModelSpec,
     SweepSpec,
     TimeGrid,
+    load_config,
+)
+from sunburst_battery.dynamics import initial_state
+from sunburst_battery.experiments import (
+    CSV_COLUMNS,
     analytic_reference,
     cmd_fig1,
     cmd_fig3,
     cmd_fig4,
     cmd_sweep,
-    load_config,
     read_csv,
     write_csv,
 )
-from sunburst_battery.model import ModelSpec, battery_energies, build_total
+from sunburst_battery.model import battery_energies, build_total
 from sunburst_battery.observables import WORK_FLOOR, MeritSeries, charging_power, reduce_to_battery
 from sunburst_battery.validate import CHECKS, VALIDATE_SEED, cmd_validate
 
@@ -553,6 +559,19 @@ def test_a_model_without_a_battery_is_refused_by_the_closed_form_commands(
     assert set(np.unique(cols["n"])) == {0, 1}
     for name in ("dE_ana", "xi_ana", "SL_ana", "P_ana"):
         assert np.all(cols[name][cols["n"] == 0] == 0.0), name
+
+
+@pytest.mark.parametrize("kind", ["ghz_plus", "random"])
+def test_a_sweep_over_a_subnormal_grid_window_writes_no_nan_cell(tmp_path, kind):
+    # every gap between a time and a node is subnormal on [0, 1e-320]
+    config = small_config(tmp_path, "tiny.csv", initial={"charger_kind": kind},
+                          grid={"t_start": 0.0, "t_end": 1e-320, "steps": 5},
+                          sweep={"parameter": "kappa", "values": [1.0, 2.0]})
+    cmd_sweep(config)
+    cols = read_csv(config.output_path)
+    assert cols["t"].size == 10
+    for name in CSV_COLUMNS:
+        assert not np.isnan(cols[name]).any(), name
 
 
 def test_fig1_refuses_a_collapse_system_without_a_battery_before_any_run(
@@ -1207,6 +1226,76 @@ def test_only_the_validate_command_loads_the_self_check_module(tmp_path):
     assert loaded == [False, False, True]
 
 
+NUMERIC_MODULES = ("numpy", *(f"sunburst_battery.{name}" for name in
+                              ("model", "dynamics", "linalg", "observables", "analytic",
+                               "experiments")))
+
+
+def test_the_command_line_and_config_are_checked_before_numpy_loads(tmp_path, capsys):
+    # a fresh process parses every command's config, and fails on a bad
+    # config and on a bad --out, with neither numpy nor any numeric module
+    # loaded; the configs and the error lines are this process's
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps({
+        "model": {"L": 6, "n": 2, "d": 3, "J": 1.0, "h": 0.2, "delta": 0.4, "kappa": 1.5},
+        "initial": {"charger_kind": "eigenstate", "index": 5},
+        "grid": {"t_start": 0.5, "t_end": 1.5, "steps": 30},
+        "sweep": {"parameter": "kappa", "values": [0.5, 1.0]},
+        "seed": 11, "output_path": str(tmp_path / "sweep.csv")}))
+    unknown = tmp_path / "unknown.json"
+    unknown.write_text(json.dumps({"model": {"L": 4, "n": 1, "coupling": 2.0}}))
+    parsed = [["fig1"], ["fig3", "--seed", "5"], ["fig4", "--h-override", "0.3"],
+              ["sweep", "--config", str(full), "--seed", "9", "--h-override", "0.25"]]
+    failing = [["fig1", "--config", str(unknown)],
+               ["fig4", "--out", str(tmp_path / "missing" / "fig4.csv")]]
+    configs, codes, errors, loaded = run_child(
+        "import contextlib, io, json, sys\n"
+        "from sunburst_battery import cli\n"
+        "configs = [repr(cli.config_from_args(cli.build_parser().parse_args(argv)))\n"
+        f"           for argv in {parsed!r}]\n"
+        "codes, errors = [], []\n"
+        f"for argv in {failing!r}:\n"
+        "    with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+        "        codes.append(cli.main(argv))\n"
+        "    errors.append(err.getvalue())\n"
+        f"loaded = sorted(m for m in {NUMERIC_MODULES!r} if m in sys.modules)\n"
+        "print(json.dumps([configs, codes, errors, loaded]))"
+    )
+    assert loaded == []
+    assert configs == [repr(config_from_args(build_parser().parse_args(argv))) for argv in parsed]
+    assert codes == [2, 2]
+    expected = []
+    for argv in failing:
+        assert main(argv) == 2
+        expected.append(capsys.readouterr().err)
+    assert errors == expected
+    assert expected[0] == "error: unknown model keys: ['coupling']\n"
+    assert expected[1] == f"error: output directory {str(tmp_path / 'missing')!r} does not exist\n"
+
+
+def test_the_config_module_imports_the_standard_library_only():
+    # config loads before numpy (cli.config_from_args); an import of numpy
+    # or of a package module when it loads would undo that without a sign.
+    # Only TimeGrid.times imports numpy, when it is called.
+    tree = ast.parse(Path(experiments.__file__).with_name("config.py").read_text())
+    at_load, in_functions = [], []
+
+    def collect(node, inside_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                assert not getattr(child, "level", 0), ast.unparse(child)
+                names = ([alias.name for alias in child.names] if isinstance(child, ast.Import)
+                         else [child.module])
+                (in_functions if inside_function else at_load).extend(
+                    name.partition(".")[0] for name in names)
+            collect(child, inside_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+    collect(tree, False)
+    assert at_load and set(at_load) <= sys.stdlib_module_names, at_load
+    assert in_functions == ["numpy"]
+
+
 def test_cli_defaults_blas_to_one_thread_unless_the_environment_says_otherwise(tmp_path):
     # main sets each variable it finds unset before numpy loads, and OpenBLAS
     # then starts no thread of its own; an explicit setting is left as it is
@@ -1400,9 +1489,10 @@ def test_small_commands_match_dense_oracle_at_one_and_two_blas_threads(tmp_path)
     code = (
         "import os, sys\n"
         "from sunburst_battery import experiments\n"
+        "from sunburst_battery.config import ExperimentConfig\n"
         "os.chdir(sys.argv[1])\n"
         f"for _, command, data, kwargs in {cases!r}:\n"
-        "    config = experiments.ExperimentConfig.from_dict(data)\n"
+        "    config = ExperimentConfig.from_dict(data)\n"
         "    getattr(experiments, command)(config, **kwargs)\n"
     )
     children = []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sunburst_battery import linalg
+from sunburst_battery.config import ModelSpec, physical_memory
 from sunburst_battery.dynamics import random_state
 from sunburst_battery.linalg import (
     GRID_BLOCK,
@@ -17,7 +18,7 @@ from sunburst_battery.linalg import (
     interpolate,
     series_states,
 )
-from sunburst_battery.model import ModelSpec, build_total
+from sunburst_battery.model import build_total
 from sunburst_battery.validate import expm_series_oracle, row_sum_bound
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -289,7 +290,7 @@ def test_chebyshev_series_names_a_phase_beyond_the_float_range():
 def test_chebyshev_series_counts_the_callers_bytes_in_the_memory_check():
     ham = np.diag([-1.0, 1.0])
     psi = np.array([1.0, 0.0])
-    available = linalg.physical_memory()
+    available = physical_memory()
     chebyshev_series(lambda v: ham @ v, 1.0, psi, [0.0, 1.0], extra_bytes=available // 2)
     with pytest.raises(ValueError, match="physical memory"):
         chebyshev_series(lambda v: ham @ v, 1.0, psi, [0.0, 1.0], extra_bytes=available)
@@ -347,6 +348,21 @@ def test_interpolation_reproduces_polynomials_and_node_values(monkeypatch):
     assert not np.iscomplexobj(real) and np.max(np.abs(real - poly(times).real)) <= 1e-12
     with pytest.raises(ValueError, match="do not match"):
         interpolate(nodes, poly(nodes)[1:], times)
+
+
+def test_interpolation_on_a_subnormal_window_overflows_no_weight():
+    # the gaps between times and nodes on [0, 1e-320] are subnormal, and
+    # dividing the weights by them unscaled overflows to inf and nan
+    # (pytest turns the RuntimeWarning into an error)
+    nodes = chebyshev_nodes(0.0, 1e-320, 9)
+    assert np.all(np.diff(nodes) > 0)
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3))
+    assert np.array_equal(interpolate(nodes, values, nodes), values)
+    times = np.linspace(0.0, 1e-320, 50)
+    ones = interpolate(nodes, np.ones(9), times)
+    assert np.max(np.abs(ones - 1.0)) <= 1e-13
+    assert np.all(np.isfinite(interpolate(nodes, values, times)))
 
 
 def test_chebyshev_series_raises_when_the_tail_does_not_converge(monkeypatch):

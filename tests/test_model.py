@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
+from sunburst_battery.config import ExperimentConfig, ModelSpec
 from sunburst_battery.dynamics import battery_ground, compose, ghz_plus
-from sunburst_battery.experiments import ExperimentConfig
 from sunburst_battery.linalg import eigh
 from sunburst_battery.model import (
-    ModelSpec,
     battery_energies,
     battery_positions,
     build_batteries,
@@ -81,6 +80,19 @@ def test_spec_validation():
         ModelSpec(4, 2, d=0)
     with pytest.raises(ValueError, match="do not fit"):
         ModelSpec(4, 3, d=2)
+
+
+@pytest.mark.parametrize("name", ["J", "h", "delta", "kappa"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_spec_refuses_a_non_finite_coupling_by_name(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+        ModelSpec(4, 1, **{name: value})
+
+
+def test_spec_accepts_numpy_floats_as_the_equal_python_floats():
+    values = {"J": 1.3, "h": 0.2, "delta": 0.5, "kappa": 2.0}
+    spec = ModelSpec(4, 1, **{name: np.float64(value) for name, value in values.items()})
+    assert spec == ModelSpec(4, 1, **values)
 
 
 def test_two_site_ring_double_counts_the_bond():

@@ -8,8 +8,8 @@ from conftest import numpy_figures
 
 from sunburst_battery import dynamics, observables
 from sunburst_battery.analytic import AnalyticParams
+from sunburst_battery.config import InitialStateSpec, ModelSpec
 from sunburst_battery.dynamics import (
-    InitialStateSpec,
     Trajectory,
     compose,
     ghz_minus,
@@ -19,7 +19,7 @@ from sunburst_battery.dynamics import (
 )
 from sunburst_battery.experiments import run_series
 from sunburst_battery.linalg import NODE_BLOCK, chebyshev_nodes
-from sunburst_battery.model import ModelSpec, battery_energies, sector_layout
+from sunburst_battery.model import battery_energies, sector_layout
 from sunburst_battery.observables import (
     WORK_FLOOR,
     charging_power,

@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from sunburst_battery import cli, experiments, linalg
-from sunburst_battery.dynamics import InitialStateSpec, trajectory
-from sunburst_battery.model import ModelSpec
+from sunburst_battery.config import InitialStateSpec, ModelSpec
+from sunburst_battery.dynamics import trajectory
 
 CHILD = Path(__file__).resolve().parents[1] / "benchmarks" / "child.py"
 
