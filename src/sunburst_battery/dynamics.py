@@ -8,7 +8,9 @@ driven by the matrix-free Hamiltonian, with real coefficients: exact to
 roundoff at every grid time (no step-size error), with no dense matrix and
 no eigendecomposition.  The Hamiltonian conserves the total parity, so a
 state with no weight in one parity sector (a cat charger with ground
-batteries) is expanded on the other sector alone, at half the size.
+batteries) is expanded on the other sector alone, at half the size.  Battery
+level 0 has even parity, so the start vector occupies the parities of the
+charger's nonzero entries; it is written straight onto its layout.
 
 Every trajectory is evaluated at M Chebyshev nodes of its grid window,
 and the states or the reduced states there are interpolated onto the grid
@@ -40,7 +42,6 @@ from .linalg import (
 from .model import (
     Layout,
     bit_counts,
-    parity_sectors,
     sector_layout,
     total_matvec,
 )
@@ -102,24 +103,6 @@ def random_charger(L: int, seed: int) -> np.ndarray:
     return random_state(np.random.default_rng(seed), 1 << L)
 
 
-def battery_ground(n: int) -> np.ndarray:
-    """All-ground battery register |00...0>."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    state = np.zeros(1 << n, dtype=np.complex128)
-    state[0] = 1.0
-    return state
-
-
-def compose(charger: np.ndarray, battery: np.ndarray) -> np.ndarray:
-    """Tensor product under the model bit convention (charger block high)."""
-    charger = np.asarray(charger)
-    battery = np.asarray(battery)
-    if charger.ndim != 1 or battery.ndim != 1:
-        raise ValueError("compose expects two vectors")
-    return np.kron(charger, battery)
-
-
 def charger_state(init: InitialStateSpec, L: int, seed: int | None = None) -> np.ndarray:
     """The charger that ``init`` prepares on a ring of L sites; a random one
     is drawn from ``seed``."""
@@ -134,9 +117,19 @@ def charger_state(init: InitialStateSpec, L: int, seed: int | None = None) -> np
     return random_charger(L, seed)
 
 
+def _place(charger: np.ndarray, layout: Layout, n: int) -> np.ndarray:
+    """The charger tensor n all-ground batteries, laid out by ``layout``:
+    each charger amplitude at the entry whose battery bits are all 0."""
+    psi = np.zeros(layout.basis.size, dtype=np.complex128)
+    ground = np.flatnonzero(layout.basis % (1 << n) == 0)
+    psi[ground] = charger[layout.basis[ground] >> n]
+    return psi
+
+
 def initial_state(spec: ModelSpec, init: InitialStateSpec, seed: int | None = None) -> np.ndarray:
-    """Prepared charger, a random one drawn from ``seed``, tensor all-ground batteries."""
-    return compose(charger_state(init, spec.L, seed), battery_ground(spec.n))
+    """Prepared charger, a random one drawn from ``seed``, tensor all-ground
+    batteries, on the full space."""
+    return _place(charger_state(init, spec.L, seed), sector_layout(spec), spec.n)
 
 
 @dataclass
@@ -171,8 +164,8 @@ class Trajectory:
 def trajectory(spec: ModelSpec, init: InitialStateSpec, times, seed: int | None = None
                ) -> Trajectory:
     """Evolve the composite initial state over the grid, on the one parity
-    sector it occupies if it has exact zeros on the other; a random charger
-    is drawn from ``seed``.
+    sector it occupies if the charger's nonzero entries share one parity,
+    else on the full space; a random charger is drawn from ``seed``, once.
 
     The expansion is evaluated at M Chebyshev nodes of [times[0],
     times[-1]], M >= 2 the number of terms the CHEBYSHEV_TOL cut keeps at
@@ -184,8 +177,8 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times, seed: int | None 
     on the full space and half that on a sector for n >= 1;
     and the matrix-free Hamiltonian (``total_matvec``), held for the whole
     run: an int64 gather index per flip, L + n of them, and the diagonal,
-    8 (L + n + 1) bytes per vector entry.  Before the initial state is
-    built, a model is refused whose state and Hamiltonian cannot fit on the
+    8 (L + n + 1) bytes per vector entry.  Before the charger is drawn,
+    a model is refused whose state and Hamiltonian cannot fit on the
     smaller layout, a sector: 8 (L + n + 3) bytes per entry of 2**(L+n-1).
     """
     times = np.asarray(times, dtype=float)
@@ -207,10 +200,11 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times, seed: int | None 
             f"2**{spec.qubits - 1} entries or more, {entry} bytes each: "
             f"{held:.3g} bytes, more than the {available:.3g} bytes of physical memory"
         )
-    psi0 = initial_state(spec, init, seed)
-    occupied = [parity for parity, idx in enumerate(parity_sectors(spec.dim)) if psi0[idx].any()]
-    layout = sector_layout(spec, occupied[0] if len(occupied) == 1 else None)
-    psi0 = psi0[layout.basis]
+    charger = charger_state(init, spec.L, seed)
+    # the batteries start in level 0, so full index c 2**n has the parity of c
+    occupied = set((bit_counts(np.flatnonzero(charger)) & 1).tolist())
+    layout = sector_layout(spec, occupied.pop() if len(occupied) == 1 else None)
+    psi0 = _place(charger, layout, spec.n)
     matvec, bound = total_matvec(spec, layout.basis)
     count = max(2, chebyshev_coefficients(phases(bound, [times[-1] - times[0]])).shape[1])
     nodes = chebyshev_nodes(times[0], times[-1], count)

@@ -21,10 +21,10 @@ parameters are a ``config.ModelSpec``, checked as the config is read.
 
 Every term flips an even number of bits (sigma^x sigma^x bonds) or none
 (sigma^z, Sigma^z), so every operator below conserves the total parity
-prod sigma^z prod Sigma^z: it is block diagonal in the even and odd
-bit-count sectors (parity_sectors).  A state in one sector is stored on
-that sector alone (sector_layout), as one (charger rows x battery levels)
-block per charger parity, and total_matvec acts on it in that layout.
+prod sigma^z prod Sigma^z: it is block diagonal in the sectors of even
+and of odd bit count.  A state in one sector is stored on that sector
+alone (sector_layout), as one (charger rows x battery levels) block per
+charger parity, and total_matvec acts on it in that layout.
 """
 
 from __future__ import annotations
@@ -49,13 +49,6 @@ def bit_counts(values: np.ndarray) -> np.ndarray:
 def battery_positions(spec: ModelSpec) -> list[int]:
     """Charger sites carrying a battery: 1, 1+d, ..., 1+(n-1)d, wrapped into 1..L."""
     return [(i * spec.d) % spec.L + 1 for i in range(spec.n)]
-
-
-def parity_sectors(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis indices of even and of odd bit count, the two eigenspaces of
-    the total parity prod sigma^z prod Sigma^z on a register of size dim."""
-    odd = (bit_counts(np.arange(dim)) & 1).astype(bool)
-    return np.flatnonzero(~odd), np.flatnonzero(odd)
 
 
 class Layout(NamedTuple):

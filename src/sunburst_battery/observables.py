@@ -126,9 +126,11 @@ def _work(populations, weights, levels, what: str):
 
 
 def stored_energy(rho, levels, layout=None):
-    """Battery energy above the all-ground initial level: tr(rho H_b) - E_ground."""
+    """Battery energy above the all-ground initial level: tr(rho H_b) - E_ground,
+    summed as populations times excitation energies, so an empty battery
+    stores exactly 0."""
     levels = np.asarray(levels, dtype=float)
-    return _populations(rho, layout) @ levels - levels.min()
+    return _populations(rho, layout) @ (levels - levels.min())
 
 
 def ergotropy(rho, levels, layout=None):

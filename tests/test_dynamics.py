@@ -19,8 +19,7 @@ from sunburst_battery.config import (
     physical_memory,
 )
 from sunburst_battery.dynamics import (
-    battery_ground,
-    compose,
+    charger_state,
     ghz_minus,
     ghz_plus,
     initial_state,
@@ -30,7 +29,7 @@ from sunburst_battery.dynamics import (
 )
 from sunburst_battery.experiments import run_series
 from sunburst_battery.linalg import evolve_on_grid
-from sunburst_battery.model import battery_energies, build_total, parity_sectors
+from sunburst_battery.model import battery_energies, build_total
 from sunburst_battery.observables import (
     charging_power,
     ergotropy,
@@ -89,20 +88,26 @@ def test_random_charger_determinism_and_norm():
     assert overlap < 0.5
 
 
-def test_compose_basics():
-    zero = battery_ground(1)
-    state = compose(battery_ground(2), zero)
-    assert state[0] == 1.0 and np.count_nonzero(state) == 1
-    ghz = compose(ghz_plus(2), zero)
-    # charger even-parity strings tensored with battery 0
-    assert np.flatnonzero(ghz).tolist() == [0, 6]
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    assert np.isclose(np.linalg.norm(compose(a, b)),
-                      np.linalg.norm(a) * np.linalg.norm(b))
-    with pytest.raises(ValueError):
-        compose(np.ones((2, 2)), b)
+@pytest.mark.parametrize("n", [0, 1, 2, 4])
+@pytest.mark.parametrize("kind", CHARGER_KINDS)
+def test_trajectory_starts_on_its_layout_from_the_kronecker_vector(kind, n):
+    # the start vector is written onto the run's layout directly; it must be
+    # the charger (x) |0...0> Kronecker vector's entries there, exactly, and
+    # the layout must be the parity sector that vector's support occupies
+    # (the full space when it occupies both)
+    spec = ModelSpec(8, n)
+    init = InitialStateSpec(kind, index=3 if kind == "eigenstate" else None)
+    ground = np.zeros(1 << n)
+    ground[0] = 1.0
+    psi0 = np.kron(charger_state(init, spec.L, 5), ground)
+    traj = trajectory(spec, init, np.linspace(0.0, 1.0, 3), 5)
+    basis = traj.layout.basis
+    start = traj.vectors[0, 0] + (1j * traj.vectors[1, 0] if len(traj.vectors) == 2 else 0)
+    assert np.array_equal(start, psi0[basis])
+    parity = np.array([bin(i).count("1") % 2 for i in range(spec.dim)])
+    occupied = np.unique(parity[np.flatnonzero(psi0)])
+    assert occupied.size == (1 if kind.startswith("ghz") else 2)
+    assert np.array_equal(np.sort(basis), np.flatnonzero(np.isin(parity, occupied)))
 
 
 def test_initial_state_spec_validation():
@@ -350,8 +355,8 @@ def test_sector_trajectory_matches_dense_oracle(spec, t_end, init, monkeypatch):
     oracle = evolve_on_grid(dense_eigh(build_total(spec)), psi0, times)
     assert np.max(np.abs(states - oracle)) <= 1e-12
     assert solved == []
-    even, odd = parity_sectors(spec.dim)
-    for idx in {"ghz_plus": [odd], "ghz_minus": [even]}.get(init.charger_kind, []):
+    odd = np.array([bin(i).count("1") % 2 for i in range(spec.dim)], dtype=bool)
+    for idx in {"ghz_plus": [odd], "ghz_minus": [~odd]}.get(init.charger_kind, []):
         assert not psi0[idx].any() and not states[:, idx].any()
     assert_merit_columns_match_oracle(traj, oracle)
 

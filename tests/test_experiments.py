@@ -574,6 +574,23 @@ def test_a_sweep_over_a_subnormal_grid_window_writes_no_nan_cell(tmp_path, kind)
         assert not np.isnan(cols[name]).any(), name
 
 
+def test_fig1_on_a_tiny_window_stores_and_charges_exactly_nothing(tmp_path, capsys):
+    # over t <= 1e-300 every battery stays in level 0 to roundoff: its stored
+    # energy must read 0, not the cancellation of its level sum against the
+    # ground level, which the power would then divide by t
+    config_path = tmp_path / "tiny.json"
+    out = tmp_path / "tiny.csv"
+    config_path.write_text(json.dumps({"model": {"L": 4, "n": 1},
+                                       "grid": {"t_end": 1e-300, "steps": 5},
+                                       "output_path": str(out)}))
+    assert main(["fig1", "--config", str(config_path)]) == 0
+    cols = read_csv(out)
+    assert cols["t"].size == 20
+    assert np.all(cols["dE_num"] == 0.0) and np.all(cols["P_num"] == 0.0)
+    gaps = [line for line in capsys.readouterr().out.splitlines() if "max |" in line]
+    assert len(gaps) == 12 and all(line.endswith(" = 0.000e+00") for line in gaps), gaps
+
+
 def test_fig1_refuses_a_collapse_system_without_a_battery_before_any_run(
         tmp_path, monkeypatch):
     # a library call may pass collapse systems: one with n = 0 has no

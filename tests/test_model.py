@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sunburst_battery.config import ExperimentConfig, ModelSpec
-from sunburst_battery.dynamics import battery_ground, compose, ghz_plus
+from sunburst_battery.dynamics import ghz_plus
 from sunburst_battery.linalg import eigh
 from sunburst_battery.model import (
     battery_energies,
@@ -11,7 +11,6 @@ from sunburst_battery.model import (
     build_charger,
     build_coupling,
     build_total,
-    parity_sectors,
     sector_layout,
     terms,
     total_matvec,
@@ -109,7 +108,7 @@ def test_two_site_ring_double_counts_the_bond():
 ])
 def test_ghz_charger_energy_is_minus_LJ(L, h, J):
     spec = ModelSpec(L, 0, J=J, h=h)
-    state = compose(ghz_plus(L), battery_ground(0))
+    state = ghz_plus(L)  # n = 0: the charger alone
     energy = np.real(state.conj() @ (build_charger(spec) @ state))
     assert abs(energy + spec.L * spec.J) <= 1e-10
 
@@ -257,7 +256,8 @@ def test_sector_layout_orders_each_parity_sector_in_blocks(spec):
     dense = build_total(spec)
     # every term flips two bits or none: no entry couples the two sectors,
     # so a flip of a sector entry never leaves its layout
-    even, odd = parity_sectors(spec.dim)
+    odd = np.array([bin(i).count("1") % 2 for i in range(spec.dim)], dtype=bool)
+    even, odd = np.flatnonzero(~odd), np.flatnonzero(odd)
     assert not dense[np.ix_(even, odd)].any() and not dense[np.ix_(odd, even)].any()
     psi = np.random.default_rng(spec.dim).standard_normal(spec.dim)
     for parity, sector in enumerate((even, odd)):

@@ -11,7 +11,6 @@ from sunburst_battery.analytic import AnalyticParams
 from sunburst_battery.config import InitialStateSpec, ModelSpec
 from sunburst_battery.dynamics import (
     Trajectory,
-    compose,
     ghz_minus,
     ghz_plus,
     random_state,
@@ -51,7 +50,7 @@ def test_reduce_product_state_is_pure():
     rng = np.random.default_rng(2)
     charger = random_state(rng, 8)
     battery = random_state(rng, 4)
-    rho = reduce_to_battery(compose(charger, battery), 3, 2)
+    rho = reduce_to_battery(np.kron(charger, battery), 3, 2)
     assert np.max(np.abs(rho - np.outer(battery, battery.conj()))) <= 1e-12
     assert abs(linear_entropy(rho)) <= 1e-12
 
@@ -62,7 +61,7 @@ def test_reduce_matches_two_branch_structure():
     p = AnalyticParams(0.5, 2.0)
     a, b = amplitudes(p, 0.37)
     L = 4
-    psi = a * compose(ghz_plus(L), [1, 0]) + b * compose(ghz_minus(L), [0, 1])
+    psi = a * np.kron(ghz_plus(L), [1, 0]) + b * np.kron(ghz_minus(L), [0, 1])
     rho = reduce_to_battery(np.asarray(psi), L, 1)
     expected = np.diag([abs(a) ** 2, abs(b) ** 2])
     assert np.max(np.abs(rho - expected)) <= 1e-12

@@ -1,20 +1,26 @@
 """The benchmark tracer (benchmarks/child.py) wraps package functions at the
 module bindings their callers look up, and skips a binding it cannot find
 without a message; per-layer metrics would then read 0.  These tests pin
-every binding it names."""
+every binding it names, and run the harness (benchmarks/run.py) end to end
+at smoke size."""
 
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sunburst_battery import cli, experiments, linalg
 from sunburst_battery.config import InitialStateSpec, ModelSpec
 from sunburst_battery.dynamics import trajectory
 
-CHILD = Path(__file__).resolve().parents[1] / "benchmarks" / "child.py"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+CHILD = BENCHMARKS / "child.py"
 
 
 def load_child():
@@ -56,3 +62,16 @@ def test_every_dense_solve_goes_through_linalg_eigh(monkeypatch):
     trajectory(spec, InitialStateSpec(), times)
     trajectory(spec, InitialStateSpec("random"), times, 3)
     assert solved == []
+
+
+@pytest.mark.parametrize("workload", ["fig1_cat", "fig4_random"])
+def test_benchmark_harness_runs_a_smoke_workload(workload):
+    # the harness leans on the --jobs 1 option, the cli._RUNNERS table, the
+    # cmd_fig1 collapse_systems keyword and experiments.read_csv; a smoke run
+    # end to end must exit 0 and check every series it wrote
+    proc = subprocess.run(
+        [sys.executable, str(BENCHMARKS / "run.py"), "--workload", workload, "--smoke",
+         "--seconds", "0.5"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result
