@@ -44,16 +44,15 @@ def _matrix_of(operator) -> np.ndarray:
     return m
 
 
-def _check_state(dim: int, psi, require_normalized: bool = True) -> np.ndarray:
+def _check_state(dim: int, psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.ndim != 1 or psi.size != dim:
         raise ValueError(
             f"state of shape {psi.shape} does not match operator dimension {dim}"
         )
-    if require_normalized:
-        norm = float(np.linalg.norm(psi))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state is not normalized: |psi| = {norm:.12e}")
+    norm = float(np.linalg.norm(psi))
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"state is not normalized: |psi| = {norm:.12e}")
     return psi
 
 

@@ -15,9 +15,10 @@ tracing out the charger is a contiguous-stride sum.  Bit value 0 is the
 sigma^z = +1 state.  sigma^x_i flips one bit and sigma^z_i reads one bit,
 so the Hamiltonian is one list of terms (terms): a real diagonal plus
 bit-flip masks with their coefficients.  The matrix-free product
-(total_matvec) applies that list directly; the dense builders scatter it
-into real symmetric matrices for the oracles and the tests.  The
-parameters are a ``config.ModelSpec``, checked as the config is read.
+(total_matvec) applies that list directly; build_total, the one dense
+builder, scatters it into a real symmetric matrix for the oracles and the
+tests.  The parameters are a ``config.ModelSpec``, checked as the config
+is read.
 
 Every term flips an even number of bits (sigma^x sigma^x bonds) or none
 (sigma^z, Sigma^z), so every operator below conserves the total parity
@@ -87,47 +88,34 @@ def sector_layout(spec: ModelSpec, parity: int | None = None) -> Layout:
     return Layout(np.concatenate(basis), np.array(labels))
 
 
-def _charger_xmask(spec: ModelSpec, site: int) -> int:
-    return 1 << (spec.n + spec.L - site)
-
-
-def _battery_xmask(spec: ModelSpec, i: int) -> int:
-    return 1 << (spec.n - i)
-
-
-def _charger_terms(spec: ModelSpec):
-    sites = range(1, spec.L + 1)
-    # each site contributes its own bond term, so the single bond of an L=2
-    # ring is listed twice (sites 1 and 2 both give sigma^x_1 sigma^x_2)
-    flips = tuple((_charger_xmask(spec, site) | _charger_xmask(spec, site % spec.L + 1), -spec.J)
-                  for site in sites)
-    # sum of sigma^z over the ring: L minus twice the number of set charger bits
-    zsum = spec.L - 2.0 * bit_counts(np.arange(spec.dim) >> spec.n)
-    with np.errstate(over="ignore"):  # an h near the float limit gives inf, refused by linalg.phases
-        return -spec.h * zsum, flips
-
-
-def _battery_terms(spec: ModelSpec):
-    zsum = spec.n - 2.0 * bit_counts(np.arange(spec.dim) & ((1 << spec.n) - 1))
-    return -(spec.delta / 2.0) * zsum, ()
-
-
-def _coupling_terms(spec: ModelSpec):
-    flips = tuple((_charger_xmask(spec, site) | _battery_xmask(spec, i), -spec.kappa)
-                  for i, site in enumerate(battery_positions(spec), start=1))
-    return np.zeros(spec.dim), flips
-
-
 def terms(spec: ModelSpec) -> tuple[np.ndarray, tuple[tuple[int, float], ...]]:
     """H_total = H_c + H_b + V_cb as ``(diagonal, ((mask, coef), ...))``.
 
     The matrix is diag(diagonal) plus, for each flip, ``coef`` at every entry
     (i ^ mask, i): the term coef * prod sigma^x over the bits set in mask.
+    The flips are the ring bonds, one per site, then the couplings, one per
+    battery; the diagonal is -h sum sigma^z - (delta/2) sum Sigma^z.
     build_total scatters this list into a dense matrix and total_matvec
     applies it without one.
     """
-    parts = (_charger_terms(spec), _battery_terms(spec), _coupling_terms(spec))
-    return sum(diag for diag, _ in parts), tuple(f for _, flips in parts for f in flips)
+    def site_bit(site):
+        return 1 << (spec.n + spec.L - site)
+
+    # each site contributes its own bond term, so the single bond of an L=2
+    # ring is listed twice (sites 1 and 2 both give sigma^x_1 sigma^x_2)
+    bonds = tuple((site_bit(site) | site_bit(site % spec.L + 1), -spec.J)
+                  for site in range(1, spec.L + 1))
+    couplings = tuple((site_bit(site) | 1 << (spec.n - i), -spec.kappa)
+                      for i, site in enumerate(battery_positions(spec), start=1))
+    # a sum of sigma^z: the number of qubits minus twice the number of set bits
+    index = np.arange(spec.dim)
+    ring = spec.L - 2.0 * bit_counts(index >> spec.n)
+    batteries = spec.n - 2.0 * bit_counts(index & ((1 << spec.n) - 1))
+    # a field near the float limit gives inf, refused by linalg.phases; + 0.0
+    # turns each -0.0 into 0.0, so no zero entry carries the sign of h or delta
+    with np.errstate(over="ignore"):
+        diagonal = -spec.h * ring - (spec.delta / 2.0) * batteries + 0.0
+    return diagonal, bonds + couplings
 
 
 def total_matvec(spec: ModelSpec, basis=None):
@@ -157,47 +145,18 @@ def total_matvec(spec: ModelSpec, basis=None):
     return matvec, bound
 
 
-def _scatter(spec: ModelSpec, diagonal: np.ndarray, flips) -> np.ndarray:
-    """Dense matrix of a (diagonal, flips) term list."""
+def build_total(spec: ModelSpec) -> np.ndarray:
+    """Full Hamiltonian H_c + H_b + V_cb as a dense matrix, scattered from
+    terms(); the reference the matrix-free path is checked against.  A part
+    of H is build_total with the other parts switched off (h, delta or
+    kappa set to 0)."""
+    diagonal, flips = terms(spec)
     out = np.zeros((spec.dim, spec.dim))
     idx = np.arange(spec.dim)
     out[idx, idx] += diagonal
     for mask, coef in flips:
         out[idx ^ mask, idx] += coef
     return out
-
-
-def build_charger(spec: ModelSpec) -> np.ndarray:
-    """Ring Hamiltonian embedded in the composite space (identity on batteries)."""
-    return _scatter(spec, *_charger_terms(spec))
-
-
-def build_batteries(spec: ModelSpec) -> np.ndarray:
-    """Battery gap Hamiltonian embedded in the composite space (diagonal)."""
-    return _scatter(spec, *_battery_terms(spec))
-
-
-def build_coupling(spec: ModelSpec) -> np.ndarray:
-    """Charger-battery interaction embedded in the composite space."""
-    return _scatter(spec, *_coupling_terms(spec))
-
-
-def corrupted_coupling(spec: ModelSpec) -> np.ndarray:
-    """Deliberately wrong interaction (z-type at the attachment site) used to
-    prove the structural checks can fail.  A mere sign flip of kappa would be
-    invisible: it is a local basis change on the battery."""
-    out = np.zeros((spec.dim, spec.dim))
-    idx = np.arange(spec.dim)
-    for i, site in enumerate(battery_positions(spec), start=1):
-        zvals = 1.0 - 2.0 * ((idx >> (spec.n + spec.L - site)) & 1)
-        out[idx ^ _battery_xmask(spec, i), idx] += -spec.kappa * zvals
-    return out
-
-
-def build_total(spec: ModelSpec) -> np.ndarray:
-    """Full Hamiltonian H_c + H_b + V_cb as a dense matrix, scattered from
-    terms(); the reference the matrix-free path is checked against."""
-    return _scatter(spec, *terms(spec))
 
 
 def battery_energies(n: int, delta: float) -> np.ndarray:

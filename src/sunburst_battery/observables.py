@@ -117,11 +117,14 @@ def _work(populations, weights, levels, what: str):
     passive state has these ``weights`` (``what`` names them): negativity in
     [-NEGATIVITY_TOL, 0) is clamped and the weights renormalized, then
     sorted descending and paired with the levels sorted ascending; the work
-    is clamped at 0."""
+    is clamped at 0.  Both energies are measured from the ground level, as
+    in stored_energy: the renormalized weights sum to 1 only to roundoff,
+    so a ground offset would not cancel between them."""
     if weights.min() < -NEGATIVITY_TOL:
         raise ValueError(f"{what} has negative weight {weights.min():.3e}")
     clipped = np.clip(weights, 0.0, None)
     descending = np.sort(clipped / clipped.sum(axis=-1, keepdims=True), axis=-1)[..., ::-1]
+    levels = levels - levels.min()
     return np.maximum(0.0, populations @ levels - descending @ np.sort(levels))
 
 

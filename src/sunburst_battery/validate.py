@@ -7,14 +7,16 @@ imports this module (``cli.main`` loads it for ``validate`` only): the
 strong-charger amplitudes, the locked energy, the ergotropy window and
 its bisection, the power at the charging time, the independent
 two-battery populations, the sliced Taylor-series propagator and the
-Gershgorin bound of a dense matrix, the looped partial trace, and the
-oracle gaps that acceptance criterion 8 calls with larger cases.
+Gershgorin bound of a dense matrix, the looped partial trace, the
+corrupted coupling, and the oracle gaps that acceptance criterion 8 calls
+with larger cases.  A part of H is read from model.build_total with the
+other parts switched off.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,15 +34,7 @@ from .config import InitialStateSpec, ModelSpec
 from .dynamics import ghz_plus, random_state, trajectory
 from .experiments import POWER_PEAK_COEFF, _max_gap, analytic_reference, run_series
 from .linalg import _check_state, _matrix_of, chebyshev_series, eigh, evolve_on_grid, series_states
-from .model import (
-    battery_energies,
-    build_batteries,
-    build_charger,
-    build_coupling,
-    build_total,
-    corrupted_coupling,
-    total_matvec,
-)
+from .model import battery_energies, battery_positions, build_total, total_matvec
 from .observables import reduce_to_battery
 
 # ---------------------------------------------------------------------------
@@ -177,7 +171,7 @@ def expm_series_oracle(operator, psi0, t: float) -> np.ndarray:
     scales used here; independent of the spectral path.
     """
     m = _matrix_of(operator)
-    psi = _check_state(m.shape[0], psi0, require_normalized=False)
+    psi = _check_state(m.shape[0], psi0)
     hnorm = row_sum_bound(m)
     nsteps = max(1, int(np.ceil(hnorm * abs(t))))
     dt = t / nsteps
@@ -319,8 +313,25 @@ def _check_two_battery_analytic(rng):
             f"max residual {twice_dev:.2e}, corner populations bounded {occupancy_ok}")
 
 
+def _charger(spec: ModelSpec) -> np.ndarray:
+    """H_c (x) 1_b: build_total with the batteries and the coupling off."""
+    return build_total(replace(spec, delta=0.0, kappa=0.0))
+
+
+def corrupted_coupling(spec: ModelSpec) -> np.ndarray:
+    """Deliberately wrong interaction (z-type at the attachment site) used to
+    prove the structural checks can fail.  A mere sign flip of kappa would be
+    invisible: it is a local basis change on the battery."""
+    out = np.zeros((spec.dim, spec.dim))
+    idx = np.arange(spec.dim)
+    for i, site in enumerate(battery_positions(spec), start=1):
+        zvals = 1.0 - 2.0 * ((idx >> (spec.n + spec.L - site)) & 1)
+        out[idx ^ (1 << (spec.n - i)), idx] += -spec.kappa * zvals
+    return out
+
+
 def _charger_commutator(spec: ModelSpec, other: np.ndarray) -> float:
-    h_c = build_charger(spec)
+    h_c = _charger(spec)
     return float(np.max(np.abs(h_c @ other - other @ h_c)))
 
 
@@ -329,7 +340,7 @@ _COMMUTING_MODEL = ModelSpec(4, 2, h=0.0, delta=0.5, kappa=2.0)
 
 def _check_commutator(rng):
     spec = _COMMUTING_MODEL
-    comm = _charger_commutator(spec, build_batteries(spec) + build_coupling(spec))
+    comm = _charger_commutator(spec, build_total(spec) - _charger(spec))
     return comm <= 1e-10, f"max |[H_c, H_b+V]| entry {comm:.2e}"
 
 
@@ -341,17 +352,18 @@ def _check_mutation(rng):
 def _check_ghz_energy(rng):
     worst = 0.0
     for L, h in ((2, 0.0), (3, 0.1), (5, 0.7)):
-        spec = ModelSpec(L, 0, J=1.3, h=h)
+        spec = ModelSpec(L, 0, J=1.3, h=h)  # n = 0: build_total is H_c
         state = ghz_plus(L)
-        energy = float(np.real(state.conj() @ (build_charger(spec) @ state)))
+        energy = float(np.real(state.conj() @ (build_total(spec) @ state)))
         worst = max(worst, abs(energy + spec.L * spec.J))
     return worst <= 1e-10, f"max |<H_c> + L*J| {worst:.2e}"
 
 
 def _check_battery_spectrum(rng):
-    """Battery levels -n d/2 + k d with binomial multiplicity."""
+    """Battery levels -n d/2 + k d with binomial multiplicity, read from the
+    diagonal of H at h = 0, where only H_b is on it."""
     spec = ModelSpec(3, 3, d=1, delta=0.7)
-    full = np.sort(np.diagonal(build_batteries(spec)))
+    full = np.sort(np.diagonal(build_total(replace(spec, h=0.0))))
     levels = battery_energies(spec.n, spec.delta)
     spectrum_ok = np.allclose(full, np.sort(np.tile(levels, 1 << spec.L)), atol=1e-12)
     binomial_ok = all(

@@ -294,6 +294,26 @@ def test_cli_refuses_a_field_that_overflows_the_hamiltonian_in_one_line(tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n,kappa", [(1, 1e8), (2, 1e10)])
+def test_fig4_at_large_energies_reads_no_roundoff_as_negative_unavailable_energy(
+        tmp_path, capsys, n, kappa):
+    # at delta = 1e8 the ground level -n delta/2 is large; with the energies
+    # measured from it, the passive energy of the all-ground start is exactly
+    # 0 and its unavailable energy exactly 0, not -7e-9 or -1.5e-8
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "model": {"L": 4, "n": n, "delta": 1e8, "kappa": kappa},
+        "grid": {"t_end": 1e-7, "steps": 50},
+        "output_path": str(tmp_path / "fig4.csv")}))
+    assert main(["fig4", "--config", str(config_path)]) == 0
+    assert capsys.readouterr().err == ""
+    cols = read_csv(tmp_path / "fig4.csv")
+    assert cols["t"].size == 3 * 50
+    start = cols["t"] == 0.0
+    assert np.all(cols["dE_num"][start] == 0.0) and np.all(cols["xi_num"][start] == 0.0)
+    assert np.min(cols["dE_num"] - cols["xi_num"]) >= -1e-9
+
+
 def test_cli_refuses_an_output_path_with_a_null_byte_before_any_run(tmp_path, monkeypatch,
                                                                      capsys):
     calls = []
@@ -1311,6 +1331,24 @@ def test_the_config_module_imports_the_standard_library_only():
     collect(tree, False)
     assert at_load and set(at_load) <= sys.stdlib_module_names, at_load
     assert in_functions == ["numpy"]
+
+
+SOURCE_MODULES = sorted(Path(experiments.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCE_MODULES, ids=[path.stem for path in SOURCE_MODULES])
+def test_every_source_module_imports_the_standard_library_numpy_or_the_package(path):
+    # the dependency list is numpy only: an import of any other package,
+    # at load or inside a function, would add one without a sign
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("sunburst_battery" if node.level else node.module)
+    outside = [name for name in imported if name.partition(".")[0] not in
+               sys.stdlib_module_names | {"numpy", "sunburst_battery"}]
+    assert not outside, outside
 
 
 def test_cli_defaults_blas_to_one_thread_unless_the_environment_says_otherwise(tmp_path):

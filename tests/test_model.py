@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,6 @@ from sunburst_battery.linalg import eigh
 from sunburst_battery.model import (
     battery_energies,
     battery_positions,
-    build_batteries,
-    build_charger,
-    build_coupling,
     build_total,
     sector_layout,
     terms,
@@ -50,6 +49,16 @@ def reference_total(spec):
     for b, site in enumerate(battery_positions(spec)):
         ham -= spec.kappa * site_op(SX, site - 1, total) @ site_op(SX, spec.L + b, total)
     return ham
+
+
+def charger(spec):
+    """H_c (x) 1_b: the total with the batteries and the coupling off."""
+    return build_total(replace(spec, delta=0.0, kappa=0.0))
+
+
+def coupling(spec):
+    """V_cb: the total less the total with the coupling off."""
+    return build_total(spec) - build_total(replace(spec, kappa=0.0))
 
 
 def test_battery_positions_examples():
@@ -96,8 +105,8 @@ def test_spec_accepts_numpy_floats_as_the_equal_python_floats():
 
 def test_two_site_ring_double_counts_the_bond():
     # both i=1 and i=2 contribute the same sx_1 sx_2 bond on a 2-ring
-    spec = ModelSpec(2, 0, J=1.0, h=0.0)
-    eigenvalues, _ = eigh(build_charger(spec))
+    spec = ModelSpec(2, 0, J=1.0, h=0.0)  # n = 0: the total is H_c
+    eigenvalues, _ = eigh(build_total(spec))
     assert np.isclose(eigenvalues[0], -2.0)
 
 
@@ -109,56 +118,56 @@ def test_two_site_ring_double_counts_the_bond():
 def test_ghz_charger_energy_is_minus_LJ(L, h, J):
     spec = ModelSpec(L, 0, J=J, h=h)
     state = ghz_plus(L)  # n = 0: the charger alone
-    energy = np.real(state.conj() @ (build_charger(spec) @ state))
+    energy = np.real(state.conj() @ (build_total(spec) @ state))
     assert abs(energy + spec.L * spec.J) <= 1e-10
 
 
 def test_battery_factor_diagonals():
-    # battery block diagonal sits in the first 2**n entries (charger index 0)
-    spec1 = ModelSpec(2, 1, delta=0.5)
-    assert np.allclose(np.diagonal(build_batteries(spec1))[:2], [-0.25, 0.25])
-    spec2 = ModelSpec(4, 2, delta=0.5)
+    # battery block diagonal sits in the first 2**n entries (charger index 0);
+    # at h = 0 it is the whole diagonal of H
+    spec1 = ModelSpec(2, 1, h=0.0, delta=0.5)
+    assert np.allclose(np.diagonal(build_total(spec1))[:2], [-0.25, 0.25])
+    spec2 = ModelSpec(4, 2, h=0.0, delta=0.5)
     assert np.allclose(
-        np.diagonal(build_batteries(spec2))[:4], [-0.5, 0.0, 0.0, 0.5]
+        np.diagonal(build_total(spec2))[:4], [-0.5, 0.0, 0.0, 0.5]
     )
     assert np.allclose(battery_energies(2, 0.5), [-0.5, 0.0, 0.0, 0.5])
 
 
 def test_no_batteries_edge_case():
     spec = ModelSpec(3, 0)
-    assert not build_batteries(spec).any()
-    assert not build_coupling(spec).any()
+    # H_b + V vanishes: the total is H_c
+    assert not (build_total(spec) - charger(spec)).any()
     assert battery_positions(spec) == []
     assert battery_energies(0, 0.5).tolist() == [0.0]
 
 
 def test_coupling_zero_when_switched_off():
-    assert not build_coupling(ModelSpec(3, 1, kappa=0.0)).any()
+    # H_b + V is V plus a diagonal, so at kappa = 0 it is diagonal
+    spec = ModelSpec(3, 1, kappa=0.0)
+    rest = build_total(spec) - charger(spec)
+    assert not (rest - np.diag(np.diagonal(rest))).any()
 
 
 def test_coupling_explicit_eight_dim():
     # L=2, n=1: V = -kappa sx_1 (x) 1 (x) Sx, built by hand
     spec = ModelSpec(2, 1, d=1, kappa=1.3)
     expected = -1.3 * kron_chain([SX, ID2, SX])
-    assert np.max(np.abs(build_coupling(spec) - expected)) == 0.0
+    assert np.max(np.abs(coupling(spec) - expected)) == 0.0
 
 
 def test_coupling_commutes_with_charger_at_zero_field():
     spec = ModelSpec(4, 2, h=0.0, kappa=2.0)
-    h_c = build_charger(spec)
-    v = build_coupling(spec)
+    h_c = charger(spec)
+    v = coupling(spec)
     assert np.max(np.abs(h_c @ v - v @ h_c)) <= 1e-10
-    rest = build_batteries(spec) + v
+    rest = build_total(spec) - h_c
     assert np.max(np.abs(h_c @ rest - rest @ h_c)) <= 1e-10
 
 
-def test_total_is_sum_of_parts_and_traceless():
+def test_total_is_traceless():
     spec = ModelSpec(3, 2, d=1, h=0.3, delta=0.4, kappa=0.9)
-    total = build_total(spec)
-    parts = (build_charger(spec) + build_batteries(spec)
-             + build_coupling(spec))
-    assert np.max(np.abs(total - parts)) == 0.0
-    assert abs(np.trace(total)) <= 1e-12
+    assert abs(np.trace(build_total(spec))) <= 1e-12
 
 
 def test_decoupled_limit_commutes_with_all_local_terms():
@@ -185,12 +194,16 @@ def test_hermiticity_for_random_specs():
 
 
 def test_bitmask_builders_match_kronecker_reference():
+    # each random model and the parts of it that the checks read: the
+    # charger (delta = kappa = 0), the diagonal at h = 0 and the ring (n = 0)
     rng = np.random.default_rng(11)
     for L, n in ((2, 1), (3, 1), (2, 2), (4, 2), (3, 3)):
         spec = ModelSpec(L, n, d=1, J=float(rng.uniform(0.5, 1.5)),
                          h=float(rng.uniform(0, 1)), delta=float(rng.uniform(0, 1)),
                          kappa=float(rng.uniform(0, 2)))
-        assert np.max(np.abs(build_total(spec) - reference_total(spec))) <= 1e-12
+        for case in (spec, replace(spec, delta=0.0, kappa=0.0), replace(spec, h=0.0),
+                     replace(spec, n=0)):
+            assert np.max(np.abs(build_total(case) - reference_total(case))) <= 1e-12, case
 
 
 def accumulated_total(spec):
