@@ -32,12 +32,11 @@ import numpy as np
 
 from .config import InitialStateSpec, ModelSpec, physical_memory
 from .linalg import (
+    _refuse_beyond_memory,
     chebyshev_coefficients,
     chebyshev_nodes,
     chebyshev_series,
-    interpolate,
     phases,
-    series_states,
 )
 from .model import (
     Layout,
@@ -126,12 +125,6 @@ def _place(charger: np.ndarray, layout: Layout, n: int) -> np.ndarray:
     return psi
 
 
-def initial_state(spec: ModelSpec, init: InitialStateSpec, seed: int | None = None) -> np.ndarray:
-    """Prepared charger, a random one drawn from ``seed``, tensor all-ground
-    batteries, on the full space."""
-    return _place(charger_state(init, spec.L, seed), sector_layout(spec), spec.n)
-
-
 @dataclass
 class Trajectory:
     """States as a Chebyshev expansion with real coefficients (shape (M, K))
@@ -149,16 +142,6 @@ class Trajectory:
     vectors: np.ndarray
     layout: Layout
     nodes: np.ndarray
-
-    @property
-    def states(self) -> np.ndarray:
-        """Every grid state at once in the natural basis order, shape (T,
-        dim); row k is the state at times[k], interpolated from the states
-        at the nodes."""
-        states = np.zeros((len(self.times), self.spec.dim), dtype=np.complex128)
-        states[:, self.layout.basis] = interpolate(
-            self.nodes, series_states(self.coefficients, self.vectors), self.times)
-        return states
 
 
 def trajectory(spec: ModelSpec, init: InitialStateSpec, times, seed: int | None = None
@@ -179,7 +162,9 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times, seed: int | None 
     run: an int64 gather index per flip, L + n of them, and the diagonal,
     8 (L + n + 1) bytes per vector entry.  Before the charger is drawn,
     a model is refused whose state and Hamiltonian cannot fit on the
-    smaller layout, a sector: 8 (L + n + 3) bytes per entry of 2**(L+n-1).
+    smaller layout, a sector: 8 (L + n + 3) bytes per entry of 2**(L+n-1);
+    before K is counted, a window whose coefficient table at the nodes,
+    at least z by z, cannot fit.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -206,7 +191,13 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times, seed: int | None 
     layout = sector_layout(spec, occupied.pop() if len(occupied) == 1 else None)
     psi0 = _place(charger, layout, spec.n)
     matvec, bound = total_matvec(spec, layout.basis)
-    count = max(2, chebyshev_coefficients(phases(bound, [times[-1] - times[0]])).shape[1])
+    window = phases(bound, [times[-1] - times[0]])
+    # K > z wherever the cut lies below J_k(z) ~ 0.45 k**(-1/3) at k = ceil(z),
+    # z < 1e11, so the node table has more than z rows of more than z terms:
+    # it is refused before the z steps that count K
+    z = float(window[0])
+    _refuse_beyond_memory(z, z, 16 * z * z)
+    count = max(2, chebyshev_coefficients(window).shape[1])
     nodes = chebyshev_nodes(times[0], times[-1], count)
     cells = layout.labels.size * layout.labels.shape[1]
     hamiltonian = 8 * (spec.qubits + 1) * psi0.size

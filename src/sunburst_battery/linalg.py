@@ -6,15 +6,17 @@ psi -> H psi and a bound on ||H||: one vector sequence T_k(H/bound) psi0
 serves every point of a time grid, and each grid point is a set of real
 expansion coefficients, the phases 1 and -i of even and odd terms
 factored out, so the coefficients and the states are formed in real
-arithmetic (``state_blocks``).  What varies smoothly along a window, such
-as a reduced state, can be computed at the window's second-kind Chebyshev
-points only (``chebyshev_nodes``) and carried onto the grid by barycentric
-interpolation (``interpolate``).  Dense LAPACK eigendecomposition of the full
-space (``eigh``, a plain ``(eigenvalues, eigenvectors)`` pair) and spectral
-propagation with that pair (``evolve_on_grid``) are kept as independent
-references for the tests and the self-check suite; the sliced
-Taylor-series propagator and the Gershgorin bound of a dense matrix are
-``validate``'s.
+arithmetic (``state_blocks``); the coefficients are Bessel values from
+Miller's backward recurrence (``chebyshev_coefficients``).  What varies
+smoothly along a window, such as a reduced state, can be computed at the
+window's second-kind Chebyshev points only (``chebyshev_nodes``) and
+carried onto the grid by barycentric interpolation (``interpolate``).
+Dense LAPACK eigendecomposition of the full space (``eigh``, a plain
+``(eigenvalues, eigenvectors)`` pair) and spectral propagation with that
+pair (``evolve_on_grid``) are kept as independent references for the
+tests and the self-check suite; the sliced
+Taylor-series propagator, the Gershgorin bound of a dense matrix and the
+states of a whole expansion at once are ``validate``'s.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ NORM_TOL = 1e-10
 GRID_BLOCK = 256  # grid points per matrix-matrix product over the time grid
 NODE_BLOCK = 8  # states per matrix product in state_blocks
 # Chebyshev coefficients are dropped once every later one is below
-# CHEBYSHEV_TOL * (1 + z) over the grid, z = bound * max|t|: evaluating the
-# phase z cos(theta) in double precision already leaves an absolute error of
-# order 1e-16 * z in every coefficient, so a fixed cut would sit in that noise
+# CHEBYSHEV_TOL * (1 + z) over the grid, z = bound * max|t|: rounding the
+# phase z in double precision already moves every coefficient by up to
+# ~1e-16 * z (|d J_k / dz| <= 1), so a fixed cut would sit in that noise
 CHEBYSHEV_TOL = 1e-15
 
 
@@ -89,20 +91,6 @@ def evolve_on_grid(decomp, psi0, times) -> np.ndarray:
     return out
 
 
-def _smooth_size(n: int) -> int:
-    """The smallest 2**a 3**b 5**c >= n (n >= 1): an FFT length without the
-    large prime factors that slow the FFT several times."""
-    best, fives = 1 << (n - 1).bit_length(), 1
-    while fives < best:
-        threes = fives
-        while threes < best:
-            # threes 2**a with the least a that reaches n
-            best = min(best, threes << max(0, (-(-n // threes) - 1).bit_length()))
-            threes *= 3
-        fives *= 5
-    return best
-
-
 def _refuse_beyond_memory(z_max: float, terms: float, needed: float, vectors: int = 0) -> None:
     """ValueError unless ``needed`` bytes fit in physical memory; the message
     names the coefficient ``terms`` per point at z_max and, when given, the
@@ -140,52 +128,52 @@ def chebyshev_coefficients(z) -> np.ndarray:
     """The real expansion coefficients g_k(z) of ``chebyshev_series`` at
     every z of a 1-D array, shape (len(z), K).
 
-    g_0 = J_0(z) and g_k = 2 (-1)**floor(k/2) J_k(z) are the cosine-series
-    coefficients of f(theta) = cos(z cos theta) + sin(z cos theta)
-    (Jacobi-Anger), read off one real FFT of f at theta_j = pi j / half,
-    j < 2 half, GRID_BLOCK points at a time, so the FFT workspace does not
-    grow with the grid.  f is evaluated on [0, pi] only, f(2 pi - theta) =
-    f(theta).  half is twice the smallest 2**a 3**b 5**c >= 0.75 z_max +
-    30, an FFT length with no large prime factor and at least 1.5 z_max + 60;
-    J_k(z) decays faster than exponentially once k > z, and the margin keeps
-    the kept terms clear of aliasing up to z of several hundred.
+    g_0 = J_0(z) and g_k = 2 (-1)**floor(k/2) J_k(z), the Bessel values from
+    Miller's backward recurrence J_{k-1} = (2k/z) J_k - J_{k+1}, run on every
+    z at once and normalized by J_0 + 2 sum_k J_2k = 1 (Gautschi, SIAM Rev.
+    9, 24 (1967)).  Each z starts from J_{N+1} = 0, J_N = 1 at its own N =
+    |z| + 20 |z|**(1/3) + 40 orders, where J_N(z) is far below the cut:
+    J_k(z) decays faster than exponentially once k > z.  A row is scaled
+    down by 1e-250 whenever it passes 1e250, and a phase below 1e-20, whose
+    steps 2k/z would overflow that scaling, takes g_0 = 1, g_1 = z, exact to
+    roundoff.
 
     K counts the coefficients up to the last one above CHEBYSHEV_TOL * (1 +
     z_max) anywhere on the array; ArithmeticError if they do not fall below
-    that within the FFT.  ValueError, before anything is allocated, if the
-    table and the FFT workspace cannot fit in physical memory, checked on
-    the least half, 1.5 z_max + 60, before the search for half.
+    that before the start at z_max.  ValueError, before anything is
+    allocated, if the recurrence's table cannot fit in physical memory.
     """
     z = _finite_grid(z)
     z_max = float(np.max(np.abs(z)))
-    rows = min(z.size, GRID_BLOCK)
-    # the table, the FFT's input, output and temporaries
-    least = 1.5 * z_max + 60
-    _refuse_beyond_memory(z_max, least, 8 * least * (z.size + 6 * rows))
-    half = 2 * _smooth_size(int(np.ceil(0.75 * z_max + 30)))
-    _refuse_beyond_memory(z_max, half, 8 * half * (z.size + 6 * rows))
-    # cos theta_j on [0, pi/2], mirrored with its sign flipped onto (pi/2,
-    # pi]: cos(pi - theta) = -cos(theta)
-    cos_theta = np.cos(np.pi * np.arange(half // 2 + 1) / half)
-    cos_theta = np.concatenate((cos_theta, -cos_theta[-2::-1]))
-    samples = np.empty((rows, 2 * half))
-    table = np.empty((z.size, half))
-    for lo in range(0, z.size, GRID_BLOCK):
-        chunk = samples[:min(GRID_BLOCK, z.size - lo)]
-        phase = np.multiply.outer(z[lo:lo + GRID_BLOCK], cos_theta)
-        np.add(np.cos(phase), np.sin(phase), out=chunk[:, :half + 1])
-        chunk[:, half + 1:] = chunk[:, half - 1:0:-1]  # theta -> 2 pi - theta
-        table[lo:lo + chunk.shape[0]] = np.fft.rfft(chunk, axis=1)[:, :half].real
-    table /= half
-    table[:, 0] /= 2
-    above = np.flatnonzero(np.max(np.abs(table), axis=0) > CHEBYSHEV_TOL * (1 + z_max))
+    reach = np.abs(z) + 20 * np.cbrt(np.abs(z)) + 40
+    deepest = float(reach.max())
+    # the recurrence's table and the returned coefficients
+    _refuse_beyond_memory(z_max, deepest, 16 * (deepest + 2) * z.size)
+    starts = reach.astype(int)
+    start = int(starts.max())
+    tiny = np.abs(z) < 1e-20
+    scale = np.divide(2.0, z, out=np.zeros_like(z), where=~tiny)
+    bessel = np.zeros((start + 2, z.size))
+    bessel[starts, np.arange(z.size)] = 1.0
+    for k in range(start, 0, -1):
+        below = bessel[k - 1]
+        below += k * scale * bessel[k] - bessel[k + 1]
+        if np.abs(below).max() > 1e250:
+            bessel[k - 1:, np.abs(below) > 1e250] *= 1e-250
+    bessel[:, tiny] = 0.0
+    bessel[0, tiny], bessel[1, tiny] = 1.0, z[tiny] / 2
+    bessel /= bessel[0] + 2 * bessel[2::2].sum(axis=0)
+    bessel *= np.where(np.arange(start + 2) % 4 < 2, 2.0, -2.0)[:, None]
+    bessel[0] /= 2
+    peak = np.maximum(bessel.max(axis=1), -bessel.min(axis=1))  # no |table| copy
+    above = np.flatnonzero(peak > CHEBYSHEV_TOL * (1 + z_max))
     terms = int(above[-1]) + 1 if above.size else 1
-    if terms == half:
+    if terms > start:
         raise ArithmeticError(
             f"Chebyshev coefficients did not fall below {CHEBYSHEV_TOL:.0e} * (1 + z) "
-            f"within {half} terms at z = {z_max:.3g}"
+            f"within {start} terms at z = {z_max:.3g}"
         )
-    return np.ascontiguousarray(table[:, :terms])
+    return np.ascontiguousarray(bessel[:terms].T)
 
 
 def chebyshev_series(matvec, bound: float, psi0, times,
@@ -210,17 +198,17 @@ def chebyshev_series(matvec, bound: float, psi0, times,
     produces it into the real operands that ``state_blocks`` multiplies, the
     even k first: shape (1, K, size) [v_even; v_odd] when psi0 and H are
     real, else (2, K, size) [Re v_even; Im v_odd] and [Im v_even; Re v_odd].
-    ``series_states`` and ``state_blocks`` form the states.  K counts the
-    coefficients up to the last one above CHEBYSHEV_TOL * (1 + z_max)
-    anywhere on the grid; ArithmeticError if they do not fall below that
-    within the FFT.  ValueError if a phase bound * t overflows the float
+    ``state_blocks`` forms the states.  K counts the coefficients up to the
+    last one above CHEBYSHEV_TOL * (1 + z_max) anywhere on the grid;
+    ArithmeticError if they do not fall below that before the start of
+    their recurrence.  ValueError if a phase bound * t overflows the float
     range (``phases``), as soon as a vector outgrows psi0, which means
-    ``bound`` is below ||H||, if the coefficient table and its FFT
-    workspace cannot fit in physical memory (``chebyshev_coefficients``),
-    and, once the coefficients are known and before any vector is
-    allocated, if they, the K vectors, the two ``state_blocks`` buffers
-    that form the states from them and ``extra_bytes`` more, which the
-    caller will hold alongside, cannot.
+    ``bound`` is below ||H||, if the recurrence's table cannot fit in
+    physical memory (``chebyshev_coefficients``), and, once the
+    coefficients are known and before any vector is allocated, if they, the
+    K vectors, the two ``state_blocks`` buffers that form the states from
+    them and ``extra_bytes`` more, which the caller will hold alongside,
+    cannot.
     """
     psi0 = _check_state(np.size(psi0), psi0)
     if not (np.isfinite(bound) and bound > 0):
@@ -292,15 +280,6 @@ def state_blocks(coefficients, vectors):
         for part, (columns, sign, operand) in zip(out, operands):
             np.matmul(block[:, columns] * sign, operand, out=part)
         yield lo, out[0], out[1]
-
-
-def series_states(coefficients, vectors) -> np.ndarray:
-    """Every state of a ``chebyshev_series`` expansion, shape (T, dim) complex."""
-    states = np.empty((len(coefficients), np.shape(vectors)[2]), dtype=np.complex128)
-    for lo, real, imag in state_blocks(coefficients, vectors):
-        states.real[lo:lo + real.shape[0]] = real
-        states.imag[lo:lo + real.shape[0]] = imag
-    return states
 
 
 def chebyshev_nodes(t_first: float, t_last: float, count: int) -> np.ndarray:

@@ -8,9 +8,10 @@ strong-charger amplitudes, the locked energy, the ergotropy window and
 its bisection, the power at the charging time, the independent
 two-battery populations, the sliced Taylor-series propagator and the
 Gershgorin bound of a dense matrix, the looped partial trace, the
-corrupted coupling, and the oracle gaps that acceptance criterion 8 calls
-with larger cases.  A part of H is read from model.build_total with the
-other parts switched off.
+corrupted coupling, the states of a whole expansion or trajectory at once
+and the full-space start vector, and the oracle gaps that acceptance
+criterion 8 calls with larger cases.  A part of H is read from
+model.build_total with the other parts switched off.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ from .analytic import (
     stored_energy_analytic,
 )
 from .config import InitialStateSpec, ModelSpec
-from .dynamics import ghz_plus, random_state, trajectory
+from .dynamics import Trajectory, _place, charger_state, ghz_plus, random_state, trajectory
 from .experiments import POWER_PEAK_COEFF, _max_gap, analytic_reference, run_series
-from .linalg import _check_state, _matrix_of, chebyshev_series, eigh, evolve_on_grid, series_states
-from .model import battery_energies, battery_positions, build_total, total_matvec
+from .linalg import (_check_state, _matrix_of, chebyshev_series, eigh, evolve_on_grid,
+                     interpolate, state_blocks)
+from .model import battery_energies, battery_positions, build_total, sector_layout, total_matvec
 from .observables import reduce_to_battery
 
 # ---------------------------------------------------------------------------
@@ -187,6 +189,31 @@ def expm_series_oracle(operator, psi0, t: float) -> np.ndarray:
             raise ArithmeticError("propagator series did not converge")
         psi = acc
     return psi
+
+
+def series_states(coefficients, vectors) -> np.ndarray:
+    """Every state of a ``chebyshev_series`` expansion, shape (T, dim) complex."""
+    states = np.empty((len(coefficients), np.shape(vectors)[2]), dtype=np.complex128)
+    for lo, real, imag in state_blocks(coefficients, vectors):
+        states.real[lo:lo + real.shape[0]] = real
+        states.imag[lo:lo + real.shape[0]] = imag
+    return states
+
+
+def trajectory_states(traj: Trajectory) -> np.ndarray:
+    """Every grid state of a trajectory at once in the natural basis order,
+    shape (T, dim); row k is the state at times[k], interpolated from the
+    states at the nodes."""
+    states = np.zeros((len(traj.times), traj.spec.dim), dtype=np.complex128)
+    states[:, traj.layout.basis] = interpolate(
+        traj.nodes, series_states(traj.coefficients, traj.vectors), traj.times)
+    return states
+
+
+def initial_state(spec: ModelSpec, init: InitialStateSpec, seed: int | None = None) -> np.ndarray:
+    """Prepared charger, a random one drawn from ``seed``, tensor all-ground
+    batteries, on the full space."""
+    return _place(charger_state(init, spec.L, seed), sector_layout(spec), spec.n)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +404,7 @@ def _check_battery_spectrum(rng):
 def _check_conservation(rng):
     spec = ModelSpec(5, 1, h=0.1)
     traj = trajectory(spec, InitialStateSpec(), np.linspace(0.0, 3.0, 120))
-    drift = conservation_drift(traj.states, build_total(spec))
+    drift = conservation_drift(trajectory_states(traj), build_total(spec))
     return drift <= 1e-9, f"max norm/energy drift {drift:.2e}"
 
 

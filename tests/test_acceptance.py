@@ -30,6 +30,7 @@ from sunburst_battery.validate import (
     conservation_drift,
     partial_trace_gap,
     propagator_gap,
+    trajectory_states,
     two_battery,
     unavailable_analytic,
 )
@@ -248,7 +249,7 @@ def test_criterion_8_property_suites(heavy):
     # conservation along trajectories: full grid on a small model, explicit
     # spot checks on the production system
     drift = max(
-        conservation_drift(trajectory(spec, InitialStateSpec(), times).states,
+        conservation_drift(trajectory_states(trajectory(spec, InitialStateSpec(), times)),
                            build_total(spec))
         for spec, times in ((ModelSpec(5, 1, h=0.1), np.linspace(0.0, 4.0, 400)),
                             (reference_model(), np.array([0.0, 1.0, 2.0])))

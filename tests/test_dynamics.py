@@ -22,7 +22,6 @@ from sunburst_battery.dynamics import (
     charger_state,
     ghz_minus,
     ghz_plus,
-    initial_state,
     random_charger,
     trajectory,
     xbasis_product_state,
@@ -39,6 +38,7 @@ from sunburst_battery.observables import (
     reduced_states,
     stored_energy,
 )
+from sunburst_battery.validate import initial_state, trajectory_states
 
 
 def test_ghz_single_site():
@@ -129,7 +129,7 @@ def test_trajectory_validation_and_identity_grid():
     spec = ModelSpec(3, 1, h=0.1)
     init = InitialStateSpec()
     traj = trajectory(spec, init, [0.0])
-    assert np.max(np.abs(traj.states[0] - initial_state(spec, init))) <= 1e-12
+    assert np.max(np.abs(trajectory_states(traj)[0] - initial_state(spec, init))) <= 1e-12
     with pytest.raises(ValueError, match="strictly increasing"):
         trajectory(spec, init, [0.0, 0.0])
     with pytest.raises(ValueError, match="t >= 0"):
@@ -213,6 +213,22 @@ def test_a_model_too_big_for_memory_is_refused_before_its_state_is_built(tmp_pat
     assert captured.out == "" and not (tmp_path / "x").exists()
 
 
+def test_a_window_too_long_for_its_node_table_is_refused_before_k_is_counted(monkeypatch):
+    # at z = 6.65e6 counting K alone would take ~7e6 recurrence steps; the
+    # node table, more than z rows of more than z terms, is refused first;
+    # a window 1e4 times shorter, whose K > z, is counted and run
+    def count(z):
+        raise AssertionError(f"K counted at z = {z}")
+
+    monkeypatch.setattr(dynamics, "chebyshev_coefficients", count)
+    with pytest.raises(ValueError, match=r"^Chebyshev expansion at z = 6\.65e\+06 needs "
+                                         r"6\.65e\+06 coefficient terms per point: 7\.08e\+14 "
+                                         r"bytes, more than the \S+ bytes of physical memory$"):
+        trajectory(ModelSpec(4, 1), InitialStateSpec(), [0.0, 1e6])
+    monkeypatch.undo()
+    assert trajectory(ModelSpec(4, 1), InitialStateSpec(), [0.0, 100.0]).nodes.size > 665
+
+
 @pytest.mark.parametrize("spec, init", [
     (ModelSpec(12, 2), InitialStateSpec("random")),
     (ModelSpec(12, 3), InitialStateSpec()),
@@ -262,7 +278,7 @@ def test_the_memory_count_covers_the_whole_run(monkeypatch):
 def test_trajectory_norm_preservation():
     spec = ModelSpec(4, 2, h=0.2)
     traj = trajectory(spec, InitialStateSpec("random"), np.linspace(0, 5, 101), 8)
-    norms = np.linalg.norm(traj.states, axis=1)
+    norms = np.linalg.norm(trajectory_states(traj), axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-9
 
 
@@ -294,7 +310,7 @@ def test_charger_eigenstates_match_cat_state_observables():
     def curves(init):
         traj = trajectory(spec, init, times)
         stored, work = [], []
-        for psi in traj.states:
+        for psi in trajectory_states(traj):
             rho = reduce_to_battery(psi, spec.L, spec.n)
             stored.append(stored_energy(rho, levels))
             work.append(ergotropy_populations(rho, levels))
@@ -314,7 +330,7 @@ def test_full_scale_excited_population_at_charging_time():
     for h, tol in ((0.1, 0.02), (1e-3, 1e-3)):
         spec = ModelSpec(11, 1, h=h)
         traj = trajectory(spec, InitialStateSpec(), np.array([t_charge]))
-        rho = reduce_to_battery(traj.states[0], spec.L, spec.n)
+        rho = reduce_to_battery(trajectory_states(traj)[0], spec.L, spec.n)
         population = float(np.real(rho[1, 1]))
         assert abs(population - 16.0 / 16.25) <= tol
 
@@ -350,7 +366,7 @@ def test_sector_trajectory_matches_dense_oracle(spec, t_end, init, monkeypatch):
     parts = 2 if init.charger_kind == "random" else 1  # complex vectors: two real operands
     assert traj.vectors.shape == (parts, traj.coefficients.shape[1],
                                   spec.dim // 2 if cat else spec.dim)
-    states = traj.states
+    states = trajectory_states(traj)
     psi0 = initial_state(spec, init, 11)
     oracle = evolve_on_grid(dense_eigh(build_total(spec)), psi0, times)
     assert np.max(np.abs(states - oracle)) <= 1e-12
@@ -412,7 +428,7 @@ def test_interpolated_trajectory_matches_dense_oracle(spec, init, times, seed):
     traj = trajectory(spec, init, times, seed)
     assert traj.nodes.size < times.size
     oracle = evolve_on_grid(linalg.eigh(build_total(spec)), initial_state(spec, init, seed), times)
-    assert np.max(np.abs(traj.states - oracle)) <= 1e-12
+    assert np.max(np.abs(trajectory_states(traj) - oracle)) <= 1e-12
     assert_merit_columns_match_oracle(traj, oracle)
 
 
@@ -424,7 +440,7 @@ def test_long_window_matches_dense_oracle(spec, init):
     # t up to 12 needs ~180 Chebyshev terms here (fig3 windows reach ~9 at
     # L+n = 12): the recurrence must stay accurate over the whole sequence
     times = np.linspace(0.0, 12.0, 97)
-    states = trajectory(spec, init, times, 11).states
+    states = trajectory_states(trajectory(spec, init, times, 11))
     oracle = evolve_on_grid(linalg.eigh(build_total(spec)), initial_state(spec, init, 11), times)
     assert np.max(np.abs(states - oracle)) <= 1e-12
 
@@ -453,7 +469,7 @@ def test_trajectory_matches_dense_oracle_on_random_runs(kind):
     @given(small_runs(kind))
     def check(run):
         spec, init, times, seed = run
-        states = trajectory(spec, init, times, seed).states
+        states = trajectory_states(trajectory(spec, init, times, seed))
         oracle = evolve_on_grid(linalg.eigh(build_total(spec)),
                                 initial_state(spec, init, seed), times)
         assert np.max(np.abs(states - oracle)) <= 1e-12

@@ -30,7 +30,6 @@ from sunburst_battery.config import (
     TimeGrid,
     load_config,
 )
-from sunburst_battery.dynamics import initial_state
 from sunburst_battery.experiments import (
     CSV_COLUMNS,
     analytic_reference,
@@ -43,7 +42,7 @@ from sunburst_battery.experiments import (
 )
 from sunburst_battery.model import battery_energies, build_total
 from sunburst_battery.observables import WORK_FLOOR, MeritSeries, charging_power, reduce_to_battery
-from sunburst_battery.validate import CHECKS, VALIDATE_SEED, cmd_validate
+from sunburst_battery.validate import CHECKS, VALIDATE_SEED, cmd_validate, initial_state
 
 SMALL_MODEL = {"L": 4, "n": 1, "J": 1.0, "h": 0.1, "delta": 0.5, "kappa": 2.0}
 
@@ -1065,7 +1064,7 @@ def test_cli_memory_refusal_prints_no_long_integers(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     refusals = [
         (("fig4",), {"t_end": 1e300}, "error: Chebyshev expansion at z = ", "physical memory"),
-        (("fig1", "fig4"), {"steps": 20, "t_end": 1e306},
+        (("fig1", "fig4"), {"steps": 20, "t_end": 1e307},
          "error: Chebyshev expansion at z = ", "inf bytes"),
         (("fig1", "fig4"), {"steps": 20, "t_start": 1e308, "t_end": 1.7e308},
          "error: phase bound * t = 6.65 * 7e+307 ", "overflows the float range"),
@@ -1245,7 +1244,7 @@ def test_importing_the_package_loads_no_numpy_and_defines_only_its_version():
 
 def test_only_the_validate_command_loads_the_self_check_module(tmp_path):
     # fig4 and a sweep run the production path alone: the check table and
-    # the oracles load for validate only
+    # the oracles load for validate only; neither loads numpy's FFT
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({"model": {"L": 4, "n": 1}, "grid": {"steps": 10},
                                   "sweep": {"parameter": "n", "values": [1, 2]}}))
@@ -1257,10 +1256,12 @@ def test_only_the_validate_command_loads_the_self_check_module(tmp_path):
         f"             ['sweep', '--config', {str(config)!r}, '--out', {str(tmp_path / 'n.csv')!r}],\n"
         "             ['validate']):\n"
         "    assert main(argv) == 0\n"
-        "    loaded.append('sunburst_battery.validate' in sys.modules)\n"
+        "    loaded.append(['sunburst_battery.validate' in sys.modules,\n"
+        "                   'numpy.fft' in sys.modules])\n"
         "print(json.dumps(loaded))"
     )
-    assert loaded == [False, False, True]
+    assert [validate for validate, _ in loaded] == [False, False, True]
+    assert [fft for _, fft in loaded[:2]] == [False, False]
 
 
 NUMERIC_MODULES = ("numpy", *(f"sunburst_battery.{name}" for name in
@@ -1606,24 +1607,31 @@ def test_drawn_commands_match_dense_oracle(tmp_path):
     check()
 
 
-def test_a_huge_window_is_refused_before_the_fft_length_search(tmp_path, monkeypatch, capsys):
-    # at z = 1e300 the least coefficient table, 1.5 z + 60 terms per point,
-    # is refused before the 5-smooth search for the FFT length, which walks
-    # every 3**b 5**c below 2**1000 (~0.3 s)
-    def search(n):
-        raise AssertionError(f"5-smooth search for {n:.3g}")
+def test_default_runs_keep_their_term_and_node_counts(tmp_path, monkeypatch, capsys):
+    # K coefficient terms and M nodes of every default fig1, fig3 and fig4
+    # run, (L, n, kappa, K, M): the cut, not how the coefficients are
+    # computed, sets them
+    runs, trajectory = [], experiments.trajectory
 
-    monkeypatch.setattr(linalg, "_smooth_size", search)
-    with pytest.raises(ValueError, match=r"^Chebyshev expansion at z = 1e\+300 needs 1\.5e\+300 "
-                                         r"coefficient terms per point: .* physical memory$"):
-        linalg.chebyshev_coefficients([1e300])
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"model": {"L": 4, "n": 1}, "grid": {"t_end": 1e300},
-                                       "output_path": str(tmp_path / "huge.csv")}))
-    assert main(["fig4", "--config", str(config_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: Chebyshev expansion at z = ") and err.count("\n") == 1, err
-    assert "physical memory" in err and not (tmp_path / "huge.csv").exists()
+    def counted(spec, init, times, seed=None):
+        traj = trajectory(spec, init, times, seed)
+        runs.append((spec.L, spec.n, spec.kappa, traj.coefficients.shape[1], traj.nodes.size))
+        return traj
+
+    monkeypatch.setattr(experiments, "trajectory", counted)
+    counts = {}
+    for command in ("fig1", "fig3", "fig4"):
+        assert main([command, "--out", str(tmp_path / f"{command}.csv")]) == 0
+        counts[command], runs[:] = runs[:], []
+    capsys.readouterr()
+    assert counts["fig1"] == [(11, 1, 2.0, 60, 60), (10, 2, 2.0, 63, 63), (9, 3, 2.0, 66, 66),
+                              (8, 4, 2.0, 69, 69)]
+    assert counts["fig4"] == [(11, 1, 2.0, 60, 60)] * 3
+    fig3 = {(L, n, kappa): (terms, nodes) for L, n, kappa, terms, nodes in counts["fig3"]}
+    assert len(fig3) == 20
+    assert [fig3[12 - n, n, 0.25] for n in (1, 2, 3, 4)] == [
+        (158, 158), (152, 152), (146, 146), (140, 140)]
+    assert [fig3[12 - n, n, 4.0] for n in (1, 2, 3, 4)] == [(38, 38), (42, 42), (45, 45), (49, 49)]
 
 
 def test_fig4_refuses_a_seed_whose_last_run_seed_leaves_64_bits(tmp_path, capsys):

@@ -16,10 +16,9 @@ from sunburst_battery.linalg import (
     eigh,
     evolve_on_grid,
     interpolate,
-    series_states,
 )
 from sunburst_battery.model import build_total
-from sunburst_battery.validate import expm_series_oracle, row_sum_bound
+from sunburst_battery.validate import expm_series_oracle, row_sum_bound, series_states
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -203,9 +202,10 @@ def bessel_j(k: int, z: float) -> float:
 
 
 def test_chebyshev_coefficients_match_exact_bessel_series():
-    # g_0 = J_0(z) and g_k = 2 (-1)^floor(k/2) J_k(z): checks the FFT and the
-    # sign convention against no FFT at all
-    zs = [0.0, 0.3, 1.7, 4.0, 9.0]
+    # g_0 = J_0(z) and g_k = 2 (-1)^floor(k/2) J_k(z): checks the recurrence,
+    # its normalization and the sign convention against exact power series;
+    # 2.3e-169 takes the small-phase branch
+    zs = [0.0, 2.3e-169, 0.3, 1.7, 4.0, 9.0]
     coefficients, _ = chebyshev_series(lambda v: np.diag([-1.0, 1.0]) @ v, 1.0,
                                        np.array([1.0, 0.0]), zs)
     for z, row in zip(zs, coefficients):
@@ -215,21 +215,20 @@ def test_chebyshev_coefficients_match_exact_bessel_series():
             assert abs(got - exact) <= 1e-14, (z, k)
 
 
-def test_coefficient_stage_is_chunked_without_changing_a_bit(monkeypatch):
-    # more than two grid blocks: every FFT sees at most GRID_BLOCK grid
-    # points, and the result is the one-block result to the last bit
-    ham = np.diag([-1.0, 0.25, 1.0])
-    psi = np.ones(3) / np.sqrt(3)
-    times = np.linspace(0.0, 30.0, 2 * GRID_BLOCK + 77)
-    rows = []
-    real_fft = np.fft.rfft
-    monkeypatch.setattr(np.fft, "rfft", lambda a, **kw: rows.append(len(a)) or real_fft(a, **kw))
-    chunked, _ = chebyshev_series(lambda v: ham @ v, 1.0, psi, times)
-    assert rows == [GRID_BLOCK, GRID_BLOCK, 77]
-    monkeypatch.setattr(linalg, "GRID_BLOCK", times.size)
-    whole, _ = chebyshev_series(lambda v: ham @ v, 1.0, psi, times)
-    assert rows[3:] == [times.size]
-    assert chunked.shape == whole.shape and np.array_equal(chunked, whole)
+def test_chebyshev_coefficients_sum_to_the_generating_function():
+    # sum_k g_k cos(k theta) = cos(z cos theta) + sin(z cos theta): at theta =
+    # 0 and pi the coefficients sum to cos z + sin z and, alternating, to
+    # cos z - sin z.  Each z alone, then all in one table; the row at 1e-8
+    # grows past 1e250 and is rescaled, and 0, 1e-300 and 2.3e-169 take the
+    # small-phase branch
+    zs = np.array([0.0, 1e-300, 2.3e-169, 1e-8, 0.3, 5.0, 28.7, 158.0, 2010.0, 2e4])
+    rows = [chebyshev_coefficients([z])[0] for z in zs]
+    table = chebyshev_coefficients(zs)
+    for z, alone, joint in zip(zs, rows, table):
+        for g in (alone, joint):
+            alternating = np.where(np.arange(g.size) % 2, -1.0, 1.0)
+            assert abs(g.sum() - (np.cos(z) + np.sin(z))) <= 1e-14 * (1 + z), z
+            assert abs(g @ alternating - (np.cos(z) - np.sin(z))) <= 1e-14 * (1 + z), z
 
 
 @pytest.mark.parametrize("nodes", [5, 17], ids=["M5", "M17"])
@@ -267,16 +266,17 @@ def test_chebyshev_series_refuses_a_window_beyond_physical_memory():
 
 
 def test_memory_refusal_prints_every_count_in_three_digits():
-    # at z = 1e300 the term count is a 300-digit integer; the coefficient
-    # table is refused before any vector is counted
+    # at z = 1e300 the recurrence would start 1e300 orders up, a 300-digit
+    # integer; its table is refused before any vector is counted
     ham = np.diag([-1.0, 1.0])
     with pytest.raises(ValueError) as raised:
         chebyshev_series(lambda v: ham @ v, 1.0, np.array([1.0, 0.0]), [0.0, 1e300])
     message = str(raised.value)
-    assert "needs 1.5e+300 coefficient terms per point: " in message
+    assert "needs 1e+300 coefficient terms per point: 3.2e+301 bytes" in message
     assert not re.search(r"\d{5}", message), message
-    with pytest.raises(ValueError, match=r"^Chebyshev expansion at z = 1e\+300 needs 1\.5e\+300 "
-                                         r"coefficient terms per point: .* physical memory$"):
+    with pytest.raises(ValueError, match=r"^Chebyshev expansion at z = 1e\+300 needs 1e\+300 "
+                                         r"coefficient terms per point: 1\.6e\+301 bytes, .* "
+                                         r"physical memory$"):
         chebyshev_coefficients([1e300])
 
 
@@ -294,22 +294,6 @@ def test_chebyshev_series_counts_the_callers_bytes_in_the_memory_check():
     chebyshev_series(lambda v: ham @ v, 1.0, psi, [0.0, 1.0], extra_bytes=available // 2)
     with pytest.raises(ValueError, match="physical memory"):
         chebyshev_series(lambda v: ham @ v, 1.0, psi, [0.0, 1.0], extra_bytes=available)
-
-
-def test_smooth_size_is_the_least_five_smooth_bound():
-    smooth = [m for m in range(1, 2000) if set(prime_factors(m)) <= {2, 3, 5}]
-    for n in range(1, 1800):
-        assert linalg._smooth_size(n) == min(m for m in smooth if m >= n), n
-
-
-def prime_factors(m: int) -> list:
-    factors, p = [], 2
-    while m > 1:
-        while m % p == 0:
-            factors.append(p)
-            m //= p
-        p += 1
-    return factors
 
 
 def test_chebyshev_nodes_are_increasing_with_exact_ends():

@@ -30,7 +30,12 @@ from sunburst_battery.observables import (
     reduced_states,
     stored_energy,
 )
-from sunburst_battery.validate import _naive_partial_trace, amplitudes, unavailable_analytic
+from sunburst_battery.validate import (
+    _naive_partial_trace,
+    amplitudes,
+    trajectory_states,
+    unavailable_analytic,
+)
 
 OMEGA = np.sqrt(16.25)
 T_CHARGE = np.pi / OMEGA
@@ -121,7 +126,7 @@ def test_gram_and_state_reductions_agree_on_every_entry(init):
     # complex one on the full space
     traj = trajectory(ModelSpec(5, 2, d=2, h=0.3, delta=0.5, kappa=1.5), init,
                       np.linspace(0.0, 1.5, 40), 6)
-    states = traj.states
+    states = trajectory_states(traj)
     rho = reduce_to_battery(states, 5, 2)
     assert np.array_equal(reduce_to_battery((states.real, states.imag), 5, 2), rho)
 
@@ -437,8 +442,8 @@ def assert_matches_per_point_evaluation(traj, cells):
     states of ``traj`` one at a time."""
     spec, times = traj.spec, traj.times
     levels = battery_energies(spec.n, spec.delta)
-    expected = numpy_figures([reduce_to_battery(psi, spec.L, spec.n) for psi in traj.states],
-                             levels)
+    expected = numpy_figures([reduce_to_battery(psi, spec.L, spec.n)
+                              for psi in trajectory_states(traj)], levels)
     expected["t"] = times
     expected["power"] = [charging_power(e, t) for e, t in zip(expected["stored_energy"], times)]
     columns = vars(merit_series(traj, cells))
