@@ -109,4 +109,6 @@ def max_ergotropy(p: AnalyticParams) -> float:
     """
     if p.omega == 0.0:
         return 0.0
-    return max(0.0, p.delta * (4.0 * p.kappa ** 2 - p.delta ** 2) / p.omega ** 2)
+    # products, not ** 2: a float ** overflow raises where * gives inf
+    return max(0.0, p.delta * (4.0 * (p.kappa * p.kappa) - p.delta * p.delta)
+               / (p.omega * p.omega))

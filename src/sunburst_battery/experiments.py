@@ -46,7 +46,8 @@ CSV_COLUMNS = ("t", "dE_num", "xi_num", "SL_num", "P_num",
 
 FIG1_COLLAPSE_SYSTEMS = ((10, 2), (9, 3), (8, 4))
 FIG3_KAPPAS = (0.25, 0.5, 1.0, 2.0, 4.0)
-FIG3_TOTAL_QUBITS = 12
+FIG3_BATTERY_COUNTS = (1, 2, 3, 4)
+FIG4_SEEDS = 3
 POWER_PEAK_COEFF = 1.45  # rounded coefficient of the power maximum
 
 
@@ -219,30 +220,29 @@ def cmd_fig1(config: ExperimentConfig, collapse_systems=FIG1_COLLAPSE_SYSTEMS) -
     _write_series("fig1", config.output_path, runs, results)
 
 
-def cmd_fig3(config: ExperimentConfig, n_values=(1, 2, 3, 4),
-             total_qubits: int = FIG3_TOTAL_QUBITS) -> None:
+def cmd_fig3(config: ExperimentConfig) -> None:
     """Peak per-battery ergotropy and power as a function of the coupling.
 
     Each (kappa, n) point is scanned over one full oscillation period
     [0, 2 pi / omega] with the configured number of grid points (the
     default window would miss the peaks at weak coupling).  One summary
     row per point; kappa grid and period-long window are artifact choices.
-    Every point has L + n = ``total_qubits``, which the configured model
-    must match, and the equispaced spacing L/n (another configured spacing
-    is refused).  The kappa grid is the values of the config's sweep
-    section, which must sweep kappa, else FIG3_KAPPAS.  The grid section
-    sets the number of points only: a window other than the default is
-    refused.  A point whose peak ergotropy is at most WORK_FLOOR has no
-    work, so no peak: its ``t`` and ``SL_num`` cells are left empty.  Every
-    refusal comes before the first run; the points then run one at a time,
-    each printing its line as its row is made.
+    Every point keeps the configured L + n, for each n of
+    FIG3_BATTERY_COUNTS whose ring L has two sites or more and is divisible
+    by n: it runs at the spacing L/n (another configured one is refused).
+    The kappa grid is the values of the config's sweep section, which must
+    sweep kappa, else FIG3_KAPPAS.  The grid section sets the number of
+    points only: a window other than the default is refused, as is a point
+    whose period or closed-form peak power leaves the float range.  A point
+    whose peak ergotropy is at most WORK_FLOOR has no work, so no peak: its
+    ``t`` and ``SL_num`` cells are left empty.  Every refusal comes before
+    the first run; the points then run one at a time, each printing its
+    line as its row is made.
     """
-    if config.model.L + config.model.n != total_qubits:
-        systems = tuple((total_qubits - n, n) for n in n_values)
-        raise ValueError(
-            f"fig3 runs the fixed (L, n) systems {systems} with L + n = {total_qubits}; "
-            f"the configured model has L + n = {config.model.L + config.model.n}"
-        )
+    qubits = config.model.qubits
+    counts = [n for n in FIG3_BATTERY_COUNTS if qubits - n >= 2 and (qubits - n) % n == 0]
+    if not counts:
+        raise ValueError(f"fig3: no n of 1..4 divides a ring of L >= 2 sites at L + n = {qubits}")
     _refuse_spacing("fig3", config.model)
     if config.sweep is not None and config.sweep.parameter != "kappa":
         raise ValueError(f"fig3 sweeps kappa only; the config sweeps {config.sweep.parameter}")
@@ -252,20 +252,28 @@ def cmd_fig3(config: ExperimentConfig, n_values=(1, 2, 3, 4),
                          f"config's grid window [{window[0]}, {window[1]}]")
     kappas = FIG3_KAPPAS if config.sweep is None else config.sweep.values
     init = config.initial or InitialStateSpec()
-    specs = [replace(config.model, L=total_qubits - n, n=n, d=None, kappa=kappa)
-             for n in n_values for kappa in kappas]
-    points = [(spec, AnalyticParams.from_model(spec)) for spec in specs]
-    if any(p.omega == 0.0 for _, p in points):
-        raise ValueError("cannot scan a period for delta = kappa = 0")
+    specs = [replace(config.model, L=qubits - n, n=n, d=None, kappa=kappa)
+             for n in counts for kappa in kappas]
+    points = []
+    for spec in specs:
+        p = AnalyticParams.from_model(spec)
+        if p.omega == 0.0:
+            raise ValueError("cannot scan a period for delta = kappa = 0")
+        period = 2.0 * np.pi / p.omega
+        # products, not ** 2: a float ** overflow raises where * gives inf
+        peak_p_ana = POWER_PEAK_COEFF * p.delta * (p.kappa * p.kappa) / p.omega
+        if not np.isfinite([period, peak_p_ana]).all():
+            raise ValueError(f"fig3 (n={spec.n}, kappa={spec.kappa}): period 2 pi / omega = "
+                             f"{period:.3g} or peak power {peak_p_ana:.3g} leaves the float range")
+        points.append((spec, p, period, peak_p_ana))
     _refuse_large_index("fig3", init, specs)
     if config.sweep is None:
         print(f"fig3: kappa grid {FIG3_KAPPAS} is an artifact default, "
               "not a reference-pinned set")
     rows = []
-    for spec, p in points:
-        times = np.linspace(0.0, 2.0 * np.pi / p.omega, config.grid.steps)
+    for spec, p, period, peak_p_ana in points:
+        times = np.linspace(0.0, period, config.grid.steps)
         series = run_series(spec, init, times, config.seed)
-        peak_p_ana = POWER_PEAK_COEFF * p.delta * p.kappa ** 2 / p.omega
         k = int(np.argmax(series.ergotropy))
         peak_work, peak_power = float(series.ergotropy[k]), float(series.power.max())
         working = peak_work > WORK_FLOOR
@@ -275,7 +283,7 @@ def cmd_fig3(config: ExperimentConfig, n_values=(1, 2, 3, 4),
             (peak_work,),
             (series.linear_entropy[k],) if working else None,
             (peak_power,),
-            (spec.n * p.delta * 4 * p.kappa ** 2 / p.omega ** 2,),
+            (spec.n * p.delta * 4 * (p.kappa * p.kappa) / (p.omega * p.omega),),
             (spec.n * max_ergotropy(p),),
             (linear_entropy_analytic(p, charging_time(p), spec.n),),
             (spec.n * peak_p_ana,),
@@ -299,8 +307,8 @@ def _run_with_spectral(spec: ModelSpec, times, seed: int):
     return merit_series(traj, cells), ergotropy(cells, levels, traj.layout)
 
 
-def cmd_fig4(config: ExperimentConfig, n_seeds: int = 3) -> None:
-    """Ergotropy vs time for several random charger preparations.
+def cmd_fig4(config: ExperimentConfig) -> None:
+    """Ergotropy vs time for FIG4_SEEDS random charger preparations.
 
     Run k draws its charger from the seed its CSV rows carry, config.seed +
     k; the last must fit in 64 unsigned bits as the first does.  Each is its
@@ -316,10 +324,10 @@ def cmd_fig4(config: ExperimentConfig, n_seeds: int = 3) -> None:
     if config.initial is not None:
         raise ValueError("fig4 runs random chargers seeded seed, seed + 1, ...; "
                          "remove the config's initial section")
-    seeds = [config.seed + k for k in range(n_seeds)]
+    seeds = [config.seed + k for k in range(FIG4_SEEDS)]
     if seeds[-1] >= 2 ** 64:
-        raise ValueError(f"fig4 runs seeds seed..seed + {n_seeds - 1}, so seed must be at most "
-                         f"{2 ** 64 - n_seeds}, got {config.seed}")
+        raise ValueError(f"fig4 runs seeds seed..seed + {FIG4_SEEDS - 1}, so seed must be at "
+                         f"most {2 ** 64 - FIG4_SEEDS}, got {config.seed}")
     times = config.grid.times()
     runs = [(config.model, InitialStateSpec("random"), seed) for seed in seeds]
     results, spectral = zip(*(_run_with_spectral(spec, times, seed) for spec, _, seed in runs))

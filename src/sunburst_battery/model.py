@@ -111,9 +111,10 @@ def terms(spec: ModelSpec) -> tuple[np.ndarray, tuple[tuple[int, float], ...]]:
     index = np.arange(spec.dim)
     ring = spec.L - 2.0 * bit_counts(index >> spec.n)
     batteries = spec.n - 2.0 * bit_counts(index & ((1 << spec.n) - 1))
-    # a field near the float limit gives inf, refused by linalg.phases; + 0.0
-    # turns each -0.0 into 0.0, so no zero entry carries the sign of h or delta
-    with np.errstate(over="ignore"):
+    # a field near the float limit gives inf (or inf - inf = nan), refused by
+    # linalg.phases through the bound; + 0.0 turns each -0.0 into 0.0, so no
+    # zero entry carries the sign of h or delta
+    with np.errstate(over="ignore", invalid="ignore"):
         diagonal = -spec.h * ring - (spec.delta / 2.0) * batteries + 0.0
     return diagonal, bonds + couplings
 
@@ -121,7 +122,9 @@ def terms(spec: ModelSpec) -> tuple[np.ndarray, tuple[tuple[int, float], ...]]:
 def total_matvec(spec: ModelSpec, basis=None):
     """Matrix-free H_total: ``(matvec, bound)`` where matvec(psi) = H psi, by
     one gather per flip of terms(), and bound is the Gershgorin row-sum
-    bound max_i sum_j |H_ij| >= ||H||_2 of the full space.
+    bound max_i sum_j |H_ij| >= ||H||_2 of the full space, taken from the
+    fields: the largest diagonal entry is h L + (delta/2) n in size, whose
+    inf stands for a diagonal that overflows (its entries may read nan).
 
     psi holds the amplitudes of the full-space indices ``basis`` (all of
     them, in order, by default), which must span whole parity sectors (a
@@ -129,7 +132,7 @@ def total_matvec(spec: ModelSpec, basis=None):
     ``position[basis[i] ^ mask]``, the position in psi of that index.
     """
     diagonal, flips = terms(spec)
-    bound = float(np.max(np.abs(diagonal))) + sum(abs(coef) for _, coef in flips)
+    bound = spec.h * spec.L + (spec.delta / 2.0) * spec.n + sum(abs(coef) for _, coef in flips)
     basis = np.arange(spec.dim) if basis is None else np.asarray(basis)
     position = np.zeros(spec.dim, dtype=basis.dtype)
     position[basis] = np.arange(basis.size)

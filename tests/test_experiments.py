@@ -642,11 +642,14 @@ def test_fig1_zero_coupling_kills_all_work_columns(tmp_path):
 
 
 def test_fig3_small_scale(tmp_path):
+    # a (5, 1) register runs n = 1, 2 and 3 at L + n = 6; n = 4 would leave
+    # a ring of two sites that four batteries cannot be spaced on
     config = small_config(tmp_path, "fig3.csv", model={**SMALL_MODEL, "L": 5},
                           sweep={"parameter": "kappa", "values": [0.25, 2.0]})
-    assert cmd_fig3(config, n_values=(1, 2, 3), total_qubits=6) is None
+    assert cmd_fig3(config) is None
     cols = read_csv(config.output_path)
     assert len(cols["t"]) == 6
+    assert list(zip(cols["n"], cols["L"])) == [(1, 5), (1, 5), (2, 4), (2, 4), (3, 3), (3, 3)]
     for name in ("dE_ana", "xi_ana", "SL_ana", "P_ana"):
         assert not np.isnan(cols[name]).any(), name
     # per battery: the closed-form cells of every n are n times one battery's
@@ -660,29 +663,33 @@ def test_fig3_small_scale(tmp_path):
 
 
 def test_fig3_leaves_peak_cells_empty_without_work(tmp_path, capsys):
-    # 2 kappa < delta: the ergotropy series is roundoff, so it has no peak
-    # time and no entropy at that peak; the strong-coupling point keeps both
+    # 2 kappa < delta: the ergotropy series of every n is roundoff, so it has
+    # no peak time and no entropy at that peak; the strong-coupling points
+    # keep both
     config = small_config(tmp_path, "fig3.csv", model={**SMALL_MODEL, "L": 5},
                           sweep={"parameter": "kappa", "values": [0.2, 2.0]})
-    cmd_fig3(config, n_values=(1,), total_qubits=6)
+    cmd_fig3(config)
     cols = read_csv(config.output_path)
+    assert set(cols["n"]) == {1, 2, 3}
     below = cols["kappa"] == 0.2
     assert np.max(cols["xi_num"][below]) <= 1e-12
     assert np.isnan(cols["t"][below]).all() and np.isnan(cols["SL_num"][below]).all()
     assert not np.isnan(cols["t"][~below]).any() and not np.isnan(cols["SL_num"][~below]).any()
     assert not np.isnan(cols["dE_num"]).any() and not np.isnan(cols["P_num"]).any()
     out = capsys.readouterr().out
-    assert "fig3 (n=1, kappa=0.2): no work, max xi/n" in out
-    assert "fig3 (n=1, kappa=2.0): max xi/n" in out
+    for n in (1, 2, 3):
+        assert f"fig3 (n={n}, kappa=0.2): no work, max xi/n" in out
+        assert f"fig3 (n={n}, kappa=2.0): max xi/n" in out
     # just above threshold (2 kappa = delta (1 + 1e-6), h = 0) the peak
     # ergotropy is 5.0e-7, far below the strong-coupling values but above
-    # WORK_FLOOR = 1e-12: it has a peak time; the odd step count puts T = pi/omega on the grid
+    # WORK_FLOOR = 1e-12: it has a peak time; the odd step count puts T = pi/omega on the grid.
+    # A (4, 1) register runs n = 1 alone: no ring of 3, 2 or 1 sites spaces 2, 3 or 4 batteries
     config = small_config(tmp_path, "fig3_edge.csv", model={**SMALL_MODEL, "h": 0.0},
                           grid={"t_start": 0.0, "t_end": 2.0, "steps": 101},
                           sweep={"parameter": "kappa", "values": [0.25 * (1 + 1e-6)]})
-    cmd_fig3(config, n_values=(1,), total_qubits=5)
+    cmd_fig3(config)
     cols = read_csv(config.output_path)
-    assert 1e-7 < cols["xi_num"][0] < 1e-6
+    assert cols["n"].tolist() == [1.0] and 1e-7 < cols["xi_num"][0] < 1e-6
     assert cols["t"][0] == 4.4428807167174522
     out = capsys.readouterr().out
     assert "max xi/n" in out and "no work, " not in out
@@ -694,10 +701,10 @@ def test_fig3_rows_are_the_peaks_of_the_runs_they_name(tmp_path):
     # SL at the ergotropy argmax (empty without work), the others maxima
     config = small_config(tmp_path, "fig3.csv", model={**SMALL_MODEL, "L": 5},
                           sweep={"parameter": "kappa", "values": [0.2, 2.0]})
-    cmd_fig3(config, n_values=(1, 2), total_qubits=6)
+    cmd_fig3(config)
     cols = read_csv(config.output_path)
-    assert len(cols["t"]) == 4
-    for row in range(4):
+    assert len(cols["t"]) == 6
+    for row in range(6):
         spec = replace(config.model, L=int(cols["L"][row]), n=int(cols["n"][row]), d=None,
                        kappa=float(cols["kappa"][row]))
         omega = AnalyticParams.from_model(spec).omega
@@ -732,17 +739,31 @@ def test_fig3_refuses_delta_and_kappa_zero_before_any_run(tmp_path, monkeypatch,
     assert captured.out == "" and calls == [] and not out.exists()
 
 
-def test_fig3_rejects_a_model_it_would_not_run(tmp_path, capsys):
-    # fig3 runs fixed (L, n) systems; a configured model outside them fails
-    # before any work instead of being ignored
+def test_fig3_rejects_a_model_it_would_not_run(tmp_path, monkeypatch, capsys):
+    # fig3 runs n = 1..4 on the configured register size: at L + n = 7 only
+    # n = 1 fits, since a ring of 5, 4 or 3 sites spaces no 2, 3 or 4
+    # batteries equally
     config_path = tmp_path / "config.json"
+    out = tmp_path / "fig3.csv"
+    config_path.write_text(json.dumps({"model": {**SMALL_MODEL, "L": 6}, "grid": {"steps": 10},
+                                       "output_path": str(out)}))
+    assert main(["fig3", "--config", str(config_path)]) == 0
+    cols = read_csv(out)
+    assert list(zip(cols["n"], cols["L"], cols["kappa"])) == [
+        (1, 6, kappa) for kappa in experiments.FIG3_KAPPAS]
+    capsys.readouterr()
+    # on a (2, 0) register no n fits, which fails before any run
+    calls = []
+    monkeypatch.setattr(experiments, "run_series", lambda *args: calls.append(args))
     config_path.write_text(json.dumps({
-        "model": {**SMALL_MODEL, "L": 6},
+        "model": {"L": 2, "n": 0},
         "output_path": str(tmp_path / "never.csv"),
     }))
     assert main(["fig3", "--config", str(config_path)]) == 2
-    err = capsys.readouterr().err
-    assert "L + n = 12" in err and "(11, 1)" in err and "L + n = 7" in err
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: fig3: no n of 1..4 divides a ring of L >= 2 sites at L + n = 2"]
+    assert captured.out == "" and calls == []
     # fig3 sweeps kappa alone: a sweep over n would run n = 1..4 regardless
     config_path.write_text(json.dumps({
         "sweep": {"parameter": "n", "values": [1, 2]},
@@ -752,6 +773,100 @@ def test_fig3_rejects_a_model_it_would_not_run(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "kappa only" in captured.err and captured.out == ""
     assert not (tmp_path / "never.csv").exists()
+
+
+def run_cli(tmp_path, capsys, command, data):
+    """Exit code, stdout and stderr lines, and the CSV columns (None when no
+    file was written) of ``command`` run through ``main`` on the config
+    ``data``."""
+    config_path, out = tmp_path / "config.json", tmp_path / f"{command}.csv"
+    out.unlink(missing_ok=True)
+    config_path.write_text(json.dumps({**data, "output_path": str(out)}))
+    code = main([command, "--config", str(config_path)])
+    captured = capsys.readouterr()
+    return (code, captured.out.splitlines(), captured.err.splitlines(),
+            read_csv(out) if out.exists() else None)
+
+
+@pytest.mark.parametrize("delta", [1e160, 1e300])
+def test_fig3_writes_finite_cells_where_omega_squared_overflows(tmp_path, capsys, delta):
+    # omega ** 2 leaves the float range from omega ~ 1.3e154 while the runs,
+    # one period long, do not: each closed-form cell is written from products
+    code, out, err, cols = run_cli(tmp_path, capsys, "fig3",
+                                   {"model": {"L": 11, "n": 1, "delta": delta},
+                                    "grid": {"steps": 20}})
+    assert (code, err) == (0, [])
+    assert out[-1].endswith("wrote 20 rows to " + str(tmp_path / "fig3.csv"))
+    for name in ("dE_num", "xi_num", "P_num", "dE_ana", "xi_ana", "SL_ana", "P_ana"):
+        assert np.isfinite(cols[name]).all(), name
+
+
+@pytest.mark.parametrize("value, shown", [(5e-324, "omega = inf or peak power 0 "),
+                                          (1e200, "omega = 2.81e-200 or peak power inf ")])
+def test_fig3_refuses_a_point_whose_period_or_peak_power_overflows(
+        tmp_path, monkeypatch, capsys, value, shown):
+    # delta = kappa = 5e-324 has 2 pi / omega = inf, and delta = kappa = 1e200
+    # a closed-form peak power of 1.45 delta kappa**2 / omega = inf: refused
+    # with every other check, before the first run, naming the point
+    calls = []
+    monkeypatch.setattr(experiments, "run_series", lambda *args: calls.append(args))
+    code, out, err, cols = run_cli(tmp_path, capsys, "fig3", {
+        "model": {"L": 11, "n": 1, "delta": value},
+        "sweep": {"parameter": "kappa", "values": [value]}})
+    assert code == 2 and out == [] and cols is None and calls == []
+    assert len(err) == 1 and err[0].startswith(f"error: fig3 (n=1, kappa={value}): period 2 pi ")
+    assert shown in err[0] and err[0].endswith(" leaves the float range")
+
+
+EXTREME_FIELDS = (5e-324, 1e-310, 1e160, 1e300, 1e308)
+
+
+def extreme_field_cases():
+    """(id, command, config data): fig1 at (4, 1), fig3 at (5, 1), fig4 and a
+    one-value kappa sweep at (4, 2), each with h, J, delta, kappa alone and
+    delta = kappa together set to each of EXTREME_FIELDS, on 5 grid steps."""
+    systems = {"fig1": (4, 1), "fig3": (5, 1), "fig4": (4, 2), "sweep": (4, 2)}
+    cases = []
+    for command, (L, n) in systems.items():
+        for fields in (("h",), ("J",), ("delta",), ("kappa",), ("delta", "kappa")):
+            for value in EXTREME_FIELDS:
+                model = {"L": L, "n": n, **{name: value for name in fields}}
+                data = {"model": model, "grid": {"steps": 5}}
+                if command in ("fig3", "sweep"):
+                    data["sweep"] = {"parameter": "kappa",
+                                     "values": [model.get("kappa", ModelSpec.kappa)]}
+                cases.append((f"{command}-{'='.join(fields)}-{value:g}", command, data))
+    return cases
+
+
+def test_extreme_fields_run_or_fail_in_one_line(tmp_path, capsys):
+    # every command on fields from the least subnormal to the float limit
+    # either runs, writing no inf or nan cell but fig3's blank peak cells, or
+    # fails with one error line: never a traceback, and never a numpy
+    # warning, which the test settings turn into an error
+    outcomes = {}
+    for name, command, data in extreme_field_cases():
+        code, _, err, cols = run_cli(tmp_path, capsys, command, data)
+        assert code == 0 and err == [] or code == 2 and len(err) == 1, (name, code, err)
+        for column, cells in (cols or {}).items():
+            blank = command == "fig3" and column in ("t", "SL_num")
+            assert not np.isinf(cells).any() and (blank or not np.isnan(cells).any()), (
+                name, column)
+        outcomes[code] = outcomes.get(code, 0) + 1
+    assert outcomes[0] > 0 and outcomes[2] > 0, outcomes
+
+
+@pytest.mark.parametrize("command", ["fig1", "fig4", "sweep"])
+def test_an_overflowing_diagonal_is_refused_by_its_norm_bound(tmp_path, capsys, command):
+    # h = delta = 1e308 on (7, 4): diagonal entries whose ring and battery
+    # parts have opposite signs read inf - inf; the bound, taken from the
+    # fields, is inf, and the phase is refused without a numpy warning
+    data = {"model": {"L": 7, "n": 4, "d": 1, "h": 1e308, "delta": 1e308}, "grid": {"steps": 5}}
+    if command == "sweep":
+        data["sweep"] = {"parameter": "kappa", "values": [2.0]}
+    code, out, err, cols = run_cli(tmp_path, capsys, command, data)
+    assert (code, out, cols) == (2, [], None)
+    assert err == ["error: phase bound * t = inf * 2 overflows the float range"]
 
 
 @pytest.mark.parametrize("command", ["fig3", "sweep"])
@@ -778,9 +893,10 @@ def test_an_equispaced_or_single_battery_spacing_still_runs(tmp_path):
     # an explicit d = L/n is the spacing these commands run; one battery
     # sits at site 1 whatever d is
     equispaced = {**SMALL_MODEL, "n": 2, "d": 2}
-    cmd_fig3(small_config(tmp_path, "fig3.csv", model=equispaced,
-                          sweep={"parameter": "kappa", "values": [2.0]}),
-             n_values=(1, 2), total_qubits=6)
+    fig3 = small_config(tmp_path, "fig3.csv", model=equispaced,
+                        sweep={"parameter": "kappa", "values": [2.0]})
+    cmd_fig3(fig3)
+    assert read_csv(fig3.output_path)["n"].tolist() == [1.0, 2.0, 3.0]
     for name, model in (("sweep.csv", equispaced), ("single.csv", {**SMALL_MODEL, "d": 3})):
         config = small_config(tmp_path, name, model=model,
                               sweep={"parameter": "n", "values": [1, 2]})
@@ -813,18 +929,19 @@ def test_cli_rejects_malformed_config_sections(tmp_path, monkeypatch, capsys, co
 
 def test_fig4_small_scale_determinism(tmp_path, capsys):
     config = small_config(tmp_path, "fig4.csv", model={**SMALL_MODEL, "L": 5}, initial=None)
-    assert cmd_fig4(config, n_seeds=3) is None
+    assert cmd_fig4(config) is None
     pairwise = printed_gaps(capsys.readouterr().out, "pairwise max |xi_i - xi_j|")
     assert len(pairwise) == 1 and pairwise[0] <= 0.05
     cols = read_csv(config.output_path)
     assert np.array_equal(cols["seed"], np.repeat([7, 8, 9], 40))
-    # identical seed -> identical curve, bit for bit
-    first = cols["xi_num"][cols["seed"] == 7]
+    # identical seed -> identical curve, bit for bit: a run from seed 8
+    # repeats the second and third curves of the run from seed 7
     config_again = small_config(tmp_path, "fig4b.csv", model={**SMALL_MODEL, "L": 5},
-                                initial=None)
-    cmd_fig4(config_again, n_seeds=1)
-    again = read_csv(config_again.output_path)["xi_num"]
-    assert np.array_equal(first, again)
+                                initial=None, seed=8)
+    cmd_fig4(config_again)
+    again = read_csv(config_again.output_path)
+    assert np.array_equal(again["seed"], np.repeat([8, 9, 10], 40))
+    assert np.array_equal(cols["xi_num"][cols["seed"] >= 8], again["xi_num"][again["seed"] <= 9])
 
 
 def test_fig4_compares_each_battery_with_the_closed_form(tmp_path, capsys):
@@ -833,7 +950,7 @@ def test_fig4_compares_each_battery_with_the_closed_form(tmp_path, capsys):
     # battery
     config = small_config(tmp_path, "fig4.csv", model={**SMALL_MODEL, "L": 8, "n": 2},
                           initial=None)
-    cmd_fig4(config, n_seeds=2)
+    cmd_fig4(config)
     gap = printed_gaps(capsys.readouterr().out, "max |xi/n - xi_ana|")
     assert len(gap) == 1 and gap[0] <= 0.05
 
@@ -1429,7 +1546,8 @@ def test_default_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
 def command_cases():
     """(name, command, config data, keyword arguments) running every command
     on systems of at most 6 qubits, parameters drawn from a fixed seed: the
-    keyword arguments shrink the fixed systems of fig1 and fig3."""
+    keyword arguments shrink fig1's fixed collapse systems, and fig3 runs
+    n = 1, 2 and 3 on the six qubits of its (5, 1) model."""
     rng = np.random.default_rng(20261019)
 
     def model(L, n):
@@ -1453,8 +1571,7 @@ def command_cases():
          {"collapse_systems": ((3, 1), (4, 2))}),
         ("fig3", "cmd_fig3", {"model": model(5, 1), "grid": {"steps": 40}, "seed": seed(),
                               "initial": {"charger_kind": "random"},
-                              "sweep": {"parameter": "kappa", "values": [0.3, 1.7]}},
-         {"n_values": (1, 2, 3), "total_qubits": 6}),
+                              "sweep": {"parameter": "kappa", "values": [0.3, 1.7]}}, {}),
         ("fig4", "cmd_fig4", {"model": model(4, 1), "grid": grid(), "seed": seed()}, {}),
         ("sweep-kappa", "cmd_sweep", {"model": {**model(3, 2), "d": 1}, "grid": grid(),
                                       "seed": seed(), "initial": {"charger_kind": "random"},
@@ -1472,8 +1589,8 @@ def command_runs(command, config, kwargs):
     if command == "cmd_fig1":
         specs = [model] + [replace(model, L=L, n=n, d=None) for L, n in kwargs["collapse_systems"]]
     elif command == "cmd_fig3":
-        specs = [replace(model, L=kwargs["total_qubits"] - n, n=n, d=None, kappa=kappa)
-                 for n in kwargs["n_values"] for kappa in config.sweep.values]
+        specs = [replace(model, L=model.qubits - n, n=n, d=None, kappa=kappa)
+                 for n in (1, 2, 3) for kappa in config.sweep.values]
         return [(spec, np.linspace(0.0, 2 * np.pi / AnalyticParams.from_model(spec).omega,
                                    config.grid.steps)) for spec in specs]
     elif command == "cmd_fig4":

@@ -256,6 +256,27 @@ def test_term_list_scatters_to_the_accumulated_matrix_bit_for_bit(spec):
     assert bound >= np.max(np.abs(np.linalg.eigvalsh(dense))) - 1e-12  # tight at h = 0
 
 
+def test_norm_bound_from_the_fields_is_the_diagonal_scan_bit_for_bit():
+    # the largest diagonal entry is h L + (delta/2) n in size, so the bound
+    # total_matvec takes from the fields is the scan of the diagonal, also
+    # for fields from the least subnormal to the float limit
+    rng = np.random.default_rng(37)
+    for _ in range(300):
+        L = int(rng.integers(2, 8))
+        n = int(rng.integers(0, L + 1))
+        J, h, delta, kappa = 10.0 ** rng.uniform(-323, 308, 4)
+        spec = ModelSpec(L, n, d=1, J=J, h=h, delta=delta, kappa=kappa)
+        diagonal, flips = terms(spec)
+        scan = float(np.max(np.abs(diagonal))) + sum(abs(coef) for _, coef in flips)
+        assert total_matvec(spec)[1] == scan, spec
+    # where the ring and battery parts overflow with opposite signs the
+    # diagonal reads inf - inf = nan, without a warning; the bound is inf
+    spec = ModelSpec(7, 4, d=1, h=1e308, delta=1e308)
+    diagonal, _ = terms(spec)
+    assert np.isnan(diagonal).any()
+    assert total_matvec(spec)[1] == np.inf
+
+
 @pytest.mark.parametrize("spec", [
     ModelSpec(5, 0, h=0.3),
     ModelSpec(4, 1, h=0.2),
