@@ -109,6 +109,7 @@ def max_ergotropy(p: AnalyticParams) -> float:
     """
     if p.omega == 0.0:
         return 0.0
-    # products, not ** 2: a float ** overflow raises where * gives inf
-    return max(0.0, p.delta * (4.0 * (p.kappa * p.kappa) - p.delta * p.delta)
-               / (p.omega * p.omega))
+    # the ratios 2 kappa / omega and delta / omega lie in [0, 1], so their
+    # squares neither overflow nor divide inf by inf at huge fields
+    r, s = 2.0 * p.kappa / p.omega, p.delta / p.omega
+    return max(0.0, p.delta * (r * r - s * s))

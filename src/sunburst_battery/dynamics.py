@@ -1,8 +1,8 @@
 """Initial-state factory and exact time evolution on explicit time grids.
 
-The charger starts in a cat state, an x-basis product state, or a seeded
-Haar-random state, as a ``config.InitialStateSpec`` names it
-(``charger_state``); the batteries always start in the all-ground state
+``charger_state`` builds each charger kind a ``config.InitialStateSpec``
+names: a cat state of either parity, an x-basis product state, or a seeded
+Haar-random state; the batteries always start in the all-ground state
 |00...0>.  A trajectory is one Chebyshev expansion of exp(-i H t) psi0
 driven by the matrix-free Hamiltonian, with real coefficients: exact to
 roundoff at every grid time (no step-size error), with no dense matrix and
@@ -49,41 +49,6 @@ from .linalg import evolve_on_grid  # noqa: F401  benchmark tracer binding only 
 from .model import build_total  # noqa: F401  benchmark tracer binding only (ROADMAP item 10)
 
 
-def _cat(L: int, parity: int) -> np.ndarray:
-    """Amplitude 2**((1-L)/2) on every bit string whose weight has ``parity``."""
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    weights = bit_counts(np.arange(1 << L)) & 1
-    return np.where(weights == parity, 2.0 ** ((1 - L) / 2), 0.0).astype(np.complex128)
-
-
-def ghz_plus(L: int) -> np.ndarray:
-    """Even cat state (|++..+> + |--..->)/sqrt(2) in the z basis.
-
-    Nonzero amplitude 2**((1-L)/2) on every even-weight bit string; the
-    charger ground state for J >> h.
-    """
-    return _cat(L, 0)
-
-
-def ghz_minus(L: int) -> np.ndarray:
-    """Odd cat state (|++..+> - |--..->)/sqrt(2): amplitude on odd-weight strings."""
-    return _cat(L, 1)
-
-
-def xbasis_product_state(L: int, pattern: int) -> np.ndarray:
-    """Product of |+>/|-> factors; a set bit (L-i) of ``pattern`` puts site i in |->.
-
-    These are exact charger eigenstates at h = 0.
-    """
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    if pattern < 0 or pattern >> L:
-        raise ValueError(f"pattern {pattern} outside [0, 2**{L})")
-    signs = 1.0 - 2.0 * (bit_counts(np.arange(1 << L) & pattern) & 1)
-    return (signs * 2.0 ** (-L / 2)).astype(np.complex128)
-
-
 def random_state(rng, dim: int) -> np.ndarray:
     """Normalized vector of ``dim`` independent standard complex Gaussian
     amplitudes drawn from ``rng``; Haar-distributed."""
@@ -91,29 +56,31 @@ def random_state(rng, dim: int) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def random_charger(L: int, seed: int) -> np.ndarray:
-    """Haar-distributed charger state from a seeded deterministic generator.
+def charger_state(init: InitialStateSpec, L: int, seed: int | None = None) -> np.ndarray:
+    """The charger that ``init`` prepares on a ring of L sites, in the z basis.
 
-    Amplitudes are independent standard complex Gaussians (PCG64 stream),
-    normalized; rotation invariance of the Gaussian makes the result Haar.
+    A cat, (|++..+> + |--..->)/sqrt(2) for ghz_plus and with a minus sign for
+    ghz_minus, has amplitude 2**((1-L)/2) on every bit string of even (odd)
+    weight; ghz_plus is the charger ground state for J >> h.  An eigenstate
+    is the product of |+>/|-> factors in which a set bit (L-i) of the index
+    puts site i in |->, an exact charger eigenstate at h = 0.  A random one
+    is Haar-distributed, drawn from ``seed`` by a PCG64 generator.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
-    return random_state(np.random.default_rng(seed), 1 << L)
-
-
-def charger_state(init: InitialStateSpec, L: int, seed: int | None = None) -> np.ndarray:
-    """The charger that ``init`` prepares on a ring of L sites; a random one
-    is drawn from ``seed``."""
-    if init.charger_kind == "ghz_plus":
-        return ghz_plus(L)
-    if init.charger_kind == "ghz_minus":
-        return ghz_minus(L)
+    if init.charger_kind == "random":
+        if seed is None:
+            raise ValueError("random initial state has no seed set")
+        return random_state(np.random.default_rng(seed), 1 << L)
+    strings = np.arange(1 << L)
     if init.charger_kind == "eigenstate":
-        return xbasis_product_state(L, init.index)
-    if seed is None:
-        raise ValueError("random initial state has no seed set")
-    return random_charger(L, seed)
+        if init.index >> L:
+            raise ValueError(f"pattern {init.index} outside [0, 2**{L})")
+        signs = 1.0 - 2.0 * (bit_counts(strings & init.index) & 1)
+        return (signs * 2.0 ** (-L / 2)).astype(np.complex128)
+    parity = int(init.charger_kind == "ghz_minus")
+    weights = bit_counts(strings) & 1
+    return np.where(weights == parity, 2.0 ** ((1 - L) / 2), 0.0).astype(np.complex128)
 
 
 def _place(charger: np.ndarray, layout: Layout, n: int) -> np.ndarray:

@@ -233,7 +233,7 @@ def cmd_fig3(config: ExperimentConfig) -> None:
     The kappa grid is the values of the config's sweep section, which must
     sweep kappa, else FIG3_KAPPAS.  The grid section sets the number of
     points only: a window other than the default is refused, as is a point
-    whose period or closed-form peak power leaves the float range.  A point
+    whose omega, period or closed-form peak power leaves the float range.  A point
     whose peak ergotropy is at most WORK_FLOOR has no work, so no peak: its
     ``t`` and ``SL_num`` cells are left empty.  Every refusal comes before
     the first run; the points then run one at a time, each printing its
@@ -259,12 +259,16 @@ def cmd_fig3(config: ExperimentConfig) -> None:
         p = AnalyticParams.from_model(spec)
         if p.omega == 0.0:
             raise ValueError("cannot scan a period for delta = kappa = 0")
+        point = f"fig3 (n={spec.n}, kappa={spec.kappa})"
+        if p.omega == np.inf:
+            raise ValueError(f"{point}: omega = sqrt(delta^2 + 4 kappa^2) = inf leaves the "
+                             "float range")
         period = 2.0 * np.pi / p.omega
-        # products, not ** 2: a float ** overflow raises where * gives inf
-        peak_p_ana = POWER_PEAK_COEFF * p.delta * (p.kappa * p.kappa) / p.omega
+        # kappa / omega <= 1/2 first: kappa * kappa would overflow below a finite peak
+        peak_p_ana = POWER_PEAK_COEFF * p.delta * p.kappa * (p.kappa / p.omega)
         if not np.isfinite([period, peak_p_ana]).all():
-            raise ValueError(f"fig3 (n={spec.n}, kappa={spec.kappa}): period 2 pi / omega = "
-                             f"{period:.3g} or peak power {peak_p_ana:.3g} leaves the float range")
+            raise ValueError(f"{point}: period 2 pi / omega = {period:.3g} or peak power "
+                             f"{peak_p_ana:.3g} leaves the float range")
         points.append((spec, p, period, peak_p_ana))
     _refuse_large_index("fig3", init, specs)
     if config.sweep is None:
@@ -283,7 +287,7 @@ def cmd_fig3(config: ExperimentConfig) -> None:
             (peak_work,),
             (series.linear_entropy[k],) if working else None,
             (peak_power,),
-            (spec.n * p.delta * 4 * (p.kappa * p.kappa) / (p.omega * p.omega),),
+            (spec.n * p.delta * (2.0 * p.kappa / p.omega) * (2.0 * p.kappa / p.omega),),
             (spec.n * max_ergotropy(p),),
             (linear_entropy_analytic(p, charging_time(p), spec.n),),
             (spec.n * peak_p_ana,),

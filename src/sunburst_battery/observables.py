@@ -81,10 +81,9 @@ def reduce_to_battery(psi, L: int, n: int, layout=None) -> np.ndarray:
     rows = 1 << L if layout is None else layout.basis.size // labels.size
     size = rows * labels.size
     if real.ndim == 0 or real.shape[-1] != size or imag.shape != real.shape:
-        raise ValueError(
-            f"state of shape {real.shape} does not match the {size} entries of "
-            f"2**({L}+{n}) = {1 << (L + n)}"
-        )
+        space = f"2**({L}+{n})" if layout is None else f"the layout at (L, n) = ({L}, {n})"
+        raise ValueError(f"state of shape {real.shape} does not match the {size} entries "
+                         f"of {space}")
     shape = real.shape[:-1] + (labels.shape[0], rows, labels.shape[1])
     a = np.ascontiguousarray(real, dtype=float).reshape(shape)
     b = np.ascontiguousarray(imag, dtype=float).reshape(shape)

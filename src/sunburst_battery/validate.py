@@ -32,7 +32,7 @@ from .analytic import (
     stored_energy_analytic,
 )
 from .config import InitialStateSpec, ModelSpec
-from .dynamics import Trajectory, _place, charger_state, ghz_plus, random_state, trajectory
+from .dynamics import Trajectory, _place, charger_state, random_state, trajectory
 from .experiments import POWER_PEAK_COEFF, _max_gap, analytic_reference, run_series
 from .linalg import (_check_state, _matrix_of, chebyshev_series, eigh, evolve_on_grid,
                      interpolate, state_blocks)
@@ -380,7 +380,7 @@ def _check_ghz_energy(rng):
     worst = 0.0
     for L, h in ((2, 0.0), (3, 0.1), (5, 0.7)):
         spec = ModelSpec(L, 0, J=1.3, h=h)  # n = 0: build_total is H_c
-        state = ghz_plus(L)
+        state = charger_state(InitialStateSpec("ghz_plus"), L)
         energy = float(np.real(state.conj() @ (build_total(spec) @ state)))
         worst = max(worst, abs(energy + spec.L * spec.J))
     return worst <= 1e-10, f"max |<H_c> + L*J| {worst:.2e}"

@@ -18,14 +18,7 @@ from sunburst_battery.config import (
     ModelSpec,
     physical_memory,
 )
-from sunburst_battery.dynamics import (
-    charger_state,
-    ghz_minus,
-    ghz_plus,
-    random_charger,
-    trajectory,
-    xbasis_product_state,
-)
+from sunburst_battery.dynamics import charger_state, trajectory
 from sunburst_battery.experiments import run_series
 from sunburst_battery.linalg import evolve_on_grid
 from sunburst_battery.model import battery_energies, build_total
@@ -41,26 +34,30 @@ from sunburst_battery.observables import (
 from sunburst_battery.validate import initial_state, trajectory_states
 
 
+GHZ_PLUS, GHZ_MINUS = InitialStateSpec("ghz_plus"), InitialStateSpec("ghz_minus")
+RANDOM = InitialStateSpec("random")
+
+
 def test_ghz_single_site():
-    assert np.allclose(ghz_plus(1), [1.0, 0.0])
-    assert np.allclose(ghz_minus(1), [0.0, 1.0])
+    assert np.allclose(charger_state(GHZ_PLUS, 1), [1.0, 0.0])
+    assert np.allclose(charger_state(GHZ_MINUS, 1), [0.0, 1.0])
 
 
 def test_ghz_two_sites():
-    state = ghz_plus(2)
+    state = charger_state(GHZ_PLUS, 2)
     # weight only on even bit strings 00 and 11
     assert np.allclose(state, [2 ** -0.5, 0.0, 0.0, 2 ** -0.5])
     assert np.isclose(np.linalg.norm(state), 1.0)
     sxsx = np.kron([[0, 1], [1, 0]], [[0, 1], [1, 0]]).astype(float)
     assert np.isclose(np.real(state.conj() @ sxsx @ state), 1.0)
-    odd = ghz_minus(2)
+    odd = charger_state(GHZ_MINUS, 2)
     assert np.allclose(np.abs(odd), [0.0, 2 ** -0.5, 2 ** -0.5, 0.0])
     assert np.isclose(np.vdot(state, odd), 0.0)
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 6])
 def test_ghz_weight_structure(L):
-    for state, parity in ((ghz_plus(L), 0), (ghz_minus(L), 1)):
+    for state, parity in ((charger_state(GHZ_PLUS, L), 0), (charger_state(GHZ_MINUS, L), 1)):
         assert np.isclose(np.linalg.norm(state), 1.0)
         for s, amp in enumerate(state):
             if bin(s).count("1") % 2 == parity:
@@ -70,21 +67,21 @@ def test_ghz_weight_structure(L):
 
 
 def test_xbasis_product_state():
-    plus = xbasis_product_state(2, 0)
+    plus = charger_state(InitialStateSpec("eigenstate", 0), 2)
     assert np.allclose(plus, 0.5)
     # pattern 0b10 puts site 1 in |->
-    mixed = xbasis_product_state(2, 0b10)
+    mixed = charger_state(InitialStateSpec("eigenstate", 0b10), 2)
     assert np.allclose(mixed, [0.5, 0.5, -0.5, -0.5])
     with pytest.raises(ValueError):
-        xbasis_product_state(2, 4)
+        charger_state(InitialStateSpec("eigenstate", 4), 2)
 
 
 def test_random_charger_determinism_and_norm():
-    assert np.array_equal(random_charger(6, 123), random_charger(6, 123))
+    assert np.array_equal(charger_state(RANDOM, 6, 123), charger_state(RANDOM, 6, 123))
     for seed in range(100):
-        assert abs(np.linalg.norm(random_charger(4, seed)) - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(charger_state(RANDOM, 4, seed)) - 1.0) <= 1e-12
     # distinct seeds give nearly orthogonal states at this dimension
-    overlap = abs(np.vdot(random_charger(6, 1), random_charger(6, 2))) ** 2
+    overlap = abs(np.vdot(charger_state(RANDOM, 6, 1), charger_state(RANDOM, 6, 2))) ** 2
     assert overlap < 0.5
 
 

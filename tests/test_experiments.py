@@ -791,7 +791,9 @@ def run_cli(tmp_path, capsys, command, data):
 @pytest.mark.parametrize("delta", [1e160, 1e300])
 def test_fig3_writes_finite_cells_where_omega_squared_overflows(tmp_path, capsys, delta):
     # omega ** 2 leaves the float range from omega ~ 1.3e154 while the runs,
-    # one period long, do not: each closed-form cell is written from products
+    # one period long, do not: each closed-form cell is written from ratios
+    # and products, and the stored energy n delta 4 kappa^2 / omega^2 is
+    # 4 n kappa^2 / delta there, not 0
     code, out, err, cols = run_cli(tmp_path, capsys, "fig3",
                                    {"model": {"L": 11, "n": 1, "delta": delta},
                                     "grid": {"steps": 20}})
@@ -799,6 +801,34 @@ def test_fig3_writes_finite_cells_where_omega_squared_overflows(tmp_path, capsys
     assert out[-1].endswith("wrote 20 rows to " + str(tmp_path / "fig3.csv"))
     for name in ("dE_num", "xi_num", "P_num", "dE_ana", "xi_ana", "SL_ana", "P_ana"):
         assert np.isfinite(cols[name]).all(), name
+    expected = 4 * cols["n"] * cols["kappa"] ** 2 / delta
+    assert np.all(np.abs(cols["dE_ana"] - expected) <= 1e-12 * expected)
+
+
+def test_fig3_writes_the_saturated_closed_forms_at_a_huge_coupling(tmp_path, capsys):
+    # at kappa = 1e300 the peak ergotropy per battery is delta, though
+    # kappa * kappa overflows; the peak power 1.45 delta kappa^2 / omega is
+    # ~3.6e299, finite, so the point runs
+    code, out, err, cols = run_cli(tmp_path, capsys, "fig3", {
+        "model": {"L": 5, "n": 1, "delta": 0.5},
+        "sweep": {"parameter": "kappa", "values": [1e300]}, "grid": {"steps": 20}})
+    assert (code, err) == (0, [])
+    assert list(cols["n"]) == [1, 2, 3]
+    assert np.array_equal(cols["xi_ana"], 0.5 * cols["n"])
+    assert np.isfinite(cols["P_ana"]).all() and np.all(cols["P_ana"] > 0)
+
+
+def test_fig3_refuses_a_point_whose_omega_overflows(tmp_path, monkeypatch, capsys):
+    # 2 kappa leaves the float range above ~9e307, and with it omega: the
+    # period 2 pi / omega would read 0, so the point is refused by name
+    # before the first run
+    calls = []
+    monkeypatch.setattr(experiments, "run_series", lambda *args: calls.append(args))
+    code, out, err, cols = run_cli(tmp_path, capsys, "fig3", {
+        "model": {"L": 11, "n": 1}, "sweep": {"parameter": "kappa", "values": [1e308]}})
+    assert code == 2 and out == [] and cols is None and calls == []
+    assert err == ["error: fig3 (n=1, kappa=1e+308): omega = sqrt(delta^2 + 4 kappa^2) = inf "
+                   "leaves the float range"]
 
 
 @pytest.mark.parametrize("value, shown", [(5e-324, "omega = inf or peak power 0 "),

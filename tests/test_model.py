@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sunburst_battery.config import ExperimentConfig, ModelSpec
-from sunburst_battery.dynamics import ghz_plus
+from sunburst_battery.config import ExperimentConfig, InitialStateSpec, ModelSpec
+from sunburst_battery.dynamics import charger_state
 from sunburst_battery.linalg import eigh
 from sunburst_battery.model import (
     battery_energies,
@@ -117,7 +117,7 @@ def test_two_site_ring_double_counts_the_bond():
 ])
 def test_ghz_charger_energy_is_minus_LJ(L, h, J):
     spec = ModelSpec(L, 0, J=J, h=h)
-    state = ghz_plus(L)  # n = 0: the charger alone
+    state = charger_state(InitialStateSpec("ghz_plus"), L)  # n = 0: the charger alone
     energy = np.real(state.conj() @ (build_total(spec) @ state))
     assert abs(energy + spec.L * spec.J) <= 1e-10
 

@@ -9,13 +9,7 @@ from conftest import numpy_figures
 from sunburst_battery import dynamics, observables
 from sunburst_battery.analytic import AnalyticParams
 from sunburst_battery.config import InitialStateSpec, ModelSpec
-from sunburst_battery.dynamics import (
-    Trajectory,
-    ghz_minus,
-    ghz_plus,
-    random_state,
-    trajectory,
-)
+from sunburst_battery.dynamics import Trajectory, charger_state, random_state, trajectory
 from sunburst_battery.experiments import run_series
 from sunburst_battery.linalg import NODE_BLOCK, chebyshev_nodes
 from sunburst_battery.model import battery_energies, sector_layout
@@ -66,7 +60,8 @@ def test_reduce_matches_two_branch_structure():
     p = AnalyticParams(0.5, 2.0)
     a, b = amplitudes(p, 0.37)
     L = 4
-    psi = a * np.kron(ghz_plus(L), [1, 0]) + b * np.kron(ghz_minus(L), [0, 1])
+    psi = (a * np.kron(charger_state(InitialStateSpec("ghz_plus"), L), [1, 0])
+           + b * np.kron(charger_state(InitialStateSpec("ghz_minus"), L), [0, 1]))
     rho = reduce_to_battery(np.asarray(psi), L, 1)
     expected = np.diag([abs(a) ** 2, abs(b) ** 2])
     assert np.max(np.abs(rho - expected)) <= 1e-12
@@ -114,7 +109,7 @@ def test_reduce_with_a_layout_rejects_a_state_of_another_size(n, parity):
     for shape in ((size // 2,), (2 * size,), (size + 1,), (3, size - 1)):
         with pytest.raises(ValueError, match=re.escape(
                 f"state of shape {shape} does not match the {size} entries of "
-                f"2**(4+{n}) = {spec.dim}")):
+                f"the layout at (L, n) = (4, {n})")):
             reduce_to_battery(np.ones(shape) / np.sqrt(shape[-1]), spec.L, n, layout)
 
 
