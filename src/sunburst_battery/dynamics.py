@@ -40,7 +40,6 @@ from .linalg import (
 )
 from .model import (
     Layout,
-    bit_counts,
     sector_layout,
     total_matvec,
 )
@@ -76,10 +75,10 @@ def charger_state(init: InitialStateSpec, L: int, seed: int | None = None) -> np
     if init.charger_kind == "eigenstate":
         if init.index >> L:
             raise ValueError(f"pattern {init.index} outside [0, 2**{L})")
-        signs = 1.0 - 2.0 * (bit_counts(strings & init.index) & 1)
+        signs = 1.0 - 2.0 * (np.bitwise_count(strings & init.index) & 1)
         return (signs * 2.0 ** (-L / 2)).astype(np.complex128)
     parity = int(init.charger_kind == "ghz_minus")
-    weights = bit_counts(strings) & 1
+    weights = np.bitwise_count(strings) & 1
     return np.where(weights == parity, 2.0 ** ((1 - L) / 2), 0.0).astype(np.complex128)
 
 
@@ -154,7 +153,7 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times, seed: int | None 
         )
     charger = charger_state(init, spec.L, seed)
     # the batteries start in level 0, so full index c 2**n has the parity of c
-    occupied = set((bit_counts(np.flatnonzero(charger)) & 1).tolist())
+    occupied = set((np.bitwise_count(np.flatnonzero(charger)) & 1).tolist())
     layout = sector_layout(spec, occupied.pop() if len(occupied) == 1 else None)
     psi0 = _place(charger, layout, spec.n)
     matvec, bound = total_matvec(spec, layout.basis)

@@ -37,19 +37,9 @@ import numpy as np
 from .config import ModelSpec
 
 
-def bit_counts(values: np.ndarray) -> np.ndarray:
-    """Number of set bits of each entry of an integer array."""
-    vals = np.array(values, copy=True)
-    counts = np.zeros_like(vals)
-    while vals.any():
-        counts += vals & 1
-        vals >>= 1
-    return counts
-
-
 def battery_positions(spec: ModelSpec) -> list[int]:
-    """Charger sites carrying a battery: 1, 1+d, ..., 1+(n-1)d, wrapped into 1..L."""
-    return [(i * spec.d) % spec.L + 1 for i in range(spec.n)]
+    """Charger sites carrying a battery: 1, 1+d, ..., 1+(n-1)d."""
+    return [i * spec.d + 1 for i in range(spec.n)]
 
 
 class Layout(NamedTuple):
@@ -77,8 +67,8 @@ def sector_layout(spec: ModelSpec, parity: int | None = None) -> Layout:
     """
     if parity is None:
         return Layout(np.arange(spec.dim), np.arange(1 << spec.n)[None])
-    chargers = bit_counts(np.arange(1 << spec.L)) & 1
-    levels = bit_counts(np.arange(1 << spec.n)) & 1
+    chargers = np.bitwise_count(np.arange(1 << spec.L)) & 1
+    levels = np.bitwise_count(np.arange(1 << spec.n)) & 1
     basis, labels = [], []
     for r in (0, 1):
         rows, block = np.flatnonzero(chargers == r), np.flatnonzero(levels == parity ^ r)
@@ -109,8 +99,8 @@ def terms(spec: ModelSpec) -> tuple[np.ndarray, tuple[tuple[int, float], ...]]:
                       for i, site in enumerate(battery_positions(spec), start=1))
     # a sum of sigma^z: the number of qubits minus twice the number of set bits
     index = np.arange(spec.dim)
-    ring = spec.L - 2.0 * bit_counts(index >> spec.n)
-    batteries = spec.n - 2.0 * bit_counts(index & ((1 << spec.n) - 1))
+    ring = spec.L - 2.0 * np.bitwise_count(index >> spec.n)
+    batteries = spec.n - 2.0 * np.bitwise_count(index & ((1 << spec.n) - 1))
     # a field near the float limit gives inf (or inf - inf = nan), refused by
     # linalg.phases through the bound; + 0.0 turns each -0.0 into 0.0, so no
     # zero entry carries the sign of h or delta
@@ -170,4 +160,4 @@ def battery_energies(n: int, delta: float) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return delta * (bit_counts(np.arange(1 << n)) - n / 2.0)
+    return delta * (np.bitwise_count(np.arange(1 << n)) - n / 2.0)

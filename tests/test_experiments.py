@@ -816,6 +816,8 @@ def test_fig3_writes_the_saturated_closed_forms_at_a_huge_coupling(tmp_path, cap
     assert list(cols["n"]) == [1, 2, 3]
     assert np.array_equal(cols["xi_ana"], 0.5 * cols["n"])
     assert np.isfinite(cols["P_ana"]).all() and np.all(cols["P_ana"] > 0)
+    # the printed peaks are bounded: ~3.6e299 is not written out digit by digit
+    assert max(len(line) for line in out) <= 120
 
 
 def test_fig3_refuses_a_point_whose_omega_overflows(tmp_path, monkeypatch, capsys):
@@ -983,6 +985,18 @@ def test_fig4_compares_each_battery_with_the_closed_form(tmp_path, capsys):
     cmd_fig4(config)
     gap = printed_gaps(capsys.readouterr().out, "max |xi/n - xi_ana|")
     assert len(gap) == 1 and gap[0] <= 0.05
+
+
+def test_fig4_prints_the_largest_pairwise_gap_of_its_csv(tmp_path, capsys):
+    # the printed population gap is the widest of the three seeds' xi_num
+    # curves apart, over every pair and time; 17-digit cells round-trip
+    code, out, err, cols = run_cli(tmp_path, capsys, "fig4",
+                                   {"model": {"L": 4, "n": 1}, "grid": {"steps": 30}})
+    assert (code, err) == (0, [])
+    curves = [cols["xi_num"][cols["seed"] == seed] for seed in np.unique(cols["seed"])]
+    assert len(curves) == 3 and all(curve.size == 30 for curve in curves)
+    gap = max(np.max(np.abs(a - b)) for i, a in enumerate(curves) for b in curves[i + 1:])
+    assert printed_gaps("\n".join(out), "pairwise max |xi_i - xi_j|") == [float(f"{gap:.3e}")]
 
 
 def test_sweep_requires_and_runs(tmp_path):
