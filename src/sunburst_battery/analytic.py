@@ -9,15 +9,15 @@ Rabi-like frequency omega = sqrt(delta^2 + 4 kappa^2):
     B(t) = (2 i kappa / omega) sin(omega t / 2)
 
 with |A|^2 + |B|^2 = 1.  Stored energy, ergotropy and its peak, linear
-entropy, the charging time and the charging power follow from the excited
-population |B|^2.  At h = 0 each of n equispaced batteries is excited
-with probability |B|^2, independently, so the stored energy, ergotropy
-(population convention) and power of n batteries are n times one
-battery's, and a cat charger leaves them the linear entropy
-(1 - (1 - 2|B|^2)^(2n)) / 2.  The functions accept scalar or array times.
-The amplitudes themselves, the ergotropy window, the locked energy and the
-independent two-battery forms are oracles of the self-check suite only and
-live in ``validate``.
+entropy and the charging time follow from the excited population |B|^2;
+the charging power is ``observables.charging_power`` of the stored energy.
+At h = 0 each of n equispaced batteries is excited with probability
+|B|^2, independently, so the stored energy, ergotropy (population
+convention) and power of n batteries are n times one battery's, and a cat
+charger leaves them the linear entropy (1 - (1 - 2|B|^2)^(2n)) / 2.  The
+functions accept scalar or array times.  The amplitudes themselves, the
+ergotropy window, the locked energy and the independent two-battery forms
+are oracles of the self-check suite only and live in ``validate``.
 """
 
 from __future__ import annotations
@@ -92,13 +92,6 @@ def charging_time(p: AnalyticParams) -> float:
     if p.omega == 0.0:
         raise ValueError("charging time is undefined for delta = kappa = 0")
     return float(np.pi / p.omega)
-
-
-def power_analytic(p: AnalyticParams, t):
-    """Charging power delta * |B(t)|^2 / t, with the t -> 0 limit 0."""
-    t = _times(t)
-    stored = stored_energy_analytic(p, t)
-    return np.where(t > 0, stored / np.where(t > 0, t, 1.0), 0.0)
 
 
 def max_ergotropy(p: AnalyticParams) -> float:

@@ -32,6 +32,7 @@ import numpy as np
 
 from .config import InitialStateSpec, ModelSpec, physical_memory
 from .linalg import (
+    _finite_grid,
     _refuse_beyond_memory,
     chebyshev_coefficients,
     chebyshev_nodes,
@@ -132,9 +133,7 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times, seed: int | None 
     before K is counted, a window whose coefficient table at the nodes,
     at least z by z, cannot fit.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("time grid must be a non-empty 1-D array")
+    times = _finite_grid(times)
     if times[0] < 0:
         raise ValueError("time grid must start at t >= 0")
     if times.size > 1 and not np.all(np.diff(times) > 0):

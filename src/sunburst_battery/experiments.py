@@ -30,7 +30,6 @@ from .analytic import (
     ergotropy_analytic,
     linear_entropy_analytic,
     max_ergotropy,
-    power_analytic,
     stored_energy_analytic,
 )
 from .config import ExperimentConfig, InitialStateSpec, ModelSpec, TimeGrid
@@ -38,7 +37,8 @@ from .dynamics import trajectory
 from .linalg import GRID_BLOCK
 from .model import battery_energies
 from .model import build_total  # noqa: F401  benchmark tracer binding only (ROADMAP item 10)
-from .observables import WORK_FLOOR, MeritSeries, ergotropy, merit_series, reduced_states
+from .observables import (WORK_FLOOR, MeritSeries, charging_power, ergotropy, merit_series,
+                          reduced_states)
 
 CSV_COLUMNS = ("t", "dE_num", "xi_num", "SL_num", "P_num",
                "dE_ana", "xi_ana", "SL_ana", "P_ana", "n", "L", "kappa", "seed")
@@ -85,11 +85,12 @@ def _csv_cells(lines):
 
 def analytic_reference(spec: ModelSpec, times):
     """Closed-form (dE, xi, SL, P) columns of spec.n batteries: n times one
-    battery's dE, xi and P, and the cat charger's SL."""
+    battery's dE, xi and charging_power(dE), and the cat charger's SL."""
     times = np.asarray(times, dtype=float)
     p = AnalyticParams.from_model(spec)
-    return (spec.n * stored_energy_analytic(p, times), spec.n * ergotropy_analytic(p, times),
-            linear_entropy_analytic(p, times, spec.n), spec.n * power_analytic(p, times))
+    stored = stored_energy_analytic(p, times)
+    return (spec.n * stored, spec.n * ergotropy_analytic(p, times),
+            linear_entropy_analytic(p, times, spec.n), spec.n * charging_power(stored, times))
 
 
 def run_series(spec: ModelSpec, init: InitialStateSpec, times, seed: int | None = None
@@ -145,12 +146,12 @@ def _max_gap(a, b) -> float:
     return float(np.max(np.abs(np.subtract(a, b))))
 
 
-def _collapse(command: str, symbol: str, column: str, runs, results, reference) -> None:
-    """Print, one line per run, the largest deviation of its per-battery
+def _collapse(symbol: str, column: str, runs, results, reference) -> None:
+    """Print, one fig1 line per run, the largest deviation of its per-battery
     ``column`` from a single-battery reference curve."""
     for (spec, _, _), series in zip(runs, results):
         dev = _max_gap(getattr(series, column) / spec.n, reference)
-        print(f"{command} (L={spec.L}, n={spec.n}): max |{symbol}/n - {symbol}_ana| = {dev:.3e}")
+        print(f"fig1 (L={spec.L}, n={spec.n}): max |{symbol}/n - {symbol}_ana| = {dev:.3e}")
 
 
 def _refuse_sweep(command: str, config: ExperimentConfig) -> None:
@@ -210,12 +211,13 @@ def cmd_fig1(config: ExperimentConfig, collapse_systems=FIG1_COLLAPSE_SYSTEMS) -
     runs = [(spec, init, config.seed) for spec in specs]
     results = [run_series(spec, init, times, seed) for spec, init, seed in runs]
     single = AnalyticParams.from_model(config.model)
-    _collapse("fig1", "xi", "ergotropy", runs, results, ergotropy_analytic(single, times))
+    _collapse("xi", "ergotropy", runs, results, ergotropy_analytic(single, times))
     if init.charger_kind in ("ghz_plus", "ghz_minus"):
         for spec, series in zip(specs, results):
             dev = _max_gap(series.linear_entropy, linear_entropy_analytic(single, times, spec.n))
             print(f"fig1 (L={spec.L}, n={spec.n}): max |SL - SL_ana| = {dev:.3e}")
-    _collapse("fig1", "P", "power", runs, results, power_analytic(single, times))
+    _collapse("P", "power", runs, results,
+              charging_power(stored_energy_analytic(single, times), times))
     _write_series("fig1", config.output_path, runs, results)
 
 

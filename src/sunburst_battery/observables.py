@@ -170,7 +170,8 @@ def linear_entropy(rho, layout=None):
 
 
 def charging_power(delta_e, t):
-    """Stored energy per elapsed time, with the t -> 0 limit pinned to 0."""
+    """Stored energy per elapsed time, with the t -> 0 limit pinned to 0: the
+    P_num column of the numerical energy and P_ana of the closed form."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError(f"time must be non-negative, got {float(t.min())!r}")

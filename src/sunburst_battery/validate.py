@@ -28,7 +28,6 @@ from .analytic import (
     ergotropy_analytic,
     excited_population,
     max_ergotropy,
-    power_analytic,
     stored_energy_analytic,
 )
 from .config import InitialStateSpec, ModelSpec
@@ -37,7 +36,7 @@ from .experiments import POWER_PEAK_COEFF, _max_gap, analytic_reference, run_ser
 from .linalg import (_check_state, _matrix_of, chebyshev_series, eigh, evolve_on_grid,
                      interpolate, state_blocks)
 from .model import battery_energies, battery_positions, build_total, sector_layout, total_matvec
-from .observables import reduce_to_battery
+from .observables import charging_power, reduce_to_battery
 
 # ---------------------------------------------------------------------------
 # strong-charger forms that no command writes
@@ -322,7 +321,8 @@ def _check_analytic_chain(rng):
         abs(bis[0] - t1), abs(bis[1] - t2),
         _max_gap(ergotropy_analytic(p, sample), ergotropy_analytic(p, sample + period)),
     )
-    peak = float(np.max(power_analytic(p, np.linspace(0, period, 2001))))
+    grid = np.linspace(0, period, 2001)
+    peak = float(np.max(charging_power(stored_energy_analytic(p, grid), grid)))
     coeff_dev = abs(peak / (POWER_PEAK_COEFF * p.delta * p.kappa ** 2 / p.omega) - 1)
     return (chain_dev <= 1e-8 and coeff_dev <= 5e-3,
             f"max identity residual {chain_dev:.2e}, power peak {coeff_dev:.2e} "
@@ -359,7 +359,7 @@ def corrupted_coupling(spec: ModelSpec) -> np.ndarray:
 
 def _charger_commutator(spec: ModelSpec, other: np.ndarray) -> float:
     h_c = _charger(spec)
-    return float(np.max(np.abs(h_c @ other - other @ h_c)))
+    return _max_gap(h_c @ other, other @ h_c)
 
 
 _COMMUTING_MODEL = ModelSpec(4, 2, h=0.0, delta=0.5, kappa=2.0)

@@ -8,9 +8,9 @@ from sunburst_battery.analytic import (
     excited_population,
     linear_entropy_analytic,
     max_ergotropy,
-    power_analytic,
     stored_energy_analytic,
 )
+from sunburst_battery.observables import charging_power
 from sunburst_battery.validate import (
     amplitudes,
     bisect_window,
@@ -118,6 +118,7 @@ def test_bisect_window_agrees_with_closed_form():
         assert abs(scanned[0] - closed[0]) <= 1e-8
         assert abs(scanned[1] - closed[1]) <= 1e-8
     assert bisect_window(AnalyticParams(0.5, 0.1)) is None
+    assert bisect_window(AnalyticParams(0.0, 0.0)) is None
 
 
 def test_stored_and_unavailable_energy():
@@ -151,14 +152,17 @@ def test_charging_time_and_power_at_T():
                       atol=1e-12)
     with pytest.raises(ValueError):
         charging_time(AnalyticParams(0.0, 0.0))
+    with pytest.raises(ValueError, match="undefined for delta = kappa = 0"):
+        power_at_T(AnalyticParams(0.0, 0.0))
 
 
 def test_power_curve_limits():
-    assert power_analytic(REF, 0.0) == 0.0
+    assert charging_power(stored_energy_analytic(REF, 0.0), 0.0) == 0.0
     small = np.array([1e-8, 1e-6, 1e-4])
     # rises linearly from zero: P ~ delta kappa^2 t
     expected = REF.delta * REF.kappa ** 2 * small
-    assert np.allclose(power_analytic(REF, small), expected, rtol=1e-6)
+    assert np.allclose(charging_power(stored_energy_analytic(REF, small), small), expected,
+                       rtol=1e-6)
 
 
 def test_max_ergotropy_values_and_saturation():
@@ -203,6 +207,10 @@ def test_two_battery_start_and_twice_identity():
         assert np.max(np.abs(pair.ergotropy
                              - 2 * ergotropy_analytic(p, t))) <= 1e-12
         assert np.all(pair.lambda1 + pair.lambda4 <= 1 + 1e-12)
+    # delta = kappa = 0 freezes both batteries in the ground level
+    frozen = two_battery(AnalyticParams(0.0, 0.0), t)
+    assert np.all(frozen.lambda1 == 1.0) and np.all(frozen.lambda4 == 0.0)
+    assert not frozen.stored_energy.any() and not frozen.ergotropy.any()
 
 
 def test_two_battery_values_at_charging_time():

@@ -41,6 +41,9 @@ RANDOM = InitialStateSpec("random")
 def test_ghz_single_site():
     assert np.allclose(charger_state(GHZ_PLUS, 1), [1.0, 0.0])
     assert np.allclose(charger_state(GHZ_MINUS, 1), [0.0, 1.0])
+    # no ring: the one-entry cat would not be normalized
+    with pytest.raises(ValueError, match="L must be >= 1"):
+        charger_state(GHZ_PLUS, 0)
 
 
 def test_ghz_two_sites():
@@ -131,6 +134,11 @@ def test_trajectory_validation_and_identity_grid():
         trajectory(spec, init, [0.0, 0.0])
     with pytest.raises(ValueError, match="t >= 0"):
         trajectory(spec, init, [-0.5, 0.5])
+    # an empty, 2-D or non-finite grid is refused as such, not as unordered
+    for grid in ([], [[0.0, 1.0]], [0.0, np.nan], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="^time grid must be a non-empty 1-D array of "
+                                             "finite times$"):
+            trajectory(ModelSpec(4, 1), init, grid)
 
 
 def test_trajectory_refuses_a_grid_whose_reduced_states_cannot_fit_in_memory():

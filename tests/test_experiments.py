@@ -441,6 +441,13 @@ def test_read_csv_rejects_a_row_of_the_wrong_width(tmp_path):
         read_csv(path)
 
 
+def test_read_csv_rejects_an_unexpected_header(tmp_path):
+    path = tmp_path / "renamed.csv"
+    path.write_text(",".join(("time",) + CSV_COLUMNS[1:]) + "\n")
+    with pytest.raises(ValueError, match="unexpected CSV header"):
+        read_csv(path)
+
+
 def test_analytic_reference_filling():
     # every n has every column: dE, xi and P are n times one battery's, and
     # SL is the cat charger's (1 - (1 - 2 q)^(2n)) / 2, q the excited
@@ -946,9 +953,10 @@ def test_an_equispaced_or_single_battery_spacing_still_runs(tmp_path):
     ("fig1", {"grid": {"steps": 10, "t_end": None}}),
     ("fig4", {"output_path": None}),
     ("fig4", {"output_path": 5}),
+    ("sweep", {"sweep": {"parameter": "kappa", "values": [0.5, -1.0]}}),
 ], ids=["top-level-number", "top-level-list", "model-number", "model-null",
         "sweep-values-number", "model-h-null", "grid-t_end-null", "output_path-null",
-        "output_path-number"])
+        "output_path-number", "sweep-kappa-negative"])
 def test_cli_rejects_malformed_config_sections(tmp_path, monkeypatch, capsys, command, payload):
     # each fails with one error line and exit 2, before any output is written
     monkeypatch.chdir(tmp_path)

@@ -16,6 +16,7 @@ from sunburst_battery.linalg import (
     eigh,
     evolve_on_grid,
     interpolate,
+    state_blocks,
 )
 from sunburst_battery.model import build_total
 from sunburst_battery.validate import expm_series_oracle, row_sum_bound, series_states
@@ -256,6 +257,16 @@ def test_node_blocking_changes_no_state(nodes, kind, monkeypatch):
     whole = series_states(coefficients, vectors)
     assert rows[-2:] == [nodes, nodes]
     assert np.max(np.abs(blocked - whole)) <= 1e-15
+
+
+def test_state_blocks_rejects_an_expansion_of_mismatched_shapes():
+    # K coefficients per node against the K vectors, held as one or two
+    # real operands
+    for coefficients, vectors in ((np.zeros((2, 3)), np.zeros((1, 4, 5))),
+                                  (np.zeros(3), np.zeros((1, 3, 5))),
+                                  (np.zeros((2, 3)), np.zeros((3, 3, 5)))):
+        with pytest.raises(ValueError, match="does not match"):
+            next(state_blocks(coefficients, vectors))
 
 
 def test_chebyshev_series_refuses_a_window_beyond_physical_memory():

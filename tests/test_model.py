@@ -140,6 +140,8 @@ def test_no_batteries_edge_case():
     assert not (build_total(spec) - charger(spec)).any()
     assert battery_positions(spec) == []
     assert battery_energies(0, 0.5).tolist() == [0.0]
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        battery_energies(-1, 0.5)
 
 
 def test_coupling_zero_when_switched_off():
