@@ -45,9 +45,6 @@ from .model import (
     total_matvec,
 )
 
-from .linalg import evolve_on_grid  # noqa: F401  benchmark tracer binding only (ROADMAP item 10)
-from .model import build_total  # noqa: F401  benchmark tracer binding only (ROADMAP item 10)
-
 
 def random_state(rng, dim: int) -> np.ndarray:
     """Normalized vector of ``dim`` independent standard complex Gaussian

@@ -36,7 +36,6 @@ from .config import ExperimentConfig, InitialStateSpec, ModelSpec, TimeGrid
 from .dynamics import trajectory
 from .linalg import GRID_BLOCK
 from .model import battery_energies
-from .model import build_total  # noqa: F401  benchmark tracer binding only (ROADMAP item 10)
 from .observables import (WORK_FLOOR, MeritSeries, charging_power, ergotropy, merit_series,
                           reduced_states)
 

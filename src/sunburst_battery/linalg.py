@@ -1,5 +1,4 @@
-"""Hermitian linear algebra: Chebyshev propagation on a time grid, and the
-dense oracles it is checked against.
+"""Hermitian linear algebra: Chebyshev propagation on a time grid.
 
 The production propagator, ``chebyshev_series``, needs only the action
 psi -> H psi and a bound on ||H||: one vector sequence T_k(H/bound) psi0
@@ -11,12 +10,8 @@ Miller's backward recurrence (``chebyshev_coefficients``).  What varies
 smoothly along a window, such as a reduced state, can be computed at the
 window's second-kind Chebyshev points only (``chebyshev_nodes``) and
 carried onto the grid by barycentric interpolation (``interpolate``).
-Dense LAPACK eigendecomposition of the full space (``eigh``, a plain
-``(eigenvalues, eigenvectors)`` pair) and spectral propagation with that
-pair (``evolve_on_grid``) are kept as independent references for the
-tests and the self-check suite; the sliced
-Taylor-series propagator, the Gershgorin bound of a dense matrix and the
-states of a whole expansion at once are ``validate``'s.
+The dense oracles this path is checked against (LAPACK eigendecomposition,
+spectral and sliced Taylor-series propagation) are ``validate``'s.
 """
 
 from __future__ import annotations
@@ -27,7 +22,6 @@ import numpy as np
 
 from .config import physical_memory
 
-HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-10
 GRID_BLOCK = 256  # grid points per matrix-matrix product over the time grid
 NODE_BLOCK = 8  # states per matrix product in state_blocks
@@ -36,14 +30,6 @@ NODE_BLOCK = 8  # states per matrix product in state_blocks
 # phase z in double precision already moves every coefficient by up to
 # ~1e-16 * z (|d J_k / dz| <= 1), so a fixed cut would sit in that noise
 CHEBYSHEV_TOL = 1e-15
-
-
-def _matrix_of(operator) -> np.ndarray:
-    """The operand as a square matrix."""
-    m = np.asarray(operator)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
 
 
 def _check_state(dim: int, psi) -> np.ndarray:
@@ -56,39 +42,6 @@ def _check_state(dim: int, psi) -> np.ndarray:
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state is not normalized: |psi| = {norm:.12e}")
     return psi
-
-
-def eigh(operator) -> tuple[np.ndarray, np.ndarray]:
-    """``(eigenvalues, eigenvectors)`` of a dense Hermitian matrix, as from
-    np.linalg.eigh.  Real symmetric input (every model Hamiltonian) is solved
-    in real arithmetic, several times faster than the complex driver."""
-    m = _matrix_of(operator)
-    if m.shape[0] == 0:
-        raise ValueError("cannot diagonalize an empty matrix")
-    asymmetry = float(np.max(np.abs(m - m.conj().T)))
-    if asymmetry > HERMITICITY_TOL:
-        raise ValueError(
-            f"matrix is not Hermitian: max |H - H^dag| entry = {asymmetry:.3e}"
-        )
-    if np.iscomplexobj(m) and np.count_nonzero(m.imag):
-        return np.linalg.eigh(m)
-    return np.linalg.eigh(m.real)
-
-
-def evolve_on_grid(decomp, psi0, times) -> np.ndarray:
-    """psi0 propagated to every grid time, shape (len(times), dim), with the
-    ``(eigenvalues, eigenvectors)`` pair of eigh(); grid points are batched
-    into matrix-matrix products, GRID_BLOCK at a time."""
-    eigenvalues, eigenvectors = decomp
-    psi0 = _check_state(eigenvectors.shape[0], psi0)
-    times = np.asarray(times, dtype=float)
-    w = eigenvectors.conj().T @ psi0
-    out = np.empty((times.size, psi0.size), dtype=np.complex128)
-    for lo in range(0, times.size, GRID_BLOCK):
-        chunk = times[lo:lo + GRID_BLOCK]
-        phases = np.exp(-1j * np.outer(eigenvalues, chunk))
-        out[lo:lo + chunk.size] = (eigenvectors @ (phases * w[:, None])).T
-    return out
 
 
 def _refuse_beyond_memory(z_max: float, terms: float, needed: float, vectors: int = 0) -> None:
@@ -299,13 +252,14 @@ def interpolate(nodes, values, times) -> np.ndarray:
 
     This is the barycentric formula of the second kind, whose weights at
     second-kind Chebyshev points are (-1)**j, halved at both ends; it is
-    forward stable there (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)),
-    and a time equal to a node takes that node's values exactly.  The
-    (rows x M) weights are built for GRID_BLOCK grid times at a time, and
+    forward stable there (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)).
+    The (rows x M) weights are built for GRID_BLOCK grid times at a time, and
     each block costs one real matrix product with the values read as reals.
     The time-node gaps are scaled by the power of two that brings the
     window's width near 1, which is exact and cancels in the normalized
-    weights, so a window of subnormal width does not overflow them.
+    weights, so a window of subnormal width does not overflow them.  A time
+    whose scaled gap to a node is zero or subnormal, where its weight would
+    overflow, takes that node's values exactly.
     """
     nodes, times = np.asarray(nodes, dtype=float), np.asarray(times, dtype=float)
     values = np.ascontiguousarray(values)
@@ -319,7 +273,7 @@ def interpolate(nodes, values, times) -> np.ndarray:
     scale = -math.frexp(nodes[-1] - nodes[0])[1]
     for lo in range(0, times.size, GRID_BLOCK):
         gaps = np.ldexp(np.subtract.outer(times[lo:lo + GRID_BLOCK], nodes), scale)
-        on_node = gaps == 0
+        on_node = np.abs(gaps) < np.finfo(float).tiny
         np.copyto(gaps, 1.0, where=on_node)
         rows = weights / gaps
         hits = on_node.any(axis=1)

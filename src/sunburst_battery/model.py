@@ -15,10 +15,9 @@ tracing out the charger is a contiguous-stride sum.  Bit value 0 is the
 sigma^z = +1 state.  sigma^x_i flips one bit and sigma^z_i reads one bit,
 so the Hamiltonian is one list of terms (terms): a real diagonal plus
 bit-flip masks with their coefficients.  The matrix-free product
-(total_matvec) applies that list directly; build_total, the one dense
-builder, scatters it into a real symmetric matrix for the oracles and the
-tests.  The parameters are a ``config.ModelSpec``, checked as the config
-is read.
+(total_matvec) applies that list directly; the dense matrix the oracles
+read is scattered from it by ``validate.build_total``.  The parameters are
+a ``config.ModelSpec``, checked as the config is read.
 
 Every term flips an even number of bits (sigma^x sigma^x bonds) or none
 (sigma^z, Sigma^z), so every operator below conserves the total parity
@@ -85,8 +84,7 @@ def terms(spec: ModelSpec) -> tuple[np.ndarray, tuple[tuple[int, float], ...]]:
     (i ^ mask, i): the term coef * prod sigma^x over the bits set in mask.
     The flips are the ring bonds, one per site, then the couplings, one per
     battery; the diagonal is -h sum sigma^z - (delta/2) sum Sigma^z.
-    build_total scatters this list into a dense matrix and total_matvec
-    applies it without one.
+    total_matvec applies this list without a dense matrix.
     """
     def site_bit(site):
         return 1 << (spec.n + spec.L - site)
@@ -136,20 +134,6 @@ def total_matvec(spec: ModelSpec, basis=None):
         return out
 
     return matvec, bound
-
-
-def build_total(spec: ModelSpec) -> np.ndarray:
-    """Full Hamiltonian H_c + H_b + V_cb as a dense matrix, scattered from
-    terms(); the reference the matrix-free path is checked against.  A part
-    of H is build_total with the other parts switched off (h, delta or
-    kappa set to 0)."""
-    diagonal, flips = terms(spec)
-    out = np.zeros((spec.dim, spec.dim))
-    idx = np.arange(spec.dim)
-    out[idx, idx] += diagonal
-    for mask, coef in flips:
-        out[idx ^ mask, idx] += coef
-    return out
 
 
 def battery_energies(n: int, delta: float) -> np.ndarray:

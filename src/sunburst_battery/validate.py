@@ -6,12 +6,14 @@ needs beyond what the commands write live here, so no figure command
 imports this module (``cli.main`` loads it for ``validate`` only): the
 strong-charger amplitudes, the locked energy, the ergotropy window and
 its bisection, the power at the charging time, the independent
-two-battery populations, the sliced Taylor-series propagator and the
-Gershgorin bound of a dense matrix, the looped partial trace, the
-corrupted coupling, the states of a whole expansion or trajectory at once
-and the full-space start vector, and the oracle gaps that acceptance
-criterion 8 calls with larger cases.  A part of H is read from
-model.build_total with the other parts switched off.
+two-battery populations, the dense oracles (the full Hamiltonian
+scattered from model.terms, build_total; its LAPACK eigendecomposition,
+eigh; spectral propagation with that on a time grid, evolve_on_grid; the
+sliced Taylor-series propagator and the Gershgorin bound of a dense
+matrix), the looped partial trace, the corrupted coupling, the states of
+a whole expansion or trajectory at once and the full-space start vector,
+and the oracle gaps that acceptance criterion 8 calls with larger cases.
+A part of H is read from build_total with the other parts switched off.
 """
 
 from __future__ import annotations
@@ -33,9 +35,8 @@ from .analytic import (
 from .config import InitialStateSpec, ModelSpec
 from .dynamics import Trajectory, _place, charger_state, random_state, trajectory
 from .experiments import POWER_PEAK_COEFF, _max_gap, analytic_reference, run_series
-from .linalg import (_check_state, _matrix_of, chebyshev_series, eigh, evolve_on_grid,
-                     interpolate, state_blocks)
-from .model import battery_energies, battery_positions, build_total, sector_layout, total_matvec
+from .linalg import GRID_BLOCK, _check_state, chebyshev_series, interpolate, state_blocks
+from .model import battery_energies, battery_positions, sector_layout, terms, total_matvec
 from .observables import charging_power, reduce_to_battery
 
 # ---------------------------------------------------------------------------
@@ -156,6 +157,63 @@ def two_battery(p: AnalyticParams, t) -> TwoBatteryResult:
 
 # ---------------------------------------------------------------------------
 # dense oracles
+
+HERMITICITY_TOL = 1e-12
+
+
+def _matrix_of(operator) -> np.ndarray:
+    """The operand as a square matrix."""
+    m = np.asarray(operator)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def eigh(operator) -> tuple[np.ndarray, np.ndarray]:
+    """``(eigenvalues, eigenvectors)`` of a dense Hermitian matrix, as from
+    np.linalg.eigh.  Real symmetric input (every model Hamiltonian) is solved
+    in real arithmetic, several times faster than the complex driver."""
+    m = _matrix_of(operator)
+    if m.shape[0] == 0:
+        raise ValueError("cannot diagonalize an empty matrix")
+    asymmetry = float(np.max(np.abs(m - m.conj().T)))
+    if asymmetry > HERMITICITY_TOL:
+        raise ValueError(
+            f"matrix is not Hermitian: max |H - H^dag| entry = {asymmetry:.3e}"
+        )
+    if np.iscomplexobj(m) and np.count_nonzero(m.imag):
+        return np.linalg.eigh(m)
+    return np.linalg.eigh(m.real)
+
+
+def evolve_on_grid(decomp, psi0, times) -> np.ndarray:
+    """psi0 propagated to every grid time, shape (len(times), dim), with the
+    ``(eigenvalues, eigenvectors)`` pair of eigh(); grid points are batched
+    into matrix-matrix products, GRID_BLOCK at a time."""
+    eigenvalues, eigenvectors = decomp
+    psi0 = _check_state(eigenvectors.shape[0], psi0)
+    times = np.asarray(times, dtype=float)
+    w = eigenvectors.conj().T @ psi0
+    out = np.empty((times.size, psi0.size), dtype=np.complex128)
+    for lo in range(0, times.size, GRID_BLOCK):
+        chunk = times[lo:lo + GRID_BLOCK]
+        phases = np.exp(-1j * np.outer(eigenvalues, chunk))
+        out[lo:lo + chunk.size] = (eigenvectors @ (phases * w[:, None])).T
+    return out
+
+
+def build_total(spec: ModelSpec) -> np.ndarray:
+    """Full Hamiltonian H_c + H_b + V_cb as a dense matrix, scattered from
+    terms(); the reference the matrix-free path is checked against.  A part
+    of H is build_total with the other parts switched off (h, delta or
+    kappa set to 0)."""
+    diagonal, flips = terms(spec)
+    out = np.zeros((spec.dim, spec.dim))
+    idx = np.arange(spec.dim)
+    out[idx, idx] += diagonal
+    for mask, coef in flips:
+        out[idx ^ mask, idx] += coef
+    return out
 
 
 def row_sum_bound(matrix) -> float:

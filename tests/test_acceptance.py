@@ -23,10 +23,10 @@ from sunburst_battery.cli import main
 from sunburst_battery.config import InitialStateSpec, ModelSpec
 from sunburst_battery.dynamics import trajectory
 from sunburst_battery.experiments import read_csv
-from sunburst_battery.model import build_total
 from sunburst_battery.observables import charging_power
 from sunburst_battery.validate import (
     amplitude_residual,
+    build_total,
     conservation_drift,
     partial_trace_gap,
     propagator_gap,

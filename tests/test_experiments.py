@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GHZ, numpy_figures, report_physical_memory
-from sunburst_battery import experiments, linalg, validate
+from sunburst_battery import experiments, validate
 from sunburst_battery.analytic import AnalyticParams, max_ergotropy
 from sunburst_battery.cli import build_parser, config_from_args, main
 from sunburst_battery.config import (
@@ -40,9 +40,10 @@ from sunburst_battery.experiments import (
     read_csv,
     write_csv,
 )
-from sunburst_battery.model import battery_energies, build_total
+from sunburst_battery.model import battery_energies
 from sunburst_battery.observables import WORK_FLOOR, MeritSeries, charging_power, reduce_to_battery
-from sunburst_battery.validate import CHECKS, VALIDATE_SEED, cmd_validate, initial_state
+from sunburst_battery.validate import (CHECKS, VALIDATE_SEED, build_total, cmd_validate, eigh,
+                                       evolve_on_grid, initial_state)
 
 SMALL_MODEL = {"L": 4, "n": 1, "J": 1.0, "h": 0.1, "delta": 0.5, "kappa": 2.0}
 
@@ -1412,25 +1413,30 @@ def test_importing_the_package_loads_no_numpy_and_defines_only_its_version():
 
 
 def test_only_the_validate_command_loads_the_self_check_module(tmp_path):
-    # fig4 and a sweep run the production path alone: the check table and
-    # the oracles load for validate only; neither loads numpy's FFT
-    config = tmp_path / "sweep.json"
-    config.write_text(json.dumps({"model": {"L": 4, "n": 1}, "grid": {"steps": 10},
-                                  "sweep": {"parameter": "n", "values": [1, 2]}}))
+    # every figure command and a sweep run the production path alone: the
+    # check table and the dense oracles load for validate only, so no
+    # command can reach them; none of the others loads numpy's FFT
+    commands = []
+    for name, section in (("fig1", {"model": {"L": 4, "n": 1}}),
+                          ("fig3", {"model": {"L": 5, "n": 1}}),
+                          ("sweep", {"model": {"L": 4, "n": 1},
+                                     "sweep": {"parameter": "n", "values": [1, 2]}})):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({**section, "grid": {"steps": 10}}))
+        commands.append([name, "--config", str(config), "--out", str(tmp_path / f"{name}.csv")])
+    commands += [["fig4", "--out", str(tmp_path / "fig4.csv")], ["validate"]]
     loaded = run_child(
         "import json, sys\n"
         "from sunburst_battery.cli import main\n"
         "loaded = []\n"
-        f"for argv in (['fig4', '--out', {str(tmp_path / 'fig4.csv')!r}],\n"
-        f"             ['sweep', '--config', {str(config)!r}, '--out', {str(tmp_path / 'n.csv')!r}],\n"
-        "             ['validate']):\n"
+        f"for argv in {commands!r}:\n"
         "    assert main(argv) == 0\n"
         "    loaded.append(['sunburst_battery.validate' in sys.modules,\n"
         "                   'numpy.fft' in sys.modules])\n"
         "print(json.dumps(loaded))"
     )
-    assert [validate for validate, _ in loaded] == [False, False, True]
-    assert [fft for _, fft in loaded[:2]] == [False, False]
+    assert [validate for validate, _ in loaded] == [False, False, False, False, True]
+    assert [fft for _, fft in loaded[:4]] == [False, False, False, False]
 
 
 NUMERIC_MODULES = ("numpy", *(f"sunburst_battery.{name}" for name in
@@ -1657,8 +1663,7 @@ def command_runs(command, config, kwargs):
 def dense_columns(spec, init, times, seed):
     """Stored energy, population ergotropy and linear entropy of dense
     full-space ED states on ``times``, a random charger drawn from ``seed``."""
-    oracle = linalg.evolve_on_grid(linalg.eigh(build_total(spec)),
-                                   initial_state(spec, init, seed), times)
+    oracle = evolve_on_grid(eigh(build_total(spec)), initial_state(spec, init, seed), times)
     return numpy_figures(reduce_to_battery(oracle, spec.L, spec.n),
                          battery_energies(spec.n, spec.delta))
 

@@ -13,13 +13,11 @@ from sunburst_battery.linalg import (
     chebyshev_coefficients,
     chebyshev_nodes,
     chebyshev_series,
-    eigh,
-    evolve_on_grid,
     interpolate,
     state_blocks,
 )
-from sunburst_battery.model import build_total
-from sunburst_battery.validate import expm_series_oracle, row_sum_bound, series_states
+from sunburst_battery.validate import (build_total, eigh, evolve_on_grid, expm_series_oracle,
+                                       row_sum_bound, series_states)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 

@@ -5,15 +5,14 @@ import pytest
 
 from sunburst_battery.config import ExperimentConfig, InitialStateSpec, ModelSpec
 from sunburst_battery.dynamics import charger_state
-from sunburst_battery.linalg import eigh
 from sunburst_battery.model import (
     battery_energies,
     battery_positions,
-    build_total,
     sector_layout,
     terms,
     total_matvec,
 )
+from sunburst_battery.validate import build_total, eigh
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
