@@ -3,14 +3,18 @@ forms the commands write and print.
 
 With the ring prepared in a cat state and one battery attached, the
 composite state stays in a two-dimensional subspace and oscillates at the
-Rabi-like frequency omega = sqrt(delta^2 + 4 kappa^2):
+Rabi-like frequency omega = sqrt(delta^2 + 4 kappa^2).  With the ratios
+r = 2 kappa / omega and s = delta / omega, which AnalyticParams caches,
 
-    A(t) = cos(omega t / 2) + i (delta/omega) sin(omega t / 2)
-    B(t) = (2 i kappa / omega) sin(omega t / 2)
+    A(t) = cos(omega t / 2) + i s sin(omega t / 2)
+    B(t) = i r sin(omega t / 2)
 
 with |A|^2 + |B|^2 = 1.  Stored energy, ergotropy and its peak, linear
 entropy and the charging time follow from the excited population |B|^2;
-the charging power is ``observables.charging_power`` of the stored energy.
+the peak ergotropy is delta (r^2 - s^2), and the charging power is
+``observables.charging_power`` of the stored energy.  At omega = 0
+(delta = kappa = 0) r = s = 0, and every form but the charging time
+reads the frozen battery from them.
 At h = 0 each of n equispaced batteries is excited with probability
 |B|^2, independently, so the stored energy, ergotropy (population
 convention) and power of n batteries are n times one battery's, and a cat
@@ -31,16 +35,25 @@ from .config import ModelSpec
 
 @dataclass(frozen=True)
 class AnalyticParams:
-    """Battery gap and coupling, with the derived frequency cached."""
+    """Battery gap and coupling, with the derived frequency omega and the
+    ratios r = 2 kappa / omega and s = delta / omega cached.  At a finite
+    omega the ratios lie in [0, 1], so their squares neither overflow nor
+    divide inf by inf at huge fields; both are 0 at omega = 0, where the
+    battery is frozen."""
 
     delta: float
     kappa: float
     omega: float = field(init=False)
+    r: float = field(init=False)
+    s: float = field(init=False)
 
     def __post_init__(self):
         if self.delta < 0 or self.kappa < 0:
             raise ValueError("delta and kappa must be non-negative")
-        object.__setattr__(self, "omega", float(np.hypot(self.delta, 2.0 * self.kappa)))
+        omega = float(np.hypot(self.delta, 2.0 * self.kappa))
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "r", 2.0 * self.kappa / omega if omega else 0.0)
+        object.__setattr__(self, "s", self.delta / omega if omega else 0.0)
 
     @classmethod
     def from_model(cls, spec: ModelSpec) -> "AnalyticParams":
@@ -55,11 +68,8 @@ def _times(t) -> np.ndarray:
 
 
 def excited_population(p: AnalyticParams, t):
-    """|B(t)|^2 = (4 kappa^2 / omega^2) sin^2(omega t / 2)."""
-    t = _times(t)
-    if p.omega == 0.0:
-        return np.zeros_like(t)
-    return (2.0 * p.kappa / p.omega) ** 2 * np.sin(p.omega * t / 2.0) ** 2
+    """|B(t)|^2 = r^2 sin^2(omega t / 2)."""
+    return p.r ** 2 * np.sin(p.omega * _times(t) / 2.0) ** 2
 
 
 def linear_entropy_analytic(p: AnalyticParams, t, n: int = 1):
@@ -78,13 +88,11 @@ def ergotropy_analytic(p: AnalyticParams, t):
     """Single-battery extractable work delta * (|B|^2 - |A|^2), clamped at 0.
 
     Nonzero only when 2 kappa >= delta and only inside the window where the
-    excited population exceeds 1/2 (period 2 pi / omega).
+    excited population exceeds 1/2 (period 2 pi / omega).  Adding 0.0 turns
+    the -0.0 of delta = 0 into 0, so no cell is written -0.
     """
-    t = _times(t)
-    if p.omega == 0.0:
-        return np.zeros_like(t)
     raw = p.delta * (2.0 * excited_population(p, t) - 1.0)
-    return np.maximum(0.0, raw)
+    return np.maximum(0.0, raw) + 0.0
 
 
 def charging_time(p: AnalyticParams) -> float:
@@ -95,14 +103,9 @@ def charging_time(p: AnalyticParams) -> float:
 
 
 def max_ergotropy(p: AnalyticParams) -> float:
-    """Peak extractable work delta*(4k^2 - d^2)/(4k^2 + d^2), reached at T.
+    """Peak extractable work delta (r^2 - s^2), reached at T.
 
     Clamped at 0 below the 2 kappa >= delta threshold; grows monotonically
     with the coupling and saturates at delta.
     """
-    if p.omega == 0.0:
-        return 0.0
-    # the ratios 2 kappa / omega and delta / omega lie in [0, 1], so their
-    # squares neither overflow nor divide inf by inf at huge fields
-    r, s = 2.0 * p.kappa / p.omega, p.delta / p.omega
-    return max(0.0, p.delta * (r * r - s * s))
+    return max(0.0, p.delta * (p.r * p.r - p.s * p.s))

@@ -43,11 +43,12 @@ def integral(name: str, value) -> int:
 
 def real(name: str, value) -> float:
     """A floating-point config value; a bool, a string or an integer beyond
-    the float range is an error."""
+    the float range is an error.  Adding 0.0 reads -0.0 as 0, so no field
+    or label is written -0."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
-        return float(value)
+        return float(value) + 0.0
     except OverflowError:
         raise ValueError(f"{name} is an integer beyond the float range") from None
 

@@ -133,7 +133,7 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times, seed: int | None 
     times = _finite_grid(times)
     if times[0] < 0:
         raise ValueError("time grid must start at t >= 0")
-    if times.size > 1 and not np.all(np.diff(times) > 0):
+    if not np.all(np.diff(times) > 0):
         raise ValueError("time grid must be strictly increasing")
     entry = 8 * (spec.qubits + 3)
     try:

@@ -287,7 +287,7 @@ def cmd_fig3(config: ExperimentConfig) -> None:
             (peak_work,),
             (series.linear_entropy[k],) if working else None,
             (peak_power,),
-            (spec.n * p.delta * (2.0 * p.kappa / p.omega) * (2.0 * p.kappa / p.omega),),
+            (spec.n * p.delta * p.r * p.r,),
             (spec.n * max_ergotropy(p),),
             (linear_entropy_analytic(p, charging_time(p), spec.n),),
             (spec.n * peak_p_ana,),

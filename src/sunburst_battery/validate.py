@@ -46,15 +46,10 @@ from .observables import charging_power, reduce_to_battery
 def amplitudes(p: AnalyticParams, t):
     """Ground/excited battery amplitudes (A, B) at time t.
 
-    Degenerate case omega = 0 returns the frozen limit (1, 0).
+    At omega = 0 the frozen limit (1, 0) follows from r = s = 0.
     """
-    t = _times(t)
-    if p.omega == 0.0:
-        return np.ones_like(t, dtype=complex), np.zeros_like(t, dtype=complex)
-    half = p.omega * t / 2.0
-    a = np.cos(half) + 1j * (p.delta / p.omega) * np.sin(half)
-    b = 2j * (p.kappa / p.omega) * np.sin(half)
-    return a, b
+    half = p.omega * _times(t) / 2.0
+    return np.cos(half) + 1j * p.s * np.sin(half), 1j * p.r * np.sin(half)
 
 
 def unavailable_analytic(p: AnalyticParams, t):
@@ -137,17 +132,13 @@ def two_battery(p: AnalyticParams, t) -> TwoBatteryResult:
     """Two-battery closed forms from the even/odd time-power resummation:
     an oracle for the n-battery forms, derived without them."""
     t = _times(t)
-    if p.omega == 0.0:
-        one = np.ones_like(t)
-        zero = np.zeros_like(t)
-        return TwoBatteryResult(one, zero, zero.copy(), zero.copy())
     half_sq = np.sin(p.omega * t / 2.0) ** 2
-    coupling_frac = 4.0 * p.kappa ** 2 / p.omega ** 2
+    coupling_frac = p.r * p.r
     lambda1 = (
         np.cos(p.omega * t) ** 2
         + coupling_frac ** 2 * half_sq ** 2
         + 2.0 * coupling_frac * np.cos(p.omega * t) * half_sq
-        + (p.delta / p.omega) ** 2 * np.sin(p.omega * t) ** 2
+        + p.s ** 2 * np.sin(p.omega * t) ** 2
     )
     lambda4 = (coupling_frac * half_sq) ** 2
     stored = p.delta * (1.0 + lambda4 - lambda1)
@@ -176,7 +167,7 @@ def eigh(operator) -> tuple[np.ndarray, np.ndarray]:
     m = _matrix_of(operator)
     if m.shape[0] == 0:
         raise ValueError("cannot diagonalize an empty matrix")
-    asymmetry = float(np.max(np.abs(m - m.conj().T)))
+    asymmetry = _max_gap(m, m.conj().T)
     if asymmetry > HERMITICITY_TOL:
         raise ValueError(
             f"matrix is not Hermitian: max |H - H^dag| entry = {asymmetry:.3e}"

@@ -858,7 +858,7 @@ def test_fig3_refuses_a_point_whose_period_or_peak_power_overflows(
     assert shown in err[0] and err[0].endswith(" leaves the float range")
 
 
-EXTREME_FIELDS = (5e-324, 1e-310, 1e160, 1e300, 1e308)
+EXTREME_FIELDS = (-0.0, 0.0, 5e-324, 1e-310, 1e160, 1e300, 1e308)
 
 
 def extreme_field_cases():
@@ -880,10 +880,10 @@ def extreme_field_cases():
 
 
 def test_extreme_fields_run_or_fail_in_one_line(tmp_path, capsys):
-    # every command on fields from the least subnormal to the float limit
-    # either runs, writing no inf or nan cell but fig3's blank peak cells, or
-    # fails with one error line: never a traceback, and never a numpy
-    # warning, which the test settings turn into an error
+    # every command on fields from a signed zero to the float limit either
+    # runs, writing no inf or nan cell but fig3's blank peak cells and no -0
+    # cell, or fails with one error line: never a traceback, and never a
+    # numpy warning, which the test settings turn into an error
     outcomes = {}
     for name, command, data in extreme_field_cases():
         code, _, err, cols = run_cli(tmp_path, capsys, command, data)
@@ -892,6 +892,7 @@ def test_extreme_fields_run_or_fail_in_one_line(tmp_path, capsys):
             blank = command == "fig3" and column in ("t", "SL_num")
             assert not np.isinf(cells).any() and (blank or not np.isnan(cells).any()), (
                 name, column)
+            assert not (np.signbit(cells) & (cells == 0)).any(), (name, column)
         outcomes[code] = outcomes.get(code, 0) + 1
     assert outcomes[0] > 0 and outcomes[2] > 0, outcomes
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sunburst_battery import linalg
+from sunburst_battery import linalg, validate
 from sunburst_battery.config import ModelSpec, physical_memory
 from sunburst_battery.dynamics import random_state
 from sunburst_battery.linalg import (
@@ -109,7 +109,7 @@ def test_series_oracle_zero_generator():
     assert np.allclose(expm_series_oracle(np.zeros((2, 2)), psi, 5.0), psi)
 
 
-def test_series_oracle_x_rotation():
+def test_series_oracle_x_rotation(monkeypatch):
     # exp(-i sx t) = cos(t) - i sin(t) sx: full flip to -i|1> at t = pi/2,
     # pure sign at t = pi
     psi = np.array([1.0, 0.0], dtype=complex)
@@ -117,6 +117,12 @@ def test_series_oracle_x_rotation():
     assert np.allclose(quarter, -1j * SX @ psi, atol=1e-12)
     half = expm_series_oracle(SX, psi, np.pi)
     assert np.allclose(half, -psi, atol=1e-12)
+    # a bound far below the norm leaves one step of 300 sx at t = 1, whose
+    # terms 300^k / k! are still ~1e122 at the series' last term: it fails
+    # rather than returning a truncated sum (at 1000 sx the terms overflow)
+    monkeypatch.setattr(validate, "row_sum_bound", lambda matrix: 1e-9)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        expm_series_oracle(300 * SX, psi, 1.0)
 
 
 @pytest.mark.parametrize("t", [0.1, 1.0])
