@@ -3,10 +3,11 @@ grid, the sweep, the seed and the output path, read from one JSON document
 and checked as it is read.
 
 This module imports the standard library only, so the command line checks
-a whole config, and fails on a bad one with one ``error:`` line, before
-numpy loads (``cli.config_from_args``).  Everything that builds arrays
-from a config lives in the numeric modules: the Hamiltonian in ``model``,
-the charger states in ``dynamics`` (``charger_state``), the grid times in
+a whole config, a model or grid too big for memory included, and fails on
+a bad one with one ``error:`` line, before numpy loads
+(``cli.config_from_args``).  Everything that builds arrays from a config
+lives in the numeric modules: the Hamiltonian in ``model``, the charger
+states in ``dynamics`` (``charger_state``), the grid times in
 ``TimeGrid.times``, which loads numpy when it is called.
 """
 
@@ -87,6 +88,8 @@ class ModelSpec:
 
     d is the site spacing between consecutive batteries; when omitted it
     defaults to the equispaced choice L/n (which requires n to divide L).
+    A register too big for physical memory is refused, as TimeGrid refuses
+    a grid, so a command refuses every system it builds before any run.
     """
 
     L: int
@@ -127,6 +130,21 @@ class ModelSpec:
         # n*d <= L also keeps the attachment sites 1, 1+d, ..., 1+(n-1)d distinct
         if self.n * d > self.L:
             raise ValueError(f"n*d = {self.n * d} exceeds L = {self.L}: batteries do not fit")
+        # bytes a run holds per entry of its smaller layout, a parity sector:
+        # the complex state, then the Hamiltonian's int64 gather index per
+        # flip, L + n of them, and its float diagonal
+        entry = 8 * (self.qubits + 3)
+        try:
+            held = math.ldexp(entry, self.qubits - 1)
+        except OverflowError:  # the entry size or the total is beyond the float range
+            held = math.inf
+        available = physical_memory()
+        if held > available:
+            raise ValueError(
+                f"a run at (L, n) = ({self.L}, {self.n}) holds its state and Hamiltonian on "
+                f"2**{self.qubits - 1} entries or more, {entry} bytes each: "
+                f"{held:.3g} bytes, more than the {available:.3g} bytes of physical memory"
+            )
 
     @property
     def qubits(self) -> int:

@@ -25,12 +25,11 @@ nodes fix the states too.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import InitialStateSpec, ModelSpec, physical_memory
+from .config import InitialStateSpec, ModelSpec
 from .linalg import (
     _finite_grid,
     _refuse_beyond_memory,
@@ -124,29 +123,15 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times, seed: int | None 
     on the full space and half that on a sector for n >= 1;
     and the matrix-free Hamiltonian (``total_matvec``), held for the whole
     run: an int64 gather index per flip, L + n of them, and the diagonal,
-    8 (L + n + 1) bytes per vector entry.  Before the charger is drawn,
-    a model is refused whose state and Hamiltonian cannot fit on the
-    smaller layout, a sector: 8 (L + n + 3) bytes per entry of 2**(L+n-1);
-    before K is counted, a window whose coefficient table at the nodes,
-    at least z by z, cannot fit.
+    8 (L + n + 1) bytes per vector entry.  Before K is counted, a window
+    whose coefficient table at the nodes, at least z by z, cannot fit is
+    refused.
     """
     times = _finite_grid(times)
     if times[0] < 0:
         raise ValueError("time grid must start at t >= 0")
     if not np.all(np.diff(times) > 0):
         raise ValueError("time grid must be strictly increasing")
-    entry = 8 * (spec.qubits + 3)
-    try:
-        held = math.ldexp(entry, spec.qubits - 1)
-    except OverflowError:  # the entry size or the total is beyond the float range
-        held = math.inf
-    available = physical_memory()
-    if held > available:
-        raise ValueError(
-            f"a run at (L, n) = ({spec.L}, {spec.n}) holds its state and Hamiltonian on "
-            f"2**{spec.qubits - 1} entries or more, {entry} bytes each: "
-            f"{held:.3g} bytes, more than the {available:.3g} bytes of physical memory"
-        )
     charger = charger_state(init, spec.L, seed)
     # the batteries start in level 0, so full index c 2**n has the parity of c
     occupied = set((np.bitwise_count(np.flatnonzero(charger)) & 1).tolist())

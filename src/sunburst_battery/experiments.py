@@ -11,11 +11,12 @@ batteries for every n (``analytic_reference``).  Floats are written with
 17 significant digits and LF line endings so a run is reproducible byte
 for byte given (config, seed), whatever the BLAS thread count.  Every
 line comes from one formatter, ``_format_rows``, GRID_BLOCK grid points
-at a time, and is written as it is made.
+at a time, and is written as it is made; ``write_csv`` reports each file.
 
 Each command runs its trajectories one after another, in run order; the
 command line runs BLAS on one thread by default (``cli.main``).  A config
-section that a command would not read fails before any run.
+section that a command would not read fails before any run, as does a
+system too big for memory (``ModelSpec``).
 """
 
 from __future__ import annotations
@@ -49,12 +50,14 @@ FIG4_SEEDS = 3
 POWER_PEAK_COEFF = 1.45  # rounded coefficient of the power maximum
 
 
-def write_csv(path, lines) -> None:
+def write_csv(path, lines, label: str) -> None:
     """Write the CSV_COLUMNS header, then each of ``lines`` (from
-    ``_format_rows``) as it is read, with LF endings."""
+    ``_format_rows``) as it is read, with LF endings; once the file is
+    closed, print the ``label`` line that reports its row count."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(CSV_COLUMNS) + "\n")
         handle.writelines(line + "\n" for line in lines)
+    print(f"{label}: wrote {len(lines)} rows to {path}")
 
 
 def read_csv(path) -> dict[str, np.ndarray]:
@@ -131,13 +134,6 @@ class _SeriesLines:
                                      series.linear_entropy, series.power,
                                      *analytic_reference(spec, series.t)),
                                     (spec.n, spec.L, spec.kappa, seed))
-
-
-def _write_series(label: str, path, runs, results) -> None:
-    """One CSV of every run's series, rows in run order."""
-    rows = _SeriesLines(runs, results)
-    write_csv(path, rows)
-    print(f"{label}: wrote {len(rows)} rows to {path}")
 
 
 def _max_gap(a, b) -> float:
@@ -217,7 +213,7 @@ def cmd_fig1(config: ExperimentConfig, collapse_systems=FIG1_COLLAPSE_SYSTEMS) -
             print(f"fig1 (L={spec.L}, n={spec.n}): max |SL - SL_ana| = {dev:.3e}")
     _collapse("P", "power", runs, results,
               charging_power(stored_energy_analytic(single, times), times))
-    _write_series("fig1", config.output_path, runs, results)
+    write_csv(config.output_path, _SeriesLines(runs, results), "fig1")
 
 
 def cmd_fig3(config: ExperimentConfig) -> None:
@@ -297,8 +293,7 @@ def cmd_fig3(config: ExperimentConfig) -> None:
               f"(closed form {max_ergotropy(p):.5g}), "
               f"max P/n = {peak_power / spec.n:.5g} "
               f"(approx {peak_p_ana:.5g})")
-    write_csv(config.output_path, rows)
-    print(f"fig3: wrote {len(rows)} rows to {config.output_path}")
+    write_csv(config.output_path, rows, "fig3")
 
 
 def _run_with_spectral(spec: ModelSpec, times, seed: int):
@@ -345,7 +340,7 @@ def cmd_fig4(config: ExperimentConfig) -> None:
     print(f"fig4: pairwise max |xi_i - xi_j| = {pair_pop:.3e} "
           f"(spectral convention {pair_spec:.3e}), "
           f"max |xi/n - xi_ana| = {vs_analytic:.3e}")
-    _write_series("fig4", config.output_path, runs, results)
+    write_csv(config.output_path, _SeriesLines(runs, results), "fig4")
 
 
 def cmd_sweep(config: ExperimentConfig) -> None:
@@ -363,4 +358,5 @@ def cmd_sweep(config: ExperimentConfig) -> None:
             for value in config.sweep.values]
     _refuse_large_index("sweep", init, [spec for spec, _, _ in runs])
     results = [run_series(spec, init, times, seed) for spec, init, seed in runs]
-    _write_series(f"sweep ({config.sweep.parameter})", config.output_path, runs, results)
+    write_csv(config.output_path, _SeriesLines(runs, results),
+              f"sweep ({config.sweep.parameter})")

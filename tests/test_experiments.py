@@ -328,7 +328,7 @@ def test_cli_refuses_an_output_path_with_a_null_byte_before_any_run(tmp_path, mo
 def test_csv_format_and_reread(tmp_path):
     path = tmp_path / "table.csv"
     columns = [(0.1,), (1 / 3,), None, (2.0,), (0.0,), None, None, None, None]
-    write_csv(path, list(experiments._format_rows(columns, (1, 4, 2.0, 7))))
+    write_csv(path, list(experiments._format_rows(columns, (1, 4, 2.0, 7))), "table")
     raw = path.read_bytes()
     assert raw.startswith((",".join(CSV_COLUMNS) + "\n").encode())
     assert b"\r" not in raw
@@ -347,7 +347,8 @@ def test_csv_golden_bytes_for_tuple_and_series_rows(tmp_path):
     header = ",".join(CSV_COLUMNS) + "\n"
     path = tmp_path / "tuples.csv"
     columns = [(-0.0,), (1e-300,), None, (0.1,), (2,), (np.int64(-3),), (1 / 3,), None, (5.0,)]
-    write_csv(path, list(experiments._format_rows(columns, (1, 4, 2.0, np.int64(2 ** 63 - 1)))))
+    write_csv(path, list(experiments._format_rows(columns, (1, 4, 2.0, np.int64(2 ** 63 - 1)))),
+              "tuples")
     assert path.read_bytes() == (
         header + "-0,1e-300,,0.10000000000000001,2,-3,"
         "0.33333333333333331,,5,1,4,2,9223372036854775807\n").encode()
@@ -357,7 +358,7 @@ def test_csv_golden_bytes_for_tuple_and_series_rows(tmp_path):
                          linear_entropy=column, power=-column)
     lines = experiments._SeriesLines([(ModelSpec(6, 3, kappa=0.5), None, np.int64(9))], [series])
     path = tmp_path / "series.csv"
-    write_csv(path, lines)
+    write_csv(path, lines, "series")
     assert path.read_bytes() == (
         header
         + "0,-0,0,0,-0,0,0,0,0,3,6,0.5,9\n"
@@ -408,7 +409,7 @@ def test_csv_golden_bytes_for_a_fig3_row_without_work(tmp_path):
     # no peak (blank t and SL_num) and no closed form (n = 3): one line
     path = tmp_path / "fig3.csv"
     columns = [None, (0.25,), (1e-17,), None, (np.float64(1 / 3),), None, None, None, None]
-    write_csv(path, list(experiments._format_rows(columns, (3, 9, 0.25, 2 ** 64 - 1))))
+    write_csv(path, list(experiments._format_rows(columns, (3, 9, 0.25, 2 ** 64 - 1))), "fig3")
     assert path.read_bytes() == (
         ",".join(CSV_COLUMNS) + "\n"
         + ",0.25,1.0000000000000001e-17,,0.33333333333333331,,,,,3,9,0.25,"
@@ -426,7 +427,7 @@ def test_series_csv_is_written_a_grid_block_at_a_time(tmp_path):
     lines = experiments._SeriesLines([(ModelSpec(4, 1), None, 7)], [series])
     tracemalloc.start()
     try:
-        write_csv(tmp_path / "long.csv", lines)
+        write_csv(tmp_path / "long.csv", lines, "long")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1380,6 +1381,29 @@ def test_an_eigenstate_charger_on_a_huge_ring_is_refused_by_its_size(tmp_path, c
         assert not out.exists()
 
 
+def test_an_n_sweep_refuses_a_value_too_big_for_memory_before_any_run(tmp_path, capsys,
+                                                                     monkeypatch):
+    # with 8 GiB of physical memory (20, 1) fits and (20, 10) does not, 8
+    # (L + n + 3) bytes on each of 2**29 entries: every value's system is
+    # built, and so refused, before the first run starts
+    report_physical_memory(monkeypatch, 1 << 33)
+
+    def run(*args):
+        raise AssertionError("a run started before the sweep's systems were checked")
+
+    monkeypatch.setattr(experiments, "trajectory", run)
+    out = tmp_path / "sweep.csv"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"model": {"L": 20, "n": 1}, "output_path": str(out),
+                                       "sweep": {"parameter": "n", "values": [1, 10]}}))
+    assert main(["sweep", "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: a run at (L, n) = (20, 10) holds its state and Hamiltonian on 2**29 entries or "
+        "more, 264 bytes each: 1.42e+11 bytes, more than the 8.59e+09 bytes of physical memory"]
+    assert captured.out == "" and not out.exists()
+
+
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -1460,8 +1484,11 @@ def test_the_command_line_and_config_are_checked_before_numpy_loads(tmp_path, ca
     unknown.write_text(json.dumps({"model": {"L": 4, "n": 1, "coupling": 2.0}}))
     parsed = [["fig1"], ["fig3", "--seed", "5"], ["fig4", "--h-override", "0.3"],
               ["sweep", "--config", str(full), "--seed", "9", "--h-override", "0.25"]]
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"model": {"L": 40, "n": 1}}))
     failing = [["fig1", "--config", str(unknown)],
-               ["fig4", "--out", str(tmp_path / "missing" / "fig4.csv")]]
+               ["fig4", "--out", str(tmp_path / "missing" / "fig4.csv")],
+               ["fig4", "--config", str(huge)]]
     configs, codes, errors, loaded = run_child(
         "import contextlib, io, json, sys\n"
         "from sunburst_battery import cli\n"
@@ -1477,7 +1504,7 @@ def test_the_command_line_and_config_are_checked_before_numpy_loads(tmp_path, ca
     )
     assert loaded == []
     assert configs == [repr(config_from_args(build_parser().parse_args(argv))) for argv in parsed]
-    assert codes == [2, 2]
+    assert codes == [2, 2, 2]
     expected = []
     for argv in failing:
         assert main(argv) == 2
@@ -1485,6 +1512,9 @@ def test_the_command_line_and_config_are_checked_before_numpy_loads(tmp_path, ca
     assert errors == expected
     assert expected[0] == "error: unknown model keys: ['coupling']\n"
     assert expected[1] == f"error: output directory {str(tmp_path / 'missing')!r} does not exist\n"
+    assert re.fullmatch(r"error: a run at \(L, n\) = \(40, 1\) holds its state and Hamiltonian "
+                        r"on 2\*\*40 entries or more, 352 bytes each: 3\.87e\+14 bytes, more "
+                        r"than the \S+ bytes of physical memory\n", expected[2]), expected[2]
 
 
 def test_the_config_module_imports_the_standard_library_only():
@@ -1711,10 +1741,11 @@ def assert_matches_dense_oracle(command, config, kwargs):
     assert start == cols["t"].size
 
 
-def test_small_commands_match_dense_oracle_at_one_and_two_blas_threads(tmp_path):
+def test_small_commands_match_dense_oracle_at_one_and_two_blas_threads(tmp_path, capsys):
     # every *_num cell that fig1, fig3, fig4 and sweep write follows dense ED
-    # (assert_matches_dense_oracle), and fresh processes at one and at two
-    # OpenBLAS threads write the bytes this process writes
+    # (assert_matches_dense_oracle), each command's last stdout line reports
+    # its CSV's data lines, and fresh processes at one and at two OpenBLAS
+    # threads write the bytes this process writes
     cases = [(name, command, {**data, "output_path": f"{name}.csv"}, kwargs)
              for name, command, data, kwargs in command_cases()]
     code = (
@@ -1736,6 +1767,11 @@ def test_small_commands_match_dense_oracle_at_one_and_two_blas_threads(tmp_path)
     for name, command, data, kwargs in cases:
         config = ExperimentConfig.from_dict({**data, "output_path": str(tmp_path / f"{name}.csv")})
         getattr(experiments, command)(config, **kwargs)
+        label = (f"sweep ({config.sweep.parameter})" if command == "cmd_sweep"
+                 else command.removeprefix("cmd_"))
+        rows = len(Path(config.output_path).read_text().splitlines()) - 1
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"{label}: wrote {rows} rows to {config.output_path}"), name
         assert_matches_dense_oracle(command, config, kwargs)
     for child, folder in children:
         _, err = child.communicate(timeout=300)
