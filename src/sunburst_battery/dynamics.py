@@ -11,6 +11,8 @@ state with no weight in one parity sector (a cat charger with ground
 batteries) is expanded on the other sector alone, at half the size.  Battery
 level 0 has even parity, so the start vector occupies the parities of the
 charger's nonzero entries; it is written straight onto its layout.
+The refusals a run makes before it builds an array are ``check_run``'s,
+which each command calls on all its runs before the first one starts.
 
 Every trajectory is evaluated at M Chebyshev nodes of its grid window,
 and the states or the reduced states there are interpolated onto the grid
@@ -30,19 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import InitialStateSpec, ModelSpec
-from .linalg import (
-    _finite_grid,
-    _refuse_beyond_memory,
-    chebyshev_coefficients,
-    chebyshev_nodes,
-    chebyshev_series,
-    phases,
-)
-from .model import (
-    Layout,
-    sector_layout,
-    total_matvec,
-)
+from .linalg import (_finite_grid, _refuse_beyond_memory, chebyshev_coefficients,
+                     chebyshev_nodes, chebyshev_series, phases)
+from .model import Layout, norm_bound, sector_layout, total_matvec
 
 
 def random_state(rng, dim: int) -> np.ndarray:
@@ -60,7 +52,8 @@ def charger_state(init: InitialStateSpec, L: int, seed: int | None = None) -> np
     weight; ghz_plus is the charger ground state for J >> h.  An eigenstate
     is the product of |+>/|-> factors in which a set bit (L-i) of the index
     puts site i in |->, an exact charger eigenstate at h = 0.  A random one
-    is Haar-distributed, drawn from ``seed`` by a PCG64 generator.
+    is Haar-distributed, drawn from ``seed`` by a PCG64 generator.  The
+    index must fit the ring, as ``check_run`` checks.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
@@ -70,8 +63,6 @@ def charger_state(init: InitialStateSpec, L: int, seed: int | None = None) -> np
         return random_state(np.random.default_rng(seed), 1 << L)
     strings = np.arange(1 << L)
     if init.charger_kind == "eigenstate":
-        if init.index >> L:
-            raise ValueError(f"pattern {init.index} outside [0, 2**{L})")
         signs = 1.0 - 2.0 * (np.bitwise_count(strings & init.index) & 1)
         return (signs * 2.0 ** (-L / 2)).astype(np.complex128)
     parity = int(init.charger_kind == "ghz_minus")
@@ -107,11 +98,35 @@ class Trajectory:
     nodes: np.ndarray
 
 
+def check_run(spec: ModelSpec, init: InitialStateSpec, times) -> tuple[np.ndarray, float]:
+    """The checked grid and the phase z = bound (times[-1] - times[0]) of a
+    run, bound the ``model.norm_bound``, before any array is built:
+    ValueError unless the grid is finite, starts at t >= 0 and increases
+    strictly, an eigenstate pattern fits the ring, z is finite, and the
+    node table, at least z by z coefficients, fits in physical memory."""
+    times = _finite_grid(times)
+    if times[0] < 0:
+        raise ValueError("time grid must start at t >= 0")
+    if not np.all(np.diff(times) > 0):
+        raise ValueError("time grid must be strictly increasing")
+    if init.charger_kind == "eigenstate" and init.index >> spec.L:
+        raise ValueError(f"initial.index {init.index} outside [0, 2**{spec.L}) "
+                         f"for the (L, n) = ({spec.L}, {spec.n}) system")
+    z = float(phases(norm_bound(spec), [times[-1] - times[0]])[0])
+    # K > z wherever the cut lies below J_k(z) ~ 0.45 k**(-1/3) at k = ceil(z),
+    # z < 1e11, so the node table has more than z rows of more than z terms:
+    # it is refused before the z steps that count K
+    _refuse_beyond_memory(z, z, 16 * z * z)
+    return times, z
+
+
 def trajectory(spec: ModelSpec, init: InitialStateSpec, times, seed: int | None = None
                ) -> Trajectory:
     """Evolve the composite initial state over the grid, on the one parity
     sector it occupies if the charger's nonzero entries share one parity,
     else on the full space; a random charger is drawn from ``seed``, once.
+    The run is first checked (``check_run``), before the charger, the
+    layout or the Hamiltonian is built.
 
     The expansion is evaluated at M Chebyshev nodes of [times[0],
     times[-1]], M >= 2 the number of terms the CHEBYSHEV_TOL cut keeps at
@@ -123,28 +138,16 @@ def trajectory(spec: ModelSpec, init: InitialStateSpec, times, seed: int | None 
     on the full space and half that on a sector for n >= 1;
     and the matrix-free Hamiltonian (``total_matvec``), held for the whole
     run: an int64 gather index per flip, L + n of them, and the diagonal,
-    8 (L + n + 1) bytes per vector entry.  Before K is counted, a window
-    whose coefficient table at the nodes, at least z by z, cannot fit is
-    refused.
+    8 (L + n + 1) bytes per vector entry.
     """
-    times = _finite_grid(times)
-    if times[0] < 0:
-        raise ValueError("time grid must start at t >= 0")
-    if not np.all(np.diff(times) > 0):
-        raise ValueError("time grid must be strictly increasing")
+    times, z = check_run(spec, init, times)
     charger = charger_state(init, spec.L, seed)
     # the batteries start in level 0, so full index c 2**n has the parity of c
     occupied = set((np.bitwise_count(np.flatnonzero(charger)) & 1).tolist())
     layout = sector_layout(spec, occupied.pop() if len(occupied) == 1 else None)
     psi0 = _place(charger, layout, spec.n)
     matvec, bound = total_matvec(spec, layout.basis)
-    window = phases(bound, [times[-1] - times[0]])
-    # K > z wherever the cut lies below J_k(z) ~ 0.45 k**(-1/3) at k = ceil(z),
-    # z < 1e11, so the node table has more than z rows of more than z terms:
-    # it is refused before the z steps that count K
-    z = float(window[0])
-    _refuse_beyond_memory(z, z, 16 * z * z)
-    count = max(2, chebyshev_coefficients(window).shape[1])
+    count = max(2, chebyshev_coefficients([z]).shape[1])
     nodes = chebyshev_nodes(times[0], times[-1], count)
     cells = layout.labels.size * layout.labels.shape[1]
     hamiltonian = 8 * (spec.qubits + 1) * psi0.size

@@ -14,9 +14,10 @@ line comes from one formatter, ``_format_rows``, GRID_BLOCK grid points
 at a time, and is written as it is made; ``write_csv`` reports each file.
 
 Each command runs its trajectories one after another, in run order; the
-command line runs BLAS on one thread by default (``cli.main``).  A config
-section that a command would not read fails before any run, as does a
-system too big for memory (``ModelSpec``).
+command line runs BLAS on one thread by default (``cli.main``).  Every
+refusal comes before the first run: a config section a command would not
+read, a system too big for memory (``ModelSpec``), and each run's grid,
+eigenstate pattern and window (``dynamics.check_run``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .analytic import (
     stored_energy_analytic,
 )
 from .config import ExperimentConfig, InitialStateSpec, ModelSpec, TimeGrid
-from .dynamics import trajectory
+from .dynamics import check_run, trajectory
 from .linalg import GRID_BLOCK
 from .model import battery_energies
 from .observables import (WORK_FLOOR, MeritSeries, charging_power, ergotropy, merit_series,
@@ -156,15 +157,6 @@ def _refuse_sweep(command: str, config: ExperimentConfig) -> None:
         raise ValueError(f"{command} runs no sweep; remove the config's sweep section")
 
 
-def _refuse_large_index(command: str, init: InitialStateSpec, specs) -> None:
-    """An eigenstate charger pattern must fit the ring of every system a
-    command runs: checked before the first run, naming the system."""
-    for spec in specs:
-        if init.charger_kind == "eigenstate" and init.index >> spec.L:
-            raise ValueError(f"{command}: initial.index {init.index} outside [0, 2**{spec.L}) "
-                             f"for the (L, n) = ({spec.L}, {spec.n}) system")
-
-
 def _refuse_spacing(command: str, model: ModelSpec) -> None:
     """A command that runs every system at the equispaced spacing L/n fails
     on a configured spacing other than that instead of dropping it; a
@@ -202,8 +194,9 @@ def cmd_fig1(config: ExperimentConfig, collapse_systems=FIG1_COLLAPSE_SYSTEMS) -
         replace(config.model, L=ls, n=ns, d=None) for ls, ns in collapse_systems
     ]
     _refuse_no_battery("fig1", specs)
-    _refuse_large_index("fig1", init, specs)
     runs = [(spec, init, config.seed) for spec in specs]
+    for spec in specs:
+        check_run(spec, init, times)
     results = [run_series(spec, init, times, seed) for spec, init, seed in runs]
     single = AnalyticParams.from_model(config.model)
     _collapse("xi", "ergotropy", runs, results, ergotropy_analytic(single, times))
@@ -232,7 +225,8 @@ def cmd_fig3(config: ExperimentConfig) -> None:
     whose omega, period or closed-form peak power leaves the float range.  A point
     whose peak ergotropy is at most WORK_FLOOR has no work, so no peak: its
     ``t`` and ``SL_num`` cells are left empty.  Every refusal comes before
-    the first run; the points then run one at a time, each printing its
+    the first run, each point's ``check_run`` on its window [0, period]
+    among them; the points then run one at a time, each printing its
     line as its row is made.
     """
     qubits = config.model.qubits
@@ -265,8 +259,8 @@ def cmd_fig3(config: ExperimentConfig) -> None:
         if not np.isfinite([period, peak_p_ana]).all():
             raise ValueError(f"{point}: period 2 pi / omega = {period:.3g} or peak power "
                              f"{peak_p_ana:.3g} leaves the float range")
+        check_run(spec, init, (0.0, period))
         points.append((spec, p, period, peak_p_ana))
-    _refuse_large_index("fig3", init, specs)
     if config.sweep is None:
         print(f"fig3: kappa grid {FIG3_KAPPAS} is an artifact default, "
               "not a reference-pinned set")
@@ -329,6 +323,8 @@ def cmd_fig4(config: ExperimentConfig) -> None:
                          f"most {2 ** 64 - FIG4_SEEDS}, got {config.seed}")
     times = config.grid.times()
     runs = [(config.model, InitialStateSpec("random"), seed) for seed in seeds]
+    for spec, init, _ in runs:
+        check_run(spec, init, times)
     results, spectral = zip(*(_run_with_spectral(spec, times, seed) for spec, _, seed in runs))
     # at each time the widest pair is (max, min), so ptp is the largest pairwise gap exactly
     pair_pop = float(np.max(np.ptp([series.ergotropy for series in results], axis=0)))
@@ -356,7 +352,8 @@ def cmd_sweep(config: ExperimentConfig) -> None:
     runs = [(replace(config.model, kappa=value) if config.sweep.parameter == "kappa"
              else replace(config.model, n=value, d=None), init, config.seed)
             for value in config.sweep.values]
-    _refuse_large_index("sweep", init, [spec for spec, _, _ in runs])
+    for spec, init, _ in runs:
+        check_run(spec, init, times)
     results = [run_series(spec, init, times, seed) for spec, init, seed in runs]
     write_csv(config.output_path, _SeriesLines(runs, results),
               f"sweep ({config.sweep.parameter})")

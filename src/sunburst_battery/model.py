@@ -107,12 +107,18 @@ def terms(spec: ModelSpec) -> tuple[np.ndarray, tuple[tuple[int, float], ...]]:
     return diagonal, bonds + couplings
 
 
+def norm_bound(spec: ModelSpec) -> float:
+    """The Gershgorin bound max_i sum_j |H_ij| >= ||H||_2 of the full space,
+    from the fields alone: the largest diagonal entry is h L + (delta/2) n
+    in size (inf for a diagonal that overflows, whose entries may read nan),
+    plus the flips' |coef| in terms()'s order, L times J then n kappa."""
+    return spec.h * spec.L + (spec.delta / 2.0) * spec.n + sum([spec.J] * spec.L
+                                                               + [spec.kappa] * spec.n)
+
+
 def total_matvec(spec: ModelSpec, basis=None):
-    """Matrix-free H_total: ``(matvec, bound)`` where matvec(psi) = H psi, by
-    one gather per flip of terms(), and bound is the Gershgorin row-sum
-    bound max_i sum_j |H_ij| >= ||H||_2 of the full space, taken from the
-    fields: the largest diagonal entry is h L + (delta/2) n in size, whose
-    inf stands for a diagonal that overflows (its entries may read nan).
+    """Matrix-free H_total: ``(matvec, norm_bound(spec))`` where matvec(psi)
+    = H psi, by one gather per flip of terms().
 
     psi holds the amplitudes of the full-space indices ``basis`` (all of
     them, in order, by default), which must span whole parity sectors (a
@@ -120,7 +126,6 @@ def total_matvec(spec: ModelSpec, basis=None):
     ``position[basis[i] ^ mask]``, the position in psi of that index.
     """
     diagonal, flips = terms(spec)
-    bound = spec.h * spec.L + (spec.delta / 2.0) * spec.n + sum(abs(coef) for _, coef in flips)
     basis = np.arange(spec.dim) if basis is None else np.asarray(basis)
     position = np.zeros(spec.dim, dtype=basis.dtype)
     position[basis] = np.arange(basis.size)
@@ -133,7 +138,7 @@ def total_matvec(spec: ModelSpec, basis=None):
             out += coef * psi[partner]
         return out
 
-    return matvec, bound
+    return matvec, norm_bound(spec)
 
 
 def battery_energies(n: int, delta: float) -> np.ndarray:

@@ -75,8 +75,10 @@ def test_xbasis_product_state():
     # pattern 0b10 puts site 1 in |->
     mixed = charger_state(InitialStateSpec("eigenstate", 0b10), 2)
     assert np.allclose(mixed, [0.5, 0.5, -0.5, -0.5])
-    with pytest.raises(ValueError):
-        charger_state(InitialStateSpec("eigenstate", 4), 2)
+    # a pattern beyond the ring is refused by the run, naming its system
+    with pytest.raises(ValueError, match=r"^initial\.index 4 outside \[0, 2\*\*2\) for the "
+                                         r"\(L, n\) = \(2, 1\) system$"):
+        trajectory(ModelSpec(2, 1), InitialStateSpec("eigenstate", 4), [0.0, 1.0])
 
 
 def test_random_charger_determinism_and_norm():
@@ -220,12 +222,16 @@ def test_a_model_too_big_for_memory_is_refused_before_its_state_is_built(tmp_pat
 
 def test_a_window_too_long_for_its_node_table_is_refused_before_k_is_counted(monkeypatch):
     # at z = 6.65e6 counting K alone would take ~7e6 recurrence steps; the
-    # node table, more than z rows of more than z terms, is refused first;
-    # a window 1e4 times shorter, whose K > z, is counted and run
-    def count(z):
-        raise AssertionError(f"K counted at z = {z}")
+    # node table, more than z rows of more than z terms, is refused first,
+    # before the charger or the Hamiltonian is built; a window 1e4 times
+    # shorter, whose K > z, is counted and run
+    def fail(name):
+        def call(*args):
+            raise AssertionError(f"{name} called before the window was checked")
+        return call
 
-    monkeypatch.setattr(dynamics, "chebyshev_coefficients", count)
+    for name in ("chebyshev_coefficients", "total_matvec", "charger_state"):
+        monkeypatch.setattr(dynamics, name, fail(name))
     with pytest.raises(ValueError, match=r"^Chebyshev expansion at z = 6\.65e\+06 needs "
                                          r"6\.65e\+06 coefficient terms per point: 7\.08e\+14 "
                                          r"bytes, more than the \S+ bytes of physical memory$"):

@@ -1354,7 +1354,7 @@ def test_an_eigenstate_index_too_large_for_a_ring_is_refused_before_any_run(
     config_path.write_text(json.dumps(data))
     assert main([command, "--config", str(config_path)]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"error: {command}: initial.index 1000 outside [0, 2**9) for the (L, n) = (9, 3) system"]
+        "error: initial.index 1000 outside [0, 2**9) for the (L, n) = (9, 3) system"]
     assert calls == [] and not out.exists()
 
 
@@ -1401,6 +1401,47 @@ def test_an_n_sweep_refuses_a_value_too_big_for_memory_before_any_run(tmp_path, 
     assert captured.err.splitlines() == [
         "error: a run at (L, n) = (20, 10) holds its state and Hamiltonian on 2**29 entries or "
         "more, 264 bytes each: 1.42e+11 bytes, more than the 8.59e+09 bytes of physical memory"]
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command, data, error", [
+    ("sweep", {"model": {"L": 4, "n": 1}, "sweep": {"parameter": "kappa", "values": [2.0, 1e9]}},
+     "Chebyshev expansion at z = 2e+09 needs 2e+09 coefficient terms per point: 6.4e+19 bytes, "
+     "more than the 8.59e+09 bytes of physical memory"),
+    ("sweep", {"model": {"L": 4, "n": 1}, "sweep": {"parameter": "kappa", "values": [2.0, 1e308]}},
+     "phase bound * t = 1e+308 * 2 overflows the float range"),
+    ("fig3", {"model": {"L": 5, "n": 1, "delta": 1e-300}, "grid": {"steps": 50},
+              "sweep": {"parameter": "kappa", "values": [2.0, 1e-300]}},
+     "Chebyshev expansion at z = 1.55e+301 needs 1.55e+301 coefficient terms per point: inf "
+     "bytes, more than the 8.59e+09 bytes of physical memory"),
+    ("fig1", {"model": {"L": 11, "n": 1, "kappa": 8000.0}},
+     "Chebyshev expansion at z = 3.2e+04 needs 3.2e+04 coefficient terms per point: 1.64e+10 "
+     "bytes, more than the 8.59e+09 bytes of physical memory"),
+    ("fig4", {"model": {"L": 4, "n": 1, "kappa": 1e9}},
+     "Chebyshev expansion at z = 2e+09 needs 2e+09 coefficient terms per point: 6.4e+19 bytes, "
+     "more than the 8.59e+09 bytes of physical memory"),
+], ids=["sweep-node-table", "sweep-phase-overflow", "fig3-node-table", "fig1-collapse-node-table",
+        "fig4-node-table"])
+def test_a_window_a_run_cannot_hold_is_refused_before_any_run(tmp_path, capsys, monkeypatch,
+                                                              command, data, error):
+    # the first sweep or fig3 run (kappa = 2) fits and a later value's
+    # window does not, its node table (z by z at least) or its phase z =
+    # bound * t beyond the float range; fig1's (11, 1) panel fits and its
+    # (10, 2) collapse system, of twice the coupling bound, does not; every
+    # run's window is checked before the first one starts, fig4's included
+    report_physical_memory(monkeypatch, 1 << 33)
+
+    def run(*args):
+        raise AssertionError("a run started before every window was checked")
+
+    monkeypatch.setattr(experiments, "trajectory", run)
+    monkeypatch.setattr(experiments, "run_series", run)
+    out = tmp_path / f"{command}.csv"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**data, "output_path": str(out)}))
+    assert main([command, "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {error}"]
     assert captured.out == "" and not out.exists()
 
 
