@@ -1,5 +1,6 @@
 """Closed-form figures of merit in the strong-charger limit (J >> h): the
-forms the commands write and print.
+forms the commands print and write, every CSV cell through
+``experiments.analytic_reference``.
 
 With the ring prepared in a cat state and one battery attached, the
 composite state stays in a two-dimensional subspace and oscillates at the
@@ -9,19 +10,18 @@ r = 2 kappa / omega and s = delta / omega, which AnalyticParams caches,
     A(t) = cos(omega t / 2) + i s sin(omega t / 2)
     B(t) = i r sin(omega t / 2)
 
-with |A|^2 + |B|^2 = 1.  Stored energy, ergotropy and its peak, linear
-entropy and the charging time follow from the excited population |B|^2;
-the peak ergotropy is delta (r^2 - s^2), and the charging power is
+with |A|^2 + |B|^2 = 1.  Stored energy, ergotropy and linear entropy
+follow from the excited population |B|^2, and the charging power is
 ``observables.charging_power`` of the stored energy.  At omega = 0
-(delta = kappa = 0) r = s = 0, and every form but the charging time
-reads the frozen battery from them.
+(delta = kappa = 0) r = s = 0, and every form reads the frozen battery.
 At h = 0 each of n equispaced batteries is excited with probability
 |B|^2, independently, so the stored energy, ergotropy (population
 convention) and power of n batteries are n times one battery's, and a cat
 charger leaves them the linear entropy (1 - (1 - 2|B|^2)^(2n)) / 2.  The
 functions accept scalar or array times.  The amplitudes themselves, the
-ergotropy window, the locked energy and the independent two-battery forms
-are oracles of the self-check suite only and live in ``validate``.
+charging time, the peak ergotropy, the ergotropy window, the locked
+energy and the independent two-battery forms are oracles of the
+self-check suite only and live in ``validate``.
 """
 
 from __future__ import annotations
@@ -75,13 +75,21 @@ def excited_population(p: AnalyticParams, t):
 def linear_entropy_analytic(p: AnalyticParams, t, n: int = 1):
     """Mixedness 1 - tr(rho^2) of n batteries charged from a cat charger,
     (1 - (1 - 2|B|^2)^(2n)) / 2: for one battery 1 - (|A|^4 + |B|^4), at
-    most 1/2."""
-    return 0.5 * (1.0 - (1.0 - 2.0 * excited_population(p, t)) ** (2 * n))
+    most 1/2.  The square is raised to the n-th power by n elementwise
+    products in place, where numpy's float power would round by the CPU's
+    SIMD kernel."""
+    square = (1.0 - 2.0 * excited_population(p, t)) ** 2
+    power = np.ones_like(square)
+    for _ in range(n):
+        power *= square
+    return 0.5 * (1.0 - power)
 
 
 def stored_energy_analytic(p: AnalyticParams, t):
-    """Single-battery stored energy delta * |B(t)|^2."""
-    return p.delta * excited_population(p, t)
+    """Single-battery stored energy delta |B(t)|^2, formed as
+    (delta r)(r sin^2(omega t / 2)): at a huge delta, where r^2 underflows,
+    it still reads 4 kappa^2 sin^2(omega t / 2) / delta."""
+    return (p.delta * p.r) * (p.r * np.sin(p.omega * _times(t) / 2.0) ** 2)
 
 
 def ergotropy_analytic(p: AnalyticParams, t):
@@ -93,19 +101,3 @@ def ergotropy_analytic(p: AnalyticParams, t):
     """
     raw = p.delta * (2.0 * excited_population(p, t) - 1.0)
     return np.maximum(0.0, raw) + 0.0
-
-
-def charging_time(p: AnalyticParams) -> float:
-    """First time the stored energy peaks: T = pi / omega."""
-    if p.omega == 0.0:
-        raise ValueError("charging time is undefined for delta = kappa = 0")
-    return float(np.pi / p.omega)
-
-
-def max_ergotropy(p: AnalyticParams) -> float:
-    """Peak extractable work delta (r^2 - s^2), reached at T.
-
-    Clamped at 0 below the 2 kappa >= delta threshold; grows monotonically
-    with the coupling and saturates at delta.
-    """
-    return max(0.0, p.delta * (p.r * p.r - p.s * p.s))

@@ -7,9 +7,10 @@ imports.
 CSV layout is fixed (see CSV_COLUMNS): numeric columns carry raw battery
 register totals, the n column supports per-battery normalization, and the
 analytic reference columns hold the strong-charger closed forms of n
-batteries for every n (``analytic_reference``).  Floats are written with
-17 significant digits and LF line endings so a run is reproducible byte
-for byte given (config, seed), whatever the BLAS thread count.  Every
+batteries for every n, every command's from ``analytic_reference``.
+Floats are written with 17 significant digits and LF line endings so a
+run is reproducible byte for byte given (config, seed), whatever the BLAS
+thread count, on one numpy build and BLAS kernel.  Every
 line comes from one formatter, ``_format_rows``, GRID_BLOCK grid points
 at a time, and is written as it is made; ``write_csv`` reports each file.
 
@@ -26,14 +27,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .analytic import (
-    AnalyticParams,
-    charging_time,
-    ergotropy_analytic,
-    linear_entropy_analytic,
-    max_ergotropy,
-    stored_energy_analytic,
-)
+from .analytic import (AnalyticParams, ergotropy_analytic, linear_entropy_analytic,
+                       stored_energy_analytic)
 from .config import ExperimentConfig, InitialStateSpec, ModelSpec, TimeGrid
 from .dynamics import check_run, trajectory
 from .linalg import GRID_BLOCK
@@ -48,7 +43,7 @@ FIG1_COLLAPSE_SYSTEMS = ((10, 2), (9, 3), (8, 4))
 FIG3_KAPPAS = (0.25, 0.5, 1.0, 2.0, 4.0)
 FIG3_BATTERY_COUNTS = (1, 2, 3, 4)
 FIG4_SEEDS = 3
-POWER_PEAK_COEFF = 1.45  # rounded coefficient of the power maximum
+POWER_PEAK_COEFF = 1.45  # bounds the peak power coefficient 2 sin^2(x)/x = 1.44922, tan x = 2x
 
 
 def write_csv(path, lines, label: str) -> None:
@@ -222,9 +217,13 @@ def cmd_fig3(config: ExperimentConfig) -> None:
     The kappa grid is the values of the config's sweep section, which must
     sweep kappa, else FIG3_KAPPAS.  The grid section sets the number of
     points only: a window other than the default is refused, as is a point
-    whose omega, period or closed-form peak power leaves the float range.  A point
-    whose peak ergotropy is at most WORK_FLOOR has no work, so no peak: its
-    ``t`` and ``SL_num`` cells are left empty.  Every refusal comes before
+    whose omega, period or n-battery bound n POWER_PEAK_COEFF delta kappa^2
+    / omega on the peak power leaves the float range.  A row's numeric and
+    closed-form (``analytic_reference``) cells are reduced alike from the
+    columns on the point's grid: dE, xi and P are the column maxima, and t
+    and SL are read at the numeric ergotropy peak.  A point whose peak
+    ergotropy is at most WORK_FLOOR has no work, so no peak: its ``t``,
+    ``SL_num`` and ``SL_ana`` cells are left empty.  Every refusal comes before
     the first run, each point's ``check_run`` on its window [0, period]
     among them; the points then run one at a time, each printing its
     line as its row is made.
@@ -254,39 +253,33 @@ def cmd_fig3(config: ExperimentConfig) -> None:
             raise ValueError(f"{point}: omega = sqrt(delta^2 + 4 kappa^2) = inf leaves the "
                              "float range")
         period = 2.0 * np.pi / p.omega
-        # kappa / omega <= 1/2 first: kappa * kappa would overflow below a finite peak
-        peak_p_ana = POWER_PEAK_COEFF * p.delta * p.kappa * (p.kappa / p.omega)
-        if not np.isfinite([period, peak_p_ana]).all():
+        # kappa / omega <= 1/2 first and n last, so no partial product overflows early
+        peak_power = spec.n * (POWER_PEAK_COEFF * p.delta * p.kappa * (p.kappa / p.omega))
+        if not np.isfinite([period, peak_power]).all():
             raise ValueError(f"{point}: period 2 pi / omega = {period:.3g} or peak power "
-                             f"{peak_p_ana:.3g} leaves the float range")
+                             f"{peak_power:.3g} leaves the float range")
         check_run(spec, init, (0.0, period))
-        points.append((spec, p, period, peak_p_ana))
+        points.append((spec, period))
     if config.sweep is None:
         print(f"fig3: kappa grid {FIG3_KAPPAS} is an artifact default, "
               "not a reference-pinned set")
     rows = []
-    for spec, p, period, peak_p_ana in points:
+    for spec, period in points:
         times = np.linspace(0.0, period, config.grid.steps)
         series = run_series(spec, init, times, config.seed)
         k = int(np.argmax(series.ergotropy))
-        peak_work, peak_power = float(series.ergotropy[k]), float(series.power.max())
-        working = peak_work > WORK_FLOOR
-        rows.extend(_format_rows([
-            (series.t[k],) if working else None,
-            (series.stored_energy.max(),),
-            (peak_work,),
-            (series.linear_entropy[k],) if working else None,
-            (peak_power,),
-            (spec.n * p.delta * p.r * p.r,),
-            (spec.n * max_ergotropy(p),),
-            (linear_entropy_analytic(p, charging_time(p), spec.n),),
-            (spec.n * peak_p_ana,),
-        ], (spec.n, spec.L, spec.kappa, config.seed)))
+        working = series.ergotropy[k] > WORK_FLOOR
+        peaks = [(energy.max(), work.max(), entropy[k] if working else None, power.max())
+                 for energy, work, entropy, power in (
+                     (series.stored_energy, series.ergotropy, series.linear_entropy, series.power),
+                     analytic_reference(spec, times))]
+        rows.extend(_format_rows([None if cell is None else (cell,) for cell in
+                                  (series.t[k] if working else None, *peaks[0], *peaks[1])],
+                                 (spec.n, spec.L, spec.kappa, config.seed)))
+        (_, work, _, power), (_, work_ana, _, power_ana) = peaks
         print(f"fig3 (n={spec.n}, kappa={spec.kappa}): {'' if working else 'no work, '}"
-              f"max xi/n = {peak_work / spec.n:.5g} "
-              f"(closed form {max_ergotropy(p):.5g}), "
-              f"max P/n = {peak_power / spec.n:.5g} "
-              f"(approx {peak_p_ana:.5g})")
+              f"max xi/n = {work / spec.n:.5g} (closed form {work_ana / spec.n:.5g}), "
+              f"max P/n = {power / spec.n:.5g} (closed form {power_ana / spec.n:.5g})")
     write_csv(config.output_path, rows, "fig3")
 
 

@@ -4,16 +4,17 @@
 pipeline against dense oracles and the closed forms.  The references it
 needs beyond what the commands write live here, so no figure command
 imports this module (``cli.main`` loads it for ``validate`` only): the
-strong-charger amplitudes, the locked energy, the ergotropy window and
-its bisection, the power at the charging time, the independent
-two-battery populations, the dense oracles (the full Hamiltonian
-scattered from model.terms, build_total; its LAPACK eigendecomposition,
-eigh; spectral propagation with that on a time grid, evolve_on_grid; the
-sliced Taylor-series propagator and the Gershgorin bound of a dense
-matrix), the looped partial trace, the corrupted coupling, the states of
-a whole expansion or trajectory at once and the full-space start vector,
-and the oracle gaps that acceptance criterion 8 calls with larger cases.
-A part of H is read from build_total with the other parts switched off.
+strong-charger amplitudes, the charging time and the peak ergotropy, the
+locked energy, the ergotropy window and its bisection, the power at the
+charging time, the independent two-battery populations, the dense
+oracles (the full Hamiltonian scattered from model.terms, build_total;
+its LAPACK eigendecomposition, eigh; spectral propagation with that on a
+time grid, evolve_on_grid; the sliced Taylor-series propagator and the
+Gershgorin bound of a dense matrix), the looped partial trace, the
+corrupted coupling, the states of a whole expansion or trajectory at
+once and the full-space start vector, and the oracle gaps that
+acceptance criterion 8 calls with larger cases.  A part of H is read from
+build_total with the other parts switched off.
 """
 
 from __future__ import annotations
@@ -26,10 +27,8 @@ import numpy as np
 from .analytic import (
     AnalyticParams,
     _times,
-    charging_time,
     ergotropy_analytic,
     excited_population,
-    max_ergotropy,
     stored_energy_analytic,
 )
 from .config import InitialStateSpec, ModelSpec
@@ -59,6 +58,22 @@ def unavailable_analytic(p: AnalyticParams, t):
     and is positive for every t and every parameter choice.
     """
     return p.delta * (1.0 - excited_population(p, t))
+
+
+def charging_time(p: AnalyticParams) -> float:
+    """First time the stored energy peaks: T = pi / omega."""
+    if p.omega == 0.0:
+        raise ValueError("charging time is undefined for delta = kappa = 0")
+    return float(np.pi / p.omega)
+
+
+def max_ergotropy(p: AnalyticParams) -> float:
+    """Peak extractable work delta (r^2 - s^2), reached at T.
+
+    Clamped at 0 below the 2 kappa >= delta threshold; grows monotonically
+    with the coupling and saturates at delta.
+    """
+    return max(0.0, p.delta * (p.r * p.r - p.s * p.s))
 
 
 def window_times(p: AnalyticParams):
@@ -352,8 +367,8 @@ def _check_amplitudes(rng):
 
 def _check_analytic_chain(rng):
     """Closed-form identities at strong coupling, the window by bisection
-    and the period; and the rounded POWER_PEAK_COEFF against the power
-    maximum sampled over one period."""
+    and the period; and POWER_PEAK_COEFF, an upper bound, within 5e-3
+    above the power maximum sampled over one period."""
     p = AnalyticParams(0.5, 2.0)
     t_charge = charging_time(p)
     t1, t2 = window_times(p)
@@ -372,8 +387,8 @@ def _check_analytic_chain(rng):
     )
     grid = np.linspace(0, period, 2001)
     peak = float(np.max(charging_power(stored_energy_analytic(p, grid), grid)))
-    coeff_dev = abs(peak / (POWER_PEAK_COEFF * p.delta * p.kappa ** 2 / p.omega) - 1)
-    return (chain_dev <= 1e-8 and coeff_dev <= 5e-3,
+    coeff_dev = 1 - peak / (POWER_PEAK_COEFF * p.delta * p.kappa ** 2 / p.omega)
+    return (chain_dev <= 1e-8 and 0 <= coeff_dev <= 5e-3,
             f"max identity residual {chain_dev:.2e}, power peak {coeff_dev:.2e} "
             f"from POWER_PEAK_COEFF")
 

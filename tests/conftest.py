@@ -44,27 +44,19 @@ def report_physical_memory(monkeypatch, memory) -> int:
 class HeavyCache:
     """Shares the full-size results across test modules.
 
-    Merit series are memoized per (model, initial state, grid, run seed): a
-    dimension-4096 Chebyshev trajectory takes a fraction of a second, but
-    the acceptance criteria read the same reference runs many times.
-    Trajectories are not kept: a test that needs one calls ``trajectory``
-    itself.
+    Merit series are memoized per (model, initial state, grid, run seed),
+    keyed on the frozen specs themselves, so every field of each is part of
+    the key: a dimension-4096 Chebyshev trajectory takes a fraction of a
+    second, but the acceptance criteria read the same reference runs many
+    times.  Trajectories are not kept: a test that needs one calls
+    ``trajectory`` itself.
     """
 
     def __init__(self):
         self._series = {}
 
-    @staticmethod
-    def _model_key(spec):
-        return (spec.L, spec.n, spec.d, spec.J, spec.h, spec.delta, spec.kappa)
-
     def series(self, spec, init=GHZ, times=REFERENCE_GRID, seed=None):
-        key = (
-            self._model_key(spec),
-            (init.charger_kind, init.index),
-            (float(times[0]), float(times[-1]), len(times)),
-            seed,
-        )
+        key = (spec, init, (float(times[0]), float(times[-1]), len(times)), seed)
         if key not in self._series:
             self._series[key] = run_series(spec, init, times, seed)
         return self._series[key]

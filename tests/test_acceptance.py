@@ -16,7 +16,6 @@ from sunburst_battery.analytic import (
     AnalyticParams,
     ergotropy_analytic,
     linear_entropy_analytic,
-    max_ergotropy,
     stored_energy_analytic,
 )
 from sunburst_battery.cli import main
@@ -28,6 +27,7 @@ from sunburst_battery.validate import (
     amplitude_residual,
     build_total,
     conservation_drift,
+    max_ergotropy,
     partial_trace_gap,
     propagator_gap,
     trajectory_states,

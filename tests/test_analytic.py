@@ -3,17 +3,17 @@ import pytest
 
 from sunburst_battery.analytic import (
     AnalyticParams,
-    charging_time,
     ergotropy_analytic,
     excited_population,
     linear_entropy_analytic,
-    max_ergotropy,
     stored_energy_analytic,
 )
 from sunburst_battery.observables import charging_power
 from sunburst_battery.validate import (
     amplitudes,
     bisect_window,
+    charging_time,
+    max_ergotropy,
     power_at_T,
     two_battery,
     unavailable_analytic,

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import GHZ, numpy_figures, report_physical_memory
 from sunburst_battery import experiments, validate
-from sunburst_battery.analytic import AnalyticParams, max_ergotropy
+from sunburst_battery.analytic import AnalyticParams
 from sunburst_battery.cli import build_parser, config_from_args, main
 from sunburst_battery.config import (
     CHARGER_KINDS,
@@ -43,7 +43,7 @@ from sunburst_battery.experiments import (
 from sunburst_battery.model import battery_energies
 from sunburst_battery.observables import WORK_FLOOR, MeritSeries, charging_power, reduce_to_battery
 from sunburst_battery.validate import (CHECKS, VALIDATE_SEED, build_total, cmd_validate, eigh,
-                                       evolve_on_grid, initial_state)
+                                       evolve_on_grid, initial_state, max_ergotropy)
 
 SMALL_MODEL = {"L": 4, "n": 1, "J": 1.0, "h": 0.1, "delta": 0.5, "kappa": 2.0}
 
@@ -367,7 +367,7 @@ def test_csv_golden_bytes_for_tuple_and_series_rows(tmp_path):
           "1e-300,-1e-300,0,0,0,0,3,6,0.5,9\n"
         + "0.33333333333333331,-0.33333333333333331,0.33333333333333331,"
           "0.33333333333333331,-0.33333333333333331,0.041186640704626791,0,"
-          "0.14371807539089571,0.12355992211388037,3,6,0.5,9\n").encode()
+          "0.14371807539089576,0.12355992211388037,3,6,0.5,9\n").encode()
 
 
 @settings(max_examples=200, deadline=None)
@@ -659,8 +659,10 @@ def test_fig3_small_scale(tmp_path):
     cols = read_csv(config.output_path)
     assert len(cols["t"]) == 6
     assert list(zip(cols["n"], cols["L"])) == [(1, 5), (1, 5), (2, 4), (2, 4), (3, 3), (3, 3)]
-    for name in ("dE_ana", "xi_ana", "SL_ana", "P_ana"):
+    for name in ("dE_ana", "xi_ana", "P_ana"):
         assert not np.isnan(cols[name]).any(), name
+    # SL_ana is read at the numeric ergotropy peak, so it is blank where SL_num is
+    assert np.array_equal(np.isnan(cols["SL_ana"]), np.isnan(cols["SL_num"]))
     # per battery: the closed-form cells of every n are n times one battery's
     xi, xi_ana, power, power_ana = (cols[name] / cols["n"]
                                     for name in ("xi_num", "xi_ana", "P_num", "P_ana"))
@@ -707,7 +709,9 @@ def test_fig3_leaves_peak_cells_empty_without_work(tmp_path, capsys):
 def test_fig3_rows_are_the_peaks_of_the_runs_they_name(tmp_path):
     # each row's t, dE, xi, SL and P cells are read, to the last bit, from
     # the columns of run_series on that row's system and period grid: t and
-    # SL at the ergotropy argmax (empty without work), the others maxima
+    # SL at the ergotropy argmax (empty without work), the others maxima;
+    # its closed-form cells are the same reduction of analytic_reference on
+    # that grid, SL_ana read at the numeric argmax
     config = small_config(tmp_path, "fig3.csv", model={**SMALL_MODEL, "L": 5},
                           sweep={"parameter": "kappa", "values": [0.2, 2.0]})
     cmd_fig3(config)
@@ -721,13 +725,30 @@ def test_fig3_rows_are_the_peaks_of_the_runs_they_name(tmp_path):
         series = experiments.run_series(spec, config.initial, times, config.seed)
         k = np.argmax(series.ergotropy)
         working = series.ergotropy[k] > WORK_FLOOR
+        dE, xi, sl, power = analytic_reference(spec, times)
         expected = {"t": times[k] if working else np.nan,
                     "dE_num": series.stored_energy.max(), "xi_num": series.ergotropy[k],
                     "SL_num": series.linear_entropy[k] if working else np.nan,
-                    "P_num": series.power.max()}
+                    "P_num": series.power.max(), "dE_ana": dE.max(), "xi_ana": xi.max(),
+                    "SL_ana": sl[k] if working else np.nan, "P_ana": power.max()}
         for name, value in expected.items():
             assert np.array_equal(cols[name][row], value, equal_nan=True), (row, name)
     assert np.isnan(cols["t"][cols["kappa"] == 0.2]).all()
+
+
+def test_fig3_meets_its_closed_forms_at_zero_field(tmp_path, capsys):
+    # at h = 0 the closed forms are exact, and fig3 reduces its numeric and
+    # closed-form columns alike on one grid: every numeric cell is within
+    # 1e-12 of its closed-form cell, SL_ana blank exactly where SL_num is,
+    # whatever the grid misses of the true peaks
+    code, out, err, cols = run_cli(tmp_path, capsys, "fig3", {
+        "model": {"L": 5, "n": 1, "h": 0.0}, "grid": {"steps": 200}})
+    assert (code, err) == (0, []) and len(cols["t"]) == 3 * len(experiments.FIG3_KAPPAS)
+    for quantity in ("dE", "xi", "SL", "P"):
+        numeric, closed = cols[quantity + "_num"], cols[quantity + "_ana"]
+        assert np.array_equal(np.isnan(numeric), np.isnan(closed)), quantity
+        assert np.nanmax(np.abs(numeric - closed)) <= 1e-12, quantity
+    assert np.isnan(cols["SL_ana"]).sum() == 3
 
 
 @pytest.mark.parametrize("kappas", [[0.0], [2.0, 0.0]], ids=["alone", "after-a-point"])
@@ -801,29 +822,34 @@ def run_cli(tmp_path, capsys, command, data):
 def test_fig3_writes_finite_cells_where_omega_squared_overflows(tmp_path, capsys, delta):
     # omega ** 2 leaves the float range from omega ~ 1.3e154 while the runs,
     # one period long, do not: each closed-form cell is written from ratios
-    # and products, and the stored energy n delta 4 kappa^2 / omega^2 is
-    # 4 n kappa^2 / delta there, not 0
+    # and products, and the stored energy n delta 4 kappa^2 / omega^2
+    # sin^2(omega t / 2) peaks on the grid at 4 n kappa^2 / delta times the
+    # grid's largest sin^2(omega t / 2), sin^2(9 pi / 19), not at 0.  No point
+    # has work, so SL_ana is blank with SL_num
     code, out, err, cols = run_cli(tmp_path, capsys, "fig3",
                                    {"model": {"L": 11, "n": 1, "delta": delta},
                                     "grid": {"steps": 20}})
     assert (code, err) == (0, [])
     assert out[-1].endswith("wrote 20 rows to " + str(tmp_path / "fig3.csv"))
-    for name in ("dE_num", "xi_num", "P_num", "dE_ana", "xi_ana", "SL_ana", "P_ana"):
+    for name in ("dE_num", "xi_num", "P_num", "dE_ana", "xi_ana", "P_ana"):
         assert np.isfinite(cols[name]).all(), name
-    expected = 4 * cols["n"] * cols["kappa"] ** 2 / delta
+    assert np.isnan(cols["SL_num"]).all() and np.isnan(cols["SL_ana"]).all()
+    expected = 4 * cols["n"] * cols["kappa"] ** 2 / delta * np.sin(9 * np.pi / 19) ** 2
     assert np.all(np.abs(cols["dE_ana"] - expected) <= 1e-12 * expected)
 
 
 def test_fig3_writes_the_saturated_closed_forms_at_a_huge_coupling(tmp_path, capsys):
-    # at kappa = 1e300 the peak ergotropy per battery is delta, though
-    # kappa * kappa overflows; the peak power 1.45 delta kappa^2 / omega is
-    # ~3.6e299, finite, so the point runs
+    # at kappa = 1e300 the ergotropy per battery is delta (2 sin^2(omega t / 2)
+    # - 1), though kappa * kappa overflows: on the grid it peaks at
+    # sin^2(9 pi / 19), just below delta; the bound n 1.45 delta kappa^2 /
+    # omega on the peak power is ~1.1e300 at n = 3, finite, so the point runs
     code, out, err, cols = run_cli(tmp_path, capsys, "fig3", {
         "model": {"L": 5, "n": 1, "delta": 0.5},
         "sweep": {"parameter": "kappa", "values": [1e300]}, "grid": {"steps": 20}})
     assert (code, err) == (0, [])
     assert list(cols["n"]) == [1, 2, 3]
-    assert np.array_equal(cols["xi_ana"], 0.5 * cols["n"])
+    expected = 0.5 * cols["n"] * (2 * np.sin(9 * np.pi / 19) ** 2 - 1)
+    assert np.all(np.abs(cols["xi_ana"] - expected) <= 1e-12 * expected)
     assert np.isfinite(cols["P_ana"]).all() and np.all(cols["P_ana"] > 0)
     # the printed peaks are bounded: ~3.6e299 is not written out digit by digit
     assert max(len(line) for line in out) <= 120
@@ -859,6 +885,25 @@ def test_fig3_refuses_a_point_whose_period_or_peak_power_overflows(
     assert shown in err[0] and err[0].endswith(" leaves the float range")
 
 
+def test_fig3_refuses_a_point_whose_n_battery_peak_power_overflows(tmp_path, monkeypatch,
+                                                                   capsys):
+    # at delta = 1e10 and kappa = 1e298 the bound 1.45 delta kappa^2 / omega
+    # on one battery's peak power is 7.25e307: n = 1 and 2 stay finite, and
+    # the n = 3 point, whose cells are three times that, is refused by name
+    # before the first run (formed as n 1.45 delta kappa, the product would
+    # overflow at n = 2 already)
+    def fail(*args):
+        raise AssertionError("fig3 ran a point")
+
+    monkeypatch.setattr(experiments, "run_series", fail)
+    code, out, err, cols = run_cli(tmp_path, capsys, "fig3", {
+        "model": {"L": 5, "n": 1, "delta": 1e10}, "grid": {"steps": 20},
+        "sweep": {"parameter": "kappa", "values": [1e298]}})
+    assert (code, out, cols) == (2, [], None)
+    assert err == ["error: fig3 (n=3, kappa=1e+298): period 2 pi / omega = 3.14e-298 or peak "
+                   "power inf leaves the float range"]
+
+
 EXTREME_FIELDS = (-0.0, 0.0, 5e-324, 1e-310, 1e160, 1e300, 1e308)
 
 
@@ -882,15 +927,18 @@ def extreme_field_cases():
 
 def test_extreme_fields_run_or_fail_in_one_line(tmp_path, capsys):
     # every command on fields from a signed zero to the float limit either
-    # runs, writing no inf or nan cell but fig3's blank peak cells and no -0
-    # cell, or fails with one error line: never a traceback, and never a
-    # numpy warning, which the test settings turn into an error
+    # runs, writing no inf or nan cell but fig3's blank peak cells (SL_ana
+    # blank exactly where SL_num is) and no -0 cell, or fails with one error
+    # line: never a traceback, and never a numpy warning, which the test
+    # settings turn into an error
     outcomes = {}
     for name, command, data in extreme_field_cases():
         code, _, err, cols = run_cli(tmp_path, capsys, command, data)
         assert code == 0 and err == [] or code == 2 and len(err) == 1, (name, code, err)
+        if cols is not None and command == "fig3":
+            assert np.array_equal(np.isnan(cols["SL_ana"]), np.isnan(cols["SL_num"])), name
         for column, cells in (cols or {}).items():
-            blank = command == "fig3" and column in ("t", "SL_num")
+            blank = command == "fig3" and column in ("t", "SL_num", "SL_ana")
             assert not np.isinf(cells).any() and (blank or not np.isnan(cells).any()), (
                 name, column)
             assert not (np.signbit(cells) & (cells == 0)).any(), (name, column)
@@ -1671,6 +1719,43 @@ def test_default_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
         assert first.count(b"\n") == 1 + {"fig1": 4, "fig4": 3}[command] * 2000
         for _, out in children[1:]:
             assert out.read_bytes() == first, out.name
+
+
+CPU_KERNEL_VARIABLES = ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+                        {"OPENBLAS_CORETYPE": "Prescott"})
+
+
+def test_closed_form_cells_do_not_depend_on_the_cpu_kernels(tmp_path):
+    # an n sweep at L = 4 over n = 2 and 4 in fresh processes: by default,
+    # with numpy's AVX-512 kernels switched off, and with OpenBLAS held to
+    # its Prescott kernel.  The t, closed-form and label cells are
+    # byte-identical to the default run's, and every *_num cell is within
+    # 1e-13 of it.  On a CPU without AVX-512, or with an OpenBLAS that is not
+    # built DYNAMIC_ARCH, these variables change nothing, and the three runs
+    # agree trivially
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"L": 4, "n": 2}, "grid": {"steps": 2000},
+                                  "sweep": {"parameter": "n", "values": [2, 4]}}))
+    children = []
+    for k, variables in enumerate(CPU_KERNEL_VARIABLES):
+        out = tmp_path / f"sweep-{k}.csv"
+        cmd = [sys.executable, "-m", "sunburst_battery.cli", "sweep", "--config", str(config),
+               "--out", str(out)]
+        children.append((subprocess.Popen(cmd, env=child_env(**variables),
+                                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE), out))
+    for child, _ in children:
+        _, err = child.communicate(timeout=300)
+        assert child.returncode == 0, err.decode()
+    tables = [[line.split(",") for line in out.read_text().splitlines()] for _, out in children]
+    assert len(tables[0]) == 1 + 2 * 2000
+    numeric = [CSV_COLUMNS.index(name) for name in CSV_COLUMNS if name.endswith("_num")]
+    for table in tables[1:]:
+        assert len(table) == len(tables[0])
+        for row, (line, reference) in enumerate(zip(table, tables[0])):
+            assert [cell for j, cell in enumerate(line) if j not in numeric] == [
+                cell for j, cell in enumerate(reference) if j not in numeric], row
+            assert all(abs(float(line[j]) - float(reference[j])) <= 1e-13
+                       for j in numeric if row), row
 
 
 def command_cases():
