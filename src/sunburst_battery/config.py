@@ -215,7 +215,7 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept parameter (kappa or n) and its values."""
+    """One swept parameter (kappa or n) and its values, none repeated."""
 
     parameter: str
     values: tuple
@@ -236,6 +236,8 @@ class SweepSpec:
             values = tuple(integral("sweep.values", v) for v in values)
             if any(v < 0 for v in values):
                 raise ValueError("n values must be non-negative")
+        if len(set(values)) < len(values):
+            raise ValueError(f"sweep.values must name each series once, got {list(values)}")
         object.__setattr__(self, "values", values)
 
 

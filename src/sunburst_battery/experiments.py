@@ -14,10 +14,11 @@ thread count, on one numpy build and BLAS kernel.  Every
 line comes from one formatter, ``_format_rows``, GRID_BLOCK grid points
 at a time, and is written as it is made; ``write_csv`` reports each file.
 
-Each command runs its trajectories one after another, in run order; the
-command line runs BLAS on one thread by default (``cli.main``).  Every
-refusal comes before the first run: a config section a command would not
-read, a system too big for memory (``ModelSpec``), and each run's grid,
+Each command runs its trajectories one after another, in run order, each
+CSV key once (fig1 and fig3 on the register's systems, ``_register_systems``),
+with BLAS on one thread by default (``cli.main``).  Every refusal comes
+before the first run: a config section a command would not read, a
+system too big for memory (``ModelSpec``), and each run's grid,
 eigenstate pattern and window (``dynamics.check_run``).
 """
 
@@ -39,9 +40,8 @@ from .observables import (WORK_FLOOR, MeritSeries, charging_power, ergotropy, me
 CSV_COLUMNS = ("t", "dE_num", "xi_num", "SL_num", "P_num",
                "dE_ana", "xi_ana", "SL_ana", "P_ana", "n", "L", "kappa", "seed")
 
-FIG1_COLLAPSE_SYSTEMS = ((10, 2), (9, 3), (8, 4))
+BATTERY_COUNTS = (1, 2, 3, 4)
 FIG3_KAPPAS = (0.25, 0.5, 1.0, 2.0, 4.0)
-FIG3_BATTERY_COUNTS = (1, 2, 3, 4)
 FIG4_SEEDS = 3
 POWER_PEAK_COEFF = 1.45  # bounds the peak power coefficient 2 sin^2(x)/x = 1.44922, tan x = 2x
 
@@ -170,30 +170,43 @@ def _refuse_no_battery(command: str, specs) -> None:
                              f"forms; the (L, n) = ({spec.L}, 0) system has no battery")
 
 
-def cmd_fig1(config: ExperimentConfig, collapse_systems=FIG1_COLLAPSE_SYSTEMS) -> None:
+def _register_systems(command: str, model: ModelSpec):
+    """The (L, n) systems of ``model``'s L + n qubits, one for each n of
+    BATTERY_COUNTS that divides a ring of two sites or more; none is refused."""
+    qubits = model.qubits
+    systems = [(qubits - n, n) for n in BATTERY_COUNTS if qubits - n >= 2 and qubits % n == 0]
+    if not systems:
+        raise ValueError(f"{command}: no n of 1..4 divides a ring of L >= 2 sites at "
+                         f"L + n = {qubits}")
+    return systems
+
+
+def cmd_fig1(config: ExperimentConfig, collapse_systems=None) -> None:
     """Ergotropy, linear entropy and charging power vs time, single battery
     plus collapse set (the paper's Figs. 1 and 2).
 
-    The configured model is the single-battery panel; ``collapse_systems``
-    are (L, n) pairs run with the same couplings for the per-battery
-    collapse of the ergotropy, then of the power, onto the single-battery
-    curves; between them, with a cat charger (ghz_plus or ghz_minus), each
-    system's linear entropy is compared with the cat's closed form for its
-    n, which is what the SL_ana column holds whatever the charger.  A sweep
+    The configured model is the single-battery panel.  The collapse systems
+    are its register's others (``_register_systems``, or ``collapse_systems``,
+    an override for the benchmark and a few tests: ROADMAP item 10), none
+    run twice, all at L/n with the same couplings.  Per battery, the
+    ergotropy, then the power, is compared with the one-battery curve; in
+    between, for a cat charger, each system's linear entropy with the cat's
+    closed form for its n (the SL_ana column whatever the charger).  A sweep
     section and a system without a battery are refused.
     """
     _refuse_sweep("fig1", config)
     init = config.initial or InitialStateSpec()
     times = config.grid.times()
-    specs = [config.model] + [
-        replace(config.model, L=ls, n=ns, d=None) for ls, ns in collapse_systems
-    ]
+    model = config.model
+    systems = _register_systems("fig1", model) if collapse_systems is None else collapse_systems
+    specs = [model] + [replace(model, L=L, n=n, d=None) for L, n in systems
+                       if (L, n) != (model.L, model.n)]
     _refuse_no_battery("fig1", specs)
     runs = [(spec, init, config.seed) for spec in specs]
     for spec in specs:
         check_run(spec, init, times)
     results = [run_series(spec, init, times, seed) for spec, init, seed in runs]
-    single = AnalyticParams.from_model(config.model)
+    single = AnalyticParams.from_model(model)
     _collapse("xi", "ergotropy", runs, results, ergotropy_analytic(single, times))
     if init.charger_kind in ("ghz_plus", "ghz_minus"):
         for spec, series in zip(specs, results):
@@ -211,9 +224,9 @@ def cmd_fig3(config: ExperimentConfig) -> None:
     [0, 2 pi / omega] with the configured number of grid points (the
     default window would miss the peaks at weak coupling).  One summary
     row per point; kappa grid and period-long window are artifact choices.
-    Every point keeps the configured L + n, for each n of
-    FIG3_BATTERY_COUNTS whose ring L has two sites or more and is divisible
-    by n: it runs at the spacing L/n (another configured one is refused).
+    Every point runs one of the register's systems (``_register_systems``,
+    refused first if there is none) at the spacing L/n, and another
+    configured spacing is refused.
     The kappa grid is the values of the config's sweep section, which must
     sweep kappa, else FIG3_KAPPAS.  The grid section sets the number of
     points only: a window other than the default is refused, as is a point
@@ -228,10 +241,7 @@ def cmd_fig3(config: ExperimentConfig) -> None:
     among them; the points then run one at a time, each printing its
     line as its row is made.
     """
-    qubits = config.model.qubits
-    counts = [n for n in FIG3_BATTERY_COUNTS if qubits - n >= 2 and (qubits - n) % n == 0]
-    if not counts:
-        raise ValueError(f"fig3: no n of 1..4 divides a ring of L >= 2 sites at L + n = {qubits}")
+    systems = _register_systems("fig3", config.model)
     _refuse_spacing("fig3", config.model)
     if config.sweep is not None and config.sweep.parameter != "kappa":
         raise ValueError(f"fig3 sweeps kappa only; the config sweeps {config.sweep.parameter}")
@@ -241,8 +251,7 @@ def cmd_fig3(config: ExperimentConfig) -> None:
                          f"config's grid window [{window[0]}, {window[1]}]")
     kappas = FIG3_KAPPAS if config.sweep is None else config.sweep.values
     init = config.initial or InitialStateSpec()
-    specs = [replace(config.model, L=qubits - n, n=n, d=None, kappa=kappa)
-             for n in counts for kappa in kappas]
+    specs = [replace(config.model, L=L, n=n, d=None, kappa=k) for L, n in systems for k in kappas]
     points = []
     for spec in specs:
         p = AnalyticParams.from_model(spec)

@@ -157,11 +157,11 @@ def chebyshev_series(matvec, bound: float, psi0, times,
     their recurrence.  ValueError if a phase bound * t overflows the float
     range (``phases``), as soon as a vector outgrows psi0, which means
     ``bound`` is below ||H||, if the recurrence's table cannot fit in
-    physical memory (``chebyshev_coefficients``), and, once the
-    coefficients are known and before any vector is allocated, if they, the
-    K vectors, the two ``state_blocks`` buffers that form the states from
-    them and ``extra_bytes`` more, which the caller will hold alongside,
-    cannot.
+    physical memory (``chebyshev_coefficients``), and, before the K vectors
+    are allocated (two real parts each if psi0 or H psi0 is complex), if
+    the coefficients, the vectors, the two ``state_blocks`` buffers that
+    form the states from them and ``extra_bytes`` more, which the caller
+    will hold alongside, cannot.
     """
     psi0 = _check_state(np.size(psi0), psi0)
     if not (np.isfinite(bound) and bound > 0):
@@ -171,11 +171,12 @@ def chebyshev_series(matvec, bound: float, psi0, times,
         psi0 = psi0.real  # a real H then keeps the whole sequence real
     coefficients = chebyshev_coefficients(z)
     kept = coefficients.shape[1]
+    first = None if np.iscomplexobj(psi0) else matvec(psi0) / bound  # real psi0: is H complex?
+    complex_parts = first is None or np.iscomplexobj(first)
     _refuse_beyond_memory(float(np.max(np.abs(z))), kept, coefficients.nbytes + extra_bytes
-                          + psi0.itemsize * kept * psi0.size
+                          + 8 * (1 + complex_parts) * kept * psi0.size
                           + 16 * min(z.size, NODE_BLOCK) * psi0.size, kept)
-    previous, current = psi0, matvec(psi0) / bound
-    complex_parts = np.iscomplexobj(current)
+    previous, current = psi0, matvec(psi0) / bound if first is None else first
     vectors = np.empty((1 + complex_parts, kept, psi0.size))
     evens = (kept + 1) // 2
     for k in range(kept):

@@ -613,10 +613,56 @@ def test_fig1_on_a_tiny_window_stores_and_charges_exactly_nothing(tmp_path, caps
                                        "output_path": str(out)}))
     assert main(["fig1", "--config", str(config_path)]) == 0
     cols = read_csv(out)
-    assert cols["t"].size == 20
+    assert cols["t"].size == 5  # the (4, 1) register holds no other system
     assert np.all(cols["dE_num"] == 0.0) and np.all(cols["P_num"] == 0.0)
     gaps = [line for line in capsys.readouterr().out.splitlines() if "max |" in line]
-    assert len(gaps) == 12 and all(line.endswith(" = 0.000e+00") for line in gaps), gaps
+    assert len(gaps) == 3 and all(line.endswith(" = 0.000e+00") for line in gaps), gaps
+
+
+def fig1_keys(tmp_path, capsys, model):
+    """The (n, L) key of every row, and the printed systems, of a 5-step fig1
+    run through ``main`` on ``model``."""
+    code, out, err, cols = run_cli(tmp_path, capsys, "fig1",
+                                   {"model": model, "grid": {"steps": 5}})
+    assert code == 0 and err == [], err
+    systems = [line.split(":")[0] for line in out if "max |xi/n - xi_ana|" in line]
+    return list(zip(cols["n"].astype(int), cols["L"].astype(int))), systems
+
+
+def test_fig1_runs_every_system_of_its_register_once(tmp_path, capsys):
+    # a (10, 2) panel is one of its register's systems: the others, (11, 1),
+    # (9, 3) and (8, 4), run once each after it, and no key is written twice
+    keys, systems = fig1_keys(tmp_path, capsys, {"L": 10, "n": 2})
+    assert keys == [key for key in ((2, 10), (1, 11), (3, 9), (4, 8)) for _ in range(5)]
+    assert systems == ["fig1 (L=10, n=2)", "fig1 (L=11, n=1)", "fig1 (L=9, n=3)",
+                       "fig1 (L=8, n=4)"]
+
+
+def test_fig1_runs_the_systems_fig3_runs_on_its_register(tmp_path, capsys):
+    # a (5, 1) register holds (5, 1), (4, 2) and (3, 3), as fig3 reads it
+    keys, _ = fig1_keys(tmp_path, capsys, {"L": 5, "n": 1})
+    assert keys[::5] == [(1, 5), (2, 4), (3, 3)]
+    code, _, _, cols = run_cli(tmp_path, capsys, "fig3", {
+        "model": {"L": 5, "n": 1}, "grid": {"steps": 20},
+        "sweep": {"parameter": "kappa", "values": [2.0]}})
+    assert code == 0
+    assert list(zip(cols["n"].astype(int), cols["L"].astype(int))) == keys[::5]
+
+
+@pytest.mark.parametrize("command, sweep", [
+    ("sweep", {"parameter": "kappa", "values": [2.0, 2.0]}),
+    ("sweep", {"parameter": "kappa", "values": [1.0, -0.0, 0.0]}),
+    ("sweep", {"parameter": "n", "values": [1, 2, 2.0]}),
+    ("fig3", {"parameter": "kappa", "values": [1.0, 1.0]}),
+], ids=["kappa", "kappa-signed-zero", "n", "fig3"])
+def test_a_repeated_sweep_value_is_refused_in_one_line(tmp_path, capsys, command, sweep):
+    # two runs of one value would write one (n, L, kappa, seed) key twice;
+    # the fresh-process config test below shows numpy is not yet loaded
+    model = {"L": 6, "n": 2} if sweep["parameter"] == "n" else {"L": 4, "n": 1}
+    code, out, err, cols = run_cli(tmp_path, capsys, command, {
+        "model": model, "grid": {"steps": 5}, "sweep": sweep})
+    assert (code, out, cols) == (2, [], None)
+    assert len(err) == 1 and err[0].startswith("error: sweep.values must name each series once")
 
 
 def test_fig1_refuses_a_collapse_system_without_a_battery_before_any_run(
@@ -1575,9 +1621,12 @@ def test_the_command_line_and_config_are_checked_before_numpy_loads(tmp_path, ca
               ["sweep", "--config", str(full), "--seed", "9", "--h-override", "0.25"]]
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps({"model": {"L": 40, "n": 1}}))
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text(json.dumps({"sweep": {"parameter": "kappa", "values": [0.0, -0.0]}}))
     failing = [["fig1", "--config", str(unknown)],
                ["fig4", "--out", str(tmp_path / "missing" / "fig4.csv")],
-               ["fig4", "--config", str(huge)]]
+               ["fig4", "--config", str(huge)],
+               ["sweep", "--config", str(repeated)]]
     configs, codes, errors, loaded = run_child(
         "import contextlib, io, json, sys\n"
         "from sunburst_battery import cli\n"
@@ -1593,7 +1642,7 @@ def test_the_command_line_and_config_are_checked_before_numpy_loads(tmp_path, ca
     )
     assert loaded == []
     assert configs == [repr(config_from_args(build_parser().parse_args(argv))) for argv in parsed]
-    assert codes == [2, 2, 2]
+    assert codes == [2, 2, 2, 2]
     expected = []
     for argv in failing:
         assert main(argv) == 2
@@ -1604,6 +1653,7 @@ def test_the_command_line_and_config_are_checked_before_numpy_loads(tmp_path, ca
     assert re.fullmatch(r"error: a run at \(L, n\) = \(40, 1\) holds its state and Hamiltonian "
                         r"on 2\*\*40 entries or more, 352 bytes each: 3\.87e\+14 bytes, more "
                         r"than the \S+ bytes of physical memory\n", expected[2]), expected[2]
+    assert expected[3] == "error: sweep.values must name each series once, got [0.0, 0.0]\n"
 
 
 def test_the_config_module_imports_the_standard_library_only():
@@ -1761,7 +1811,7 @@ def test_closed_form_cells_do_not_depend_on_the_cpu_kernels(tmp_path):
 def command_cases():
     """(name, command, config data, keyword arguments) running every command
     on systems of at most 6 qubits, parameters drawn from a fixed seed: the
-    keyword arguments shrink fig1's fixed collapse systems, and fig3 runs
+    keyword arguments override fig1's collapse systems, and fig3 runs
     n = 1, 2 and 3 on the six qubits of its (5, 1) model."""
     rng = np.random.default_rng(20261019)
 
@@ -1801,8 +1851,9 @@ def command_runs(command, config, kwargs):
     writes, in order, for the series commands; fig3's (spec, times) per
     summary row."""
     model, times = config.model, config.grid.times()
-    if command == "cmd_fig1":
-        specs = [model] + [replace(model, L=L, n=n, d=None) for L, n in kwargs["collapse_systems"]]
+    if command == "cmd_fig1":  # a pair equal to the configured one runs once
+        specs = [model] + [replace(model, L=L, n=n, d=None) for L, n in kwargs["collapse_systems"]
+                           if (L, n) != (model.L, model.n)]
     elif command == "cmd_fig3":
         specs = [replace(model, L=model.qubits - n, n=n, d=None, kappa=kappa)
                  for n in (1, 2, 3) for kappa in config.sweep.values]

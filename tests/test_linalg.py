@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import report_physical_memory
 from sunburst_battery import linalg, validate
 from sunburst_battery.config import ModelSpec, physical_memory
 from sunburst_battery.dynamics import random_state
@@ -190,6 +191,22 @@ def test_chebyshev_series_real_state_under_complex_hamiltonian():
     assert vectors.shape[0] == 2 and coefficients.shape == (times.size, vectors.shape[1])
     for t, state in zip(times, series_states(coefficients, vectors)):
         assert np.max(np.abs(state - expm_series_oracle(ham, psi, t))) <= 1e-8
+
+
+def test_chebyshev_series_counts_a_real_state_under_a_complex_hamiltonian_at_16_bytes(
+        monkeypatch):
+    # the complex first product makes each of the K vectors two real parts,
+    # 16 bytes per entry: memory for 12, more than the real state's own 8,
+    # must be refused before they exist
+    rng = np.random.default_rng(17)
+    ham = random_hermitian(rng, 64)
+    psi = np.abs(random_state(rng, 64))
+    bound, times = row_sum_bound(ham), np.linspace(0.0, 3.0, 4)
+    coefficients = chebyshev_coefficients(bound * times)
+    held = coefficients.nbytes + 16 * times.size * psi.size  # with both state_blocks buffers
+    report_physical_memory(monkeypatch, held + 12 * coefficients.size // times.size * psi.size)
+    with pytest.raises(ValueError, match=r"coefficient terms per point and .* vectors: .* bytes"):
+        chebyshev_series(lambda v: ham @ v, bound, psi, times)
 
 
 def bessel_j(k: int, z: float) -> float:
