@@ -26,28 +26,20 @@ self-check suite only and live in ``validate``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .config import ModelSpec
+from .config import ModelSpec, Record
 
 
-@dataclass(frozen=True)
-class AnalyticParams:
+class AnalyticParams(Record):
     """Battery gap and coupling, with the derived frequency omega and the
     ratios r = 2 kappa / omega and s = delta / omega cached.  At a finite
     omega the ratios lie in [0, 1], so their squares neither overflow nor
     divide inf by inf at huge fields; both are 0 at omega = 0, where the
     battery is frozen."""
 
-    delta: float
-    kappa: float
-    omega: float = field(init=False)
-    r: float = field(init=False)
-    s: float = field(init=False)
-
-    def __post_init__(self):
+    def __init__(self, delta: float, kappa: float):
+        self._store(locals())
         if self.delta < 0 or self.kappa < 0:
             raise ValueError("delta and kappa must be non-negative")
         omega = float(np.hypot(self.delta, 2.0 * self.kappa))

@@ -11,10 +11,10 @@ its BLAS runs on one thread unless the environment names another count.
 numpy is imported only once ``main`` has set that default, because BLAS
 reads its thread count when it loads: neither this module nor the package
 ``__init__`` imports anything that loads numpy.  The command line, the
-config (``config``, which imports the standard library only) and the
-output path are all checked before that, since numpy first loads when the
-command's runner imports ``experiments``: a bad input fails without
-waiting for the numeric modules.
+config (``config``, which imports the standard library only, and not its
+dataclass module with ``inspect``) and the output path are all checked
+before that, since numpy first loads when the command's runner imports
+``experiments``: a bad input fails without waiting for the numeric modules.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import argparse
 import gc
 import os
 import sys
-from dataclasses import replace
 
 # read by OpenBLAS, OpenMP and MKL when numpy loads
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -68,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace):
     """The ExperimentConfig of a parsed fig/sweep command line."""
-    from .config import ExperimentConfig, load_config
+    from .config import ExperimentConfig, load_config, replace
 
     config = load_config(args.config) if args.config else ExperimentConfig()
     if args.out is None and args.config is None:

@@ -9,6 +9,13 @@ a bad one with one ``error:`` line, before numpy loads
 lives in the numeric modules: the Hamiltonian in ``model``, the charger
 states in ``dynamics`` (``charger_state``), the grid times in
 ``TimeGrid.times``, which loads numpy when it is called.
+
+The records are plain frozen classes on one base, ``Record``, whose
+fields are the parameters of their ``__init__``; ``replace`` builds a
+changed copy through ``__init__``, so it is checked again.  Plain classes
+keep ``inspect``, ``ast``, ``dis`` and ``tokenize``, which the standard
+library's dataclass module imports and set-up never uses, out of the
+start of every command and every refused config.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import MISSING, dataclass, fields
 from numbers import Integral, Real
 
 DEFAULT_SEED = 1234
@@ -54,36 +60,85 @@ def real(name: str, value) -> float:
         raise ValueError(f"{name} is an integer beyond the float range") from None
 
 
+class Record:
+    """A frozen record whose fields are the parameters of its ``__init__``,
+    in order.  Equal fields make equal records with equal hashes, the repr
+    names every field, and no field is assigned after ``__init__``:
+    ``replace`` builds a new record, through ``__init__``, instead.  Each
+    ``__init__`` stores its arguments with ``self._store(locals())`` before
+    it checks them, and sets a derived value with ``object.__setattr__``."""
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _store(self, arguments: dict) -> None:
+        for name in self._fields:
+            object.__setattr__(self, name, arguments[name])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+def replace(record: Record, **changes) -> Record:
+    """A new record of the type of ``record``, with its fields but those in
+    ``changes``: built through ``__init__``, so every check runs again and
+    every derived value (``ModelSpec.d`` given as None) is derived again.
+    An unknown field is a TypeError."""
+    return type(record)(**{**{name: getattr(record, name) for name in record._fields},
+                           **changes})
+
+
 def config_fields(cls, section: str, data) -> dict:
-    """Keyword arguments for the dataclass ``cls`` from the JSON object
+    """Keyword arguments for the record ``cls`` from the JSON object
     ``data`` at key ``section``: every key names a field, every field with
     no default is given, and a value (but None for a None default) goes
     through integral() for a field declared ``int`` or ``int | None`` and
-    through real() for ``float``.  This module postpones its annotations,
-    so the declarations are strings."""
+    through real() for ``float``.  The fields, their defaults and their
+    declarations are read from ``cls.__init__``; this module postpones its
+    annotations, so the declarations are strings."""
     if not isinstance(data, dict):
         raise ValueError(f"{section} must be a JSON object, got {data!r}")
-    declared = {f.name: f for f in fields(cls)}
-    unknown = set(data) - set(declared)
+    init = cls.__init__
+    defaults = dict(zip(reversed(cls._fields), reversed(init.__defaults__ or ())))
+    unknown = set(data) - set(cls._fields)
     if unknown:
         raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
-    missing = [name for name, f in declared.items() if f.default is MISSING and name not in data]
+    missing = [name for name in cls._fields if name not in defaults and name not in data]
     if missing:
         raise ValueError(f"{section} requires the keys {missing}")
     kwargs = dict(data)
     for key, value in data.items():
-        field = declared[key]
-        if value is None and field.default is None:
+        if value is None and key in defaults and defaults[key] is None:
             continue
-        if field.type in ("int", "int | None"):
+        declared = init.__annotations__[key]
+        if declared in ("int", "int | None"):
             kwargs[key] = integral(f"{section}.{key}", value)
-        elif field.type == "float":
+        elif declared == "float":
             kwargs[key] = real(f"{section}.{key}", value)
     return kwargs
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Record):
     """Model parameters.  Couplings are in units of the ring bond J.
 
     d is the site spacing between consecutive batteries; when omitted it
@@ -92,15 +147,9 @@ class ModelSpec:
     a grid, so a command refuses every system it builds before any run.
     """
 
-    L: int
-    n: int
-    d: int | None = None
-    J: float = 1.0
-    h: float = 0.1
-    delta: float = 0.5
-    kappa: float = 2.0
-
-    def __post_init__(self):
+    def __init__(self, L: int, n: int, d: int | None = None, J: float = 1.0,
+                 h: float = 0.1, delta: float = 0.5, kappa: float = 2.0):
+        self._store(locals())
         if not isinstance(self.L, int) or self.L < 2:
             raise ValueError(f"ring length L must be an integer >= 2, got {self.L!r}")
         if not isinstance(self.n, int) or self.n < 0:
@@ -155,8 +204,7 @@ class ModelSpec:
         return 1 << self.qubits
 
 
-@dataclass(frozen=True)
-class InitialStateSpec:
+class InitialStateSpec(Record):
     """Charger preparation; the battery register is always all-ground.
 
     charger_kind: ghz_plus | ghz_minus | eigenstate | random
@@ -167,10 +215,8 @@ class InitialStateSpec:
     seed.
     """
 
-    charger_kind: str = "ghz_plus"
-    index: int | None = None
-
-    def __post_init__(self):
+    def __init__(self, charger_kind: str = "ghz_plus", index: int | None = None):
+        self._store(locals())
         if self.charger_kind not in CHARGER_KINDS:
             raise ValueError(
                 f"unknown charger kind {self.charger_kind!r}; expected one of {CHARGER_KINDS}"
@@ -182,16 +228,12 @@ class InitialStateSpec:
             raise ValueError(f"index is only valid for 'eigenstate', not {self.charger_kind!r}")
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(Record):
     """Uniform grid of ``steps`` points on [t_start, t_end]; ``steps`` must
     fit GRID_POINT_BYTES per point in physical memory."""
 
-    t_start: float = 0.0
-    t_end: float = 2.0
-    steps: int = 2000
-
-    def __post_init__(self):
+    def __init__(self, t_start: float = 0.0, t_end: float = 2.0, steps: int = 2000):
+        self._store(locals())
         if self.steps < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.steps}")
         available = physical_memory()
@@ -213,14 +255,11 @@ class TimeGrid:
         return np.linspace(self.t_start, self.t_end, self.steps)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Record):
     """One swept parameter (kappa or n) and its values, none repeated."""
 
-    parameter: str
-    values: tuple
-
-    def __post_init__(self):
+    def __init__(self, parameter: str, values: tuple):
+        self._store(locals())
         if not isinstance(self.values, (list, tuple)):
             raise ValueError(f"sweep.values must be a list, got {self.values!r}")
         if self.parameter not in ("kappa", "n"):
@@ -241,18 +280,15 @@ class SweepSpec:
         object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Full description of one run; serializable as a single JSON document."""
+class ExperimentConfig(Record):
+    """Full description of one run; serializable as a single JSON document.
+    No initial section (None) is the cat charger, or fig4's own."""
 
-    model: ModelSpec = ModelSpec(11, 1)
-    initial: InitialStateSpec | None = None  # no section: the cat charger, or fig4's own
-    grid: TimeGrid = TimeGrid()
-    sweep: SweepSpec | None = None
-    seed: int = DEFAULT_SEED
-    output_path: str = "out.csv"
-
-    def __post_init__(self):
+    def __init__(self, model: ModelSpec = ModelSpec(11, 1),
+                 initial: InitialStateSpec | None = None, grid: TimeGrid = TimeGrid(),
+                 sweep: SweepSpec | None = None, seed: int = DEFAULT_SEED,
+                 output_path: str = "out.csv"):
+        self._store(locals())
         seed = integral("config.seed", self.seed)
         if not 0 <= seed < 2 ** 64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")

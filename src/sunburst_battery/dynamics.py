@@ -27,7 +27,7 @@ nodes fix the states too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,8 +79,7 @@ def _place(charger: np.ndarray, layout: Layout, n: int) -> np.ndarray:
     return psi
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """States as a Chebyshev expansion with real coefficients (shape (M, K))
     at the M Chebyshev ``nodes`` of the grid window: the state at node j is
     the sum over k of coefficients[j, k] v_k, times -i for odd k, with the

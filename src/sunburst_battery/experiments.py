@@ -24,13 +24,11 @@ eigenstate pattern and window (``dynamics.check_run``).
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .analytic import (AnalyticParams, ergotropy_analytic, linear_entropy_analytic,
                        stored_energy_analytic)
-from .config import ExperimentConfig, InitialStateSpec, ModelSpec, TimeGrid
+from .config import ExperimentConfig, InitialStateSpec, ModelSpec, TimeGrid, replace
 from .dynamics import check_run, trajectory
 from .linalg import GRID_BLOCK
 from .model import battery_energies
@@ -245,8 +243,8 @@ def cmd_fig3(config: ExperimentConfig) -> None:
     _refuse_spacing("fig3", config.model)
     if config.sweep is not None and config.sweep.parameter != "kappa":
         raise ValueError(f"fig3 sweeps kappa only; the config sweeps {config.sweep.parameter}")
-    window = (config.grid.t_start, config.grid.t_end)
-    if window != (TimeGrid.t_start, TimeGrid.t_end):
+    window, default = (config.grid.t_start, config.grid.t_end), TimeGrid()
+    if window != (default.t_start, default.t_end):
         raise ValueError(f"fig3 scans [0, 2 pi / omega] and reads only grid.steps; remove the "
                          f"config's grid window [{window[0]}, {window[1]}]")
     kappas = FIG3_KAPPAS if config.sweep is None else config.sweep.values

@@ -34,7 +34,7 @@ blocks alone (half of the 4**n entries for n >= 1), and no zero-filled
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,8 +178,7 @@ def charging_power(delta_e, t):
     return np.where(t > 0, delta_e / np.where(t > 0, t, 1.0), 0.0)[()]
 
 
-@dataclass
-class MeritSeries:
+class MeritSeries(NamedTuple):
     """Figures of merit as columns over a time grid, one entry per grid
     point.
 

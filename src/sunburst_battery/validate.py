@@ -20,7 +20,6 @@ build_total with the other parts switched off.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .analytic import (
     excited_population,
     stored_energy_analytic,
 )
-from .config import InitialStateSpec, ModelSpec
+from .config import InitialStateSpec, ModelSpec, Record, replace
 from .dynamics import Trajectory, _place, charger_state, random_state, trajectory
 from .experiments import POWER_PEAK_COEFF, _max_gap, analytic_reference, run_series
 from .linalg import GRID_BLOCK, _check_state, chebyshev_series, interpolate, state_blocks
@@ -128,8 +127,7 @@ def power_at_T(p: AnalyticParams) -> float:
     return float(4.0 * p.delta * p.kappa ** 2 / (np.pi * p.omega))
 
 
-@dataclass(frozen=True)
-class TwoBatteryResult:
+class TwoBatteryResult(Record):
     """Corner populations and figures of merit for two batteries.
 
     lambda1/lambda4 are the |00><00| / |11><11| populations of the reduced
@@ -137,10 +135,9 @@ class TwoBatteryResult:
     the single-battery values at every time.
     """
 
-    lambda1: np.ndarray
-    lambda4: np.ndarray
-    stored_energy: np.ndarray
-    ergotropy: np.ndarray
+    def __init__(self, lambda1: np.ndarray, lambda4: np.ndarray, stored_energy: np.ndarray,
+                 ergotropy: np.ndarray):
+        self._store(locals())
 
 
 def two_battery(p: AnalyticParams, t) -> TwoBatteryResult:

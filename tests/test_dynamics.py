@@ -391,7 +391,7 @@ def assert_merit_columns_match_oracle(traj, oracle, power=True):
     spec, cells = traj.spec, reduced_states(traj)
     levels = battery_energies(spec.n, spec.delta)
     expected = numpy_figures(reduce_to_battery(oracle, spec.L, spec.n), levels)
-    columns = vars(merit_series(traj, cells))
+    columns = merit_series(traj, cells)._asdict()
     columns["ergotropy_spectral"] = ergotropy(cells, levels, traj.layout)
     if power:
         expected["power"] = charging_power(expected["stored_energy"], traj.times)

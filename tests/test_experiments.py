@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import gc
 import json
 import math
@@ -9,7 +8,6 @@ import subprocess
 import sys
 import tracemalloc
 import typing
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +27,7 @@ from sunburst_battery.config import (
     SweepSpec,
     TimeGrid,
     load_config,
+    replace,
 )
 from sunburst_battery.experiments import (
     CSV_COLUMNS,
@@ -223,30 +222,54 @@ CONFIG_SECTIONS = (("config", ExperimentConfig), ("model", ModelSpec),
 
 
 def test_every_numeric_config_field_is_read_by_its_declared_type():
-    # the types are resolved from each section's annotations here, apart
-    # from the reader: an int field set to 2.5 and a float field set to
-    # "0.1" are refused by their key path, so a reader that stops matching
-    # a declaration lets one through to its dataclass and fails
+    # the types are resolved from the annotations of each section's
+    # __init__ here, apart from the reader: an int field set to 2.5 and a
+    # float field set to "0.1" are refused by their key path, so a reader
+    # that stops matching a declaration lets one through to its record and
+    # fails
     checked = []
     for key, cls in CONFIG_SECTIONS:
-        types = typing.get_type_hints(cls)
-        for field in dataclasses.fields(cls):
-            if types[field.name] in (int, int | None):
+        for name, declared in typing.get_type_hints(cls.__init__).items():
+            if declared in (int, int | None):
                 value, message = 2.5, "must be an integer, got 2.5"
-            elif types[field.name] is float:
+            elif declared is float:
                 value, message = "0.1", "must be a number, got '0.1'"
             else:
                 continue
-            data = {name: dict(section) if isinstance(section, dict) else section
-                    for name, section in VALID_CONFIG.items()}
-            (data if key == "config" else data[key])[field.name] = value
-            path = f"{key}.{field.name}"
+            data = {section_name: dict(section) if isinstance(section, dict) else section
+                    for section_name, section in VALID_CONFIG.items()}
+            (data if key == "config" else data[key])[name] = value
+            path = f"{key}.{name}"
             with pytest.raises(ValueError, match=f"^{re.escape(f'{path} {message}')}$"):
                 ExperimentConfig.from_dict(data)
             checked.append(path)
     assert checked == ["config.seed", "model.L", "model.n", "model.d", "model.J", "model.h",
                        "model.delta", "model.kappa", "initial.index", "grid.t_start",
                        "grid.t_end", "grid.steps"]
+
+
+def test_config_records_are_values_and_replace_checks_them_again():
+    # equal fields make equal records with equal hashes (the merit-series
+    # cache keys on them); replace builds through __init__, so d is derived
+    # and checked again, and an unknown field or an assignment is refused
+    spec = ModelSpec(11, 1)
+    assert spec == ModelSpec(L=11, n=1, d=1) and hash(spec) == hash(ModelSpec(11, 1, 1))
+    assert spec != replace(spec, h=0.2) and spec != InitialStateSpec()
+    config = ExperimentConfig.from_dict(VALID_CONFIG)
+    assert config == ExperimentConfig.from_dict(VALID_CONFIG)
+    assert hash(config) == hash(ExperimentConfig.from_dict(VALID_CONFIG))
+    assert replace(spec, L=10, n=2, d=None) == ModelSpec(10, 2, 5)
+    with pytest.raises(ValueError, match="^battery spacing d must be given explicitly: 3 does not"):
+        replace(spec, n=3, d=None)
+    with pytest.raises(TypeError):
+        replace(spec, coupling=2.0)
+    for record, name in ((spec, "L"), (spec, "d"), (config, "seed"), (config.grid, "steps"),
+                         (config.initial, "index"), (config.sweep, "values")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert repr(spec) == "ModelSpec(L=11, n=1, d=1, J=1.0, h=0.1, delta=0.5, kappa=2.0)"
 
 
 def test_cli_refuses_a_config_nested_too_deeply_for_the_json_reader(tmp_path, capsys):
@@ -966,7 +989,7 @@ def extreme_field_cases():
                 data = {"model": model, "grid": {"steps": 5}}
                 if command in ("fig3", "sweep"):
                     data["sweep"] = {"parameter": "kappa",
-                                     "values": [model.get("kappa", ModelSpec.kappa)]}
+                                     "values": [model.get("kappa", ModelSpec(L, n).kappa)]}
                 cases.append((f"{command}-{'='.join(fields)}-{value:g}", command, data))
     return cases
 
@@ -1607,7 +1630,8 @@ NUMERIC_MODULES = ("numpy", *(f"sunburst_battery.{name}" for name in
 def test_the_command_line_and_config_are_checked_before_numpy_loads(tmp_path, capsys):
     # a fresh process parses every command's config, and fails on a bad
     # config and on a bad --out, with neither numpy nor any numeric module
-    # loaded; the configs and the error lines are this process's
+    # loaded, nor dataclasses and the inspect it imports; the configs and
+    # the error lines are this process's
     full = tmp_path / "full.json"
     full.write_text(json.dumps({
         "model": {"L": 6, "n": 2, "d": 3, "J": 1.0, "h": 0.2, "delta": 0.4, "kappa": 1.5},
@@ -1637,7 +1661,8 @@ def test_the_command_line_and_config_are_checked_before_numpy_loads(tmp_path, ca
         "    with contextlib.redirect_stderr(io.StringIO()) as err:\n"
         "        codes.append(cli.main(argv))\n"
         "    errors.append(err.getvalue())\n"
-        f"loaded = sorted(m for m in {NUMERIC_MODULES!r} if m in sys.modules)\n"
+        f"loaded = sorted(m for m in {(*NUMERIC_MODULES, 'dataclasses', 'inspect')!r}\n"
+        "                 if m in sys.modules)\n"
         "print(json.dumps([configs, codes, errors, loaded]))"
     )
     assert loaded == []

@@ -1,9 +1,7 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from sunburst_battery.config import ExperimentConfig, InitialStateSpec, ModelSpec
+from sunburst_battery.config import ExperimentConfig, InitialStateSpec, ModelSpec, replace
 from sunburst_battery.dynamics import charger_state
 from sunburst_battery.model import (
     battery_energies,

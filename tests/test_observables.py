@@ -441,7 +441,7 @@ def assert_matches_per_point_evaluation(traj, cells):
                               for psi in trajectory_states(traj)], levels)
     expected["t"] = times
     expected["power"] = [charging_power(e, t) for e, t in zip(expected["stored_energy"], times)]
-    columns = vars(merit_series(traj, cells))
+    columns = merit_series(traj, cells)._asdict()
     columns["ergotropy_spectral"] = ergotropy(cells, levels, traj.layout)
     for name, column in expected.items():
         assert np.max(np.abs(columns[name] - np.asarray(column))) <= 1e-14, name
