@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import ModelSpec, Record
+from .config import Record
 
 
 class AnalyticParams(Record):
@@ -46,10 +46,6 @@ class AnalyticParams(Record):
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "r", 2.0 * self.kappa / omega if omega else 0.0)
         object.__setattr__(self, "s", self.delta / omega if omega else 0.0)
-
-    @classmethod
-    def from_model(cls, spec: ModelSpec) -> "AnalyticParams":
-        return cls(spec.delta, spec.kappa)
 
 
 def _times(t) -> np.ndarray:

@@ -99,7 +99,7 @@ def _require_output_dir(path: str) -> None:
 def main(argv=None) -> int:
     fresh = "numpy" not in sys.modules
     if fresh:
-        # a run leaves no cyclic garbage: skip ~8 ms of collections and teardown's ~40 ms pass
+        # a run leaves no cyclic garbage: skip its collections (<= 3 ms) and teardown's ~15 ms pass
         gc.disable()
         # every product here is small: a second BLAS thread speeds none of
         # them up and spins after each one; an explicit setting wins

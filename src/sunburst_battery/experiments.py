@@ -19,7 +19,8 @@ CSV key once (fig1 and fig3 on the register's systems, ``_register_systems``),
 with BLAS on one thread by default (``cli.main``).  Every refusal comes
 before the first run: a config section a command would not read, a
 system too big for memory (``ModelSpec``), and each run's grid,
-eigenstate pattern and window (``dynamics.check_run``).
+eigenstate pattern and window (``dynamics.check_run``); fig4's seeds share
+one model, charger kind and grid, so it checks that window once.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def analytic_reference(spec: ModelSpec, times):
     """Closed-form (dE, xi, SL, P) columns of spec.n batteries: n times one
     battery's dE, xi and charging_power(dE), and the cat charger's SL."""
     times = np.asarray(times, dtype=float)
-    p = AnalyticParams.from_model(spec)
+    p = AnalyticParams(spec.delta, spec.kappa)
     stored = stored_energy_analytic(p, times)
     return (spec.n * stored, spec.n * ergotropy_analytic(p, times),
             linear_entropy_analytic(p, times, spec.n), spec.n * charging_power(stored, times))
@@ -204,7 +205,7 @@ def cmd_fig1(config: ExperimentConfig, collapse_systems=None) -> None:
     for spec in specs:
         check_run(spec, init, times)
     results = [run_series(spec, init, times, seed) for spec, init, seed in runs]
-    single = AnalyticParams.from_model(model)
+    single = AnalyticParams(model.delta, model.kappa)
     _collapse("xi", "ergotropy", runs, results, ergotropy_analytic(single, times))
     if init.charger_kind in ("ghz_plus", "ghz_minus"):
         for spec, series in zip(specs, results):
@@ -252,7 +253,7 @@ def cmd_fig3(config: ExperimentConfig) -> None:
     specs = [replace(config.model, L=L, n=n, d=None, kappa=k) for L, n in systems for k in kappas]
     points = []
     for spec in specs:
-        p = AnalyticParams.from_model(spec)
+        p = AnalyticParams(spec.delta, spec.kappa)
         if p.omega == 0.0:
             raise ValueError("cannot scan a period for delta = kappa = 0")
         point = f"fig3 (n={spec.n}, kappa={spec.kappa})"
@@ -310,7 +311,8 @@ def cmd_fig4(config: ExperimentConfig) -> None:
     population one collapses as h -> 0; the spectral one keeps an
     O(2**(-L/2)) seed-dependent coherence bump near the window edges).  A
     sweep or initial section is refused, since fig4 sets every charger
-    itself, and so is a model without a battery.
+    itself, and so is a model without a battery.  The seeds share one model,
+    charger kind and grid, so one ``check_run`` checks them before any runs.
     """
     _refuse_sweep("fig4", config)
     _refuse_no_battery("fig4", [config.model])
@@ -321,16 +323,15 @@ def cmd_fig4(config: ExperimentConfig) -> None:
     if seeds[-1] >= 2 ** 64:
         raise ValueError(f"fig4 runs seeds seed..seed + {FIG4_SEEDS - 1}, so seed must be at "
                          f"most {2 ** 64 - FIG4_SEEDS}, got {config.seed}")
-    times = config.grid.times()
-    runs = [(config.model, InitialStateSpec("random"), seed) for seed in seeds]
-    for spec, init, _ in runs:
-        check_run(spec, init, times)
+    init, times = InitialStateSpec("random"), config.grid.times()
+    check_run(config.model, init, times)
+    runs = [(config.model, init, seed) for seed in seeds]
     results, spectral = zip(*(_run_with_spectral(spec, times, seed) for spec, _, seed in runs))
     # at each time the widest pair is (max, min), so ptp is the largest pairwise gap exactly
     pair_pop = float(np.max(np.ptp([series.ergotropy for series in results], axis=0)))
     pair_spec = float(np.max(np.ptp(spectral, axis=0)))
     # per battery, as _collapse compares: the closed form is for one battery
-    reference = ergotropy_analytic(AnalyticParams.from_model(config.model), times)
+    reference = ergotropy_analytic(AnalyticParams(config.model.delta, config.model.kappa), times)
     vs_analytic = max(_max_gap(series.ergotropy / config.model.n, reference)
                       for series in results)
     print(f"fig4: pairwise max |xi_i - xi_j| = {pair_pop:.3e} "

@@ -789,7 +789,7 @@ def test_fig3_rows_are_the_peaks_of_the_runs_they_name(tmp_path):
     for row in range(6):
         spec = replace(config.model, L=int(cols["L"][row]), n=int(cols["n"][row]), d=None,
                        kappa=float(cols["kappa"][row]))
-        omega = AnalyticParams.from_model(spec).omega
+        omega = AnalyticParams(spec.delta, spec.kappa).omega
         times = np.linspace(0.0, 2.0 * np.pi / omega, config.grid.steps)
         series = experiments.run_series(spec, config.initial, times, config.seed)
         k = np.argmax(series.ergotropy)
@@ -1260,7 +1260,7 @@ def test_cli_fills_a_random_charger_seed_from_the_run_seed(tmp_path, capsys, com
         assert np.all(cols["seed"] == seed)
         for n, L, kappa in sorted(set(zip(cols["n"], cols["L"], cols["kappa"]))):
             spec = replace(config.model, L=int(L), n=int(n), d=None, kappa=kappa)
-            times = (np.linspace(0.0, 2 * np.pi / AnalyticParams.from_model(spec).omega, 8)
+            times = (np.linspace(0.0, 2 * np.pi / AnalyticParams(spec.delta, spec.kappa).omega, 8)
                      if command == "fig3" else config.grid.times())
             work = experiments.run_series(spec, InitialStateSpec("random"), times, seed).ergotropy
             rows = (cols["n"] == n) & (cols["L"] == L) & (cols["kappa"] == kappa)
@@ -1598,7 +1598,9 @@ def test_importing_the_package_loads_no_numpy_and_defines_only_its_version():
 def test_only_the_validate_command_loads_the_self_check_module(tmp_path):
     # every figure command and a sweep run the production path alone: the
     # check table and the dense oracles load for validate only, so no
-    # command can reach them; none of the others loads numpy's FFT
+    # command can reach them; none of the others loads numpy's FFT, and
+    # numpy.random (with the OpenSSL that its seeding imports) loads first
+    # for fig4's random chargers
     commands = []
     for name, section in (("fig1", {"model": {"L": 4, "n": 1}}),
                           ("fig3", {"model": {"L": 5, "n": 1}}),
@@ -1615,11 +1617,12 @@ def test_only_the_validate_command_loads_the_self_check_module(tmp_path):
         f"for argv in {commands!r}:\n"
         "    assert main(argv) == 0\n"
         "    loaded.append(['sunburst_battery.validate' in sys.modules,\n"
-        "                   'numpy.fft' in sys.modules])\n"
+        "                   'numpy.fft' in sys.modules, 'numpy.random' in sys.modules])\n"
         "print(json.dumps(loaded))"
     )
-    assert [validate for validate, _ in loaded] == [False, False, False, False, True]
-    assert [fft for _, fft in loaded[:4]] == [False, False, False, False]
+    assert [validate for validate, _, _ in loaded] == [False, False, False, False, True]
+    assert [fft for _, fft, _ in loaded[:4]] == [False, False, False, False]
+    assert [random for _, _, random in loaded[:4]] == [False, False, False, True]
 
 
 NUMERIC_MODULES = ("numpy", *(f"sunburst_battery.{name}" for name in
@@ -1882,7 +1885,7 @@ def command_runs(command, config, kwargs):
     elif command == "cmd_fig3":
         specs = [replace(model, L=model.qubits - n, n=n, d=None, kappa=kappa)
                  for n in (1, 2, 3) for kappa in config.sweep.values]
-        return [(spec, np.linspace(0.0, 2 * np.pi / AnalyticParams.from_model(spec).omega,
+        return [(spec, np.linspace(0.0, 2 * np.pi / AnalyticParams(spec.delta, spec.kappa).omega,
                                    config.grid.steps)) for spec in specs]
     elif command == "cmd_fig4":
         return [(model, InitialStateSpec("random"), times, config.seed + k) for k in range(3)]

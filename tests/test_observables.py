@@ -306,7 +306,7 @@ def test_merit_series_window_and_peaks():
 def test_merit_unavailable_identity_on_window():
     # stored - extractable = delta (1 - |B|^2) inside the window, h -> 0
     spec = ModelSpec(6, 1, h=1e-3, delta=0.5, kappa=2.0)
-    p = AnalyticParams.from_model(spec)
+    p = AnalyticParams(spec.delta, spec.kappa)
     times = np.linspace(0.45, 1.1, 50)  # strictly inside the window
     series = run_series(spec, InitialStateSpec(), times)
     expected = unavailable_analytic(p, times)
