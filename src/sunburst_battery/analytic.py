@@ -5,7 +5,7 @@ forms the commands print and write, every CSV cell through
 With the ring prepared in a cat state and one battery attached, the
 composite state stays in a two-dimensional subspace and oscillates at the
 Rabi-like frequency omega = sqrt(delta^2 + 4 kappa^2).  With the ratios
-r = 2 kappa / omega and s = delta / omega, which AnalyticParams caches,
+r = 2 kappa / omega and s = delta / omega, which AnalyticParams derives,
 
     A(t) = cos(omega t / 2) + i s sin(omega t / 2)
     B(t) = i r sin(omega t / 2)
@@ -26,26 +26,36 @@ self-check suite only and live in ``validate``.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
-from .config import Record
 
-
-class AnalyticParams(Record):
+class AnalyticParams(namedtuple("AnalyticParams", "delta kappa")):
     """Battery gap and coupling, with the derived frequency omega and the
-    ratios r = 2 kappa / omega and s = delta / omega cached.  At a finite
-    omega the ratios lie in [0, 1], so their squares neither overflow nor
-    divide inf by inf at huge fields; both are 0 at omega = 0, where the
-    battery is frozen."""
+    ratios r = 2 kappa / omega and s = delta / omega.  At a finite omega
+    the ratios lie in [0, 1], so their squares neither overflow nor divide
+    inf by inf at huge fields; both are 0 at omega = 0, where the battery
+    is frozen."""
 
-    def __init__(self, delta: float, kappa: float):
-        self._store(locals())
-        if self.delta < 0 or self.kappa < 0:
+    __slots__ = ()
+
+    def __new__(cls, delta: float, kappa: float):
+        if delta < 0 or kappa < 0:
             raise ValueError("delta and kappa must be non-negative")
-        omega = float(np.hypot(self.delta, 2.0 * self.kappa))
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "r", 2.0 * self.kappa / omega if omega else 0.0)
-        object.__setattr__(self, "s", self.delta / omega if omega else 0.0)
+        return super().__new__(cls, delta, kappa)
+
+    @property
+    def omega(self) -> float:
+        return float(np.hypot(self.delta, 2.0 * self.kappa))
+
+    @property
+    def r(self) -> float:
+        return 2.0 * self.kappa / self.omega if self.omega else 0.0
+
+    @property
+    def s(self) -> float:
+        return self.delta / self.omega if self.omega else 0.0
 
 
 def _times(t) -> np.ndarray:

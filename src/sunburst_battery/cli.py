@@ -11,10 +11,11 @@ its BLAS runs on one thread unless the environment names another count.
 numpy is imported only once ``main`` has set that default, because BLAS
 reads its thread count when it loads: neither this module nor the package
 ``__init__`` imports anything that loads numpy.  The command line, the
-config (``config``, which imports the standard library only, and not its
-dataclass module with ``inspect``) and the output path are all checked
-before that, since numpy first loads when the command's runner imports
-``experiments``: a bad input fails without waiting for the numeric modules.
+config (``config``, which imports the standard library only: its records
+are namedtuples checked in ``__new__``, not dataclasses, whose module
+loads ``inspect``) and the output path are all checked before that, since
+numpy first loads when the command's runner imports ``experiments``: a
+bad input fails without waiting for the numeric modules.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ build_total with the other parts switched off.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .analytic import (
     excited_population,
     stored_energy_analytic,
 )
-from .config import InitialStateSpec, ModelSpec, Record, replace
+from .config import InitialStateSpec, ModelSpec, replace
 from .dynamics import Trajectory, _place, charger_state, random_state, trajectory
 from .experiments import POWER_PEAK_COEFF, _max_gap, analytic_reference, run_series
 from .linalg import GRID_BLOCK, _check_state, chebyshev_series, interpolate, state_blocks
@@ -127,7 +128,7 @@ def power_at_T(p: AnalyticParams) -> float:
     return float(4.0 * p.delta * p.kappa ** 2 / (np.pi * p.omega))
 
 
-class TwoBatteryResult(Record):
+class TwoBatteryResult(NamedTuple):
     """Corner populations and figures of merit for two batteries.
 
     lambda1/lambda4 are the |00><00| / |11><11| populations of the reduced
@@ -135,9 +136,10 @@ class TwoBatteryResult(Record):
     the single-battery values at every time.
     """
 
-    def __init__(self, lambda1: np.ndarray, lambda4: np.ndarray, stored_energy: np.ndarray,
-                 ergotropy: np.ndarray):
-        self._store(locals())
+    lambda1: np.ndarray
+    lambda4: np.ndarray
+    stored_energy: np.ndarray
+    ergotropy: np.ndarray
 
 
 def two_battery(p: AnalyticParams, t) -> TwoBatteryResult:

@@ -1,5 +1,6 @@
 import ast
 import gc
+import inspect
 import json
 import math
 import os
@@ -223,13 +224,13 @@ CONFIG_SECTIONS = (("config", ExperimentConfig), ("model", ModelSpec),
 
 def test_every_numeric_config_field_is_read_by_its_declared_type():
     # the types are resolved from the annotations of each section's
-    # __init__ here, apart from the reader: an int field set to 2.5 and a
+    # __new__ here, apart from the reader: an int field set to 2.5 and a
     # float field set to "0.1" are refused by their key path, so a reader
     # that stops matching a declaration lets one through to its record and
     # fails
     checked = []
     for key, cls in CONFIG_SECTIONS:
-        for name, declared in typing.get_type_hints(cls.__init__).items():
+        for name, declared in typing.get_type_hints(cls.__new__).items():
             if declared in (int, int | None):
                 value, message = 2.5, "must be an integer, got 2.5"
             elif declared is float:
@@ -270,6 +271,17 @@ def test_config_records_are_values_and_replace_checks_them_again():
         with pytest.raises(AttributeError):
             delattr(record, name)
     assert repr(spec) == "ModelSpec(L=11, n=1, d=1, J=1.0, h=0.1, delta=0.5, kappa=2.0)"
+
+
+def test_each_record_lists_its_fields_as_the_parameters_of_its_new_in_order():
+    # a record's fields are written twice, in its namedtuple and in its
+    # checking __new__; a reordering in one would pass each value to the
+    # other's field.  replace of an unchanged record is the record itself.
+    for record in (ExperimentConfig(), ExperimentConfig().model, InitialStateSpec(),
+                   TimeGrid(), SweepSpec("kappa", [2.0]), AnalyticParams(0.5, 2.0)):
+        cls = type(record)
+        assert list(inspect.signature(cls.__new__).parameters)[1:] == list(cls._fields)
+        assert replace(record) == record and type(replace(record)) is cls
 
 
 def test_cli_refuses_a_config_nested_too_deeply_for_the_json_reader(tmp_path, capsys):

@@ -63,10 +63,21 @@ def test_benchmark_harness_runs_a_smoke_workload(workload, trace):
     # cmd_fig1 collapse_systems keyword and experiments.read_csv; a smoke run
     # end to end must exit 0 and check every series it wrote.  Traced, the
     # CSV must match the untraced bytes, no dense solve may run, and every
-    # merit point must reach the CSV
-    proc = subprocess.run(
-        [sys.executable, str(BENCHMARKS / "run.py"), "--workload", workload, "--smoke",
-         "--seconds", "0.5", "--trace", str(trace)], capture_output=True, text=True, timeout=300)
+    # merit point must reach the CSV.  A traced run writes its spans to
+    # .bench_work/trace-<workload>.json; the file found there before the
+    # run, or its absence, is put back after it
+    spans = BENCHMARKS.parent / ".bench_work" / f"trace-{workload}.json"
+    found = spans.read_bytes() if spans.exists() else None
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(BENCHMARKS / "run.py"), "--workload", workload, "--smoke",
+             "--seconds", "0.5", "--trace", str(trace)],
+            capture_output=True, text=True, timeout=300)
+    finally:
+        if found is None:
+            spans.unlink(missing_ok=True)
+        else:
+            spans.write_bytes(found)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, result
